@@ -208,6 +208,7 @@ def run_verify_lp_lq(cfg: Config, out_dir: Path, rng, jobs: int) -> ExperimentRe
         g, p, q, s1, s2, ts, fit_window=_fit_window_from(cfg, ts)
     )
     fitted = report.scalars.get("fitted_low_exponent")
+    intercept = report.scalars.get("fitted_low_intercept")
     expected = report.scalars["expected_low_exponent"]
     if fitted is not None and expected != 0:
         ok = abs(fitted - expected) <= rate_tol * abs(expected)
@@ -219,7 +220,7 @@ def run_verify_lp_lq(cfg: Config, out_dir: Path, rng, jobs: int) -> ExperimentRe
         {"measured": table.column("lhs"), "bound": [
             lo + hi for lo, hi in zip(table.column("low_bound"), table.column("high_bound"))
         ]},
-        fit=(fitted, 0.0) if fitted is not None else None,
+        fit=(fitted, intercept) if fitted is not None else None,
         title=f"flow decay p={p:g} q={q:g} s1={s1:g} s2={s2:g}",
     )
     return _finish(report, started)

@@ -5,7 +5,8 @@ L(t, xi) is sinh(t*w)/w below the threshold |xi| = 1/2 (w^2 = 1/4 - |xi|^2)
 and sin(t*w)/w above it; a short even Taylor series in |xi|^2 - 1/4 bridges
 the removable singularity.  The damped operator multiplies by exp(-t/2),
 which is always fused into the symbol so large times neither overflow nor
-lose the bounded product.
+lose the bounded product.  flow_matrix evaluates the branches once and
+returns the whole 2x2 matrix on (u, u_t); every other flow here reads it.
 """
 
 from __future__ import annotations
@@ -22,15 +23,12 @@ from besov_wave_lab.reporting import ExperimentReport, Table
 
 __all__ = [
     "DELTA_BAND",
-    "PropagatorSymbol",
-    "symbol_L",
-    "symbol_dtL",
+    "flow_matrix",
     "damped_L",
     "damped_dtL",
     "apply_D",
     "apply_dtD",
     "linear_solution",
-    "pair_flow",
     "fit_power_law",
     "verify_lp_lq",
     "BlockEstimateReport",
@@ -65,100 +63,52 @@ def _branch_masks(t: float, xi: np.ndarray):
     return z, series, low, high
 
 
-def symbol_L(t: float, xi_abs) -> np.ndarray:
-    """Raw kernel L(t, |xi|); even in t*sqrt(|1/4 - xi^2|) across branches."""
+def flow_matrix(t: float, xi_abs):
+    """Per-mode matrix (e11, e12, e21, e22) of the damped flow on (u, u_t).
+
+    e12 = exp(-t/2) L and e22 = exp(-t/2) (dL/dt - L/2) are fused so no
+    branch overflows at large t; e11 = e22 + e12 and e21 = -|xi|^2 e12.
+    A scalar |xi| gives four floats.
+    """
     if t < 0:
         raise ValueError("time must be nonnegative")
     scalar = np.isscalar(xi_abs)
     xi = np.atleast_1d(np.asarray(xi_abs, dtype=float))
     z, series, low, high = _branch_masks(t, xi)
-    out = np.empty_like(xi)
+    damp = math.exp(-t / 2.0)
+    e12 = np.empty_like(xi)
+    e22 = np.empty_like(xi)
     if np.any(series):
         x = t * t * z[series]
-        out[series] = t * _poly(_L_COEFFS, x)
-    if np.any(low):
-        w = np.sqrt(-z[low])
-        out[low] = np.sinh(t * w) / w
-    if np.any(high):
-        w = np.sqrt(z[high])
-        out[high] = np.sin(t * w) / w
-    return float(out[0]) if scalar else out
-
-
-def symbol_dtL(t: float, xi_abs) -> np.ndarray:
-    """Raw time derivative of the kernel: cosh/cos branches plus the series."""
-    if t < 0:
-        raise ValueError("time must be nonnegative")
-    scalar = np.isscalar(xi_abs)
-    xi = np.atleast_1d(np.asarray(xi_abs, dtype=float))
-    z, series, low, high = _branch_masks(t, xi)
-    out = np.empty_like(xi)
-    if np.any(series):
-        x = t * t * z[series]
-        out[series] = _poly(_DTL_COEFFS, x)
-    if np.any(low):
-        out[low] = np.cosh(t * np.sqrt(-z[low]))
-    if np.any(high):
-        out[high] = np.cos(t * np.sqrt(z[high]))
-    return float(out[0]) if scalar else out
-
-
-def damped_L(t: float, xi_abs) -> np.ndarray:
-    """exp(-t/2) * L(t, |xi|) in one fused expression (no overflow for any t)."""
-    if t < 0:
-        raise ValueError("time must be nonnegative")
-    scalar = np.isscalar(xi_abs)
-    xi = np.atleast_1d(np.asarray(xi_abs, dtype=float))
-    z, series, low, high = _branch_masks(t, xi)
-    out = np.empty_like(xi)
-    if np.any(series):
-        x = t * t * z[series]
-        out[series] = math.exp(-t / 2.0) * t * _poly(_L_COEFFS, x)
-    if np.any(low):
-        w = np.sqrt(-z[low])
-        out[low] = (np.exp(t * (w - 0.5)) - np.exp(-t * (w + 0.5))) / (2.0 * w)
-    if np.any(high):
-        w = np.sqrt(z[high])
-        out[high] = math.exp(-t / 2.0) * np.sin(t * w) / w
-    return float(out[0]) if scalar else out
-
-
-def damped_dtL(t: float, xi_abs) -> np.ndarray:
-    """exp(-t/2) * (dL/dt - L/2), the symbol of the differentiated flow."""
-    if t < 0:
-        raise ValueError("time must be nonnegative")
-    scalar = np.isscalar(xi_abs)
-    xi = np.atleast_1d(np.asarray(xi_abs, dtype=float))
-    z, series, low, high = _branch_masks(t, xi)
-    out = np.empty_like(xi)
-    if np.any(series):
-        x = t * t * z[series]
-        out[series] = math.exp(-t / 2.0) * (
-            _poly(_DTL_COEFFS, x) - 0.5 * t * _poly(_L_COEFFS, x)
-        )
+        poly_l = _poly(_L_COEFFS, x)
+        e12[series] = damp * t * poly_l
+        e22[series] = damp * (_poly(_DTL_COEFFS, x) - 0.5 * t * poly_l)
     if np.any(low):
         w = np.sqrt(-z[low])
         ep = np.exp(t * (w - 0.5))
         em = np.exp(-t * (w + 0.5))
-        out[low] = 0.5 * (ep + em) - 0.25 * (ep - em) / w
+        e12[low] = (ep - em) / (2.0 * w)
+        e22[low] = 0.5 * (ep + em) - 0.25 * (ep - em) / w
     if np.any(high):
         w = np.sqrt(z[high])
-        damp = math.exp(-t / 2.0)
-        out[high] = damp * (np.cos(t * w) - 0.5 * np.sin(t * w) / w)
-    return float(out[0]) if scalar else out
+        sin_w = np.sin(t * w)
+        e12[high] = damp * sin_w / w
+        e22[high] = damp * (np.cos(t * w) - 0.5 * sin_w / w)
+    e11 = e22 + e12
+    e21 = -(xi**2) * e12
+    if scalar:
+        return float(e11[0]), float(e12[0]), float(e21[0]), float(e22[0])
+    return e11, e12, e21, e22
 
 
-@dataclass(frozen=True)
-class PropagatorSymbol:
-    """Scalar view of the kernel for inspection and branch-consistency tests."""
+def damped_L(t: float, xi_abs) -> np.ndarray:
+    """exp(-t/2) * L(t, |xi|), the e12 entry of the flow matrix."""
+    return flow_matrix(t, xi_abs)[1]
 
-    threshold_band_halfwidth: float = DELTA_BAND
 
-    def eval_L(self, t: float, xi_abs: float) -> float:
-        return symbol_L(t, xi_abs)
-
-    def eval_dtL(self, t: float, xi_abs: float) -> float:
-        return symbol_dtL(t, xi_abs)
+def damped_dtL(t: float, xi_abs) -> np.ndarray:
+    """exp(-t/2) * (dL/dt - L/2), the e22 entry of the flow matrix."""
+    return flow_matrix(t, xi_abs)[3]
 
 
 def apply_D(t: float, g: GridField) -> GridField:
@@ -175,21 +125,8 @@ def linear_solution(u0: GridField, u1: GridField, t: float) -> GridField:
     """Flow of the homogeneous problem from data (u0, u1)."""
     if u0.grid != u1.grid:
         raise ValueError("initial data live on different grids")
-    return apply_D(t, u0 + u1) + apply_dtD(t, u0)
-
-
-def pair_flow(u: GridField, v: GridField, t: float) -> tuple[GridField, GridField]:
-    """One application of the two-component linear flow to the state (u, u_t)."""
-    if u.grid != v.grid:
-        raise ValueError("state components live on different grids")
-    xi = u.grid.freq_abs
-    e12 = damped_L(t, xi)
-    e22 = damped_dtL(t, xi)
-    e11 = e22 + e12  # exp(-t/2) * (dL/dt + L/2)
-    e21 = -(xi**2) * e12
-    new_u = apply_symbol(e11, u) + apply_symbol(e12, v)
-    new_v = apply_symbol(e21, u) + apply_symbol(e22, v)
-    return new_u, new_v
+    e11, e12, _, _ = flow_matrix(t, u0.grid.freq_abs)
+    return apply_symbol(e11, u0) + apply_symbol(e12, u1)
 
 
 def fit_power_law(
@@ -293,8 +230,9 @@ def verify_lp_lq(
         "beta": beta,
     }
     if low_norm > 0 and np.any(lhs_low > 0):
-        slope, _, _ = fit_power_law(ts, lhs_low, window=fit_window)
+        slope, intercept, _ = fit_power_law(ts, lhs_low, window=fit_window)
         scalars["fitted_low_exponent"] = slope
+        scalars["fitted_low_intercept"] = intercept
     table = Table(
         columns=["t", "lhs", "lhs_low", "lhs_high", "low_bound", "high_bound", "ratio"],
         rows=[

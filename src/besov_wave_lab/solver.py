@@ -2,18 +2,24 @@
 exponential-time-differencing cross-check.
 
 The fixed-point map sends u to the linear flow plus the Duhamel integral of
-u^p (computed alias-free on a padded grid).  Iteration starts from the
-linear solution and stops when successive iterates are close in the
-weighted solution norm.  The ETD oracle advances the pair (u, u_t) with the
-exact per-mode linear propagator and an explicit second-order treatment of
-the nonlinearity; it shares nothing with the Picard path except the symbol.
+u^p (computed alias-free on a padded grid).  Both come from one recursion
+over the time nodes that carries the spectral pair (u, u_t): half a
+trapezoid weight of the source enters the u_t slot, the exact per-mode flow
+matrix advances the pair one step, and the other half enters at the far
+node.  By the semigroup property of the flow this is the composite
+trapezoid rule for the Duhamel integral, at one inverse transform per
+output node.  Iteration starts from the linear solution and stops when
+successive iterates are close in the weighted solution norm.  The ETD
+oracle advances the same pair with the same flow matrix and an explicit
+second-order treatment of the nonlinearity; it shares nothing else with
+the Picard path.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -35,12 +41,7 @@ from besov_wave_lab.norms import (
     x_norm,
     x_weight,
 )
-from besov_wave_lab.propagator import (
-    damped_L,
-    damped_dtL,
-    fit_power_law,
-    linear_solution,
-)
+from besov_wave_lab.propagator import damped_L, fit_power_law, flow_matrix
 from besov_wave_lab.reporting import ExperimentReport, Table
 
 __all__ = [
@@ -72,9 +73,6 @@ class SolverConfig:
     time_grid: np.ndarray
     picard_tol: float = 1e-10
     max_iters: int = 25
-    quadrature: str = "trapezoid"
-    gauss_order: int = 12
-    gauss_panels: int = 8
     blowup_threshold: float = math.inf
     etd_dt: float = 0.01
 
@@ -88,8 +86,6 @@ class SolverConfig:
             raise ValueError("time grid must end at the horizon")
         if self.picard_tol <= 0:
             raise ValueError("picard_tol must be positive")
-        if self.quadrature not in ("trapezoid", "gauss"):
-            raise ValueError("quadrature must be 'trapezoid' or 'gauss'")
         if self.blowup_threshold <= 0:
             raise ValueError("blowup threshold must be positive")
         grid = grid.copy()
@@ -121,20 +117,6 @@ class OracleDiagnostics:
     final_tail_fraction: float = 0.0
 
 
-class _FlowCache:
-    """Damped-flow symbols keyed by elapsed time (12-decimal rounding)."""
-
-    def __init__(self, grid: TorusGrid):
-        self.xi = grid.freq_abs
-        self._map: dict[float, np.ndarray] = {}
-
-    def get(self, dt: float) -> np.ndarray:
-        key = round(dt, 12)
-        if key not in self._map:
-            self._map[key] = damped_L(max(dt, 0.0), self.xi)
-        return self._map[key]
-
-
 def spectral_tail_fraction(f: GridField) -> float:
     """Energy fraction carried by the top frequency octave (resolution monitor)."""
     coeffs = f.spectrum.coeffs
@@ -146,85 +128,72 @@ def spectral_tail_fraction(f: GridField) -> float:
     return float(np.sum(np.abs(coeffs[xi >= cutoff]) ** 2)) / total
 
 
-def _trapezoid_weights(taus: np.ndarray) -> np.ndarray:
-    w = np.zeros_like(taus)
-    w[:-1] += 0.5 * np.diff(taus)
-    w[1:] += 0.5 * np.diff(taus)
-    return w
+def _to_field(grid: TorusGrid, coeffs: np.ndarray) -> GridField:
+    return GridField(grid, _inverse_values(SpectralField(grid, coeffs)).real)
 
 
-def duhamel_integral(
-    source: Trajectory | Callable[[float], GridField],
-    t: float,
-    cfg: SolverConfig,
-    *,
-    flow_cache: _FlowCache | None = None,
-) -> GridField:
-    """Integral of the damped flow applied to the source over [0, t].
-
-    Trajectory sources integrate by composite trapezoid on their own nodes
-    (t must be a node); callable sources use Gauss-Legendre panels when the
-    config selects gauss quadrature.
-    """
-    if isinstance(source, Trajectory):
-        times = source.times
-        if t > times[-1] + 1e-9 * max(1.0, times[-1]):
-            raise ValueError(f"time {t} outside the source grid span")
-        idx = int(np.argmin(np.abs(times - t)))
-        if abs(times[idx] - t) > 1e-9 * max(1.0, t):
-            raise ValueError(f"time {t} is not a node of the source grid")
-        if idx == 0:
-            return source.grid.zeros()
-        taus = times[: idx + 1]
-        weights = _trapezoid_weights(taus)
-        grid = source.grid
-        cache = flow_cache or _FlowCache(grid)
-        acc = np.zeros(grid.shape, dtype=complex)
-        for j, (tau, w) in enumerate(zip(taus, weights)):
-            acc += w * cache.get(t - tau) * source.fields[j].spectrum.coeffs
-        return GridField(grid, _inverse_values(SpectralField(grid, acc)).real)
-    if cfg.quadrature != "gauss":
-        raise ValueError("callable sources require gauss quadrature")
-    nodes, gw = np.polynomial.legendre.leggauss(cfg.gauss_order)
-    edges = np.linspace(0.0, t, cfg.gauss_panels + 1)
-    result = None
-    for a, b in zip(edges[:-1], edges[1:]):
-        taus = 0.5 * (b - a) * nodes + 0.5 * (a + b)
-        for tau, w in zip(taus, gw):
-            f = source(float(tau))
-            contrib = (0.5 * (b - a) * w) * _apply_damped(t - tau, f)
-            result = contrib if result is None else result + contrib
-    return result
-
-
-def _apply_damped(dt: float, f: GridField) -> GridField:
-    from besov_wave_lab.propagator import apply_D
-
-    return apply_D(dt, f)
-
-
-def _power_source(
-    traj_fields: Sequence[GridField], p: int, scale: float
-) -> list[GridField]:
+def _power_source(traj: Trajectory, p: int, scale: float) -> Trajectory:
     if scale == 0.0:
-        return [f.grid.zeros() for f in traj_fields]
-    return [scale * dealiased_power(f, p) for f in traj_fields]
+        fields = tuple(f.grid.zeros() for f in traj.fields)
+    else:
+        fields = tuple(scale * dealiased_power(f, p) for f in traj.fields)
+    return Trajectory(traj.times, fields)
 
 
-def _refine_nodes(times: np.ndarray, fields: list[GridField], factor: int):
-    """Insert linearly interpolated midnodes (refines the Duhamel quadrature)."""
-    if factor <= 1:
-        return times, fields
-    new_times = [times[0]]
-    new_fields = [fields[0]]
-    for i in range(1, times.size):
-        for m in range(1, factor):
-            lam = m / factor
-            new_times.append(times[i - 1] + lam * (times[i] - times[i - 1]))
-            new_fields.append((1.0 - lam) * fields[i - 1] + lam * fields[i])
-        new_times.append(times[i])
-        new_fields.append(fields[i])
-    return np.array(new_times), new_fields
+def _refine_nodes(times: np.ndarray, source: Sequence[np.ndarray], factor: int):
+    """Insert factor - 1 equally spaced nodes into every step, with the
+    source spectra interpolated linearly between the ends."""
+    lam = np.arange(factor) / factor
+    fine = times[:-1, None] + lam * np.diff(times)[:, None]
+    fine_times = np.append(fine.ravel(), times[-1])
+    fine_source = [(1 - m) * a + m * b for a, b in zip(source, source[1:]) for m in lam]
+    return fine_times, fine_source + [source[-1]]
+
+
+def _flow_recursion(
+    grid: TorusGrid,
+    times: np.ndarray,
+    u_hat: np.ndarray,
+    v_hat: np.ndarray,
+    source: Sequence[np.ndarray] | None = None,
+    refine: int = 1,
+) -> Trajectory:
+    """u at every node from spectral data (u, u_t) = (u_hat, v_hat) at t = 0,
+    plus the trapezoid Duhamel integral of the source spectra at the nodes.
+
+    Each step does v += (h/2) F_k; (u, v) <- E(h) (u, v); v += (h/2) F_{k+1}.
+    By the semigroup identity E(t - s) E(s - r) = E(t - r) this is the
+    composite trapezoid rule on any increasing node set.  refine > 1 runs
+    on the nodes refined by _refine_nodes and emits the original ones only.
+    """
+    out_times = times
+    if refine > 1:
+        times, source = _refine_nodes(times, source, refine)
+    xi = grid.freq_abs
+    fields = [_to_field(grid, u_hat)]
+    h_prev = None
+    for k in range(1, times.size):
+        h = float(times[k] - times[k - 1])
+        if h != h_prev:
+            e11, e12, e21, e22 = flow_matrix(h, xi)
+            h_prev = h
+        if source is not None:
+            v_hat = v_hat + (0.5 * h) * source[k - 1]
+        u_hat, v_hat = e11 * u_hat + e12 * v_hat, e21 * u_hat + e22 * v_hat
+        if source is not None:
+            v_hat = v_hat + (0.5 * h) * source[k]
+        if k % refine == 0:
+            fields.append(_to_field(grid, u_hat))
+    return Trajectory(out_times, tuple(fields))
+
+
+def duhamel_integral(source: Trajectory) -> Trajectory:
+    """Integral over [0, t] of the damped flow applied to the source, by the
+    composite trapezoid rule on the source's nodes, at every node t."""
+    grid = source.grid
+    zero = np.zeros(grid.shape, dtype=complex)
+    spectra = [f.spectrum.coeffs for f in source.fields]
+    return _flow_recursion(grid, source.times, zero, zero, spectra)
 
 
 def psi_apply(
@@ -232,42 +201,20 @@ def psi_apply(
     u0: GridField,
     u1: GridField,
     pp: ProblemParams,
-    cfg: SolverConfig,
     *,
     nonlinearity_scale: float = 1.0,
     refine: int = 1,
-    flow_cache: _FlowCache | None = None,
 ) -> Trajectory:
     """One application of the fixed-point map to a trajectory.
 
-    refine > 1 halves the quadrature step by inserting interpolated
-    midnodes in the source before the trapezoid sum; output stays on the
-    original node set.
+    refine > 1 refines the trapezoid rule by inserting linearly
+    interpolated source nodes; output stays on the original node set.
     """
-    times = traj.times
-    src_fields = _power_source(traj.fields, pp.p_nl, nonlinearity_scale)
-    src_times, src_fields = _refine_nodes(times, src_fields, refine)
-    source = Trajectory(src_times, tuple(src_fields))
-    cache = flow_cache or _FlowCache(traj.grid)
-    out = []
-    for t in times:
-        lin = linear_solution(u0, u1, float(t))
-        out.append(lin + duhamel_integral(source, float(t), cfg, flow_cache=cache))
-    return Trajectory(times, tuple(out))
-
-
-def _linear_trajectory(
-    u0: GridField, u1: GridField, times: np.ndarray
-) -> Trajectory:
-    grid = u0.grid
-    xi = grid.freq_abs
-    s0 = u0.spectrum.coeffs
-    s01 = s0 + u1.spectrum.coeffs
-    fields = []
-    for t in times:
-        coeffs = damped_L(float(t), xi) * s01 + damped_dtL(float(t), xi) * s0
-        fields.append(GridField(grid, _inverse_values(SpectralField(grid, coeffs)).real))
-    return Trajectory(times, tuple(fields))
+    source = _power_source(traj, pp.p_nl, nonlinearity_scale)
+    spectra = [f.spectrum.coeffs for f in source.fields]
+    return _flow_recursion(
+        traj.grid, traj.times, u0.spectrum.coeffs, u1.spectrum.coeffs, spectra, refine
+    )
 
 
 def picard_solve(
@@ -284,7 +231,10 @@ def picard_solve(
 
     Starts from the linear solution, stops when the successive difference
     drops below picard_tol in the solution norm, and aborts with a blow-up
-    flag when any iterate crosses the max-norm threshold.
+    flag when any iterate crosses the max-norm threshold.  Each iterate is
+    the linear solution plus a Duhamel correction; successive differences
+    are taken between corrections, so the linear part (the same bits in
+    every iterate) does not set their rounding floor.
     """
     if u0.grid != u1.grid:
         raise ValueError("initial data live on different grids")
@@ -300,17 +250,19 @@ def picard_solve(
     if blocks is None:
         blocks = make_blocks(u0.grid)
 
+    grid = u0.grid
     times = cfg.time_grid
-    cache = _FlowCache(u0.grid)
     diag = PicardDiagnostics()
-    current = _linear_trajectory(u0, u1, times)
+    current = _flow_recursion(grid, times, u0.spectrum.coeffs, u1.spectrum.coeffs)
     diag.x_norms.append(x_norm(current, pp, blocks=blocks))
+    # Sample values only, so that no field spectra outlive the current iterate.
+    linear = [f.values for f in current.fields]
+    correction = [0.0] * times.size
 
     for iteration in range(1, cfg.max_iters + 1):
-        candidate = psi_apply(
-            current, u0, u1, pp, cfg,
-            nonlinearity_scale=nonlinearity_scale, flow_cache=cache,
-        )
+        update = duhamel_integral(_power_source(current, pp.p_nl, nonlinearity_scale))
+        sums = (GridField(grid, a + b.values) for a, b in zip(linear, update.fields))
+        candidate = Trajectory(times, tuple(sums))
         diag.iterations = iteration
         for t, f in candidate:
             if f.max_abs() > cfg.blowup_threshold:
@@ -318,15 +270,15 @@ def picard_solve(
                 diag.escape_time = float(t)
                 diag.residual = math.inf
                 return candidate, diag
-        diff = Trajectory(
-            times, tuple(a - b for a, b in zip(candidate.fields, current.fields))
+        steps = (
+            GridField(grid, a.values - b) for a, b in zip(update.fields, correction)
         )
-        diff_norm = x_norm(diff, pp, blocks=blocks)
+        diff_norm = x_norm(Trajectory(times, tuple(steps)), pp, blocks=blocks)
         diag.diff_norms.append(diff_norm)
         diag.x_norms.append(x_norm(candidate, pp, blocks=blocks))
         if len(diag.diff_norms) >= 2 and diag.diff_norms[-2] > 0:
             diag.ratios.append(diff_norm / diag.diff_norms[-2])
-        current = candidate
+        current, correction = candidate, [f.values for f in update.fields]
         if diff_norm < cfg.picard_tol:
             diag.converged = True
             break
@@ -338,31 +290,23 @@ def _etd_coefficients(grid: TorusGrid, dt: float):
     """One-step flow matrix and nonlinear-update weights.
 
     The weights are integrals over [0, dt] of the damped kernels against 1
-    and (1 - s/dt); Gauss-Legendre with order scaled to dt * max|xi| keeps
-    them exact to rounding for any resolved mode.
+    and (1 - s/dt).  Gauss-Legendre with order scaled to dt * max|xi| keeps
+    the e12 ones exact to rounding for any resolved mode; the e22 ones
+    follow exactly from d/ds e12 = e22 and e12(0) = 0.
     """
     xi = grid.freq_abs
-    e12 = damped_L(dt, xi)
-    e22 = damped_dtL(dt, xi)
-    e11 = e22 + e12
-    e21 = -(xi**2) * e12
+    flow = flow_matrix(dt, xi)
     order = int(math.ceil(dt * grid.max_freq / 2.0)) + 24
     nodes, weights = np.polynomial.legendre.leggauss(order)
     s = 0.5 * dt * (nodes + 1.0)
     w = 0.5 * dt * weights
     i1u = np.zeros(grid.shape)
     i2u = np.zeros(grid.shape)
-    i1v = np.zeros(grid.shape)
-    i2v = np.zeros(grid.shape)
     for sk, wk in zip(s, w):
         lk = damped_L(float(sk), xi)
-        dk = damped_dtL(float(sk), xi)
-        ramp = 1.0 - sk / dt
         i1u += wk * lk
-        i2u += wk * lk * ramp
-        i1v += wk * dk
-        i2v += wk * dk * ramp
-    return (e11, e12, e21, e22), (i1u, i2u, i1v, i2v)
+        i2u += wk * lk * (1.0 - sk / dt)
+    return flow, (i1u, i2u, flow[1], i1u / dt)
 
 
 def etd_oracle(
@@ -399,13 +343,10 @@ def etd_oracle(
         store_idx = {int(round(t / dt)) for t in store_times}
         store_idx.add(0)
 
-    def to_field(coeffs: np.ndarray) -> GridField:
-        return GridField(grid, _inverse_values(SpectralField(grid, coeffs)).real)
-
     def nl_spectrum(coeffs: np.ndarray) -> np.ndarray:
         if nonlinearity_scale == 0.0:
             return np.zeros(grid.shape, dtype=complex)
-        f = to_field(coeffs)
+        f = _to_field(grid, coeffs)
         return nonlinearity_scale * dealiased_power(f, pp.p_nl).spectrum.coeffs
 
     uh = u0.spectrum.coeffs.copy()
@@ -423,7 +364,7 @@ def etd_oracle(
         vh = lin_v + i1v * n0 + i2v * (n1 - n0)
         diag.steps = step
         t = step * dt
-        field = to_field(uh)
+        field = _to_field(grid, uh)
         if field.max_abs() > blowup_threshold:
             diag.blown_up = True
             diag.escape_time = t

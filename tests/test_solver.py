@@ -1,4 +1,4 @@
-"""Duhamel quadrature, Picard iteration, and the ETD oracle cross-checks."""
+"""Duhamel recursion, Picard iteration, and the ETD oracle cross-checks."""
 
 import math
 
@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from besov_wave_lab.grid import make_grid, outer_shell_fraction
+from besov_wave_lab.grid import SpectralField, inverse_transform, make_grid
 from besov_wave_lab.norms import ProblemParams, Trajectory, lebesgue_norm
 from besov_wave_lab.profiles import gaussian, single_mode, slow_decay
 from besov_wave_lab.propagator import damped_L, linear_solution
@@ -32,20 +32,29 @@ def small_gaussian_data(grid, amplitude):
     return f, f
 
 
+def constant_source_integral(mode, nodes: int, t: float):
+    """Trapezoid Duhamel integral at t of a source held at one field."""
+    times = np.linspace(0.0, t, nodes)
+    src = Trajectory(times, tuple(mode for _ in times))
+    return duhamel_integral(src).fields[-1]
+
+
 class TestDuhamel:
     def setup_method(self):
         self.grid = make_grid(1, 128, 16 * np.pi)
-        self.cfg = SolverConfig.uniform(4.0, 65)
 
     def test_zero_source(self):
-        times = self.cfg.time_grid
+        times = np.linspace(0.0, 4.0, 65)
         source = Trajectory(times, tuple(self.grid.zeros() for _ in times))
-        out = duhamel_integral(source, 4.0, self.cfg)
-        assert out.max_abs() == 0.0
+        out = duhamel_integral(source)
+        assert np.array_equal(out.times, times)
+        assert all(f.max_abs() == 0.0 for _, f in out)
 
     def test_constant_single_mode_source_against_quad_oracle(self):
         # Source held at one Fourier mode: the integral reduces to the
         # scalar integral of the damped kernel, done adaptively by quad.
+        # Richardson extrapolation of the trapezoid rule on 129 and 257
+        # nodes removes its h^2 error term.
         xi0 = 0.5  # exact threshold mode on this box
         mode = single_mode(self.grid, xi0)
         t = 4.0
@@ -53,9 +62,10 @@ class TestDuhamel:
             lambda tau: damped_L(t - tau, xi0), 0.0, t, epsabs=1e-12, epsrel=1e-12
         )
         assert err < 1e-10
-        cfg = SolverConfig(horizon=t, time_grid=np.linspace(0, t, 8), quadrature="gauss")
-        out = duhamel_integral(lambda tau: mode, t, cfg)
-        assert np.max(np.abs(out.values - exact * mode.values)) < 1e-8
+        coarse = constant_source_integral(mode, 129, t)
+        fine = constant_source_integral(mode, 257, t)
+        extrapolated = (4.0 * fine.values - coarse.values) / 3.0
+        assert np.max(np.abs(extrapolated - exact * mode.values)) < 1e-9
 
     def test_trapezoid_converges_second_order(self):
         xi0 = 0.5
@@ -66,23 +76,30 @@ class TestDuhamel:
         )
         errors = []
         for nodes in (17, 33):
-            times = np.linspace(0.0, t, nodes)
-            src = Trajectory(times, tuple(mode for _ in times))
-            out = duhamel_integral(src, t, self.cfg)
+            out = constant_source_integral(mode, nodes, t)
             errors.append(np.max(np.abs(out.values - exact * mode.values)))
         assert errors[0] / errors[1] == pytest.approx(4.0, rel=0.2)
 
-    def test_time_outside_span_rejected(self):
-        times = self.cfg.time_grid
-        src = Trajectory(times, tuple(self.grid.zeros() for _ in times))
-        with pytest.raises(ValueError, match="span"):
-            duhamel_integral(src, 9.0, self.cfg)
-
-    def test_off_node_time_rejected(self):
-        times = self.cfg.time_grid
-        src = Trajectory(times, tuple(self.grid.zeros() for _ in times))
-        with pytest.raises(ValueError, match="node"):
-            duhamel_integral(src, 0.5 * (times[1] + times[2]), self.cfg)
+    def test_recursion_matches_direct_trapezoid_sum(self):
+        # On uneven nodes the recursion equals the composite trapezoid sum
+        # of e12(t_k - tau_j) F(tau_j) at every node t_k.
+        grid = make_grid(1, 64, 20.0)
+        rng = np.random.default_rng(7)
+        times = np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 0.6, 12))])
+        fields = [grid.field(rng.standard_normal(grid.shape)) for _ in times]
+        out = duhamel_integral(Trajectory(times, tuple(fields)))
+        for k, t in enumerate(times):
+            taus = times[: k + 1]
+            weights = np.zeros_like(taus)
+            weights[:-1] += 0.5 * np.diff(taus)
+            weights[1:] += 0.5 * np.diff(taus)
+            acc = sum(
+                w * damped_L(t - tau, grid.freq_abs) * f.spectrum.coeffs
+                for tau, w, f in zip(taus, weights, fields)
+            )
+            direct = inverse_transform(SpectralField(grid, acc), hermitian_tol=1e-8)
+            scale = max(direct.max_abs(), 1e-30)
+            assert np.max(np.abs(out.fields[k].values - direct.values)) <= 1e-12 * scale
 
 
 class TestPicard:
@@ -127,7 +144,7 @@ class TestPicard:
         u0, u1 = small_gaussian_data(self.grid, 0.01)
         traj, diag = picard_solve(u0, u1, PP3, cfg)
         assert diag.converged
-        refined = psi_apply(traj, u0, u1, PP3, cfg, refine=2)
+        refined = psi_apply(traj, u0, u1, PP3, refine=2)
         diff = Trajectory(
             traj.times,
             tuple(a - b for a, b in zip(refined.fields, traj.fields)),
