@@ -11,14 +11,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Sequence, Union
 
 import numpy as np
 
 __all__ = [
     "ConditionResult",
     "AdmissibilityVerdict",
+    "AdmissibilityError",
     "check_lwp",
+    "require_lwp",
     "check_gwp",
     "suggest_s",
 ]
@@ -179,6 +181,22 @@ def check_lwp(
         two_s_branch=two_s_branch,
         iii_disjunct=iii_disjunct,
     )
+
+
+class AdmissibilityError(ValueError):
+    """Raised when a run is requested outside the admissible parameter set."""
+
+
+def require_lwp(n: int, r: float, s: float, powers: Sequence[int]) -> None:
+    """The admissibility policy: every power passes check_lwp at (n, r, s),
+    or AdmissibilityError names each failed condition of each power."""
+    failures = [
+        f"p={p}: {m}" for p in powers for m in check_lwp(n, r, s, p).failed_conditions()
+    ]
+    if failures:
+        raise AdmissibilityError(
+            "; ".join(failures) + " (rerun with --override-admissibility to force)"
+        )
 
 
 def check_gwp(

@@ -5,9 +5,10 @@ Usage:
   besov-wave-lab run experiment.cfg [--out DIR] [--seed N] [--jobs K]
                                     [--override-admissibility]
 
-Configs are flat INI sections (auditable key = value lines).  Exit codes:
-0 success, 2 config error, 3 admissibility failure without override,
-4 blow-up inside a run that asserted global decay.
+Configs are flat INI sections (auditable key = value lines), read by
+experiments.run_experiment, which also applies the admissibility policy.
+Exit codes: 0 success, 2 config error, 3 admissibility failure without
+override, 4 blow-up inside a run that asserted global decay.
 """
 
 from __future__ import annotations
@@ -15,21 +16,17 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
-import os
 import sys
 from pathlib import Path
 
-from besov_wave_lab.admissibility import check_lwp
+from besov_wave_lab.admissibility import AdmissibilityError
 from besov_wave_lab.experiments import REGISTRY, BlowupInGlobalRun, run_experiment
 from besov_wave_lab.reporting import config_hash
-from besov_wave_lab.solver import AdmissibilityError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_ADMISSIBILITY = 3
 EXIT_BLOWUP = 4
-
-_SOLVER_BACKED = {"contraction", "global-decay", "blowup-probe", "sweep-critical"}
 
 
 class ConfigError(ValueError):
@@ -60,30 +57,6 @@ def _emit_error(kind: str, message: str, code: int, out_dir: Path | None) -> Non
             pass
 
 
-def _validate_admissibility(cfg: dict[str, dict[str, str]], kind: str) -> list[str]:
-    """Names of failing hypotheses for solver-backed experiments (empty = fine)."""
-    if kind not in _SOLVER_BACKED or "problem" not in cfg:
-        return []
-    prob = cfg["problem"]
-    grid = cfg.get("grid", {})
-    n = int(prob.get("n", grid.get("n", "1")))
-    r = float(prob.get("r", "4"))
-    s = float(prob.get("s", "5"))
-    if kind == "sweep-critical":
-        powers = [
-            int(p)
-            for p in cfg.get("experiment", {}).get("powers", "7,8,9,10").split(",")
-        ]
-    else:
-        powers = [int(prob.get("p", "9"))]
-    failures: list[str] = []
-    for p in powers:
-        verdict = check_lwp(n, r, s, p)
-        if not verdict.passed:
-            failures.extend(f"p={p}: {msg}" for msg in verdict.failed_conditions())
-    return failures
-
-
 def cmd_list() -> int:
     width = max(len(name) for name in REGISTRY)
     for name in sorted(REGISTRY):
@@ -111,39 +84,17 @@ def cmd_run(args: argparse.Namespace) -> int:
         seed = args.seed
         if seed is None:
             seed = int(cfg.get("run", {}).get("seed", "0"))
-        jobs = args.jobs
-        if jobs is None:
-            jobs = int(os.environ.get("BWL_JOBS", "1"))
-        if args.override_admissibility:
-            cfg.setdefault("run", {})["override_admissibility"] = "true"
-    except (ConfigError, KeyError, ValueError) as exc:
-        _emit_error("config", str(exc), EXIT_CONFIG, out_dir)
-        return EXIT_CONFIG
-
-    try:
-        failures = _validate_admissibility(cfg, kind)
-    except ValueError as exc:
-        # Domain violations (r <= 2, non-integer p) are config errors.
-        _emit_error("config", str(exc), EXIT_CONFIG, out_dir)
-        return EXIT_CONFIG
-    if failures and not args.override_admissibility:
-        _emit_error(
-            "admissibility",
-            "; ".join(failures) + " (rerun with --override-admissibility to force)",
-            EXIT_ADMISSIBILITY,
-            out_dir,
+        report = run_experiment(
+            kind, cfg, out_dir, seed=seed, jobs=args.jobs,
+            override_admissibility=args.override_admissibility,
         )
-        return EXIT_ADMISSIBILITY
-
-    try:
-        report = run_experiment(kind, cfg, out_dir, seed=seed, jobs=jobs)
     except BlowupInGlobalRun as exc:
         _emit_error("blowup", str(exc), EXIT_BLOWUP, out_dir)
         return EXIT_BLOWUP
     except AdmissibilityError as exc:
         _emit_error("admissibility", str(exc), EXIT_ADMISSIBILITY, out_dir)
         return EXIT_ADMISSIBILITY
-    except (ConfigError, KeyError, ValueError) as exc:
+    except (ConfigError, KeyError, ValueError) as exc:  # incl. r <= 2, non-integer p
         _emit_error("config", str(exc), EXIT_CONFIG, out_dir)
         return EXIT_CONFIG
 
@@ -167,7 +118,9 @@ def main(argv: list[str] | None = None) -> int:
     run_parser.add_argument("config", help="path to a flat INI config")
     run_parser.add_argument("--out", help="output directory for reports")
     run_parser.add_argument("--seed", type=int, help="RNG seed (overrides config)")
-    run_parser.add_argument("--jobs", type=int, help="parallel workers for sweeps")
+    run_parser.add_argument(
+        "--jobs", type=int, default=1, help="parallel workers for sweeps"
+    )
     run_parser.add_argument(
         "--override-admissibility",
         action="store_true",

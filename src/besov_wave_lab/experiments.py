@@ -16,7 +16,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from besov_wave_lab.admissibility import check_gwp, check_lwp
+from besov_wave_lab.admissibility import check_gwp, check_lwp, require_lwp
 from besov_wave_lab.grid import TorusGrid, make_grid
 from besov_wave_lab.littlewood_paley import make_blocks
 from besov_wave_lab.norms import (
@@ -63,6 +63,8 @@ class ExperimentSpec:
     description: str
     claim: str
     runner: Callable[..., ExperimentReport]
+    # Reads the powers the run solves for; run_experiment checks each one.
+    powers: Callable[[Config], list[int]] | None = None
 
 
 def _section(cfg: Config, name: str) -> dict[str, str]:
@@ -77,12 +79,12 @@ def _get(sec: Mapping[str, str], key: str, default, cast=float):
     return cast(sec[key])
 
 
-def _grid_from(cfg: Config) -> TorusGrid:
+def _grid_from(cfg: Config, N: int = 4096, L: float = 400.0) -> TorusGrid:
     sec = _section(cfg, "grid")
     return make_grid(
         int(_get(sec, "n", 1, int)),
-        int(_get(sec, "N", 4096, int)),
-        _get(sec, "L", 400.0),
+        int(_get(sec, "N", N, int)),
+        _get(sec, "L", L),
     )
 
 
@@ -105,40 +107,50 @@ def _fit_window_from(cfg: Config, ts: np.ndarray) -> tuple[float, float]:
     )
 
 
-def _problem_from(cfg: Config) -> ProblemParams:
+def _problem_values(cfg: Config) -> tuple[int, float, float, int]:
+    """Raw (n, r, s, p) of [problem]; n falls back to [grid] n."""
     sec = _section(cfg, "problem")
-    return ProblemParams(
-        n=int(_get(sec, "n", _get(_section(cfg, "grid"), "n", 1, int), int)),
-        r=_get(sec, "r", 4.0),
-        s=_get(sec, "s", 5.0),
-        p_nl=int(_get(sec, "p", 9, int)),
-        eps=_get(sec, "eps", 0.0),
+    return (
+        int(_get(sec, "n", _get(_section(cfg, "grid"), "n", 1, int), int)),
+        _get(sec, "r", 4.0),
+        _get(sec, "s", 5.0),
+        int(_get(sec, "p", 9, int)),
     )
 
 
-def _solver_from(cfg: Config) -> SolverConfig:
+def _problem_power(cfg: Config) -> list[int]:
+    return [_problem_values(cfg)[3]]
+
+
+def _sweep_powers(cfg: Config) -> list[int]:
+    powers = _section(cfg, "experiment").get("powers", "7,8,9,10")
+    return [int(p) for p in powers.split(",")]
+
+
+def _problem_from(cfg: Config, p: int | None = None) -> ProblemParams:
+    n, r, s, p_cfg = _problem_values(cfg)
+    eps = _get(_section(cfg, "problem"), "eps", 0.0)
+    return ProblemParams(n, r, s, p_cfg if p is None else p, eps)
+
+
+def _solver_from(
+    cfg: Config, T: float = 200.0, etd_dt: float = 0.02, blowup_threshold=math.inf
+) -> SolverConfig:
     sec = _section(cfg, "solver")
-    T = _get(sec, "T", 200.0)
-    nodes = int(_get(sec, "nodes", 201, int))
     return SolverConfig.uniform(
-        T,
-        nodes,
+        _get(sec, "T", T),
+        int(_get(sec, "nodes", 201, int)),
         picard_tol=_get(sec, "picard_tol", 1e-9),
         max_iters=int(_get(sec, "max_iters", 20, int)),
-        blowup_threshold=_get(sec, "blowup_threshold", math.inf),
-        etd_dt=_get(sec, "etd_dt", 0.02),
+        blowup_threshold=_get(sec, "blowup_threshold", blowup_threshold),
+        etd_dt=_get(sec, "etd_dt", etd_dt),
     )
 
 
-def _data_field(cfg: Config, grid: TorusGrid, rng: np.random.Generator):
-    sec = _section(cfg, "data")
-    profile = sec.get("profile", "gaussian")
-    return build_profile(profile, grid, sec, rng)
-
-
-def _override_flag(cfg: Config) -> bool:
-    value = _section(cfg, "run").get("override_admissibility", "false")
-    return value.strip().lower() in ("1", "true", "yes")
+def _data_field(cfg: Config, grid: TorusGrid, rng: np.random.Generator, **defaults):
+    """[data] profile on the grid; defaults fill keys the config omits."""
+    sec = {**defaults, **_section(cfg, "data")}
+    return build_profile(sec.get("profile", "gaussian"), grid, sec, rng)
 
 
 def _finish(report: ExperimentReport, started: float) -> ExperimentReport:
@@ -354,17 +366,14 @@ def run_leibniz(cfg: Config, out_dir: Path, rng, jobs: int) -> ExperimentReport:
         spectrum_slope=_get(sec, "spectrum_slope", 0.5),
     )
     stability_cap = _get(sec, "stability_cap", 0.25)
-    grid_sec = _section(cfg, "grid")
-    n = int(_get(grid_sec, "n", 1, int))
-    N = int(_get(grid_sec, "N", 256, int))
-    L = _get(grid_sec, "L", 32.0)
+    base = _grid_from(cfg, N=256, L=32.0)
+    refined = make_grid(base.n, 2 * base.points_per_axis, base.box_length)
+    band_hi = base.max_freq / 4.0
     maxima = {}
-    for label, points in (("base", N), ("refined", 2 * N)):
-        grid = make_grid(n, points, L)
+    for label, grid in (("base", base), ("refined", refined)):
         blocks = make_blocks(grid)
         ens_rng = np.random.default_rng(rng.integers(0, 2**63))
         worst = 0.0
-        band_hi = make_grid(n, N, L).max_freq / 4.0
         for _ in range(lcfg.ensemble):
             f = band_limited_random(grid, ens_rng, 0.3, band_hi, lcfg.spectrum_slope)
             g = band_limited_random(grid, ens_rng, 0.3, band_hi, lcfg.spectrum_slope)
@@ -445,9 +454,7 @@ def run_contraction(cfg: Config, out_dir: Path, rng, jobs: int) -> ExperimentRep
         data_cfg = dict(_section(cfg, "data"))
         data_cfg["amplitude"] = str(amp)
         u = build_profile(data_cfg.get("profile", "gaussian"), grid, data_cfg, rng)
-        _, diag = picard_solve(
-            u, u, pp, scfg, override_admissibility=_override_flag(cfg)
-        )
+        _, diag = picard_solve(u, u, pp, scfg)
         diags.append(diag)
     report = contraction_report(amps, diags, pp)
     gap = abs(report.scalars["fitted_slope"] - report.scalars["expected_slope"])
@@ -463,9 +470,7 @@ def run_global_decay(cfg: Config, out_dir: Path, rng, jobs: int) -> ExperimentRe
     sec = _section(cfg, "experiment")
     agreement_tol = _get(sec, "oracle_tol", 1e-4)
     u = _data_field(cfg, grid, rng)
-    traj, diag = picard_solve(
-        u, u, pp, scfg, override_admissibility=_override_flag(cfg)
-    )
+    traj, diag = picard_solve(u, u, pp, scfg)
     if diag.blown_up:
         raise BlowupInGlobalRun(
             f"global-decay run escaped the cap at t = {diag.escape_time}"
@@ -540,49 +545,25 @@ def run_blowup_probe(cfg: Config, out_dir: Path, rng, jobs: int) -> ExperimentRe
 
 
 def _sweep_one(args) -> tuple[int, str, float | None]:
-    (n, N, L, r, s, p, amplitude, width, T, dt, cap) = args
-    grid = make_grid(n, N, L)
-    from besov_wave_lab.profiles import gaussian
-
-    u = gaussian(grid, width=width, amplitude=amplitude)
-    pp = ProblemParams(n=n, r=r, s=s, p_nl=p)
+    u, pp, scfg = args
     _, diag = etd_oracle(
-        u, u, pp, dt, T, blowup_threshold=cap
+        u, u, pp, scfg.etd_dt, scfg.horizon, blowup_threshold=scfg.blowup_threshold
     )
-    return p, ("escape" if diag.blown_up else "decay"), diag.escape_time
+    return pp.p_nl, ("escape" if diag.blown_up else "decay"), diag.escape_time
 
 
 def run_sweep_critical(cfg: Config, out_dir: Path, rng, jobs: int) -> ExperimentReport:
     started = time.perf_counter()
-    grid_sec = _section(cfg, "grid")
-    prob = _section(cfg, "problem")
-    sec = _section(cfg, "experiment")
-    data = _section(cfg, "data")
-    solver = _section(cfg, "solver")
-    ps = [int(p) for p in sec.get("powers", "7,8,9,10").split(",")]
-    n = int(_get(grid_sec, "n", 1, int))
-    r = _get(prob, "r", 4.0)
-    args = [
-        (
-            n,
-            int(_get(grid_sec, "N", 1024, int)),
-            _get(grid_sec, "L", 80.0),
-            r,
-            _get(prob, "s", 5.0),
-            p,
-            _get(data, "amplitude", 0.5),
-            _get(data, "width", 2.0),
-            _get(solver, "T", 80.0),
-            _get(solver, "etd_dt", 0.01),
-            _get(solver, "blowup_threshold", 100.0),
-        )
-        for p in ps
-    ]
+    grid = _grid_from(cfg, N=1024, L=80.0)
+    scfg = _solver_from(cfg, T=80.0, etd_dt=0.01, blowup_threshold=100.0)
+    u = _data_field(cfg, grid, rng, width=2.0, amplitude=0.5)
+    args = [(u, _problem_from(cfg, p), scfg) for p in _sweep_powers(cfg)]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_sweep_one, args))
     else:
         results = [_sweep_one(a) for a in args]
+    n, r, _, _ = _problem_values(cfg)
     fujita = 1.0 + 2.0 * r / n
     rows = [
         [float(p), 1.0 if verdict == "escape" else 0.0, t if t is not None else -1.0]
@@ -607,13 +588,8 @@ def run_sweep_critical(cfg: Config, out_dir: Path, rng, jobs: int) -> Experiment
 
 def run_admissibility(cfg: Config, out_dir: Path, rng, jobs: int) -> ExperimentReport:
     started = time.perf_counter()
-    prob = _section(cfg, "problem")
-    sec = _section(cfg, "experiment")
-    n = int(_get(prob, "n", 1, int))
-    r = _get(prob, "r", 4.0)
-    s = _get(prob, "s", 5.0)
-    p = int(_get(prob, "p", 9, int))
-    samples = int(_get(sec, "random_samples", 1000, int))
+    n, r, s, p = _problem_values(cfg)
+    samples = int(_get(_section(cfg, "experiment"), "random_samples", 1000, int))
     verdict = check_gwp(n, r, s, p)
     mismatches = 0
     for _ in range(samples):
@@ -705,24 +681,28 @@ REGISTRY: dict[str, ExperimentSpec] = {
             "contraction-factor scaling of the fixed-point map",
             "log(ratio) vs log(amplitude) has slope p-1",
             run_contraction,
+            powers=_problem_power,
         ),
         ExperimentSpec(
             "global-decay",
             "small-data run at/above the critical power: decay and oracle match",
             "weighted sup bounded, Picard and ETD agree in relative L^2",
             run_global_decay,
+            powers=_problem_power,
         ),
         ExperimentSpec(
             "blowup-probe",
             "escape-time probe below the critical power",
             "positive data escapes the max-norm cap; stable under refinement",
             run_blowup_probe,
+            powers=_problem_power,
         ),
         ExperimentSpec(
             "sweep-critical",
             "escape-vs-decay sweep across nonlinearity powers",
             "boundary sits at the critical power 1 + 2r/n",
             run_sweep_critical,
+            powers=_sweep_powers,
         ),
         ExperimentSpec(
             "admissibility",
@@ -740,10 +720,18 @@ def run_experiment(
     out_dir: Path,
     seed: int,
     jobs: int = 1,
+    *,
+    override_admissibility: bool = False,
 ) -> ExperimentReport:
+    """Run one registered experiment.  Unless overridden, the powers of a
+    solving experiment must pass require_lwp before anything is built."""
     if name not in REGISTRY:
         raise KeyError(f"unknown experiment '{name}'")
+    spec = REGISTRY[name]
+    if spec.powers is not None and not override_admissibility:
+        n, r, s, _ = _problem_values(cfg)
+        require_lwp(n, r, s, spec.powers(cfg))
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)
-    return REGISTRY[name].runner(cfg, out_dir, rng, jobs)
+    return spec.runner(cfg, out_dir, rng, jobs)

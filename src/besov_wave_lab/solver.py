@@ -13,6 +13,8 @@ successive iterates are close in the weighted solution norm.  The ETD
 oracle advances the same pair with the same flow matrix and an explicit
 second-order treatment of the nonlinearity; it shares nothing else with
 the Picard path.
+
+Neither solver judges admissibility; experiments.run_experiment does.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from typing import Sequence
 
 import numpy as np
 
-from besov_wave_lab.admissibility import check_lwp
 from besov_wave_lab.grid import (
     GridField,
     SpectralField,
@@ -48,7 +49,6 @@ __all__ = [
     "SolverConfig",
     "PicardDiagnostics",
     "OracleDiagnostics",
-    "AdmissibilityError",
     "duhamel_integral",
     "psi_apply",
     "picard_solve",
@@ -61,10 +61,6 @@ __all__ = [
 
 CONFINEMENT_THRESHOLD = 1e-6
 TAIL_FRACTION_THRESHOLD = 0.10
-
-
-class AdmissibilityError(ValueError):
-    """Raised when a solve is requested outside the admissible parameter set."""
 
 
 @dataclass(frozen=True)
@@ -132,12 +128,8 @@ def _to_field(grid: TorusGrid, coeffs: np.ndarray) -> GridField:
     return GridField(grid, _inverse_values(SpectralField(grid, coeffs)).real)
 
 
-def _power_source(traj: Trajectory, p: int, scale: float) -> Trajectory:
-    if scale == 0.0:
-        fields = tuple(f.grid.zeros() for f in traj.fields)
-    else:
-        fields = tuple(scale * dealiased_power(f, p) for f in traj.fields)
-    return Trajectory(traj.times, fields)
+def _power_source(traj: Trajectory, p: int) -> Trajectory:
+    return Trajectory(traj.times, tuple(dealiased_power(f, p) for f in traj.fields))
 
 
 def _refine_nodes(times: np.ndarray, source: Sequence[np.ndarray], factor: int):
@@ -202,7 +194,6 @@ def psi_apply(
     u1: GridField,
     pp: ProblemParams,
     *,
-    nonlinearity_scale: float = 1.0,
     refine: int = 1,
 ) -> Trajectory:
     """One application of the fixed-point map to a trajectory.
@@ -210,7 +201,7 @@ def psi_apply(
     refine > 1 refines the trapezoid rule by inserting linearly
     interpolated source nodes; output stays on the original node set.
     """
-    source = _power_source(traj, pp.p_nl, nonlinearity_scale)
+    source = _power_source(traj, pp.p_nl)
     spectra = [f.spectrum.coeffs for f in source.fields]
     return _flow_recursion(
         traj.grid, traj.times, u0.spectrum.coeffs, u1.spectrum.coeffs, spectra, refine
@@ -223,8 +214,6 @@ def picard_solve(
     pp: ProblemParams,
     cfg: SolverConfig,
     *,
-    nonlinearity_scale: float = 1.0,
-    override_admissibility: bool = False,
     blocks: DyadicBlocks | None = None,
 ) -> tuple[Trajectory, PicardDiagnostics]:
     """Fixed-point iteration for the integral equation with source u^p.
@@ -238,12 +227,6 @@ def picard_solve(
     """
     if u0.grid != u1.grid:
         raise ValueError("initial data live on different grids")
-    verdict = check_lwp(pp.n, pp.r, pp.s, pp.p_nl)
-    if not verdict.passed and not override_admissibility:
-        raise AdmissibilityError(
-            "parameters fail the local-existence hypotheses: "
-            + "; ".join(verdict.failed_conditions())
-        )
     data_linf = max(u0.max_abs(), u1.max_abs())
     if cfg.blowup_threshold <= data_linf:
         raise ValueError("blowup threshold must exceed the initial data max-norm")
@@ -260,7 +243,7 @@ def picard_solve(
     correction = [0.0] * times.size
 
     for iteration in range(1, cfg.max_iters + 1):
-        update = duhamel_integral(_power_source(current, pp.p_nl, nonlinearity_scale))
+        update = duhamel_integral(_power_source(current, pp.p_nl))
         sums = (GridField(grid, a + b.values) for a, b in zip(linear, update.fields))
         candidate = Trajectory(times, tuple(sums))
         diag.iterations = iteration
@@ -316,7 +299,6 @@ def etd_oracle(
     dt: float,
     T: float,
     *,
-    nonlinearity_scale: float = 1.0,
     blowup_threshold: float = math.inf,
     store_times: Sequence[float] | None = None,
 ) -> tuple[Trajectory, OracleDiagnostics]:
@@ -344,10 +326,7 @@ def etd_oracle(
         store_idx.add(0)
 
     def nl_spectrum(coeffs: np.ndarray) -> np.ndarray:
-        if nonlinearity_scale == 0.0:
-            return np.zeros(grid.shape, dtype=complex)
-        f = _to_field(grid, coeffs)
-        return nonlinearity_scale * dealiased_power(f, pp.p_nl).spectrum.coeffs
+        return dealiased_power(_to_field(grid, coeffs), pp.p_nl).spectrum.coeffs
 
     uh = u0.spectrum.coeffs.copy()
     vh = u1.spectrum.coeffs.copy()
@@ -495,8 +474,6 @@ def blowup_probe(
     u1: GridField,
     pp: ProblemParams,
     cfg: SolverConfig,
-    *,
-    nonlinearity_scale: float = 1.0,
 ) -> ExperimentReport:
     """Escape-time probe at two spatial resolutions.
 
@@ -511,9 +488,7 @@ def blowup_probe(
         "fine": (refine_field(u0), refine_field(u1)),
     }.items():
         _, diag = etd_oracle(
-            a, b, pp, cfg.etd_dt, cfg.horizon,
-            nonlinearity_scale=nonlinearity_scale,
-            blowup_threshold=cfg.blowup_threshold,
+            a, b, pp, cfg.etd_dt, cfg.horizon, blowup_threshold=cfg.blowup_threshold
         )
         times[label] = diag.escape_time
         tails[label] = diag.final_tail_fraction

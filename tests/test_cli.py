@@ -5,14 +5,16 @@ from pathlib import Path
 
 import pytest
 
+from besov_wave_lab.admissibility import AdmissibilityError
 from besov_wave_lab.cli import (
     EXIT_ADMISSIBILITY,
     EXIT_BLOWUP,
     EXIT_CONFIG,
     EXIT_OK,
+    load_config,
     main,
 )
-from besov_wave_lab.experiments import REGISTRY
+from besov_wave_lab.experiments import REGISTRY, run_experiment
 from besov_wave_lab.reporting import config_hash
 
 
@@ -56,6 +58,58 @@ max_iters = 3
 
 [data]
 profile = gaussian
+"""
+
+SWEEP_CFG = """
+[experiment]
+kind = sweep-critical
+powers = {powers}
+
+[grid]
+n = 1
+N = 128
+L = 40
+
+[problem]
+n = 1
+r = {r}
+s = {s}
+
+[data]
+profile = {profile}
+width = 2.0
+amplitude = 0.1
+
+[solver]
+T = 1
+etd_dt = 0.05
+blowup_threshold = 50
+"""
+
+BLOWUP_CFG = """
+[experiment]
+kind = blowup-probe
+
+[grid]
+n = 1
+N = 128
+L = 40
+
+[problem]
+n = 1
+r = {r}
+s = {s}
+p = 2
+
+[solver]
+T = 1
+etd_dt = 0.05
+blowup_threshold = 50
+
+[data]
+profile = gaussian
+width = 2.0
+amplitude = 0.1
 """
 
 
@@ -199,6 +253,55 @@ blowup_threshold = 50
             data.pop("timing")
             bodies.append(json.dumps(data, sort_keys=True))
         assert bodies[0] == bodies[1]
+
+
+class TestAdmissibilityGate:
+    """r = 6, s = 0.6 fails the lower power bound 3 for p = 2 (admissible for p = 9)."""
+
+    def run(self, tmp_path, text, *extra):
+        cfg = write_cfg(tmp_path / "gate.cfg", text)
+        out = tmp_path / "o"
+        return main(["run", cfg, "--out", str(out), *extra]), out
+
+    def test_sweep_checks_every_power_and_writes_no_report(self, tmp_path, capsys):
+        text = SWEEP_CFG.format(powers="2,9", r="6", s="0.6", profile="gaussian")
+        code, out = self.run(tmp_path, text)
+        assert code == EXIT_ADMISSIBILITY
+        message = json.loads((out / "error.json").read_text())["error"]["message"]
+        assert "p=2:" in message and "p=9:" not in message
+        assert not (out / "sweep-critical.json").exists()
+
+    def test_sweep_power_below_two_is_inadmissible_not_a_config_error(
+        self, tmp_path, capsys
+    ):
+        text = SWEEP_CFG.format(powers="1,9", r="4", s="5", profile="gaussian")
+        assert self.run(tmp_path, text)[0] == EXIT_ADMISSIBILITY
+
+    def test_blowup_probe_inadmissible_exits_3(self, tmp_path, capsys):
+        text = BLOWUP_CFG.format(r="6", s="0.6")
+        assert self.run(tmp_path, text)[0] == EXIT_ADMISSIBILITY
+
+    def test_override_runs_the_sweep(self, tmp_path, capsys):
+        text = SWEEP_CFG.format(powers="2,9", r="6", s="0.6", profile="gaussian")
+        code, out = self.run(tmp_path, text, "--override-admissibility")
+        assert code == EXIT_OK
+        report = json.loads((out / "sweep-critical.json").read_text())
+        assert set(report["verdicts"]) == {"p=2", "p=9"}
+
+    def test_run_experiment_applies_the_gate(self, tmp_path):
+        path = write_cfg(tmp_path / "c.cfg", CONTRACTION_CFG.format(r="6", s="0.6"))
+        cfg = load_config(path)
+        with pytest.raises(AdmissibilityError, match="p=2"):
+            run_experiment("contraction", cfg, tmp_path / "a", seed=0)
+        report = run_experiment(
+            "contraction", cfg, tmp_path / "b", seed=0, override_admissibility=True
+        )
+        assert report.kind == "contraction"
+
+    def test_sweep_unknown_profile_exits_2(self, tmp_path, capsys):
+        text = SWEEP_CFG.format(powers="9", r="4", s="5", profile="nosuch")
+        assert self.run(tmp_path, text)[0] == EXIT_CONFIG
+        assert "unknown data profile" in capsys.readouterr().err
 
 
 class TestShippedConfigs:

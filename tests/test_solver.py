@@ -11,7 +11,6 @@ from besov_wave_lab.norms import ProblemParams, Trajectory, lebesgue_norm
 from besov_wave_lab.profiles import gaussian, single_mode, slow_decay
 from besov_wave_lab.propagator import damped_L, linear_solution
 from besov_wave_lab.solver import (
-    AdmissibilityError,
     SolverConfig,
     contraction_report,
     decay_study,
@@ -114,13 +113,17 @@ class TestPicard:
         assert all(f.max_abs() == 0.0 for _, f in traj)
 
     def test_linear_mode_matches_linear_solution(self):
+        # At amplitude 1e-7 the cubic term is ~1e-14 of the solution, so
+        # Picard stops after one correction at the linear flow.  The bound
+        # is 1e-12 at amplitude 0.3, scaled with the amplitude.
+        amp = 1e-7
         cfg = SolverConfig.uniform(3.0, 25, picard_tol=1e-12)
-        u0, u1 = small_gaussian_data(self.grid, 0.3)
-        traj, diag = picard_solve(u0, u1, PP3, cfg, nonlinearity_scale=0.0)
+        u0, u1 = small_gaussian_data(self.grid, amp)
+        traj, diag = picard_solve(u0, u1, PP3, cfg)
         assert diag.converged and diag.iterations == 1
         for t, f in traj:
             ref = linear_solution(u0, u1, float(t))
-            assert np.max(np.abs(f.values - ref.values)) < 1e-12
+            assert np.max(np.abs(f.values - ref.values)) < 1e-12 * amp / 0.3
 
     def test_initial_condition_exact(self):
         cfg = SolverConfig.uniform(2.0, 17, picard_tol=1e-8)
@@ -162,17 +165,15 @@ class TestPicard:
             firsts.append(diag.diff_norms[0])
         assert firsts[1] / firsts[0] == pytest.approx(2.0**3, rel=0.05)
 
-    def test_inadmissible_parameters_rejected_without_override(self):
+    def test_solves_inadmissible_parameters(self):
         # r = 6, s = 0.6, p = 2 keeps the sigma window open but fails the
-        # lower power bound min(r/2, 1 + (r-2)/(2s)) = 3 > 2.
+        # lower power bound min(r/2, 1 + (r-2)/(2s)) = 3 > 2.  Admissibility
+        # is the experiment layer's policy; the solver solves what it gets.
         bad = ProblemParams(n=1, r=6.0, s=0.6, p_nl=2)
         cfg = SolverConfig.uniform(1.0, 9)
-        with pytest.raises(AdmissibilityError):
-            picard_solve(self.grid.zeros(), self.grid.zeros(), bad, cfg)
-        traj, _ = picard_solve(
-            self.grid.zeros(), self.grid.zeros(), bad, cfg, override_admissibility=True
-        )
+        traj, diag = picard_solve(self.grid.zeros(), self.grid.zeros(), bad, cfg)
         assert len(traj) == 9
+        assert diag.converged
 
     def test_blowup_flagged(self):
         grid = make_grid(1, 256, 40.0)
@@ -188,12 +189,15 @@ class TestEtdOracle:
         self.grid = make_grid(1, 256, 64.0)
 
     def test_linear_exactness(self):
-        u0, u1 = small_gaussian_data(self.grid, 0.3)
-        traj, diag = etd_oracle(u0, u1, PP3, 0.25, 10.0, nonlinearity_scale=0.0)
+        # At amplitude 1e-7 the cubic term is negligible; the bound is
+        # 1e-10 at amplitude 0.3, scaled with the amplitude.
+        amp = 1e-7
+        u0, u1 = small_gaussian_data(self.grid, amp)
+        traj, diag = etd_oracle(u0, u1, PP3, 0.25, 10.0)
         assert not diag.blown_up
         for t, f in traj:
             ref = linear_solution(u0, u1, float(t))
-            assert np.max(np.abs(f.values - ref.values)) < 1e-10
+            assert np.max(np.abs(f.values - ref.values)) < 1e-10 * amp / 0.3
 
     def test_agreement_with_picard_small_data(self):
         u0, u1 = small_gaussian_data(self.grid, 0.05)
