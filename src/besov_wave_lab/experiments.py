@@ -108,10 +108,15 @@ def _fit_window_from(cfg: Config, ts: np.ndarray) -> tuple[float, float]:
 
 
 def _problem_values(cfg: Config) -> tuple[int, float, float, int]:
-    """Raw (n, r, s, p) of [problem]; n falls back to [grid] n."""
-    sec = _section(cfg, "problem")
+    """Raw (n, r, s, p) of [problem]; n falls back to [grid] n, and the two
+    must agree when both are set."""
+    sec, grid = _section(cfg, "problem"), _section(cfg, "grid")
+    grid_n = int(_get(grid, "n", 1, int))
+    n = int(_get(sec, "n", grid_n, int))
+    if "n" in grid and n != grid_n:
+        raise ValueError(f"[problem] n = {n} differs from [grid] n = {grid_n}")
     return (
-        int(_get(sec, "n", _get(_section(cfg, "grid"), "n", 1, int), int)),
+        n,
         _get(sec, "r", 4.0),
         _get(sec, "s", 5.0),
         int(_get(sec, "p", 9, int)),
@@ -153,33 +158,23 @@ def _data_field(cfg: Config, grid: TorusGrid, rng: np.random.Generator, **defaul
     return build_profile(sec.get("profile", "gaussian"), grid, sec, rng)
 
 
-def _finish(report: ExperimentReport, started: float) -> ExperimentReport:
-    report.runtime_s = round(time.perf_counter() - started, 3)
-    return report
-
-
 # -- individual experiments ----------------------------------------------
 
 
 def run_partition_residual(cfg: Config, out_dir: Path, rng, jobs: int) -> ExperimentReport:
-    started = time.perf_counter()
     grid = _grid_from(cfg)
     blocks = make_blocks(grid)
     residual = blocks.partition_residual()
     tol = _get(_section(cfg, "experiment"), "tolerance", 1e-12)
-    return _finish(
-        ExperimentReport(
-            kind="partition-residual",
-            scalars={"residual": residual, "tolerance": tol},
-            verdicts={"partition": "pass" if residual < tol else "fail"},
-            meta={"j_min": blocks.j_min, "j_max": blocks.j_max},
-        ),
-        started,
+    return ExperimentReport(
+        kind="partition-residual",
+        scalars={"residual": residual, "tolerance": tol},
+        verdicts={"partition": "pass" if residual < tol else "fail"},
+        meta={"j_min": blocks.j_min, "j_max": blocks.j_max},
     )
 
 
 def run_mode_ode(cfg: Config, out_dir: Path, rng, jobs: int) -> ExperimentReport:
-    started = time.perf_counter()
     sec = _section(cfg, "experiment")
     h = _get(sec, "fd_step", 1e-4)
     tol = _get(sec, "tolerance", 1e-6)
@@ -194,19 +189,15 @@ def run_mode_ode(cfg: Config, out_dir: Path, rng, jobs: int) -> ExperimentReport
         resid = abs((vp - 2 * v0 + vm) / h**2 + (vp - vm) / (2 * h) + xi**2 * v0)
         worst = max(worst, resid)
         rows.append([t, xi, resid])
-    return _finish(
-        ExperimentReport(
-            kind="mode-ode",
-            scalars={"max_residual": worst, "tolerance": tol, "pairs": float(len(pairs))},
-            verdicts={"mode_ode": "pass" if worst < tol else "fail"},
-            tables={"residuals": Table(columns=["t", "xi", "residual"], rows=rows)},
-        ),
-        started,
+    return ExperimentReport(
+        kind="mode-ode",
+        scalars={"max_residual": worst, "tolerance": tol, "pairs": float(len(pairs))},
+        verdicts={"mode_ode": "pass" if worst < tol else "fail"},
+        tables={"residuals": Table(columns=["t", "xi", "residual"], rows=rows)},
     )
 
 
 def run_verify_lp_lq(cfg: Config, out_dir: Path, rng, jobs: int) -> ExperimentReport:
-    started = time.perf_counter()
     grid = _grid_from(cfg)
     sec = _section(cfg, "estimate")
     p = _get(sec, "p", 2.0)
@@ -235,11 +226,10 @@ def run_verify_lp_lq(cfg: Config, out_dir: Path, rng, jobs: int) -> ExperimentRe
         fit=(fitted, intercept) if fitted is not None else None,
         title=f"flow decay p={p:g} q={q:g} s1={s1:g} s2={s2:g}",
     )
-    return _finish(report, started)
+    return report
 
 
 def run_high_frequency_bound(cfg: Config, out_dir: Path, rng, jobs: int) -> ExperimentReport:
-    started = time.perf_counter()
     grid = _grid_from(cfg)
     blocks = make_blocks(grid)
     sec = _section(cfg, "estimate")
@@ -281,11 +271,10 @@ def run_high_frequency_bound(cfg: Config, out_dir: Path, rng, jobs: int) -> Expe
         fit=(delta, log_c),
         title="high-frequency flow, damping compensated",
     )
-    return _finish(report, started)
+    return report
 
 
 def run_block_estimates(cfg: Config, out_dir: Path, rng, jobs: int) -> ExperimentReport:
-    started = time.perf_counter()
     sec = _section(cfg, "estimate")
     p = _get(sec, "p", 2.0)
     q = _get(sec, "q", 2.0)
@@ -324,11 +313,10 @@ def run_block_estimates(cfg: Config, out_dir: Path, rng, jobs: int) -> Experimen
         tables={"blocks": Table(columns=["k", "max_ratio", "fitted_exponent"], rows=rows)},
         meta={"p": p, "q": q, "s1": s1, "s2": s2},
     )
-    return _finish(report, started)
+    return report
 
 
 def run_paraproduct_residual(cfg: Config, out_dir: Path, rng, jobs: int) -> ExperimentReport:
-    started = time.perf_counter()
     sec = _section(cfg, "experiment")
     pairs = int(_get(sec, "pairs", 100, int))
     tol = _get(sec, "tolerance", 1e-10)
@@ -341,19 +329,15 @@ def run_paraproduct_residual(cfg: Config, out_dir: Path, rng, jobs: int) -> Expe
         f = band_limited_random(grid, rng, band_lo, band_hi, rng.uniform(0.0, 0.8))
         g = band_limited_random(grid, rng, band_lo, band_hi, rng.uniform(0.0, 0.8))
         worst = max(worst, decomposition_residual(f, g, blocks=blocks))
-    return _finish(
-        ExperimentReport(
-            kind="paraproduct-residual",
-            scalars={"max_residual": worst, "tolerance": tol, "pairs": float(pairs)},
-            verdicts={"repartition": "pass" if worst < tol else "fail"},
-            meta={"n": grid.n, "N": grid.points_per_axis},
-        ),
-        started,
+    return ExperimentReport(
+        kind="paraproduct-residual",
+        scalars={"max_residual": worst, "tolerance": tol, "pairs": float(pairs)},
+        verdicts={"repartition": "pass" if worst < tol else "fail"},
+        meta={"n": grid.n, "N": grid.points_per_axis},
     )
 
 
 def run_leibniz(cfg: Config, out_dir: Path, rng, jobs: int) -> ExperimentReport:
-    started = time.perf_counter()
     sec = _section(cfg, "leibniz")
     lcfg = LeibnizConfig(
         alpha=_get(sec, "alpha", 0.7),
@@ -380,32 +364,28 @@ def run_leibniz(cfg: Config, out_dir: Path, rng, jobs: int) -> ExperimentReport:
             worst = max(worst, leibniz_ratio(f, g, lcfg, blocks=blocks))
         maxima[label] = worst
     change = abs(maxima["refined"] - maxima["base"]) / maxima["base"]
-    return _finish(
-        ExperimentReport(
-            kind="leibniz",
-            scalars={
-                "max_ratio_base": maxima["base"],
-                "max_ratio_refined": maxima["refined"],
-                "refinement_change": change,
-                "stability_cap": stability_cap,
-            },
-            verdicts={
-                "finite": "pass" if math.isfinite(maxima["base"]) else "fail",
-                "stable_under_refinement": "pass" if change < stability_cap else "fail",
-            },
-            meta={
-                "alpha": lcfg.alpha,
-                "exponents": f"r={lcfg.r:g} p1={lcfg.p1:g} q1={lcfg.q1:g} "
-                f"p2={lcfg.p2:g} q2={lcfg.q2:g}",
-                "ensemble": lcfg.ensemble,
-            },
-        ),
-        started,
+    return ExperimentReport(
+        kind="leibniz",
+        scalars={
+            "max_ratio_base": maxima["base"],
+            "max_ratio_refined": maxima["refined"],
+            "refinement_change": change,
+            "stability_cap": stability_cap,
+        },
+        verdicts={
+            "finite": "pass" if math.isfinite(maxima["base"]) else "fail",
+            "stable_under_refinement": "pass" if change < stability_cap else "fail",
+        },
+        meta={
+            "alpha": lcfg.alpha,
+            "exponents": f"r={lcfg.r:g} p1={lcfg.p1:g} q1={lcfg.q1:g} "
+            f"p2={lcfg.p2:g} q2={lcfg.q2:g}",
+            "ensemble": lcfg.ensemble,
+        },
     )
 
 
 def run_interpolation(cfg: Config, out_dir: Path, rng, jobs: int) -> ExperimentReport:
-    started = time.perf_counter()
     grid = _grid_from(cfg)
     blocks = make_blocks(grid)
     pp = _problem_from(cfg)
@@ -425,24 +405,20 @@ def run_interpolation(cfg: Config, out_dir: Path, rng, jobs: int) -> ExperimentR
             )
         rows.append([theta, q, alpha, worst])
     finite = all(math.isfinite(r[3]) and r[3] > 0 for r in rows)
-    return _finish(
-        ExperimentReport(
-            kind="interpolation",
-            scalars={"max_ratio": max(r[3] for r in rows)},
-            verdicts={"finite_constants": "pass" if finite else "fail"},
-            tables={
-                "constants": Table(
-                    columns=["theta", "q", "alpha", "max_ratio"], rows=rows
-                )
-            },
-            meta={"ensemble": ensemble},
-        ),
-        started,
+    return ExperimentReport(
+        kind="interpolation",
+        scalars={"max_ratio": max(r[3] for r in rows)},
+        verdicts={"finite_constants": "pass" if finite else "fail"},
+        tables={
+            "constants": Table(
+                columns=["theta", "q", "alpha", "max_ratio"], rows=rows
+            )
+        },
+        meta={"ensemble": ensemble},
     )
 
 
 def run_contraction(cfg: Config, out_dir: Path, rng, jobs: int) -> ExperimentReport:
-    started = time.perf_counter()
     grid = _grid_from(cfg)
     pp = _problem_from(cfg)
     scfg = _solver_from(cfg)
@@ -459,11 +435,10 @@ def run_contraction(cfg: Config, out_dir: Path, rng, jobs: int) -> ExperimentRep
     report = contraction_report(amps, diags, pp)
     gap = abs(report.scalars["fitted_slope"] - report.scalars["expected_slope"])
     report.verdicts["amplitude_power"] = "pass" if gap <= slope_tol else "fail"
-    return _finish(report, started)
+    return report
 
 
 def run_global_decay(cfg: Config, out_dir: Path, rng, jobs: int) -> ExperimentReport:
-    started = time.perf_counter()
     grid = _grid_from(cfg)
     pp = _problem_from(cfg)
     scfg = _solver_from(cfg)
@@ -513,12 +488,11 @@ def run_global_decay(cfg: Config, out_dir: Path, rng, jobs: int) -> ExperimentRe
         },
         title="global run: decay and weighted sup",
     )
-    return _finish(study, started)
+    return study
 
 
 def run_blowup_probe(cfg: Config, out_dir: Path, rng, jobs: int) -> ExperimentReport:
     """Escape probe; an `amplitudes` list tabulates escape time vs amplitude."""
-    started = time.perf_counter()
     grid = _grid_from(cfg)
     pp = _problem_from(cfg)
     scfg = _solver_from(cfg)
@@ -541,7 +515,7 @@ def run_blowup_probe(cfg: Config, out_dir: Path, rng, jobs: int) -> ExperimentRe
             columns=["amplitude", "escaped", "escape_time", "refinement_gap"],
             rows=rows,
         )
-    return _finish(report, started)
+    return report
 
 
 def _sweep_one(args) -> tuple[int, str, float | None]:
@@ -553,7 +527,6 @@ def _sweep_one(args) -> tuple[int, str, float | None]:
 
 
 def run_sweep_critical(cfg: Config, out_dir: Path, rng, jobs: int) -> ExperimentReport:
-    started = time.perf_counter()
     grid = _grid_from(cfg, N=1024, L=80.0)
     scfg = _solver_from(cfg, T=80.0, etd_dt=0.01, blowup_threshold=100.0)
     u = _data_field(cfg, grid, rng, width=2.0, amplitude=0.5)
@@ -569,25 +542,21 @@ def run_sweep_critical(cfg: Config, out_dir: Path, rng, jobs: int) -> Experiment
         [float(p), 1.0 if verdict == "escape" else 0.0, t if t is not None else -1.0]
         for p, verdict, t in results
     ]
-    return _finish(
-        ExperimentReport(
-            kind="sweep-critical",
-            scalars={"fujita": fujita},
-            verdicts={
-                f"p={p}": ("escape" if v == "escape" else "decay")
-                for p, v, _ in results
-            },
-            tables={
-                "sweep": Table(columns=["p", "escaped", "escape_time"], rows=rows)
-            },
-            meta={"n": n, "r": r},
-        ),
-        started,
+    return ExperimentReport(
+        kind="sweep-critical",
+        scalars={"fujita": fujita},
+        verdicts={
+            f"p={p}": ("escape" if v == "escape" else "decay")
+            for p, v, _ in results
+        },
+        tables={
+            "sweep": Table(columns=["p", "escaped", "escape_time"], rows=rows)
+        },
+        meta={"n": n, "r": r},
     )
 
 
 def run_admissibility(cfg: Config, out_dir: Path, rng, jobs: int) -> ExperimentReport:
-    started = time.perf_counter()
     n, r, s, p = _problem_values(cfg)
     samples = int(_get(_section(cfg, "experiment"), "random_samples", 1000, int))
     verdict = check_gwp(n, r, s, p)
@@ -604,24 +573,21 @@ def run_admissibility(cfg: Config, out_dir: Path, rng, jobs: int) -> ExperimentR
     rows = [
         [c.name, 1.0 if c.ok else 0.0, c.margin] for c in verdict.conditions
     ]
-    return _finish(
-        ExperimentReport(
-            kind="admissibility",
-            scalars={
-                "beta": verdict.beta,
-                "fujita": verdict.fujita,
-                "rational_mismatches": float(mismatches),
-            },
-            verdicts={
-                "hypotheses": "pass" if verdict.passed else "fail",
-                "rational_agreement": "pass" if mismatches == 0 else "fail",
-            },
-            tables={
-                "conditions": Table(columns=["condition", "ok", "margin"], rows=rows)
-            },
-            meta={"n": n, "r": r, "s": s, "p": p, "branch": verdict.two_s_branch},
-        ),
-        started,
+    return ExperimentReport(
+        kind="admissibility",
+        scalars={
+            "beta": verdict.beta,
+            "fujita": verdict.fujita,
+            "rational_mismatches": float(mismatches),
+        },
+        verdicts={
+            "hypotheses": "pass" if verdict.passed else "fail",
+            "rational_agreement": "pass" if mismatches == 0 else "fail",
+        },
+        tables={
+            "conditions": Table(columns=["condition", "ok", "margin"], rows=rows)
+        },
+        meta={"n": n, "r": r, "s": s, "p": p, "branch": verdict.two_s_branch},
     )
 
 
@@ -734,4 +700,7 @@ def run_experiment(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)
-    return spec.runner(cfg, out_dir, rng, jobs)
+    started = time.perf_counter()
+    report = spec.runner(cfg, out_dir, rng, jobs)
+    report.runtime_s = round(time.perf_counter() - started, 3)
+    return report

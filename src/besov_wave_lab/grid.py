@@ -5,10 +5,17 @@ lattice 2*pi*k/L with k per-axis in [-N/2, N/2).  Transforms carry the
 symmetric (2*pi)^(-n/2) normalization with the quadrature weight dx^n
 absorbed into the forward transform, so discrete norms converge to their
 continuum counterparts as N and L grow.
+
+Every padded pointwise product goes through one alias-free kernel,
+dealiased_pointwise: coefficient arrays in, one inverse transform per input
+on the zero-padded lattice, the op on the real samples, one forward
+transform, truncation back.  _resize is the one map between lattices, and
+field_from_coeffs the one way from coefficients to a GridField.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -23,7 +30,9 @@ __all__ = [
     "make_grid",
     "forward_transform",
     "inverse_transform",
+    "field_from_coeffs",
     "apply_multiplier",
+    "dealiased_pointwise",
     "dealiased_product",
     "dealiased_power",
     "pad_factor_for_power",
@@ -118,15 +127,8 @@ class TorusGrid:
     @cached_property
     def _phase_signs(self) -> np.ndarray:
         # Relates samples at x_j = -L/2 + j*dx to the FFT's x_j = j*dx origin:
-        # exp(i*(L/2)*xi_k) = (-1)^k per axis.
-        k = np.fft.fftfreq(self.points_per_axis) * self.points_per_axis
-        sign1d = np.where(np.rint(k).astype(int) % 2 == 0, 1.0, -1.0)
-        out = np.ones(self.shape)
-        for d in range(self.n):
-            out = out * sign1d.reshape(
-                (1,) * d + (-1,) + (1,) * (self.n - d - 1)
-            )
-        return out
+        # exp(i*(L/2)*xi_k) = (-1)^k per axis, and k = index mod N, N even.
+        return 1.0 - 2.0 * (sum(np.indices(self.shape, sparse=True)) % 2)
 
     def zeros(self) -> "GridField":
         return GridField(self, np.zeros(self.shape))
@@ -225,38 +227,19 @@ def forward_transform(f: GridField) -> SpectralField:
     return SpectralField(grid, coeffs)
 
 
-def inverse_transform(
-    F: SpectralField, *, require_real: bool = True, hermitian_tol: float = 1e-10
-) -> GridField:
-    """Invert forward_transform.
-
-    With require_real the input must be Hermitian-symmetric (relative
-    defect below hermitian_tol); otherwise the complex samples are returned
-    as a plain array wrapped in no field type.
-    """
-    grid = F.grid
-    if require_real:
-        scale_ref = float(np.max(np.abs(F.coeffs)))
-        defect = F.hermitian_defect()
-        if defect > hermitian_tol * max(scale_ref, 1e-300):
-            raise ValueError(
-                f"spectrum is not Hermitian-symmetric (defect {defect:.3e}); "
-                "pass require_real=False for complex output"
-            )
-    values = _inverse_values(F)
-    if require_real:
-        return GridField(grid, values.real)
-    return values
+def inverse_transform(F: SpectralField, *, hermitian_tol: float = 1e-10) -> GridField:
+    """Invert forward_transform; the input must be Hermitian-symmetric
+    (relative defect below hermitian_tol), so that the samples are real."""
+    scale_ref = float(np.max(np.abs(F.coeffs)))
+    defect = F.hermitian_defect()
+    if defect > hermitian_tol * max(scale_ref, 1e-300):
+        raise ValueError(f"spectrum is not Hermitian-symmetric (defect {defect:.3e})")
+    return field_from_coeffs(F.grid, F.coeffs)
 
 
-def _inverse_values(F: SpectralField) -> np.ndarray:
-    grid = F.grid
-    scale = (
-        (2.0 * np.pi) ** (-grid.n / 2)
-        * grid.freq_spacing**grid.n
-        * grid.num_points
-    )
-    return scale * np.fft.ifftn(grid._phase_signs * F.coeffs)
+def field_from_coeffs(grid: TorusGrid, coeffs: np.ndarray) -> GridField:
+    """The real field on grid whose coefficient array is coeffs."""
+    return GridField(grid, _samples(grid, coeffs, grid.points_per_axis))
 
 
 def apply_multiplier(m: Callable[[np.ndarray], np.ndarray], f: GridField) -> GridField:
@@ -276,9 +259,7 @@ def apply_symbol(symbol: np.ndarray, f: GridField) -> GridField:
     symbol = np.broadcast_to(symbol, grid.shape)
     if not np.all(np.isfinite(symbol)):
         raise ValueError("multiplier produced non-finite values on the lattice")
-    coeffs = symbol * f.spectrum.coeffs
-    values = _inverse_values(SpectralField(grid, coeffs))
-    return GridField(grid, values.real)
+    return field_from_coeffs(grid, symbol * f.spectrum.coeffs)
 
 
 def pad_factor_for_power(p: int) -> int:
@@ -288,63 +269,76 @@ def pad_factor_for_power(p: int) -> int:
     return math.ceil((p + 1) / 2)
 
 
-def _pad_spectrum(F: SpectralField, M: int) -> SpectralField:
-    """Embed coefficients into an M-points-per-axis grid over the same box."""
-    grid = F.grid
-    N = grid.points_per_axis
-    fine = make_grid(grid.n, M, grid.box_length)
-    shifted = np.fft.fftshift(F.coeffs)
-    pad_lo = (M - N) // 2
-    widths = [(pad_lo, M - N - pad_lo)] * grid.n
-    padded = np.pad(shifted, widths)
-    return SpectralField(fine, np.fft.ifftshift(padded))
+def _resize(coeffs: np.ndarray, M: int) -> np.ndarray:
+    """Coefficients (FFT order) moved to the M-point lattice over the same
+    box: the modes k in [-K/2, K/2)^n, K = min(N, M), that both lattices
+    hold are copied, every other mode of the result is zero."""
+    N = coeffs.shape[0]
+    if N == M:
+        return coeffs
+    h = min(N, M) // 2
+    halves = ((slice(0, h), slice(0, h)), (slice(N - h, N), slice(M - h, M)))
+    out = np.zeros((M,) * coeffs.ndim, dtype=complex)
+    for parts in itertools.product(halves, repeat=coeffs.ndim):
+        out[tuple(dst for _, dst in parts)] = coeffs[tuple(src for src, _ in parts)]
+    return out
 
 
-def _truncate_spectrum(F: SpectralField, N: int, box_length: float) -> SpectralField:
-    grid = F.grid
-    M = grid.points_per_axis
-    coarse = make_grid(grid.n, N, box_length)
-    shifted = np.fft.fftshift(F.coeffs)
-    lo = (M - N) // 2
-    sl = tuple(slice(lo, lo + N) for _ in range(grid.n))
-    return SpectralField(coarse, np.fft.ifftshift(shifted[sl]))
+def _samples(grid: TorusGrid, coeffs: np.ndarray, M: int) -> np.ndarray:
+    """Real samples on the M-point lattice over grid's box of a coefficient
+    array of grid, unvalidated: non-finite coefficients give non-finite ones."""
+    scale = (2.0 * np.pi) ** (-grid.n / 2) * grid.freq_spacing**grid.n * M**grid.n
+    return scale * np.fft.ifftn(_resize(grid._phase_signs * coeffs, M)).real
+
+
+def dealiased_pointwise(
+    grid: TorusGrid, op: Callable[..., np.ndarray], factor: int, *coeffs: np.ndarray
+) -> np.ndarray:
+    """Coefficients on grid of op applied pointwise to the fields with
+    coefficient arrays coeffs, zero-padded to M = factor * N points per
+    axis: degree-d products are alias-free for factor >= (d + 1) / 2
+    (Orszag 1971).  The signs (-1)^k that put the sample origin at -L/2
+    agree on both lattices for every shared mode, so the grid's cached ones
+    serve and no padded grid is built.
+
+    No Hermitian projection is made: the coarse Nyquist modes k_i = -N/2
+    keep the unpaired, possibly complex, coefficient of the padded result.
+    A GridField built from the output drops its imaginary part; a time
+    loop that feeds the output back in keeps it.  For resolved data it
+    sits at the rounding floor and moves reports only at rounding level.
+    """
+    M = factor * grid.points_per_axis
+    # An overflow here is a blow-up, which the time loops read off the samples.
+    with np.errstate(over="ignore", invalid="ignore"):
+        spectrum = np.fft.fftn(op(*(_samples(grid, c, M) for c in coeffs)))
+    coarse = _resize(spectrum, grid.points_per_axis)
+    scale = (2.0 * np.pi) ** (-grid.n / 2) * (grid.box_length / M) ** grid.n
+    return scale * grid._phase_signs * coarse
 
 
 def dealiased_product(f: GridField, g: GridField, factor: int = 2) -> GridField:
-    """Pointwise product computed on a zero-padded grid, then truncated.
-
-    The retained modes of the result are exact for any inputs resolved on
-    the original grid; factor 2 suffices for a bilinear product.
-    """
+    """f * g by dealiased_pointwise; factor 2 makes it alias-free."""
     if f.grid != g.grid:
         raise ValueError("fields live on different grids")
-    grid = f.grid
-    M = factor * grid.points_per_axis
-    fv = _inverse_values(_pad_spectrum(f.spectrum, M)).real
-    gv = _inverse_values(_pad_spectrum(g.spectrum, M)).real
-    fine = make_grid(grid.n, M, grid.box_length)
-    prod_spec = forward_transform(GridField(fine, fv * gv))
-    coarse_spec = _truncate_spectrum(prod_spec, grid.points_per_axis, grid.box_length)
-    return GridField(grid, _inverse_values(coarse_spec).real)
+    coeffs = dealiased_pointwise(
+        f.grid, np.multiply, factor, f.spectrum.coeffs, g.spectrum.coeffs
+    )
+    return field_from_coeffs(f.grid, coeffs)
 
 
 def dealiased_power(f: GridField, p: int) -> GridField:
     """f**p computed pointwise on a grid padded by ceil((p+1)/2)."""
-    grid = f.grid
-    M = pad_factor_for_power(p) * grid.points_per_axis
-    fv = _inverse_values(_pad_spectrum(f.spectrum, M)).real
-    fine = make_grid(grid.n, M, grid.box_length)
-    pow_spec = forward_transform(GridField(fine, fv**p))
-    coarse_spec = _truncate_spectrum(pow_spec, grid.points_per_axis, grid.box_length)
-    return GridField(grid, _inverse_values(coarse_spec).real)
+    coeffs = dealiased_pointwise(
+        f.grid, lambda v: v**p, pad_factor_for_power(p), f.spectrum.coeffs
+    )
+    return field_from_coeffs(f.grid, coeffs)
 
 
 def refine_field(f: GridField, factor: int = 2) -> GridField:
     """Spectral interpolation onto a grid with factor times the resolution."""
     grid = f.grid
-    M = factor * grid.points_per_axis
-    fine_spec = _pad_spectrum(f.spectrum, M)
-    return GridField(fine_spec.grid, _inverse_values(fine_spec).real)
+    fine = make_grid(grid.n, factor * grid.points_per_axis, grid.box_length)
+    return field_from_coeffs(fine, _resize(f.spectrum.coeffs, fine.points_per_axis))
 
 
 def outer_shell_fraction(f: GridField) -> float:

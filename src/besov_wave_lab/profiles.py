@@ -4,12 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from besov_wave_lab.grid import (
-    GridField,
-    SpectralField,
-    TorusGrid,
-    _inverse_values,
-)
+from besov_wave_lab.grid import GridField, TorusGrid, field_from_coeffs
 from besov_wave_lab.littlewood_paley import chi
 
 __all__ = [
@@ -134,11 +129,9 @@ def saturating_low(
     coeffs[nonzero] = xi[nonzero] ** power * np.exp(
         -(xi[nonzero] ** 2) / (2.0 * envelope_width**2)
     )
-    vals = _inverse_values(SpectralField(grid, coeffs)).real
-    peak = np.max(np.abs(vals))
-    if peak > 0:
-        vals = vals * (amplitude / peak)
-    return GridField(grid, vals)
+    f = field_from_coeffs(grid, coeffs)
+    peak = f.max_abs()
+    return f * (amplitude / peak) if peak > 0 else f
 
 
 def build_profile(name: str, grid: TorusGrid, params: dict, rng: np.random.Generator) -> GridField:

@@ -2,36 +2,41 @@
 exponential-time-differencing cross-check.
 
 The fixed-point map sends u to the linear flow plus the Duhamel integral of
-u^p (computed alias-free on a padded grid).  Both come from one recursion
-over the time nodes that carries the spectral pair (u, u_t): half a
-trapezoid weight of the source enters the u_t slot, the exact per-mode flow
-matrix advances the pair one step, and the other half enters at the far
-node.  By the semigroup property of the flow this is the composite
-trapezoid rule for the Duhamel integral, at one inverse transform per
-output node.  Iteration starts from the linear solution and stops when
-successive iterates are close in the weighted solution norm.  The ETD
-oracle advances the same pair with the same flow matrix and an explicit
-second-order treatment of the nonlinearity; it shares nothing else with
-the Picard path.
+u^p.  Both come from one recursion over the time nodes that carries the
+spectral pair (u, u_t): half a trapezoid weight of the source enters the u_t
+slot, the exact per-mode flow matrix advances the pair one step, and the
+other half enters at the far node.  By the semigroup property of the flow
+this is the composite trapezoid rule for the Duhamel integral, at one
+inverse transform per output node.  Iteration starts from the linear
+solution and stops when successive iterates are close in the weighted
+solution norm.  The ETD oracle advances the same pair with the same flow
+matrix and an explicit second-order treatment of the nonlinearity; it
+shares nothing else with the Picard path.
+
+Both time loops stay in coefficients: u^p comes from the alias-free kernel
+grid.dealiased_pointwise on spectra they hold, and fields are built only
+for norms, stored nodes and reports.  A non-finite sample is a blow-up,
+read off the raw samples before any field is built.
 
 Neither solver judges admissibility; experiments.run_experiment does.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field as dc_field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from besov_wave_lab.grid import (
     GridField,
-    SpectralField,
     TorusGrid,
-    _inverse_values,
-    dealiased_power,
+    _samples,
+    dealiased_pointwise,
     outer_shell_fraction,
+    pad_factor_for_power,
     refine_field,
 )
 from besov_wave_lab.littlewood_paley import DyadicBlocks, make_blocks
@@ -124,12 +129,15 @@ def spectral_tail_fraction(f: GridField) -> float:
     return float(np.sum(np.abs(coeffs[xi >= cutoff]) ** 2)) / total
 
 
-def _to_field(grid: TorusGrid, coeffs: np.ndarray) -> GridField:
-    return GridField(grid, _inverse_values(SpectralField(grid, coeffs)).real)
+def _escaped(values: np.ndarray, threshold: float) -> bool:
+    """A non-finite sample, or one above the max-norm cap, is a blow-up."""
+    peak = float(np.max(np.abs(values)))
+    return not math.isfinite(peak) or peak > threshold
 
 
-def _power_source(traj: Trajectory, p: int) -> Trajectory:
-    return Trajectory(traj.times, tuple(dealiased_power(f, p) for f in traj.fields))
+def _power(grid: TorusGrid, coeffs: np.ndarray, p: int) -> np.ndarray:
+    """Alias-free spectrum of u^p from the spectrum of u."""
+    return dealiased_pointwise(grid, lambda v: v**p, pad_factor_for_power(p), coeffs)
 
 
 def _refine_nodes(times: np.ndarray, source: Sequence[np.ndarray], factor: int):
@@ -147,45 +155,47 @@ def _flow_recursion(
     times: np.ndarray,
     u_hat: np.ndarray,
     v_hat: np.ndarray,
-    source: Sequence[np.ndarray] | None = None,
+    source: Iterable[np.ndarray] | None = None,
     refine: int = 1,
-) -> Trajectory:
-    """u at every node from spectral data (u, u_t) = (u_hat, v_hat) at t = 0,
-    plus the trapezoid Duhamel integral of the source spectra at the nodes.
+) -> list[np.ndarray]:
+    """Samples of u at every node from spectral data (u, u_t) = (u_hat,
+    v_hat) at t = 0, plus the trapezoid Duhamel integral of the source
+    spectra, which are read one node at a time.
 
     Each step does v += (h/2) F_k; (u, v) <- E(h) (u, v); v += (h/2) F_{k+1}.
     By the semigroup identity E(t - s) E(s - r) = E(t - r) this is the
     composite trapezoid rule on any increasing node set.  refine > 1 runs
     on the nodes refined by _refine_nodes and emits the original ones only.
     """
-    out_times = times
     if refine > 1:
-        times, source = _refine_nodes(times, source, refine)
+        times, source = _refine_nodes(times, list(source), refine)
+    N = grid.points_per_axis
     xi = grid.freq_abs
-    fields = [_to_field(grid, u_hat)]
+    ends = itertools.pairwise(itertools.repeat(0.0) if source is None else source)
+    samples = [_samples(grid, u_hat, N)]
     h_prev = None
     for k in range(1, times.size):
         h = float(times[k] - times[k - 1])
         if h != h_prev:
             e11, e12, e21, e22 = flow_matrix(h, xi)
             h_prev = h
-        if source is not None:
-            v_hat = v_hat + (0.5 * h) * source[k - 1]
+        f_start, f_end = next(ends)
+        v_hat = v_hat + (0.5 * h) * f_start
         u_hat, v_hat = e11 * u_hat + e12 * v_hat, e21 * u_hat + e22 * v_hat
-        if source is not None:
-            v_hat = v_hat + (0.5 * h) * source[k]
+        v_hat = v_hat + (0.5 * h) * f_end
         if k % refine == 0:
-            fields.append(_to_field(grid, u_hat))
-    return Trajectory(out_times, tuple(fields))
+            samples.append(_samples(grid, u_hat, N))
+    return samples
 
 
-def duhamel_integral(source: Trajectory) -> Trajectory:
-    """Integral over [0, t] of the damped flow applied to the source, by the
-    composite trapezoid rule on the source's nodes, at every node t."""
-    grid = source.grid
+def duhamel_integral(
+    grid: TorusGrid, times: np.ndarray, source: Iterable[np.ndarray]
+) -> list[np.ndarray]:
+    """Samples at every node t of the integral over [0, t] of the damped
+    flow applied to the source, by the composite trapezoid rule on the
+    nodes.  source yields one coefficient array per node."""
     zero = np.zeros(grid.shape, dtype=complex)
-    spectra = [f.spectrum.coeffs for f in source.fields]
-    return _flow_recursion(grid, source.times, zero, zero, spectra)
+    return _flow_recursion(grid, times, zero, zero, source)
 
 
 def psi_apply(
@@ -201,11 +211,12 @@ def psi_apply(
     refine > 1 refines the trapezoid rule by inserting linearly
     interpolated source nodes; output stays on the original node set.
     """
-    source = _power_source(traj, pp.p_nl)
-    spectra = [f.spectrum.coeffs for f in source.fields]
-    return _flow_recursion(
-        traj.grid, traj.times, u0.spectrum.coeffs, u1.spectrum.coeffs, spectra, refine
+    grid = traj.grid
+    source = (_power(grid, f.spectrum.coeffs, pp.p_nl) for f in traj.fields)
+    samples = _flow_recursion(
+        grid, traj.times, u0.spectrum.coeffs, u1.spectrum.coeffs, source, refine
     )
+    return Trajectory(traj.times, tuple(GridField(grid, v) for v in samples))
 
 
 def picard_solve(
@@ -218,12 +229,14 @@ def picard_solve(
 ) -> tuple[Trajectory, PicardDiagnostics]:
     """Fixed-point iteration for the integral equation with source u^p.
 
-    Starts from the linear solution, stops when the successive difference
-    drops below picard_tol in the solution norm, and aborts with a blow-up
-    flag when any iterate crosses the max-norm threshold.  Each iterate is
-    the linear solution plus a Duhamel correction; successive differences
-    are taken between corrections, so the linear part (the same bits in
-    every iterate) does not set their rounding floor.
+    Starts from the linear solution and stops when the successive
+    difference drops below picard_tol in the solution norm.  At the first
+    node where an iterate has a non-finite sample or crosses the max-norm
+    threshold it aborts with a blow-up flag and returns the last iterate
+    that did not.  Each iterate is the linear solution plus a Duhamel
+    correction; successive differences are taken between corrections, so
+    the linear part (the same bits in every iterate) does not set their
+    rounding floor.
     """
     if u0.grid != u1.grid:
         raise ValueError("initial data live on different grids")
@@ -236,32 +249,34 @@ def picard_solve(
     grid = u0.grid
     times = cfg.time_grid
     diag = PicardDiagnostics()
-    current = _flow_recursion(grid, times, u0.spectrum.coeffs, u1.spectrum.coeffs)
-    diag.x_norms.append(x_norm(current, pp, blocks=blocks))
-    # Sample values only, so that no field spectra outlive the current iterate.
+    linear = _flow_recursion(grid, times, u0.spectrum.coeffs, u1.spectrum.coeffs)
+    current = Trajectory(times, tuple(GridField(grid, v) for v in linear))
+    # The fields' own copies, so that the raw samples can go.
     linear = [f.values for f in current.fields]
+    diag.x_norms.append(x_norm(current, pp, blocks=blocks))
     correction = [0.0] * times.size
 
     for iteration in range(1, cfg.max_iters + 1):
-        update = duhamel_integral(_power_source(current, pp.p_nl))
-        sums = (GridField(grid, a + b.values) for a, b in zip(linear, update.fields))
-        candidate = Trajectory(times, tuple(sums))
+        source = (_power(grid, f.spectrum.coeffs, pp.p_nl) for f in current.fields)
+        update = duhamel_integral(grid, times, source)
         diag.iterations = iteration
-        for t, f in candidate:
-            if f.max_abs() > cfg.blowup_threshold:
+        fields = []
+        for t, a, b in zip(times, linear, update):
+            values = a + b
+            if _escaped(values, cfg.blowup_threshold):
                 diag.blown_up = True
                 diag.escape_time = float(t)
                 diag.residual = math.inf
-                return candidate, diag
-        steps = (
-            GridField(grid, a.values - b) for a, b in zip(update.fields, correction)
-        )
+                return current, diag
+            fields.append(GridField(grid, values))
+        steps = (GridField(grid, a - b) for a, b in zip(update, correction))
         diff_norm = x_norm(Trajectory(times, tuple(steps)), pp, blocks=blocks)
         diag.diff_norms.append(diff_norm)
-        diag.x_norms.append(x_norm(candidate, pp, blocks=blocks))
+        current = Trajectory(times, tuple(fields))
+        diag.x_norms.append(x_norm(current, pp, blocks=blocks))
         if len(diag.diff_norms) >= 2 and diag.diff_norms[-2] > 0:
             diag.ratios.append(diff_norm / diag.diff_norms[-2])
-        current, correction = candidate, [f.values for f in update.fields]
+        correction = update
         if diff_norm < cfg.picard_tol:
             diag.converged = True
             break
@@ -306,7 +321,9 @@ def etd_oracle(
 
     The linear half-step is the exact per-mode flow; the nonlinearity is
     treated explicitly with a predictor-corrector weighting, so the scheme
-    is exact on linear problems and second order otherwise.
+    is exact on linear problems and second order otherwise.  The first
+    step with a non-finite sample or one above blowup_threshold is the
+    escape, stored when its samples are finite.
     """
     if dt <= 0:
         raise ValueError("time step must be positive")
@@ -325,34 +342,30 @@ def etd_oracle(
         store_idx = {int(round(t / dt)) for t in store_times}
         store_idx.add(0)
 
-    def nl_spectrum(coeffs: np.ndarray) -> np.ndarray:
-        return dealiased_power(_to_field(grid, coeffs), pp.p_nl).spectrum.coeffs
-
     uh = u0.spectrum.coeffs.copy()
     vh = u1.spectrum.coeffs.copy()
     diag = OracleDiagnostics()
     out_times = [0.0]
     out_fields = [GridField(grid, u0.values)]
     for step in range(1, steps + 1):
-        n0 = nl_spectrum(uh)
+        n0 = _power(grid, uh, pp.p_nl)
         lin_u = e11 * uh + e12 * vh
         lin_v = e21 * uh + e22 * vh
         pred_u = lin_u + i1u * n0
-        n1 = nl_spectrum(pred_u)
+        n1 = _power(grid, pred_u, pp.p_nl)
         uh = lin_u + i1u * n0 + i2u * (n1 - n0)
         vh = lin_v + i1v * n0 + i2v * (n1 - n0)
         diag.steps = step
         t = step * dt
-        field = _to_field(grid, uh)
-        if field.max_abs() > blowup_threshold:
+        values = _samples(grid, uh, grid.points_per_axis)
+        escaped = _escaped(values, blowup_threshold)
+        if (escaped or step in store_idx) and np.all(np.isfinite(values)):
+            out_times.append(t)
+            out_fields.append(GridField(grid, values))
+        if escaped:
             diag.blown_up = True
             diag.escape_time = t
-            out_times.append(t)
-            out_fields.append(field)
             break
-        if step in store_idx:
-            out_times.append(t)
-            out_fields.append(field)
     diag.final_tail_fraction = spectral_tail_fraction(out_fields[-1])
     return Trajectory(np.array(out_times), tuple(out_fields)), diag
 

@@ -209,6 +209,44 @@ amplitude = 0.8
         assert record["error"]["exit_code"] == EXIT_BLOWUP
         assert "escaped" in record["error"]["message"]
 
+    def test_overflow_in_global_decay_exits_4(self, tmp_path, capsys):
+        # No cap: the iterate overflows, which is a blow-up, not a config error.
+        text = """
+[experiment]
+kind = global-decay
+
+[grid]
+n = 1
+N = 512
+L = 100
+
+[problem]
+n = 1
+r = 4
+s = 5
+p = 9
+
+[solver]
+T = 2
+nodes = 21
+
+[data]
+profile = gaussian
+amplitude = 5
+"""
+        cfg = write_cfg(tmp_path / "overflow.cfg", text)
+        out = tmp_path / "o"
+        assert main(["run", cfg, "--out", str(out)]) == EXIT_BLOWUP
+        record = json.loads((out / "error.json").read_text())
+        assert record["error"]["type"] == "blowup"
+
+    def test_problem_dimension_must_match_grid_exits_2(self, tmp_path, capsys):
+        text = SWEEP_CFG.format(powers="9", r="4", s="5", profile="gaussian")
+        text = text.replace("[problem]\nn = 1", "[problem]\nn = 2")
+        cfg = write_cfg(tmp_path / "dims.cfg", text)
+        assert main(["run", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert "[problem] n = 2 differs from [grid] n = 1" in capsys.readouterr().err
+
     def test_sweep_runs_with_parallel_jobs(self, tmp_path, capsys):
         text = """
 [experiment]

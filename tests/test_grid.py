@@ -2,13 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.signal import convolve
 
 from besov_wave_lab.grid import (
     GridField,
     SpectralField,
+    _resize,
     apply_multiplier,
+    dealiased_pointwise,
     dealiased_power,
     dealiased_product,
+    field_from_coeffs,
     forward_transform,
     inverse_transform,
     make_grid,
@@ -97,13 +103,6 @@ class TestInverseTransform:
         coeffs[3] = 1.0  # no conjugate partner
         with pytest.raises(ValueError, match="Hermitian"):
             inverse_transform(SpectralField(grid, coeffs))
-
-    def test_complex_output_allowed_with_flag(self):
-        grid = make_grid(1, 16, 4.0)
-        coeffs = np.zeros(grid.shape, dtype=complex)
-        coeffs[3] = 1.0
-        vals = inverse_transform(SpectralField(grid, coeffs), require_real=False)
-        assert np.iscomplexobj(vals)
 
 
 class TestApplyMultiplier:
@@ -215,6 +214,90 @@ class TestDealiasing:
         cubed = dealiased_power(f, 3)
         expected = grid.field_from_function(lambda x: 0.75 * np.cos(12 * x))
         assert np.max(np.abs(cubed.values - expected.values)) < 1e-12
+
+
+def _nyquist_free_field(grid, seed):
+    """A random real field whose coefficients vanish on every Nyquist plane."""
+    rng = np.random.default_rng(seed)
+    coeffs = grid.field(rng.standard_normal(grid.shape)).spectrum.coeffs.copy()
+    half = grid.points_per_axis // 2
+    for axis in range(grid.n):
+        index = [slice(None)] * grid.n
+        index[axis] = half
+        coeffs[tuple(index)] = 0.0
+    return field_from_coeffs(grid, coeffs)
+
+
+def _truncated_convolution(grid, *spectra):
+    """Coefficients on the grid's lattice of the product of the fields with
+    these spectra: the full discrete convolution, truncated, with no
+    aliasing by construction."""
+    N = grid.points_per_axis
+    acc = np.fft.fftshift(spectra[0])
+    weight = (2.0 * np.pi) ** (-grid.n / 2) * grid.freq_spacing**grid.n
+    for coeffs in spectra[1:]:
+        acc = weight * convolve(acc, np.fft.fftshift(coeffs), method="direct")
+    # Index i of acc holds mode i - len(spectra) * N / 2 per axis.
+    lo = (len(spectra) - 1) * N // 2
+    return np.fft.ifftshift(acc[(slice(lo, lo + N),) * grid.n])
+
+
+def _hermitian_part(grid, coeffs):
+    reflected = coeffs
+    for axis in range(grid.n):
+        reflected = np.roll(np.flip(reflected, axis=axis), 1, axis=axis)
+    return 0.5 * (coeffs + np.conj(reflected))
+
+
+GRIDS = st.builds(
+    make_grid,
+    n=st.sampled_from([1, 2]),
+    N=st.sampled_from([8, 12, 16, 24]),
+    L=st.floats(0.5, 200.0),
+)
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+class TestKernelProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(grid=GRIDS, seed=SEEDS)
+    def test_product_is_truncated_convolution(self, grid, seed):
+        f = _nyquist_free_field(grid, seed)
+        g = _nyquist_free_field(grid, seed + 1)
+        exact = _truncated_convolution(grid, f.spectrum.coeffs, g.spectrum.coeffs)
+        scale = np.max(np.abs(exact))
+        kernel = dealiased_pointwise(
+            grid, np.multiply, 2, f.spectrum.coeffs, g.spectrum.coeffs
+        )
+        assert np.max(np.abs(kernel - exact)) <= 1e-12 * scale
+        out = dealiased_product(f, g).spectrum
+        assert np.max(np.abs(out.coeffs - _hermitian_part(grid, exact))) <= 1e-12 * scale
+        assert out.hermitian_defect() <= 1e-12 * scale
+
+    @settings(max_examples=60, deadline=None)
+    @given(grid=GRIDS, seed=SEEDS, p=st.integers(2, 4))
+    def test_power_is_truncated_convolution(self, grid, seed, p):
+        f = _nyquist_free_field(grid, seed)
+        exact = _truncated_convolution(grid, *([f.spectrum.coeffs] * p))
+        scale = np.max(np.abs(exact))
+        out = dealiased_power(f, p).spectrum
+        assert np.max(np.abs(out.coeffs - _hermitian_part(grid, exact))) <= 1e-12 * scale
+        assert out.hermitian_defect() <= 1e-12 * scale
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.sampled_from([1, 2, 3]),
+        N=st.sampled_from([8, 10, 16]),
+        factor=st.integers(1, 5),
+        seed=SEEDS,
+    )
+    def test_resize_pad_then_truncate_is_identity(self, n, N, factor, seed):
+        rng = np.random.default_rng(seed)
+        coeffs = rng.standard_normal((N,) * n) + 1j * rng.standard_normal((N,) * n)
+        padded = _resize(coeffs, factor * N)
+        assert padded.shape == (factor * N,) * n
+        assert np.count_nonzero(padded) == np.count_nonzero(coeffs)
+        assert np.array_equal(_resize(padded, N), coeffs)
 
 
 class TestRefineAndMonitor:
