@@ -542,13 +542,12 @@ def run_sweep_critical(cfg: Config, out_dir: Path, rng, jobs: int) -> Experiment
         [float(p), 1.0 if verdict == "escape" else 0.0, t if t is not None else -1.0]
         for p, verdict, t in results
     ]
+    # The claim: every power below 1 + 2r/n escapes, every other one decays.
+    boundary = all((v == "escape") == (p < fujita) for p, v, _ in results)
     return ExperimentReport(
         kind="sweep-critical",
         scalars={"fujita": fujita},
-        verdicts={
-            f"p={p}": ("escape" if v == "escape" else "decay")
-            for p, v, _ in results
-        },
+        verdicts={"boundary_at_critical": "pass" if boundary else "fail"},
         tables={
             "sweep": Table(columns=["p", "escaped", "escape_time"], rows=rows)
         },

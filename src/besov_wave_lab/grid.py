@@ -6,19 +6,22 @@ symmetric (2*pi)^(-n/2) normalization with the quadrature weight dx^n
 absorbed into the forward transform, so discrete norms converge to their
 continuum counterparts as N and L grow.
 
-Every padded pointwise product goes through one alias-free kernel,
-dealiased_pointwise: coefficient arrays in, one inverse transform per input
-on the zero-padded lattice, the op on the real samples, one forward
-transform, truncation back.  _resize is the one map between lattices, and
-field_from_coeffs the one way from coefficients to a GridField.
+Every transform is a real one (rfftn/irfftn): coefficient arrays stay full
+(N,)*n in FFT order, and _complete rebuilds them from a half spectrum by
+Hermitian completion.  Every padded pointwise product goes through one
+alias-free kernel, dealiased_pointwise: coefficient arrays in, one inverse
+transform per input on the zero-padded lattice, the op on the real samples,
+one forward transform, truncation back.  _samples is the one map from
+coefficients to samples on any lattice, field_from_coeffs the one way from
+coefficients to a GridField, and integer_power the one pointwise power (by
+repeated squaring, not libm pow).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache, partial
 from typing import Callable
 
 import numpy as np
@@ -35,6 +38,7 @@ __all__ = [
     "dealiased_pointwise",
     "dealiased_product",
     "dealiased_power",
+    "integer_power",
     "pad_factor_for_power",
     "refine_field",
     "outer_shell_fraction",
@@ -223,8 +227,9 @@ def forward_transform(f: GridField) -> SpectralField:
     """Discrete analogue of the symmetric-normalization Fourier transform."""
     grid = f.grid
     scale = (2.0 * np.pi) ** (-grid.n / 2) * grid.spacing**grid.n
-    coeffs = scale * grid._phase_signs * np.fft.fftn(f.values)
-    return SpectralField(grid, coeffs)
+    half = np.fft.rfftn(f.values)
+    N = grid.points_per_axis
+    return SpectralField(grid, scale * grid._phase_signs * _complete(half, N, N))
 
 
 def inverse_transform(F: SpectralField, *, hermitian_tol: float = 1e-10) -> GridField:
@@ -269,26 +274,76 @@ def pad_factor_for_power(p: int) -> int:
     return math.ceil((p + 1) / 2)
 
 
-def _resize(coeffs: np.ndarray, M: int) -> np.ndarray:
-    """Coefficients (FFT order) moved to the M-point lattice over the same
-    box: the modes k in [-K/2, K/2)^n, K = min(N, M), that both lattices
-    hold are copied, every other mode of the result is zero."""
-    N = coeffs.shape[0]
-    if N == M:
-        return coeffs
-    h = min(N, M) // 2
-    halves = ((slice(0, h), slice(0, h)), (slice(N - h, N), slice(M - h, M)))
-    out = np.zeros((M,) * coeffs.ndim, dtype=complex)
-    for parts in itertools.product(halves, repeat=coeffs.ndim):
-        out[tuple(dst for _, dst in parts)] = coeffs[tuple(src for src, _ in parts)]
-    return out
+def integer_power(v: np.ndarray, p: int) -> np.ndarray:
+    """v**p for an integer p >= 1 by repeated squaring: about log2(p)
+    multiplications instead of libm pow per element, agreeing with v**p to
+    a few ulp per multiplication.  Overflow gives +-inf as v**p does.  For
+    p = 1 the result is v itself."""
+    if p < 1:
+        raise ValueError(f"power must be a positive integer, got {p}")
+    out = None
+    while True:
+        if p & 1:
+            out = v if out is None else out * v
+        p >>= 1
+        if p == 0:
+            return out
+        v = v * v
+
+
+@lru_cache(maxsize=64)
+def _leading_index(N: int, M: int, n: int, sign: int) -> tuple[np.ndarray, ...]:
+    """Open-mesh index, on the M-point lattice, of the modes sign * k of
+    the N-point lattice (FFT order) along every axis but the last."""
+    k = sign * np.fft.fftfreq(N, 1.0 / N).astype(int) % M
+    k.flags.writeable = False
+    return np.ix_(*[k] * (n - 1))
 
 
 def _samples(grid: TorusGrid, coeffs: np.ndarray, M: int) -> np.ndarray:
     """Real samples on the M-point lattice over grid's box of a coefficient
-    array of grid, unvalidated: non-finite coefficients give non-finite ones."""
-    scale = (2.0 * np.pi) ** (-grid.n / 2) * grid.freq_spacing**grid.n * M**grid.n
-    return scale * np.fft.ifftn(_resize(grid._phase_signs * coeffs, M)).real
+    array of grid, unvalidated: non-finite coefficients give non-finite ones.
+
+    The samples are those of the Hermitian part (c(k) + conj(c(-k)))/2 of
+    the coefficients placed on the M-point lattice, which is what the real
+    part of a complex inverse transform gives.  irfftn reads only its half
+    (last-axis modes 0..M/2), built here from each mode and its mirror.  So
+    for M > N a coarse mode k_i = -N/2, which has no partner +N/2 among the
+    coarse modes, is split evenly between -N/2 and +N/2 (in 1-D: c/2 at
+    -N/2, which irfftn implies, and conj(c)/2 at +N/2); for M = N it pairs
+    with itself and is kept whole.
+    """
+    n, N = grid.n, grid.points_per_axis
+    h = N // 2
+    # Last-axis modes 0..D-1 sit on the half lattice as they are; for M = N
+    # that includes -N/2, stored at index N/2 = M/2.
+    D = h + (M == N)
+    signed = grid._phase_signs * coeffs
+    half = np.zeros((M,) * (n - 1) + (M // 2 + 1,), dtype=complex)
+    half[_leading_index(N, M, n, 1) + (slice(0, D),)] = signed[..., :D]
+    # Mirror terms: last-axis index d gets the conjugate of the mode at -d
+    # (other axes negated too), held at index 0 for d = 0 and N - d for
+    # d = 1..N/2.
+    mirror = _leading_index(N, M, n, -1)
+    half[mirror + (0,)] += np.conj(signed[..., 0])
+    half[mirror + (slice(1, h + 1),)] += np.conj(signed[..., : h - 1 : -1])
+    # Half of the transform's scale: half holds twice the Hermitian part.
+    scale = 0.5 * (2.0 * np.pi) ** (-n / 2) * grid.freq_spacing**n * M**n
+    return scale * np.fft.irfftn(half)
+
+
+def _complete(half: np.ndarray, N: int, M: int) -> np.ndarray:
+    """Coefficients (FFT order) of the N-point lattice's modes from rfftn's
+    half spectrum of a real array on the M-point lattice, M >= N: mode k is
+    half[k mod M] where the last index k mod M is at most M/2, and
+    conj(half[-k mod M]) elsewhere, as the samples are real."""
+    n = half.ndim
+    D = N // 2 + (M == N)
+    out = np.empty((N,) * n, dtype=complex)
+    out[..., :D] = half[_leading_index(N, M, n, 1) + (slice(0, D),)]
+    mirror = _leading_index(N, M, n, -1) + (slice(N - D, 0, -1),)
+    out[..., D:] = np.conj(half[mirror])
+    return out
 
 
 def dealiased_pointwise(
@@ -301,19 +356,23 @@ def dealiased_pointwise(
     agree on both lattices for every shared mode, so the grid's cached ones
     serve and no padded grid is built.
 
-    No Hermitian projection is made: the coarse Nyquist modes k_i = -N/2
-    keep the unpaired, possibly complex, coefficient of the padded result.
-    A GridField built from the output drops its imaginary part; a time
-    loop that feeds the output back in keeps it.  For resolved data it
-    sits at the rounding floor and moves reports only at rounding level.
+    Nyquist modes: the input samples split each unpaired coarse mode
+    k_i = -N/2 evenly between -N/2 and +N/2 of the padded lattice (see
+    _samples), as the real part of a complex inverse transform does.  On
+    the way back no Hermitian projection is made: a coarse mode k_i = -N/2
+    gets the padded result's coefficient at -N/2, so the output may be
+    unpaired there.  A GridField built from the output takes its Hermitian
+    part; a time loop that feeds the output back in keeps it.  For resolved
+    data it sits at the rounding floor and moves reports only at rounding
+    level.
     """
-    M = factor * grid.points_per_axis
+    N = grid.points_per_axis
+    M = factor * N
     # An overflow here is a blow-up, which the time loops read off the samples.
     with np.errstate(over="ignore", invalid="ignore"):
-        spectrum = np.fft.fftn(op(*(_samples(grid, c, M) for c in coeffs)))
-    coarse = _resize(spectrum, grid.points_per_axis)
+        half = np.fft.rfftn(op(*(_samples(grid, c, M) for c in coeffs)))
     scale = (2.0 * np.pi) ** (-grid.n / 2) * (grid.box_length / M) ** grid.n
-    return scale * grid._phase_signs * coarse
+    return scale * grid._phase_signs * _complete(half, N, M)
 
 
 def dealiased_product(f: GridField, g: GridField, factor: int = 2) -> GridField:
@@ -328,9 +387,9 @@ def dealiased_product(f: GridField, g: GridField, factor: int = 2) -> GridField:
 
 def dealiased_power(f: GridField, p: int) -> GridField:
     """f**p computed pointwise on a grid padded by ceil((p+1)/2)."""
-    coeffs = dealiased_pointwise(
-        f.grid, lambda v: v**p, pad_factor_for_power(p), f.spectrum.coeffs
-    )
+    power = partial(integer_power, p=p)
+    factor = pad_factor_for_power(p)
+    coeffs = dealiased_pointwise(f.grid, power, factor, f.spectrum.coeffs)
     return field_from_coeffs(f.grid, coeffs)
 
 
@@ -338,7 +397,7 @@ def refine_field(f: GridField, factor: int = 2) -> GridField:
     """Spectral interpolation onto a grid with factor times the resolution."""
     grid = f.grid
     fine = make_grid(grid.n, factor * grid.points_per_axis, grid.box_length)
-    return field_from_coeffs(fine, _resize(f.spectrum.coeffs, fine.points_per_axis))
+    return GridField(fine, _samples(grid, f.spectrum.coeffs, fine.points_per_axis))
 
 
 def outer_shell_fraction(f: GridField) -> float:

@@ -70,12 +70,13 @@ def _shaped_noise(
     normalize: bool = True,
 ) -> GridField:
     noise = rng.standard_normal(grid.shape)
-    spec = np.fft.fftn(noise)
-    shape = shape_fn(grid.freq_abs)
+    spec = np.fft.rfftn(noise)
+    # The radial shape on rfftn's half lattice (last-axis modes 0..N/2).
+    shape = shape_fn(grid.freq_abs[..., : spec.shape[-1]])
     if zero_mean:
         shape = shape.copy()
         shape[(0,) * grid.n] = 0.0
-    vals = np.fft.ifftn(spec * shape).real
+    vals = np.fft.irfftn(spec * shape)
     if normalize:
         scale = np.sqrt(np.sum(vals**2) * grid.spacing**grid.n)
         if scale > 0:

@@ -26,6 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field as dc_field
+from functools import partial
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -35,6 +36,7 @@ from besov_wave_lab.grid import (
     TorusGrid,
     _samples,
     dealiased_pointwise,
+    integer_power,
     outer_shell_fraction,
     pad_factor_for_power,
     refine_field,
@@ -137,7 +139,8 @@ def _escaped(values: np.ndarray, threshold: float) -> bool:
 
 def _power(grid: TorusGrid, coeffs: np.ndarray, p: int) -> np.ndarray:
     """Alias-free spectrum of u^p from the spectrum of u."""
-    return dealiased_pointwise(grid, lambda v: v**p, pad_factor_for_power(p), coeffs)
+    power = partial(integer_power, p=p)
+    return dealiased_pointwise(grid, power, pad_factor_for_power(p), coeffs)
 
 
 def _refine_nodes(times: np.ndarray, source: Sequence[np.ndarray], factor: int):
@@ -422,7 +425,9 @@ def decay_study(
     """Decay fits and the weighted-sup boundedness verdict for a solved run.
 
     Rejects blown-up runs and runs whose mass reaches the outer shell of
-    the box (the torus would stop approximating whole space there).
+    the box (the torus would stop approximating whole space there).  A
+    smoothness series that is not positive after t = 0 leaves nothing to
+    fit; the verdict is then "undetermined", which does not pass.
     """
     if blown_up:
         raise ValueError("decay study rejected: the run blew up")
@@ -450,7 +455,7 @@ def decay_study(
         "weighted_sup": running[-1],
         "expected_smooth_exponent": -pp.x_weight_exponent(),
     }
-    verdicts: dict[str, str] = {}
+    verdicts = {"weighted_sup_bounded": "undetermined"}
     if np.all(np.array(b_s)[1:] > 0):
         slope_s, _, _ = fit_power_law(ts_arr, np.array(b_s), window=fit_window)
         scalars["fitted_smooth_exponent"] = slope_s

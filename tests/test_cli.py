@@ -277,9 +277,27 @@ blowup_threshold = 50
         out = tmp_path / "o"
         assert main(["run", cfg, "--out", str(out), "--jobs", "2"]) == EXIT_OK
         report = json.loads((out / "sweep-critical.json").read_text())
-        assert report["verdicts"]["p=2"] == "escape"
-        assert report["verdicts"]["p=9"] == "escape"  # amplitude 1 ignites all
+        # Amplitude 1 ignites all, so p = 9 = 1 + 2r/n escapes too.
+        assert report["tables"]["sweep"]["rows"][0][:2] == [2.0, 1.0]
+        assert report["tables"]["sweep"]["rows"][1][:2] == [9.0, 1.0]
+        assert report["verdicts"] == {"boundary_at_critical": "fail"}
         assert report["scalars"]["fujita"] == 9.0
+
+    def test_sweep_passes_when_the_boundary_sits_at_critical(self, tmp_path, capsys):
+        # At amplitude 0.4, p = 2 escapes by t = 8 and p = 9 = 1 + 2r/n decays.
+        text = SWEEP_CFG.format(powers="2,9", r="4", s="5", profile="gaussian")
+        text = text.replace("amplitude = 0.1", "amplitude = 0.4")
+        text = text.replace("T = 1\netd_dt = 0.05", "T = 8\netd_dt = 0.01")
+        cfg = write_cfg(tmp_path / "sweep.cfg", text)
+        out = tmp_path / "o"
+        assert main(["run", cfg, "--out", str(out)]) == EXIT_OK
+        assert "sweep-critical: ok" in capsys.readouterr().out
+        report = json.loads((out / "sweep-critical.json").read_text())
+        assert [row[:2] for row in report["tables"]["sweep"]["rows"]] == [
+            [2.0, 1.0],
+            [9.0, 0.0],
+        ]
+        assert report["verdicts"] == {"boundary_at_critical": "pass"}
 
     def test_reproducible_reports_modulo_timestamp(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "p.cfg", PARTITION_CFG)
@@ -324,7 +342,8 @@ class TestAdmissibilityGate:
         code, out = self.run(tmp_path, text, "--override-admissibility")
         assert code == EXIT_OK
         report = json.loads((out / "sweep-critical.json").read_text())
-        assert set(report["verdicts"]) == {"p=2", "p=9"}
+        assert [row[0] for row in report["tables"]["sweep"]["rows"]] == [2.0, 9.0]
+        assert set(report["verdicts"]) == {"boundary_at_critical"}
 
     def test_run_experiment_applies_the_gate(self, tmp_path):
         path = write_cfg(tmp_path / "c.cfg", CONTRACTION_CFG.format(r="6", s="0.6"))

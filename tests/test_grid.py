@@ -9,13 +9,13 @@ from scipy.signal import convolve
 from besov_wave_lab.grid import (
     GridField,
     SpectralField,
-    _resize,
     apply_multiplier,
     dealiased_pointwise,
     dealiased_power,
     dealiased_product,
     field_from_coeffs,
     forward_transform,
+    integer_power,
     inverse_transform,
     make_grid,
     outer_shell_fraction,
@@ -164,6 +164,59 @@ class TestParseval:
             assert l2_x == pytest.approx(l2_xi, rel=1e-12)
 
 
+EVEN_N = st.integers(4, 12).map(lambda half: 2 * half)
+BOXES = st.floats(0.5, 200.0)
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+class TestTransformProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.sampled_from([1, 2, 3]), N=EVEN_N, L=BOXES, seed=SEEDS)
+    def test_round_trip(self, n, N, L, seed):
+        grid = make_grid(n, N, L)
+        f = grid.field(np.random.default_rng(seed).standard_normal(grid.shape))
+        back = inverse_transform(forward_transform(f))
+        assert np.max(np.abs(back.values - f.values)) < 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.sampled_from([1, 2, 3]), N=EVEN_N, L=BOXES, seed=SEEDS)
+    def test_parseval(self, n, N, L, seed):
+        grid = make_grid(n, N, L)
+        f = grid.field(np.random.default_rng(seed).standard_normal(grid.shape))
+        l2_x = np.sqrt(grid.spacing**n * np.sum(f.values**2))
+        l2_xi = np.sqrt(grid.freq_spacing**n * np.sum(np.abs(f.spectrum.coeffs) ** 2))
+        assert l2_x == pytest.approx(l2_xi, rel=1e-12)
+
+
+SAMPLES = st.lists(
+    st.one_of(st.just(0.0), st.floats(1e-20, 1e20), st.floats(-1e20, -1e-20)),
+    min_size=1,
+    max_size=40,
+)
+
+
+class TestIntegerPower:
+    @settings(max_examples=100, deadline=None)
+    @given(values=SAMPLES, p=st.integers(2, 12))
+    def test_matches_pow(self, values, p):
+        v = np.array(values)
+        expected = v**p
+        got = integer_power(v, p)
+        assert np.all(np.abs(got - expected) <= 4e-15 * p * np.abs(expected))
+
+    def test_overflow_gives_signed_inf(self):
+        v = np.array([1e200, -1e200, 0.0, -2.0])
+        with np.errstate(over="ignore"):
+            odd = integer_power(v, 3)
+            even = integer_power(v, 4)
+        assert np.array_equal(odd, [np.inf, -np.inf, 0.0, -8.0])
+        assert np.array_equal(even, [np.inf, np.inf, 0.0, 16.0])
+
+    def test_rejects_non_positive_power(self):
+        with pytest.raises(ValueError):
+            integer_power(np.ones(3), 0)
+
+
 class TestFieldValidation:
     def test_rejects_nan(self):
         grid = make_grid(1, 16, 1.0)
@@ -205,6 +258,20 @@ class TestDealiasing:
         assert np.max(np.abs(deal.values - expected.values)) < 1e-12
         plain = grid.field(f.values * g.values)
         assert np.max(np.abs(plain.values - expected.values)) > 0.4
+
+    def test_nyquist_mode_is_split_on_the_padded_lattice(self):
+        # On N=16/L=2pi, cos(8x) samples to (-1)^j: one unpaired mode k = -8.
+        # The padded samples split it into cos(8x) with half the coefficient
+        # at each of +-8, and truncation keeps only the one at -8, so the
+        # product halves it: cos(8x)*1 -> cos(8x)/2 and cos(8x)^2 -> 1/2.
+        for n in (1, 2):
+            grid = make_grid(n, 16, 2 * np.pi)
+            f = grid.field_from_function(lambda x, *rest: np.cos(8 * x) + 0 * sum(rest))
+            assert f.spectrum.coeffs[(8,) + (0,) * (n - 1)] != 0
+            one = grid.field(np.ones(grid.shape))
+            halved = dealiased_product(f, one)
+            assert np.max(np.abs(halved.values - 0.5 * f.values)) < 1e-12
+            assert np.max(np.abs(dealiased_product(f, f).values - 0.5)) < 1e-12
 
     def test_power_alias_free(self):
         # cos(12x)^3 = (3 cos(12x) + cos(36x))/4; only cos(12x) survives
@@ -249,13 +316,12 @@ def _hermitian_part(grid, coeffs):
     return 0.5 * (coeffs + np.conj(reflected))
 
 
-GRIDS = st.builds(
-    make_grid,
-    n=st.sampled_from([1, 2]),
-    N=st.sampled_from([8, 12, 16, 24]),
-    L=st.floats(0.5, 200.0),
+GRIDS = st.one_of(
+    st.builds(
+        make_grid, n=st.sampled_from([1, 2]), N=st.sampled_from([8, 12, 16, 24]), L=BOXES
+    ),
+    st.builds(make_grid, n=st.just(3), N=st.just(8), L=BOXES),
 )
-SEEDS = st.integers(0, 2**32 - 1)
 
 
 class TestKernelProperties:
@@ -291,13 +357,20 @@ class TestKernelProperties:
         factor=st.integers(1, 5),
         seed=SEEDS,
     )
-    def test_resize_pad_then_truncate_is_identity(self, n, N, factor, seed):
+    def test_pad_then_truncate_is_identity(self, n, N, factor, seed):
+        # Any coefficients, Nyquist planes zeroed: the identity op on the
+        # padded samples returns their Hermitian part, the part the samples
+        # carry.
+        grid = make_grid(n, N, 3.0)
         rng = np.random.default_rng(seed)
-        coeffs = rng.standard_normal((N,) * n) + 1j * rng.standard_normal((N,) * n)
-        padded = _resize(coeffs, factor * N)
-        assert padded.shape == (factor * N,) * n
-        assert np.count_nonzero(padded) == np.count_nonzero(coeffs)
-        assert np.array_equal(_resize(padded, N), coeffs)
+        coeffs = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+        for axis in range(n):
+            index = [slice(None)] * n
+            index[axis] = N // 2
+            coeffs[tuple(index)] = 0.0
+        out = dealiased_pointwise(grid, np.positive, factor, coeffs)
+        expected = _hermitian_part(grid, coeffs)
+        assert np.max(np.abs(out - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 class TestRefineAndMonitor:

@@ -330,6 +330,9 @@ class TestDecayStudy:
         assert report.scalars["weighted_sup"] == 0.0
         table = report.tables["decay"]
         assert all(row[1] == 0.0 and row[2] == 0.0 for row in table.rows)
+        # Nothing to fit: the verdict is undetermined, so the study cannot pass.
+        assert report.verdicts["weighted_sup_bounded"] == "undetermined"
+        assert not report.passed()
 
 
 class TestBlowupProbe:
