@@ -4,7 +4,6 @@ from besov_wave_lab.grid import (
     GridField,
     SpectralField,
     TorusGrid,
-    apply_multiplier,
     dealiased_power,
     dealiased_product,
     forward_transform,
@@ -18,7 +17,6 @@ from besov_wave_lab.norms import (
     Trajectory,
     besov_seminorm,
     lebesgue_norm,
-    sobolev_norm,
     x_norm,
     y_norm,
 )

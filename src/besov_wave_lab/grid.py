@@ -6,15 +6,18 @@ symmetric (2*pi)^(-n/2) normalization with the quadrature weight dx^n
 absorbed into the forward transform, so discrete norms converge to their
 continuum counterparts as N and L grow.
 
-Every transform is a real one (rfftn/irfftn): coefficient arrays stay full
-(N,)*n in FFT order, and _complete rebuilds them from a half spectrum by
-Hermitian completion.  Every padded pointwise product goes through one
-alias-free kernel, dealiased_pointwise: coefficient arrays in, one inverse
-transform per input on the zero-padded lattice, the op on the real samples,
-one forward transform, truncation back.  _samples is the one map from
-coefficients to samples on any lattice, field_from_coeffs the one way from
-coefficients to a GridField, and integer_power the one pointwise power (by
-repeated squaring, not libm pow).
+Fields are real, so half of their Hermitian coefficients carry everything:
+the one coefficient format is rfftn's half spectrum, of shape
+spectral_shape = (N,)*(n-1) + (N//2+1,) (FFT order on the leading axes,
+modes 0..N/2 on the last), which freqs, freq_abs and mode_weight share.
+Every transform is a real one (rfftn/irfftn).  Every padded
+pointwise product goes through one alias-free kernel, dealiased_pointwise:
+coefficient arrays in, one inverse transform per input on the zero-padded
+lattice, the op on the real samples, one forward transform, truncation
+back.  _samples is the one map from coefficients to samples on any
+lattice, field_from_coeffs the one way from coefficients to a GridField,
+and integer_power the one pointwise power (by repeated squaring, not libm
+pow).
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ __all__ = [
     "forward_transform",
     "inverse_transform",
     "field_from_coeffs",
-    "apply_multiplier",
+    "apply_symbol",
     "dealiased_pointwise",
     "dealiased_product",
     "dealiased_power",
@@ -52,9 +55,9 @@ OUTER_SHELL_START = 0.9
 class TorusGrid:
     """Uniform grid on the torus [-L/2, L/2)^n.
 
-    Frequencies are 2*pi*k/L for integer k in [-N/2, N/2) per axis, stored
-    in FFT order.  N must be even so the lattice is symmetric up to the
-    Nyquist mode.
+    Frequencies are 2*pi*k/L for integer k in [-N/2, N/2) per axis.  N
+    must be even so the lattice is symmetric up to the Nyquist mode.
+    Spectral arrays cover the half lattice, of shape spectral_shape.
     """
 
     n: int
@@ -78,6 +81,12 @@ class TorusGrid:
     @property
     def shape(self) -> tuple[int, ...]:
         return (self.points_per_axis,) * self.n
+
+    @property
+    def spectral_shape(self) -> tuple[int, ...]:
+        """rfftn's half lattice: (N,)*(n-1) + (N//2+1,)."""
+        N = self.points_per_axis
+        return (N,) * (self.n - 1) + (N // 2 + 1,)
 
     @property
     def num_points(self) -> int:
@@ -115,24 +124,37 @@ class TorusGrid:
 
     @cached_property
     def freqs(self) -> tuple[np.ndarray, ...]:
-        """Frequency arrays broadcast to the grid shape, FFT order."""
-        xi = self.axis_freqs
+        """Frequency arrays broadcast to the spectral shape: FFT order on the
+        leading axes, modes 0..N/2 on the last."""
+        last = 2.0 * np.pi * np.fft.rfftfreq(self.points_per_axis, d=self.spacing)
+        axes = [self.axis_freqs] * (self.n - 1) + [last]
         return tuple(
-            xi.reshape((1,) * d + (-1,) + (1,) * (self.n - d - 1)) for d in range(self.n)
+            xi.reshape((1,) * d + (-1,) + (1,) * (self.n - d - 1))
+            for d, xi in enumerate(axes)
         )
 
     @cached_property
     def freq_abs(self) -> np.ndarray:
-        out = np.zeros(self.shape)
+        out = np.zeros(self.spectral_shape)
         for xi in self.freqs:
             out = out + xi**2
         return np.sqrt(out)
 
     @cached_property
+    def mode_weight(self) -> np.ndarray:
+        """Lattice modes each half-spectrum entry stands for, in sums of
+        |c|^2: 2 on last-axis columns 1..N/2-1 (the mode and its mirror),
+        1 on columns 0 and N/2, which pair with themselves."""
+        weight = np.full(self.spectral_shape[-1], 2.0)
+        weight[[0, -1]] = 1.0
+        weight.flags.writeable = False
+        return weight
+
+    @cached_property
     def _phase_signs(self) -> np.ndarray:
         # Relates samples at x_j = -L/2 + j*dx to the FFT's x_j = j*dx origin:
         # exp(i*(L/2)*xi_k) = (-1)^k per axis, and k = index mod N, N even.
-        return 1.0 - 2.0 * (sum(np.indices(self.shape, sparse=True)) % 2)
+        return 1.0 - 2.0 * (sum(np.indices(self.spectral_shape, sparse=True)) % 2)
 
     def zeros(self) -> "GridField":
         return GridField(self, np.zeros(self.shape))
@@ -198,16 +220,17 @@ class GridField:
 
 @dataclass(frozen=True)
 class SpectralField:
-    """Complex Fourier coefficients on the frequency lattice, FFT order."""
+    """Complex Fourier coefficients of a real field on the half lattice."""
 
     grid: TorusGrid
     coeffs: np.ndarray
 
     def __post_init__(self) -> None:
         coeffs = np.asarray(self.coeffs, dtype=complex)
-        if coeffs.shape != self.grid.shape:
+        if coeffs.shape != self.grid.spectral_shape:
             raise ValueError(
-                f"coeffs shape {coeffs.shape} does not match grid {self.grid.shape}"
+                f"coeffs shape {coeffs.shape} does not match the spectral shape "
+                f"{self.grid.spectral_shape}"
             )
         if not np.all(np.isfinite(coeffs)):
             raise ValueError("spectral coefficients must be finite")
@@ -215,30 +238,16 @@ class SpectralField:
         coeffs.flags.writeable = False
         object.__setattr__(self, "coeffs", coeffs)
 
-    def hermitian_defect(self) -> float:
-        """Max |coeffs(-k) - conj(coeffs(k))| over the lattice."""
-        reflected = self.coeffs
-        for axis in range(self.grid.n):
-            reflected = np.roll(np.flip(reflected, axis=axis), 1, axis=axis)
-        return float(np.max(np.abs(reflected - np.conj(self.coeffs))))
-
 
 def forward_transform(f: GridField) -> SpectralField:
     """Discrete analogue of the symmetric-normalization Fourier transform."""
     grid = f.grid
     scale = (2.0 * np.pi) ** (-grid.n / 2) * grid.spacing**grid.n
-    half = np.fft.rfftn(f.values)
-    N = grid.points_per_axis
-    return SpectralField(grid, scale * grid._phase_signs * _complete(half, N, N))
+    return SpectralField(grid, scale * grid._phase_signs * np.fft.rfftn(f.values))
 
 
-def inverse_transform(F: SpectralField, *, hermitian_tol: float = 1e-10) -> GridField:
-    """Invert forward_transform; the input must be Hermitian-symmetric
-    (relative defect below hermitian_tol), so that the samples are real."""
-    scale_ref = float(np.max(np.abs(F.coeffs)))
-    defect = F.hermitian_defect()
-    if defect > hermitian_tol * max(scale_ref, 1e-300):
-        raise ValueError(f"spectrum is not Hermitian-symmetric (defect {defect:.3e})")
+def inverse_transform(F: SpectralField) -> GridField:
+    """Invert forward_transform."""
     return field_from_coeffs(F.grid, F.coeffs)
 
 
@@ -247,24 +256,20 @@ def field_from_coeffs(grid: TorusGrid, coeffs: np.ndarray) -> GridField:
     return GridField(grid, _samples(grid, coeffs, grid.points_per_axis))
 
 
-def apply_multiplier(m: Callable[[np.ndarray], np.ndarray], f: GridField) -> GridField:
-    """Apply the radial Fourier multiplier m(|xi|) to f.
-
-    m receives the array of frequency magnitudes and must return finite
-    real values at every lattice point.
-    """
-    grid = f.grid
-    symbol = np.asarray(m(grid.freq_abs), dtype=float)
-    return apply_symbol(symbol, f)
-
-
 def apply_symbol(symbol: np.ndarray, f: GridField) -> GridField:
-    """Apply a precomputed real symbol array (grid-shaped) to f."""
-    grid = f.grid
-    symbol = np.broadcast_to(symbol, grid.shape)
+    """Apply a real symbol array to f, such as m(grid.freq_abs) for a radial
+    multiplier m.  It must be finite and broadcast to the spectral shape."""
+    coeffs = f.spectrum.coeffs
     if not np.all(np.isfinite(symbol)):
         raise ValueError("multiplier produced non-finite values on the lattice")
-    return field_from_coeffs(grid, symbol * f.spectrum.coeffs)
+    try:
+        product = np.multiply(symbol, coeffs, out=np.empty_like(coeffs))
+    except ValueError:
+        raise ValueError(
+            f"symbol of shape {np.shape(symbol)} does not broadcast to the "
+            f"spectral shape {coeffs.shape}"
+        ) from None
+    return field_from_coeffs(f.grid, product)
 
 
 def pad_factor_for_power(p: int) -> int:
@@ -292,10 +297,10 @@ def integer_power(v: np.ndarray, p: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _leading_index(N: int, M: int, n: int, sign: int) -> tuple[np.ndarray, ...]:
-    """Open-mesh index, on the M-point lattice, of the modes sign * k of
-    the N-point lattice (FFT order) along every axis but the last."""
-    k = sign * np.fft.fftfreq(N, 1.0 / N).astype(int) % M
+def _leading_index(N: int, M: int, n: int) -> tuple[np.ndarray, ...]:
+    """Open-mesh index, on the M-point lattice, of the modes k of the
+    N-point lattice (FFT order) along every axis but the last."""
+    k = np.fft.fftfreq(N, 1.0 / N).astype(int) % M
     k.flags.writeable = False
     return np.ix_(*[k] * (n - 1))
 
@@ -303,47 +308,22 @@ def _leading_index(N: int, M: int, n: int, sign: int) -> tuple[np.ndarray, ...]:
 def _samples(grid: TorusGrid, coeffs: np.ndarray, M: int) -> np.ndarray:
     """Real samples on the M-point lattice over grid's box of a coefficient
     array of grid, unvalidated: non-finite coefficients give non-finite ones.
-
-    The samples are those of the Hermitian part (c(k) + conj(c(-k)))/2 of
-    the coefficients placed on the M-point lattice, which is what the real
-    part of a complex inverse transform gives.  irfftn reads only its half
-    (last-axis modes 0..M/2), built here from each mode and its mirror.  So
-    for M > N a coarse mode k_i = -N/2, which has no partner +N/2 among the
-    coarse modes, is split evenly between -N/2 and +N/2 (in 1-D: c/2 at
-    -N/2, which irfftn implies, and conj(c)/2 at +N/2); for M = N it pairs
-    with itself and is kept whole.
-    """
+    For M > N the coefficients are padded by the Nyquist rule of
+    dealiased_pointwise."""
     n, N = grid.n, grid.points_per_axis
-    h = N // 2
-    # Last-axis modes 0..D-1 sit on the half lattice as they are; for M = N
-    # that includes -N/2, stored at index N/2 = M/2.
-    D = h + (M == N)
     signed = grid._phase_signs * coeffs
-    half = np.zeros((M,) * (n - 1) + (M // 2 + 1,), dtype=complex)
-    half[_leading_index(N, M, n, 1) + (slice(0, D),)] = signed[..., :D]
-    # Mirror terms: last-axis index d gets the conjugate of the mode at -d
-    # (other axes negated too), held at index 0 for d = 0 and N - d for
-    # d = 1..N/2.
-    mirror = _leading_index(N, M, n, -1)
-    half[mirror + (0,)] += np.conj(signed[..., 0])
-    half[mirror + (slice(1, h + 1),)] += np.conj(signed[..., : h - 1 : -1])
-    # Half of the transform's scale: half holds twice the Hermitian part.
-    scale = 0.5 * (2.0 * np.pi) ** (-n / 2) * grid.freq_spacing**n * M**n
-    return scale * np.fft.irfftn(half)
-
-
-def _complete(half: np.ndarray, N: int, M: int) -> np.ndarray:
-    """Coefficients (FFT order) of the N-point lattice's modes from rfftn's
-    half spectrum of a real array on the M-point lattice, M >= N: mode k is
-    half[k mod M] where the last index k mod M is at most M/2, and
-    conj(half[-k mod M]) elsewhere, as the samples are real."""
-    n = half.ndim
-    D = N // 2 + (M == N)
-    out = np.empty((N,) * n, dtype=complex)
-    out[..., :D] = half[_leading_index(N, M, n, 1) + (slice(0, D),)]
-    mirror = _leading_index(N, M, n, -1) + (slice(N - D, 0, -1),)
-    out[..., D:] = np.conj(half[mirror])
-    return out
+    if M > N:
+        h = N // 2
+        padded = np.zeros((M,) * (n - 1) + (M // 2 + 1,), dtype=complex)
+        padded[_leading_index(N, M, n) + (slice(0, h + 1),)] = signed
+        padded[..., h] *= 0.5
+        for axis in range(n - 1):
+            row = (slice(None),) * axis + (M - h,)
+            padded[row] *= 0.5
+            padded[(slice(None),) * axis + (h,)] = padded[row]
+        signed = padded
+    scale = (2.0 * np.pi) ** (-n / 2) * grid.freq_spacing**n * M**n
+    return scale * np.fft.irfftn(signed)
 
 
 def dealiased_pointwise(
@@ -356,15 +336,21 @@ def dealiased_pointwise(
     agree on both lattices for every shared mode, so the grid's cached ones
     serve and no padded grid is built.
 
-    Nyquist modes: the input samples split each unpaired coarse mode
-    k_i = -N/2 evenly between -N/2 and +N/2 of the padded lattice (see
-    _samples), as the real part of a complex inverse transform does.  On
-    the way back no Hermitian projection is made: a coarse mode k_i = -N/2
-    gets the padded result's coefficient at -N/2, so the output may be
-    unpaired there.  A GridField built from the output takes its Hermitian
-    part; a time loop that feeds the output back in keeps it.  For resolved
-    data it sits at the rounding floor and moves reports only at rounding
-    level.
+    Nyquist rule.  A coarse mode at k_i = +-N/2 pairs with itself, and for
+    M > N the padded lattice has both -N/2 and +N/2.  Padding splits it
+    evenly between the two:
+      - copy the half spectrum in, leading axes at k mod M;
+      - halve the last-axis column N/2 (irfftn supplies its mirror -N/2);
+      - for each leading axis in turn, halve the row at -N/2 (index
+        M - N/2) and copy it to +N/2 (index N/2).
+    So a mode at a corner of the lattice is split between all its images.
+    Truncation takes the padded rows at k mod M and last-axis columns
+    0..N/2, so index N/2 holds the padded result's +N/2 coefficient on the
+    last axis and its -N/2 coefficient on the leading ones: a product with
+    1 keeps half of a mode for each axis on which it sits at Nyquist
+    (cos(8x) * 1 -> cos(8x)/2 on N = 16, L = 2*pi).  For M = N nothing is
+    split and irfftn takes the real part of the self-paired entries, so the
+    samples are those of the real field the coefficients stand for.
     """
     N = grid.points_per_axis
     M = factor * N
@@ -372,7 +358,8 @@ def dealiased_pointwise(
     with np.errstate(over="ignore", invalid="ignore"):
         half = np.fft.rfftn(op(*(_samples(grid, c, M) for c in coeffs)))
     scale = (2.0 * np.pi) ** (-grid.n / 2) * (grid.box_length / M) ** grid.n
-    return scale * grid._phase_signs * _complete(half, N, M)
+    truncated = half[_leading_index(N, M, grid.n) + (slice(0, N // 2 + 1),)]
+    return scale * grid._phase_signs * truncated
 
 
 def dealiased_product(f: GridField, g: GridField, factor: int = 2) -> GridField:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict
+from typing import Dict
 
 import numpy as np
 
@@ -55,19 +55,13 @@ def chi(t):
 
 @dataclass(frozen=True)
 class CutoffProfile:
-    """The scalar cutoff with its transition interval.
+    """The scalar cutoff chi with its transition interval."""
 
-    A replacement profile (different eval_fn) plugs into DyadicBlocks; the
-    partition identity is not automatic for arbitrary profiles and must be
-    re-verified through partition_residual.
-    """
-
-    eval_fn: Callable = chi
     transition_start: float = 1.0
     transition_end: float = TRANSITION_END
 
     def eval(self, t):
-        return self.eval_fn(t)
+        return chi(t)
 
 
 @dataclass
@@ -154,7 +148,7 @@ class DyadicBlocks:
         one inverse transform per block.
         """
         if p == 2.0:
-            power = np.abs(f.spectrum.coeffs) ** 2
+            power = self.grid.mode_weight * np.abs(f.spectrum.coeffs) ** 2
             weight = self.grid.freq_spacing**self.grid.n
             return np.array(
                 [
@@ -189,12 +183,10 @@ def make_blocks(
     grid: TorusGrid,
     j_min: int | None = None,
     j_max: int | None = None,
-    cutoff: CutoffProfile | None = None,
 ) -> DyadicBlocks:
     lo, hi = default_j_range(grid)
     return DyadicBlocks(
         grid=grid,
         j_min=lo if j_min is None else j_min,
         j_max=hi if j_max is None else j_max,
-        cutoff=cutoff if cutoff is not None else CutoffProfile(),
     )

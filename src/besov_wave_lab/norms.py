@@ -1,4 +1,4 @@
-"""Lebesgue, Sobolev and Besov norms plus the time-weighted solution norms.
+"""Lebesgue and homogeneous Besov norms plus the time-weighted solution norms.
 
 Homogeneous seminorms sum 2^(j*s) * ||block_j f||_p in little-l^q over the
 grid's dyadic range; the DC mode never enters (it lives in the low block).
@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 import numpy as np
 
-from besov_wave_lab.grid import GridField, TorusGrid, apply_multiplier
+from besov_wave_lab.grid import GridField, TorusGrid
 from besov_wave_lab.littlewood_paley import DyadicBlocks, make_blocks
 
 __all__ = [
@@ -22,7 +22,6 @@ __all__ = [
     "Trajectory",
     "lebesgue_norm",
     "besov_seminorm",
-    "sobolev_norm",
     "x_norm",
     "y_norm",
     "time_bracket",
@@ -52,7 +51,6 @@ class BesovParams:
     s: float
     p: float
     q: float = 2.0
-    homogeneous: bool = True
 
     def __post_init__(self) -> None:
         if self.p < 1:
@@ -73,35 +71,16 @@ def besov_seminorm(
     p: float,
     q: float = 2.0,
     *,
-    homogeneous: bool = True,
     blocks: DyadicBlocks | None = None,
 ) -> float:
-    """Besov (semi)norm of f.
-
-    The homogeneous variant runs over the whole representable dyadic range
-    with the DC mode excluded; the inhomogeneous one uses the low-pass
-    piece at scale 1 plus blocks j >= 1.
-    """
-    BesovParams(s=s, p=p, q=q, homogeneous=homogeneous)
+    """Homogeneous Besov seminorm of f over the whole representable dyadic
+    range, with the DC mode excluded."""
+    BesovParams(s=s, p=p, q=q)
     if blocks is None:
         blocks = make_blocks(f.grid)
-    if homogeneous:
-        js = np.array(list(blocks.indices()), dtype=float)
-        norms = blocks.block_norms(f, p)
-        return _lq(2.0 ** (js * s) * norms, q)
-    low = lebesgue_norm(blocks.low_pass(f, 1.0), p)
-    js = [j for j in blocks.indices() if j >= 1]
-    norms = np.array([lebesgue_norm(blocks.block(f, j), p) for j in js])
-    tail = _lq(2.0 ** (np.array(js, dtype=float) * s) * norms, q) if js else 0.0
-    return low + tail
-
-
-def sobolev_norm(f: GridField, s: float, p: float) -> float:
-    """L^p norm of <grad>^s f; p restricted to (1, inf)."""
-    if not (1 < p < math.inf):
-        raise ValueError(f"Sobolev integrability exponent must lie in (1, inf), got {p}")
-    lifted = apply_multiplier(lambda xi: (1.0 + xi**2) ** (s / 2.0), f)
-    return lebesgue_norm(lifted, p)
+    js = np.array(list(blocks.indices()), dtype=float)
+    norms = blocks.block_norms(f, p)
+    return _lq(2.0 ** (js * s) * norms, q)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from besov_wave_lab.grid import GridField, apply_symbol, dealiased_product
+from besov_wave_lab.grid import GridField, dealiased_product
 from besov_wave_lab.littlewood_paley import DyadicBlocks, make_blocks
 from besov_wave_lab.norms import besov_seminorm, lebesgue_norm
 
@@ -20,7 +20,6 @@ __all__ = [
     "para_T",
     "para_R",
     "decomposition_residual",
-    "vj_truncate",
     "LeibnizConfig",
     "leibniz_ratio",
 ]
@@ -103,21 +102,6 @@ def decomposition_residual(
     if denom == 0.0:
         return 0.0
     return lebesgue_norm(product - recomposed, 2.0) / denom
-
-
-def vj_truncate(f: GridField, j: int, *, blocks: DyadicBlocks | None = None) -> GridField:
-    """Symmetric dyadic truncation: the sum of blocks k with -j <= k <= j."""
-    if blocks is None:
-        blocks = make_blocks(f.grid)
-    lo = max(-j, blocks.j_min)
-    hi = min(j, blocks.j_max)
-    if lo > hi:
-        return f.grid.zeros()
-    # Telescoping sum of annuli equals a difference of two low-pass cuts.
-    mult = blocks.low_pass_multiplier(2.0**hi) - blocks.low_pass_multiplier(
-        2.0 ** (lo - 1)
-    )
-    return apply_symbol(mult, f)
 
 
 @dataclass(frozen=True)

@@ -71,8 +71,7 @@ def _shaped_noise(
 ) -> GridField:
     noise = rng.standard_normal(grid.shape)
     spec = np.fft.rfftn(noise)
-    # The radial shape on rfftn's half lattice (last-axis modes 0..N/2).
-    shape = shape_fn(grid.freq_abs[..., : spec.shape[-1]])
+    shape = shape_fn(grid.freq_abs)
     if zero_mean:
         shape = shape.copy()
         shape[(0,) * grid.n] = 0.0
@@ -125,7 +124,7 @@ def saturating_low(
         raise ValueError("q must be >= 1")
     xi = grid.freq_abs
     power = -grid.n * (1.0 - 1.0 / q)
-    coeffs = np.zeros(grid.shape, dtype=complex)
+    coeffs = np.zeros(grid.spectral_shape, dtype=complex)
     nonzero = xi > 0
     coeffs[nonzero] = xi[nonzero] ** power * np.exp(
         -(xi[nonzero] ** 2) / (2.0 * envelope_width**2)

@@ -122,13 +122,12 @@ class OracleDiagnostics:
 
 def spectral_tail_fraction(f: GridField) -> float:
     """Energy fraction carried by the top frequency octave (resolution monitor)."""
-    coeffs = f.spectrum.coeffs
-    xi = f.grid.freq_abs
-    cutoff = f.grid.max_freq / 2.0
-    total = float(np.sum(np.abs(coeffs) ** 2))
+    grid = f.grid
+    power = grid.mode_weight * np.abs(f.spectrum.coeffs) ** 2
+    total = float(np.sum(power))
     if total == 0.0:
         return 0.0
-    return float(np.sum(np.abs(coeffs[xi >= cutoff]) ** 2)) / total
+    return float(np.sum(power[grid.freq_abs >= grid.max_freq / 2.0])) / total
 
 
 def _escaped(values: np.ndarray, threshold: float) -> bool:
@@ -197,7 +196,7 @@ def duhamel_integral(
     """Samples at every node t of the integral over [0, t] of the damped
     flow applied to the source, by the composite trapezoid rule on the
     nodes.  source yields one coefficient array per node."""
-    zero = np.zeros(grid.shape, dtype=complex)
+    zero = np.zeros(grid.spectral_shape, dtype=complex)
     return _flow_recursion(grid, times, zero, zero, source)
 
 
@@ -301,8 +300,8 @@ def _etd_coefficients(grid: TorusGrid, dt: float):
     nodes, weights = np.polynomial.legendre.leggauss(order)
     s = 0.5 * dt * (nodes + 1.0)
     w = 0.5 * dt * weights
-    i1u = np.zeros(grid.shape)
-    i2u = np.zeros(grid.shape)
+    i1u = np.zeros_like(xi)
+    i2u = np.zeros_like(xi)
     for sk, wk in zip(s, w):
         lk = damped_L(float(sk), xi)
         i1u += wk * lk

