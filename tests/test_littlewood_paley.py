@@ -101,9 +101,16 @@ GRID_ARGS = dict(
 
 
 class TestPartition:
+    @pytest.mark.parametrize(
+        "n,N,L", [(1, 256, 64.0), (1, 256, 13.0), (2, 64, 10.0)]
+    )
+    def test_partition_residual_tiny(self, n, N, L):
+        blocks = make_blocks(make_grid(n, N, L))
+        assert blocks.partition_residual() < 1e-12
+
     @settings(max_examples=40, deadline=None)
     @given(**GRID_ARGS)
-    def test_partition_residual_tiny(self, n, N, L):
+    def test_partition_residual_tiny_on_random_grids(self, n, N, L):
         blocks = make_blocks(make_grid(n, N, L))
         assert blocks.partition_residual() < 1e-12
 
