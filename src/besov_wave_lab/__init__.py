@@ -10,7 +10,7 @@ from besov_wave_lab.grid import (
     inverse_transform,
     make_grid,
 )
-from besov_wave_lab.littlewood_paley import CutoffProfile, DyadicBlocks, chi
+from besov_wave_lab.littlewood_paley import DyadicBlocks, chi
 from besov_wave_lab.norms import (
     BesovParams,
     ProblemParams,
@@ -18,7 +18,6 @@ from besov_wave_lab.norms import (
     besov_seminorm,
     lebesgue_norm,
     x_norm,
-    y_norm,
 )
 
 __version__ = "0.1.0"

@@ -20,7 +20,8 @@ import sys
 from pathlib import Path
 
 from besov_wave_lab.admissibility import AdmissibilityError
-from besov_wave_lab.experiments import REGISTRY, BlowupInGlobalRun, run_experiment
+from besov_wave_lab.experiments import COMMON, REGISTRY, BlowupInGlobalRun, run_experiment
+from besov_wave_lab.profiles import PROFILES
 from besov_wave_lab.reporting import config_hash
 
 EXIT_OK = 0
@@ -57,12 +58,26 @@ def _emit_error(kind: str, message: str, code: int, out_dir: Path | None) -> Non
             pass
 
 
+def _keys(keys) -> str:
+    """'key = default ...' as a config writes them; a type marks no default."""
+    return "  ".join(
+        f"{key} = {','.join(map(str, v)) if isinstance(v, tuple) else getattr(v, '__name__', v)}"
+        for key, v in keys.items()
+    )
+
+
 def cmd_list() -> int:
     width = max(len(name) for name in REGISTRY)
     for name in sorted(REGISTRY):
         spec = REGISTRY[name]
         print(f"{name:<{width}}  {spec.description}")
         print(f"{'':<{width}}  checks: {spec.claim}")
+        for section, keys in spec.keys.items():
+            print(f"{'':<{width}}  [{section}] {_keys(keys)}")
+    for section, keys in COMMON.items():
+        print(f"every kind: [{section}] {_keys(keys)}")
+    for name, (_, keys) in PROFILES.items():
+        print(f"[data] profile = {name}: {_keys(keys)}")
     return EXIT_OK
 
 
@@ -79,13 +94,11 @@ def cmd_run(args: argparse.Namespace) -> int:
                 f"unknown experiment '{kind}'; run 'besov-wave-lab list'"
             )
         if out_dir is None:
+            # Read before the config is checked, so error.json has a home.
             configured = cfg.get("output", {}).get("dir")
             out_dir = Path(configured) if configured else Path("bwl-out") / kind
-        seed = args.seed
-        if seed is None:
-            seed = int(cfg.get("run", {}).get("seed", "0"))
         report = run_experiment(
-            kind, cfg, out_dir, seed=seed, jobs=args.jobs,
+            kind, cfg, out_dir, seed=args.seed, jobs=args.jobs,
             override_admissibility=args.override_admissibility,
         )
     except BlowupInGlobalRun as exc:
@@ -99,7 +112,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         return EXIT_CONFIG
 
     report.meta["config_hash"] = config_hash(cfg)
-    report.meta["seed"] = seed
     path = report.save(out_dir)
     status = "ok" if report.passed() else "check-verdicts"
     print(f"{kind}: {status} -> {path}")

@@ -7,12 +7,13 @@ CSV tables and log-log SVG plots where a decay curve is involved).
 
 from __future__ import annotations
 
+import difflib
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import Any, Callable, Mapping, get_args, get_origin
 
 import numpy as np
 
@@ -30,7 +31,7 @@ from besov_wave_lab.paraproduct import (
     decomposition_residual,
     leibniz_ratio,
 )
-from besov_wave_lab.profiles import band_limited_random, build_profile
+from besov_wave_lab.profiles import PROFILES, band_limited_random, build_profile
 from besov_wave_lab.propagator import (
     apply_D,
     damped_L,
@@ -47,7 +48,7 @@ from besov_wave_lab.solver import (
     picard_solve,
 )
 
-__all__ = ["REGISTRY", "ExperimentSpec", "run_experiment", "BlowupInGlobalRun"]
+__all__ = ["REGISTRY", "ExperimentSpec", "read_config", "run_experiment", "BlowupInGlobalRun"]
 
 
 class BlowupInGlobalRun(RuntimeError):
@@ -55,6 +56,22 @@ class BlowupInGlobalRun(RuntimeError):
 
 
 Config = Mapping[str, Mapping[str, str]]
+Values = dict[str, dict[str, Any]]
+
+# Config tables: section -> {key: default}.  A default's type is the key's
+# type, and a tuple default reads a comma list of its element type.  A bare
+# type declares a key without a default, read as None when absent.
+FLOATS = tuple[float, ...]
+COMMON = {"experiment": {"kind": str}, "run": {"seed": 0}, "output": {"dir": str}}
+GRID = {"n": 1, "N": 4096, "L": 400.0}
+PROBLEM = {"n": int, "r": 4.0, "s": 5.0, "p": 9, "eps": 0.0}
+SOLVER = {"T": 200.0, "nodes": 201, "picard_tol": 1e-9, "max_iters": 20,
+          "blowup_threshold": math.inf, "etd_dt": 0.02}
+TIME = {"t_min": 1.0, "t_max": 500.0, "points": 24, "spacing": "geometric"}
+ESTIMATE = {"p": 2.0, "q": 2.0, "s1": 0.0, "s2": 0.0}
+# [data] also takes the keys of the chosen profile (profiles.PROFILES); a
+# kind's value for one of them replaces the profile's default.
+DATA = {"profile": "gaussian"}
 
 
 @dataclass(frozen=True)
@@ -63,109 +80,86 @@ class ExperimentSpec:
     description: str
     claim: str
     runner: Callable[..., ExperimentReport]
-    # Reads the powers the run solves for; run_experiment checks each one.
-    powers: Callable[[Config], list[int]] | None = None
+    keys: Mapping[str, Mapping[str, Any]]
+    # The (section, key) of the powers the run solves for, which run_experiment checks.
+    powers: tuple[str, str] | None = None
 
 
-def _section(cfg: Config, name: str) -> dict[str, str]:
-    return dict(cfg.get(name, {}))
+def _nearest(word: str, options) -> str:
+    match = difflib.get_close_matches(word, list(options), n=1)
+    return f"; did you mean '{match[0]}'?" if match else f"; valid: {', '.join(options)}"
 
 
-def _get(sec: Mapping[str, str], key: str, default, cast=float):
-    if key not in sec:
-        if default is None:
-            raise KeyError(f"missing required config key '{key}'")
-        return default
-    return cast(sec[key])
+def _read(decl, text: str | None) -> Any:
+    """text read as the key's type; None gives the default, or None for a
+    key without one."""
+    bare = get_origin(decl) is tuple or isinstance(decl, type)
+    if text is None:
+        return None if bare else decl
+    kind = decl if bare else tuple[type(decl[0]), ...] if isinstance(decl, tuple) else type(decl)
+    if get_origin(kind) is tuple:
+        return tuple(get_args(kind)[0](part) for part in text.split(","))
+    return kind(text)
 
 
-def _grid_from(cfg: Config, N: int = 4096, L: float = 400.0) -> TorusGrid:
-    sec = _section(cfg, "grid")
-    return make_grid(
-        int(_get(sec, "n", 1, int)),
-        int(_get(sec, "N", N, int)),
-        _get(sec, "L", L),
-    )
+def read_config(spec: ExperimentSpec, cfg: Config) -> Values:
+    """Typed value of every key spec declares, defaults filled in.  An unknown
+    section, key or data profile raises ValueError naming the nearest valid
+    one.  [problem] n falls back to [grid] n, and the two must agree."""
+    schema = {name: dict(keys) for name, keys in spec.keys.items()}
+    for name, keys in COMMON.items():
+        schema[name] = {**schema.get(name, {}), **keys}
+    if "data" in schema:  # the chosen profile's keys, under the kind's defaults
+        table, given = schema["data"], cfg.get("data", {})
+        name = (given["profile"] if "profile" in given else table["profile"]).replace("_", "-")
+        if name not in PROFILES:
+            raise ValueError(f"unknown data profile '{name}'{_nearest(name, PROFILES)}")
+        keys = PROFILES[name][1]
+        overrides = {key: v for key, v in table.items() if key in keys}
+        schema["data"] = {"profile": table["profile"], **keys, **overrides}
+    for name, given in cfg.items():
+        if name not in schema:
+            raise ValueError(f"unknown section [{name}]{_nearest(name, schema)}")
+        for key in given:
+            if key not in schema[name]:
+                raise ValueError(f"unknown key '{key}' in [{name}]{_nearest(key, schema[name])}")
+    values = {
+        name: {key: _read(decl, cfg.get(name, {}).get(key)) for key, decl in keys.items()}
+        for name, keys in schema.items()
+    }
+    if "problem" in values:
+        problem, grid_n = values["problem"], values["grid"]["n"]
+        if problem["n"] is None:
+            problem["n"] = grid_n
+        elif "n" in cfg.get("grid", {}) and problem["n"] != grid_n:
+            raise ValueError(f"[problem] n = {problem['n']} differs from [grid] n = {grid_n}")
+    return values
 
 
-def _times_from(cfg: Config) -> np.ndarray:
-    sec = _section(cfg, "time")
-    lo = _get(sec, "t_min", 1.0)
-    hi = _get(sec, "t_max", 500.0)
-    pts = int(_get(sec, "points", 24, int))
-    spacing = sec.get("spacing", "geometric")
-    if spacing == "geometric":
-        return np.geomspace(lo, hi, pts)
-    return np.linspace(lo, hi, pts)
+def _times_from(values: Values) -> np.ndarray:
+    time = values["time"]
+    space = {"geometric": np.geomspace, "linear": np.linspace}.get(time["spacing"])
+    if space is None:
+        raise ValueError(f"[time] spacing must be geometric or linear, not '{time['spacing']}'")
+    return space(time["t_min"], time["t_max"], time["points"])
 
 
-def _fit_window_from(cfg: Config, ts: np.ndarray) -> tuple[float, float]:
-    sec = _section(cfg, "time")
-    return (
-        _get(sec, "fit_lo", float(ts[-1]) / 10.0),
-        _get(sec, "fit_hi", float(ts[-1])),
-    )
+def _problem_from(values: Values, p: int | None = None) -> ProblemParams:
+    pr = values["problem"]
+    return ProblemParams(pr["n"], pr["r"], pr["s"], pr["p"] if p is None else p, pr["eps"])
 
 
-def _problem_values(cfg: Config) -> tuple[int, float, float, int]:
-    """Raw (n, r, s, p) of [problem]; n falls back to [grid] n, and the two
-    must agree when both are set."""
-    sec, grid = _section(cfg, "problem"), _section(cfg, "grid")
-    grid_n = int(_get(grid, "n", 1, int))
-    n = int(_get(sec, "n", grid_n, int))
-    if "n" in grid and n != grid_n:
-        raise ValueError(f"[problem] n = {n} differs from [grid] n = {grid_n}")
-    return (
-        n,
-        _get(sec, "r", 4.0),
-        _get(sec, "s", 5.0),
-        int(_get(sec, "p", 9, int)),
-    )
-
-
-def _problem_power(cfg: Config) -> list[int]:
-    return [_problem_values(cfg)[3]]
-
-
-def _sweep_powers(cfg: Config) -> list[int]:
-    powers = _section(cfg, "experiment").get("powers", "7,8,9,10")
-    return [int(p) for p in powers.split(",")]
-
-
-def _problem_from(cfg: Config, p: int | None = None) -> ProblemParams:
-    n, r, s, p_cfg = _problem_values(cfg)
-    eps = _get(_section(cfg, "problem"), "eps", 0.0)
-    return ProblemParams(n, r, s, p_cfg if p is None else p, eps)
-
-
-def _solver_from(
-    cfg: Config, T: float = 200.0, etd_dt: float = 0.02, blowup_threshold=math.inf
-) -> SolverConfig:
-    sec = _section(cfg, "solver")
-    return SolverConfig.uniform(
-        _get(sec, "T", T),
-        int(_get(sec, "nodes", 201, int)),
-        picard_tol=_get(sec, "picard_tol", 1e-9),
-        max_iters=int(_get(sec, "max_iters", 20, int)),
-        blowup_threshold=_get(sec, "blowup_threshold", blowup_threshold),
-        etd_dt=_get(sec, "etd_dt", etd_dt),
-    )
-
-
-def _data_field(cfg: Config, grid: TorusGrid, rng: np.random.Generator, **defaults):
-    """[data] profile on the grid; defaults fill keys the config omits."""
-    sec = {**defaults, **_section(cfg, "data")}
-    return build_profile(sec.get("profile", "gaussian"), grid, sec, rng)
+def _data_field(data: Mapping[str, Any], grid: TorusGrid, rng: np.random.Generator):
+    return build_profile(data["profile"], grid, data, rng)
 
 
 # -- individual experiments ----------------------------------------------
 
 
-def run_partition_residual(cfg: Config, out_dir: Path, rng, jobs: int) -> ExperimentReport:
-    grid = _grid_from(cfg)
-    blocks = make_blocks(grid)
+def run_partition_residual(values: Values, out_dir: Path, rng, jobs: int) -> ExperimentReport:
+    blocks = make_blocks(make_grid(**values["grid"]))
     residual = blocks.partition_residual()
-    tol = _get(_section(cfg, "experiment"), "tolerance", 1e-12)
+    tol = values["experiment"]["tolerance"]
     return ExperimentReport(
         kind="partition-residual",
         scalars={"residual": residual, "tolerance": tol},
@@ -174,10 +168,8 @@ def run_partition_residual(cfg: Config, out_dir: Path, rng, jobs: int) -> Experi
     )
 
 
-def run_mode_ode(cfg: Config, out_dir: Path, rng, jobs: int) -> ExperimentReport:
-    sec = _section(cfg, "experiment")
-    h = _get(sec, "fd_step", 1e-4)
-    tol = _get(sec, "tolerance", 1e-6)
+def run_mode_ode(values: Values, out_dir: Path, rng, jobs: int) -> ExperimentReport:
+    h, tol = values["experiment"]["fd_step"], values["experiment"]["tolerance"]
     special = [0.0, 0.5 - 1e-3, 0.5, 0.5 + 1e-3, 4.0]
     pairs = [(t, xi) for xi in special for t in (0.5, 2.0, 11.0, 37.0)]
     while len(pairs) < 100:
@@ -197,24 +189,20 @@ def run_mode_ode(cfg: Config, out_dir: Path, rng, jobs: int) -> ExperimentReport
     )
 
 
-def run_verify_lp_lq(cfg: Config, out_dir: Path, rng, jobs: int) -> ExperimentReport:
-    grid = _grid_from(cfg)
-    sec = _section(cfg, "estimate")
-    p = _get(sec, "p", 2.0)
-    q = _get(sec, "q", 1.0)
-    s1 = _get(sec, "s1", 0.0)
-    s2 = _get(sec, "s2", 0.0)
-    rate_tol = _get(sec, "rate_tol", 0.10)
-    ts = _times_from(cfg)
-    g = _data_field(cfg, grid, rng)
-    report = verify_lp_lq(
-        g, p, q, s1, s2, ts, fit_window=_fit_window_from(cfg, ts)
-    )
+def run_verify_lp_lq(values: Values, out_dir: Path, rng, jobs: int) -> ExperimentReport:
+    grid = make_grid(**values["grid"])
+    est, time = values["estimate"], values["time"]
+    p, q, s1, s2 = est["p"], est["q"], est["s1"], est["s2"]
+    ts = _times_from(values)
+    g = _data_field(values["data"], grid, rng)
+    fit_lo = float(ts[-1]) / 10.0 if time["fit_lo"] is None else time["fit_lo"]
+    fit_hi = float(ts[-1]) if time["fit_hi"] is None else time["fit_hi"]
+    report = verify_lp_lq(g, p, q, s1, s2, ts, fit_window=(fit_lo, fit_hi))
     fitted = report.scalars.get("fitted_low_exponent")
     intercept = report.scalars.get("fitted_low_intercept")
     expected = report.scalars["expected_low_exponent"]
     if fitted is not None and expected != 0:
-        ok = abs(fitted - expected) <= rate_tol * abs(expected)
+        ok = abs(fitted - expected) <= est["rate_tol"] * abs(expected)
         report.verdicts["low_frequency_rate"] = "pass" if ok else "fail"
     table = report.tables["decay"]
     write_loglog_svg(
@@ -229,14 +217,12 @@ def run_verify_lp_lq(cfg: Config, out_dir: Path, rng, jobs: int) -> ExperimentRe
     return report
 
 
-def run_high_frequency_bound(cfg: Config, out_dir: Path, rng, jobs: int) -> ExperimentReport:
-    grid = _grid_from(cfg)
+def run_high_frequency_bound(values: Values, out_dir: Path, rng, jobs: int) -> ExperimentReport:
+    grid = make_grid(**values["grid"])
     blocks = make_blocks(grid)
-    sec = _section(cfg, "estimate")
-    p = _get(sec, "p", 2.0)
-    delta_cap = _get(sec, "delta_cap", 10.0)
-    ts = _times_from(cfg)
-    g = blocks.high_pass(_data_field(cfg, grid, rng), 1.0)
+    p, delta_cap = values["estimate"]["p"], values["estimate"]["delta_cap"]
+    ts = _times_from(values)
+    g = blocks.high_pass(_data_field(values["data"], grid, rng), 1.0)
     norms = np.array([lebesgue_norm(apply_D(t, g), p) for t in ts])
     compensated = norms * np.exp(ts / 2.0)
     pos = compensated > 0
@@ -274,22 +260,17 @@ def run_high_frequency_bound(cfg: Config, out_dir: Path, rng, jobs: int) -> Expe
     return report
 
 
-def run_block_estimates(cfg: Config, out_dir: Path, rng, jobs: int) -> ExperimentReport:
-    sec = _section(cfg, "estimate")
-    p = _get(sec, "p", 2.0)
-    q = _get(sec, "q", 2.0)
-    s1 = _get(sec, "s1", 0.0)
-    s2 = _get(sec, "s2", 0.0)
-    spread_cap = _get(sec, "spread_cap", 3.0)
-    grid = _grid_from(cfg)
+def run_block_estimates(values: Values, out_dir: Path, rng, jobs: int) -> ExperimentReport:
+    est = values["estimate"]
+    p, q, s1, s2 = est["p"], est["q"], est["s1"], est["s2"]
+    spread_cap = est["spread_cap"]
+    grid = make_grid(**values["grid"])
     blocks = make_blocks(grid)
-    ts = _times_from(cfg)
-    g = _data_field(cfg, grid, rng)
-    k_lo = [int(k) for k in _section(cfg, "estimate").get("k_low", "-4,-3,-2,-1").split(",")]
-    k_hi = [int(k) for k in _section(cfg, "estimate").get("k_high", "1,2,3,4").split(",")]
+    ts = _times_from(values)
+    g = _data_field(values["data"], grid, rng)
     rows = []
     sides = {}
-    for side, ks in (("low", k_lo), ("high", k_hi)):
+    for side, ks in (("low", est["k_low"]), ("high", est["k_high"])):
         maxima = []
         for k in ks:
             rep = verify_block_estimate(
@@ -316,14 +297,12 @@ def run_block_estimates(cfg: Config, out_dir: Path, rng, jobs: int) -> Experimen
     return report
 
 
-def run_paraproduct_residual(cfg: Config, out_dir: Path, rng, jobs: int) -> ExperimentReport:
-    sec = _section(cfg, "experiment")
-    pairs = int(_get(sec, "pairs", 100, int))
-    tol = _get(sec, "tolerance", 1e-10)
-    grid = _grid_from(cfg)
+def run_paraproduct_residual(values: Values, out_dir: Path, rng, jobs: int) -> ExperimentReport:
+    exp = values["experiment"]
+    pairs, tol, band_lo = exp["pairs"], exp["tolerance"], exp["band_lo"]
+    grid = make_grid(**values["grid"])
     blocks = make_blocks(grid)
-    band_lo = _get(sec, "band_lo", 0.3)
-    band_hi = _get(sec, "band_hi", grid.max_freq / 4.0)
+    band_hi = grid.max_freq / 4.0 if exp["band_hi"] is None else exp["band_hi"]
     worst = 0.0
     for _ in range(pairs):
         f = band_limited_random(grid, rng, band_lo, band_hi, rng.uniform(0.0, 0.8))
@@ -337,20 +316,11 @@ def run_paraproduct_residual(cfg: Config, out_dir: Path, rng, jobs: int) -> Expe
     )
 
 
-def run_leibniz(cfg: Config, out_dir: Path, rng, jobs: int) -> ExperimentReport:
-    sec = _section(cfg, "leibniz")
-    lcfg = LeibnizConfig(
-        alpha=_get(sec, "alpha", 0.7),
-        r=_get(sec, "r", 2.0),
-        p1=_get(sec, "p1", 4.0),
-        q1=_get(sec, "q1", 4.0),
-        p2=_get(sec, "p2", 4.0),
-        q2=_get(sec, "q2", 4.0),
-        ensemble=int(_get(sec, "ensemble", 500, int)),
-        spectrum_slope=_get(sec, "spectrum_slope", 0.5),
-    )
-    stability_cap = _get(sec, "stability_cap", 0.25)
-    base = _grid_from(cfg, N=256, L=32.0)
+def run_leibniz(values: Values, out_dir: Path, rng, jobs: int) -> ExperimentReport:
+    sec = values["leibniz"]
+    lcfg = LeibnizConfig(**{key: v for key, v in sec.items() if key != "stability_cap"})
+    stability_cap = sec["stability_cap"]
+    base = make_grid(**values["grid"])
     refined = make_grid(base.n, 2 * base.points_per_axis, base.box_length)
     band_hi = base.max_freq / 4.0
     maxima = {}
@@ -385,15 +355,13 @@ def run_leibniz(cfg: Config, out_dir: Path, rng, jobs: int) -> ExperimentReport:
     )
 
 
-def run_interpolation(cfg: Config, out_dir: Path, rng, jobs: int) -> ExperimentReport:
-    grid = _grid_from(cfg)
+def run_interpolation(values: Values, out_dir: Path, rng, jobs: int) -> ExperimentReport:
+    grid = make_grid(**values["grid"])
     blocks = make_blocks(grid)
-    pp = _problem_from(cfg)
-    sec = _section(cfg, "experiment")
-    ensemble = int(_get(sec, "ensemble", 200, int))
-    thetas = [float(x) for x in sec.get("thetas", "0.25,0.5,0.75").split(",")]
+    pp = _problem_from(values)
+    ensemble = values["experiment"]["ensemble"]
     rows = []
-    for theta in thetas:
+    for theta in values["experiment"]["thetas"]:
         q, alpha = interpolation_exponents(pp.n, pp.r, pp.s, theta)
         worst = 0.0
         for _ in range(ensemble):
@@ -418,18 +386,15 @@ def run_interpolation(cfg: Config, out_dir: Path, rng, jobs: int) -> ExperimentR
     )
 
 
-def run_contraction(cfg: Config, out_dir: Path, rng, jobs: int) -> ExperimentReport:
-    grid = _grid_from(cfg)
-    pp = _problem_from(cfg)
-    scfg = _solver_from(cfg)
-    sec = _section(cfg, "experiment")
-    amps = [float(a) for a in sec.get("amplitudes", "1e-3,2e-3,4e-3").split(",")]
-    slope_tol = _get(sec, "slope_tol", 0.2)
+def run_contraction(values: Values, out_dir: Path, rng, jobs: int) -> ExperimentReport:
+    grid = make_grid(**values["grid"])
+    pp = _problem_from(values)
+    scfg = SolverConfig.uniform(**values["solver"])
+    amps = values["experiment"]["amplitudes"]
+    slope_tol = values["experiment"]["slope_tol"]
     diags = []
     for amp in amps:
-        data_cfg = dict(_section(cfg, "data"))
-        data_cfg["amplitude"] = str(amp)
-        u = build_profile(data_cfg.get("profile", "gaussian"), grid, data_cfg, rng)
+        u = _data_field({**values["data"], "amplitude": amp}, grid, rng)
         _, diag = picard_solve(u, u, pp, scfg)
         diags.append(diag)
     report = contraction_report(amps, diags, pp)
@@ -438,13 +403,12 @@ def run_contraction(cfg: Config, out_dir: Path, rng, jobs: int) -> ExperimentRep
     return report
 
 
-def run_global_decay(cfg: Config, out_dir: Path, rng, jobs: int) -> ExperimentReport:
-    grid = _grid_from(cfg)
-    pp = _problem_from(cfg)
-    scfg = _solver_from(cfg)
-    sec = _section(cfg, "experiment")
-    agreement_tol = _get(sec, "oracle_tol", 1e-4)
-    u = _data_field(cfg, grid, rng)
+def run_global_decay(values: Values, out_dir: Path, rng, jobs: int) -> ExperimentReport:
+    grid = make_grid(**values["grid"])
+    pp = _problem_from(values)
+    scfg = SolverConfig.uniform(**values["solver"])
+    agreement_tol = values["experiment"]["oracle_tol"]
+    u = _data_field(values["data"], grid, rng)
     traj, diag = picard_solve(u, u, pp, scfg)
     if diag.blown_up:
         raise BlowupInGlobalRun(
@@ -491,17 +455,16 @@ def run_global_decay(cfg: Config, out_dir: Path, rng, jobs: int) -> ExperimentRe
     return study
 
 
-def run_blowup_probe(cfg: Config, out_dir: Path, rng, jobs: int) -> ExperimentReport:
+def run_blowup_probe(values: Values, out_dir: Path, rng, jobs: int) -> ExperimentReport:
     """Escape probe; an `amplitudes` list tabulates escape time vs amplitude."""
-    grid = _grid_from(cfg)
-    pp = _problem_from(cfg)
-    scfg = _solver_from(cfg)
-    u = _data_field(cfg, grid, rng)
-    sec = _section(cfg, "experiment")
+    grid = make_grid(**values["grid"])
+    pp = _problem_from(values)
+    scfg = SolverConfig.uniform(**values["solver"])
+    u = _data_field(values["data"], grid, rng)
     report = blowup_probe(u, u, pp, scfg)
-    if "amplitudes" in sec:
+    if values["experiment"]["amplitudes"] is not None:
         rows = []
-        for amp in (float(a) for a in sec["amplitudes"].split(",")):
+        for amp in values["experiment"]["amplitudes"]:
             sub = blowup_probe(amp * u, amp * u, pp, scfg)
             rows.append(
                 [
@@ -526,17 +489,17 @@ def _sweep_one(args) -> tuple[int, str, float | None]:
     return pp.p_nl, ("escape" if diag.blown_up else "decay"), diag.escape_time
 
 
-def run_sweep_critical(cfg: Config, out_dir: Path, rng, jobs: int) -> ExperimentReport:
-    grid = _grid_from(cfg, N=1024, L=80.0)
-    scfg = _solver_from(cfg, T=80.0, etd_dt=0.01, blowup_threshold=100.0)
-    u = _data_field(cfg, grid, rng, width=2.0, amplitude=0.5)
-    args = [(u, _problem_from(cfg, p), scfg) for p in _sweep_powers(cfg)]
+def run_sweep_critical(values: Values, out_dir: Path, rng, jobs: int) -> ExperimentReport:
+    grid = make_grid(**values["grid"])
+    scfg = SolverConfig.uniform(**values["solver"])
+    u = _data_field(values["data"], grid, rng)
+    args = [(u, _problem_from(values, p), scfg) for p in values["experiment"]["powers"]]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_sweep_one, args))
     else:
         results = [_sweep_one(a) for a in args]
-    n, r, _, _ = _problem_values(cfg)
+    n, r = values["problem"]["n"], values["problem"]["r"]
     fujita = 1.0 + 2.0 * r / n
     rows = [
         [float(p), 1.0 if verdict == "escape" else 0.0, t if t is not None else -1.0]
@@ -555,9 +518,10 @@ def run_sweep_critical(cfg: Config, out_dir: Path, rng, jobs: int) -> Experiment
     )
 
 
-def run_admissibility(cfg: Config, out_dir: Path, rng, jobs: int) -> ExperimentReport:
-    n, r, s, p = _problem_values(cfg)
-    samples = int(_get(_section(cfg, "experiment"), "random_samples", 1000, int))
+def run_admissibility(values: Values, out_dir: Path, rng, jobs: int) -> ExperimentReport:
+    pr = values["problem"]
+    n, r, s, p = pr["n"], pr["r"], pr["s"], pr["p"]
+    samples = values["experiment"]["random_samples"]
     verdict = check_gwp(n, r, s, p)
     mismatches = 0
     for _ in range(samples):
@@ -590,6 +554,10 @@ def run_admissibility(cfg: Config, out_dir: Path, rng, jobs: int) -> ExperimentR
     )
 
 
+# The shared sections of the decay-estimate and the solving kinds.
+FLOW = {"grid": GRID, "time": TIME, "data": DATA}
+SOLVING = {"grid": GRID, "problem": PROBLEM, "solver": SOLVER, "data": DATA}
+
 REGISTRY: dict[str, ExperimentSpec] = {
     spec.name: spec
     for spec in [
@@ -598,82 +566,105 @@ REGISTRY: dict[str, ExperimentSpec] = {
             "dyadic partition of unity on the lattice",
             "low block + sum of annuli equals 1 at every nonzero frequency",
             run_partition_residual,
+            {"grid": GRID, "experiment": {"tolerance": 1e-12}},
         ),
         ExperimentSpec(
             "mode-ode",
             "per-mode kernel solves the damped oscillator equation",
             "v'' + v' + |xi|^2 v = 0 with v(0)=0, v'(0)=1, residual < 1e-6",
             run_mode_ode,
+            {"experiment": {"fd_step": 1e-4, "tolerance": 1e-6}},
         ),
         ExperimentSpec(
             "verify-lp-lq",
             "two-sided decay bound of the flow in Besov norms",
             "||D(t)g|| <= <t>^(-(n/2)(1/q-1/p)-(s1-s2)/2) low + e^(-t/2)<t>^d high",
             run_verify_lp_lq,
+            {**FLOW, "time": {**TIME, "fit_lo": float, "fit_hi": float},
+             "estimate": {**ESTIMATE, "q": 1.0, "rate_tol": 0.10}},
         ),
         ExperimentSpec(
             "high-frequency-bound",
             "damping-compensated growth of the high-frequency flow",
             "log ||D(t)g|| + t/2 grows at most logarithmically",
             run_high_frequency_bound,
+            {**FLOW, "estimate": {"p": 2.0, "delta_cap": 10.0}},
         ),
         ExperimentSpec(
             "block-estimates",
             "per-dyadic-block decay ratios, constant independent of the block",
             "max over t of block ratio varies by < 3x across k",
             run_block_estimates,
+            {**FLOW, "estimate": {**ESTIMATE, "spread_cap": 3.0,
+                                  "k_low": (-4, -3, -2, -1), "k_high": (1, 2, 3, 4)}},
         ),
         ExperimentSpec(
             "paraproduct-residual",
             "product repartition into two paraproducts and a remainder",
             "fg = T_f g + T_g f + R(f,g) to relative L^2 residual < 1e-10",
             run_paraproduct_residual,
+            {"grid": GRID,
+             "experiment": {"pairs": 100, "tolerance": 1e-10, "band_lo": 0.3, "band_hi": float}},
         ),
         ExperimentSpec(
             "leibniz",
             "fractional product estimate in homogeneous Besov norms",
             "||fg||_{B^a_r} bounded by cross terms; constant stable under N -> 2N",
             run_leibniz,
+            {"grid": {**GRID, "N": 256, "L": 32.0},
+             "leibniz": {"alpha": 0.7, "r": 2.0, "p1": 4.0, "q1": 4.0, "p2": 4.0, "q2": 4.0,
+                         "ensemble": 500, "spectrum_slope": 0.5, "stability_cap": 0.25}},
         ),
         ExperimentSpec(
             "interpolation",
             "two-endpoint interpolation inequality for the solution space",
             "||f||_{B^a_q} <= C ||f||_{B^0_r}^(1-theta) ||f||_{B^s_2}^theta",
             run_interpolation,
+            {"grid": GRID, "problem": PROBLEM,
+             "experiment": {"ensemble": 200, "thetas": (0.25, 0.5, 0.75)}},
         ),
         ExperimentSpec(
             "contraction",
             "contraction-factor scaling of the fixed-point map",
             "log(ratio) vs log(amplitude) has slope p-1",
             run_contraction,
-            powers=_problem_power,
+            {**SOLVING, "experiment": {"amplitudes": (1e-3, 2e-3, 4e-3), "slope_tol": 0.2}},
+            powers=("problem", "p"),
         ),
         ExperimentSpec(
             "global-decay",
             "small-data run at/above the critical power: decay and oracle match",
             "weighted sup bounded, Picard and ETD agree in relative L^2",
             run_global_decay,
-            powers=_problem_power,
+            {**SOLVING, "experiment": {"oracle_tol": 1e-4}},
+            powers=("problem", "p"),
         ),
         ExperimentSpec(
             "blowup-probe",
             "escape-time probe below the critical power",
             "positive data escapes the max-norm cap; stable under refinement",
             run_blowup_probe,
-            powers=_problem_power,
+            {**SOLVING, "experiment": {"amplitudes": FLOATS}},
+            powers=("problem", "p"),
         ),
         ExperimentSpec(
             "sweep-critical",
             "escape-vs-decay sweep across nonlinearity powers",
             "boundary sits at the critical power 1 + 2r/n",
             run_sweep_critical,
-            powers=_sweep_powers,
+            {"grid": {**GRID, "N": 1024, "L": 80.0}, "problem": PROBLEM,
+             "solver": {**SOLVER, "T": 80.0, "etd_dt": 0.01, "blowup_threshold": 100.0},
+             "data": {**DATA, "width": 2.0, "amplitude": 0.5},
+             "experiment": {"powers": (7, 8, 9, 10)}},
+            powers=("experiment", "powers"),
         ),
         ExperimentSpec(
             "admissibility",
             "existence hypotheses evaluated with slack margins",
             "float and exact-rational evaluations agree",
             run_admissibility,
+            {"grid": {"n": 1}, "problem": {key: PROBLEM[key] for key in ("n", "r", "s", "p")},
+             "experiment": {"random_samples": 1000}},
         ),
     ]
 }
@@ -683,23 +674,29 @@ def run_experiment(
     name: str,
     cfg: Config,
     out_dir: Path,
-    seed: int,
+    seed: int | None,
     jobs: int = 1,
     *,
     override_admissibility: bool = False,
 ) -> ExperimentReport:
-    """Run one registered experiment.  Unless overridden, the powers of a
-    solving experiment must pass require_lwp before anything is built."""
+    """Run one registered experiment on its read_config values; seed None
+    takes [run] seed.  Unless overridden, the powers of a solving experiment
+    must pass require_lwp before anything is built."""
     if name not in REGISTRY:
         raise KeyError(f"unknown experiment '{name}'")
     spec = REGISTRY[name]
+    values = read_config(spec, cfg)
     if spec.powers is not None and not override_admissibility:
-        n, r, s, _ = _problem_values(cfg)
-        require_lwp(n, r, s, spec.powers(cfg))
+        section, key = spec.powers
+        powers = values[section][key]
+        pr = values["problem"]
+        require_lwp(pr["n"], pr["r"], pr["s"], powers if isinstance(powers, tuple) else [powers])
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    seed = values["run"]["seed"] if seed is None else seed
     rng = np.random.default_rng(seed)
     started = time.perf_counter()
-    report = spec.runner(cfg, out_dir, rng, jobs)
+    report = spec.runner(values, out_dir, rng, jobs)
     report.runtime_s = round(time.perf_counter() - started, 3)
+    report.meta["seed"] = seed
     return report

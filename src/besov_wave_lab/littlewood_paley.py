@@ -19,7 +19,6 @@ from besov_wave_lab.grid import GridField, TorusGrid, apply_symbol
 
 __all__ = [
     "chi",
-    "CutoffProfile",
     "DyadicBlocks",
     "make_blocks",
 ]
@@ -53,17 +52,6 @@ def chi(t):
     return float(out[0]) if scalar else out
 
 
-@dataclass(frozen=True)
-class CutoffProfile:
-    """The scalar cutoff chi with its transition interval."""
-
-    transition_start: float = 1.0
-    transition_end: float = TRANSITION_END
-
-    def eval(self, t):
-        return chi(t)
-
-
 @dataclass
 class DyadicBlocks:
     """Family of dyadic projections on a fixed grid.
@@ -76,7 +64,6 @@ class DyadicBlocks:
     grid: TorusGrid
     j_min: int
     j_max: int
-    cutoff: CutoffProfile = field(default_factory=CutoffProfile)
     _cache: Dict[str, np.ndarray] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
@@ -90,7 +77,7 @@ class DyadicBlocks:
             raise ValueError("cutoff scale must be positive")
         key = f"le:{a!r}"
         if key not in self._cache:
-            self._cache[key] = self.cutoff.eval(self.grid.freq_abs / a)
+            self._cache[key] = chi(self.grid.freq_abs / a)
         return self._cache[key]
 
     def high_pass_multiplier(self, a: float) -> np.ndarray:

@@ -2,9 +2,7 @@
 
 Homogeneous seminorms sum 2^(j*s) * ||block_j f||_p in little-l^q over the
 grid's dyadic range; the DC mode never enters (it lives in the low block).
-The solution-space norm weights ||.||_{B^s_{2,2}} by <t>^(s/2 - (n/2)(1/2-1/r)),
-and the source-space norm carries the weight <t>^eta together with a max over
-an integrability window [sigma1, sigma2].
+The solution-space norm weights ||.||_{B^s_{2,2}} by <t>^(s/2 - (n/2)(1/2-1/r)).
 """
 
 from __future__ import annotations
@@ -23,7 +21,6 @@ __all__ = [
     "lebesgue_norm",
     "besov_seminorm",
     "x_norm",
-    "y_norm",
     "time_bracket",
     "x_weight",
     "interpolation_check",
@@ -204,42 +201,6 @@ def x_norm(
             f, 0.0, pp.r, blocks=blocks
         )
         best = max(best, val)
-    return best
-
-
-def gamma_grid(pp: ProblemParams, points: int = 8) -> np.ndarray:
-    """Geometric grid on [sigma1, sigma2] including both endpoints."""
-    return np.geomspace(pp.sigma1, pp.sigma2, points)
-
-
-def y_norm(
-    traj: Trajectory,
-    pp: ProblemParams,
-    *,
-    blocks: DyadicBlocks | None = None,
-    gamma_points: int = 8,
-) -> float:
-    """Source-space norm with the two-branch smoothness term.
-
-    For 0 < s <= 1 the B^{s-1}_{2,2} piece sees only the high-frequency
-    part of the source; for s > 1 it sees the whole source.
-    """
-    if pp.s <= 0:
-        raise ValueError("y_norm requires s > 0")
-    if blocks is None:
-        blocks = make_blocks(traj.grid)
-    gammas = gamma_grid(pp, gamma_points)
-    best = 0.0
-    for t, f in traj:
-        bracket = float(time_bracket(t))
-        smooth_arg = f if pp.s > 1 else blocks.high_pass(f, 1.0)
-        term1 = bracket**pp.eta * besov_seminorm(smooth_arg, pp.s - 1.0, 2.0, blocks=blocks)
-        term2 = max(
-            bracket ** ((pp.n / 2.0) * (pp.p_nl / pp.r - 1.0 / g))
-            * besov_seminorm(f, 0.0, g, blocks=blocks)
-            for g in gammas
-        )
-        best = max(best, term1 + term2)
     return best
 
 

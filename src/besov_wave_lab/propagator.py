@@ -27,7 +27,6 @@ __all__ = [
     "damped_L",
     "damped_dtL",
     "apply_D",
-    "apply_dtD",
     "linear_solution",
     "fit_power_law",
     "verify_lp_lq",
@@ -114,11 +113,6 @@ def damped_dtL(t: float, xi_abs) -> np.ndarray:
 def apply_D(t: float, g: GridField) -> GridField:
     """Damped-wave flow applied to data (0, g)."""
     return apply_symbol(damped_L(t, g.grid.freq_abs), g)
-
-
-def apply_dtD(t: float, g: GridField) -> GridField:
-    """Time derivative of the damped-wave flow applied to (0, g)."""
-    return apply_symbol(damped_dtL(t, g.grid.freq_abs), g)
 
 
 def linear_solution(u0: GridField, u1: GridField, t: float) -> GridField:

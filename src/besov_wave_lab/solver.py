@@ -142,23 +142,12 @@ def _power(grid: TorusGrid, coeffs: np.ndarray, p: int) -> np.ndarray:
     return dealiased_pointwise(grid, power, pad_factor_for_power(p), coeffs)
 
 
-def _refine_nodes(times: np.ndarray, source: Sequence[np.ndarray], factor: int):
-    """Insert factor - 1 equally spaced nodes into every step, with the
-    source spectra interpolated linearly between the ends."""
-    lam = np.arange(factor) / factor
-    fine = times[:-1, None] + lam * np.diff(times)[:, None]
-    fine_times = np.append(fine.ravel(), times[-1])
-    fine_source = [(1 - m) * a + m * b for a, b in zip(source, source[1:]) for m in lam]
-    return fine_times, fine_source + [source[-1]]
-
-
 def _flow_recursion(
     grid: TorusGrid,
     times: np.ndarray,
     u_hat: np.ndarray,
     v_hat: np.ndarray,
     source: Iterable[np.ndarray] | None = None,
-    refine: int = 1,
 ) -> list[np.ndarray]:
     """Samples of u at every node from spectral data (u, u_t) = (u_hat,
     v_hat) at t = 0, plus the trapezoid Duhamel integral of the source
@@ -166,11 +155,8 @@ def _flow_recursion(
 
     Each step does v += (h/2) F_k; (u, v) <- E(h) (u, v); v += (h/2) F_{k+1}.
     By the semigroup identity E(t - s) E(s - r) = E(t - r) this is the
-    composite trapezoid rule on any increasing node set.  refine > 1 runs
-    on the nodes refined by _refine_nodes and emits the original ones only.
+    composite trapezoid rule on any increasing node set.
     """
-    if refine > 1:
-        times, source = _refine_nodes(times, list(source), refine)
     N = grid.points_per_axis
     xi = grid.freq_abs
     ends = itertools.pairwise(itertools.repeat(0.0) if source is None else source)
@@ -185,8 +171,7 @@ def _flow_recursion(
         v_hat = v_hat + (0.5 * h) * f_start
         u_hat, v_hat = e11 * u_hat + e12 * v_hat, e21 * u_hat + e22 * v_hat
         v_hat = v_hat + (0.5 * h) * f_end
-        if k % refine == 0:
-            samples.append(_samples(grid, u_hat, N))
+        samples.append(_samples(grid, u_hat, N))
     return samples
 
 
@@ -205,18 +190,12 @@ def psi_apply(
     u0: GridField,
     u1: GridField,
     pp: ProblemParams,
-    *,
-    refine: int = 1,
 ) -> Trajectory:
-    """One application of the fixed-point map to a trajectory.
-
-    refine > 1 refines the trapezoid rule by inserting linearly
-    interpolated source nodes; output stays on the original node set.
-    """
+    """One application of the fixed-point map to a trajectory."""
     grid = traj.grid
     source = (_power(grid, f.spectrum.coeffs, pp.p_nl) for f in traj.fields)
     samples = _flow_recursion(
-        grid, traj.times, u0.spectrum.coeffs, u1.spectrum.coeffs, source, refine
+        grid, traj.times, u0.spectrum.coeffs, u1.spectrum.coeffs, source
     )
     return Trajectory(traj.times, tuple(GridField(grid, v) for v in samples))
 

@@ -14,8 +14,11 @@ from besov_wave_lab.cli import (
     load_config,
     main,
 )
-from besov_wave_lab.experiments import REGISTRY, run_experiment
+from besov_wave_lab.experiments import REGISTRY, read_config, run_experiment
 from besov_wave_lab.reporting import config_hash
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def write_cfg(path: Path, text: str) -> str:
@@ -120,6 +123,85 @@ class TestList:
         for name in ("verify-lp-lq", "paraproduct-residual", "contraction"):
             assert name in out
         assert "checks:" in out
+
+    def test_lists_keys_and_defaults_from_the_tables(self, capsys):
+        assert main(["list"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "[solver] T = 80.0" in out  # sweep-critical's own default
+        assert "[experiment] tolerance = 1e-12" in out
+        assert "[data] profile = random-band: xi_lo = 0.5" in out
+        assert "[time] t_min = 1.0" in out and "fit_lo = float" in out
+
+
+BLOWUP = BLOWUP_CFG.format(r="4", s="2")
+
+
+class TestConfigSchema:
+    """Every config key is declared; a typo exits 2 and names the nearest key."""
+
+    @pytest.mark.parametrize(
+        "text,named",
+        [
+            (
+                PARTITION_CFG.replace("[grid]", "tolerence = 1\n\n[grid]"),
+                "unknown key 'tolerence' in [experiment]; did you mean 'tolerance'?",
+            ),
+            (
+                PARTITION_CFG.replace("N = 256", "NN = 64"),
+                "unknown key 'NN' in [grid]; did you mean 'N'?",
+            ),
+            (
+                BLOWUP.replace("[solver]", "[sovler]"),
+                "unknown section [sovler]; did you mean 'solver'?",
+            ),
+            (BLOWUP + "xi_lo = 0.3\n", "unknown key 'xi_lo' in [data]"),
+        ],
+        ids=["tolerence", "NN", "sovler", "xi_lo"],
+    )
+    def test_unknown_section_or_key_exits_2(self, text, named, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "typo.cfg", text)
+        out = tmp_path / "o"
+        assert main(["run", cfg, "--out", str(out)]) == EXIT_CONFIG
+        assert named in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == ["error.json"]
+
+    def test_unknown_time_spacing_exits_2(self, tmp_path, capsys):
+        text = """
+[experiment]
+kind = high-frequency-bound
+
+[grid]
+N = 64
+L = 20
+
+[time]
+points = 4
+spacing = geometirc
+"""
+        cfg = write_cfg(tmp_path / "spacing.cfg", text)
+        assert main(["run", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert "[time] spacing must be geometric or linear" in capsys.readouterr().err
+
+    def test_defaults_filled_and_typed(self):
+        values = read_config(REGISTRY["sweep-critical"], {"problem": {"n": "1"}})
+        assert values["grid"] == {"n": 1, "N": 1024, "L": 80.0}
+        assert values["experiment"] == {"powers": (7, 8, 9, 10), "kind": None}
+        assert values["data"] == {"profile": "gaussian", "width": 2.0, "amplitude": 0.5}
+        assert values["run"] == {"seed": 0}
+        values = read_config(
+            REGISTRY["contraction"],
+            {"experiment": {"amplitudes": "1e-3, 5e-3"}, "data": {"profile": "slow_decay"}},
+        )
+        assert values["experiment"]["amplitudes"] == (1e-3, 5e-3)
+        assert values["data"]["amplitude"] == 1.0 and values["data"]["r"] == 4.0
+        assert values["problem"]["n"] == 1 and values["solver"]["nodes"] == 201
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.cfg")))
+    def test_every_shipped_config_reads(self, name):
+        cfg = load_config(str(CONFIGS / name))
+        values = read_config(REGISTRY[cfg["experiment"]["kind"]], cfg)
+        for section, keys in cfg.items():
+            assert set(keys) <= set(values[section])
 
 
 class TestRun:

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from besov_wave_lab import littlewood_paley
 from besov_wave_lab.grid import make_grid
 from besov_wave_lab.littlewood_paley import (
     TRANSITION_END,
-    CutoffProfile,
     DyadicBlocks,
     chi,
     default_j_range,
@@ -120,16 +120,13 @@ class TestPartition:
         crippled = DyadicBlocks(grid=grid, j_min=lo, j_max=hi - 2)
         assert crippled.partition_residual() > 0.9
 
-    def test_defective_user_cutoff_detected(self):
+    def test_defective_user_cutoff_detected(self, monkeypatch):
         # A profile whose plateau misses 1 cannot telescope to a partition,
         # and the residual shows it.
-        class Leaky(CutoffProfile):
-            def eval(self, t):
-                return 0.99 * chi(t)
-
+        monkeypatch.setattr(littlewood_paley, "chi", lambda t: 0.99 * chi(t))
         grid = make_grid(1, 256, 64.0)
         lo, hi = default_j_range(grid)
-        blocks = DyadicBlocks(grid=grid, j_min=lo, j_max=hi, cutoff=Leaky())
+        blocks = DyadicBlocks(grid=grid, j_min=lo, j_max=hi)
         assert blocks.partition_residual() > 1e-3
 
 

@@ -17,7 +17,6 @@ from besov_wave_lab.norms import (
     time_bracket,
     x_norm,
     x_weight,
-    y_norm,
 )
 from besov_wave_lab.profiles import band_limited_random, saturating_low
 
@@ -199,45 +198,6 @@ class TestXNorm:
         assert x_norm(traj.scaled(4.0), self.pp, blocks=self.blocks) == 4.0 * x_norm(
             traj, self.pp, blocks=self.blocks
         )
-
-
-class TestYNorm:
-    def setup_method(self):
-        self.grid = make_grid(1, 128, 16.0)
-        self.blocks = make_blocks(self.grid)
-
-    def test_zero_trajectory(self):
-        pp = ProblemParams(n=1, r=4.0, s=1.5, p_nl=3)
-        traj = constant_trajectory(self.grid, self.grid.zeros(), [0.0, 1.0])
-        assert y_norm(traj, pp) == 0.0
-
-    def test_branch_selection_low_frequency_source(self):
-        # A purely low-frequency source has no high-pass part: the
-        # smoothness term vanishes for s <= 1 but not for s > 1.
-        f = band_limited_random(self.grid, np.random.default_rng(9), 0.3, 0.45, 0.0)
-        traj = constant_trajectory(self.grid, f, [0.0])
-        pp_low = ProblemParams(n=1, r=4.0, s=0.8, p_nl=3)
-        pp_high = ProblemParams(n=1, r=4.0, s=1.5, p_nl=3)
-        gamma_term = max(
-            besov_seminorm(f, 0.0, g, blocks=self.blocks)
-            for g in np.geomspace(pp_low.sigma1, pp_low.sigma2, 8)
-        )
-        assert y_norm(traj, pp_low, blocks=self.blocks) == pytest.approx(
-            gamma_term, rel=1e-12
-        )
-        assert y_norm(traj, pp_high, blocks=self.blocks) > y_norm(
-            traj, pp_low, blocks=self.blocks
-        )
-
-    def test_single_time_zero_weights_are_one(self):
-        f = band_limited_random(self.grid, np.random.default_rng(11), 0.5, 6.0, 0.2)
-        pp = ProblemParams(n=1, r=4.0, s=1.5, p_nl=3)
-        traj = constant_trajectory(self.grid, f, [0.0])
-        direct = besov_seminorm(f, 0.5, 2.0, blocks=self.blocks) + max(
-            besov_seminorm(f, 0.0, g, blocks=self.blocks)
-            for g in np.geomspace(pp.sigma1, pp.sigma2, 8)
-        )
-        assert y_norm(traj, pp, blocks=self.blocks) == pytest.approx(direct, rel=1e-12)
 
 
 class TestInterpolation:

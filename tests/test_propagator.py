@@ -6,14 +6,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
-from besov_wave_lab.grid import make_grid
+from besov_wave_lab.grid import apply_symbol, make_grid
 from besov_wave_lab.littlewood_paley import make_blocks
 from besov_wave_lab.norms import lebesgue_norm
 from besov_wave_lab.profiles import band_limited_random, saturating_low, single_mode
 from besov_wave_lab.propagator import (
     DELTA_BAND,
     apply_D,
-    apply_dtD,
     damped_L,
     damped_dtL,
     fit_power_law,
@@ -173,7 +172,7 @@ class TestFlow:
 
     def test_apply_dtD_at_zero_is_identity(self):
         g = self.grid.field(RNG.standard_normal(self.grid.shape))
-        out = apply_dtD(0.0, g)
+        out = apply_symbol(damped_dtL(0.0, self.grid.freq_abs), g)
         assert np.max(np.abs(out.values - g.values)) < 1e-12
 
     def test_low_mode_against_ode_oracle(self):
@@ -187,7 +186,7 @@ class TestFlow:
         g = band_limited_random(self.grid, RNG, 0.2, 3.0, 0.3)
         t, h = 2.5, 1e-4
         fd = (1.0 / (2 * h)) * (apply_D(t + h, g) - apply_D(t - h, g))
-        exact = apply_dtD(t, g)
+        exact = apply_symbol(damped_dtL(t, self.grid.freq_abs), g)
         assert np.max(np.abs(fd.values - exact.values)) < 1e-7
 
     def test_high_mode_envelope_decay(self):
