@@ -59,10 +59,12 @@ def _emit_error(kind: str, message: str, code: int, out_dir: Path | None) -> Non
 
 
 def _keys(keys) -> str:
-    """'key = default ...' as a config writes them; a type marks no default."""
+    """'key = default ...' as a config writes them; a type marks no default,
+    and a withheld key (None) is left out."""
     return "  ".join(
         f"{key} = {','.join(map(str, v)) if isinstance(v, tuple) else getattr(v, '__name__', v)}"
         for key, v in keys.items()
+        if v is not None
     )
 
 

@@ -89,10 +89,6 @@ class TorusGrid:
         return (N,) * (self.n - 1) + (N // 2 + 1,)
 
     @property
-    def num_points(self) -> int:
-        return self.points_per_axis**self.n
-
-    @property
     def freq_spacing(self) -> float:
         return 2.0 * np.pi / self.box_length
 
@@ -308,22 +304,25 @@ def _leading_index(N: int, M: int, n: int) -> tuple[np.ndarray, ...]:
 def _samples(grid: TorusGrid, coeffs: np.ndarray, M: int) -> np.ndarray:
     """Real samples on the M-point lattice over grid's box of a coefficient
     array of grid, unvalidated: non-finite coefficients give non-finite ones.
-    For M > N the coefficients are padded by the Nyquist rule of
-    dealiased_pointwise."""
+    Coefficient arrays stacked on leading axes give samples stacked the same
+    way, each slice bit for bit what it gives alone.  For M > N the
+    coefficients are padded by the Nyquist rule of dealiased_pointwise."""
     n, N = grid.n, grid.points_per_axis
     signed = grid._phase_signs * coeffs
     if M > N:
         h = N // 2
-        padded = np.zeros((M,) * (n - 1) + (M // 2 + 1,), dtype=complex)
-        padded[_leading_index(N, M, n) + (slice(0, h + 1),)] = signed
+        padded = np.zeros(signed.shape[:-n] + (M,) * (n - 1) + (M // 2 + 1,), dtype=complex)
+        padded[(Ellipsis,) + _leading_index(N, M, n) + (slice(0, h + 1),)] = signed
         padded[..., h] *= 0.5
         for axis in range(n - 1):
-            row = (slice(None),) * axis + (M - h,)
-            padded[row] *= 0.5
-            padded[(slice(None),) * axis + (h,)] = padded[row]
+            after = (slice(None),) * (n - 1 - axis)
+            padded[(Ellipsis, M - h) + after] *= 0.5
+            padded[(Ellipsis, h) + after] = padded[(Ellipsis, M - h) + after]
         signed = padded
     scale = (2.0 * np.pi) ** (-n / 2) * grid.freq_spacing**n * M**n
-    return scale * np.fft.irfftn(signed)
+    out = np.fft.irfftn(signed, axes=tuple(range(-n, 0)))
+    out *= scale
+    return out
 
 
 def dealiased_pointwise(

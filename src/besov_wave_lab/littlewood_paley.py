@@ -10,12 +10,12 @@ excluded from all homogeneous seminorms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from besov_wave_lab.grid import GridField, TorusGrid, apply_symbol
+from besov_wave_lab.grid import GridField, TorusGrid, _samples, apply_symbol
 
 __all__ = [
     "chi",
@@ -58,13 +58,14 @@ class DyadicBlocks:
 
     j_min and j_max default to the range covering every nonzero lattice
     frequency: j_min = ceil(log2(2*pi/L)) - 1 and
-    j_max = ceil(log2(pi*N/L)) + 1.  Multiplier arrays are cached per index.
+    j_max = ceil(log2(pi*N/L)) + 1.  Every multiplier but an arbitrary
+    low-pass is read off one stacked array, the ladder, built on first use:
+    an annulus is the difference of neighbouring rows.
     """
 
     grid: TorusGrid
     j_min: int
     j_max: int
-    _cache: Dict[str, np.ndarray] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         if self.j_min > self.j_max:
@@ -72,35 +73,37 @@ class DyadicBlocks:
 
     # -- multiplier arrays -------------------------------------------------
 
+    @cached_property
+    def ladder(self) -> np.ndarray:
+        """Low-pass multipliers chi(|xi| / 2^k) for k = j_min - 2 .. j_max + 1,
+        stacked on axis 0."""
+        xi = self.grid.freq_abs
+        return np.stack([chi(xi / 2.0**k) for k in range(self.j_min - 2, self.j_max + 2)])
+
+    @cached_property
+    def annuli(self) -> np.ndarray:
+        """Annulus multipliers ladder(j) - ladder(j - 1) for j = j_min..j_max."""
+        return np.diff(self.ladder[1:-1], axis=0)
+
+    @cached_property
+    def widened(self) -> np.ndarray:
+        """Widened multipliers for j = j_min..j_max: annuli j - 1, j and j + 1
+        summed, so 1 on the support of annulus j."""
+        d = np.diff(self.ladder, axis=0)
+        return d[:-2] + d[1:-1] + d[2:]
+
     def low_pass_multiplier(self, a: float) -> np.ndarray:
         if a <= 0:
             raise ValueError("cutoff scale must be positive")
-        key = f"le:{a!r}"
-        if key not in self._cache:
-            self._cache[key] = chi(self.grid.freq_abs / a)
-        return self._cache[key]
-
-    def high_pass_multiplier(self, a: float) -> np.ndarray:
-        return 1.0 - self.low_pass_multiplier(a)
+        return chi(self.grid.freq_abs / a)
 
     def block_multiplier(self, j: int) -> np.ndarray:
-        key = f"ann:{j}"
-        if key not in self._cache:
-            self._cache[key] = self.low_pass_multiplier(
-                2.0**j
-            ) - self.low_pass_multiplier(2.0 ** (j - 1))
-        return self._cache[key]
-
-    def tilde_multiplier(self, j: int) -> np.ndarray:
-        return (
-            self.block_multiplier(j - 1)
-            + self.block_multiplier(j)
-            + self.block_multiplier(j + 1)
-        )
+        self._check_range(j)
+        return self.annuli[j - self.j_min]
 
     def low_block_multiplier(self) -> np.ndarray:
         """The block below j_min; on the default range it holds only DC."""
-        return self.low_pass_multiplier(2.0 ** (self.j_min - 1))
+        return self.ladder[1]
 
     # -- projections -------------------------------------------------------
 
@@ -108,15 +111,14 @@ class DyadicBlocks:
         return apply_symbol(self.low_pass_multiplier(a), f)
 
     def high_pass(self, f: GridField, a: float) -> GridField:
-        return apply_symbol(self.high_pass_multiplier(a), f)
+        return apply_symbol(1.0 - self.low_pass_multiplier(a), f)
 
     def block(self, f: GridField, j: int) -> GridField:
-        self._check_range(j)
         return apply_symbol(self.block_multiplier(j), f)
 
     def tilde(self, f: GridField, j: int) -> GridField:
         self._check_range(j)
-        return apply_symbol(self.tilde_multiplier(j), f)
+        return apply_symbol(self.widened[j - self.j_min], f)
 
     def _check_range(self, j: int) -> None:
         if not (self.j_min <= j <= self.j_max):
@@ -129,31 +131,26 @@ class DyadicBlocks:
         return range(self.j_min, self.j_max + 1)
 
     def block_norms(self, f: GridField, p: float) -> np.ndarray:
-        """L^p norm of every annulus block of f, indexed j_min..j_max.
-
-        p = 2 goes through Parseval on the cached spectrum, which avoids
-        one inverse transform per block.
-        """
+        """L^p norm of every annulus block of f, indexed j_min..j_max, in one
+        reduction over the stacked annuli: through Parseval on the spectrum
+        for p = 2, else over the samples of one batched inverse transform."""
+        grid, coeffs = self.grid, f.spectrum.coeffs
+        rows = tuple(range(1, grid.n + 1))
         if p == 2.0:
-            power = self.grid.mode_weight * np.abs(f.spectrum.coeffs) ** 2
-            weight = self.grid.freq_spacing**self.grid.n
-            return np.array(
-                [
-                    math.sqrt(weight * float(np.sum(self.block_multiplier(j) ** 2 * power)))
-                    for j in self.indices()
-                ]
-            )
-        from besov_wave_lab.norms import lebesgue_norm
-
-        return np.array(
-            [lebesgue_norm(self.block(f, j), p) for j in self.indices()]
-        )
+            power = grid.mode_weight * np.abs(coeffs) ** 2
+            weight = grid.freq_spacing**grid.n
+            return np.sqrt(weight * np.sum(self.annuli**2 * power, axis=rows))
+        samples = _samples(grid, self.annuli * coeffs, grid.points_per_axis)
+        np.abs(samples, out=samples)
+        if math.isinf(p):
+            return np.max(samples, axis=rows)
+        samples **= p
+        # float_power has no SIMD loop: each root rounds as lebesgue_norm's does.
+        return np.float_power(grid.spacing**grid.n * np.sum(samples, axis=rows), 1.0 / p)
 
     def partition_residual(self) -> float:
         """Max over nonzero lattice frequencies of |1 - (low + sum of blocks)|."""
-        total = self.low_block_multiplier().copy()
-        for j in self.indices():
-            total = total + self.block_multiplier(j)
+        total = self.low_block_multiplier() + np.sum(self.annuli, axis=0)
         nonzero = self.grid.freq_abs > 0
         return float(np.max(np.abs(1.0 - total[nonzero])))
 

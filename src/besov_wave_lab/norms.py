@@ -84,10 +84,9 @@ def besov_seminorm(
 class ProblemParams:
     """Problem parameters (n, r, s, p_nl) and the derived exponents.
 
-    beta = (n-1)(1/2 - 1/r), eta = (s-1)/2 + (n/2)(p_nl/r - 1/2),
-    sigma1 = max(1, r/p_nl) + eps, sigma2 = r when 2s >= n and
-    min(r, 2n/(p_nl(n-2s))) otherwise, fujita = 1 + 2r/n.  eps defaults to
-    5% of the sigma window so sigma1 < sigma2 always holds.
+    beta = (n-1)(1/2 - 1/r), sigma1 = max(1, r/p_nl) + eps, sigma2 = r
+    when 2s >= n and min(r, 2n/(p_nl(n-2s))) otherwise, fujita = 1 + 2r/n.
+    eps defaults to 5% of the sigma window so sigma1 < sigma2 always holds.
     """
 
     n: int
@@ -123,10 +122,6 @@ class ProblemParams:
     @property
     def beta(self) -> float:
         return (self.n - 1) * (0.5 - 1.0 / self.r)
-
-    @property
-    def eta(self) -> float:
-        return (self.s - 1.0) / 2.0 + (self.n / 2.0) * (self.p_nl / self.r - 0.5)
 
     @property
     def sigma1(self) -> float:
@@ -183,9 +178,6 @@ class Trajectory:
 
     def __iter__(self):
         return zip(self.times, self.fields)
-
-    def scaled(self, factor: float) -> "Trajectory":
-        return Trajectory(self.times, tuple(factor * f for f in self.fields))
 
 
 def x_norm(

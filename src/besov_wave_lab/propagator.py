@@ -29,6 +29,7 @@ __all__ = [
     "apply_D",
     "linear_solution",
     "fit_power_law",
+    "fit_high_growth",
     "verify_lp_lq",
     "BlockEstimateReport",
     "verify_block_estimate",
@@ -148,7 +149,7 @@ def fit_power_law(
     return float(slope), float(intercept), resid
 
 
-def _fit_high_growth(
+def fit_high_growth(
     ts: np.ndarray, high_vals: np.ndarray, high_norm: float
 ) -> tuple[float, float]:
     """Nonnegative exponent delta and constant so that
@@ -207,7 +208,7 @@ def verify_lp_lq(
         lhs_low[i] = besov_seminorm(apply_D(t, g_low), s1, p, blocks=blocks)
         lhs_high[i] = besov_seminorm(apply_D(t, g_high), s1, p, blocks=blocks)
 
-    delta_hat, high_const = _fit_high_growth(ts, lhs_high, high_norm)
+    delta_hat, high_const = fit_high_growth(ts, lhs_high, high_norm)
     bracket = time_bracket(ts)
     low_bound = bracket**low_exponent * low_norm
     high_bound = high_const * np.exp(-ts / 2.0) * bracket**delta_hat * high_norm

@@ -165,6 +165,20 @@ class TestConfigSchema:
         assert named in capsys.readouterr().err
         assert [p.name for p in out.iterdir()] == ["error.json"]
 
+    def test_contraction_withholds_data_amplitude(self, tmp_path, capsys):
+        # Each [experiment] amplitudes entry replaces [data] amplitude, so a
+        # configured one would have no effect: it is not a contraction key.
+        text = (CONFIGS / "contraction.cfg").read_text().replace(
+            "width = 2.0", "width = 2.0\namplitude = 5"
+        )
+        cfg = write_cfg(tmp_path / "amplitude.cfg", text)
+        assert main(["run", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert "unknown key 'amplitude' in [data]" in capsys.readouterr().err
+        assert main(["list"]) == EXIT_OK
+        listed = capsys.readouterr().out
+        contraction = listed[listed.index("\ncontraction") : listed.index("\nglobal-decay")]
+        assert "[data] profile = gaussian\n" in contraction
+
     def test_unknown_time_spacing_exits_2(self, tmp_path, capsys):
         text = """
 [experiment]
@@ -193,7 +207,7 @@ spacing = geometirc
             {"experiment": {"amplitudes": "1e-3, 5e-3"}, "data": {"profile": "slow_decay"}},
         )
         assert values["experiment"]["amplitudes"] == (1e-3, 5e-3)
-        assert values["data"]["amplitude"] == 1.0 and values["data"]["r"] == 4.0
+        assert "amplitude" not in values["data"] and values["data"]["r"] == 4.0
         assert values["problem"]["n"] == 1 and values["solver"]["nodes"] == 201
 
     @pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.cfg")))
@@ -212,6 +226,28 @@ class TestRun:
         report = json.loads((out / "partition-residual.json").read_text())
         assert report["verdicts"]["partition"] == "pass"
         assert "config_hash" in report["meta"]
+
+    def test_high_frequency_bound_run(self, tmp_path, capsys):
+        text = """
+[experiment]
+kind = high-frequency-bound
+
+[grid]
+N = 256
+L = 40
+
+[time]
+t_min = 1
+t_max = 30
+points = 12
+"""
+        cfg = write_cfg(tmp_path / "hf.cfg", text)
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--out", str(out)]) == EXIT_OK
+        report = json.loads((out / "high-frequency-bound.json").read_text())
+        assert report["verdicts"] == {"log_growth_only": "pass"}
+        assert 0.0 <= report["scalars"]["delta_hat"] <= report["scalars"]["delta_cap"]
+        assert (out / "high-frequency-bound.svg").exists()
 
     def test_missing_config_exits_2(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "nope.cfg")]) == EXIT_CONFIG
@@ -445,12 +481,17 @@ class TestAdmissibilityGate:
 
 class TestShippedConfigs:
     @pytest.mark.parametrize(
-        "name", ["partition.cfg", "paraproduct.cfg", "admissibility.cfg"]
+        "name",
+        ["partition.cfg", "paraproduct.cfg", "admissibility.cfg", "leibniz.cfg", "contraction.cfg"],
     )
     def test_quick_configs_run_clean(self, name, tmp_path, capsys):
-        cfg = Path(__file__).resolve().parents[1] / "configs" / name
+        # A failing verdict still exits 0, so the saved verdicts are read too.
+        cfg = CONFIGS / name
         assert cfg.exists()
         assert main(["run", str(cfg), "--out", str(tmp_path)]) == EXIT_OK
+        (report,) = tmp_path.glob("*.json")
+        verdicts = json.loads(report.read_text())["verdicts"]
+        assert verdicts and set(verdicts.values()) == {"pass"}
 
     def test_every_registry_entry_has_description_and_claim(self):
         for spec in REGISTRY.values():

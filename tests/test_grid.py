@@ -9,6 +9,7 @@ from scipy.signal import convolve
 from besov_wave_lab.grid import (
     GridField,
     SpectralField,
+    _samples,
     apply_symbol,
     dealiased_pointwise,
     dealiased_power,
@@ -428,6 +429,25 @@ class TestKernelProperties:
         out = dealiased_pointwise(grid, np.positive, factor, coeffs)
         expected = _hermitian_part(grid, coeffs)
         assert np.max(np.abs(out - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+class TestStackedSamples:
+    @pytest.mark.parametrize("factor", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @settings(max_examples=10, deadline=None)
+    @given(N=st.sampled_from([8, 10, 16]), depth=st.integers(1, 4), seed=SEEDS)
+    def test_stack_equals_slices_bit_for_bit(self, n, factor, N, depth, seed):
+        # Coefficient arrays stacked on two leading axes, on the grid's own
+        # lattice (factor 1) and on padded ones.
+        grid = make_grid(n, N, 3.0)
+        rng = np.random.default_rng(seed)
+        shape = (depth, 2) + grid.spectral_shape
+        stack = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        M = factor * N
+        out = _samples(grid, stack, M)
+        assert out.shape == (depth, 2) + (M,) * n
+        for i in np.ndindex(depth, 2):
+            assert np.array_equal(out[i], _samples(grid, stack[i], M))
 
 
 class TestRefineAndMonitor:

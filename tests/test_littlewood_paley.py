@@ -134,15 +134,18 @@ class TestBlockNorms:
     @settings(max_examples=40, deadline=None)
     @given(**GRID_ARGS, seed=st.integers(0, 2**32 - 1))
     def test_parseval_norms_match_block_fields(self, n, N, L, seed):
-        # p = 2 sums |c|^2 over the half lattice; the oracle transforms
-        # every block back and takes its quadrature L^2 norm.
+        # block_norms reduces all blocks at once (p = 2 through Parseval on
+        # the half lattice, any other p over one batched inverse transform);
+        # the oracle transforms every block back on its own and takes its
+        # quadrature L^p norm.
         grid = make_grid(n, N, L)
         f = grid.field(np.random.default_rng(seed).standard_normal(grid.shape))
         blocks = make_blocks(grid)
-        direct = [lebesgue_norm(blocks.block(f, j), 2.0) for j in blocks.indices()]
-        np.testing.assert_allclose(
-            blocks.block_norms(f, 2.0), direct, rtol=1e-12, atol=1e-15 * max(direct)
-        )
+        for p in (1.0, 2.0, 3.0, 4.0, np.inf):
+            direct = [lebesgue_norm(blocks.block(f, j), p) for j in blocks.indices()]
+            np.testing.assert_allclose(
+                blocks.block_norms(f, p), direct, rtol=1e-12, atol=1e-15 * max(direct)
+            )
 
 
 class TestProjections:

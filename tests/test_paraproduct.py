@@ -120,15 +120,43 @@ class TestDecomposition:
     def test_zero_product(self):
         assert decomposition_residual(self.grid.zeros(), self.grid.zeros()) == 0.0
 
-    def test_aliasing_detector_flags_top_band_energy(self):
-        # Energy near Nyquist wraps around without padding: the unpadded
-        # recomposition must disagree with the alias-free product.
-        ny = self.grid.max_freq
-        rng = np.random.default_rng(12)
-        f = band_limited_random(self.grid, rng, 0.55 * ny, 0.95 * ny, 0.0)
-        g = band_limited_random(self.grid, rng, 0.55 * ny, 0.95 * ny, 0.0)
-        assert decomposition_residual(f, g, blocks=self.blocks, dealias=False) > 1e-3
-        assert decomposition_residual(f, g, blocks=self.blocks, dealias=True) < 1e-10
+
+def loop_para_T(f, g, blocks):
+    """T_f g block by block: one padded product per block, summed."""
+    out = f.grid.zeros()
+    for j in blocks.indices():
+        out = out + dealiased_product(blocks.low_pass(f, 2.0 ** (j - 2)), blocks.block(g, j))
+    return out
+
+
+def loop_para_R(f, g, blocks):
+    """R(f, g) block by block: one padded product per block, summed."""
+    out = f.grid.zeros()
+    for j in blocks.indices():
+        out = out + dealiased_product(blocks.block(f, j), blocks.tilde(g, j))
+    return out
+
+
+class TestBlockLoopOracle:
+    # The paraproducts sum their block products on the padded lattice in
+    # one batched transform; the oracle pads, multiplies and truncates
+    # every block product on its own.  The 13.8..23.9 band sits just below
+    # the largest lattice frequency, 25.1.
+    @pytest.mark.parametrize(
+        "n,N,L,lo,hi",
+        [(1, 256, 32.0, 0.3, 6.0), (1, 256, 32.0, 13.8, 23.9), (2, 64, 16.0, 0.5, 4.0)],
+    )
+    def test_batched_paraproducts_match_block_loop(self, n, N, L, lo, hi):
+        grid = make_grid(n, N, L)
+        blocks = make_blocks(grid)
+        rng = np.random.default_rng(16)
+        for _ in range(3):
+            f, g = make_pair(grid, rng, lo, hi, lo, hi)
+            for batched, loop in ((para_T, loop_para_T), (para_R, loop_para_R)):
+                for a, b in ((f, g), (g, f)):
+                    ref = loop(a, b, blocks)
+                    gap = lebesgue_norm(batched(a, b, blocks=blocks) - ref, 2.0)
+                    assert gap <= 1e-12 * lebesgue_norm(ref, 2.0)
 
 
 def vj_truncate(f, j, *, blocks):
