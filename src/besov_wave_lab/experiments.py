@@ -428,6 +428,10 @@ def run_global_decay(values: Values, out_dir: Path, rng, jobs: int) -> Experimen
     study.scalars["picard_residual"] = diag.residual
     study.scalars["picard_iterations"] = float(diag.iterations)
     study.verdicts["picard_converged"] = "pass" if diag.converged else "fail"
+    study.tables["picard"] = Table(
+        columns=["iteration", "diff_norm"],
+        rows=[[float(i), d] for i, d in enumerate(diag.diff_norms, start=1)],
+    )
     study.verdicts["oracle_agreement"] = (
         "pass" if agreement < agreement_tol else "fail"
     )
@@ -618,7 +622,12 @@ REGISTRY: dict[str, ExperimentSpec] = {
             "log(ratio) vs log(amplitude) has slope p-1",
             run_contraction,
             # Each of [experiment] amplitudes replaces the profile's amplitude.
-            {**SOLVING, "data": {**DATA, "amplitude": None},
+            # The defaults are configs/contraction.cfg's: at p = 2 and these
+            # amplitudes the second Picard difference stands above rounding.
+            {"grid": {**GRID, "N": 256, "L": 64.0},
+             "problem": {**PROBLEM, "s": 2.0, "p": 2},
+             "solver": {**SOLVER, "T": 2.0, "nodes": 33, "picard_tol": 1e-15, "max_iters": 3},
+             "data": {**DATA, "width": 2.0, "amplitude": None},
              "experiment": {"amplitudes": (1e-3, 2e-3, 4e-3), "slope_tol": 0.2}},
             powers=("problem", "p"),
         ),

@@ -15,7 +15,13 @@ from functools import cached_property
 
 import numpy as np
 
-from besov_wave_lab.grid import GridField, TorusGrid, _samples, apply_symbol
+from besov_wave_lab.grid import (
+    GridField,
+    TorusGrid,
+    _samples,
+    apply_symbol,
+    integer_power,
+)
 
 __all__ = [
     "chi",
@@ -130,11 +136,13 @@ class DyadicBlocks:
     def indices(self) -> range:
         return range(self.j_min, self.j_max + 1)
 
-    def block_norms(self, f: GridField, p: float) -> np.ndarray:
-        """L^p norm of every annulus block of f, indexed j_min..j_max, in one
-        reduction over the stacked annuli: through Parseval on the spectrum
-        for p = 2, else over the samples of one batched inverse transform."""
-        grid, coeffs = self.grid, f.spectrum.coeffs
+    def block_norms(self, coeffs: np.ndarray, p: float) -> np.ndarray:
+        """L^p norm of every annulus block of the field with coefficient
+        array coeffs, indexed j_min..j_max, in one reduction over the stacked
+        annuli: through Parseval on the spectrum for p = 2, else over the
+        samples of one batched inverse transform.  Integer powers of the
+        samples go through integer_power, as in lebesgue_norm."""
+        grid = self.grid
         rows = tuple(range(1, grid.n + 1))
         if p == 2.0:
             power = grid.mode_weight * np.abs(coeffs) ** 2
@@ -144,7 +152,10 @@ class DyadicBlocks:
         np.abs(samples, out=samples)
         if math.isinf(p):
             return np.max(samples, axis=rows)
-        samples **= p
+        if p == int(p):
+            samples = integer_power(samples, int(p))
+        else:
+            samples **= p
         # float_power has no SIMD loop: each root rounds as lebesgue_norm's does.
         return np.float_power(grid.spacing**grid.n * np.sum(samples, axis=rows), 1.0 / p)
 

@@ -3,15 +3,20 @@
 Homogeneous seminorms sum 2^(j*s) * ||block_j f||_p in little-l^q over the
 grid's dyadic range; the DC mode never enters (it lives in the low block).
 The solution-space norm weights ||.||_{B^s_{2,2}} by <t>^(s/2 - (n/2)(1/2-1/r)).
+Both reduce the dyadic block norms of a coefficient array; besov_seminorm
+takes a field and passes its spectrum, x_norm takes the spectra at the
+nodes directly.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Iterable
+
 import numpy as np
 
-from besov_wave_lab.grid import GridField, TorusGrid
+from besov_wave_lab.grid import GridField, TorusGrid, integer_power
 from besov_wave_lab.littlewood_paley import DyadicBlocks, make_blocks
 
 __all__ = [
@@ -40,7 +45,9 @@ def lebesgue_norm(f: GridField, p: float) -> float:
     if math.isinf(p):
         return f.max_abs()
     weight = f.grid.spacing**f.grid.n
-    return float((weight * np.sum(np.abs(f.values) ** p)) ** (1.0 / p))
+    values = np.abs(f.values)
+    power = integer_power(values, int(p)) if p == int(p) else values**p
+    return float((weight * np.sum(power)) ** (1.0 / p))
 
 
 @dataclass(frozen=True)
@@ -62,6 +69,12 @@ def _lq(values: np.ndarray, q: float) -> float:
     return float(np.sum(values**q) ** (1.0 / q))
 
 
+def _besov(blocks: DyadicBlocks, coeffs: np.ndarray, s: float, p: float, q: float) -> float:
+    """The l^q sum over blocks of 2^(j*s) ||block_j||_p, from coefficients."""
+    js = np.array(list(blocks.indices()), dtype=float)
+    return _lq(2.0 ** (js * s) * blocks.block_norms(coeffs, p), q)
+
+
 def besov_seminorm(
     f: GridField,
     s: float,
@@ -75,9 +88,7 @@ def besov_seminorm(
     BesovParams(s=s, p=p, q=q)
     if blocks is None:
         blocks = make_blocks(f.grid)
-    js = np.array(list(blocks.indices()), dtype=float)
-    norms = blocks.block_norms(f, p)
-    return _lq(2.0 ** (js * s) * norms, q)
+    return _besov(blocks, f.spectrum.coeffs, s, p, q)
 
 
 @dataclass(frozen=True)
@@ -181,16 +192,18 @@ class Trajectory:
 
 
 def x_norm(
-    traj: Trajectory, pp: ProblemParams, *, blocks: DyadicBlocks | None = None
+    times: Iterable[float],
+    spectra: Iterable[np.ndarray],
+    pp: ProblemParams,
+    blocks: DyadicBlocks,
 ) -> float:
-    """Sup over sample times of the weighted smoothness plus decay norms."""
-    if blocks is None:
-        blocks = make_blocks(traj.grid)
+    """Sup over the node times of the weighted smoothness plus decay norms
+    of the fields with coefficient arrays spectra, on the grid of blocks."""
     best = 0.0
-    for t, f in traj:
+    for t, coeffs in zip(times, spectra, strict=True):
         w = float(x_weight(t, pp))
-        val = w * besov_seminorm(f, pp.s, 2.0, blocks=blocks) + besov_seminorm(
-            f, 0.0, pp.r, blocks=blocks
+        val = w * _besov(blocks, coeffs, pp.s, 2.0, 2.0) + _besov(
+            blocks, coeffs, 0.0, pp.r, 2.0
         )
         best = max(best, val)
     return best

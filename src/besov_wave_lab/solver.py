@@ -6,17 +6,20 @@ u^p.  Both come from one recursion over the time nodes that carries the
 spectral pair (u, u_t): half a trapezoid weight of the source enters the u_t
 slot, the exact per-mode flow matrix advances the pair one step, and the
 other half enters at the far node.  By the semigroup property of the flow
-this is the composite trapezoid rule for the Duhamel integral, at one
-inverse transform per output node.  Iteration starts from the linear
-solution and stops when successive iterates are close in the weighted
-solution norm.  The ETD oracle advances the same pair with the same flow
-matrix and an explicit second-order treatment of the nonlinearity; it
-shares nothing else with the Picard path.
+this is the composite trapezoid rule for the Duhamel integral, and it
+returns the spectrum at every node without a transform.  Iteration starts
+from the linear solution and stops when successive iterates are close in
+the weighted solution norm.  The ETD oracle advances the same pair with
+the same flow matrix and an explicit second-order treatment of the
+nonlinearity; it shares nothing else with the Picard path.
 
 Both time loops stay in coefficients: u^p comes from the alias-free kernel
-grid.dealiased_pointwise on spectra they hold, and fields are built only
-for norms, stored nodes and reports.  A non-finite sample is a blow-up,
-read off the raw samples before any field is built.
+grid.dealiased_pointwise on spectra they hold.  Picard holds spectra from
+start to finish: its difference norms read the spectra of its corrections,
+samples are taken once per node for the escape check, and fields exist
+only for the trajectory it returns.  The ETD oracle builds fields for its
+stored nodes.  A non-finite sample is a blow-up, read off the raw samples
+before any field is built.
 
 Neither solver judges admissibility; experiments.run_experiment does.
 """
@@ -102,7 +105,6 @@ class SolverConfig:
 
 @dataclass
 class PicardDiagnostics:
-    x_norms: list[float] = dc_field(default_factory=list)
     diff_norms: list[float] = dc_field(default_factory=list)
     ratios: list[float] = dc_field(default_factory=list)
     residual: float = math.nan
@@ -149,7 +151,7 @@ def _flow_recursion(
     v_hat: np.ndarray,
     source: Iterable[np.ndarray] | None = None,
 ) -> list[np.ndarray]:
-    """Samples of u at every node from spectral data (u, u_t) = (u_hat,
+    """Spectra of u at every node from spectral data (u, u_t) = (u_hat,
     v_hat) at t = 0, plus the trapezoid Duhamel integral of the source
     spectra, which are read one node at a time.
 
@@ -157,10 +159,9 @@ def _flow_recursion(
     By the semigroup identity E(t - s) E(s - r) = E(t - r) this is the
     composite trapezoid rule on any increasing node set.
     """
-    N = grid.points_per_axis
     xi = grid.freq_abs
     ends = itertools.pairwise(itertools.repeat(0.0) if source is None else source)
-    samples = [_samples(grid, u_hat, N)]
+    spectra = [u_hat]
     h_prev = None
     for k in range(1, times.size):
         h = float(times[k] - times[k - 1])
@@ -171,14 +172,14 @@ def _flow_recursion(
         v_hat = v_hat + (0.5 * h) * f_start
         u_hat, v_hat = e11 * u_hat + e12 * v_hat, e21 * u_hat + e22 * v_hat
         v_hat = v_hat + (0.5 * h) * f_end
-        samples.append(_samples(grid, u_hat, N))
-    return samples
+        spectra.append(u_hat)
+    return spectra
 
 
 def duhamel_integral(
     grid: TorusGrid, times: np.ndarray, source: Iterable[np.ndarray]
 ) -> list[np.ndarray]:
-    """Samples at every node t of the integral over [0, t] of the damped
+    """Spectra at every node t of the integral over [0, t] of the damped
     flow applied to the source, by the composite trapezoid rule on the
     nodes.  source yields one coefficient array per node."""
     zero = np.zeros(grid.spectral_shape, dtype=complex)
@@ -194,10 +195,11 @@ def psi_apply(
     """One application of the fixed-point map to a trajectory."""
     grid = traj.grid
     source = (_power(grid, f.spectrum.coeffs, pp.p_nl) for f in traj.fields)
-    samples = _flow_recursion(
+    spectra = _flow_recursion(
         grid, traj.times, u0.spectrum.coeffs, u1.spectrum.coeffs, source
     )
-    return Trajectory(traj.times, tuple(GridField(grid, v) for v in samples))
+    fields = (GridField(grid, _samples(grid, c, grid.points_per_axis)) for c in spectra)
+    return Trajectory(traj.times, tuple(fields))
 
 
 def picard_solve(
@@ -218,6 +220,11 @@ def picard_solve(
     correction; successive differences are taken between corrections, so
     the linear part (the same bits in every iterate) does not set their
     rounding floor.
+
+    The iteration holds spectra only: u^p comes from the spectrum of the
+    iterate, the difference norms from the spectra of the corrections, and
+    samples are taken once per node for the escape check.  Fields are
+    built for the returned trajectory alone.
     """
     if u0.grid != u1.grid:
         raise ValueError("initial data live on different grids")
@@ -228,41 +235,42 @@ def picard_solve(
         blocks = make_blocks(u0.grid)
 
     grid = u0.grid
+    N = grid.points_per_axis
     times = cfg.time_grid
     diag = PicardDiagnostics()
     linear = _flow_recursion(grid, times, u0.spectrum.coeffs, u1.spectrum.coeffs)
-    current = Trajectory(times, tuple(GridField(grid, v) for v in linear))
-    # The fields' own copies, so that the raw samples can go.
-    linear = [f.values for f in current.fields]
-    diag.x_norms.append(x_norm(current, pp, blocks=blocks))
     correction = [0.0] * times.size
+    samples = None  # of the last iterate that stayed finite, once there is one
 
     for iteration in range(1, cfg.max_iters + 1):
-        source = (_power(grid, f.spectrum.coeffs, pp.p_nl) for f in current.fields)
+        source = (_power(grid, a + b, pp.p_nl) for a, b in zip(linear, correction))
         update = duhamel_integral(grid, times, source)
         diag.iterations = iteration
-        fields = []
+        taken = []
         for t, a, b in zip(times, linear, update):
-            values = a + b
-            if _escaped(values, cfg.blowup_threshold):
+            taken.append(_samples(grid, a + b, N))
+            if _escaped(taken[-1], cfg.blowup_threshold):
                 diag.blown_up = True
                 diag.escape_time = float(t)
-                diag.residual = math.inf
-                return current, diag
-            fields.append(GridField(grid, values))
-        steps = (GridField(grid, a - b) for a, b in zip(update, correction))
-        diff_norm = x_norm(Trajectory(times, tuple(steps)), pp, blocks=blocks)
+                break
+        if diag.blown_up:
+            break
+        steps = (a - b for a, b in zip(update, correction))
+        diff_norm = x_norm(times, steps, pp, blocks)
         diag.diff_norms.append(diff_norm)
-        current = Trajectory(times, tuple(fields))
-        diag.x_norms.append(x_norm(current, pp, blocks=blocks))
         if len(diag.diff_norms) >= 2 and diag.diff_norms[-2] > 0:
             diag.ratios.append(diff_norm / diag.diff_norms[-2])
-        correction = update
+        correction, samples = update, taken
         if diff_norm < cfg.picard_tol:
             diag.converged = True
             break
-    diag.residual = diag.diff_norms[-1] if diag.diff_norms else 0.0
-    return current, diag
+    if diag.blown_up:
+        diag.residual = math.inf
+    else:
+        diag.residual = diag.diff_norms[-1] if diag.diff_norms else 0.0
+    if samples is None:  # no iterate was kept: return the linear solution
+        samples = [_samples(grid, a, N) for a in linear]
+    return Trajectory(times, tuple(GridField(grid, v) for v in samples)), diag
 
 
 def _etd_coefficients(grid: TorusGrid, dt: float):
@@ -368,7 +376,8 @@ def contraction_report(
     """Fit of log(contraction ratio) against log(amplitude or horizon).
 
     Against amplitude the expected slope is p - 1; against small horizons
-    the first-iteration ratio grows about linearly.
+    the first-iteration ratio grows about linearly.  The picard table holds
+    every run's difference norms, one row per iteration.
     """
     if len(values) != len(diags) or len(values) < 2:
         raise ValueError("need matching values and diagnostics, at least two runs")
@@ -379,6 +388,14 @@ def contraction_report(
         columns=[variable, "contraction_ratio"],
         rows=[[float(v), float(r)] for v, r in zip(values, ratios)],
     )
+    history = Table(
+        columns=[variable, "iteration", "diff_norm"],
+        rows=[
+            [float(v), float(i), d]
+            for v, diag in zip(values, diags)
+            for i, d in enumerate(diag.diff_norms, start=1)
+        ],
+    )
     return ExperimentReport(
         kind="contraction",
         scalars={
@@ -386,7 +403,7 @@ def contraction_report(
             "expected_slope": expected,
             "intercept": float(intercept),
         },
-        tables={"ratios": table},
+        tables={"ratios": table, "picard": history},
         meta={"variable": variable, "p_nl": pp.p_nl},
     )
 

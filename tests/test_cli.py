@@ -177,7 +177,7 @@ class TestConfigSchema:
         assert main(["list"]) == EXIT_OK
         listed = capsys.readouterr().out
         contraction = listed[listed.index("\ncontraction") : listed.index("\nglobal-decay")]
-        assert "[data] profile = gaussian\n" in contraction
+        assert "[data] profile = gaussian  width = 2.0\n" in contraction
 
     def test_unknown_time_spacing_exits_2(self, tmp_path, capsys):
         text = """
@@ -208,7 +208,7 @@ spacing = geometirc
         )
         assert values["experiment"]["amplitudes"] == (1e-3, 5e-3)
         assert "amplitude" not in values["data"] and values["data"]["r"] == 4.0
-        assert values["problem"]["n"] == 1 and values["solver"]["nodes"] == 201
+        assert values["problem"]["n"] == 1 and values["solver"]["nodes"] == 33
 
     @pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.cfg")))
     def test_every_shipped_config_reads(self, name):
@@ -326,6 +326,43 @@ amplitude = 0.8
         record = json.loads((out / "error.json").read_text())
         assert record["error"]["exit_code"] == EXIT_BLOWUP
         assert "escaped" in record["error"]["message"]
+
+    def test_global_decay_reports_the_picard_history(self, tmp_path, capsys):
+        text = """
+[experiment]
+kind = global-decay
+
+[grid]
+n = 1
+N = 512
+L = 80
+
+[problem]
+n = 1
+r = 4
+s = 5
+p = 9
+
+[solver]
+T = 4
+nodes = 21
+max_iters = 4
+etd_dt = 0.05
+
+[data]
+profile = gaussian
+width = 2.0
+amplitude = 0.3
+"""
+        cfg = write_cfg(tmp_path / "history.cfg", text)
+        out = tmp_path / "o"
+        assert main(["run", cfg, "--out", str(out)]) == EXIT_OK
+        report = json.loads((out / "global-decay.json").read_text())
+        table = report["tables"]["picard"]
+        assert table["columns"] == ["iteration", "diff_norm"]
+        iterations = int(report["scalars"]["picard_iterations"])
+        assert [row[0] for row in table["rows"]] == [float(i + 1) for i in range(iterations)]
+        assert table["rows"][-1][1] == report["scalars"]["picard_residual"]
 
     def test_overflow_in_global_decay_exits_4(self, tmp_path, capsys):
         # No cap: the iterate overflows, which is a blow-up, not a config error.
@@ -492,6 +529,19 @@ class TestShippedConfigs:
         (report,) = tmp_path.glob("*.json")
         verdicts = json.loads(report.read_text())["verdicts"]
         assert verdicts and set(verdicts.values()) == {"pass"}
+
+    def test_kind_only_contraction_passes(self, tmp_path, capsys):
+        # The kind's defaults are configs/contraction.cfg's values.
+        cfg = write_cfg(tmp_path / "kind.cfg", "[experiment]\nkind = contraction\n")
+        assert main(["run", cfg, "--out", str(tmp_path / "o")]) == EXIT_OK
+        report = json.loads((tmp_path / "o" / "contraction.json").read_text())
+        assert report["verdicts"] == {"amplitude_power": "pass"}
+        # The picard table holds every difference norm the ratios come from.
+        rows = report["tables"]["picard"]["rows"]
+        for amp, ratio in report["tables"]["ratios"]["rows"]:
+            diffs = [d for a, _, d in rows if a == amp]
+            assert [i for a, i, _ in rows if a == amp] == [1.0, 2.0, 3.0]
+            assert ratio == diffs[1] / diffs[0]
 
     def test_every_registry_entry_has_description_and_claim(self):
         for spec in REGISTRY.values():

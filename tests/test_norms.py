@@ -9,7 +9,6 @@ from besov_wave_lab.grid import apply_symbol, make_grid
 from besov_wave_lab.littlewood_paley import make_blocks
 from besov_wave_lab.norms import (
     ProblemParams,
-    Trajectory,
     besov_seminorm,
     interpolation_check,
     interpolation_exponents,
@@ -67,7 +66,7 @@ class TestBesov:
         blocks = make_blocks(grid)
         j0 = 2
         f = annulus_field(grid, j0)
-        norms = blocks.block_norms(f, 2.0)
+        norms = blocks.block_norms(f.spectrum.coeffs, 2.0)
         js = np.array(list(blocks.indices()))
         active = js[norms > 1e-12 * norms.max()]
         assert set(active) <= {j0 - 1, j0, j0 + 1}
@@ -159,7 +158,8 @@ class TestProblemParams:
 
 
 def constant_trajectory(grid, f, times):
-    return Trajectory(np.asarray(times, dtype=float), tuple(f for _ in times))
+    """Node times and the spectrum of f at every node: x_norm's arguments."""
+    return np.asarray(times, dtype=float), [f.spectrum.coeffs for _ in times]
 
 
 class TestXNorm:
@@ -171,14 +171,14 @@ class TestXNorm:
 
     def test_zero_trajectory(self):
         traj = constant_trajectory(self.grid, self.grid.zeros(), [0.0, 1.0])
-        assert x_norm(traj, self.pp) == 0.0
+        assert x_norm(*traj, self.pp, self.blocks) == 0.0
 
     def test_single_time_reduces_to_sum_of_norms(self):
         traj = constant_trajectory(self.grid, self.f, [0.0])
         expected = besov_seminorm(self.f, 2.0, 2.0, blocks=self.blocks) + besov_seminorm(
             self.f, 0.0, 4.0, blocks=self.blocks
         )
-        assert x_norm(traj, self.pp, blocks=self.blocks) == pytest.approx(
+        assert x_norm(*traj, self.pp, self.blocks) == pytest.approx(
             expected, rel=1e-12
         )
 
@@ -188,15 +188,15 @@ class TestXNorm:
         bs = besov_seminorm(self.f, 2.0, 2.0, blocks=self.blocks)
         br = besov_seminorm(self.f, 0.0, 4.0, blocks=self.blocks)
         expected = float(x_weight(10.0, self.pp)) * bs + br
-        assert x_norm(traj, self.pp, blocks=self.blocks) == pytest.approx(
+        assert x_norm(*traj, self.pp, self.blocks) == pytest.approx(
             expected, rel=1e-12
         )
 
     def test_positive_homogeneity_power_of_two_exact(self):
         traj = constant_trajectory(self.grid, self.f, [0.0, 2.0])
         scaled = constant_trajectory(self.grid, 4.0 * self.f, [0.0, 2.0])
-        assert x_norm(scaled, self.pp, blocks=self.blocks) == 4.0 * x_norm(
-            traj, self.pp, blocks=self.blocks
+        assert x_norm(*scaled, self.pp, self.blocks) == 4.0 * x_norm(
+            *traj, self.pp, self.blocks
         )
 
 

@@ -8,8 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from besov_wave_lab.grid import GridField, SpectralField, inverse_transform, make_grid
-from besov_wave_lab.norms import ProblemParams, Trajectory, lebesgue_norm
+from besov_wave_lab.grid import (
+    SpectralField,
+    field_from_coeffs,
+    inverse_transform,
+    make_grid,
+)
+from besov_wave_lab.littlewood_paley import make_blocks
+from besov_wave_lab.norms import ProblemParams, Trajectory, lebesgue_norm, x_norm
 from besov_wave_lab.profiles import gaussian, single_mode, slow_decay
 from besov_wave_lab.propagator import damped_L, linear_solution
 from besov_wave_lab.solver import (
@@ -39,7 +45,8 @@ def constant_source_integral(mode, nodes: int, t: float):
     one field."""
     times = np.linspace(0.0, t, nodes)
     spectra = [mode.spectrum.coeffs for _ in times]
-    return duhamel_integral(mode.grid, times, spectra)[-1]
+    coeffs = duhamel_integral(mode.grid, times, spectra)[-1]
+    return field_from_coeffs(mode.grid, coeffs).values
 
 
 class TestDuhamel:
@@ -102,7 +109,8 @@ class TestDuhamel:
             )
             direct = inverse_transform(SpectralField(grid, acc))
             scale = max(direct.max_abs(), 1e-30)
-            assert np.max(np.abs(out[k] - direct.values)) <= 1e-12 * scale
+            values = field_from_coeffs(grid, out[k]).values
+            assert np.max(np.abs(values - direct.values)) <= 1e-12 * scale
 
 
 class TestPicard:
@@ -164,12 +172,8 @@ class TestPicard:
         refined = _flow_recursion(
             grid, fine_times, u0.spectrum.coeffs, u1.spectrum.coeffs, fine_source
         )[::2]
-        diff = Trajectory(
-            t, tuple(GridField(grid, v) - f for v, f in zip(refined, traj.fields))
-        )
-        from besov_wave_lab.norms import x_norm
-
-        assert x_norm(diff, PP3) < 2 * tol
+        diff = [v - f.spectrum.coeffs for v, f in zip(refined, traj.fields)]
+        assert x_norm(t, diff, PP3, make_blocks(grid)) < 2 * tol
 
     def test_first_correction_scales_with_amplitude_power(self):
         cfg = SolverConfig.uniform(2.0, 33, picard_tol=1e-14, max_iters=2)
@@ -197,6 +201,103 @@ class TestPicard:
         traj, diag = picard_solve(u0, u0, PP2, cfg)
         assert diag.blown_up
         assert diag.escape_time is not None and diag.escape_time > 0
+
+
+def sample_path_picard(u0, u1, pp, cfg):
+    """Reference Picard loop on trajectories of fields: the source from each
+    field's spectrum, every iterate the sum of the linear and correction
+    samples, every difference a field whose X-norm is taken.  Returns the
+    last iterate that stayed finite, the difference norms and the escape
+    time (None without an escape)."""
+    grid = u0.grid
+    times = cfg.time_grid
+    blocks = make_blocks(grid)
+
+    def values(spectra):
+        return [field_from_coeffs(grid, c).values for c in spectra]
+
+    linear = values(_flow_recursion(grid, times, u0.spectrum.coeffs, u1.spectrum.coeffs))
+    current = Trajectory(times, tuple(grid.field(v) for v in linear))
+    correction = [np.zeros(grid.shape)] * times.size
+    diffs = []
+    for _ in range(cfg.max_iters):
+        source = [_power(grid, f.spectrum.coeffs, pp.p_nl) for f in current.fields]
+        update = values(duhamel_integral(grid, times, source))
+        iterate = [a + b for a, b in zip(linear, update)]
+        for t, v in zip(times, iterate):
+            peak = np.max(np.abs(v))
+            if not np.isfinite(peak) or peak > cfg.blowup_threshold:
+                return current, diffs, float(t)
+        steps = [grid.field(a - b).spectrum.coeffs for a, b in zip(update, correction)]
+        diffs.append(x_norm(times, steps, pp, blocks))
+        current = Trajectory(times, tuple(grid.field(v) for v in iterate))
+        correction = update
+        if diffs[-1] < cfg.picard_tol:
+            break
+    return current, diffs, None
+
+
+class TestCoefficientPath:
+    """picard_solve keeps its iterates as spectra; the sample-path loop
+    above is its reference."""
+
+    def assert_same_run(self, u0, pp, cfg):
+        traj, diag = picard_solve(u0, u0, pp, cfg)
+        ref, diffs, escape = sample_path_picard(u0, u0, pp, cfg)
+        assert diag.escape_time == escape
+        assert diag.blown_up == (escape is not None)
+        np.testing.assert_allclose(diag.diff_norms, diffs, rtol=1e-10, atol=0.0)
+        peak = max(f.max_abs() for f in ref.fields)
+        for f, g in zip(traj.fields, ref.fields, strict=True):
+            assert np.max(np.abs(f.values - g.values)) <= 1e-12 * peak
+        return diag
+
+    def test_matches_sample_path(self):
+        grid = make_grid(1, 256, 64.0)
+        u0 = gaussian(grid, width=2.0, amplitude=0.05)
+        cfg = SolverConfig.uniform(2.0, 33, picard_tol=1e-15, max_iters=3)
+        diag = self.assert_same_run(u0, PP2, cfg)
+        assert diag.iterations == 3 and not diag.blown_up
+
+    def test_matches_sample_path_through_an_escape(self):
+        grid = make_grid(1, 256, 40.0)
+        u0 = gaussian(grid, width=2.0, amplitude=1.0)
+        cfg = SolverConfig.uniform(8.0, 65, blowup_threshold=20.0, max_iters=30)
+        diag = self.assert_same_run(u0, PP2, cfg)
+        assert diag.blown_up and diag.iterations > 1
+
+    def test_escape_in_the_first_iteration_returns_the_linear_solution(self):
+        grid = make_grid(1, 256, 40.0)
+        u0 = gaussian(grid, width=2.0, amplitude=1.0)
+        cfg = SolverConfig.uniform(8.0, 65, blowup_threshold=2.0, max_iters=30)
+        diag = self.assert_same_run(u0, PP2, cfg)
+        assert diag.blown_up and diag.iterations == 1
+
+    def test_transform_budget(self, monkeypatch):
+        # Per node and iteration: one forward transform (the padded power),
+        # and three inverse ones (the padded power, the escape check and the
+        # batched B^0_{r,2} block norms, r != 2).  The linear start costs
+        # nothing; the data's spectrum is the one further forward transform.
+        counts = {"rfftn": 0, "irfftn": 0}
+        for name in counts:
+            original = getattr(np.fft, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counted)
+        grid = make_grid(1, 64, 32.0)
+        u0 = gaussian(grid, width=2.0, amplitude=0.05)
+        nodes, iterations = 9, 3
+        cfg = SolverConfig.uniform(1.0, nodes, picard_tol=1e-300, max_iters=iterations)
+        assert PP2.r != 2.0
+        _, diag = picard_solve(u0, u0, PP2, cfg)
+        assert diag.iterations == iterations and not diag.converged
+        assert counts == {
+            "rfftn": nodes * iterations + 1,
+            "irfftn": 3 * nodes * iterations,
+        }
 
 
 class TestEtdOracle:
