@@ -427,6 +427,8 @@ def run_global_decay(values: Values, out_dir: Path, rng, jobs: int) -> Experimen
     study.scalars["oracle_agreement"] = agreement
     study.scalars["picard_residual"] = diag.residual
     study.scalars["picard_iterations"] = float(diag.iterations)
+    study.scalars["oracle_steps"] = float(etd_diag.steps)
+    study.scalars["oracle_rejected"] = float(etd_diag.rejected)
     study.verdicts["picard_converged"] = "pass" if diag.converged else "fail"
     study.tables["picard"] = Table(
         columns=["iteration", "diff_norm"],
@@ -474,12 +476,12 @@ def run_blowup_probe(values: Values, out_dir: Path, rng, jobs: int) -> Experimen
     return report
 
 
-def _sweep_one(args) -> tuple[int, str, float | None]:
+def _sweep_one(args) -> tuple[int, str, float | None, int]:
     u, pp, scfg = args
     _, diag = etd_oracle(
         u, u, pp, scfg.etd_dt, scfg.horizon, blowup_threshold=scfg.blowup_threshold
     )
-    return pp.p_nl, ("escape" if diag.blown_up else "decay"), diag.escape_time
+    return pp.p_nl, ("escape" if diag.blown_up else "decay"), diag.escape_time, diag.steps
 
 
 def run_sweep_critical(values: Values, out_dir: Path, rng, jobs: int) -> ExperimentReport:
@@ -495,17 +497,18 @@ def run_sweep_critical(values: Values, out_dir: Path, rng, jobs: int) -> Experim
     n, r = values["problem"]["n"], values["problem"]["r"]
     fujita = 1.0 + 2.0 * r / n
     rows = [
-        [float(p), 1.0 if verdict == "escape" else 0.0, t if t is not None else -1.0]
-        for p, verdict, t in results
+        [float(p), 1.0 if verdict == "escape" else 0.0, t if t is not None else -1.0,
+         float(steps)]
+        for p, verdict, t, steps in results
     ]
     # The claim: every power below 1 + 2r/n escapes, every other one decays.
-    boundary = all((v == "escape") == (p < fujita) for p, v, _ in results)
+    boundary = all((v == "escape") == (p < fujita) for p, v, _, _ in results)
     return ExperimentReport(
         kind="sweep-critical",
         scalars={"fujita": fujita},
         verdicts={"boundary_at_critical": "pass" if boundary else "fail"},
         tables={
-            "sweep": Table(columns=["p", "escaped", "escape_time"], rows=rows)
+            "sweep": Table(columns=["p", "escaped", "escape_time", "steps"], rows=rows)
         },
         meta={"n": n, "r": r},
     )
@@ -636,7 +639,13 @@ REGISTRY: dict[str, ExperimentSpec] = {
             "small-data run at/above the critical power: decay and oracle match",
             "weighted sup bounded, Picard and ETD agree in relative L^2",
             run_global_decay,
-            {**SOLVING, "experiment": {"oracle_tol": 1e-4}},
+            # The defaults are configs/global-decay.cfg's: small slowly
+            # decaying data at the critical power, which decay without escape.
+            {"grid": {**GRID, "N": 8192, "L": 800.0}, "problem": PROBLEM,
+             "solver": {**SOLVER, "nodes": 161, "max_iters": 12, "blowup_threshold": 10.0,
+                        "etd_dt": 0.025},
+             "data": {**DATA, "profile": "slow-decay", "amplitude": 1e-2},
+             "experiment": {"oracle_tol": 1e-4}},
             powers=("problem", "p"),
         ),
         ExperimentSpec(

@@ -11,7 +11,11 @@ returns the spectrum at every node without a transform.  Iteration starts
 from the linear solution and stops when successive iterates are close in
 the weighted solution norm.  The ETD oracle advances the same pair with
 the same flow matrix and an explicit second-order treatment of the
-nonlinearity; it shares nothing else with the Picard path.
+nonlinearity; it shares nothing else with the Picard path.  Its steps
+come from the ladder dt * 2^k and are controlled by the scheme's own
+embedded error estimate, the corrector term, against ETD_TOL; dt is the
+floor, so no run takes more steps than at fixed dt, and every step lands
+on or before the next store time.
 
 Both time loops stay in coefficients: u^p comes from the alias-free kernel
 grid.dealiased_pointwise on spectra they hold.  Picard holds spectra from
@@ -26,6 +30,7 @@ Neither solver judges admissibility; experiments.run_experiment does.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass, field as dc_field
@@ -71,6 +76,9 @@ __all__ = [
 
 CONFINEMENT_THRESHOLD = 1e-6
 TAIL_FRACTION_THRESHOLD = 0.10
+# Local error tolerance of the ETD oracle's step control, relative to the
+# L^2 norm of the pair (u, u_t); see etd_oracle.
+ETD_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -116,7 +124,8 @@ class PicardDiagnostics:
 
 @dataclass
 class OracleDiagnostics:
-    steps: int = 0
+    steps: int = 0  # steps taken
+    rejected: int = 0  # steps retried one rung down
     blown_up: bool = False
     escape_time: float | None = None
     final_tail_fraction: float = 0.0
@@ -296,6 +305,12 @@ def _etd_coefficients(grid: TorusGrid, dt: float):
     return flow, (i1u, i2u, flow[1], i1u / dt)
 
 
+def _pair_norm(grid: TorusGrid, u_hat: np.ndarray, v_hat: np.ndarray) -> float:
+    """L^2 norm of the pair (u, v) from its half spectra (Parseval)."""
+    power = np.abs(u_hat) ** 2 + np.abs(v_hat) ** 2
+    return math.sqrt(float(np.sum(grid.mode_weight * power)))
+
+
 def etd_oracle(
     u0: GridField,
     u1: GridField,
@@ -306,13 +321,26 @@ def etd_oracle(
     blowup_threshold: float = math.inf,
     store_times: Sequence[float] | None = None,
 ) -> tuple[Trajectory, OracleDiagnostics]:
-    """Second-order exponential time differencing on the pair (u, u_t).
+    """Second-order exponential time differencing on the pair (u, u_t),
+    with error-controlled steps on the ladder dt * 2^k.
 
     The linear half-step is the exact per-mode flow; the nonlinearity is
     treated explicitly with a predictor-corrector weighting, so the scheme
-    is exact on linear problems and second order otherwise.  The first
-    step with a non-finite sample or one above blowup_threshold is the
-    escape, stored when its samples are finite.
+    is exact on linear problems and second order otherwise.  The corrector
+    i2 (n1 - n0), in the u and the v slot, is the gap between the first-
+    and the second-order update: a local error estimate that costs no
+    extra transform (Cox & Matthews 2002).  A step of rung k > 0 whose
+    estimate exceeds ETD_TOL times the L^2 norm of the pair at its start,
+    or that escapes, is retried one rung down with the same n0.  An
+    accepted step whose estimate is below an eighth of that climbs one
+    rung: the estimate grows like the step squared, so the next step
+    stays under the tolerance with a factor 2 to spare.  Rung 0 is always
+    accepted, which makes dt the floor: no run takes more steps than at
+    fixed dt, and an escape is resolved to dt.  The position is an integer
+    count of dt (t = m dt), and no step crosses the next store time or the
+    horizon, so every store time is hit exactly.  The first step with a
+    non-finite sample or one above blowup_threshold is the escape, stored
+    when its samples are finite.
     """
     if dt <= 0:
         raise ValueError("time step must be positive")
@@ -322,7 +350,6 @@ def etd_oracle(
     steps = int(round(T / dt))
     if abs(steps * dt - T) > 1e-9 * max(1.0, T):
         raise ValueError("horizon must be an integer number of steps")
-    (e11, e12, e21, e22), (i1u, i2u, i1v, i2v) = _etd_coefficients(grid, dt)
 
     if store_times is None:
         store_idx = set(range(0, steps + 1, max(1, steps // 200)))
@@ -330,25 +357,47 @@ def etd_oracle(
     else:
         store_idx = {int(round(t / dt)) for t in store_times}
         store_idx.add(0)
+    landings = sorted(m for m in store_idx | {steps} if 0 < m <= steps)
+    rungs = {}  # k -> _etd_coefficients(grid, dt * 2^k), built on first use
 
     uh = u0.spectrum.coeffs.copy()
     vh = u1.spectrum.coeffs.copy()
     diag = OracleDiagnostics()
     out_times = [0.0]
     out_fields = [GridField(grid, u0.values)]
-    for step in range(1, steps + 1):
-        n0 = _power(grid, uh, pp.p_nl)
-        lin_u = e11 * uh + e12 * vh
-        lin_v = e21 * uh + e22 * vh
-        pred_u = lin_u + i1u * n0
-        n1 = _power(grid, pred_u, pp.p_nl)
-        uh = lin_u + i1u * n0 + i2u * (n1 - n0)
-        vh = lin_v + i1v * n0 + i2v * (n1 - n0)
-        diag.steps = step
-        t = step * dt
-        values = _samples(grid, uh, grid.points_per_axis)
+    m, k, n0 = 0, 0, None
+    while m < steps:
+        if n0 is None:
+            n0 = _power(grid, uh, pp.p_nl)
+            scale = ETD_TOL * _pair_norm(grid, uh, vh)
+        room = landings[bisect.bisect_right(landings, m)] - m
+        j = min(k, room.bit_length() - 1)
+        if j not in rungs:
+            rungs[j] = _etd_coefficients(grid, dt * 2**j)
+        (e11, e12, e21, e22), (i1u, i2u, i1v, i2v) = rungs[j]
+        pred_u = e11 * uh + e12 * vh + i1u * n0
+        dn = _power(grid, pred_u, pp.p_nl) - n0
+        cu, cv = i2u * dn, i2v * dn
+        err = _pair_norm(grid, cu, cv)
+        if j > 0 and not err <= scale:
+            diag.rejected += 1
+            k = j - 1
+            continue
+        new_u = pred_u + cu
+        values = _samples(grid, new_u, grid.points_per_axis)
         escaped = _escaped(values, blowup_threshold)
-        if (escaped or step in store_idx) and np.all(np.isfinite(values)):
+        if j > 0 and escaped:
+            diag.rejected += 1
+            k = j - 1
+            continue
+        uh, vh = new_u, e21 * uh + e22 * vh + i1v * n0 + cv
+        n0 = None
+        m += 2**j
+        diag.steps += 1
+        if j == k and 8.0 * err < scale:
+            k += 1
+        t = m * dt
+        if (escaped or m in store_idx) and np.all(np.isfinite(values)):
             out_times.append(t)
             out_fields.append(GridField(grid, values))
         if escaped:

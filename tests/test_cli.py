@@ -363,6 +363,10 @@ amplitude = 0.3
         iterations = int(report["scalars"]["picard_iterations"])
         assert [row[0] for row in table["rows"]] == [float(i + 1) for i in range(iterations)]
         assert table["rows"][-1][1] == report["scalars"]["picard_residual"]
+        # The oracle's controller reports its work: T = 4 is 80 steps of 0.05.
+        steps = report["scalars"]["oracle_steps"]
+        assert 0 < steps <= 80.0
+        assert report["scalars"]["oracle_rejected"] >= 0.0
 
     def test_overflow_in_global_decay_exits_4(self, tmp_path, capsys):
         # No cap: the iterate overflows, which is a blow-up, not a config error.
@@ -384,6 +388,7 @@ p = 9
 [solver]
 T = 2
 nodes = 21
+blowup_threshold = inf
 
 [data]
 profile = gaussian
@@ -453,6 +458,13 @@ blowup_threshold = 50
             [9.0, 0.0],
         ]
         assert report["verdicts"] == {"boundary_at_critical": "pass"}
+        # Steps taken per power: the escape at p = 2 ends its run early, and
+        # no run takes more than the 800 steps of 0.01 to T = 8.
+        table = report["tables"]["sweep"]
+        assert table["columns"] == ["p", "escaped", "escape_time", "steps"]
+        (_, _, t_escape, escape_steps), (_, _, _, calm_steps) = table["rows"]
+        assert escape_steps <= round(t_escape / 0.01)
+        assert 0 < calm_steps <= 800.0
 
     def test_reproducible_reports_modulo_timestamp(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "p.cfg", PARTITION_CFG)
@@ -542,6 +554,20 @@ class TestShippedConfigs:
             diffs = [d for a, _, d in rows if a == amp]
             assert [i for a, i, _ in rows if a == amp] == [1.0, 2.0, 3.0]
             assert ratio == diffs[1] / diffs[0]
+
+    def test_kind_only_global_decay_passes(self, tmp_path, capsys):
+        # The kind's defaults are configs/global-decay.cfg's values.
+        cfg = write_cfg(tmp_path / "kind.cfg", "[experiment]\nkind = global-decay\n")
+        assert main(["run", cfg, "--out", str(tmp_path / "o")]) == EXIT_OK
+        report = json.loads((tmp_path / "o" / "global-decay.json").read_text())
+        assert report["verdicts"] == {
+            "oracle_agreement": "pass",
+            "picard_converged": "pass",
+            "weighted_sup_bounded": "pass",
+        }
+        # In the linear regime the oracle climbs to the store spacing: far
+        # fewer than the 8000 steps of 0.025 to T = 200.
+        assert report["scalars"]["oracle_steps"] < 1000
 
     def test_every_registry_entry_has_description_and_claim(self):
         for spec in REGISTRY.values():

@@ -18,7 +18,9 @@ from besov_wave_lab.littlewood_paley import make_blocks
 from besov_wave_lab.norms import ProblemParams, Trajectory, lebesgue_norm, x_norm
 from besov_wave_lab.profiles import gaussian, single_mode, slow_decay
 from besov_wave_lab.propagator import damped_L, linear_solution
+from besov_wave_lab import solver
 from besov_wave_lab.solver import (
+    ETD_TOL,
     SolverConfig,
     _flow_recursion,
     _power,
@@ -300,6 +302,13 @@ class TestCoefficientPath:
         }
 
 
+def rung0_oracle(monkeypatch, *args, **kw):
+    """etd_oracle with the step control off: every step is dt."""
+    with monkeypatch.context() as m:
+        m.setattr(solver, "ETD_TOL", 0.0)
+        return etd_oracle(*args, **kw)
+
+
 class TestEtdOracle:
     def setup_method(self):
         self.grid = make_grid(1, 256, 64.0)
@@ -336,7 +345,9 @@ class TestEtdOracle:
                 )
         assert max(gaps) < 1e-4
 
-    def test_second_order_in_dt(self):
+    def test_second_order_in_dt(self, monkeypatch):
+        # Rung 0 only: the ratio measures the scheme at fixed dt.
+        monkeypatch.setattr(solver, "ETD_TOL", 0.0)
         u0, u1 = small_gaussian_data(self.grid, 0.1)
         cfg = SolverConfig.uniform(2.0, 129, picard_tol=1e-13, max_iters=15)
         traj_p, _ = picard_solve(u0, u1, PP2, cfg)
@@ -370,6 +381,72 @@ class TestEtdOracle:
         u0 = self.grid.zeros()
         with pytest.raises(ValueError):
             etd_oracle(u0, u0, PP3, -0.1, 1.0)
+
+    def test_store_times_hit_bit_for_bit(self, monkeypatch):
+        # Gaps of 24, 56, 108 and 212 steps are no power of two, so every
+        # landing is a capped step.
+        u0, u1 = small_gaussian_data(self.grid, 1e-3)
+        dt, store = 0.0125, [0.3, 1.0, 2.35, 5.0]
+        traj, diag = etd_oracle(u0, u1, PP3, dt, 5.0, store_times=store)
+        fixed, _ = rung0_oracle(monkeypatch, u0, u1, PP3, dt, 5.0, store_times=store)
+        expected = np.array([0.0] + [round(t / dt) * dt for t in store])
+        assert np.array_equal(traj.times, expected)
+        assert np.array_equal(traj.times, fixed.times)
+        assert diag.steps < 400
+
+    @pytest.mark.parametrize(
+        "amp, pp, dt, T, cap, fewer",
+        [
+            (1e-7, PP3, 0.0125, 5.0, math.inf, True),  # linear regime
+            (0.1, PP3, 0.0125, 5.0, math.inf, False),  # nonlinear
+            (1.0, PP2, 0.01, 10.0, 50.0, False),  # escapes
+        ],
+    )
+    def test_never_more_steps_and_fewer_when_linear(self, monkeypatch, amp, pp, dt, T, cap, fewer):
+        u0, u1 = small_gaussian_data(self.grid, amp)
+        _, diag = etd_oracle(u0, u1, pp, dt, T, blowup_threshold=cap)
+        _, fixed = rung0_oracle(monkeypatch, u0, u1, pp, dt, T, blowup_threshold=cap)
+        assert fixed.rejected == 0
+        assert diag.steps <= fixed.steps
+        if fewer:
+            assert diag.steps < fixed.steps
+
+    def test_nonlinear_gap_to_rung0_below_tolerance(self, monkeypatch):
+        # Cubic, amplitude 0.03: the nonlinear part is 0.2% to 0.8% of the
+        # solution, and the controller climbs (198 of 800 steps here).
+        # Its gap to the fixed-step run was 1.2e-7; the bound is ETD_TOL.
+        u0, u1 = small_gaussian_data(self.grid, 0.03)
+        dt, store = 0.0125, [2.5, 5.0, 7.5, 10.0]
+        traj, diag = etd_oracle(u0, u1, PP3, dt, 10.0, store_times=store)
+        fixed, fixed_diag = rung0_oracle(
+            monkeypatch, u0, u1, PP3, dt, 10.0, store_times=store
+        )
+        assert diag.steps < fixed_diag.steps / 2
+        assert np.array_equal(traj.times, fixed.times)
+        for t, f, ref in zip(traj.times[1:], traj.fields[1:], fixed.fields[1:]):
+            size = lebesgue_norm(ref, 2.0)
+            linear = linear_solution(u0, u1, float(t))
+            assert lebesgue_norm(ref - linear, 2.0) > 100 * ETD_TOL * size
+            assert lebesgue_norm(f - ref, 2.0) < ETD_TOL * size
+
+    @pytest.mark.parametrize(
+        "N, L, pp, amp, dt, T, cap, climbs",
+        [
+            (512, 40.0, PP2, 1.0, 0.005, 20.0, 50.0, False),  # configs/blowup.cfg
+            (256, 40.0, PP3, 0.2, 0.01, 60.0, 50.0, True),  # slow ignition
+            (256, 64.0, PP3, 1e-3, 0.01, 10.0, 1.25e-3, True),  # cap met while linear
+        ],
+    )
+    def test_escape_time_matches_rung0(self, monkeypatch, N, L, pp, amp, dt, T, cap, climbs):
+        # The climbing runs come back down to dt before the escape: an
+        # escaping step above rung 0 is retried one rung down.
+        grid = make_grid(1, N, L)
+        u0 = gaussian(grid, width=2.0, amplitude=amp)
+        _, diag = etd_oracle(u0, u0, pp, dt, T, blowup_threshold=cap)
+        _, fixed = rung0_oracle(monkeypatch, u0, u0, pp, dt, T, blowup_threshold=cap)
+        assert diag.blown_up and fixed.blown_up
+        assert diag.escape_time == fixed.escape_time
+        assert (diag.steps < fixed.steps) == climbs
 
 
 class TestContractionReport:
