@@ -12,6 +12,7 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Mapping, get_args, get_origin
 
@@ -28,10 +29,11 @@ from besov_wave_lab.norms import (
 )
 from besov_wave_lab.paraproduct import (
     LeibnizConfig,
-    decomposition_residual,
-    leibniz_ratio,
+    decomposition_residuals,
+    leibniz_ratios,
 )
-from besov_wave_lab.profiles import PROFILES, band_limited_random, build_profile
+from besov_wave_lab.profiles import PROFILES, band_limited_random, band_limited_samples
+from besov_wave_lab.profiles import build_profile
 from besov_wave_lab.propagator import (
     apply_D,
     damped_L,
@@ -55,6 +57,10 @@ __all__ = ["REGISTRY", "ExperimentSpec", "read_config", "run_experiment", "Blowu
 class BlowupInGlobalRun(RuntimeError):
     """A run that asserted global decay escaped the max-norm cap."""
 
+
+# Bytes of block stacks one chunk of a random-pair ensemble may hold: chunks
+# amortise per-call costs, and the cap bounds the run's peak memory.
+ENSEMBLE_CHUNK_BYTES = 3 * 2**19
 
 Config = Mapping[str, Mapping[str, str]]
 Values = dict[str, dict[str, Any]]
@@ -286,17 +292,31 @@ def run_block_estimates(values: Values, out_dir: Path, rng, jobs: int) -> Experi
     return report
 
 
+def _ensemble_max(blocks, count: int, draw, measure) -> float:
+    """Max of measure(blocks, f, g) over count random pairs that draw(b) gives
+    as samples f, g, b pairs at a time: chunks of as many pairs as
+    ENSEMBLE_CHUNK_BYTES holds at eight complex block stacks a pair (the
+    peak of decomposition_residuals; leibniz_ratios holds about three)."""
+    chunk = max(1, ENSEMBLE_CHUNK_BYTES // (16 * blocks.annuli.nbytes))
+    sizes = [min(chunk, count - start) for start in range(0, count, chunk)]
+    return max(float(np.max(measure(blocks, *draw(b)))) for b in sizes)
+
+
 def run_paraproduct_residual(values: Values, out_dir: Path, rng, jobs: int) -> ExperimentReport:
     exp = values["experiment"]
     pairs, tol, band_lo = exp["pairs"], exp["tolerance"], exp["band_lo"]
+    if pairs < 1:
+        raise ValueError(f"[experiment] pairs must be at least 1, got {pairs}")
     grid = make_grid(**values["grid"])
-    blocks = make_blocks(grid)
     band_hi = grid.max_freq / 4.0 if exp["band_hi"] is None else exp["band_hi"]
-    worst = 0.0
-    for _ in range(pairs):
-        f = band_limited_random(grid, rng, band_lo, band_hi, rng.uniform(0.0, 0.8))
-        g = band_limited_random(grid, rng, band_lo, band_hi, rng.uniform(0.0, 0.8))
-        worst = max(worst, decomposition_residual(f, g, blocks=blocks))
+
+    def draw(b):  # f, then g: each field draws its slope, then its noise
+        rows = [(rng.uniform(0.0, 0.8), rng.standard_normal(grid.shape)) for _ in range(2 * b)]
+        slopes, noise = np.array([s for s, _ in rows]), np.stack([x for _, x in rows])
+        fields = band_limited_samples(grid, noise, band_lo, band_hi, slopes)
+        return fields[0::2], fields[1::2]
+
+    worst = _ensemble_max(make_blocks(grid), pairs, draw, decomposition_residuals)
     return ExperimentReport(
         kind="paraproduct-residual",
         scalars={"max_residual": worst, "tolerance": tol, "pairs": float(pairs)},
@@ -314,14 +334,16 @@ def run_leibniz(values: Values, out_dir: Path, rng, jobs: int) -> ExperimentRepo
     band_hi = base.max_freq / 4.0
     maxima = {}
     for label, grid in (("base", base), ("refined", refined)):
-        blocks = make_blocks(grid)
         ens_rng = np.random.default_rng(rng.integers(0, 2**63))
-        worst = 0.0
-        for _ in range(lcfg.ensemble):
-            f = band_limited_random(grid, ens_rng, 0.3, band_hi, lcfg.spectrum_slope)
-            g = band_limited_random(grid, ens_rng, 0.3, band_hi, lcfg.spectrum_slope)
-            worst = max(worst, leibniz_ratio(f, g, lcfg, blocks=blocks))
-        maxima[label] = worst
+
+        def draw(b):  # f and g of each pair, in that order
+            noise = ens_rng.standard_normal((b, 2) + grid.shape)
+            fields = band_limited_samples(grid, noise, 0.3, band_hi, lcfg.spectrum_slope)
+            return fields.swapaxes(0, 1)
+
+        maxima[label] = _ensemble_max(
+            make_blocks(grid), lcfg.ensemble, draw, partial(leibniz_ratios, cfg=lcfg)
+        )
     change = abs(maxima["refined"] - maxima["base"]) / maxima["base"]
     return ExperimentReport(
         kind="leibniz",
@@ -345,10 +367,12 @@ def run_leibniz(values: Values, out_dir: Path, rng, jobs: int) -> ExperimentRepo
 
 
 def run_interpolation(values: Values, out_dir: Path, rng, jobs: int) -> ExperimentReport:
+    ensemble = values["experiment"]["ensemble"]
+    if ensemble < 1:
+        raise ValueError(f"[experiment] ensemble must be at least 1, got {ensemble}")
     grid = make_grid(**values["grid"])
     blocks = make_blocks(grid)
     pp = _problem_from(values)
-    ensemble = values["experiment"]["ensemble"]
     rows = []
     for theta in values["experiment"]["thetas"]:
         q, alpha = interpolation_exponents(pp.n, pp.r, pp.s, theta)
@@ -479,7 +503,8 @@ def run_blowup_probe(values: Values, out_dir: Path, rng, jobs: int) -> Experimen
 def _sweep_one(args) -> tuple[int, str, float | None, int]:
     u, pp, scfg = args
     _, diag = etd_oracle(
-        u, u, pp, scfg.etd_dt, scfg.horizon, blowup_threshold=scfg.blowup_threshold
+        u, u, pp, scfg.etd_dt, scfg.horizon,
+        blowup_threshold=scfg.blowup_threshold, store_times=[scfg.horizon],
     )
     return pp.p_nl, ("escape" if diag.blown_up else "decay"), diag.escape_time, diag.steps
 

@@ -15,9 +15,15 @@ pointwise product goes through one alias-free kernel, dealiased_pointwise:
 coefficient arrays in, one inverse transform per input on the zero-padded
 lattice, the op on the real samples, one forward transform, truncation
 back.  _samples is the one map from coefficients to samples on any
-lattice, field_from_coeffs the one way from coefficients to a GridField,
-and integer_power the one pointwise power (by repeated squaring, not libm
-pow).
+lattice and _coefficients its inverse on the grid's own lattice,
+field_from_coeffs the one way from coefficients to a GridField, and
+integer_power the one pointwise power (by repeated squaring, not libm pow).
+
+Stacked inputs.  _samples, _coefficients and dealiased_pointwise transform
+only the trailing n axes, so coefficient or sample arrays stacked on any
+leading axes (an ensemble of fields, a stack of dyadic blocks) go through
+in one call, and each slice comes out bit for bit what it gives alone.
+GridField and SpectralField hold one unstacked array each.
 """
 
 from __future__ import annotations
@@ -37,6 +43,7 @@ __all__ = [
     "forward_transform",
     "inverse_transform",
     "field_from_coeffs",
+    "require_finite",
     "apply_symbol",
     "dealiased_pointwise",
     "dealiased_product",
@@ -180,9 +187,7 @@ class GridField:
             raise ValueError(
                 f"values shape {values.shape} does not match grid {self.grid.shape}"
             )
-        if not np.all(np.isfinite(values)):
-            raise ValueError("field values must be finite")
-        values = values.copy()
+        values = require_finite(values).copy()
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
@@ -228,18 +233,21 @@ class SpectralField:
                 f"coeffs shape {coeffs.shape} does not match the spectral shape "
                 f"{self.grid.spectral_shape}"
             )
-        if not np.all(np.isfinite(coeffs)):
-            raise ValueError("spectral coefficients must be finite")
-        coeffs = coeffs.copy()
+        coeffs = require_finite(coeffs, "spectral coefficients").copy()
         coeffs.flags.writeable = False
         object.__setattr__(self, "coeffs", coeffs)
 
 
+def require_finite(values: np.ndarray, what: str = "field values") -> np.ndarray:
+    """values, after raising ValueError if any entry is not finite."""
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{what} must be finite")
+    return values
+
+
 def forward_transform(f: GridField) -> SpectralField:
     """Discrete analogue of the symmetric-normalization Fourier transform."""
-    grid = f.grid
-    scale = (2.0 * np.pi) ** (-grid.n / 2) * grid.spacing**grid.n
-    return SpectralField(grid, scale * grid._phase_signs * np.fft.rfftn(f.values))
+    return SpectralField(f.grid, _coefficients(f.grid, f.values))
 
 
 def inverse_transform(F: SpectralField) -> GridField:
@@ -279,17 +287,18 @@ def integer_power(v: np.ndarray, p: int) -> np.ndarray:
     """v**p for an integer p >= 1 by repeated squaring: about log2(p)
     multiplications instead of libm pow per element, agreeing with v**p to
     a few ulp per multiplication.  Overflow gives +-inf as v**p does.  For
-    p = 1 the result is v itself."""
+    p = 1 the result is v itself.  A square no longer needed is squared in
+    place, so a power of two holds one array besides v."""
     if p < 1:
         raise ValueError(f"power must be a positive integer, got {p}")
-    out = None
+    given, out = v, None
     while True:
         if p & 1:
             out = v if out is None else out * v
         p >>= 1
         if p == 0:
             return out
-        v = v * v
+        v = np.multiply(v, v, out=None if v is given or v is out else v)
 
 
 @lru_cache(maxsize=64)
@@ -301,14 +310,27 @@ def _leading_index(N: int, M: int, n: int) -> tuple[np.ndarray, ...]:
     return np.ix_(*[k] * (n - 1))
 
 
+def _coefficients(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
+    """Coefficient arrays of samples on grid, stacked as the samples are:
+    forward_transform without the field, and with its checks."""
+    scale = (2.0 * np.pi) ** (-grid.n / 2) * grid.spacing**grid.n
+    axes = tuple(range(-grid.n, 0))
+    coeffs = scale * grid._phase_signs * np.fft.rfftn(require_finite(values), axes=axes)
+    return require_finite(coeffs, "spectral coefficients")
+
+
 def _samples(grid: TorusGrid, coeffs: np.ndarray, M: int) -> np.ndarray:
     """Real samples on the M-point lattice over grid's box of a coefficient
     array of grid, unvalidated: non-finite coefficients give non-finite ones.
     Coefficient arrays stacked on leading axes give samples stacked the same
     way, each slice bit for bit what it gives alone.  For M > N the
     coefficients are padded by the Nyquist rule of dealiased_pointwise."""
+    return _signed_samples(grid, grid._phase_signs * coeffs, M)
+
+
+def _signed_samples(grid: TorusGrid, signed: np.ndarray, M: int) -> np.ndarray:
+    """_samples of the coefficients signed * grid._phase_signs (signs +-1)."""
     n, N = grid.n, grid.points_per_axis
-    signed = grid._phase_signs * coeffs
     if M > N:
         h = N // 2
         padded = np.zeros(signed.shape[:-n] + (M,) * (n - 1) + (M // 2 + 1,), dtype=complex)
@@ -331,7 +353,11 @@ def dealiased_pointwise(
     """Coefficients on grid of op applied pointwise to the fields with
     coefficient arrays coeffs, zero-padded to M = factor * N points per
     axis: degree-d products are alias-free for factor >= (d + 1) / 2
-    (Orszag 1971).  The signs (-1)^k that put the sample origin at -L/2
+    (Orszag 1971).  Coefficient arrays may be stacked on leading axes: op
+    gets samples stacked the same way and must return samples whose
+    trailing n axes are the padded lattice (it may reduce or keep the
+    leading ones), and each output slice is bit for bit what its own
+    inputs give alone.  The signs (-1)^k that put the sample origin at -L/2
     agree on both lattices for every shared mode, so the grid's cached ones
     serve and no padded grid is built.
 
@@ -351,14 +377,16 @@ def dealiased_pointwise(
     split and irfftn takes the real part of the self-paired entries, so the
     samples are those of the real field the coefficients stand for.
     """
-    N = grid.points_per_axis
+    n, N = grid.n, grid.points_per_axis
     M = factor * N
     # An overflow here is a blow-up, which the time loops read off the samples.
     with np.errstate(over="ignore", invalid="ignore"):
-        half = np.fft.rfftn(op(*(_samples(grid, c, M) for c in coeffs)))
-    scale = (2.0 * np.pi) ** (-grid.n / 2) * (grid.box_length / M) ** grid.n
-    truncated = half[_leading_index(N, M, grid.n) + (slice(0, N // 2 + 1),)]
-    return scale * grid._phase_signs * truncated
+        samples = op(*(_samples(grid, c, M) for c in coeffs))
+        half = np.fft.rfftn(samples, axes=tuple(range(-n, 0)))
+    scale = (2.0 * np.pi) ** (-n / 2) * (grid.box_length / M) ** n
+    truncated = half[(Ellipsis,) + _leading_index(N, M, n) + (slice(0, N // 2 + 1),)]
+    # C order, as for one field: sums over a field's samples run in memory order.
+    return np.multiply(scale * grid._phase_signs, truncated, order="C")
 
 
 def dealiased_product(f: GridField, g: GridField, factor: int = 2) -> GridField:

@@ -18,7 +18,7 @@ import numpy as np
 from besov_wave_lab.grid import (
     GridField,
     TorusGrid,
-    _samples,
+    _signed_samples,
     apply_symbol,
     integer_power,
 )
@@ -92,6 +92,12 @@ class DyadicBlocks:
         return np.diff(self.ladder[1:-1], axis=0)
 
     @cached_property
+    def signed_annuli(self) -> np.ndarray:
+        """annuli times the grid's phase signs +-1 (exact), which _samples
+        would otherwise apply to a complex copy of every block stack."""
+        return self.grid._phase_signs * self.annuli
+
+    @cached_property
     def widened(self) -> np.ndarray:
         """Widened multipliers for j = j_min..j_max: annuli j - 1, j and j + 1
         summed, so 1 on the support of annulus j."""
@@ -138,17 +144,20 @@ class DyadicBlocks:
 
     def block_norms(self, coeffs: np.ndarray, p: float) -> np.ndarray:
         """L^p norm of every annulus block of the field with coefficient
-        array coeffs, indexed j_min..j_max, in one reduction over the stacked
-        annuli: through Parseval on the spectrum for p = 2, else over the
-        samples of one batched inverse transform.  Integer powers of the
-        samples go through integer_power, as in lebesgue_norm."""
+        array coeffs, of shape (..., J) for blocks j_min..j_max and
+        coefficient arrays stacked on leading axes, in one reduction over
+        the stacked annuli: through Parseval on the spectrum for p = 2, else
+        over the samples of one batched inverse transform, which holds one
+        complex block stack.  Integer powers of the samples go through
+        integer_power, as in lebesgue_norm."""
         grid = self.grid
-        rows = tuple(range(1, grid.n + 1))
+        rows = tuple(range(-grid.n, 0))
+        coeffs = np.expand_dims(coeffs, -grid.n - 1)
         if p == 2.0:
             power = grid.mode_weight * np.abs(coeffs) ** 2
             weight = grid.freq_spacing**grid.n
             return np.sqrt(weight * np.sum(self.annuli**2 * power, axis=rows))
-        samples = _samples(grid, self.annuli * coeffs, grid.points_per_axis)
+        samples = _signed_samples(grid, self.signed_annuli * coeffs, grid.points_per_axis)
         np.abs(samples, out=samples)
         if math.isinf(p):
             return np.max(samples, axis=rows)

@@ -5,7 +5,8 @@ grid's dyadic range; the DC mode never enters (it lives in the low block).
 The solution-space norm weights ||.||_{B^s_{2,2}} by <t>^(s/2 - (n/2)(1/2-1/r)).
 Both reduce the dyadic block norms of a coefficient array; besov_seminorm
 takes a field and passes its spectrum, x_norm takes the spectra at the
-nodes directly.
+nodes directly.  lebesgue_norms and _besov act on the trailing axes, so an
+ensemble of fields stacked on a leading axis reduces in one call.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ __all__ = [
     "ProblemParams",
     "Trajectory",
     "lebesgue_norm",
+    "lebesgue_norms",
     "besov_seminorm",
     "x_norm",
     "time_bracket",
@@ -38,16 +40,23 @@ def time_bracket(t) -> np.ndarray:
     return np.sqrt(1.0 + np.asarray(t, dtype=float) ** 2)
 
 
-def lebesgue_norm(f: GridField, p: float) -> float:
-    """Quadrature L^p norm; p = inf gives the max of |f|."""
+def lebesgue_norms(grid: TorusGrid, values: np.ndarray, p: float) -> np.ndarray:
+    """Quadrature L^p norm of samples on grid stacked on leading axes, one
+    per field; p = inf gives the max of |f|."""
     if p < 1:
         raise ValueError(f"Lebesgue exponent must be >= 1, got {p}")
+    axes = tuple(range(-grid.n, 0))
+    values = np.abs(values)
     if math.isinf(p):
-        return f.max_abs()
-    weight = f.grid.spacing**f.grid.n
-    values = np.abs(f.values)
+        return np.max(values, axis=axes)
     power = integer_power(values, int(p)) if p == int(p) else values**p
-    return float((weight * np.sum(power)) ** (1.0 / p))
+    # float_power has no SIMD loop, so each root rounds as a scalar's would.
+    return np.float_power(grid.spacing**grid.n * np.sum(power, axis=axes), 1.0 / p)
+
+
+def lebesgue_norm(f: GridField, p: float) -> float:
+    """Quadrature L^p norm; p = inf gives the max of |f|."""
+    return float(lebesgue_norms(f.grid, f.values, p))
 
 
 @dataclass(frozen=True)
@@ -63,16 +72,14 @@ class BesovParams:
             raise ValueError(f"summability exponent must be >= 1, got {self.q}")
 
 
-def _lq(values: np.ndarray, q: float) -> float:
-    if math.isinf(q):
-        return float(np.max(values)) if values.size else 0.0
-    return float(np.sum(values**q) ** (1.0 / q))
-
-
-def _besov(blocks: DyadicBlocks, coeffs: np.ndarray, s: float, p: float, q: float) -> float:
-    """The l^q sum over blocks of 2^(j*s) ||block_j||_p, from coefficients."""
+def _besov(blocks: DyadicBlocks, coeffs: np.ndarray, s: float, p: float, q: float) -> np.ndarray:
+    """The l^q sum over blocks of 2^(j*s) ||block_j||_p, from coefficient
+    arrays stacked on leading axes, one per field."""
     js = np.array(list(blocks.indices()), dtype=float)
-    return _lq(2.0 ** (js * s) * blocks.block_norms(coeffs, p), q)
+    values = 2.0 ** (js * s) * blocks.block_norms(coeffs, p)
+    if math.isinf(q):
+        return np.max(values, axis=-1)
+    return np.float_power(np.sum(values**q, axis=-1), 1.0 / q)
 
 
 def besov_seminorm(
@@ -88,7 +95,7 @@ def besov_seminorm(
     BesovParams(s=s, p=p, q=q)
     if blocks is None:
         blocks = make_blocks(f.grid)
-    return _besov(blocks, f.spectrum.coeffs, s, p, q)
+    return float(_besov(blocks, f.spectrum.coeffs, s, p, q))
 
 
 @dataclass(frozen=True)

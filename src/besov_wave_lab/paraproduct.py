@@ -6,7 +6,9 @@ frequency remainder R(f, g) collecting block pairs at most one index apart.
 All pointwise products run on a zero-padded grid so the retained modes are
 exact and the repartition identity holds to rounding.  Each paraproduct
 reads the stacked multipliers of DyadicBlocks and sums its block products
-on the padded lattice before one forward transform.
+on the padded lattice before one forward transform.  decomposition_residuals
+and leibniz_ratios take ensembles of sample pairs stacked on leading axes;
+decomposition_residual and leibniz_ratio are their one-pair calls.
 """
 
 from __future__ import annotations
@@ -19,19 +21,24 @@ import numpy as np
 
 from besov_wave_lab.grid import (
     GridField,
+    TorusGrid,
+    _coefficients,
+    _samples,
     dealiased_pointwise,
-    dealiased_product,
     field_from_coeffs,
+    require_finite,
 )
 from besov_wave_lab.littlewood_paley import DyadicBlocks, make_blocks
-from besov_wave_lab.norms import besov_seminorm, lebesgue_norm
+from besov_wave_lab.norms import _besov, lebesgue_norms
 
 __all__ = [
     "para_T",
     "para_R",
     "decomposition_residual",
+    "decomposition_residuals",
     "LeibnizConfig",
     "leibniz_ratio",
+    "leibniz_ratios",
 ]
 
 
@@ -43,26 +50,50 @@ def _shared_blocks(
     return blocks if blocks is not None else make_blocks(f.grid)
 
 
-def _block_sum(a: np.ndarray, f: GridField, b: np.ndarray, g: GridField) -> GridField:
-    """Sum over j of (a_j f) * (b_j g) for multipliers a and b stacked on axis
-    0: every block product is summed on the padded lattice, which takes one
-    batched inverse transform per factor and one forward transform."""
-    summed = partial(np.einsum, "j...,j...->...")
-    coeffs = dealiased_pointwise(f.grid, summed, 2, a * f.spectrum.coeffs, b * g.spectrum.coeffs)
-    return field_from_coeffs(f.grid, coeffs)
+def _fields(grid: TorusGrid, coeffs: np.ndarray) -> np.ndarray:
+    """Stacked field_from_coeffs, with its check, as samples."""
+    return require_finite(_samples(grid, coeffs, grid.points_per_axis))
+
+
+def _block_sum(grid: TorusGrid, a, f: np.ndarray, b, g: np.ndarray) -> np.ndarray:
+    """Coefficients of the sum over j of (a_j f) * (b_j g) for multipliers a
+    and b stacked on axis 0 and coefficient arrays f and g stacked on leading
+    axes: every block product is summed on the padded lattice, which takes
+    one batched inverse transform per factor and one forward transform."""
+    lattice = "xyz"[: grid.n]
+    summed = partial(np.einsum, f"...j{lattice},...j{lattice}->...{lattice}")
+    a_f, b_g = (m * np.expand_dims(c, -grid.n - 1) for m, c in ((a, f), (b, g)))
+    return dealiased_pointwise(grid, summed, 2, a_f, b_g)
 
 
 def para_T(f: GridField, g: GridField, *, blocks: DyadicBlocks | None = None) -> GridField:
     """Low-high paraproduct: sum over j of (low-pass f at 2^(j-2)) * (block j of g)."""
-    blocks = _shared_blocks(f, g, blocks)
+    blocks, fc, gc = _shared_blocks(f, g, blocks), f.spectrum.coeffs, g.spectrum.coeffs
     # Ladder rows k = j - 2 for j = j_min..j_max.
-    return _block_sum(blocks.ladder[:-3], f, blocks.annuli, g)
+    return field_from_coeffs(f.grid, _block_sum(f.grid, blocks.ladder[:-3], fc, blocks.annuli, gc))
 
 
 def para_R(f: GridField, g: GridField, *, blocks: DyadicBlocks | None = None) -> GridField:
     """Comparable-frequency remainder: block pairs with |j - k| <= 1."""
-    blocks = _shared_blocks(f, g, blocks)
-    return _block_sum(blocks.annuli, f, blocks.widened, g)
+    blocks, fc, gc = _shared_blocks(f, g, blocks), f.spectrum.coeffs, g.spectrum.coeffs
+    return field_from_coeffs(f.grid, _block_sum(f.grid, blocks.annuli, fc, blocks.widened, gc))
+
+
+def decomposition_residuals(blocks: DyadicBlocks, f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """decomposition_residual of every pair of samples f, g on blocks.grid
+    stacked on leading axes."""
+    grid = blocks.grid
+    fc, gc = _coefficients(grid, f), _coefficients(grid, g)
+    product = _fields(grid, dealiased_pointwise(grid, np.multiply, 2, fc, gc))
+    low, annuli = blocks.ladder[:-3], blocks.annuli
+    recomposed = (
+        _fields(grid, _block_sum(grid, low, fc, annuli, gc))
+        + _fields(grid, _block_sum(grid, low, gc, annuli, fc))
+        + _fields(grid, _block_sum(grid, annuli, fc, blocks.widened, gc))
+    )
+    denom = lebesgue_norms(grid, product, 2.0)
+    gap = lebesgue_norms(grid, require_finite(product - recomposed), 2.0)
+    return np.divide(gap, denom, out=np.zeros_like(gap), where=denom != 0.0)
 
 
 def decomposition_residual(
@@ -70,16 +101,7 @@ def decomposition_residual(
 ) -> float:
     """Relative L^2 gap between the alias-free fg and T_f g + T_g f + R(f, g)."""
     blocks = _shared_blocks(f, g, blocks)
-    product = dealiased_product(f, g)
-    recomposed = (
-        para_T(f, g, blocks=blocks)
-        + para_T(g, f, blocks=blocks)
-        + para_R(f, g, blocks=blocks)
-    )
-    denom = lebesgue_norm(product, 2.0)
-    if denom == 0.0:
-        return 0.0
-    return lebesgue_norm(product - recomposed, 2.0) / denom
+    return float(decomposition_residuals(blocks, f.values, g.values))
 
 
 @dataclass(frozen=True)
@@ -102,6 +124,8 @@ class LeibnizConfig:
     def __post_init__(self) -> None:
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
+        if self.ensemble < 1:
+            raise ValueError(f"ensemble must be at least 1, got {self.ensemble}")
         for name in ("r", "q1", "q2"):
             if math.isinf(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
@@ -117,6 +141,24 @@ class LeibnizConfig:
                 )
 
 
+def leibniz_ratios(
+    blocks: DyadicBlocks, f: np.ndarray, g: np.ndarray, cfg: LeibnizConfig
+) -> np.ndarray:
+    """leibniz_ratio of every pair of samples f, g on blocks.grid stacked on
+    leading axes; raises if both bound terms vanish for any pair."""
+    grid = blocks.grid
+    fc, gc = _coefficients(grid, f), _coefficients(grid, g)
+    # The product's spectrum is that of its samples, the real field fg.
+    product = _coefficients(grid, _fields(grid, dealiased_pointwise(grid, np.multiply, 2, fc, gc)))
+    num = _besov(blocks, product, cfg.alpha, cfg.r, 2.0)
+    den = _besov(blocks, fc, cfg.alpha, cfg.p1, 2.0) * lebesgue_norms(
+        grid, g, cfg.q1
+    ) + _besov(blocks, gc, cfg.alpha, cfg.p2, 2.0) * lebesgue_norms(grid, f, cfg.q2)
+    if np.any(den == 0.0):
+        raise ValueError("product-estimate ratio undefined: both bound terms vanish")
+    return num / den
+
+
 def leibniz_ratio(
     f: GridField,
     g: GridField,
@@ -125,12 +167,4 @@ def leibniz_ratio(
     blocks: DyadicBlocks | None = None,
 ) -> float:
     """||fg||_{B^a_{r,2}} over the cross-term bound; raises if both terms vanish."""
-    blocks = _shared_blocks(f, g, blocks)
-    product = dealiased_product(f, g)
-    num = besov_seminorm(product, cfg.alpha, cfg.r, blocks=blocks)
-    den = besov_seminorm(f, cfg.alpha, cfg.p1, blocks=blocks) * lebesgue_norm(
-        g, cfg.q1
-    ) + besov_seminorm(g, cfg.alpha, cfg.p2, blocks=blocks) * lebesgue_norm(f, cfg.q2)
-    if den == 0.0:
-        raise ValueError("product-estimate ratio undefined: both bound terms vanish")
-    return num / den
+    return float(leibniz_ratios(_shared_blocks(f, g, blocks), f.values, g.values, cfg))

@@ -14,6 +14,7 @@ __all__ = [
     "slow_decay",
     "single_mode",
     "band_limited_random",
+    "band_limited_samples",
     "saturating_low",
     "PROFILES",
     "build_profile",
@@ -60,25 +61,25 @@ def single_mode(
     return GridField(grid, amplitude * np.cos(xi * np.broadcast_to(grid.coords[0], grid.shape)))
 
 
-def _shaped_noise(
+def band_limited_samples(
     grid: TorusGrid,
-    rng: np.random.Generator,
-    shape_fn,
-    zero_mean: bool = True,
-    normalize: bool = True,
-) -> GridField:
-    noise = rng.standard_normal(grid.shape)
-    spec = np.fft.rfftn(noise)
-    shape = shape_fn(grid.freq_abs)
-    if zero_mean:
-        shape = shape.copy()
-        shape[(0,) * grid.n] = 0.0
-    vals = np.fft.irfftn(spec * shape)
-    if normalize:
-        scale = np.sqrt(np.sum(vals**2) * grid.spacing**grid.n)
-        if scale > 0:
-            vals = vals / scale
-    return GridField(grid, vals)
+    noise: np.ndarray,
+    xi_lo: float,
+    xi_hi: float,
+    spectrum_slope: float | np.ndarray = 0.0,
+) -> np.ndarray:
+    """Samples of band_limited_random's fields for white-noise samples
+    stacked on leading axes, with one spectrum slope or one per field."""
+    if not 0 < xi_lo < xi_hi:
+        raise ValueError("need 0 < xi_lo < xi_hi")
+    xi, axes = grid.freq_abs, tuple(range(-grid.n, 0))
+    band = (xi >= xi_lo) & (xi <= xi_hi)  # never the mean: xi_lo > 0
+    slopes = np.asarray(spectrum_slope)
+    shapes = np.zeros(slopes.shape + xi.shape)
+    shapes[..., band] = xi[band] ** (-spectrum_slope if slopes.ndim == 0 else -slopes[:, None])
+    vals = np.fft.irfftn(np.fft.rfftn(noise, axes=axes) * shapes, axes=axes)
+    scale = np.sqrt(np.sum(vals**2, axis=axes) * grid.spacing**grid.n)
+    return vals / np.expand_dims(np.where(scale > 0, scale, 1.0), axes)
 
 
 def band_limited_random(
@@ -87,23 +88,15 @@ def band_limited_random(
     xi_lo: float,
     xi_hi: float,
     spectrum_slope: float = 0.0,
-    zero_mean: bool = True,
 ) -> GridField:
     """Random-phase field with |spectrum| ~ |xi|^(-slope) on [xi_lo, xi_hi].
 
     Hermitian symmetry comes free from shaping white real noise, so the
-    samples are exactly real; the L^2 norm is normalized to 1.
+    samples are exactly real; the mean is zero and the L^2 norm is
+    normalized to 1.
     """
-    if not 0 < xi_lo < xi_hi:
-        raise ValueError("need 0 < xi_lo < xi_hi")
-
-    def shape_fn(xi):
-        mask = (xi >= xi_lo) & (xi <= xi_hi)
-        out = np.zeros_like(xi)
-        out[mask] = xi[mask] ** (-spectrum_slope)
-        return out
-
-    return _shaped_noise(grid, rng, shape_fn, zero_mean=zero_mean)
+    noise = rng.standard_normal(grid.shape)
+    return GridField(grid, band_limited_samples(grid, noise, xi_lo, xi_hi, spectrum_slope))
 
 
 def saturating_low(

@@ -340,7 +340,8 @@ def etd_oracle(
     count of dt (t = m dt), and no step crosses the next store time or the
     horizon, so every store time is hit exactly.  The first step with a
     non-finite sample or one above blowup_threshold is the escape, stored
-    when its samples are finite.
+    when its samples are finite; the final tail fraction is that of the
+    last finite samples.
     """
     if dt <= 0:
         raise ValueError("time step must be positive")
@@ -365,6 +366,7 @@ def etd_oracle(
     diag = OracleDiagnostics()
     out_times = [0.0]
     out_fields = [GridField(grid, u0.values)]
+    last = u0.values
     m, k, n0 = 0, 0, None
     while m < steps:
         if n0 is None:
@@ -397,14 +399,16 @@ def etd_oracle(
         if j == k and 8.0 * err < scale:
             k += 1
         t = m * dt
-        if (escaped or m in store_idx) and np.all(np.isfinite(values)):
-            out_times.append(t)
-            out_fields.append(GridField(grid, values))
+        if not escaped or np.all(np.isfinite(values)):
+            last = values
+            if escaped or m in store_idx:
+                out_times.append(t)
+                out_fields.append(GridField(grid, values))
         if escaped:
             diag.blown_up = True
             diag.escape_time = t
             break
-    diag.final_tail_fraction = spectral_tail_fraction(out_fields[-1])
+    diag.final_tail_fraction = spectral_tail_fraction(GridField(grid, last))
     return Trajectory(np.array(out_times), tuple(out_fields)), diag
 
 
@@ -550,7 +554,8 @@ def blowup_probe(
         "fine": (refine_field(u0), refine_field(u1)),
     }.items():
         _, diag = etd_oracle(
-            a, b, pp, cfg.etd_dt, cfg.horizon, blowup_threshold=cfg.blowup_threshold
+            a, b, pp, cfg.etd_dt, cfg.horizon,
+            blowup_threshold=cfg.blowup_threshold, store_times=[cfg.horizon],
         )
         times[label] = diag.escape_time
         tails[label] = diag.final_tail_fraction

@@ -269,6 +269,25 @@ points = 12
         err = capsys.readouterr().err
         assert "(2, inf)" in err
 
+    @pytest.mark.parametrize(
+        "text, named",
+        [
+            ((CONFIGS / "leibniz.cfg").read_text().replace("ensemble = 500", "ensemble = 0"),
+             "ensemble must be at least 1, got 0"),
+            ((CONFIGS / "paraproduct.cfg").read_text().replace("pairs = 100", "pairs = 0"),
+             "[experiment] pairs must be at least 1, got 0"),
+            ("[experiment]\nkind = interpolation\nensemble = 0\n",
+             "[experiment] ensemble must be at least 1, got 0"),
+        ],
+        ids=["leibniz-ensemble", "paraproduct-pairs", "interpolation-ensemble"],
+    )
+    def test_empty_ensemble_exits_2_and_names_the_key(self, text, named, tmp_path, capsys):
+        # An empty ensemble has no maximum: leibniz would divide by it, and
+        # the other kinds would report on a check they never made.
+        cfg = write_cfg(tmp_path / "empty.cfg", text)
+        assert main(["run", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert named in capsys.readouterr().err
+
     def test_admissibility_failure_exits_3_and_override_runs(self, tmp_path, capsys):
         # r = 6, s = 0.6, p = 2 fails the lower power bound (see solver tests).
         text = CONTRACTION_CFG.format(r="6", s="0.6")

@@ -9,6 +9,7 @@ from scipy.signal import convolve
 from besov_wave_lab.grid import (
     GridField,
     SpectralField,
+    _coefficients,
     _samples,
     apply_symbol,
     dealiased_pointwise,
@@ -438,7 +439,8 @@ class TestStackedSamples:
     @given(N=st.sampled_from([8, 10, 16]), depth=st.integers(1, 4), seed=SEEDS)
     def test_stack_equals_slices_bit_for_bit(self, n, factor, N, depth, seed):
         # Coefficient arrays stacked on two leading axes, on the grid's own
-        # lattice (factor 1) and on padded ones.
+        # lattice (factor 1) and on padded ones; the kernel with an op that
+        # keeps the stacking axis, and the transform back from samples.
         grid = make_grid(n, N, 3.0)
         rng = np.random.default_rng(seed)
         shape = (depth, 2) + grid.spectral_shape
@@ -448,6 +450,13 @@ class TestStackedSamples:
         assert out.shape == (depth, 2) + (M,) * n
         for i in np.ndindex(depth, 2):
             assert np.array_equal(out[i], _samples(grid, stack[i], M))
+        kernel = dealiased_pointwise(grid, np.multiply, factor, stack[:, 0], stack[:, 1])
+        back = _coefficients(grid, _samples(grid, stack, N))
+        assert kernel.shape == (depth,) + grid.spectral_shape
+        for i in range(depth):
+            alone = dealiased_pointwise(grid, np.multiply, factor, stack[i, 0], stack[i, 1])
+            assert np.array_equal(kernel[i], alone)
+            assert np.array_equal(back[i], _coefficients(grid, _samples(grid, stack[i], N)))
 
 
 class TestRefineAndMonitor:

@@ -138,10 +138,12 @@ class TestBlockNorms:
         # the half lattice, any other p over one batched inverse transform);
         # the oracle transforms every block back on its own and takes its
         # quadrature L^p norm.  Away from p = 2 both reduce the same samples
-        # with the same powers, so they agree bit for bit.
+        # with the same powers, so they agree bit for bit.  Coefficient
+        # arrays stacked on a leading axis give each row's norms bit for bit.
         grid = make_grid(n, N, L)
         f = grid.field(np.random.default_rng(seed).standard_normal(grid.shape))
         blocks = make_blocks(grid)
+        stack = np.stack([2.0 * f.spectrum.coeffs, f.spectrum.coeffs])
         for p in (1.0, 2.0, 3.0, 4.0, np.inf):
             direct = [lebesgue_norm(blocks.block(f, j), p) for j in blocks.indices()]
             batched = blocks.block_norms(f.spectrum.coeffs, p)
@@ -150,6 +152,7 @@ class TestBlockNorms:
             )
             if p != 2.0:
                 np.testing.assert_array_equal(batched, direct)
+            np.testing.assert_array_equal(blocks.block_norms(stack, p)[1], batched)
 
 
 class TestProjections:

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from besov_wave_lab import experiments
 from besov_wave_lab.grid import apply_symbol, dealiased_product, make_grid
 from besov_wave_lab.littlewood_paley import make_blocks
 from besov_wave_lab.norms import besov_seminorm, lebesgue_norm
@@ -10,6 +13,7 @@ from besov_wave_lab.paraproduct import (
     LeibnizConfig,
     decomposition_residual,
     leibniz_ratio,
+    leibniz_ratios,
     para_R,
     para_T,
 )
@@ -216,3 +220,78 @@ class TestLeibniz:
             f, g = make_pair(self.grid, rng, 0.4, 8.0, 0.4, 8.0, slope=0.6)
             worst = max(worst, leibniz_ratio(f, g, self.cfg, blocks=self.blocks))
         assert 0.0 < worst < 50.0
+
+
+class TestStackedEnsembles:
+    """The runners' ensembles, in stacked chunks, against the loop over single
+    pairs that they replace: the same random stream, the same maxima."""
+
+    GRIDS = {1: {"n": "1", "N": "16", "L": "8"}, 2: {"n": "2", "N": "8", "L": "8"}}
+
+    @staticmethod
+    def run(kind, cfg, seed):
+        # A chunk of 4 pairs on the base grid (2 or 1 on the refined one), so
+        # ensembles of 1, 3 and 5 pairs are one pair, chunk - 1 and chunk + 1.
+        values = experiments.read_config(experiments.REGISTRY[kind], cfg)
+        grid = make_grid(**values["grid"])
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(experiments, "ENSEMBLE_CHUNK_BYTES", 4 * 16 * make_blocks(grid).annuli.nbytes)
+            runner = experiments.REGISTRY[kind].runner
+            return runner(values, None, np.random.default_rng(seed), 1).scalars
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.sampled_from([1, 2]),
+        r=st.sampled_from([1.0, 2.0]),
+        p=st.sampled_from([2.0, 3.0, 4.0, np.inf, 2.5]),
+        size=st.sampled_from([1, 3, 5]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_leibniz_matches_pair_loop(self, n, r, p, size, seed):
+        assume(1.0 / r > 1.0 / p)
+        q = 1.0 / (1.0 / r - 1.0 / p)
+        exponents = {"r": r, "p1": p, "q1": q, "p2": p, "q2": q}
+        cfg = {
+            "grid": self.GRIDS[n],
+            "leibniz": {"ensemble": str(size), **{k: repr(v) for k, v in exponents.items()}},
+        }
+        scalars = self.run("leibniz", cfg, seed)
+        lcfg = LeibnizConfig(alpha=0.7, ensemble=size, **exponents)
+        base = make_grid(n, int(self.GRIDS[n]["N"]), 8.0)
+        rng = np.random.default_rng(seed)
+        for label, N in (("base", base.points_per_axis), ("refined", 2 * base.points_per_axis)):
+            grid = make_grid(n, N, 8.0)
+            ens_rng = np.random.default_rng(rng.integers(0, 2**63))
+            worst = 0.0
+            for _ in range(size):
+                f = band_limited_random(grid, ens_rng, 0.3, base.max_freq / 4.0, 0.5)
+                g = band_limited_random(grid, ens_rng, 0.3, base.max_freq / 4.0, 0.5)
+                worst = max(worst, leibniz_ratio(f, g, lcfg))
+            assert scalars[f"max_ratio_{label}"] == worst
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        n=st.sampled_from([1, 2]),
+        size=st.sampled_from([1, 3, 5]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_paraproduct_residual_matches_pair_loop(self, n, size, seed):
+        cfg = {"grid": self.GRIDS[n], "experiment": {"pairs": str(size)}}
+        scalars = self.run("paraproduct-residual", cfg, seed)
+        grid = make_grid(n, int(self.GRIDS[n]["N"]), 8.0)
+        rng = np.random.default_rng(seed)
+        worst = 0.0
+        for _ in range(size):
+            f = band_limited_random(grid, rng, 0.3, grid.max_freq / 4.0, rng.uniform(0.0, 0.8))
+            g = band_limited_random(grid, rng, 0.3, grid.max_freq / 4.0, rng.uniform(0.0, 0.8))
+            worst = max(worst, decomposition_residual(f, g))
+        assert scalars["max_residual"] == worst
+
+    def test_zero_pair_inside_a_chunk_raises_as_one_pair_does(self):
+        grid = make_grid(1, 64, 16.0)
+        rng = np.random.default_rng(3)
+        fields = np.stack([band_limited_random(grid, rng, 0.5, 4.0).values for _ in range(6)])
+        fields[2] = 0.0
+        cfg = LeibnizConfig(alpha=0.7, r=2.0, p1=4.0, q1=4.0, p2=4.0, q2=4.0)
+        with pytest.raises(ValueError, match="both bound terms vanish"):
+            leibniz_ratios(make_blocks(grid), fields[0::2], fields[1::2], cfg)

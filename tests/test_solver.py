@@ -377,6 +377,22 @@ class TestEtdOracle:
         assert 0.0 < diag.escape_time < 2.0
         assert traj.times[-1] < diag.escape_time
 
+    def test_overflow_tail_fraction_is_the_last_finite_steps(self, monkeypatch):
+        # Only the horizon stored: after a non-finite escape the tail
+        # fraction is still that of the last finite step, not of t = 0.  At
+        # rung 0 the steps do not depend on the store times, so a run that
+        # stores every step holds that step's field last.
+        u0 = gaussian(self.grid, width=2.0, amplitude=5.0)
+        pp9 = ProblemParams(n=1, r=4.0, s=5.0, p_nl=9)
+        args = (u0, u0, pp9, 0.01, 2.0)
+        every, _ = rung0_oracle(
+            monkeypatch, *args, blowup_threshold=math.inf, store_times=0.01 * np.arange(1, 201)
+        )
+        _, diag = rung0_oracle(monkeypatch, *args, blowup_threshold=math.inf, store_times=[2.0])
+        assert diag.blown_up and every.times[-1] < diag.escape_time
+        assert diag.final_tail_fraction == spectral_tail_fraction(every.fields[-1])
+        assert diag.final_tail_fraction > 1e3 * spectral_tail_fraction(u0)
+
     def test_step_validation(self):
         u0 = self.grid.zeros()
         with pytest.raises(ValueError):
