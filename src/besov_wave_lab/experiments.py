@@ -453,6 +453,8 @@ def run_global_decay(values: Values, out_dir: Path, rng, jobs: int) -> Experimen
     study.scalars["picard_iterations"] = float(diag.iterations)
     study.scalars["oracle_steps"] = float(etd_diag.steps)
     study.scalars["oracle_rejected"] = float(etd_diag.rejected)
+    first = diag.diff_norms[0] if diag.diff_norms else 0.0
+    study.scalars["nonlinear_share"] = first / max(study.scalars["weighted_sup"], 1e-300)
     study.verdicts["picard_converged"] = "pass" if diag.converged else "fail"
     study.tables["picard"] = Table(
         columns=["iteration", "diff_norm"],

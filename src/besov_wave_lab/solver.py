@@ -3,19 +3,19 @@ exponential-time-differencing cross-check.
 
 The fixed-point map sends u to the linear flow plus the Duhamel integral of
 u^p.  Both come from one recursion over the time nodes that carries the
-spectral pair (u, u_t): half a trapezoid weight of the source enters the u_t
-slot, the exact per-mode flow matrix advances the pair one step, and the
-other half enters at the far node.  By the semigroup property of the flow
-this is the composite trapezoid rule for the Duhamel integral, and it
-returns the spectrum at every node without a transform.  Iteration starts
+spectral pair (u, u_t) through exponential steps: the exact per-mode flow
+matrix plus the integrals of its kernels against a source that is linear
+on the step (Cox & Matthews 2002; Hochbruck & Ostermann, Acta Numerica 19
+(2010), sec. 2).  A piecewise-linear source is integrated exactly, and the
+spectrum comes out at every node without a transform.  Iteration starts
 from the linear solution and stops when successive iterates are close in
-the weighted solution norm.  The ETD oracle advances the same pair with
-the same flow matrix and an explicit second-order treatment of the
-nonlinearity; it shares nothing else with the Picard path.  Its steps
-come from the ladder dt * 2^k and are controlled by the scheme's own
-embedded error estimate, the corrector term, against ETD_TOL; dt is the
-floor, so no run takes more steps than at fixed dt, and every step lands
-on or before the next store time.
+the weighted solution norm.  The ETD oracle takes the same step with the
+source at its end predicted by a first-order step (ETD2); the two loops
+share the step and its cached weights and nothing more.  The oracle's
+steps come from the ladder dt * 2^k and are controlled by the corrector
+term, the scheme's own error estimate, against ETD_TOL; dt is the floor,
+so no run takes more steps than at fixed dt, and every step lands on or
+before the next store time.
 
 Both time loops stay in coefficients: u^p comes from the alias-free kernel
 grid.dealiased_pointwise on spectra they hold.  Picard holds spectra from
@@ -34,7 +34,7 @@ import bisect
 import itertools
 import math
 from dataclasses import dataclass, field as dc_field
-from functools import partial
+from functools import lru_cache, partial
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -148,9 +148,50 @@ def _escaped(values: np.ndarray, threshold: float) -> bool:
 
 
 def _power(grid: TorusGrid, coeffs: np.ndarray, p: int) -> np.ndarray:
-    """Alias-free spectrum of u^p from the spectrum of u."""
+    """Alias-free spectrum of u^p from that of u; overflows show in the samples."""
     power = partial(integer_power, p=p)
-    return dealiased_pointwise(grid, power, pad_factor_for_power(p), coeffs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return dealiased_pointwise(grid, power, pad_factor_for_power(p), coeffs)
+
+
+@lru_cache(maxsize=16)
+def _step_weights(grid: TorusGrid, h: float):
+    """Flow matrix E(h) and source weights (i1u, i2u, i1v, i2v) of one
+    exponential step, cached by (grid, h) and not to be written to.  The
+    weights are integrals over [0, h] of e12 and e22 against 1 and 1 - s/h.
+    Gauss-Legendre with order scaled to h * max|xi| keeps the e12 ones
+    exact to rounding for any resolved mode; the e22 ones follow exactly
+    from d/ds e12 = e22 and e12(0) = 0.
+    """
+    xi = grid.freq_abs
+    flow = flow_matrix(h, xi)
+    order = int(math.ceil(h * grid.max_freq / 2.0)) + 24
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    s = 0.5 * h * (nodes + 1.0)
+    w = 0.5 * h * weights
+    i1u = np.zeros_like(xi)
+    i2u = np.zeros_like(xi)
+    for sk, wk in zip(s, w):
+        lk = damped_L(float(sk), xi)
+        i1u += wk * lk
+        i2u += wk * lk * (1.0 - sk / h)
+    return flow, (i1u, i2u, flow[1], i1u / h)
+
+
+def _step(grid: TorusGrid, h: float, u_hat, v_hat, f_start, f_end):
+    """Advance the spectral pair (u, u_t) by h under a source that runs
+    linearly from f_start to f_end: the flow, plus i1 f_start, plus the
+    correction i2 (f_end - f_start) in each slot.  f_end may be a function
+    of the first-order u at the step's end (ETD2).  Returns the new pair
+    and the correction; an overflow is left to the samples, as in _power.
+    """
+    (e11, e12, e21, e22), (i1u, i2u, i1v, i2v) = _step_weights(grid, h)
+    with np.errstate(over="ignore", invalid="ignore"):
+        u_new = e11 * u_hat + e12 * v_hat + i1u * f_start
+        slope = (f_end(u_new) if callable(f_end) else f_end) - f_start
+        cu, cv = i2u * slope, i2v * slope
+        v_new = e21 * u_hat + e22 * v_hat + i1v * f_start + cv
+        return u_new + cu, v_new, (cu, cv)
 
 
 def _flow_recursion(
@@ -161,26 +202,14 @@ def _flow_recursion(
     source: Iterable[np.ndarray] | None = None,
 ) -> list[np.ndarray]:
     """Spectra of u at every node from spectral data (u, u_t) = (u_hat,
-    v_hat) at t = 0, plus the trapezoid Duhamel integral of the source
-    spectra, which are read one node at a time.
-
-    Each step does v += (h/2) F_k; (u, v) <- E(h) (u, v); v += (h/2) F_{k+1}.
-    By the semigroup identity E(t - s) E(s - r) = E(t - r) this is the
-    composite trapezoid rule on any increasing node set.
+    v_hat) at t = 0, plus the Duhamel integral of the source spectra, read
+    one node at a time: each step is _step from F_k to F_{k+1}, exact for a
+    source that is linear between the nodes, which may be uneven.
     """
-    xi = grid.freq_abs
     ends = itertools.pairwise(itertools.repeat(0.0) if source is None else source)
     spectra = [u_hat]
-    h_prev = None
-    for k in range(1, times.size):
-        h = float(times[k] - times[k - 1])
-        if h != h_prev:
-            e11, e12, e21, e22 = flow_matrix(h, xi)
-            h_prev = h
-        f_start, f_end = next(ends)
-        v_hat = v_hat + (0.5 * h) * f_start
-        u_hat, v_hat = e11 * u_hat + e12 * v_hat, e21 * u_hat + e22 * v_hat
-        v_hat = v_hat + (0.5 * h) * f_end
+    for h, (f_start, f_end) in zip(np.diff(times).tolist(), ends):
+        u_hat, v_hat, _ = _step(grid, h, u_hat, v_hat, f_start, f_end)
         spectra.append(u_hat)
     return spectra
 
@@ -189,8 +218,8 @@ def duhamel_integral(
     grid: TorusGrid, times: np.ndarray, source: Iterable[np.ndarray]
 ) -> list[np.ndarray]:
     """Spectra at every node t of the integral over [0, t] of the damped
-    flow applied to the source, by the composite trapezoid rule on the
-    nodes.  source yields one coefficient array per node."""
+    flow applied to the source, taken as linear between nodes (exponential
+    quadrature).  source yields one coefficient array per node."""
     zero = np.zeros(grid.spectral_shape, dtype=complex)
     return _flow_recursion(grid, times, zero, zero, source)
 
@@ -282,29 +311,6 @@ def picard_solve(
     return Trajectory(times, tuple(GridField(grid, v) for v in samples)), diag
 
 
-def _etd_coefficients(grid: TorusGrid, dt: float):
-    """One-step flow matrix and nonlinear-update weights.
-
-    The weights are integrals over [0, dt] of the damped kernels against 1
-    and (1 - s/dt).  Gauss-Legendre with order scaled to dt * max|xi| keeps
-    the e12 ones exact to rounding for any resolved mode; the e22 ones
-    follow exactly from d/ds e12 = e22 and e12(0) = 0.
-    """
-    xi = grid.freq_abs
-    flow = flow_matrix(dt, xi)
-    order = int(math.ceil(dt * grid.max_freq / 2.0)) + 24
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    s = 0.5 * dt * (nodes + 1.0)
-    w = 0.5 * dt * weights
-    i1u = np.zeros_like(xi)
-    i2u = np.zeros_like(xi)
-    for sk, wk in zip(s, w):
-        lk = damped_L(float(sk), xi)
-        i1u += wk * lk
-        i2u += wk * lk * (1.0 - sk / dt)
-    return flow, (i1u, i2u, flow[1], i1u / dt)
-
-
 def _pair_norm(grid: TorusGrid, u_hat: np.ndarray, v_hat: np.ndarray) -> float:
     """L^2 norm of the pair (u, v) from its half spectra (Parseval)."""
     power = np.abs(u_hat) ** 2 + np.abs(v_hat) ** 2
@@ -321,27 +327,25 @@ def etd_oracle(
     blowup_threshold: float = math.inf,
     store_times: Sequence[float] | None = None,
 ) -> tuple[Trajectory, OracleDiagnostics]:
-    """Second-order exponential time differencing on the pair (u, u_t),
-    with error-controlled steps on the ladder dt * 2^k.
+    """Exponential time differencing (ETD2) on the pair (u, u_t), with
+    error-controlled steps on the ladder dt * 2^k.
 
-    The linear half-step is the exact per-mode flow; the nonlinearity is
-    treated explicitly with a predictor-corrector weighting, so the scheme
-    is exact on linear problems and second order otherwise.  The corrector
-    i2 (n1 - n0), in the u and the v slot, is the gap between the first-
-    and the second-order update: a local error estimate that costs no
-    extra transform (Cox & Matthews 2002).  A step of rung k > 0 whose
-    estimate exceeds ETD_TOL times the L^2 norm of the pair at its start,
-    or that escapes, is retried one rung down with the same n0.  An
-    accepted step whose estimate is below an eighth of that climbs one
-    rung: the estimate grows like the step squared, so the next step
-    stays under the tolerance with a factor 2 to spare.  Rung 0 is always
-    accepted, which makes dt the floor: no run takes more steps than at
-    fixed dt, and an escape is resolved to dt.  The position is an integer
-    count of dt (t = m dt), and no step crosses the next store time or the
-    horizon, so every store time is hit exactly.  The first step with a
-    non-finite sample or one above blowup_threshold is the escape, stored
-    when its samples are finite; the final tail fraction is that of the
-    last finite samples.
+    Each step is _step with the source at its end, n1, read off the
+    first-order update: exact on linear problems, second order otherwise.
+    The correction i2 (n1 - n0), in the u and the v slot, is the gap between
+    the first- and the second-order update, a local error estimate that
+    costs no extra transform.  A step of rung k > 0 whose estimate exceeds
+    ETD_TOL times the L^2 norm of the pair at its start, or that escapes, is
+    retried one rung down with the same n0.  An accepted step whose estimate
+    is below an eighth of that climbs one rung: the estimate grows like the
+    step squared, so the next step stays under the tolerance with a factor 2
+    to spare.  Rung 0 is always accepted, which makes dt the floor: no run
+    takes more steps than at fixed dt, and an escape is resolved to dt.  The
+    position is an integer count of dt (t = m dt), and no step crosses the
+    next store time or the horizon, so every store time is hit exactly.  The
+    first step with a non-finite sample or one above blowup_threshold is the
+    escape, stored when its samples are finite; the final tail fraction is
+    that of the last finite samples.
     """
     if dt <= 0:
         raise ValueError("time step must be positive")
@@ -359,7 +363,7 @@ def etd_oracle(
         store_idx = {int(round(t / dt)) for t in store_times}
         store_idx.add(0)
     landings = sorted(m for m in store_idx | {steps} if 0 < m <= steps)
-    rungs = {}  # k -> _etd_coefficients(grid, dt * 2^k), built on first use
+    power = partial(_power, grid, p=pp.p_nl)
 
     uh = u0.spectrum.coeffs.copy()
     vh = u1.spectrum.coeffs.copy()
@@ -370,29 +374,23 @@ def etd_oracle(
     m, k, n0 = 0, 0, None
     while m < steps:
         if n0 is None:
-            n0 = _power(grid, uh, pp.p_nl)
+            n0 = power(uh)
             scale = ETD_TOL * _pair_norm(grid, uh, vh)
         room = landings[bisect.bisect_right(landings, m)] - m
         j = min(k, room.bit_length() - 1)
-        if j not in rungs:
-            rungs[j] = _etd_coefficients(grid, dt * 2**j)
-        (e11, e12, e21, e22), (i1u, i2u, i1v, i2v) = rungs[j]
-        pred_u = e11 * uh + e12 * vh + i1u * n0
-        dn = _power(grid, pred_u, pp.p_nl) - n0
-        cu, cv = i2u * dn, i2v * dn
+        new_u, new_v, (cu, cv) = _step(grid, dt * 2**j, uh, vh, n0, power)
         err = _pair_norm(grid, cu, cv)
         if j > 0 and not err <= scale:
             diag.rejected += 1
             k = j - 1
             continue
-        new_u = pred_u + cu
         values = _samples(grid, new_u, grid.points_per_axis)
         escaped = _escaped(values, blowup_threshold)
         if j > 0 and escaped:
             diag.rejected += 1
             k = j - 1
             continue
-        uh, vh = new_u, e21 * uh + e22 * vh + i1v * n0 + cv
+        uh, vh = new_u, new_v
         n0 = None
         m += 2**j
         diag.steps += 1

@@ -587,6 +587,24 @@ class TestShippedConfigs:
         # In the linear regime the oracle climbs to the store spacing: far
         # fewer than the 8000 steps of 0.025 to T = 200.
         assert report["scalars"]["oracle_steps"] < 1000
+        # The first Duhamel correction is at the rounding floor there.
+        assert report["scalars"]["nonlinear_share"] < 1e-10
+
+    def test_nonlinear_global_decay_config_passes(self, tmp_path, capsys):
+        # Amplitude 0.3 at the critical power, a run whose first Duhamel
+        # correction is 6e-3 of the solution.  A trapezoid Duhamel rule on
+        # its 25 nodes misses the oracle by 1.14e-4, over oracle_tol = 1e-4;
+        # the exponential rule misses it by 4.05e-5.
+        cfg = str(CONFIGS / "global-decay-nonlinear.cfg")
+        assert main(["run", cfg, "--out", str(tmp_path / "o")]) == EXIT_OK
+        report = json.loads((tmp_path / "o" / "global-decay.json").read_text())
+        assert report["verdicts"] == {
+            "oracle_agreement": "pass",
+            "picard_converged": "pass",
+            "weighted_sup_bounded": "pass",
+        }
+        assert report["scalars"]["oracle_agreement"] < 5e-5
+        assert report["scalars"]["nonlinear_share"] > 1e-3
 
     def test_every_registry_entry_has_description_and_claim(self):
         for spec in REGISTRY.values():

@@ -17,13 +17,20 @@ from besov_wave_lab.grid import (
 from besov_wave_lab.littlewood_paley import make_blocks
 from besov_wave_lab.norms import ProblemParams, Trajectory, lebesgue_norm, x_norm
 from besov_wave_lab.profiles import gaussian, single_mode, slow_decay
-from besov_wave_lab.propagator import damped_L, linear_solution
+from besov_wave_lab.propagator import (
+    DELTA_BAND,
+    damped_dtL,
+    damped_L,
+    flow_matrix,
+    linear_solution,
+)
 from besov_wave_lab import solver
 from besov_wave_lab.solver import (
     ETD_TOL,
     SolverConfig,
     _flow_recursion,
     _power,
+    _step_weights,
     contraction_report,
     decay_study,
     duhamel_integral,
@@ -43,8 +50,7 @@ def small_gaussian_data(grid, amplitude):
 
 
 def constant_source_integral(mode, nodes: int, t: float):
-    """Samples of the trapezoid Duhamel integral at t of a source held at
-    one field."""
+    """Samples of the Duhamel integral at t of a source held at one field."""
     times = np.linspace(0.0, t, nodes)
     spectra = [mode.spectrum.coeffs for _ in times]
     coeffs = duhamel_integral(mode.grid, times, spectra)[-1]
@@ -64,55 +70,85 @@ class TestDuhamel:
 
     def test_constant_single_mode_source_against_quad_oracle(self):
         # Source held at one Fourier mode: the integral reduces to the
-        # scalar integral of the damped kernel, done adaptively by quad.
-        # Richardson extrapolation of the trapezoid rule on 129 and 257
-        # nodes removes its h^2 error term.
+        # scalar integral of the damped kernel, done adaptively by quad.  A
+        # constant source is linear on every step, so one run on 3 nodes
+        # is exact to rounding.
         xi0 = 0.5  # exact threshold mode on this box
         mode = single_mode(self.grid, xi0)
         t = 4.0
         exact, err = quad(
-            lambda tau: damped_L(t - tau, xi0), 0.0, t, epsabs=1e-12, epsrel=1e-12
+            lambda tau: damped_L(t - tau, xi0), 0.0, t, epsabs=1e-13, epsrel=1e-13
         )
-        assert err < 1e-10
-        coarse = constant_source_integral(mode, 129, t)
-        fine = constant_source_integral(mode, 257, t)
-        extrapolated = (4.0 * fine - coarse) / 3.0
-        assert np.max(np.abs(extrapolated - exact * mode.values)) < 1e-9
+        assert err < 1e-13
+        out = constant_source_integral(mode, 3, t)
+        assert np.max(np.abs(out - exact * mode.values)) < 1e-13
 
-    def test_trapezoid_converges_second_order(self):
+    def test_converges_second_order_on_a_curved_source(self):
+        # cos(3 tau) times one mode is not linear on any step; the error of
+        # the piecewise-linear source falls by 4 per halving of the step.
         xi0 = 0.5
         mode = single_mode(self.grid, xi0)
         t = 4.0
         exact, _ = quad(
-            lambda tau: damped_L(t - tau, xi0), 0.0, t, epsabs=1e-13, epsrel=1e-13
+            lambda tau: damped_L(t - tau, xi0) * math.cos(3.0 * tau),
+            0.0, t, epsabs=1e-13, epsrel=1e-12, limit=200,
         )
         errors = []
-        for nodes in (17, 33):
-            out = constant_source_integral(mode, nodes, t)
+        for nodes in (17, 33, 65):
+            times = np.linspace(0.0, t, nodes)
+            spectra = [math.cos(3.0 * tau) * mode.spectrum.coeffs for tau in times]
+            coeffs = duhamel_integral(self.grid, times, spectra)[-1]
+            out = field_from_coeffs(self.grid, coeffs).values
             errors.append(np.max(np.abs(out - exact * mode.values)))
-        assert errors[0] / errors[1] == pytest.approx(4.0, rel=0.2)
+        assert errors[0] / errors[1] == pytest.approx(4.0, rel=0.1)
+        assert errors[1] / errors[2] == pytest.approx(4.0, rel=0.1)
 
-    def test_recursion_matches_direct_trapezoid_sum(self):
-        # On uneven nodes the recursion equals the composite trapezoid sum
-        # of e12(t_k - tau_j) F(tau_j) at every node t_k.
+    def test_recursion_matches_direct_weight_sum(self):
+        # On uneven nodes the recursion equals the direct sum, over the
+        # steps [tau_j, tau_j+1] before t_k, of that step's source weights
+        # applied to F_j and F_j+1 - F_j and carried to t_k by the flow.
         grid = make_grid(1, 64, 20.0)
+        xi = grid.freq_abs
         rng = np.random.default_rng(7)
         times = np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 0.6, 12))])
         fields = [grid.field(rng.standard_normal(grid.shape)) for _ in times]
-        out = duhamel_integral(grid, times, [f.spectrum.coeffs for f in fields])
+        f = [g.spectrum.coeffs for g in fields]
+        out = duhamel_integral(grid, times, f)
         for k, t in enumerate(times):
-            taus = times[: k + 1]
-            weights = np.zeros_like(taus)
-            weights[:-1] += 0.5 * np.diff(taus)
-            weights[1:] += 0.5 * np.diff(taus)
-            acc = sum(
-                w * damped_L(t - tau, grid.freq_abs) * f.spectrum.coeffs
-                for tau, w, f in zip(taus, weights, fields)
-            )
+            acc = np.zeros(grid.spectral_shape, dtype=complex)
+            for j in range(k):
+                _, (i1u, i2u, i1v, i2v) = _step_weights(grid, times[j + 1] - times[j])
+                a = i1u * f[j] + i2u * (f[j + 1] - f[j])
+                b = i1v * f[j] + i2v * (f[j + 1] - f[j])
+                e11, e12, _, _ = flow_matrix(t - times[j + 1], xi)
+                acc += e11 * a + e12 * b
             direct = inverse_transform(SpectralField(grid, acc))
             scale = max(direct.max_abs(), 1e-30)
             values = field_from_coeffs(grid, out[k]).values
             assert np.max(np.abs(values - direct.values)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize(
+        "xi",
+        [0.25, 0.5 - 0.5 * DELTA_BAND, 0.5, 0.5 + 0.5 * DELTA_BAND, 2.0, 6.0],
+        ids=["below", "band-low", "threshold", "band-high", "above", "far-above"],
+    )
+    def test_step_weights_against_quad(self, xi):
+        # The weights Picard and the ETD oracle share, each against quad of
+        # its kernel: e12, e12 (1 - s/h), e22 and e22 (1 - s/h) over [0, h].
+        # They are what keeps the oracle an independent cross-check.
+        grid = make_grid(1, 64, 8.0 * np.pi / xi)
+        assert grid.freq_abs[4] == pytest.approx(xi, rel=1e-14)
+        for h in (0.01, 0.025, 1.25, 10.0):
+            _, weights = _step_weights(grid, h)
+            kernels = (
+                lambda s: damped_L(s, xi),
+                lambda s: damped_L(s, xi) * (1.0 - s / h),
+                lambda s: damped_dtL(s, xi),
+                lambda s: damped_dtL(s, xi) * (1.0 - s / h),
+            )
+            for w, kernel in zip(weights, kernels, strict=True):
+                exact, _ = quad(kernel, 0.0, h, epsabs=1e-14, epsrel=1e-11, limit=200)
+                assert abs(w[4] - exact) <= 1e-9 * abs(exact)
 
 
 class TestPicard:
