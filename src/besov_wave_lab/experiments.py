@@ -71,9 +71,12 @@ Values = dict[str, dict[str, Any]]
 FLOATS = tuple[float, ...]
 COMMON = {"experiment": {"kind": str}, "run": {"seed": 0}, "output": {"dir": str}}
 GRID = {"n": 1, "N": 4096, "L": 400.0}
-PROBLEM = {"n": int, "r": 4.0, "s": 5.0, "p": 9, "eps": 0.0}
-SOLVER = {"T": 200.0, "nodes": 201, "picard_tol": 1e-9, "max_iters": 20,
-          "blowup_threshold": math.inf, "etd_dt": 0.02}
+PROBLEM = {"n": int, "r": 4.0, "s": 5.0, "p": 9}
+# [solver] keys: every solving kind reads SOLVER, a Picard solve PICARD and
+# an ETD run ETD.
+SOLVER = {"T": 200.0, "blowup_threshold": math.inf}
+PICARD = {"nodes": 201, "picard_tol": 1e-9, "max_iters": 20}
+ETD = {"etd_dt": 0.02}
 TIME = {"t_min": 1.0, "t_max": 500.0, "points": 24, "spacing": "geometric"}
 ESTIMATE = {"p": 2.0, "q": 2.0, "s1": 0.0, "s2": 0.0}
 # [data] also takes the keys of the chosen profile (profiles.PROFILES); a
@@ -155,7 +158,7 @@ def _times_from(values: Values) -> np.ndarray:
 
 def _problem_from(values: Values, p: int | None = None) -> ProblemParams:
     pr = values["problem"]
-    return ProblemParams(pr["n"], pr["r"], pr["s"], pr["p"] if p is None else p, pr["eps"])
+    return ProblemParams(pr["n"], pr["r"], pr["s"], pr["p"] if p is None else p)
 
 
 def _data_field(data: Mapping[str, Any], grid: TorusGrid, rng: np.random.Generator):
@@ -480,7 +483,8 @@ def run_blowup_probe(values: Values, out_dir: Path, rng, jobs: int) -> Experimen
     """Escape probe; an `amplitudes` list tabulates escape time vs amplitude."""
     grid = make_grid(**values["grid"])
     pp = _problem_from(values)
-    scfg = SolverConfig.uniform(**values["solver"])
+    # blowup_probe reads T, etd_dt and the cap: the time grid is [0, T].
+    scfg = SolverConfig.uniform(nodes=2, **values["solver"])
     u = _data_field(values["data"], grid, rng)
     report = blowup_probe(u, u, pp, scfg)
     if values["experiment"]["amplitudes"] is not None:
@@ -503,19 +507,20 @@ def run_blowup_probe(values: Values, out_dir: Path, rng, jobs: int) -> Experimen
 
 
 def _sweep_one(args) -> tuple[int, str, float | None, int]:
-    u, pp, scfg = args
+    u, pp, solver = args
+    T = solver["T"]
     _, diag = etd_oracle(
-        u, u, pp, scfg.etd_dt, scfg.horizon,
-        blowup_threshold=scfg.blowup_threshold, store_times=[scfg.horizon],
+        u, u, pp, solver["etd_dt"], T,
+        blowup_threshold=solver["blowup_threshold"], store_times=[T],
     )
     return pp.p_nl, ("escape" if diag.blown_up else "decay"), diag.escape_time, diag.steps
 
 
 def run_sweep_critical(values: Values, out_dir: Path, rng, jobs: int) -> ExperimentReport:
     grid = make_grid(**values["grid"])
-    scfg = SolverConfig.uniform(**values["solver"])
     u = _data_field(values["data"], grid, rng)
-    args = [(u, _problem_from(values, p), scfg) for p in values["experiment"]["powers"]]
+    powers, solver = values["experiment"]["powers"], values["solver"]
+    args = [(u, _problem_from(values, p), solver) for p in powers]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_sweep_one, args))
@@ -579,7 +584,7 @@ def run_admissibility(values: Values, out_dir: Path, rng, jobs: int) -> Experime
 
 # The shared sections of the decay-estimate and the solving kinds.
 FLOW = {"grid": GRID, "time": TIME, "data": DATA}
-SOLVING = {"grid": GRID, "problem": PROBLEM, "solver": SOLVER, "data": DATA}
+SOLVING = {"grid": GRID, "problem": PROBLEM, "solver": {**SOLVER, **ETD}, "data": DATA}
 
 REGISTRY: dict[str, ExperimentSpec] = {
     spec.name: spec
@@ -656,7 +661,8 @@ REGISTRY: dict[str, ExperimentSpec] = {
             # amplitudes the second Picard difference stands above rounding.
             {"grid": {**GRID, "N": 256, "L": 64.0},
              "problem": {**PROBLEM, "s": 2.0, "p": 2},
-             "solver": {**SOLVER, "T": 2.0, "nodes": 33, "picard_tol": 1e-15, "max_iters": 3},
+             "solver": {**SOLVER, **PICARD, "T": 2.0, "nodes": 33, "picard_tol": 1e-15,
+                        "max_iters": 3},
              "data": {**DATA, "width": 2.0, "amplitude": None},
              "experiment": {"amplitudes": (1e-3, 2e-3, 4e-3), "slope_tol": 0.2}},
             powers=("problem", "p"),
@@ -669,8 +675,8 @@ REGISTRY: dict[str, ExperimentSpec] = {
             # The defaults are configs/global-decay.cfg's: small slowly
             # decaying data at the critical power, which decay without escape.
             {"grid": {**GRID, "N": 8192, "L": 800.0}, "problem": PROBLEM,
-             "solver": {**SOLVER, "nodes": 161, "max_iters": 12, "blowup_threshold": 10.0,
-                        "etd_dt": 0.025},
+             "solver": {**SOLVER, **PICARD, **ETD, "nodes": 161, "max_iters": 12,
+                        "blowup_threshold": 10.0, "etd_dt": 0.025},
              "data": {**DATA, "profile": "slow-decay", "amplitude": 1e-2},
              "experiment": {"oracle_tol": 1e-4}},
             powers=("problem", "p"),
@@ -688,8 +694,10 @@ REGISTRY: dict[str, ExperimentSpec] = {
             "escape-vs-decay sweep across nonlinearity powers",
             "boundary sits at the critical power 1 + 2r/n",
             run_sweep_critical,
-            {"grid": {**GRID, "N": 1024, "L": 80.0}, "problem": PROBLEM,
-             "solver": {**SOLVER, "T": 80.0, "etd_dt": 0.01, "blowup_threshold": 100.0},
+            # The powers come from [experiment] powers, not [problem] p.
+            {"grid": {**GRID, "N": 1024, "L": 80.0},
+             "problem": {key: PROBLEM[key] for key in ("n", "r", "s")},
+             "solver": {**SOLVER, **ETD, "T": 80.0, "etd_dt": 0.01, "blowup_threshold": 100.0},
              "data": {**DATA, "width": 2.0, "amplitude": 0.5},
              "experiment": {"powers": (7, 8, 9, 10)}},
             powers=("experiment", "powers"),
@@ -699,7 +707,7 @@ REGISTRY: dict[str, ExperimentSpec] = {
             "existence hypotheses evaluated with slack margins",
             "float and exact-rational evaluations agree",
             run_admissibility,
-            {"grid": {"n": 1}, "problem": {key: PROBLEM[key] for key in ("n", "r", "s", "p")},
+            {"grid": {"n": 1}, "problem": PROBLEM,
              "experiment": {"random_samples": 1000}},
         ),
     ]

@@ -104,11 +104,6 @@ class TorusGrid:
         """Largest |xi| on the lattice (corner mode)."""
         return math.sqrt(self.n) * np.pi * self.points_per_axis / self.box_length
 
-    @property
-    def min_freq(self) -> float:
-        """Smallest nonzero |xi| on the lattice."""
-        return self.freq_spacing
-
     @cached_property
     def axis_coords(self) -> np.ndarray:
         return -self.box_length / 2 + self.spacing * np.arange(self.points_per_axis)
@@ -165,9 +160,6 @@ class TorusGrid:
     def field(self, values: np.ndarray) -> "GridField":
         return GridField(self, np.asarray(values, dtype=float))
 
-    def field_from_function(self, func: Callable[..., np.ndarray]) -> "GridField":
-        return GridField(self, np.broadcast_to(func(*self.coords), self.shape).copy())
-
 
 def make_grid(n: int, N: int, L: float) -> TorusGrid:
     """Build a torus grid with n axes, N points per axis and box length L."""
@@ -207,9 +199,6 @@ class GridField:
         return GridField(self.grid, self.values * float(scalar))
 
     __rmul__ = __mul__
-
-    def __neg__(self) -> "GridField":
-        return GridField(self.grid, -self.values)
 
     def _check_same_grid(self, other: "GridField") -> None:
         if other.grid != self.grid:
@@ -321,11 +310,13 @@ def _coefficients(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
 
 def _samples(grid: TorusGrid, coeffs: np.ndarray, M: int) -> np.ndarray:
     """Real samples on the M-point lattice over grid's box of a coefficient
-    array of grid, unvalidated: non-finite coefficients give non-finite ones.
-    Coefficient arrays stacked on leading axes give samples stacked the same
-    way, each slice bit for bit what it gives alone.  For M > N the
-    coefficients are padded by the Nyquist rule of dealiased_pointwise."""
-    return _signed_samples(grid, grid._phase_signs * coeffs, M)
+    array of grid, unvalidated: non-finite coefficients give non-finite ones,
+    without a floating-point warning.  Coefficient arrays stacked on leading
+    axes give samples stacked the same way, each slice bit for bit what it
+    gives alone.  For M > N the coefficients are padded by the Nyquist rule
+    of dealiased_pointwise."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _signed_samples(grid, grid._phase_signs * coeffs, M)
 
 
 def _signed_samples(grid: TorusGrid, signed: np.ndarray, M: int) -> np.ndarray:
@@ -379,23 +370,21 @@ def dealiased_pointwise(
     """
     n, N = grid.n, grid.points_per_axis
     M = factor * N
+    scale = (2.0 * np.pi) ** (-n / 2) * (grid.box_length / M) ** n
     # An overflow here is a blow-up, which the time loops read off the samples.
     with np.errstate(over="ignore", invalid="ignore"):
         samples = op(*(_samples(grid, c, M) for c in coeffs))
         half = np.fft.rfftn(samples, axes=tuple(range(-n, 0)))
-    scale = (2.0 * np.pi) ** (-n / 2) * (grid.box_length / M) ** n
-    truncated = half[(Ellipsis,) + _leading_index(N, M, n) + (slice(0, N // 2 + 1),)]
-    # C order, as for one field: sums over a field's samples run in memory order.
-    return np.multiply(scale * grid._phase_signs, truncated, order="C")
+        truncated = half[(Ellipsis,) + _leading_index(N, M, n) + (slice(0, N // 2 + 1),)]
+        # C order, as for one field: sums over a field's samples run in memory order.
+        return np.multiply(scale * grid._phase_signs, truncated, order="C")
 
 
-def dealiased_product(f: GridField, g: GridField, factor: int = 2) -> GridField:
-    """f * g by dealiased_pointwise; factor 2 makes it alias-free."""
+def dealiased_product(f: GridField, g: GridField) -> GridField:
+    """f * g by dealiased_pointwise, padded by 2, which makes it alias-free."""
     if f.grid != g.grid:
         raise ValueError("fields live on different grids")
-    coeffs = dealiased_pointwise(
-        f.grid, np.multiply, factor, f.spectrum.coeffs, g.spectrum.coeffs
-    )
+    coeffs = dealiased_pointwise(f.grid, np.multiply, 2, f.spectrum.coeffs, g.spectrum.coeffs)
     return field_from_coeffs(f.grid, coeffs)
 
 
@@ -407,10 +396,10 @@ def dealiased_power(f: GridField, p: int) -> GridField:
     return field_from_coeffs(f.grid, coeffs)
 
 
-def refine_field(f: GridField, factor: int = 2) -> GridField:
-    """Spectral interpolation onto a grid with factor times the resolution."""
+def refine_field(f: GridField) -> GridField:
+    """Spectral interpolation onto a grid with twice the resolution."""
     grid = f.grid
-    fine = make_grid(grid.n, factor * grid.points_per_axis, grid.box_length)
+    fine = make_grid(grid.n, 2 * grid.points_per_axis, grid.box_length)
     return GridField(fine, _samples(grid, f.spectrum.coeffs, fine.points_per_axis))
 
 

@@ -183,14 +183,7 @@ def default_j_range(grid: TorusGrid) -> tuple[int, int]:
     return j_min, j_max
 
 
-def make_blocks(
-    grid: TorusGrid,
-    j_min: int | None = None,
-    j_max: int | None = None,
-) -> DyadicBlocks:
+def make_blocks(grid: TorusGrid) -> DyadicBlocks:
+    """The dyadic blocks of grid on its default range."""
     lo, hi = default_j_range(grid)
-    return DyadicBlocks(
-        grid=grid,
-        j_min=lo if j_min is None else j_min,
-        j_max=hi if j_max is None else j_max,
-    )
+    return DyadicBlocks(grid=grid, j_min=lo, j_max=hi)

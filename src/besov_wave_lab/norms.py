@@ -12,7 +12,7 @@ ensemble of fields stacked on a leading axis reduces in one call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -100,18 +100,18 @@ def besov_seminorm(
 
 @dataclass(frozen=True)
 class ProblemParams:
-    """Problem parameters (n, r, s, p_nl) and the derived exponents.
+    """Problem parameters (n, r, s, p_nl) and the exponents the runs read:
+    fujita = 1 + 2r/n and the solution-norm weight s/2 - (n/2)(1/2 - 1/r).
 
-    beta = (n-1)(1/2 - 1/r), sigma1 = max(1, r/p_nl) + eps, sigma2 = r
-    when 2s >= n and min(r, 2n/(p_nl(n-2s))) otherwise, fujita = 1 + 2r/n.
-    eps defaults to 5% of the sigma window so sigma1 < sigma2 always holds.
+    Construction checks only the domain: n >= 1, r in (2, inf), p_nl an
+    integer >= 2.  Whether (n, r, s, p_nl) is admissible is not judged
+    here; admissibility.require_lwp is the one gate.
     """
 
     n: int
     r: float
     s: float
     p_nl: int
-    eps: float = field(default=0.0)
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -120,34 +120,6 @@ class ProblemParams:
             raise ValueError(f"decay integrability r must lie in (2, inf), got {self.r}")
         if int(self.p_nl) != self.p_nl or self.p_nl < 2:
             raise ValueError(f"nonlinearity power must be an integer >= 2, got {self.p_nl}")
-        base = max(1.0, self.r / self.p_nl)
-        sigma2 = self._sigma2()
-        if sigma2 <= base:
-            raise ValueError(
-                f"no admissible integrability window: sigma2={sigma2:.6g} <= "
-                f"max(1, r/p)={base:.6g}"
-            )
-        if self.eps == 0.0:
-            object.__setattr__(self, "eps", 0.05 * (sigma2 - base))
-        if not (0.0 < self.eps < sigma2 - base):
-            raise ValueError("eps must be positive and keep sigma1 below sigma2")
-
-    def _sigma2(self) -> float:
-        if 2 * self.s >= self.n:
-            return self.r
-        return min(self.r, 2.0 * self.n / (self.p_nl * (self.n - 2.0 * self.s)))
-
-    @property
-    def beta(self) -> float:
-        return (self.n - 1) * (0.5 - 1.0 / self.r)
-
-    @property
-    def sigma1(self) -> float:
-        return max(1.0, self.r / self.p_nl) + self.eps
-
-    @property
-    def sigma2(self) -> float:
-        return self._sigma2()
 
     @property
     def fujita(self) -> float:
@@ -234,22 +206,21 @@ def interpolation_check(
     theta: float,
     *,
     blocks: DyadicBlocks | None = None,
-    identity_tol: float = 1e-10,
 ) -> float:
     """Ratio of the interpolated seminorm to the two-endpoint product.
 
     The exponents must satisfy n/q - alpha = (1-theta)n/r + theta(n/2 - s)
-    and alpha <= theta*s; tuples off the scaling line are rejected.
+    and alpha <= theta*s, to 1e-10; tuples off the scaling line are rejected.
     """
     if not 0.0 <= theta <= 1.0:
         raise ValueError("theta must lie in [0, 1]")
     lhs = pp.n / q - alpha
     rhs = (1.0 - theta) * pp.n / pp.r + theta * (pp.n / 2.0 - pp.s)
-    if abs(lhs - rhs) > identity_tol:
+    if abs(lhs - rhs) > 1e-10:
         raise ValueError(
             f"exponent tuple violates the scaling identity by {abs(lhs - rhs):.3e}"
         )
-    if alpha > theta * pp.s + identity_tol:
+    if alpha > theta * pp.s + 1e-10:
         raise ValueError("alpha must not exceed theta*s")
     if blocks is None:
         blocks = make_blocks(f.grid)

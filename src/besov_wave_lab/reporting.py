@@ -50,22 +50,20 @@ class ExperimentReport:
     def passed(self) -> bool:
         return all(v == "pass" for v in self.verdicts.values())
 
-    def to_json_dict(self, *, include_timing: bool = True) -> dict:
-        out = {
+    def to_json_dict(self) -> dict:
+        return {
             "kind": self.kind,
             "scalars": dict(sorted(self.scalars.items())),
             "verdicts": dict(sorted(self.verdicts.items())),
             "tables": {k: t.to_dict() for k, t in sorted(self.tables.items())},
             "meta": dict(sorted(self.meta.items())),
-        }
-        if include_timing:
             # The single volatile field: everything else is reproducible
             # byte for byte given config and seed.
-            out["timing"] = {
+            "timing": {
                 "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
                 "runtime_s": self.runtime_s,
-            }
-        return out
+            },
+        }
 
     def save(self, out_dir: Path | str) -> Path:
         out_dir = Path(out_dir)
@@ -100,17 +98,14 @@ def write_loglog_svg(
     *,
     fit: tuple[float, float] | None = None,
     title: str = "",
-    xlabel: str = "t",
-    ylabel: str = "norm",
-    size: tuple[int, int] = (640, 480),
 ) -> None:
-    """Log-log scatter/line plot with an optional fitted power law overlay.
+    """Log-log scatter/line plot of norms against t, 640 by 480 pixels, with
+    an optional fitted power law overlay.
 
     fit is (slope, intercept) for log10(y) = slope*log10(x) + intercept.
     Non-positive values are dropped (log axes).
     """
-    width, height = size
-    margin = 60
+    width, height, margin = 640, 480, 60
     pts: dict[str, list[tuple[float, float]]] = {}
     for name, ys in series.items():
         pts[name] = [
@@ -143,9 +138,9 @@ def write_loglog_svg(
         f'<rect width="{width}" height="{height}" fill="white"/>',
         f'<text x="{width/2:.0f}" y="24" text-anchor="middle" font-size="15">{title}</text>',
         f'<text x="{width/2:.0f}" y="{height-12}" text-anchor="middle" font-size="12">'
-        f"log10 {xlabel}</text>",
+        "log10 t</text>",
         f'<text x="16" y="{height/2:.0f}" text-anchor="middle" font-size="12" '
-        f'transform="rotate(-90 16 {height/2:.0f})">log10 {ylabel}</text>',
+        f'transform="rotate(-90 16 {height/2:.0f})">log10 norm</text>',
     ]
     axis = (
         f'<path d="M {margin} {margin} L {margin} {height-margin} '

@@ -49,7 +49,7 @@ from besov_wave_lab.grid import (
     pad_factor_for_power,
     refine_field,
 )
-from besov_wave_lab.littlewood_paley import DyadicBlocks, make_blocks
+from besov_wave_lab.littlewood_paley import make_blocks
 from besov_wave_lab.norms import (
     ProblemParams,
     Trajectory,
@@ -79,6 +79,9 @@ TAIL_FRACTION_THRESHOLD = 0.10
 # Local error tolerance of the ETD oracle's step control, relative to the
 # L^2 norm of the pair (u, u_t); see etd_oracle.
 ETD_TOL = 1e-6
+# Largest late-window log-slope of the running weighted sup that decay_study
+# still counts as bounded.
+TREND_TOL = 0.05
 
 
 @dataclass(frozen=True)
@@ -150,8 +153,7 @@ def _escaped(values: np.ndarray, threshold: float) -> bool:
 def _power(grid: TorusGrid, coeffs: np.ndarray, p: int) -> np.ndarray:
     """Alias-free spectrum of u^p from that of u; overflows show in the samples."""
     power = partial(integer_power, p=p)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return dealiased_pointwise(grid, power, pad_factor_for_power(p), coeffs)
+    return dealiased_pointwise(grid, power, pad_factor_for_power(p), coeffs)
 
 
 @lru_cache(maxsize=16)
@@ -245,13 +247,13 @@ def picard_solve(
     u1: GridField,
     pp: ProblemParams,
     cfg: SolverConfig,
-    *,
-    blocks: DyadicBlocks | None = None,
 ) -> tuple[Trajectory, PicardDiagnostics]:
     """Fixed-point iteration for the integral equation with source u^p.
 
     Starts from the linear solution and stops when the successive
-    difference drops below picard_tol in the solution norm.  At the first
+    difference drops below picard_tol in the solution norm; the run is
+    converged unless its last ratio of differences is >= 1, since a
+    difference that grew did not contract, however small.  At the first
     node where an iterate has a non-finite sample or crosses the max-norm
     threshold it aborts with a blow-up flag and returns the last iterate
     that did not.  Each iterate is the linear solution plus a Duhamel
@@ -269,9 +271,7 @@ def picard_solve(
     data_linf = max(u0.max_abs(), u1.max_abs())
     if cfg.blowup_threshold <= data_linf:
         raise ValueError("blowup threshold must exceed the initial data max-norm")
-    if blocks is None:
-        blocks = make_blocks(u0.grid)
-
+    blocks = make_blocks(u0.grid)
     grid = u0.grid
     N = grid.points_per_axis
     times = cfg.time_grid
@@ -300,7 +300,7 @@ def picard_solve(
             diag.ratios.append(diff_norm / diag.diff_norms[-2])
         correction, samples = update, taken
         if diff_norm < cfg.picard_tol:
-            diag.converged = True
+            diag.converged = not diag.ratios or diag.ratios[-1] < 1.0
             break
     if diag.blown_up:
         diag.residual = math.inf
@@ -347,8 +347,10 @@ def etd_oracle(
     escape, stored when its samples are finite; the final tail fraction is
     that of the last finite samples.
     """
-    if dt <= 0:
-        raise ValueError("time step must be positive")
+    if dt <= 0 or T <= 0:
+        raise ValueError("time step and horizon must be positive")
+    if blowup_threshold <= 0:
+        raise ValueError("blowup threshold must be positive")
     if u0.grid != u1.grid:
         raise ValueError("initial data live on different grids")
     grid = u0.grid
@@ -421,26 +423,21 @@ def contraction_report(
     values: Sequence[float],
     diags: Sequence[PicardDiagnostics],
     pp: ProblemParams,
-    *,
-    variable: str = "amplitude",
 ) -> ExperimentReport:
-    """Fit of log(contraction ratio) against log(amplitude or horizon).
-
-    Against amplitude the expected slope is p - 1; against small horizons
-    the first-iteration ratio grows about linearly.  The picard table holds
-    every run's difference norms, one row per iteration.
+    """Fit of log(contraction ratio) against log(amplitude), whose expected
+    slope is p - 1.  values are the amplitudes of the runs diags.  The
+    picard table holds every run's difference norms, one row per iteration.
     """
     if len(values) != len(diags) or len(values) < 2:
         raise ValueError("need matching values and diagnostics, at least two runs")
     ratios = [first_contraction_ratio(d) for d in diags]
     slope, intercept = np.polyfit(np.log10(values), np.log10(ratios), 1)
-    expected = float(pp.p_nl - 1) if variable == "amplitude" else 1.0
     table = Table(
-        columns=[variable, "contraction_ratio"],
+        columns=["amplitude", "contraction_ratio"],
         rows=[[float(v), float(r)] for v, r in zip(values, ratios)],
     )
     history = Table(
-        columns=[variable, "iteration", "diff_norm"],
+        columns=["amplitude", "iteration", "diff_norm"],
         rows=[
             [float(v), float(i), d]
             for v, diag in zip(values, diags)
@@ -451,11 +448,11 @@ def contraction_report(
         kind="contraction",
         scalars={
             "fitted_slope": float(slope),
-            "expected_slope": expected,
+            "expected_slope": float(pp.p_nl - 1),
             "intercept": float(intercept),
         },
         tables={"ratios": table, "picard": history},
-        meta={"variable": variable, "p_nl": pp.p_nl},
+        meta={"variable": "amplitude", "p_nl": pp.p_nl},
     )
 
 
@@ -464,9 +461,7 @@ def decay_study(
     pp: ProblemParams,
     *,
     blown_up: bool = False,
-    blocks: DyadicBlocks | None = None,
     fit_window: tuple[float, float] | None = None,
-    trend_tol: float = 0.05,
 ) -> ExperimentReport:
     """Decay fits and the weighted-sup boundedness verdict for a solved run.
 
@@ -483,8 +478,7 @@ def decay_study(
             f"decay study rejected: outer-shell mass fraction {confinement:.3e} "
             f"exceeds {CONFINEMENT_THRESHOLD:.1e}"
         )
-    if blocks is None:
-        blocks = make_blocks(traj.grid)
+    blocks = make_blocks(traj.grid)
     ts, b_r, b_s, weighted, running = [], [], [], [], []
     for t, f in traj:
         ts.append(float(t))
@@ -513,7 +507,7 @@ def decay_study(
         slope_i, _, _ = fit_power_law(ts_arr, np.array(weighted), window=fit_window)
         scalars["integrand_trend_slope"] = slope_i
         verdicts["weighted_sup_bounded"] = (
-            "pass" if slope_w <= trend_tol else "fail"
+            "pass" if slope_w <= TREND_TOL else "fail"
         )
         slope_r, _, _ = fit_power_law(ts_arr, np.array(b_r), window=fit_window)
         scalars["fitted_decay_exponent"] = slope_r

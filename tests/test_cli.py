@@ -134,6 +134,8 @@ class TestList:
 
 
 BLOWUP = BLOWUP_CFG.format(r="4", s="2")
+CONTRACTION = CONTRACTION_CFG.format(r="4", s="2")
+SWEEP = SWEEP_CFG.format(powers="9", r="4", s="5", profile="gaussian")
 
 
 class TestConfigSchema:
@@ -155,8 +157,22 @@ class TestConfigSchema:
                 "unknown section [sovler]; did you mean 'solver'?",
             ),
             (BLOWUP + "xi_lo = 0.3\n", "unknown key 'xi_lo' in [data]"),
+            # A kind declares only the keys its runner reads: the sweep's
+            # powers are [experiment] powers, an ETD run has no Picard keys, a
+            # Picard run no etd_dt, and no kind has [problem] eps ([data] eps
+            # of the slow-decay profile is another key).
+            (SWEEP.replace("s = 5\n", "s = 5\np = 3\n"), "unknown key 'p' in [problem]"),
+            (SWEEP.replace("[solver]\n", "[solver]\nnodes = 7\n"),
+             "unknown key 'nodes' in [solver]"),
+            (BLOWUP.replace("[solver]\n", "[solver]\nmax_iters = 1\n"),
+             "unknown key 'max_iters' in [solver]"),
+            (CONTRACTION.replace("[solver]\n", "[solver]\netd_dt = 0.05\n"),
+             "unknown key 'etd_dt' in [solver]"),
+            ((CONFIGS / "global-decay.cfg").read_text().replace("p = 9\n", "p = 9\neps = 0.01\n"),
+             "unknown key 'eps' in [problem]"),
         ],
-        ids=["tolerence", "NN", "sovler", "xi_lo"],
+        ids=["tolerence", "NN", "sovler", "xi_lo", "sweep-p", "sweep-nodes", "blowup-max_iters",
+             "contraction-etd_dt", "problem-eps"],
     )
     def test_unknown_section_or_key_exits_2(self, text, named, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "typo.cfg", text)
@@ -530,6 +546,16 @@ class TestAdmissibilityGate:
         report = json.loads((out / "sweep-critical.json").read_text())
         assert [row[0] for row in report["tables"]["sweep"]["rows"]] == [2.0, 9.0]
         assert set(report["verdicts"]) == {"boundary_at_critical"}
+
+    def test_override_lifts_the_only_gate(self, tmp_path, capsys):
+        # r = 4, s = 0.2, p = 2 fails the local conditions; the override
+        # runs it, since ProblemParams judges only the domain.
+        text = CONTRACTION_CFG.format(r="4", s="0.2")
+        assert self.run(tmp_path, text)[0] == EXIT_ADMISSIBILITY
+        code, out = self.run(tmp_path, text, "--override-admissibility")
+        assert code == EXIT_OK
+        report = json.loads((out / "contraction.json").read_text())
+        assert report["verdicts"] == {"amplitude_power": "pass"}
 
     def test_run_experiment_applies_the_gate(self, tmp_path):
         path = write_cfg(tmp_path / "c.cfg", CONTRACTION_CFG.format(r="6", s="0.6"))

@@ -1,5 +1,7 @@
 """Transform correctness against closed-form oracles and algebraic identities."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,6 +26,7 @@ from besov_wave_lab.grid import (
     pad_factor_for_power,
     refine_field,
 )
+from fields import field_from_function
 
 RNG = np.random.default_rng(1234)
 
@@ -36,7 +39,7 @@ class TestMakeGrid:
 
     def test_min_nonzero_frequency(self):
         grid = make_grid(2, 16, 32 * np.pi)
-        assert grid.min_freq == pytest.approx(1 / 16)
+        assert grid.freq_spacing == pytest.approx(1 / 16)
 
     def test_rejects_odd_N(self):
         with pytest.raises(ValueError):
@@ -69,7 +72,7 @@ class TestForwardTransform:
     def test_cosine_mass_at_plus_minus_one(self):
         # The half spectrum holds +1; its mirror -1 is implied.
         grid = make_grid(1, 64, 2 * np.pi)
-        F = forward_transform(grid.field_from_function(np.cos))
+        F = forward_transform(field_from_function(grid, np.cos))
         mags = np.abs(F.coeffs)
         hot = np.argmax(mags)
         assert grid.freqs[0][hot] == pytest.approx(1.0)
@@ -78,7 +81,7 @@ class TestForwardTransform:
     def test_gaussian_matches_continuum_transform(self):
         # F[exp(-x^2/2)] = exp(-xi^2/2) under the symmetric convention.
         grid = make_grid(1, 128, 40.0)
-        F = forward_transform(grid.field_from_function(lambda x: np.exp(-(x**2) / 2)))
+        F = forward_transform(field_from_function(grid, lambda x: np.exp(-(x**2) / 2)))
         xi = grid.freqs[0]
         mask = np.abs(xi) <= 4.0
         expected = np.exp(-(xi[mask] ** 2) / 2)
@@ -122,7 +125,7 @@ class TestApplyMultiplier:
     def test_laplacian_eigenvalue_on_sine(self):
         # |xi|^2 acting on sin(x) equals -d^2/dx^2 sin(x) = sin(x).
         grid = make_grid(1, 64, 2 * np.pi)
-        f = grid.field_from_function(np.sin)
+        f = field_from_function(grid, np.sin)
         out = apply_multiplier(lambda xi: xi**2, f)
         assert np.max(np.abs(out.values - f.values)) < 1e-12
 
@@ -273,8 +276,8 @@ class TestDealiasing:
     def test_product_of_low_band_fields_is_plain_product(self):
         # Both spectra in the lower quarter: no aliasing either way.
         grid = make_grid(1, 64, 2 * np.pi)
-        f = grid.field_from_function(lambda x: np.cos(3 * x))
-        g = grid.field_from_function(lambda x: np.sin(5 * x))
+        f = field_from_function(grid, lambda x: np.cos(3 * x))
+        g = field_from_function(grid, lambda x: np.sin(5 * x))
         plain = grid.field(f.values * g.values)
         deal = dealiased_product(f, g)
         assert np.max(np.abs(plain.values - deal.values)) < 1e-12
@@ -283,10 +286,10 @@ class TestDealiasing:
         # cos(20x)*cos(25x) = (cos(45x) + cos(5x))/2; on N=64/L=2pi the 45
         # mode exceeds Nyquist 32 and must drop, leaving exactly cos(5x)/2.
         grid = make_grid(1, 64, 2 * np.pi)
-        f = grid.field_from_function(lambda x: np.cos(20 * x))
-        g = grid.field_from_function(lambda x: np.cos(25 * x))
+        f = field_from_function(grid, lambda x: np.cos(20 * x))
+        g = field_from_function(grid, lambda x: np.cos(25 * x))
         deal = dealiased_product(f, g)
-        expected = grid.field_from_function(lambda x: 0.5 * np.cos(5 * x))
+        expected = field_from_function(grid, lambda x: 0.5 * np.cos(5 * x))
         assert np.max(np.abs(deal.values - expected.values)) < 1e-12
         plain = grid.field(f.values * g.values)
         assert np.max(np.abs(plain.values - expected.values)) > 0.4
@@ -300,7 +303,7 @@ class TestDealiasing:
         # of the half spectrum) or on the last axis (its column N/2).
         for n, axis in ((1, 0), (2, 0), (2, 1)):
             grid = make_grid(n, 16, 2 * np.pi)
-            f = grid.field_from_function(lambda *x: np.cos(8 * x[axis]) + 0 * sum(x))
+            f = field_from_function(grid, lambda *x: np.cos(8 * x[axis]) + 0 * sum(x))
             index = [0] * n
             index[axis] = 8
             assert f.spectrum.coeffs[tuple(index)] != 0
@@ -315,9 +318,9 @@ class TestDealiasing:
         # and a product with 1 keeps one quarter.
         grid = make_grid(2, 16, 2 * np.pi)
         corner = lambda x, y: np.cos(8 * x) * np.cos(8 * y)
-        f = grid.field_from_function(corner)
+        f = field_from_function(grid, corner)
         fine = refine_field(f)
-        exact = fine.grid.field_from_function(corner)
+        exact = field_from_function(fine.grid, corner)
         assert np.max(np.abs(fine.values - exact.values)) < 1e-12
         one = grid.field(np.ones(grid.shape))
         quartered = dealiased_product(f, one)
@@ -327,10 +330,23 @@ class TestDealiasing:
         # cos(12x)^3 = (3 cos(12x) + cos(36x))/4; only cos(12x) survives
         # truncation at Nyquist 16 on N=32.
         grid = make_grid(1, 32, 2 * np.pi)
-        f = grid.field_from_function(lambda x: np.cos(12 * x))
+        f = field_from_function(grid, lambda x: np.cos(12 * x))
         cubed = dealiased_power(f, 3)
-        expected = grid.field_from_function(lambda x: 0.75 * np.cos(12 * x))
+        expected = field_from_function(grid, lambda x: 0.75 * np.cos(12 * x))
         assert np.max(np.abs(cubed.values - expected.values)) < 1e-12
+
+    def test_overflow_is_a_non_finite_field_not_a_warning(self):
+        # 1e200 squared or cubed overflows the padded samples.  The kernel and
+        # the inverse transform carry the non-finite values through without a
+        # floating-point warning, and the field built from them is rejected.
+        grid = make_grid(1, 16, 2 * np.pi)
+        f = grid.field(np.full(grid.shape, 1e200))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="field values must be finite"):
+                dealiased_product(f, f)
+            with pytest.raises(ValueError, match="field values must be finite"):
+                dealiased_power(f, 3)
 
 
 def _nyquist_free_field(grid, seed):
@@ -462,15 +478,15 @@ class TestStackedSamples:
 class TestRefineAndMonitor:
     def test_refine_preserves_band_limited_samples(self):
         grid = make_grid(1, 32, 2 * np.pi)
-        f = grid.field_from_function(lambda x: np.cos(3 * x) + 0.5 * np.sin(7 * x))
+        f = field_from_function(grid, lambda x: np.cos(3 * x) + 0.5 * np.sin(7 * x))
         fine = refine_field(f)
         assert fine.grid.points_per_axis == 64
         assert np.max(np.abs(fine.values[::2] - f.values)) < 1e-12
 
     def test_outer_shell_fraction(self):
         grid = make_grid(1, 256, 100.0)
-        centered = grid.field_from_function(lambda x: np.exp(-(x**2)))
+        centered = field_from_function(grid, lambda x: np.exp(-(x**2)))
         assert outer_shell_fraction(centered) < 1e-12
-        edge = grid.field_from_function(lambda x: np.exp(-((np.abs(x) - 50.0) ** 2)))
+        edge = field_from_function(grid, lambda x: np.exp(-((np.abs(x) - 50.0) ** 2)))
         assert outer_shell_fraction(edge) > 0.5
         assert outer_shell_fraction(grid.zeros()) == 0.0

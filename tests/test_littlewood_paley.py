@@ -67,7 +67,7 @@ class TestBlockStructure:
         grid = make_grid(1, 256, 64.0)
         lo, hi = default_j_range(grid)
         assert 2.0 ** (hi) >= grid.max_freq
-        assert 2.0 ** (lo - 1) * TRANSITION_END < grid.min_freq
+        assert 2.0 ** (lo - 1) * TRANSITION_END < grid.freq_spacing
 
     def test_annulus_support(self):
         grid = make_grid(1, 256, 64.0)

