@@ -18,6 +18,11 @@ from typing import Any, Callable, Mapping, get_args, get_origin
 
 import numpy as np
 
+try:
+    from resource import RUSAGE_SELF, getrusage
+except ImportError:  # no getrusage (Windows): reports leave minor_faults out
+    getrusage = None
+
 from besov_wave_lab.admissibility import check_gwp, check_lwp, require_lwp
 from besov_wave_lab.grid import TorusGrid, make_grid
 from besov_wave_lab.littlewood_paley import make_blocks
@@ -739,8 +744,12 @@ def run_experiment(
     out_dir.mkdir(parents=True, exist_ok=True)
     seed = values["run"]["seed"] if seed is None else seed
     rng = np.random.default_rng(seed)
-    started = time.perf_counter()
+    started, cpu = time.perf_counter(), time.process_time()
+    faults = getrusage and getrusage(RUSAGE_SELF).ru_minflt
     report = spec.runner(values, out_dir, rng, jobs)
     report.runtime_s = round(time.perf_counter() - started, 3)
+    report.cpu_s = round(time.process_time() - cpu, 3)
+    if getrusage:
+        report.minor_faults = getrusage(RUSAGE_SELF).ru_minflt - faults
     report.meta["seed"] = seed
     return report

@@ -272,18 +272,19 @@ def pad_factor_for_power(p: int) -> int:
     return math.ceil((p + 1) / 2)
 
 
-def integer_power(v: np.ndarray, p: int) -> np.ndarray:
+def integer_power(v: np.ndarray, p: int, *, overwrite: bool = False) -> np.ndarray:
     """v**p for an integer p >= 1 by repeated squaring: about log2(p)
     multiplications instead of libm pow per element, agreeing with v**p to
     a few ulp per multiplication.  Overflow gives +-inf as v**p does.  For
-    p = 1 the result is v itself.  A square no longer needed is squared in
-    place, so a power of two holds one array besides v."""
+    p = 1 the result is v itself.  Arrays no longer needed are overwritten,
+    v too with overwrite=True (the same bits): besides v, a power of two
+    then takes no array and any other power one (one and two without)."""
     if p < 1:
         raise ValueError(f"power must be a positive integer, got {p}")
-    given, out = v, None
+    given, out = (None if overwrite else v), None
     while True:
         if p & 1:
-            out = v if out is None else out * v
+            out = v if out is None else np.multiply(out, v, out=None if out is given else out)
         p >>= 1
         if p == 0:
             return out

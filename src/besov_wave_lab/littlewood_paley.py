@@ -10,7 +10,7 @@ excluded from all homogeneous seminorms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -72,6 +72,7 @@ class DyadicBlocks:
     grid: TorusGrid
     j_min: int
     j_max: int
+    _work: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.j_min > self.j_max:
@@ -96,6 +97,11 @@ class DyadicBlocks:
         """annuli times the grid's phase signs +-1 (exact), which _samples
         would otherwise apply to a complex copy of every block stack."""
         return self.grid._phase_signs * self.annuli
+
+    @cached_property
+    def parseval_weights(self) -> np.ndarray:
+        """annuli**2 * mode_weight as (J, modes), block_norms' p = 2 weights."""
+        return (self.annuli**2 * self.grid.mode_weight).reshape(len(self.annuli), -1)
 
     @cached_property
     def widened(self) -> np.ndarray:
@@ -146,23 +152,27 @@ class DyadicBlocks:
         """L^p norm of every annulus block of the field with coefficient
         array coeffs, of shape (..., J) for blocks j_min..j_max and
         coefficient arrays stacked on leading axes, in one reduction over
-        the stacked annuli: through Parseval on the spectrum for p = 2, else
-        over the samples of one batched inverse transform, which holds one
-        complex block stack.  Integer powers of the samples go through
-        integer_power, as in lebesgue_norm."""
+        the stacked annuli.  For p = 2 that is Parseval, |coeffs|^2 against
+        parseval_weights; else the annuli times coeffs go into a complex
+        block stack the instance keeps while the stacked shape repeats, and
+        its batched inverse transform, the only fresh stack, is reduced in
+        place.  Integer powers go through integer_power, as in lebesgue_norm."""
         grid = self.grid
         rows = tuple(range(-grid.n, 0))
-        coeffs = np.expand_dims(coeffs, -grid.n - 1)
         if p == 2.0:
-            power = grid.mode_weight * np.abs(coeffs) ** 2
-            weight = grid.freq_spacing**grid.n
-            return np.sqrt(weight * np.sum(self.annuli**2 * power, axis=rows))
-        samples = _signed_samples(grid, self.signed_annuli * coeffs, grid.points_per_axis)
+            power = (coeffs.real**2 + coeffs.imag**2).reshape(coeffs.shape[: -grid.n] + (-1,))
+            sums = np.einsum("...k,jk->...j", power, self.parseval_weights)
+            return np.sqrt(grid.freq_spacing**grid.n * sums)
+        shape = coeffs.shape[: -grid.n] + self.signed_annuli.shape
+        if self._work is None or self._work.shape != shape:
+            self._work = np.empty(shape, dtype=complex)
+        np.multiply(self.signed_annuli, np.expand_dims(coeffs, -grid.n - 1), out=self._work)
+        samples = _signed_samples(grid, self._work, grid.points_per_axis)
         np.abs(samples, out=samples)
         if math.isinf(p):
             return np.max(samples, axis=rows)
         if p == int(p):
-            samples = integer_power(samples, int(p))
+            samples = integer_power(samples, int(p), overwrite=True)
         else:
             samples **= p
         # float_power has no SIMD loop: each root rounds as lebesgue_norm's does.

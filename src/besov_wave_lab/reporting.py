@@ -1,8 +1,9 @@
 """Experiment reports: JSON/CSV serialization and minimal SVG log-log plots.
 
 Reports are deterministic given a config and seed: scalars are plain floats
-serialized via repr, tables are column-named row lists, and the timestamp
-is the only field excluded from reproducibility comparisons.
+serialized via repr, tables are column-named row lists, and the timing
+block (timestamp, wall and CPU seconds, minor page faults) is the only
+part excluded from reproducibility comparisons.
 """
 
 from __future__ import annotations
@@ -46,6 +47,8 @@ class ExperimentReport:
     tables: dict[str, Table] = field(default_factory=dict)
     meta: dict[str, Any] = field(default_factory=dict)
     runtime_s: float = 0.0
+    cpu_s: float = 0.0
+    minor_faults: int | None = None
 
     def passed(self) -> bool:
         return all(v == "pass" for v in self.verdicts.values())
@@ -62,6 +65,8 @@ class ExperimentReport:
             "timing": {
                 "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
                 "runtime_s": self.runtime_s,
+                "cpu_s": self.cpu_s,
+                **({} if self.minor_faults is None else {"minor_faults": self.minor_faults}),
             },
         }
 

@@ -247,6 +247,18 @@ class TestIntegerPower:
         assert np.array_equal(odd, [np.inf, -np.inf, 0.0, -8.0])
         assert np.array_equal(even, [np.inf, np.inf, 0.0, 16.0])
 
+    @settings(max_examples=100, deadline=None)
+    @given(values=SAMPLES, p=st.integers(1, 12))
+    def test_overwrite_gives_the_same_bits(self, values, p):
+        # overwrite=True may square v in place; the default never writes v.
+        v = np.array(values)
+        given = v.copy()
+        with np.errstate(over="ignore"):
+            expected = integer_power(v, p)
+            np.testing.assert_array_equal(v, given)
+            got = integer_power(given.copy(), p, overwrite=True)
+        np.testing.assert_array_equal(got, expected)
+
     def test_rejects_non_positive_power(self):
         with pytest.raises(ValueError):
             integer_power(np.ones(3), 0)

@@ -1,5 +1,7 @@
 """Cutoff profile and dyadic projection properties."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -153,6 +155,63 @@ class TestBlockNorms:
             if p != 2.0:
                 np.testing.assert_array_equal(batched, direct)
             np.testing.assert_array_equal(blocks.block_norms(stack, p)[1], batched)
+
+
+def _second_call_peak(blocks, coeffs, p):
+    """tracemalloc peak of a second block_norms call on a 1-D grid, in real
+    block stacks of the whole input (J x N per coefficient array)."""
+    blocks.block_norms(coeffs, p)
+    tracemalloc.start()
+    try:
+        blocks.block_norms(coeffs, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rows = coeffs.size // coeffs.shape[-1]
+    return peak / (8.0 * len(blocks.annuli) * rows * blocks.grid.points_per_axis)
+
+
+class TestBlockNormMemory:
+    # A call holds no block stack but the inverse transform's output: the
+    # p != 2 workspace is kept from the first call, and p = 2 contracts the
+    # spectrum without one.
+    @pytest.mark.parametrize("N, L, lead", [(4096, 400.0, ()), (256, 32.0, (9,))])
+    def test_second_call_peak(self, N, L, lead):
+        grid = make_grid(1, N, L)
+        f = grid.field(RNG.standard_normal(grid.shape))
+        coeffs = np.broadcast_to(f.spectrum.coeffs, lead + f.spectrum.coeffs.shape).copy()
+        blocks = make_blocks(grid)
+        for p in (4.0, 2.5, np.inf):
+            assert _second_call_peak(blocks, coeffs, p) <= 1.5, p
+        assert _second_call_peak(blocks, coeffs, 2.0) <= 0.25
+
+
+class TestBlockNormWorkspace:
+    def test_interleaved_shapes_match_fresh_blocks(self):
+        # The workspace kept between calls is replaced when the stacked
+        # shape changes and never shows in a result.
+        for n, N, L in ((1, 256, 32.0), (2, 16, 8.0)):
+            grid = make_grid(n, N, L)
+            one = grid.field(RNG.standard_normal(grid.shape)).spectrum.coeffs
+            three = np.stack([one, -2.0 * one, 0.5j * one])
+            blocks = make_blocks(grid)
+            for coeffs in (one, three, one, three[1]):
+                for p in (1.0, 3.0, 4.0, 2.5, np.inf, 2.0):
+                    got = blocks.block_norms(coeffs, p)
+                    np.testing.assert_array_equal(got, make_blocks(grid).block_norms(coeffs, p))
+
+    def test_returned_arrays_are_the_callers(self):
+        grid = make_grid(1, 256, 32.0)
+        coeffs = grid.field(RNG.standard_normal(grid.shape)).spectrum.coeffs
+        blocks = make_blocks(grid)
+        for p in (1.0, 4.0, 2.5, np.inf, 2.0):
+            expected = blocks.block_norms(coeffs, p).copy()
+            blocks.block_norms(coeffs, p)[:] = -1.0
+            np.testing.assert_array_equal(blocks.block_norms(coeffs, p), expected)
+        # The input is never written either.
+        before = coeffs.copy()
+        blocks.block_norms(coeffs, 4.0)
+        np.testing.assert_array_equal(coeffs, before)
 
 
 class TestProjections:

@@ -2,10 +2,15 @@
 
 import csv
 import json
+from pathlib import Path
 
 import pytest
 
+from besov_wave_lab import experiments
+from besov_wave_lab.cli import load_config
 from besov_wave_lab.reporting import ExperimentReport, Table, config_hash, write_loglog_svg
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 class TestTable:
@@ -44,6 +49,34 @@ class TestReport:
         assert not r.passed()
         r2 = ExperimentReport(kind="d", verdicts={"a": "pass"})
         assert r2.passed()
+
+
+class TestTiming:
+    def test_timing_holds_wall_cpu_and_faults(self):
+        report = ExperimentReport(kind="d", runtime_s=1.5, cpu_s=1.25, minor_faults=42)
+        timing = report.to_json_dict()["timing"]
+        assert (timing["runtime_s"], timing["cpu_s"], timing["minor_faults"]) == (1.5, 1.25, 42)
+        assert "minor_faults" not in ExperimentReport(kind="d").to_json_dict()["timing"]
+
+    def test_run_experiment_times_the_runner(self, tmp_path, monkeypatch):
+        # cpu_s and minor_faults are taken around the runner, as runtime_s
+        # is; without getrusage minor_faults is left out, and nothing
+        # outside timing moves.
+        cfg = load_config(str(CONFIGS / "partition.cfg"))
+        report = experiments.run_experiment("partition-residual", cfg, tmp_path / "a", seed=0)
+        timing = report.to_json_dict()["timing"]
+        assert set(timing) == {"timestamp", "runtime_s", "cpu_s", "minor_faults"}
+        assert timing["cpu_s"] >= 0.0
+        assert isinstance(timing["minor_faults"], int) and timing["minor_faults"] >= 0
+        monkeypatch.setattr(experiments, "getrusage", None)
+        bare = experiments.run_experiment("partition-residual", cfg, tmp_path / "b", seed=0)
+        assert set(bare.to_json_dict()["timing"]) == {"timestamp", "runtime_s", "cpu_s"}
+        bodies = []
+        for out, r in ((tmp_path / "a", report), (tmp_path / "b", bare)):
+            body = json.loads(r.save(out).read_text())
+            del body["timing"]
+            bodies.append(json.dumps(body, sort_keys=True))
+        assert bodies[0] == bodies[1]
 
 
 class TestSvg:
