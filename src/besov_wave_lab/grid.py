@@ -272,23 +272,23 @@ def pad_factor_for_power(p: int) -> int:
     return math.ceil((p + 1) / 2)
 
 
-def integer_power(v: np.ndarray, p: int, *, overwrite: bool = False) -> np.ndarray:
+def integer_power(v: np.ndarray, p: int) -> np.ndarray:
     """v**p for an integer p >= 1 by repeated squaring: about log2(p)
     multiplications instead of libm pow per element, agreeing with v**p to
-    a few ulp per multiplication.  Overflow gives +-inf as v**p does.  For
-    p = 1 the result is v itself.  Arrays no longer needed are overwritten,
-    v too with overwrite=True (the same bits): besides v, a power of two
-    then takes no array and any other power one (one and two without)."""
+    a few ulp per multiplication.  Overflow gives +-inf as v**p does.  v is
+    overwritten, so pass an array that is yours to give up: the result is
+    v itself for a power of two (or p = 1), and other powers take one
+    array besides it."""
     if p < 1:
         raise ValueError(f"power must be a positive integer, got {p}")
-    given, out = (None if overwrite else v), None
+    out = None
     while True:
         if p & 1:
-            out = v if out is None else np.multiply(out, v, out=None if out is given else out)
+            out = v if out is None else np.multiply(out, v, out=out)
         p >>= 1
         if p == 0:
             return out
-        v = np.multiply(v, v, out=None if v is given or v is out else v)
+        v = np.multiply(v, v, out=None if v is out else v)
 
 
 @lru_cache(maxsize=64)
@@ -346,10 +346,10 @@ def dealiased_pointwise(
     coefficient arrays coeffs, zero-padded to M = factor * N points per
     axis: degree-d products are alias-free for factor >= (d + 1) / 2
     (Orszag 1971).  Coefficient arrays may be stacked on leading axes: op
-    gets samples stacked the same way and must return samples whose
-    trailing n axes are the padded lattice (it may reduce or keep the
-    leading ones), and each output slice is bit for bit what its own
-    inputs give alone.  The signs (-1)^k that put the sample origin at -L/2
+    gets samples stacked the same way, which it may overwrite, and must
+    return samples whose trailing n axes are the padded lattice (it may
+    reduce or keep the leading ones), and each output slice is bit for bit
+    what its own inputs give alone.  The signs (-1)^k that put the sample origin at -L/2
     agree on both lattices for every shared mode, so the grid's cached ones
     serve and no padded grid is built.
 

@@ -172,7 +172,7 @@ class DyadicBlocks:
         if math.isinf(p):
             return np.max(samples, axis=rows)
         if p == int(p):
-            samples = integer_power(samples, int(p), overwrite=True)
+            samples = integer_power(samples, int(p))
         else:
             samples **= p
         # float_power has no SIMD loop: each root rounds as lebesgue_norm's does.

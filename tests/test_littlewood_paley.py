@@ -173,8 +173,8 @@ def _second_call_peak(blocks, coeffs, p):
 
 class TestBlockNormMemory:
     # A call holds no block stack but the inverse transform's output: the
-    # p != 2 workspace is kept from the first call, and p = 2 contracts the
-    # spectrum without one.
+    # p != 2 workspace is kept from the first call and the power squares
+    # that output in place, and p = 2 contracts the spectrum without one.
     @pytest.mark.parametrize("N, L, lead", [(4096, 400.0, ()), (256, 32.0, (9,))])
     def test_second_call_peak(self, N, L, lead):
         grid = make_grid(1, N, L)
