@@ -10,14 +10,20 @@ Fields are real, so half of their Hermitian coefficients carry everything:
 the one coefficient format is rfftn's half spectrum, of shape
 spectral_shape = (N,)*(n-1) + (N//2+1,) (FFT order on the leading axes,
 modes 0..N/2 on the last), which freqs, freq_abs and mode_weight share.
-Every transform is a real one (rfftn/irfftn).  Every padded
-pointwise product goes through one alias-free kernel, dealiased_pointwise:
-coefficient arrays in, one inverse transform per input on the zero-padded
-lattice, the op on the real samples, one forward transform, truncation
-back.  _samples is the one map from coefficients to samples on any
-lattice and _coefficients its inverse on the grid's own lattice,
-field_from_coeffs the one way from coefficients to a GridField, and
-integer_power the one pointwise power (by repeated squaring, not libm pow).
+Every transform is a real one and goes through one helper pair, _rfft and
+_irfft: rfft/irfft on the last axis for n = 1, rfftn/irfftn on the
+trailing n axes otherwise (the same bits, without the n-D wrapper).  Every
+padded pointwise product goes through one alias-free kernel,
+dealiased_pointwise: coefficient arrays in, one inverse transform per
+input on the zero-padded lattice, the op on the real samples, one forward
+transform, truncation back.  Its padded spectrum, sample stacks and
+forward spectrum are kept buffers, one set per grid and padded lattice
+(TorusGrid._lattices), written in place by the transforms; what it
+returns is always a fresh array.  _samples is the one map from
+coefficients to samples on any lattice and _coefficients its inverse on
+the grid's own lattice, field_from_coeffs the one way from coefficients
+to a GridField, and integer_power the one pointwise power (by repeated
+squaring, not libm pow).
 
 Stacked inputs.  _samples, _coefficients and dealiased_pointwise transform
 only the trailing n axes, so coefficient or sample arrays stacked on any
@@ -153,6 +159,17 @@ class TorusGrid:
         # Relates samples at x_j = -L/2 + j*dx to the FFT's x_j = j*dx origin:
         # exp(i*(L/2)*xi_k) = (-1)^k per axis, and k = index mod N, N even.
         return 1.0 - 2.0 * (sum(np.indices(self.spectral_shape, sparse=True)) % 2)
+
+    @cached_property
+    def _sup_scale(self) -> float:
+        """(2*pi)^(-n/2) * dxi^n: every sample of the field with half
+        spectrum c is at most _sup_scale * sum(mode_weight * |c|) in size."""
+        return (2.0 * np.pi) ** (-self.n / 2) * self.freq_spacing**self.n
+
+    @cached_property
+    def _lattices(self) -> dict[int, "_Lattice"]:
+        """dealiased_pointwise's kept buffers, by padded points per axis."""
+        return {}
 
     def zeros(self) -> "GridField":
         return GridField(self, np.zeros(self.shape))
@@ -300,12 +317,26 @@ def _leading_index(N: int, M: int, n: int) -> tuple[np.ndarray, ...]:
     return np.ix_(*[k] * (n - 1))
 
 
+def _rfft(n: int, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Half spectrum of real values over their trailing n axes, into out if
+    given.  Looked up on np.fft at each call, so a wrapper set there counts."""
+    if n == 1:
+        return np.fft.rfft(values, out=out)
+    return np.fft.rfftn(values, axes=tuple(range(-n, 0)), out=out)
+
+
+def _irfft(n: int, half: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Inverse of _rfft on an even lattice, into out if given."""
+    if n == 1:
+        return np.fft.irfft(half, out=out)
+    return np.fft.irfftn(half, axes=tuple(range(-n, 0)), out=out)
+
+
 def _coefficients(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
     """Coefficient arrays of samples on grid, stacked as the samples are:
     forward_transform without the field, and with its checks."""
     scale = (2.0 * np.pi) ** (-grid.n / 2) * grid.spacing**grid.n
-    axes = tuple(range(-grid.n, 0))
-    coeffs = scale * grid._phase_signs * np.fft.rfftn(require_finite(values), axes=axes)
+    coeffs = scale * grid._phase_signs * _rfft(grid.n, require_finite(values))
     return require_finite(coeffs, "spectral coefficients")
 
 
@@ -315,17 +346,26 @@ def _samples(grid: TorusGrid, coeffs: np.ndarray, M: int) -> np.ndarray:
     without a floating-point warning.  Coefficient arrays stacked on leading
     axes give samples stacked the same way, each slice bit for bit what it
     gives alone.  For M > N the coefficients are padded by the Nyquist rule
-    of dealiased_pointwise."""
+    of dealiased_pointwise.  The samples are a fresh array."""
     with np.errstate(over="ignore", invalid="ignore"):
         return _signed_samples(grid, grid._phase_signs * coeffs, M)
 
 
-def _signed_samples(grid: TorusGrid, signed: np.ndarray, M: int) -> np.ndarray:
-    """_samples of the coefficients signed * grid._phase_signs (signs +-1)."""
+def _signed_samples(
+    grid: TorusGrid,
+    signed: np.ndarray,
+    M: int,
+    padded: np.ndarray | None = None,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """_samples of the coefficients signed * grid._phase_signs (signs +-1),
+    into out if given.  For M > N the padded half spectrum is written into
+    padded, which must hold zeros wherever no mode lands (fresh if None)."""
     n, N = grid.n, grid.points_per_axis
     if M > N:
         h = N // 2
-        padded = np.zeros(signed.shape[:-n] + (M,) * (n - 1) + (M // 2 + 1,), dtype=complex)
+        if padded is None:
+            padded = np.zeros(signed.shape[:-n] + (M,) * (n - 1) + (M // 2 + 1,), dtype=complex)
         padded[(Ellipsis,) + _leading_index(N, M, n) + (slice(0, h + 1),)] = signed
         padded[..., h] *= 0.5
         for axis in range(n - 1):
@@ -334,9 +374,37 @@ def _signed_samples(grid: TorusGrid, signed: np.ndarray, M: int) -> np.ndarray:
             padded[(Ellipsis, h) + after] = padded[(Ellipsis, M - h) + after]
         signed = padded
     scale = (2.0 * np.pi) ** (-n / 2) * grid.freq_spacing**n * M**n
-    out = np.fft.irfftn(signed, axes=tuple(range(-n, 0)))
+    out = _irfft(n, signed, out=out)
     out *= scale
     return out
+
+
+@dataclass
+class _Lattice:
+    """dealiased_pointwise's buffers on one padded lattice: the padded half
+    spectrum, one sample stack per input, the forward half spectrum of the
+    op's samples (None until the first call) and the truncation multiplier."""
+
+    padded: np.ndarray
+    samples: tuple[np.ndarray, ...]
+    truncate: np.ndarray
+    half: np.ndarray | None = None
+
+
+def _lattice(grid: TorusGrid, M: int, stack: tuple[int, ...], inputs: int) -> _Lattice:
+    """grid's kept buffers on the M-point lattice for inputs coefficient
+    arrays stacked as stack, replaced when the stacking or the count changes."""
+    n = grid.n
+    kept = grid._lattices.get(M)
+    if kept is None or kept.padded.shape[:-n] != stack or len(kept.samples) != inputs:
+        scale = (2.0 * np.pi) ** (-n / 2) * (grid.box_length / M) ** n
+        kept = _Lattice(
+            padded=np.zeros(stack + (M,) * (n - 1) + (M // 2 + 1,), dtype=complex),
+            samples=tuple(np.empty(stack + (M,) * n) for _ in range(inputs)),
+            truncate=scale * grid._phase_signs,
+        )
+        grid._lattices[M] = kept
+    return kept
 
 
 def dealiased_pointwise(
@@ -345,13 +413,22 @@ def dealiased_pointwise(
     """Coefficients on grid of op applied pointwise to the fields with
     coefficient arrays coeffs, zero-padded to M = factor * N points per
     axis: degree-d products are alias-free for factor >= (d + 1) / 2
-    (Orszag 1971).  Coefficient arrays may be stacked on leading axes: op
-    gets samples stacked the same way, which it may overwrite, and must
-    return samples whose trailing n axes are the padded lattice (it may
-    reduce or keep the leading ones), and each output slice is bit for bit
-    what its own inputs give alone.  The signs (-1)^k that put the sample origin at -L/2
-    agree on both lattices for every shared mode, so the grid's cached ones
-    serve and no padded grid is built.
+    (Orszag 1971).  Coefficient arrays may be stacked on leading axes, all
+    alike: op gets samples stacked the same way, which it may overwrite,
+    and must return samples whose trailing n axes are the padded lattice
+    (it may reduce or keep the leading ones), and each output slice is bit
+    for bit what its own inputs give alone.  The signs (-1)^k that put the
+    sample origin at -L/2 agree on both lattices for every shared mode, so
+    the grid's cached ones serve and no padded grid is built.
+
+    Kept buffers.  The padded spectrum, the sample stacks op gets and the
+    forward spectrum of what it returns live in grid._lattices[M], reused
+    while the stacking and the number of inputs repeat and replaced when
+    they change; the transforms write into them.  The returned array is
+    always fresh, so nothing a caller holds aliases them.  op must not
+    call this kernel on the same lattice, and the buffers are not shared
+    between threads: the CLI's --jobs runs sweeps in processes, each with
+    its own.
 
     Nyquist rule.  A coarse mode at k_i = +-N/2 pairs with itself, and for
     M > N the padded lattice has both -N/2 and +N/2.  Padding splits it
@@ -361,24 +438,29 @@ def dealiased_pointwise(
       - for each leading axis in turn, halve the row at -N/2 (index
         M - N/2) and copy it to +N/2 (index N/2).
     So a mode at a corner of the lattice is split between all its images.
-    Truncation takes the padded rows at k mod M and last-axis columns
-    0..N/2, so index N/2 holds the padded result's +N/2 coefficient on the
-    last axis and its -N/2 coefficient on the leading ones: a product with
-    1 keeps half of a mode for each axis on which it sits at Nyquist
-    (cos(8x) * 1 -> cos(8x)/2 on N = 16, L = 2*pi).  For M = N nothing is
-    split and irfftn takes the real part of the self-paired entries, so the
-    samples are those of the real field the coefficients stand for.
+    Every entry these steps write is rewritten on each call, so the kept
+    padded spectrum is the one a fresh zero array would give.  Truncation
+    takes the padded rows at k mod M and last-axis columns 0..N/2, so index
+    N/2 holds the padded result's +N/2 coefficient on the last axis and its
+    -N/2 coefficient on the leading ones: a product with 1 keeps half of a
+    mode for each axis on which it sits at Nyquist (cos(8x) * 1 ->
+    cos(8x)/2 on N = 16, L = 2*pi).  For M = N nothing is split and irfftn
+    takes the real part of the self-paired entries, so the samples are
+    those of the real field the coefficients stand for.
     """
     n, N = grid.n, grid.points_per_axis
     M = factor * N
-    scale = (2.0 * np.pi) ** (-n / 2) * (grid.box_length / M) ** n
+    kept = _lattice(grid, M, coeffs[0].shape[:-n], len(coeffs))
     # An overflow here is a blow-up, which the time loops read off the samples.
     with np.errstate(over="ignore", invalid="ignore"):
-        samples = op(*(_samples(grid, c, M) for c in coeffs))
-        half = np.fft.rfftn(samples, axes=tuple(range(-n, 0)))
-        truncated = half[(Ellipsis,) + _leading_index(N, M, n) + (slice(0, N // 2 + 1),)]
+        for c, samples in zip(coeffs, kept.samples):
+            _signed_samples(grid, grid._phase_signs * c, M, kept.padded, samples)
+        result = op(*kept.samples)
+        reuse = kept.half is not None and kept.half.shape[:-n] == result.shape[:-n]
+        kept.half = _rfft(n, result, out=kept.half if reuse else None)
+        truncated = kept.half[(Ellipsis,) + _leading_index(N, M, n) + (slice(0, N // 2 + 1),)]
         # C order, as for one field: sums over a field's samples run in memory order.
-        return np.multiply(scale * grid._phase_signs, truncated, order="C")
+        return np.multiply(kept.truncate, truncated, order="C")
 
 
 def dealiased_product(f: GridField, g: GridField) -> GridField:

@@ -20,10 +20,13 @@ before the next store time.
 Both time loops stay in coefficients: u^p comes from the alias-free kernel
 grid.dealiased_pointwise on spectra they hold.  Picard holds spectra from
 start to finish: its difference norms read the spectra of its corrections,
-samples are taken once per node for the escape check, and fields exist
-only for the trajectory it returns.  The ETD oracle builds fields for its
-stored nodes.  A non-finite sample is a blow-up, read off the raw samples
-before any field is built.
+and fields exist only for the trajectory it returns.  The ETD oracle builds
+fields for its stored nodes.  The escape check reads samples only when it
+must: the Fourier-series bound _sup_bound, a sum over the spectrum, is at
+least the max-norm, so a state whose bound sits under the threshold (with
+a margin far above rounding) cannot escape and is not sampled.  Otherwise
+a non-finite sample, or one above the threshold, is a blow-up, read off
+the raw samples before any field is built.
 
 Neither solver judges admissibility; experiments.run_experiment does.
 """
@@ -33,6 +36,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache, partial
 from typing import Iterable, Sequence
@@ -150,6 +154,24 @@ def _escaped(values: np.ndarray, threshold: float) -> bool:
     return not math.isfinite(peak) or peak > threshold
 
 
+def _sup_bound(grid: TorusGrid, coeffs: np.ndarray) -> float:
+    """(2 pi)^(-n/2) dxi^n sum(mode_weight |c|), at least the max-norm of
+    the field with half spectrum coeffs: each sample is a sum of the
+    coefficients times unit phases, a real part on self-paired entries."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return grid._sup_scale * float(np.sum(np.abs(coeffs) @ grid.mode_weight))
+
+
+def _clear(grid: TorusGrid, coeffs: np.ndarray, threshold: float) -> bool:
+    """True when _sup_bound rules out an escape of the field with half
+    spectrum coeffs, so its samples need not be read: the bound is finite
+    and under the threshold, and under the size whose transform could
+    overflow, by a margin of 1e-9 that no rounding of a transform reaches.
+    A NaN bound is not clear."""
+    cap = min(threshold, grid._sup_scale * sys.float_info.max)
+    return _sup_bound(grid, coeffs) <= cap * (1.0 - 1e-9)
+
+
 def _power(grid: TorusGrid, coeffs: np.ndarray, p: int) -> np.ndarray:
     """Alias-free spectrum of u^p from that of u; overflows show in the samples."""
     power = partial(integer_power, p=p)
@@ -262,9 +284,10 @@ def picard_solve(
     rounding floor.
 
     The iteration holds spectra only: u^p comes from the spectrum of the
-    iterate, the difference norms from the spectra of the corrections, and
-    samples are taken once per node for the escape check.  Fields are
-    built for the returned trajectory alone.
+    iterate and the difference norms from the spectra of the corrections.
+    The escape check samples a node only when _clear cannot rule the
+    escape out, and the returned iterate is sampled once at the end, for
+    the fields of the trajectory.
     """
     if u0.grid != u1.grid:
         raise ValueError("initial data live on different grids")
@@ -278,16 +301,19 @@ def picard_solve(
     diag = PicardDiagnostics()
     linear = _flow_recursion(grid, times, u0.spectrum.coeffs, u1.spectrum.coeffs)
     correction = [0.0] * times.size
-    samples = None  # of the last iterate that stayed finite, once there is one
+    kept = linear  # spectra of the last iterate that stayed finite
+    threshold = cfg.blowup_threshold
 
     for iteration in range(1, cfg.max_iters + 1):
         source = (_power(grid, a + b, pp.p_nl) for a, b in zip(linear, correction))
         update = duhamel_integral(grid, times, source)
         diag.iterations = iteration
-        taken = []
+        iterate = []
         for t, a, b in zip(times, linear, update):
-            taken.append(_samples(grid, a + b, N))
-            if _escaped(taken[-1], cfg.blowup_threshold):
+            iterate.append(a + b)
+            if not _clear(grid, iterate[-1], threshold) and _escaped(
+                _samples(grid, iterate[-1], N), threshold
+            ):
                 diag.blown_up = True
                 diag.escape_time = float(t)
                 break
@@ -298,7 +324,7 @@ def picard_solve(
         diag.diff_norms.append(diff_norm)
         if len(diag.diff_norms) >= 2 and diag.diff_norms[-2] > 0:
             diag.ratios.append(diff_norm / diag.diff_norms[-2])
-        correction, samples = update, taken
+        correction, kept = update, iterate
         if diff_norm < cfg.picard_tol:
             diag.converged = not diag.ratios or diag.ratios[-1] < 1.0
             break
@@ -306,9 +332,8 @@ def picard_solve(
         diag.residual = math.inf
     else:
         diag.residual = diag.diff_norms[-1] if diag.diff_norms else 0.0
-    if samples is None:  # no iterate was kept: return the linear solution
-        samples = [_samples(grid, a, N) for a in linear]
-    return Trajectory(times, tuple(GridField(grid, v) for v in samples)), diag
+    fields = (GridField(grid, _samples(grid, c, N)) for c in kept)
+    return Trajectory(times, tuple(fields)), diag
 
 
 def _pair_norm(grid: TorusGrid, u_hat: np.ndarray, v_hat: np.ndarray) -> float:
@@ -345,7 +370,9 @@ def etd_oracle(
     next store time or the horizon, so every store time is hit exactly.  The
     first step with a non-finite sample or one above blowup_threshold is the
     escape, stored when its samples are finite; the final tail fraction is
-    that of the last finite samples.
+    that of the last finite samples.  A step is sampled only at a store
+    time, or when _clear cannot rule its escape out; the final tail
+    fraction samples the last finite state if no store did.
     """
     if dt <= 0 or T <= 0:
         raise ValueError("time step and horizon must be positive")
@@ -372,7 +399,7 @@ def etd_oracle(
     diag = OracleDiagnostics()
     out_times = [0.0]
     out_fields = [GridField(grid, u0.values)]
-    last = u0.values
+    last, last_hat = u0.values, None  # last finite samples, None if not taken
     m, k, n0 = 0, 0, None
     while m < steps:
         if n0 is None:
@@ -386,8 +413,11 @@ def etd_oracle(
             diag.rejected += 1
             k = j - 1
             continue
-        values = _samples(grid, new_u, grid.points_per_axis)
-        escaped = _escaped(values, blowup_threshold)
+        stored = m + 2**j in store_idx
+        values = None
+        if stored or not _clear(grid, new_u, blowup_threshold):
+            values = _samples(grid, new_u, grid.points_per_axis)
+        escaped = values is not None and _escaped(values, blowup_threshold)
         if j > 0 and escaped:
             diag.rejected += 1
             k = j - 1
@@ -400,14 +430,16 @@ def etd_oracle(
             k += 1
         t = m * dt
         if not escaped or np.all(np.isfinite(values)):
-            last = values
-            if escaped or m in store_idx:
+            last, last_hat = values, uh
+            if escaped or stored:
                 out_times.append(t)
                 out_fields.append(GridField(grid, values))
         if escaped:
             diag.blown_up = True
             diag.escape_time = t
             break
+    if last is None:
+        last = _samples(grid, last_hat, grid.points_per_axis)
     diag.final_tail_fraction = spectral_tail_fraction(GridField(grid, last))
     return Trajectory(np.array(out_times), tuple(out_fields)), diag
 

@@ -1,6 +1,7 @@
 """Transform correctness against closed-form oracles and algebraic identities."""
 
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from besov_wave_lab.grid import (
     GridField,
     SpectralField,
     _coefficients,
+    _irfft,
+    _rfft,
     _samples,
     apply_symbol,
     dealiased_pointwise,
@@ -473,6 +476,95 @@ class TestStackedSamples:
             alone = dealiased_pointwise(grid, np.multiply, factor, stack[i, 0], stack[i, 1])
             assert np.array_equal(kernel[i], alone)
             assert np.array_equal(back[i], _coefficients(grid, _samples(grid, stack[i], N)))
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _fresh_pointwise(grid, op, factor, *coeffs):
+    """dealiased_pointwise from fresh arrays and np.fft.rfftn/irfftn, with
+    the Nyquist rule written out: the reference for the kept buffers."""
+    n, N, h = grid.n, grid.points_per_axis, grid.points_per_axis // 2
+    M, axes = factor * N, tuple(range(-grid.n, 0))
+    rows = np.ix_(*[np.fft.fftfreq(N, 1.0 / N).astype(int) % M] * (n - 1))
+    samples = []
+    for c in coeffs:
+        padded = np.zeros(c.shape[:-n] + (M,) * (n - 1) + (M // 2 + 1,), dtype=complex)
+        padded[(Ellipsis,) + rows + (slice(0, h + 1),)] = grid._phase_signs * c
+        padded[..., h] *= 0.5
+        for axis in range(n - 1):
+            after = (slice(None),) * (n - 1 - axis)
+            padded[(Ellipsis, M - h) + after] *= 0.5
+            padded[(Ellipsis, h) + after] = padded[(Ellipsis, M - h) + after]
+        v = np.fft.irfftn(padded, axes=axes)
+        v *= (2.0 * np.pi) ** (-n / 2) * grid.freq_spacing**n * M**n
+        samples.append(v)
+    half = np.fft.rfftn(op(*samples), axes=axes)
+    scale = (2.0 * np.pi) ** (-n / 2) * (grid.box_length / M) ** n
+    return np.multiply(
+        scale * grid._phase_signs, half[(Ellipsis,) + rows + (slice(0, h + 1),)], order="C"
+    )
+
+
+class TestKeptLattice:
+    """dealiased_pointwise writes into buffers kept on the grid; nothing
+    that it or _samples returns may alias them, and no call may see what
+    the one before it left there."""
+
+    @pytest.mark.parametrize("n, N", [(1, 16), (2, 8)])
+    def test_consecutive_calls_match_fresh_buffers(self, n, N):
+        grid = make_grid(n, N, 5.0)
+        rng = np.random.default_rng(7)
+
+        def spectra(*stack):
+            shape = stack + grid.spectral_shape
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        cube = partial(integer_power, p=3)
+        lattice = "xy"[:n]
+        summed = partial(np.einsum, f"...j{lattice},...j{lattice}->...{lattice}")
+        calls = [
+            (cube, spectra()),
+            (cube, spectra()),
+            (np.multiply, spectra(3), spectra(3)),
+            (np.multiply, spectra(3), spectra(3)),
+            (cube, spectra(5)),
+            (cube, spectra()),
+            (np.multiply, spectra(), spectra()),
+            (summed, spectra(2, 4), spectra(2, 4)),
+            (cube, spectra(5)),
+        ]
+        outputs = []
+        for op, *coeffs in calls:
+            got = dealiased_pointwise(grid, op, 2, *coeffs)
+            expected = _fresh_pointwise(grid, op, 2, *coeffs)
+            assert _same_bits(got, expected)
+            kept = grid._lattices[2 * N]
+            buffers = (kept.padded, kept.half, kept.truncate) + kept.samples
+            for out in outputs + [got]:
+                assert not any(np.shares_memory(out, b) for b in buffers)
+            outputs.append(got)
+            samples = _samples(grid, coeffs[0], 2 * N)
+            assert not any(np.shares_memory(samples, b) for b in buffers)
+            before = samples.copy()
+            dealiased_pointwise(grid, cube, 2, coeffs[0])
+            assert _same_bits(samples, before)
+        # Later calls left the earlier outputs alone.
+        for (op, *coeffs), out in zip(calls, outputs):
+            assert _same_bits(out, _fresh_pointwise(grid, op, 2, *coeffs))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_transform_helpers_match_nd_transforms(self, n):
+        rng = np.random.default_rng(n)
+        axes = tuple(range(-n, 0))
+        values = rng.standard_normal((3,) + (8,) * n)
+        half = np.fft.rfftn(values, axes=axes)
+        assert _same_bits(_rfft(n, values), half)
+        assert _same_bits(_irfft(n, half), np.fft.irfftn(half, axes=axes))
+        out = np.empty_like(values)
+        assert _irfft(n, half, out=out) is out
+        assert _same_bits(out, np.fft.irfftn(half, axes=axes))
 
 
 class TestRefineAndMonitor:

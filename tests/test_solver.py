@@ -1,5 +1,7 @@
 """Duhamel recursion, Picard iteration, and the ETD oracle cross-checks."""
 
+import collections
+import dataclasses
 import math
 
 import numpy as np
@@ -10,6 +12,7 @@ from scipy.integrate import quad
 
 from besov_wave_lab.grid import (
     SpectralField,
+    _samples,
     field_from_coeffs,
     inverse_transform,
     make_grid,
@@ -32,6 +35,7 @@ from besov_wave_lab.solver import (
     _flow_recursion,
     _power,
     _step_weights,
+    _sup_bound,
     contraction_report,
     decay_study,
     duhamel_integral,
@@ -326,30 +330,163 @@ class TestCoefficientPath:
         assert diag.blown_up and diag.iterations == 1
 
     def test_transform_budget(self, monkeypatch):
-        # Per node and iteration: one forward transform (the padded power),
-        # and three inverse ones (the padded power, the escape check and the
-        # batched B^0_{r,2} block norms, r != 2).  The linear start costs
-        # nothing; the data's spectrum is the one further forward transform.
-        counts = {"rfftn": 0, "irfftn": 0}
-        for name in counts:
-            original = getattr(np.fft, name)
-
-            def counted(*args, _name=name, _original=original, **kwargs):
-                counts[_name] += 1
-                return _original(*args, **kwargs)
-
-            monkeypatch.setattr(np.fft, name, counted)
+        # Per node and iteration: one padded pair (the power) and one inverse
+        # transform on the grid (the batched B^0_{r,2} block norms, r != 2).
+        # The escape check takes no samples while the Fourier bound stays
+        # under the threshold, and the returned iterate is sampled once per
+        # node.  The linear start costs nothing; the data's spectrum is the
+        # one further forward transform.
+        counts = count_transforms(monkeypatch, 64)
         grid = make_grid(1, 64, 32.0)
         u0 = gaussian(grid, width=2.0, amplitude=0.05)
         nodes, iterations = 9, 3
-        cfg = SolverConfig.uniform(1.0, nodes, picard_tol=1e-300, max_iters=iterations)
+        cfg = SolverConfig.uniform(
+            1.0, nodes, picard_tol=1e-300, max_iters=iterations, blowup_threshold=1.0
+        )
         assert PP2.r != 2.0
         _, diag = picard_solve(u0, u0, PP2, cfg)
         assert diag.iterations == iterations and not diag.converged
         assert counts == {
-            "rfftn": nodes * iterations + 1,
-            "irfftn": 3 * nodes * iterations,
+            ("forward", "padded"): nodes * iterations,
+            ("forward", "grid"): 1,
+            ("inverse", "padded"): nodes * iterations,
+            ("inverse", "grid"): nodes * iterations + nodes,
         }
+
+    def test_etd_transform_budget(self, monkeypatch):
+        # One padded pair for n1 on every attempted step and one for n0 on
+        # every accepted one; on the grid, one inverse transform per store
+        # (only the horizon here), and forward ones for the data's spectrum
+        # and the final tail fraction.
+        counts = count_transforms(monkeypatch, 64)
+        grid = make_grid(1, 64, 32.0)
+        u0 = gaussian(grid, width=2.0, amplitude=0.01)
+        _, diag = etd_oracle(
+            u0, u0, PP3, 0.05, 4.0, blowup_threshold=1.0, store_times=[4.0]
+        )
+        assert not diag.blown_up and diag.steps < 80  # the controller climbed
+        pairs = 2 * diag.steps + diag.rejected
+        assert counts == {
+            ("forward", "padded"): pairs,
+            ("forward", "grid"): 2,
+            ("inverse", "padded"): pairs,
+            ("inverse", "grid"): 1,
+        }
+
+
+def count_transforms(monkeypatch, N):
+    """Count np.fft's real transforms by direction and by lattice: "grid"
+    when the real side has N points on its last axis, "padded" otherwise.
+    Both entry names of each transform count (rfft and rfftn, irfft and
+    irfftn)."""
+    counts = collections.Counter()
+    for name, direction in (
+        ("rfft", "forward"), ("rfftn", "forward"), ("irfft", "inverse"), ("irfftn", "inverse")
+    ):
+        original = getattr(np.fft, name)
+
+        def counted(*args, _direction=direction, _original=original, **kwargs):
+            result = _original(*args, **kwargs)
+            real = args[0] if _direction == "forward" else result
+            lattice = "grid" if real.shape[-1] == N else "padded"
+            counts[_direction, lattice] += 1
+            return result
+
+        monkeypatch.setattr(np.fft, name, counted)
+    return counts
+
+
+class TestEscapeGate:
+    """The escape check skips the samples of a state whose Fourier bound
+    rules an escape out; the bound must hold, and skipping must change no
+    bit of any run."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.sampled_from([1, 2]),
+        N=st.sampled_from([8, 10, 16]),
+        L=st.floats(0.5, 200.0),
+        nyquist=st.floats(0.0, 100.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bound_is_at_least_the_max_norm(self, n, N, L, nyquist, seed):
+        # Random spectra whose Nyquist entries (the self-paired last-axis
+        # column, and the -N/2 row of a leading axis) are scaled up to
+        # dominate.  The bound must hold up to the rounding of the
+        # transform, far inside the gate's margin of 1e-9.
+        grid = make_grid(n, N, L)
+        rng = np.random.default_rng(seed)
+        shape = grid.spectral_shape
+        coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        coeffs[..., N // 2] *= nyquist
+        if n == 2:
+            coeffs[N // 2] *= nyquist
+        peak = np.max(np.abs(_samples(grid, coeffs, N)))
+        assert peak <= _sup_bound(grid, coeffs) * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("column", [0, 3, 8])
+    def test_bound_is_reached_by_one_mode(self, n, column):
+        # One real coefficient peaks at x = 0, where every phase is 1: the
+        # bound is the max-norm there, so its scale and weights are right.
+        grid = make_grid(n, 16, 7.0)
+        coeffs = np.zeros(grid.spectral_shape, dtype=complex)
+        coeffs[(0,) * (n - 1) + (column,)] = 2.5
+        peak = np.max(np.abs(_samples(grid, coeffs, 16)))
+        assert peak == pytest.approx(_sup_bound(grid, coeffs), rel=1e-12)
+
+    @staticmethod
+    def sampled_runs(monkeypatch, run, gate):
+        """run() with the gate as given (or forced to sample every state),
+        and the number of _samples calls it made."""
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return _samples(*args)
+
+        with monkeypatch.context() as m:
+            m.setattr(solver, "_samples", counted)
+            if not gate:
+                m.setattr(solver, "_clear", lambda *args: False)
+            traj, diag = run()
+        return traj, diag, len(calls)
+
+    def assert_same_bits(self, monkeypatch, run):
+        traj, diag, taken = self.sampled_runs(monkeypatch, run, gate=True)
+        ref, ref_diag, ref_taken = self.sampled_runs(monkeypatch, run, gate=False)
+        assert dataclasses.asdict(diag) == dataclasses.asdict(ref_diag)
+        assert traj.times.tobytes() == ref.times.tobytes()
+        assert len(traj.fields) == len(ref.fields)
+        for f, g in zip(traj.fields, ref.fields):
+            assert f.values.tobytes() == g.values.tobytes()
+        assert taken < ref_taken
+        return diag
+
+    @pytest.mark.parametrize(
+        "amp, pp, cap, escapes",
+        [
+            (1.0, PP2, 50.0, True),  # crosses the cap
+            (1.2, ProblemParams(n=1, r=4.0, s=5.0, p_nl=9), math.inf, True),  # overflows
+            (0.05, PP3, 10.0, False),
+        ],
+    )
+    def test_etd_oracle_is_unchanged(self, monkeypatch, amp, pp, cap, escapes):
+        grid = make_grid(1, 256, 64.0)
+        u0 = gaussian(grid, width=2.0, amplitude=amp)
+        run = lambda: etd_oracle(
+            u0, u0, pp, 0.01, 4.0, blowup_threshold=cap, store_times=[1.0, 4.0]
+        )
+        diag = self.assert_same_bits(monkeypatch, run)
+        assert diag.blown_up == escapes
+
+    @pytest.mark.parametrize("amp, escapes", [(1.0, True), (0.05, False)])
+    def test_picard_solve_is_unchanged(self, monkeypatch, amp, escapes):
+        grid = make_grid(1, 256, 40.0)
+        u0 = gaussian(grid, width=2.0, amplitude=amp)
+        cfg = SolverConfig.uniform(8.0, 65, blowup_threshold=20.0, max_iters=30)
+        diag = self.assert_same_bits(monkeypatch, lambda: picard_solve(u0, u0, PP2, cfg))
+        assert diag.blown_up == escapes and diag.iterations > 1
 
 
 def rung0_oracle(monkeypatch, *args, **kw):
