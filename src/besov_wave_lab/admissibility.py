@@ -8,6 +8,7 @@ from the binary float inputs) double-checks every verdict.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -205,27 +206,18 @@ def check_gwp(
     """Local conditions plus the global-existence threshold p >= 1 + 2r/n."""
     base = check_lwp(n, r, s, p, exact=exact)
     if exact:
-        n_, r_, p_ = Fraction(int(n)), _exactify(r), Fraction(int(p))
-        threshold = 1 + 2 * r_ / n_
+        p_ = Fraction(int(p))
+        threshold = 1 + 2 * _exactify(r) / Fraction(int(n))
     else:
+        p_ = p
         threshold = 1.0 + 2.0 * float(r) / float(n)
     cond = _cond(
         "gwp_threshold",
-        (Fraction(int(p)) - threshold) if exact else (p - threshold),
+        p_ - threshold,
         False,
         f"p >= 1 + 2r/n = {float(threshold):.6g} (critical case included)",
     )
-    return AdmissibilityVerdict(
-        condition_i=base.condition_i,
-        condition_ii=base.condition_ii,
-        condition_iii=base.condition_iii,
-        integer_p=base.integer_p,
-        gwp_threshold=cond,
-        beta=base.beta,
-        fujita=base.fujita,
-        two_s_branch=base.two_s_branch,
-        iii_disjunct=base.iii_disjunct,
-    )
+    return dataclasses.replace(base, gwp_threshold=cond)
 
 
 def suggest_s(

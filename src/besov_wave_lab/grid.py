@@ -29,7 +29,8 @@ Stacked inputs.  _samples, _coefficients and dealiased_pointwise transform
 only the trailing n axes, so coefficient or sample arrays stacked on any
 leading axes (an ensemble of fields, a stack of dyadic blocks) go through
 in one call, and each slice comes out bit for bit what it gives alone.
-GridField and SpectralField hold one unstacked array each.
+A GridField holds one unstacked array of samples, and its spectrum is the
+read-only coefficient array of them.
 """
 
 from __future__ import annotations
@@ -44,10 +45,7 @@ import numpy as np
 __all__ = [
     "TorusGrid",
     "GridField",
-    "SpectralField",
     "make_grid",
-    "forward_transform",
-    "inverse_transform",
     "field_from_coeffs",
     "require_finite",
     "apply_symbol",
@@ -171,6 +169,11 @@ class TorusGrid:
         """dealiased_pointwise's kept buffers, by padded points per axis."""
         return {}
 
+    @cached_property
+    def _steps(self) -> dict[float, tuple]:
+        """solver._step_weights' kept weights, by time step."""
+        return {}
+
     def zeros(self) -> "GridField":
         return GridField(self, np.zeros(self.shape))
 
@@ -201,8 +204,11 @@ class GridField:
         object.__setattr__(self, "values", values)
 
     @cached_property
-    def spectrum(self) -> "SpectralField":
-        return forward_transform(self)
+    def spectrum(self) -> np.ndarray:
+        """The read-only coefficient array of the samples."""
+        coeffs = _coefficients(self.grid, self.values)
+        coeffs.flags.writeable = False
+        return coeffs
 
     def __add__(self, other: "GridField") -> "GridField":
         self._check_same_grid(other)
@@ -225,40 +231,11 @@ class GridField:
         return float(np.max(np.abs(self.values)))
 
 
-@dataclass(frozen=True)
-class SpectralField:
-    """Complex Fourier coefficients of a real field on the half lattice."""
-
-    grid: TorusGrid
-    coeffs: np.ndarray
-
-    def __post_init__(self) -> None:
-        coeffs = np.asarray(self.coeffs, dtype=complex)
-        if coeffs.shape != self.grid.spectral_shape:
-            raise ValueError(
-                f"coeffs shape {coeffs.shape} does not match the spectral shape "
-                f"{self.grid.spectral_shape}"
-            )
-        coeffs = require_finite(coeffs, "spectral coefficients").copy()
-        coeffs.flags.writeable = False
-        object.__setattr__(self, "coeffs", coeffs)
-
-
 def require_finite(values: np.ndarray, what: str = "field values") -> np.ndarray:
     """values, after raising ValueError if any entry is not finite."""
     if not np.all(np.isfinite(values)):
         raise ValueError(f"{what} must be finite")
     return values
-
-
-def forward_transform(f: GridField) -> SpectralField:
-    """Discrete analogue of the symmetric-normalization Fourier transform."""
-    return SpectralField(f.grid, _coefficients(f.grid, f.values))
-
-
-def inverse_transform(F: SpectralField) -> GridField:
-    """Invert forward_transform."""
-    return field_from_coeffs(F.grid, F.coeffs)
 
 
 def field_from_coeffs(grid: TorusGrid, coeffs: np.ndarray) -> GridField:
@@ -269,7 +246,7 @@ def field_from_coeffs(grid: TorusGrid, coeffs: np.ndarray) -> GridField:
 def apply_symbol(symbol: np.ndarray, f: GridField) -> GridField:
     """Apply a real symbol array to f, such as m(grid.freq_abs) for a radial
     multiplier m.  It must be finite and broadcast to the spectral shape."""
-    coeffs = f.spectrum.coeffs
+    coeffs = f.spectrum
     if not np.all(np.isfinite(symbol)):
         raise ValueError("multiplier produced non-finite values on the lattice")
     try:
@@ -334,7 +311,8 @@ def _irfft(n: int, half: np.ndarray, out: np.ndarray | None = None) -> np.ndarra
 
 def _coefficients(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
     """Coefficient arrays of samples on grid, stacked as the samples are:
-    forward_transform without the field, and with its checks."""
+    the discrete analogue of the symmetric-normalization Fourier transform.
+    Non-finite samples or coefficients raise ValueError."""
     scale = (2.0 * np.pi) ** (-grid.n / 2) * grid.spacing**grid.n
     coeffs = scale * grid._phase_signs * _rfft(grid.n, require_finite(values))
     return require_finite(coeffs, "spectral coefficients")
@@ -467,7 +445,7 @@ def dealiased_product(f: GridField, g: GridField) -> GridField:
     """f * g by dealiased_pointwise, padded by 2, which makes it alias-free."""
     if f.grid != g.grid:
         raise ValueError("fields live on different grids")
-    coeffs = dealiased_pointwise(f.grid, np.multiply, 2, f.spectrum.coeffs, g.spectrum.coeffs)
+    coeffs = dealiased_pointwise(f.grid, np.multiply, 2, f.spectrum, g.spectrum)
     return field_from_coeffs(f.grid, coeffs)
 
 
@@ -475,7 +453,7 @@ def dealiased_power(f: GridField, p: int) -> GridField:
     """f**p computed pointwise on a grid padded by ceil((p+1)/2)."""
     power = partial(integer_power, p=p)
     factor = pad_factor_for_power(p)
-    coeffs = dealiased_pointwise(f.grid, power, factor, f.spectrum.coeffs)
+    coeffs = dealiased_pointwise(f.grid, power, factor, f.spectrum)
     return field_from_coeffs(f.grid, coeffs)
 
 
@@ -483,7 +461,7 @@ def refine_field(f: GridField) -> GridField:
     """Spectral interpolation onto a grid with twice the resolution."""
     grid = f.grid
     fine = make_grid(grid.n, 2 * grid.points_per_axis, grid.box_length)
-    return GridField(fine, _samples(grid, f.spectrum.coeffs, fine.points_per_axis))
+    return GridField(fine, _samples(grid, f.spectrum, fine.points_per_axis))
 
 
 def outer_shell_fraction(f: GridField) -> float:

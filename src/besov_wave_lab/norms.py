@@ -21,7 +21,6 @@ from besov_wave_lab.grid import GridField, TorusGrid, integer_power
 from besov_wave_lab.littlewood_paley import DyadicBlocks, make_blocks
 
 __all__ = [
-    "BesovParams",
     "ProblemParams",
     "Trajectory",
     "lebesgue_norm",
@@ -59,19 +58,6 @@ def lebesgue_norm(f: GridField, p: float) -> float:
     return float(lebesgue_norms(f.grid, f.values, p))
 
 
-@dataclass(frozen=True)
-class BesovParams:
-    s: float
-    p: float
-    q: float = 2.0
-
-    def __post_init__(self) -> None:
-        if self.p < 1:
-            raise ValueError(f"integrability exponent must be >= 1, got {self.p}")
-        if self.q < 1:
-            raise ValueError(f"summability exponent must be >= 1, got {self.q}")
-
-
 def _besov(blocks: DyadicBlocks, coeffs: np.ndarray, s: float, p: float, q: float) -> np.ndarray:
     """The l^q sum over blocks of 2^(j*s) ||block_j||_p, from coefficient
     arrays stacked on leading axes, one per field."""
@@ -92,10 +78,13 @@ def besov_seminorm(
 ) -> float:
     """Homogeneous Besov seminorm of f over the whole representable dyadic
     range, with the DC mode excluded."""
-    BesovParams(s=s, p=p, q=q)
+    if p < 1:
+        raise ValueError(f"integrability exponent must be >= 1, got {p}")
+    if q < 1:
+        raise ValueError(f"summability exponent must be >= 1, got {q}")
     if blocks is None:
         blocks = make_blocks(f.grid)
-    return float(_besov(blocks, f.spectrum.coeffs, s, p, q))
+    return float(_besov(blocks, f.spectrum, s, p, q))
 
 
 @dataclass(frozen=True)

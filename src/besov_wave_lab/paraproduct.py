@@ -68,14 +68,14 @@ def _block_sum(grid: TorusGrid, a, f: np.ndarray, b, g: np.ndarray) -> np.ndarra
 
 def para_T(f: GridField, g: GridField, *, blocks: DyadicBlocks | None = None) -> GridField:
     """Low-high paraproduct: sum over j of (low-pass f at 2^(j-2)) * (block j of g)."""
-    blocks, fc, gc = _shared_blocks(f, g, blocks), f.spectrum.coeffs, g.spectrum.coeffs
+    blocks, fc, gc = _shared_blocks(f, g, blocks), f.spectrum, g.spectrum
     # Ladder rows k = j - 2 for j = j_min..j_max.
     return field_from_coeffs(f.grid, _block_sum(f.grid, blocks.ladder[:-3], fc, blocks.annuli, gc))
 
 
 def para_R(f: GridField, g: GridField, *, blocks: DyadicBlocks | None = None) -> GridField:
     """Comparable-frequency remainder: block pairs with |j - k| <= 1."""
-    blocks, fc, gc = _shared_blocks(f, g, blocks), f.spectrum.coeffs, g.spectrum.coeffs
+    blocks, fc, gc = _shared_blocks(f, g, blocks), f.spectrum, g.spectrum
     return field_from_coeffs(f.grid, _block_sum(f.grid, blocks.annuli, fc, blocks.widened, gc))
 
 

@@ -17,16 +17,15 @@ term, the scheme's own error estimate, against ETD_TOL; dt is the floor,
 so no run takes more steps than at fixed dt, and every step lands on or
 before the next store time.
 
-Both time loops stay in coefficients: u^p comes from the alias-free kernel
-grid.dealiased_pointwise on spectra they hold.  Picard holds spectra from
-start to finish: its difference norms read the spectra of its corrections,
-and fields exist only for the trajectory it returns.  The ETD oracle builds
-fields for its stored nodes.  The escape check reads samples only when it
-must: the Fourier-series bound _sup_bound, a sum over the spectrum, is at
-least the max-norm, so a state whose bound sits under the threshold (with
-a margin far above rounding) cannot escape and is not sampled.  Otherwise
-a non-finite sample, or one above the threshold, is a blow-up, read off
-the raw samples before any field is built.
+Both time loops hold spectra from start to finish: u^p comes from the
+alias-free kernel grid.dealiased_pointwise on spectra they hold, Picard's
+difference norms read the spectra of its corrections, and fields exist only
+for the trajectories they return.  One escape gate, _escaped, serves both:
+the Fourier-series bound _sup_bound, a sum over the spectrum, is at least
+the max-norm, so a state whose bound sits under the threshold (with a
+margin far above rounding) cannot escape and is not sampled.  Otherwise a
+non-finite sample, or one above the threshold, is a blow-up, read off the
+raw samples before any field is built.
 
 Neither solver judges admissibility; experiments.run_experiment does.
 """
@@ -34,11 +33,12 @@ Neither solver judges admissibility; experiments.run_experiment does.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
 import sys
 from dataclasses import dataclass, field as dc_field
-from functools import lru_cache, partial
+from functools import partial
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -138,20 +138,31 @@ class OracleDiagnostics:
     final_tail_fraction: float = 0.0
 
 
-def spectral_tail_fraction(f: GridField) -> float:
-    """Energy fraction carried by the top frequency octave (resolution monitor)."""
-    grid = f.grid
-    power = grid.mode_weight * np.abs(f.spectrum.coeffs) ** 2
+def _mode_power(grid: TorusGrid, *spectra: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """Parseval's density mode_weight * sum |c|^2 of half spectra, its sum,
+    and the scale both are taken over.  The scale is 1 unless the sum
+    overflows for finite spectra; then both are taken again of the spectra
+    over their largest |c|, which is the scale.  So only a state whose
+    squares overflow pays a second pass."""
+    with np.errstate(over="ignore"):
+        power = grid.mode_weight * functools.reduce(np.add, (np.abs(c) ** 2 for c in spectra))
     total = float(np.sum(power))
+    if math.isfinite(total):
+        return power, total, 1.0
+    peak = max(float(np.max(np.abs(c))) for c in spectra)
+    if not math.isfinite(peak):
+        return power, total, 1.0
+    power = grid.mode_weight * functools.reduce(np.add, ((np.abs(c) / peak) ** 2 for c in spectra))
+    return power, float(np.sum(power)), peak
+
+
+def spectral_tail_fraction(grid: TorusGrid, coeffs: np.ndarray) -> float:
+    """Energy fraction of the field with half spectrum coeffs carried by the
+    top frequency octave (resolution monitor)."""
+    power, total, _ = _mode_power(grid, coeffs)
     if total == 0.0:
         return 0.0
     return float(np.sum(power[grid.freq_abs >= grid.max_freq / 2.0])) / total
-
-
-def _escaped(values: np.ndarray, threshold: float) -> bool:
-    """A non-finite sample, or one above the max-norm cap, is a blow-up."""
-    peak = float(np.max(np.abs(values)))
-    return not math.isfinite(peak) or peak > threshold
 
 
 def _sup_bound(grid: TorusGrid, coeffs: np.ndarray) -> float:
@@ -162,14 +173,18 @@ def _sup_bound(grid: TorusGrid, coeffs: np.ndarray) -> float:
         return grid._sup_scale * float(np.sum(np.abs(coeffs) @ grid.mode_weight))
 
 
-def _clear(grid: TorusGrid, coeffs: np.ndarray, threshold: float) -> bool:
-    """True when _sup_bound rules out an escape of the field with half
-    spectrum coeffs, so its samples need not be read: the bound is finite
-    and under the threshold, and under the size whose transform could
-    overflow, by a margin of 1e-9 that no rounding of a transform reaches.
-    A NaN bound is not clear."""
+def _escaped(grid: TorusGrid, coeffs: np.ndarray, threshold: float) -> bool:
+    """Whether the field with half spectrum coeffs has escaped: a non-finite
+    sample, or one above the max-norm threshold, is a blow-up.  Samples are
+    read only when _sup_bound cannot rule the escape out: a bound that is
+    finite and under the threshold, and under the size whose transform
+    could overflow, by a margin of 1e-9 that no rounding of a transform
+    reaches, is clear.  A NaN bound is not."""
     cap = min(threshold, grid._sup_scale * sys.float_info.max)
-    return _sup_bound(grid, coeffs) <= cap * (1.0 - 1e-9)
+    if _sup_bound(grid, coeffs) <= cap * (1.0 - 1e-9):
+        return False
+    peak = float(np.max(np.abs(_samples(grid, coeffs, grid.points_per_axis))))
+    return not math.isfinite(peak) or peak > threshold
 
 
 def _power(grid: TorusGrid, coeffs: np.ndarray, p: int) -> np.ndarray:
@@ -178,15 +193,18 @@ def _power(grid: TorusGrid, coeffs: np.ndarray, p: int) -> np.ndarray:
     return dealiased_pointwise(grid, power, pad_factor_for_power(p), coeffs)
 
 
-@lru_cache(maxsize=16)
 def _step_weights(grid: TorusGrid, h: float):
     """Flow matrix E(h) and source weights (i1u, i2u, i1v, i2v) of one
-    exponential step, cached by (grid, h) and not to be written to.  The
-    weights are integrals over [0, h] of e12 and e22 against 1 and 1 - s/h.
+    exponential step, kept in grid._steps by h and not to be written to, so
+    each distinct step of a run is built once.  The weights are integrals
+    over [0, h] of e12 and e22 against 1 and 1 - s/h.
     Gauss-Legendre with order scaled to h * max|xi| keeps the e12 ones
     exact to rounding for any resolved mode; the e22 ones follow exactly
     from d/ds e12 = e22 and e12(0) = 0.
     """
+    kept = grid._steps.get(h)
+    if kept is not None:
+        return kept
     xi = grid.freq_abs
     flow = flow_matrix(h, xi)
     order = int(math.ceil(h * grid.max_freq / 2.0)) + 24
@@ -199,7 +217,8 @@ def _step_weights(grid: TorusGrid, h: float):
         lk = damped_L(float(sk), xi)
         i1u += wk * lk
         i2u += wk * lk * (1.0 - sk / h)
-    return flow, (i1u, i2u, flow[1], i1u / h)
+    kept = grid._steps[h] = flow, (i1u, i2u, flow[1], i1u / h)
+    return kept
 
 
 def _step(grid: TorusGrid, h: float, u_hat, v_hat, f_start, f_end):
@@ -256,10 +275,8 @@ def psi_apply(
 ) -> Trajectory:
     """One application of the fixed-point map to a trajectory."""
     grid = traj.grid
-    source = (_power(grid, f.spectrum.coeffs, pp.p_nl) for f in traj.fields)
-    spectra = _flow_recursion(
-        grid, traj.times, u0.spectrum.coeffs, u1.spectrum.coeffs, source
-    )
+    source = (_power(grid, f.spectrum, pp.p_nl) for f in traj.fields)
+    spectra = _flow_recursion(grid, traj.times, u0.spectrum, u1.spectrum, source)
     fields = (GridField(grid, _samples(grid, c, grid.points_per_axis)) for c in spectra)
     return Trajectory(traj.times, tuple(fields))
 
@@ -285,8 +302,8 @@ def picard_solve(
 
     The iteration holds spectra only: u^p comes from the spectrum of the
     iterate and the difference norms from the spectra of the corrections.
-    The escape check samples a node only when _clear cannot rule the
-    escape out, and the returned iterate is sampled once at the end, for
+    The escape gate _escaped samples a node only when its bound cannot
+    rule the escape out, and the returned iterate is sampled once at the end, for
     the fields of the trajectory.
     """
     if u0.grid != u1.grid:
@@ -299,7 +316,7 @@ def picard_solve(
     N = grid.points_per_axis
     times = cfg.time_grid
     diag = PicardDiagnostics()
-    linear = _flow_recursion(grid, times, u0.spectrum.coeffs, u1.spectrum.coeffs)
+    linear = _flow_recursion(grid, times, u0.spectrum, u1.spectrum)
     correction = [0.0] * times.size
     kept = linear  # spectra of the last iterate that stayed finite
     threshold = cfg.blowup_threshold
@@ -311,9 +328,7 @@ def picard_solve(
         iterate = []
         for t, a, b in zip(times, linear, update):
             iterate.append(a + b)
-            if not _clear(grid, iterate[-1], threshold) and _escaped(
-                _samples(grid, iterate[-1], N), threshold
-            ):
+            if _escaped(grid, iterate[-1], threshold):
                 diag.blown_up = True
                 diag.escape_time = float(t)
                 break
@@ -338,8 +353,8 @@ def picard_solve(
 
 def _pair_norm(grid: TorusGrid, u_hat: np.ndarray, v_hat: np.ndarray) -> float:
     """L^2 norm of the pair (u, v) from its half spectra (Parseval)."""
-    power = np.abs(u_hat) ** 2 + np.abs(v_hat) ** 2
-    return math.sqrt(float(np.sum(grid.mode_weight * power)))
+    _, total, scale = _mode_power(grid, u_hat, v_hat)
+    return scale * math.sqrt(total)
 
 
 def etd_oracle(
@@ -369,10 +384,10 @@ def etd_oracle(
     position is an integer count of dt (t = m dt), and no step crosses the
     next store time or the horizon, so every store time is hit exactly.  The
     first step with a non-finite sample or one above blowup_threshold is the
-    escape, stored when its samples are finite; the final tail fraction is
-    that of the last finite samples.  A step is sampled only at a store
-    time, or when _clear cannot rule its escape out; the final tail
-    fraction samples the last finite state if no store did.
+    escape, stored when its samples are finite.  A step is sampled only at a
+    store time, or when the gate _escaped cannot rule its escape out; the
+    final tail fraction reads the spectrum of the last state with finite
+    samples.
     """
     if dt <= 0 or T <= 0:
         raise ValueError("time step and horizon must be positive")
@@ -394,12 +409,10 @@ def etd_oracle(
     landings = sorted(m for m in store_idx | {steps} if 0 < m <= steps)
     power = partial(_power, grid, p=pp.p_nl)
 
-    uh = u0.spectrum.coeffs.copy()
-    vh = u1.spectrum.coeffs.copy()
+    uh, vh = u0.spectrum, u1.spectrum
     diag = OracleDiagnostics()
-    out_times = [0.0]
-    out_fields = [GridField(grid, u0.values)]
-    last, last_hat = u0.values, None  # last finite samples, None if not taken
+    out_times, out_fields = [0.0], [u0]
+    last = uh  # spectrum of the last state with finite samples
     m, k, n0 = 0, 0, None
     while m < steps:
         if n0 is None:
@@ -413,11 +426,7 @@ def etd_oracle(
             diag.rejected += 1
             k = j - 1
             continue
-        stored = m + 2**j in store_idx
-        values = None
-        if stored or not _clear(grid, new_u, blowup_threshold):
-            values = _samples(grid, new_u, grid.points_per_axis)
-        escaped = values is not None and _escaped(values, blowup_threshold)
+        escaped = _escaped(grid, new_u, blowup_threshold)
         if j > 0 and escaped:
             diag.rejected += 1
             k = j - 1
@@ -428,19 +437,20 @@ def etd_oracle(
         diag.steps += 1
         if j == k and 8.0 * err < scale:
             k += 1
-        t = m * dt
-        if not escaped or np.all(np.isfinite(values)):
-            last, last_hat = values, uh
-            if escaped or stored:
-                out_times.append(t)
+        finite = not escaped
+        if escaped or m in store_idx:
+            values = _samples(grid, uh, grid.points_per_axis)
+            finite = finite or bool(np.all(np.isfinite(values)))
+            if finite:
+                out_times.append(m * dt)
                 out_fields.append(GridField(grid, values))
+        if finite:
+            last = uh
         if escaped:
             diag.blown_up = True
-            diag.escape_time = t
+            diag.escape_time = m * dt
             break
-    if last is None:
-        last = _samples(grid, last_hat, grid.points_per_axis)
-    diag.final_tail_fraction = spectral_tail_fraction(GridField(grid, last))
+    diag.final_tail_fraction = spectral_tail_fraction(grid, last)
     return Trajectory(np.array(out_times), tuple(out_fields)), diag
 
 

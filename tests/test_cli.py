@@ -403,6 +403,42 @@ amplitude = 0.3
         assert 0 < steps <= 80.0
         assert report["scalars"]["oracle_rejected"] >= 0.0
 
+    def test_off_lattice_node_exits_2_and_names_it(self, tmp_path, capsys):
+        # 4 nodes on [0, 4] put t = 4/3 and 8/3 off the oracle's lattice of
+        # etd_dt = 0.05, where it stores no state to compare with.
+        text = """
+[experiment]
+kind = global-decay
+
+[grid]
+n = 1
+N = 256
+L = 80
+
+[problem]
+n = 1
+r = 4
+s = 5
+p = 9
+
+[solver]
+T = 4
+nodes = 4
+max_iters = 4
+etd_dt = 0.05
+
+[data]
+profile = gaussian
+width = 2.0
+amplitude = 0.3
+"""
+        cfg = write_cfg(tmp_path / "off-lattice.cfg", text)
+        out = tmp_path / "o"
+        assert main(["run", cfg, "--out", str(out)]) == EXIT_CONFIG
+        record = json.loads((out / "error.json").read_text())
+        assert record["error"]["type"] == "config"
+        assert "node t = 1.33333333333 is not a multiple of etd_dt" in record["error"]["message"]
+
     def test_overflow_in_global_decay_exits_4(self, tmp_path, capsys):
         # No cap: the iterate overflows, which is a blow-up, not a config error.
         text = """

@@ -145,10 +145,10 @@ class TestBlockNorms:
         grid = make_grid(n, N, L)
         f = grid.field(np.random.default_rng(seed).standard_normal(grid.shape))
         blocks = make_blocks(grid)
-        stack = np.stack([2.0 * f.spectrum.coeffs, f.spectrum.coeffs])
+        stack = np.stack([2.0 * f.spectrum, f.spectrum])
         for p in (1.0, 2.0, 3.0, 4.0, np.inf):
             direct = [lebesgue_norm(blocks.block(f, j), p) for j in blocks.indices()]
-            batched = blocks.block_norms(f.spectrum.coeffs, p)
+            batched = blocks.block_norms(f.spectrum, p)
             np.testing.assert_allclose(
                 batched, direct, rtol=1e-12, atol=1e-15 * max(direct)
             )
@@ -179,7 +179,7 @@ class TestBlockNormMemory:
     def test_second_call_peak(self, N, L, lead):
         grid = make_grid(1, N, L)
         f = grid.field(RNG.standard_normal(grid.shape))
-        coeffs = np.broadcast_to(f.spectrum.coeffs, lead + f.spectrum.coeffs.shape).copy()
+        coeffs = np.broadcast_to(f.spectrum, lead + f.spectrum.shape).copy()
         blocks = make_blocks(grid)
         for p in (4.0, 2.5, np.inf):
             assert _second_call_peak(blocks, coeffs, p) <= 1.5, p
@@ -192,7 +192,7 @@ class TestBlockNormWorkspace:
         # shape changes and never shows in a result.
         for n, N, L in ((1, 256, 32.0), (2, 16, 8.0)):
             grid = make_grid(n, N, L)
-            one = grid.field(RNG.standard_normal(grid.shape)).spectrum.coeffs
+            one = grid.field(RNG.standard_normal(grid.shape)).spectrum
             three = np.stack([one, -2.0 * one, 0.5j * one])
             blocks = make_blocks(grid)
             for coeffs in (one, three, one, three[1]):
@@ -202,7 +202,7 @@ class TestBlockNormWorkspace:
 
     def test_returned_arrays_are_the_callers(self):
         grid = make_grid(1, 256, 32.0)
-        coeffs = grid.field(RNG.standard_normal(grid.shape)).spectrum.coeffs
+        coeffs = grid.field(RNG.standard_normal(grid.shape)).spectrum
         blocks = make_blocks(grid)
         for p in (1.0, 4.0, 2.5, np.inf, 2.0):
             expected = blocks.block_norms(coeffs, p).copy()

@@ -40,7 +40,7 @@ class TestLebesgue:
         grid = make_grid(1, 128, 7.0)
         f = grid.field(RNG.standard_normal(grid.shape))
         spec = np.sqrt(
-            grid.freq_spacing * np.sum(grid.mode_weight * np.abs(f.spectrum.coeffs) ** 2)
+            grid.freq_spacing * np.sum(grid.mode_weight * np.abs(f.spectrum) ** 2)
         )
         assert lebesgue_norm(f, 2.0) == pytest.approx(spec, rel=1e-12)
 
@@ -60,6 +60,12 @@ class TestBesov:
         grid = make_grid(1, 64, 8.0)
         assert besov_seminorm(grid.zeros(), 1.0, 2.0) == 0.0
 
+    @pytest.mark.parametrize("p, q, named", [(0.5, 2.0, "integrability"), (2.0, 0.5, "summability")])
+    def test_rejects_exponents_below_one(self, p, q, named):
+        grid = make_grid(1, 64, 8.0)
+        with pytest.raises(ValueError, match=named):
+            besov_seminorm(grid.zeros(), 1.0, p, q)
+
     def test_single_annulus_block_arithmetic(self):
         # Mass confined to one annulus: only blocks j0-1..j0+1 contribute,
         # and shifting s by one multiplies the norm by 2^j0 up to a factor 2.
@@ -67,7 +73,7 @@ class TestBesov:
         blocks = make_blocks(grid)
         j0 = 2
         f = annulus_field(grid, j0)
-        norms = blocks.block_norms(f.spectrum.coeffs, 2.0)
+        norms = blocks.block_norms(f.spectrum, 2.0)
         js = np.array(list(blocks.indices()))
         active = js[norms > 1e-12 * norms.max()]
         assert set(active) <= {j0 - 1, j0, j0 + 1}
@@ -152,7 +158,7 @@ class TestProblemParams:
 
 def constant_trajectory(grid, f, times):
     """Node times and the spectrum of f at every node: x_norm's arguments."""
-    return np.asarray(times, dtype=float), [f.spectrum.coeffs for _ in times]
+    return np.asarray(times, dtype=float), [f.spectrum for _ in times]
 
 
 class TestXNorm:

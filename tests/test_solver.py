@@ -10,13 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from besov_wave_lab.grid import (
-    SpectralField,
-    _samples,
-    field_from_coeffs,
-    inverse_transform,
-    make_grid,
-)
+from besov_wave_lab.grid import _samples, field_from_coeffs, make_grid
 from besov_wave_lab.littlewood_paley import make_blocks
 from besov_wave_lab.norms import ProblemParams, Trajectory, lebesgue_norm, x_norm
 from besov_wave_lab.profiles import gaussian, single_mode, slow_decay
@@ -33,6 +27,7 @@ from besov_wave_lab.solver import (
     ETD_TOL,
     SolverConfig,
     _flow_recursion,
+    _pair_norm,
     _power,
     _step_weights,
     _sup_bound,
@@ -57,7 +52,7 @@ def small_gaussian_data(grid, amplitude):
 def constant_source_integral(mode, nodes: int, t: float):
     """Samples of the Duhamel integral at t of a source held at one field."""
     times = np.linspace(0.0, t, nodes)
-    spectra = [mode.spectrum.coeffs for _ in times]
+    spectra = [mode.spectrum for _ in times]
     coeffs = duhamel_integral(mode.grid, times, spectra)[-1]
     return field_from_coeffs(mode.grid, coeffs).values
 
@@ -68,7 +63,7 @@ class TestDuhamel:
 
     def test_zero_source(self):
         times = np.linspace(0.0, 4.0, 65)
-        zero = self.grid.zeros().spectrum.coeffs
+        zero = self.grid.zeros().spectrum
         out = duhamel_integral(self.grid, times, [zero for _ in times])
         assert len(out) == times.size
         assert all(np.max(np.abs(v)) == 0.0 for v in out)
@@ -101,7 +96,7 @@ class TestDuhamel:
         errors = []
         for nodes in (17, 33, 65):
             times = np.linspace(0.0, t, nodes)
-            spectra = [math.cos(3.0 * tau) * mode.spectrum.coeffs for tau in times]
+            spectra = [math.cos(3.0 * tau) * mode.spectrum for tau in times]
             coeffs = duhamel_integral(self.grid, times, spectra)[-1]
             out = field_from_coeffs(self.grid, coeffs).values
             errors.append(np.max(np.abs(out - exact * mode.values)))
@@ -117,7 +112,7 @@ class TestDuhamel:
         rng = np.random.default_rng(7)
         times = np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 0.6, 12))])
         fields = [grid.field(rng.standard_normal(grid.shape)) for _ in times]
-        f = [g.spectrum.coeffs for g in fields]
+        f = [g.spectrum for g in fields]
         out = duhamel_integral(grid, times, f)
         for k, t in enumerate(times):
             acc = np.zeros(grid.spectral_shape, dtype=complex)
@@ -127,7 +122,7 @@ class TestDuhamel:
                 b = i1v * f[j] + i2v * (f[j + 1] - f[j])
                 e11, e12, _, _ = flow_matrix(t - times[j + 1], xi)
                 acc += e11 * a + e12 * b
-            direct = inverse_transform(SpectralField(grid, acc))
+            direct = field_from_coeffs(grid, acc)
             scale = max(direct.max_abs(), 1e-30)
             values = field_from_coeffs(grid, out[k]).values
             assert np.max(np.abs(values - direct.values)) <= 1e-12 * scale
@@ -219,14 +214,14 @@ class TestPicard:
         fine_times = np.append(
             np.column_stack([t[:-1], t[:-1] + 0.5 * np.diff(t)]).ravel(), t[-1]
         )
-        source = [_power(grid, f.spectrum.coeffs, PP3.p_nl) for f in traj.fields]
+        source = [_power(grid, f.spectrum, PP3.p_nl) for f in traj.fields]
         fine_source = [
             c for a, b in zip(source, source[1:]) for c in (a, 0.5 * a + 0.5 * b)
         ] + [source[-1]]
         refined = _flow_recursion(
-            grid, fine_times, u0.spectrum.coeffs, u1.spectrum.coeffs, fine_source
+            grid, fine_times, u0.spectrum, u1.spectrum, fine_source
         )[::2]
-        diff = [v - f.spectrum.coeffs for v, f in zip(refined, traj.fields)]
+        diff = [v - f.spectrum for v, f in zip(refined, traj.fields)]
         assert x_norm(t, diff, PP3, make_blocks(grid)) < 2 * tol
 
     def test_first_correction_scales_with_amplitude_power(self):
@@ -272,19 +267,19 @@ def sample_path_picard(u0, u1, pp, cfg):
     def values(spectra):
         return [field_from_coeffs(grid, c).values for c in spectra]
 
-    linear = values(_flow_recursion(grid, times, u0.spectrum.coeffs, u1.spectrum.coeffs))
+    linear = values(_flow_recursion(grid, times, u0.spectrum, u1.spectrum))
     current = Trajectory(times, tuple(grid.field(v) for v in linear))
     correction = [np.zeros(grid.shape)] * times.size
     diffs = []
     for _ in range(cfg.max_iters):
-        source = [_power(grid, f.spectrum.coeffs, pp.p_nl) for f in current.fields]
+        source = [_power(grid, f.spectrum, pp.p_nl) for f in current.fields]
         update = values(duhamel_integral(grid, times, source))
         iterate = [a + b for a, b in zip(linear, update)]
         for t, v in zip(times, iterate):
             peak = np.max(np.abs(v))
             if not np.isfinite(peak) or peak > cfg.blowup_threshold:
                 return current, diffs, float(t)
-        steps = [grid.field(a - b).spectrum.coeffs for a, b in zip(update, correction)]
+        steps = [grid.field(a - b).spectrum for a, b in zip(update, correction)]
         diffs.append(x_norm(times, steps, pp, blocks))
         current = Trajectory(times, tuple(grid.field(v) for v in iterate))
         correction = update
@@ -356,8 +351,8 @@ class TestCoefficientPath:
     def test_etd_transform_budget(self, monkeypatch):
         # One padded pair for n1 on every attempted step and one for n0 on
         # every accepted one; on the grid, one inverse transform per store
-        # (only the horizon here), and forward ones for the data's spectrum
-        # and the final tail fraction.
+        # (only the horizon here), and one forward transform for the data's
+        # spectrum: the final tail fraction reads the last spectrum.
         counts = count_transforms(monkeypatch, 64)
         grid = make_grid(1, 64, 32.0)
         u0 = gaussian(grid, width=2.0, amplitude=0.01)
@@ -368,10 +363,31 @@ class TestCoefficientPath:
         pairs = 2 * diag.steps + diag.rejected
         assert counts == {
             ("forward", "padded"): pairs,
-            ("forward", "grid"): 2,
+            ("forward", "grid"): 1,
             ("inverse", "padded"): pairs,
             ("inverse", "grid"): 1,
         }
+
+
+def test_step_weights_built_once_per_distinct_step(monkeypatch):
+    # 25 graded nodes take 24 distinct steps; the linear start and every
+    # iteration read the weights of each, which are built on the first read.
+    built = collections.Counter()
+
+    def counted(t, xi):
+        built[t] += 1
+        return flow_matrix(t, xi)
+
+    monkeypatch.setattr(solver, "flow_matrix", counted)
+    grid = make_grid(1, 64, 32.0)
+    u0 = gaussian(grid, width=2.0, amplitude=0.05)
+    times = 2.0 * np.linspace(0.0, 1.0, 25) ** 2
+    cfg = SolverConfig(2.0, times, picard_tol=1e-300, max_iters=4)
+    _, diag = picard_solve(u0, u0, PP2, cfg)
+    assert diag.iterations == 4
+    steps = set(np.diff(times).tolist())
+    assert len(steps) == 24
+    assert built == {h: 1 for h in steps}
 
 
 def count_transforms(monkeypatch, N):
@@ -448,7 +464,7 @@ class TestEscapeGate:
         with monkeypatch.context() as m:
             m.setattr(solver, "_samples", counted)
             if not gate:
-                m.setattr(solver, "_clear", lambda *args: False)
+                m.setattr(solver, "_sup_bound", lambda *args: math.inf)
             traj, diag = run()
         return traj, diag, len(calls)
 
@@ -577,8 +593,28 @@ class TestEtdOracle:
         )
         _, diag = rung0_oracle(monkeypatch, *args, blowup_threshold=math.inf, store_times=[2.0])
         assert diag.blown_up and every.times[-1] < diag.escape_time
-        assert diag.final_tail_fraction == spectral_tail_fraction(every.fields[-1])
-        assert diag.final_tail_fraction > 1e3 * spectral_tail_fraction(u0)
+        last = every.fields[-1]
+        assert diag.final_tail_fraction == spectral_tail_fraction(last.grid, last.spectrum)
+        assert diag.final_tail_fraction > 1e3 * spectral_tail_fraction(u0.grid, u0.spectrum)
+
+    def test_huge_finite_state_reads_a_finite_tail_fraction(self):
+        # Without a cap the last finite state before the overflow is so
+        # large that |c|^2 overflows; the norms rescale it, with no warning.
+        u0 = gaussian(self.grid, width=2.0, amplitude=1.5)
+        pp9 = ProblemParams(n=1, r=4.0, s=5.0, p_nl=9)
+        _, diag = etd_oracle(
+            u0, u0, pp9, 0.01, 4.0, blowup_threshold=math.inf, store_times=[1.0, 4.0]
+        )
+        assert diag.blown_up
+        assert 0.0 < diag.final_tail_fraction < 1.0
+
+    def test_pair_norm_rescales_an_overflow(self):
+        # A finite pair whose squares overflow keeps its norm; a NaN stays NaN.
+        u = gaussian(self.grid, width=2.0, amplitude=1.0).spectrum
+        norm = _pair_norm(self.grid, u, 2.0 * u)
+        huge = _pair_norm(self.grid, 1e300 * u, 2e300 * u)
+        assert huge == pytest.approx(1e300 * norm, rel=1e-14)
+        assert math.isnan(_pair_norm(self.grid, np.full_like(u, np.nan), u))
 
     def test_step_validation(self):
         u0 = self.grid.zeros()
@@ -748,9 +784,9 @@ class TestBlowupProbe:
 def test_spectral_tail_fraction_monitors_resolution():
     grid = make_grid(1, 128, 20.0)
     smooth = gaussian(grid, width=1.0)
-    assert spectral_tail_fraction(smooth) < 1e-10
+    assert spectral_tail_fraction(grid, smooth.spectrum) < 1e-10
     rough = field_from_function(grid, lambda x: np.cos(15 * x))
-    assert spectral_tail_fraction(rough) > 0.9
+    assert spectral_tail_fraction(grid, rough.spectrum) > 0.9
 
 
 @settings(max_examples=40, deadline=None)
@@ -773,4 +809,4 @@ def test_spectral_tail_fraction_matches_whole_lattice_oracle(n, N, L, seed):
     )
     tail = power[np.sqrt(xi2) >= grid.max_freq / 2.0]
     expected = np.sum(tail) / np.sum(power)
-    assert spectral_tail_fraction(f) == pytest.approx(expected, rel=1e-12)
+    assert spectral_tail_fraction(grid, f.spectrum) == pytest.approx(expected, rel=1e-12)
