@@ -28,9 +28,9 @@ from besov_wave_lab.grid import TorusGrid, make_grid
 from besov_wave_lab.littlewood_paley import make_blocks
 from besov_wave_lab.norms import (
     ProblemParams,
+    _lebesgue,
     interpolation_check,
     interpolation_exponents,
-    lebesgue_norm,
 )
 from besov_wave_lab.paraproduct import (
     LeibnizConfig,
@@ -40,7 +40,6 @@ from besov_wave_lab.paraproduct import (
 from besov_wave_lab.profiles import PROFILES, band_limited_random, band_limited_samples
 from besov_wave_lab.profiles import build_profile
 from besov_wave_lab.propagator import (
-    apply_D,
     damped_L,
     fit_high_growth,
     verify_block_estimate,
@@ -49,6 +48,7 @@ from besov_wave_lab.propagator import (
 from besov_wave_lab.reporting import ExperimentReport, Table, write_loglog_svg
 from besov_wave_lab.solver import (
     SolverConfig,
+    _pair_norm,
     blowup_probe,
     contraction_report,
     decay_study,
@@ -238,8 +238,8 @@ def run_high_frequency_bound(values: Values, out_dir: Path, rng, jobs: int) -> E
     blocks = make_blocks(grid)
     p, delta_cap = values["estimate"]["p"], values["estimate"]["delta_cap"]
     ts = _times_from(values)
-    g = blocks.high_pass(_data_field(values["data"], grid, rng), 1.0)
-    norms = np.array([lebesgue_norm(apply_D(t, g), p) for t in ts])
+    high = (1.0 - blocks.low_pass_multiplier(1.0)) * _data_field(values["data"], grid, rng).spectrum
+    norms = np.array([_lebesgue(grid, damped_L(t, grid.freq_abs) * high, p) for t in ts])
     compensated = norms * np.exp(ts / 2.0)
     # compensated <= 10^log_c * <t>^delta on every sample with t > 0.
     delta, const = fit_high_growth(ts, norms, 1.0)
@@ -451,8 +451,8 @@ def run_global_decay(values: Values, out_dir: Path, rng, jobs: int) -> Experimen
             f"oracle run escaped the cap at t = {etd_diag.escape_time}"
         )
     agreement = max(
-        lebesgue_norm(f - ref, 2.0) / max(lebesgue_norm(f, 2.0), 1e-300)
-        for f, ref in zip(traj.fields[1:], etd_traj.fields[1:], strict=True)
+        _pair_norm(grid, c - ref) / max(_pair_norm(grid, c), 1e-300)
+        for c, ref in zip(traj.spectra[1:], etd_traj.spectra[1:], strict=True)
     )
     study = decay_study(traj, pp, blown_up=False)
     study.kind = "global-decay"

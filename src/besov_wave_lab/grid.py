@@ -312,9 +312,11 @@ def _irfft(n: int, half: np.ndarray, out: np.ndarray | None = None) -> np.ndarra
 def _coefficients(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
     """Coefficient arrays of samples on grid, stacked as the samples are:
     the discrete analogue of the symmetric-normalization Fourier transform.
-    Non-finite samples or coefficients raise ValueError."""
+    Non-finite coefficients raise ValueError, and so do non-finite samples,
+    whose sum is the mean mode."""
     scale = (2.0 * np.pi) ** (-grid.n / 2) * grid.spacing**grid.n
-    coeffs = scale * grid._phase_signs * _rfft(grid.n, require_finite(values))
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = scale * grid._phase_signs * _rfft(grid.n, values)
     return require_finite(coeffs, "spectral coefficients")
 
 

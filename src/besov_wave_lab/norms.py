@@ -5,8 +5,9 @@ grid's dyadic range; the DC mode never enters (it lives in the low block).
 The solution-space norm weights ||.||_{B^s_{2,2}} by <t>^(s/2 - (n/2)(1/2-1/r)).
 Both reduce the dyadic block norms of a coefficient array; besov_seminorm
 takes a field and passes its spectrum, x_norm takes the spectra at the
-nodes directly.  lebesgue_norms and _besov act on the trailing axes, so an
-ensemble of fields stacked on a leading axis reduces in one call.
+nodes directly, as a Trajectory holds them.  lebesgue_norms and _besov act
+on the trailing axes, so an ensemble of fields stacked on a leading axis
+reduces in one call.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Iterable
 
 import numpy as np
 
-from besov_wave_lab.grid import GridField, TorusGrid, integer_power
+from besov_wave_lab.grid import GridField, TorusGrid, _samples, field_from_coeffs, integer_power
 from besov_wave_lab.littlewood_paley import DyadicBlocks, make_blocks
 
 __all__ = [
@@ -56,6 +57,11 @@ def lebesgue_norms(grid: TorusGrid, values: np.ndarray, p: float) -> np.ndarray:
 def lebesgue_norm(f: GridField, p: float) -> float:
     """Quadrature L^p norm; p = inf gives the max of |f|."""
     return float(lebesgue_norms(f.grid, f.values, p))
+
+
+def _lebesgue(grid: TorusGrid, coeffs: np.ndarray, p: float) -> float:
+    """lebesgue_norm of the field with coefficient array coeffs."""
+    return float(lebesgue_norms(grid, _samples(grid, coeffs, grid.points_per_axis), p))
 
 
 def _besov(blocks: DyadicBlocks, coeffs: np.ndarray, s: float, p: float, q: float) -> np.ndarray:
@@ -124,10 +130,12 @@ def x_weight(t, pp: ProblemParams) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Time-indexed family of fields on one shared grid."""
+    """Half spectra of fields on one grid at increasing times from 0; fields
+    are sampled on demand, and iterating yields (t, field) pairs."""
 
+    grid: TorusGrid
     times: np.ndarray
-    fields: tuple[GridField, ...]
+    spectra: tuple[np.ndarray, ...]
 
     def __post_init__(self) -> None:
         times = np.asarray(self.times, dtype=float)
@@ -137,26 +145,34 @@ class Trajectory:
             raise ValueError("trajectory must start at t = 0")
         if np.any(np.diff(times) <= 0):
             raise ValueError("times must be strictly increasing")
-        if len(self.fields) != times.size:
-            raise ValueError("one field per time sample required")
-        grid = self.fields[0].grid
-        for f in self.fields:
-            if f.grid != grid:
-                raise ValueError("all trajectory fields must share one grid")
+        if len(self.spectra) != times.size:
+            raise ValueError("one spectrum per time sample required")
+        shape = self.grid.spectral_shape
+        if any(np.shape(c) != shape for c in self.spectra):
+            raise ValueError(f"every spectrum must have the grid's spectral shape {shape}")
         times = times.copy()
         times.flags.writeable = False
         object.__setattr__(self, "times", times)
-        object.__setattr__(self, "fields", tuple(self.fields))
+        object.__setattr__(self, "spectra", tuple(self.spectra))
 
     @property
-    def grid(self) -> TorusGrid:
-        return self.fields[0].grid
+    def fields(self) -> tuple[GridField, ...]:
+        return tuple(f for _, f in self)
 
     def __len__(self) -> int:
-        return len(self.fields)
+        return len(self.spectra)
 
     def __iter__(self):
-        return zip(self.times, self.fields)
+        return ((t, field_from_coeffs(self.grid, c)) for t, c in zip(self.times, self.spectra))
+
+
+def _x_integrand(
+    t: float, coeffs: np.ndarray, pp: ProblemParams, blocks: DyadicBlocks
+) -> tuple[float, float, float]:
+    """B^s_{2,2}, B^0_{r,2} and x_norm's weighted sum of the two at time t."""
+    b_s = float(_besov(blocks, coeffs, pp.s, 2.0, 2.0))
+    b_r = float(_besov(blocks, coeffs, 0.0, pp.r, 2.0))
+    return b_s, b_r, float(x_weight(t, pp)) * b_s + b_r
 
 
 def x_norm(
@@ -169,11 +185,7 @@ def x_norm(
     of the fields with coefficient arrays spectra, on the grid of blocks."""
     best = 0.0
     for t, coeffs in zip(times, spectra, strict=True):
-        w = float(x_weight(t, pp))
-        val = w * _besov(blocks, coeffs, pp.s, 2.0, 2.0) + _besov(
-            blocks, coeffs, 0.0, pp.r, 2.0
-        )
-        best = max(best, val)
+        best = max(best, _x_integrand(t, coeffs, pp, blocks)[2])
     return best
 
 

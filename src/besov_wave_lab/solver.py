@@ -19,13 +19,13 @@ before the next store time.
 
 Both time loops hold spectra from start to finish: u^p comes from the
 alias-free kernel grid.dealiased_pointwise on spectra they hold, Picard's
-difference norms read the spectra of its corrections, and fields exist only
-for the trajectories they return.  One escape gate, _escaped, serves both:
+difference norms read the spectra of its corrections, and the trajectories
+they return hold spectra.  One escape gate, _escaped, serves both:
 the Fourier-series bound _sup_bound, a sum over the spectrum, is at least
 the max-norm, so a state whose bound sits under the threshold (with a
 margin far above rounding) cannot escape and is not sampled.  Otherwise a
 non-finite sample, or one above the threshold, is a blow-up, read off the
-raw samples before any field is built.
+raw samples.
 
 Neither solver judges admissibility; experiments.run_experiment does.
 """
@@ -54,13 +54,7 @@ from besov_wave_lab.grid import (
     refine_field,
 )
 from besov_wave_lab.littlewood_paley import make_blocks
-from besov_wave_lab.norms import (
-    ProblemParams,
-    Trajectory,
-    besov_seminorm,
-    x_norm,
-    x_weight,
-)
+from besov_wave_lab.norms import ProblemParams, Trajectory, _x_integrand, x_norm
 from besov_wave_lab.propagator import damped_L, fit_power_law, flow_matrix
 from besov_wave_lab.reporting import ExperimentReport, Table
 
@@ -273,12 +267,11 @@ def psi_apply(
     u1: GridField,
     pp: ProblemParams,
 ) -> Trajectory:
-    """One application of the fixed-point map to a trajectory."""
+    """One application of the fixed-point map to a trajectory's spectra."""
     grid = traj.grid
-    source = (_power(grid, f.spectrum, pp.p_nl) for f in traj.fields)
+    source = (_power(grid, c, pp.p_nl) for c in traj.spectra)
     spectra = _flow_recursion(grid, traj.times, u0.spectrum, u1.spectrum, source)
-    fields = (GridField(grid, _samples(grid, c, grid.points_per_axis)) for c in spectra)
-    return Trajectory(traj.times, tuple(fields))
+    return Trajectory(grid, traj.times, tuple(spectra))
 
 
 def picard_solve(
@@ -301,10 +294,9 @@ def picard_solve(
     rounding floor.
 
     The iteration holds spectra only: u^p comes from the spectrum of the
-    iterate and the difference norms from the spectra of the corrections.
-    The escape gate _escaped samples a node only when its bound cannot
-    rule the escape out, and the returned iterate is sampled once at the end, for
-    the fields of the trajectory.
+    iterate, the difference norms from the spectra of the corrections, and
+    the trajectory returned holds the iterate's.  The escape gate _escaped
+    samples a node only when its bound cannot rule the escape out.
     """
     if u0.grid != u1.grid:
         raise ValueError("initial data live on different grids")
@@ -313,7 +305,6 @@ def picard_solve(
         raise ValueError("blowup threshold must exceed the initial data max-norm")
     blocks = make_blocks(u0.grid)
     grid = u0.grid
-    N = grid.points_per_axis
     times = cfg.time_grid
     diag = PicardDiagnostics()
     linear = _flow_recursion(grid, times, u0.spectrum, u1.spectrum)
@@ -347,13 +338,13 @@ def picard_solve(
         diag.residual = math.inf
     else:
         diag.residual = diag.diff_norms[-1] if diag.diff_norms else 0.0
-    fields = (GridField(grid, _samples(grid, c, N)) for c in kept)
-    return Trajectory(times, tuple(fields)), diag
+    return Trajectory(grid, times, tuple(kept)), diag
 
 
-def _pair_norm(grid: TorusGrid, u_hat: np.ndarray, v_hat: np.ndarray) -> float:
-    """L^2 norm of the pair (u, v) from its half spectra (Parseval)."""
-    _, total, scale = _mode_power(grid, u_hat, v_hat)
+def _pair_norm(grid: TorusGrid, *spectra: np.ndarray) -> float:
+    """L^2 norm, up to a factor dxi^(n/2), of a field or a pair (u, v) from
+    its half spectra (Parseval)."""
+    _, total, scale = _mode_power(grid, *spectra)
     return scale * math.sqrt(total)
 
 
@@ -384,10 +375,10 @@ def etd_oracle(
     position is an integer count of dt (t = m dt), and no step crosses the
     next store time or the horizon, so every store time is hit exactly.  The
     first step with a non-finite sample or one above blowup_threshold is the
-    escape, stored when its samples are finite.  A step is sampled only at a
-    store time, or when the gate _escaped cannot rule its escape out; the
-    final tail fraction reads the spectrum of the last state with finite
-    samples.
+    escape, stored when its samples are finite; stores hold spectra.  A step
+    is sampled only when the gate _escaped cannot rule its escape out, or
+    to learn whether an escape is finite; the final tail fraction reads the
+    spectrum of the last state with finite samples.
     """
     if dt <= 0 or T <= 0:
         raise ValueError("time step and horizon must be positive")
@@ -411,7 +402,7 @@ def etd_oracle(
 
     uh, vh = u0.spectrum, u1.spectrum
     diag = OracleDiagnostics()
-    out_times, out_fields = [0.0], [u0]
+    out_times, out_spectra = [0.0], [uh]
     last = uh  # spectrum of the last state with finite samples
     m, k, n0 = 0, 0, None
     while m < steps:
@@ -437,21 +428,20 @@ def etd_oracle(
         diag.steps += 1
         if j == k and 8.0 * err < scale:
             k += 1
-        finite = not escaped
-        if escaped or m in store_idx:
-            values = _samples(grid, uh, grid.points_per_axis)
-            finite = finite or bool(np.all(np.isfinite(values)))
-            if finite:
-                out_times.append(m * dt)
-                out_fields.append(GridField(grid, values))
+        finite = not escaped or bool(
+            np.all(np.isfinite(_samples(grid, uh, grid.points_per_axis)))
+        )
         if finite:
             last = uh
+            if escaped or m in store_idx:
+                out_times.append(m * dt)
+                out_spectra.append(uh)
         if escaped:
             diag.blown_up = True
             diag.escape_time = m * dt
             break
     diag.final_tail_fraction = spectral_tail_fraction(grid, last)
-    return Trajectory(np.array(out_times), tuple(out_fields)), diag
+    return Trajectory(grid, np.array(out_times), tuple(out_spectra)), diag
 
 
 def first_contraction_ratio(diag: PicardDiagnostics) -> float:
@@ -510,7 +500,8 @@ def decay_study(
     Rejects blown-up runs and runs whose mass reaches the outer shell of
     the box (the torus would stop approximating whole space there).  A
     smoothness series that is not positive after t = 0 leaves nothing to
-    fit; the verdict is then "undetermined", which does not pass.
+    fit; the verdict is then "undetermined", which does not pass.  The
+    norms are x_norm's, read off the spectra; only confinement samples.
     """
     if blown_up:
         raise ValueError("decay study rejected: the run blew up")
@@ -521,44 +512,35 @@ def decay_study(
             f"exceeds {CONFINEMENT_THRESHOLD:.1e}"
         )
     blocks = make_blocks(traj.grid)
-    ts, b_r, b_s, weighted, running = [], [], [], [], []
-    for t, f in traj:
-        ts.append(float(t))
-        br = besov_seminorm(f, 0.0, pp.r, blocks=blocks)
-        bs = besov_seminorm(f, pp.s, 2.0, blocks=blocks)
-        ts_w = float(x_weight(t, pp))
-        b_r.append(br)
-        b_s.append(bs)
-        weighted.append(ts_w * bs + br)
-        running.append(max(weighted[-1], running[-1]) if running else weighted[-1])
-    ts_arr = np.array(ts)
+    ts = traj.times
+    b_s, b_r, weighted = np.array(
+        [_x_integrand(t, c, pp, blocks) for t, c in zip(ts, traj.spectra)]
+    ).T
+    running = np.maximum.accumulate(weighted)
     scalars: dict[str, float] = {
         "confinement_fraction": confinement,
-        "weighted_sup": running[-1],
+        "weighted_sup": float(running[-1]),
         "expected_smooth_exponent": -pp.x_weight_exponent(),
     }
     verdicts = {"weighted_sup_bounded": "undetermined"}
-    if np.all(np.array(b_s)[1:] > 0):
-        slope_s, _, _ = fit_power_law(ts_arr, np.array(b_s), window=fit_window)
+    if np.all(b_s[1:] > 0):
+        slope_s, _, _ = fit_power_law(ts, b_s, window=fit_window)
         scalars["fitted_smooth_exponent"] = slope_s
         # The solution-space norm up to time t is the running sup of the
         # weighted integrand; boundedness means it saturates, so its
         # late-window log-slope must sit at zero.
-        slope_w, _, _ = fit_power_law(ts_arr, np.array(running), window=fit_window)
+        slope_w, _, _ = fit_power_law(ts, running, window=fit_window)
         scalars["weighted_trend_slope"] = slope_w
-        slope_i, _, _ = fit_power_law(ts_arr, np.array(weighted), window=fit_window)
+        slope_i, _, _ = fit_power_law(ts, weighted, window=fit_window)
         scalars["integrand_trend_slope"] = slope_i
         verdicts["weighted_sup_bounded"] = (
             "pass" if slope_w <= TREND_TOL else "fail"
         )
-        slope_r, _, _ = fit_power_law(ts_arr, np.array(b_r), window=fit_window)
+        slope_r, _, _ = fit_power_law(ts, b_r, window=fit_window)
         scalars["fitted_decay_exponent"] = slope_r
     table = Table(
         columns=["t", "besov_r", "besov_s", "weighted_x", "running_sup"],
-        rows=[
-            [ts[i], b_r[i], b_s[i], weighted[i], running[i]]
-            for i in range(len(ts))
-        ],
+        rows=np.column_stack([ts, b_r, b_s, weighted, running]).tolist(),
     )
     return ExperimentReport(
         kind="decay-study",

@@ -16,6 +16,7 @@ from besov_wave_lab.cli import (
 )
 from besov_wave_lab.experiments import REGISTRY, read_config, run_experiment
 from besov_wave_lab.reporting import config_hash
+from fields import count_transforms
 
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -612,7 +613,10 @@ class TestAdmissibilityGate:
 class TestShippedConfigs:
     @pytest.mark.parametrize(
         "name",
-        ["partition.cfg", "paraproduct.cfg", "admissibility.cfg", "leibniz.cfg", "contraction.cfg"],
+        [
+            "partition.cfg", "paraproduct.cfg", "admissibility.cfg", "leibniz.cfg",
+            "contraction.cfg", "high-frequency-bound.cfg", "block-estimates.cfg",
+        ],
     )
     def test_quick_configs_run_clean(self, name, tmp_path, capsys):
         # A failing verdict still exits 0, so the saved verdicts are read too.
@@ -672,6 +676,32 @@ class TestShippedConfigs:
         for spec in REGISTRY.values():
             assert spec.description
             assert spec.claim
+
+
+SMALL_FLOW = {"grid": {"N": "256", "L": "64"}, "time": {"t_min": "1", "t_max": "20", "points": "6"}}
+
+
+@pytest.mark.parametrize(
+    "kind, cfg",
+    [
+        ("global-decay", {
+            "grid": {"N": "256", "L": "64"},
+            "solver": {"T": "2", "nodes": "9", "etd_dt": "0.05"},
+        }),
+        ("verify-lp-lq", SMALL_FLOW),
+        ("block-estimates", SMALL_FLOW),
+        ("high-frequency-bound", SMALL_FLOW),
+    ],
+)
+def test_data_is_transformed_forward_once(kind, cfg, tmp_path, monkeypatch):
+    # Every spectrum a run reads past the data's own is built from spectra:
+    # projections, flows, Picard and oracle states, their differences.  So
+    # the one forward transform on the grid is the data's; a second one
+    # would be a field sampled from a spectrum and transformed back.
+    counts = count_transforms(monkeypatch, 256)
+    report = run_experiment(kind, {"experiment": {"kind": kind}, **cfg}, tmp_path, seed=0)
+    assert report.kind == kind
+    assert counts["forward", "grid"] == 1
 
 
 def test_config_hash_stable_and_order_independent():

@@ -26,6 +26,8 @@ from besov_wave_lab.grid import (
     pad_factor_for_power,
     refine_field,
 )
+from besov_wave_lab.littlewood_paley import make_blocks
+from besov_wave_lab.paraproduct import decomposition_residuals
 from fields import field_from_function
 
 RNG = np.random.default_rng(1234)
@@ -256,6 +258,21 @@ class TestFieldValidation:
         vals[3] = np.nan
         with pytest.raises(ValueError, match="finite"):
             GridField(grid, vals)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    def test_non_finite_samples_have_no_coefficients(self, n, bad):
+        # _coefficients checks only the coefficients: the mean mode is the
+        # sum of the samples, so one non-finite sample (here in the second
+        # field of a stack) fails that check, with no warning on the way.
+        # The ensembles hand their samples to it unchecked.
+        grid = make_grid(n, 16, 5.0)
+        vals = np.random.default_rng(3).standard_normal((2,) + grid.shape)
+        vals[(1,) + (5,) * n] = bad
+        with pytest.raises(ValueError, match="finite"):
+            _coefficients(grid, vals)
+        with pytest.raises(ValueError, match="finite"):
+            decomposition_residuals(make_blocks(grid), vals, vals[::-1])
 
     def test_values_immutable(self):
         grid = make_grid(1, 16, 1.0)

@@ -9,6 +9,7 @@ from besov_wave_lab.grid import apply_symbol, make_grid
 from besov_wave_lab.littlewood_paley import make_blocks
 from besov_wave_lab.norms import (
     ProblemParams,
+    Trajectory,
     besov_seminorm,
     interpolation_check,
     interpolation_exponents,
@@ -197,6 +198,17 @@ class TestXNorm:
         assert x_norm(*scaled, self.pp, self.blocks) == 4.0 * x_norm(
             *traj, self.pp, self.blocks
         )
+
+
+class TestTrajectory:
+    @pytest.mark.parametrize("shape", [(64,), (33, 1), (32,)], ids=["samples", "stacked", "short"])
+    def test_rejects_a_spectrum_of_the_wrong_shape(self, shape):
+        # The grid's half spectrum has 33 entries: 64 samples, a stack of
+        # one or a truncated spectrum are no spectrum of it.
+        grid = make_grid(1, 64, 10.0)
+        good = np.zeros(grid.spectral_shape, dtype=complex)
+        with pytest.raises(ValueError, match="spectral shape"):
+            Trajectory(grid, np.array([0.0, 1.0]), (good, np.zeros(shape, dtype=complex)))
 
 
 class TestInterpolation:

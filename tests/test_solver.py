@@ -14,7 +14,7 @@ from besov_wave_lab.grid import _samples, field_from_coeffs, make_grid
 from besov_wave_lab.littlewood_paley import make_blocks
 from besov_wave_lab.norms import ProblemParams, Trajectory, lebesgue_norm, x_norm
 from besov_wave_lab.profiles import gaussian, single_mode, slow_decay
-from fields import field_from_function
+from fields import count_transforms, field_from_function
 from besov_wave_lab.propagator import (
     DELTA_BAND,
     damped_dtL,
@@ -255,11 +255,11 @@ class TestPicard:
 
 
 def sample_path_picard(u0, u1, pp, cfg):
-    """Reference Picard loop on trajectories of fields: the source from each
-    field's spectrum, every iterate the sum of the linear and correction
-    samples, every difference a field whose X-norm is taken.  Returns the
-    last iterate that stayed finite, the difference norms and the escape
-    time (None without an escape)."""
+    """Reference Picard loop on samples: every iterate the sum of the linear
+    and correction samples, kept as the spectrum of those samples, and every
+    difference a field whose X-norm is taken.  Returns the last iterate
+    that stayed finite, the difference norms and the escape time (None
+    without an escape)."""
     grid = u0.grid
     times = cfg.time_grid
     blocks = make_blocks(grid)
@@ -267,12 +267,15 @@ def sample_path_picard(u0, u1, pp, cfg):
     def values(spectra):
         return [field_from_coeffs(grid, c).values for c in spectra]
 
+    def trajectory(samples):
+        return Trajectory(grid, times, tuple(grid.field(v).spectrum for v in samples))
+
     linear = values(_flow_recursion(grid, times, u0.spectrum, u1.spectrum))
-    current = Trajectory(times, tuple(grid.field(v) for v in linear))
+    current = trajectory(linear)
     correction = [np.zeros(grid.shape)] * times.size
     diffs = []
     for _ in range(cfg.max_iters):
-        source = [_power(grid, f.spectrum, pp.p_nl) for f in current.fields]
+        source = [_power(grid, c, pp.p_nl) for c in current.spectra]
         update = values(duhamel_integral(grid, times, source))
         iterate = [a + b for a, b in zip(linear, update)]
         for t, v in zip(times, iterate):
@@ -281,7 +284,7 @@ def sample_path_picard(u0, u1, pp, cfg):
                 return current, diffs, float(t)
         steps = [grid.field(a - b).spectrum for a, b in zip(update, correction)]
         diffs.append(x_norm(times, steps, pp, blocks))
-        current = Trajectory(times, tuple(grid.field(v) for v in iterate))
+        current = trajectory(iterate)
         correction = update
         if diffs[-1] < cfg.picard_tol:
             break
@@ -328,9 +331,10 @@ class TestCoefficientPath:
         # Per node and iteration: one padded pair (the power) and one inverse
         # transform on the grid (the batched B^0_{r,2} block norms, r != 2).
         # The escape check takes no samples while the Fourier bound stays
-        # under the threshold, and the returned iterate is sampled once per
-        # node.  The linear start costs nothing; the data's spectrum is the
-        # one further forward transform.
+        # under the threshold, and the returned trajectory holds the
+        # iterate's spectra, so no node is sampled at the end.  The linear
+        # start costs nothing; the data's spectrum is the one forward
+        # transform on the grid.
         counts = count_transforms(monkeypatch, 64)
         grid = make_grid(1, 64, 32.0)
         u0 = gaussian(grid, width=2.0, amplitude=0.05)
@@ -345,14 +349,15 @@ class TestCoefficientPath:
             ("forward", "padded"): nodes * iterations,
             ("forward", "grid"): 1,
             ("inverse", "padded"): nodes * iterations,
-            ("inverse", "grid"): nodes * iterations + nodes,
+            ("inverse", "grid"): nodes * iterations,
         }
 
     def test_etd_transform_budget(self, monkeypatch):
         # One padded pair for n1 on every attempted step and one for n0 on
-        # every accepted one; on the grid, one inverse transform per store
-        # (only the horizon here), and one forward transform for the data's
-        # spectrum: the final tail fraction reads the last spectrum.
+        # every accepted one, and on the grid one forward transform for the
+        # data's spectrum.  The stores hold spectra and the final tail
+        # fraction reads the last one, so a run that does not escape takes
+        # no inverse transform on the grid.
         counts = count_transforms(monkeypatch, 64)
         grid = make_grid(1, 64, 32.0)
         u0 = gaussian(grid, width=2.0, amplitude=0.01)
@@ -365,7 +370,6 @@ class TestCoefficientPath:
             ("forward", "padded"): pairs,
             ("forward", "grid"): 1,
             ("inverse", "padded"): pairs,
-            ("inverse", "grid"): 1,
         }
 
 
@@ -388,28 +392,6 @@ def test_step_weights_built_once_per_distinct_step(monkeypatch):
     steps = set(np.diff(times).tolist())
     assert len(steps) == 24
     assert built == {h: 1 for h in steps}
-
-
-def count_transforms(monkeypatch, N):
-    """Count np.fft's real transforms by direction and by lattice: "grid"
-    when the real side has N points on its last axis, "padded" otherwise.
-    Both entry names of each transform count (rfft and rfftn, irfft and
-    irfftn)."""
-    counts = collections.Counter()
-    for name, direction in (
-        ("rfft", "forward"), ("rfftn", "forward"), ("irfft", "inverse"), ("irfftn", "inverse")
-    ):
-        original = getattr(np.fft, name)
-
-        def counted(*args, _direction=direction, _original=original, **kwargs):
-            result = _original(*args, **kwargs)
-            real = args[0] if _direction == "forward" else result
-            lattice = "grid" if real.shape[-1] == N else "padded"
-            counts[_direction, lattice] += 1
-            return result
-
-        monkeypatch.setattr(np.fft, name, counted)
-    return counts
 
 
 class TestEscapeGate:
@@ -731,13 +713,18 @@ class TestContractionReport:
         assert all(r <= bound_const * T * (1 + 1e-9) for r, T in zip(ratios, horizons))
 
 
+def linear_trajectory(u1, times):
+    """The flow of data (0, u1) at times, as spectra."""
+    xi = u1.grid.freq_abs
+    return Trajectory(u1.grid, times, tuple(damped_L(float(t), xi) * u1.spectrum for t in times))
+
+
 class TestDecayStudy:
     def test_linear_flow_smoothness_decay_rate(self):
         grid = make_grid(1, 4096, 800.0)
         u1 = slow_decay(grid, r=4.0, eps=0.05)
         times = np.concatenate([[0.0], np.geomspace(1.0, 200.0, 25)])
-        fields = tuple(linear_solution(grid.zeros(), u1, float(t)) for t in times)
-        traj = Trajectory(times, fields)
+        traj = linear_trajectory(u1, times)
         report = decay_study(traj, PP3, fit_window=(20.0, 200.0))
         fitted = report.scalars["fitted_smooth_exponent"]
         expected = report.scalars["expected_smooth_exponent"]
@@ -745,23 +732,37 @@ class TestDecayStudy:
         assert abs(fitted - expected) < 0.1 * abs(expected)
         assert report.verdicts["weighted_sup_bounded"] == "pass"
 
+    def test_weighted_sup_is_the_x_norm(self):
+        # The study reads each node's norms with x_norm's calls on the
+        # spectra the trajectory holds, so the two agree bit for bit.
+        grid = make_grid(1, 1024, 200.0)
+        u1 = slow_decay(grid, r=4.0, eps=0.05)
+        times = np.linspace(0.0, 20.0, 11)
+        traj = linear_trajectory(u1, times)
+        report = decay_study(traj, PP3)
+        assert report.scalars["weighted_sup"] == x_norm(
+            traj.times, traj.spectra, PP3, make_blocks(grid)
+        )
+
     def test_rejects_blown_up_runs(self):
         grid = make_grid(1, 64, 10.0)
-        traj = Trajectory(np.array([0.0, 1.0]), (grid.zeros(), grid.zeros()))
+        zero = np.zeros(grid.spectral_shape, dtype=complex)
+        traj = Trajectory(grid, np.array([0.0, 1.0]), (zero, zero))
         with pytest.raises(ValueError, match="blew up"):
             decay_study(traj, PP3, blown_up=True)
 
     def test_rejects_unconfined_runs(self):
         grid = make_grid(1, 256, 10.0)
-        wide = grid.field(np.ones(grid.shape))
-        traj = Trajectory(np.array([0.0, 1.0]), (wide, wide))
+        wide = grid.field(np.ones(grid.shape)).spectrum
+        traj = Trajectory(grid, np.array([0.0, 1.0]), (wide, wide))
         with pytest.raises(ValueError, match="outer-shell"):
             decay_study(traj, PP3)
 
     def test_zero_trajectory_reports_zero_norms(self):
         grid = make_grid(1, 128, 20.0)
         times = np.array([0.0, 1.0, 2.0])
-        traj = Trajectory(times, tuple(grid.zeros() for _ in times))
+        zero = np.zeros(grid.spectral_shape, dtype=complex)
+        traj = Trajectory(grid, times, (zero,) * times.size)
         report = decay_study(traj, PP3)
         assert report.scalars["weighted_sup"] == 0.0
         table = report.tables["decay"]
