@@ -17,13 +17,13 @@ padded pointwise product goes through one alias-free kernel,
 dealiased_pointwise: coefficient arrays in, one inverse transform per
 input on the zero-padded lattice, the op on the real samples, one forward
 transform, truncation back.  Its padded spectrum, sample stacks and
-forward spectrum are kept buffers, one set per grid and padded lattice
-(TorusGrid._lattices), written in place by the transforms; what it
-returns is always a fresh array.  _samples is the one map from
-coefficients to samples on any lattice and _coefficients its inverse on
-the grid's own lattice, field_from_coeffs the one way from coefficients
-to a GridField, and integer_power the one pointwise power (by repeated
-squaring, not libm pow).
+forward spectrum are kept buffers, one set per grid, padded lattice and
+stacked shape (TorusGrid._lattices), written in place by the
+transforms; what it returns is always a fresh array.  _samples is the
+one map from coefficients to samples on any lattice and _coefficients
+its inverse on the grid's own lattice, field_from_coeffs the one way
+from coefficients to a GridField, and integer_power the one pointwise
+power (by repeated squaring, not libm pow).
 
 Stacked inputs.  _samples, _coefficients and dealiased_pointwise transform
 only the trailing n axes, so coefficient or sample arrays stacked on any
@@ -165,8 +165,9 @@ class TorusGrid:
         return (2.0 * np.pi) ** (-self.n / 2) * self.freq_spacing**self.n
 
     @cached_property
-    def _lattices(self) -> dict[int, "_Lattice"]:
-        """dealiased_pointwise's kept buffers, by padded points per axis."""
+    def _lattices(self) -> dict[tuple, "_Lattice"]:
+        """dealiased_pointwise's kept buffers, by padded points per axis,
+        stacked shape and number of inputs, the one used last at the end."""
         return {}
 
     @cached_property
@@ -340,7 +341,10 @@ def _signed_samples(
 ) -> np.ndarray:
     """_samples of the coefficients signed * grid._phase_signs (signs +-1),
     into out if given.  For M > N the padded half spectrum is written into
-    padded, which must hold zeros wherever no mode lands (fresh if None)."""
+    padded, which must hold zeros wherever no mode lands (fresh if None).
+    For M < N, signed must be the M-point half lattice already (modes
+    |k| < M/2 taken from grid's, as DyadicBlocks.block_norms restricts
+    them); it is transformed as it is."""
     n, N = grid.n, grid.points_per_axis
     if M > N:
         h = N // 2
@@ -373,17 +377,22 @@ class _Lattice:
 
 def _lattice(grid: TorusGrid, M: int, stack: tuple[int, ...], inputs: int) -> _Lattice:
     """grid's kept buffers on the M-point lattice for inputs coefficient
-    arrays stacked as stack, replaced when the stacking or the count changes."""
+    arrays stacked as stack.  The two sets used last are kept, so a caller
+    that alternates two stackings builds each once; a third key drops the
+    set used least recently before its own is built."""
     n = grid.n
-    kept = grid._lattices.get(M)
-    if kept is None or kept.padded.shape[:-n] != stack or len(kept.samples) != inputs:
+    key = (M, stack, inputs)
+    kept = grid._lattices.pop(key, None)
+    if kept is None:
+        if len(grid._lattices) == 2:
+            del grid._lattices[next(iter(grid._lattices))]
         scale = (2.0 * np.pi) ** (-n / 2) * (grid.box_length / M) ** n
         kept = _Lattice(
             padded=np.zeros(stack + (M,) * (n - 1) + (M // 2 + 1,), dtype=complex),
             samples=tuple(np.empty(stack + (M,) * n) for _ in range(inputs)),
             truncate=scale * grid._phase_signs,
         )
-        grid._lattices[M] = kept
+    grid._lattices[key] = kept
     return kept
 
 
@@ -402,9 +411,10 @@ def dealiased_pointwise(
     the grid's cached ones serve and no padded grid is built.
 
     Kept buffers.  The padded spectrum, the sample stacks op gets and the
-    forward spectrum of what it returns live in grid._lattices[M], reused
-    while the stacking and the number of inputs repeat and replaced when
-    they change; the transforms write into them.  The returned array is
+    forward spectrum of what it returns live in grid._lattices, one set
+    per M, stacking and number of inputs, of which the two used last are
+    kept: a caller that alternates two stackings on one lattice builds
+    each set once.  The transforms write into them.  The returned array is
     always fresh, so nothing a caller holds aliases them.  op must not
     call this kernel on the same lattice, and the buffers are not shared
     between threads: the CLI's --jobs runs sweeps in processes, each with

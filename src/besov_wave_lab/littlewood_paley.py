@@ -5,6 +5,14 @@ in between (a standard exp(-1/t) smooth step).  Annulus projections
 chi_{2^j} = chi_{<=2^j} - chi_{<=2^(j-1)} telescope to a partition of unity
 over the lattice; the DC mode is routed to a dedicated low block and is
 excluded from all homogeneous seminorms.
+
+Block norms for even p are summed on the coarsest lattice that integrates
+them exactly.  The M-point trapezoid rule integrates every trigonometric
+polynomial of degree < M exactly (Trefethen & Weideman, SIAM Review 56
+(2014) 385), and for even p, |f_j|^p = f_j^p has degree p*K_j when the
+block's modes reach |k| = K_j on every axis.  So block j is sampled on the
+coarsest M of N, N/2 and N/4 (M even) with p*K_j < M, and its L^p norm
+there equals its N-point one up to rounding.
 """
 
 from __future__ import annotations
@@ -18,6 +26,7 @@ import numpy as np
 from besov_wave_lab.grid import (
     GridField,
     TorusGrid,
+    _leading_index,
     _signed_samples,
     apply_symbol,
     integer_power,
@@ -31,6 +40,10 @@ __all__ = [
 
 TRANSITION_END = 25.0 / 24.0
 _STEP_SCALE = 24.0
+# Divisors of N that give the coarser lattices an even-p block norm may be
+# summed on.  Each lattice a call uses costs one transform call (~9 us
+# however small), which N/8 and below no longer repay.
+_COARSENINGS = (4, 2)
 
 
 def _bump(t: np.ndarray) -> np.ndarray:
@@ -72,7 +85,7 @@ class DyadicBlocks:
     grid: TorusGrid
     j_min: int
     j_max: int
-    _work: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.j_min > self.j_max:
@@ -91,12 +104,6 @@ class DyadicBlocks:
     def annuli(self) -> np.ndarray:
         """Annulus multipliers ladder(j) - ladder(j - 1) for j = j_min..j_max."""
         return np.diff(self.ladder[1:-1], axis=0)
-
-    @cached_property
-    def signed_annuli(self) -> np.ndarray:
-        """annuli times the grid's phase signs +-1 (exact), which _samples
-        would otherwise apply to a complex copy of every block stack."""
-        return self.grid._phase_signs * self.annuli
 
     @cached_property
     def parseval_weights(self) -> np.ndarray:
@@ -148,41 +155,120 @@ class DyadicBlocks:
     def indices(self) -> range:
         return range(self.j_min, self.j_max + 1)
 
+    @cached_property
+    def extents(self) -> np.ndarray:
+        """K_j for j = j_min..j_max: the largest |k| on any axis where
+        annulus j is nonzero (k the column on the last axis, min(i, N - i)
+        for row i on a leading one), -1 for an annulus zero everywhere."""
+        grid = self.grid
+        k = np.abs(np.broadcast_arrays(*grid.freqs)) / grid.freq_spacing
+        extent = np.rint(np.max(k, axis=0)).astype(int)
+        rows = tuple(range(-grid.n, 0))
+        return np.max(np.where(self.annuli != 0.0, extent, -1), axis=rows)
+
+    def _plan(self, p: float) -> tuple["_BlockLattice", ...]:
+        """The lattices block_norms sums the nonzero blocks on for exponent p,
+        built on first use: for even p each block goes to the coarsest M of
+        N, N/2 and N/4 (M even) with p*K_j < M, for any other p to N, and
+        all such p share that one plan."""
+        key = p if p % 2 == 0 else None
+        if key not in self._plans:
+            N, K = self.grid.points_per_axis, self.extents
+            M = np.where(K >= 0, N, 0)
+            if key is not None:
+                for d in _COARSENINGS:
+                    if N % (2 * d) == 0:
+                        M = np.where((M == N) & (p * K < N // d), N // d, M)
+            self._plans[key] = tuple(
+                _BlockLattice.build(self, m, np.flatnonzero(M == m))
+                for m in sorted(set(M[M > 0].tolist()), reverse=True)
+            )
+        return self._plans[key]
+
     def block_norms(self, coeffs: np.ndarray, p: float) -> np.ndarray:
         """L^p norm of every annulus block of the field with coefficient
         array coeffs, of shape (..., J) for blocks j_min..j_max and
-        coefficient arrays stacked on leading axes, in one reduction over
-        the stacked annuli.  For p = 2 that is Parseval, |coeffs|^2 against
-        parseval_weights; else the annuli times coeffs go into a complex
-        block stack the instance keeps while the stacked shape repeats, and
-        its batched inverse transform, the only fresh stack, is reduced in
-        place.  Integer powers go through integer_power, as in lebesgue_norm."""
+        coefficient arrays stacked on leading axes.  For p = 2 that is
+        Parseval, |coeffs|^2 against parseval_weights.  Otherwise each
+        lattice of _plan(p) takes one batched inverse transform of its
+        blocks: the restricted annuli times the restricted coeffs go into a
+        complex block stack the lattice keeps while the stacked shape
+        repeats, and the transform's output, the only fresh stack, is
+        reduced in place with the lattice's weight (L/M)^n.  For even p a
+        block sits on the coarsest lattice whose trapezoid rule integrates
+        f_j^p exactly (Trefethen & Weideman 2014), so its norm is its
+        N-point one up to rounding; blocks on N keep their bits.  An
+        annulus zero on the whole lattice takes no transform and reads 0.
+        Integer powers go through integer_power, as in lebesgue_norm."""
         grid = self.grid
         rows = tuple(range(-grid.n, 0))
         if p == 2.0:
             power = (coeffs.real**2 + coeffs.imag**2).reshape(coeffs.shape[: -grid.n] + (-1,))
             sums = np.einsum("...k,jk->...j", power, self.parseval_weights)
             return np.sqrt(grid.freq_spacing**grid.n * sums)
-        shape = coeffs.shape[: -grid.n] + self.signed_annuli.shape
-        if self._work is None or self._work.shape != shape:
-            self._work = np.empty(shape, dtype=complex)
-        np.multiply(self.signed_annuli, np.expand_dims(coeffs, -grid.n - 1), out=self._work)
-        samples = _signed_samples(grid, self._work, grid.points_per_axis)
-        np.abs(samples, out=samples)
+        sums = np.zeros(coeffs.shape[: -grid.n] + (len(self.annuli),))
+        for lattice in self._plan(p):
+            samples = lattice.samples(coeffs)
+            if p % 2 != 0:  # an even power squares the sign away, bit for bit
+                np.abs(samples, out=samples)
+            if math.isinf(p):
+                sums[..., lattice.rows] = np.max(samples, axis=rows)
+                continue
+            if p == int(p):
+                samples = integer_power(samples, int(p))
+            else:
+                samples **= p
+            weight = (grid.box_length / lattice.M) ** grid.n
+            sums[..., lattice.rows] = weight * np.sum(samples, axis=rows)
         if math.isinf(p):
-            return np.max(samples, axis=rows)
-        if p == int(p):
-            samples = integer_power(samples, int(p))
-        else:
-            samples **= p
+            return sums
         # float_power has no SIMD loop: each root rounds as lebesgue_norm's does.
-        return np.float_power(grid.spacing**grid.n * np.sum(samples, axis=rows), 1.0 / p)
+        return np.float_power(sums, 1.0 / p)
 
     def partition_residual(self) -> float:
         """Max over nonzero lattice frequencies of |1 - (low + sum of blocks)|."""
         total = self.low_block_multiplier() + np.sum(self.annuli, axis=0)
         nonzero = self.grid.freq_abs > 0
         return float(np.max(np.abs(1.0 - total[nonzero])))
+
+
+@dataclass
+class _BlockLattice:
+    """The blocks rows that block_norms sums on M points per axis: their
+    signed annuli restricted to that lattice, the index that restricts a
+    coefficient array of the grid to it, and the complex block stack the
+    products go into (None until the first call)."""
+
+    grid: TorusGrid
+    M: int
+    rows: np.ndarray
+    annuli: np.ndarray
+    index: tuple
+    work: np.ndarray | None = None
+
+    @classmethod
+    def build(cls, blocks: DyadicBlocks, M: int, rows: np.ndarray) -> "_BlockLattice":
+        grid = blocks.grid
+        N, n = grid.points_per_axis, grid.n
+        # The phase signs +-1 folded in (exact), which _samples would
+        # otherwise apply to a complex copy of every block stack.
+        annuli = grid._phase_signs * blocks.annuli[rows]
+        index = (Ellipsis,)
+        if M < N:
+            # Last-axis columns 0..M/2, leading rows k mod N for |k| <= M/2.
+            index = (Ellipsis,) + _leading_index(M, N, n) + (slice(0, M // 2 + 1),)
+            annuli = annuli[index]
+        return cls(grid, M, rows, annuli, index)
+
+    def samples(self, coeffs: np.ndarray) -> np.ndarray:
+        """Fresh samples on M points per axis of the blocks rows of the
+        fields with coefficient arrays coeffs, stacked as (..., rows, M^n)."""
+        n = self.grid.n
+        shape = coeffs.shape[:-n] + self.annuli.shape
+        if self.work is None or self.work.shape != shape:
+            self.work = np.empty(shape, dtype=complex)
+        np.multiply(self.annuli, np.expand_dims(coeffs[self.index], -n - 1), out=self.work)
+        return _signed_samples(self.grid, self.work, self.M)
 
 
 def default_j_range(grid: TorusGrid) -> tuple[int, int]:

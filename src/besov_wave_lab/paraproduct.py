@@ -55,6 +55,23 @@ def _fields(grid: TorusGrid, coeffs: np.ndarray) -> np.ndarray:
     return require_finite(_samples(grid, coeffs, grid.points_per_axis))
 
 
+def _real_part(grid: TorusGrid, coeffs: np.ndarray) -> np.ndarray:
+    """coeffs, overwritten with the coefficient arrays of the real fields
+    they stand for, as their samples would give them back, checked finite.
+    Last-axis columns 0 and N/2 pair mode k with -k on the leading axes,
+    and a real field holds only their Hermitian part (c_k + conj(c_-k)) / 2;
+    in 1-D, the real part of the DC and Nyquist entries.  Every other entry
+    is its own."""
+    N = grid.points_per_axis
+    mirror = -np.arange(N) % N
+    for column in (0, N // 2):
+        paired = np.conj(coeffs[..., column])
+        for axis in range(1 - grid.n, 0):
+            paired = np.take(paired, mirror, axis=axis)
+        coeffs[..., column] = 0.5 * (coeffs[..., column] + paired)
+    return require_finite(coeffs, "spectral coefficients")
+
+
 def _block_sum(grid: TorusGrid, a, f: np.ndarray, b, g: np.ndarray) -> np.ndarray:
     """Coefficients of the sum over j of (a_j f) * (b_j g) for multipliers a
     and b stacked on axis 0 and coefficient arrays f and g stacked on leading
@@ -148,8 +165,8 @@ def leibniz_ratios(
     leading axes; raises if both bound terms vanish for any pair."""
     grid = blocks.grid
     fc, gc = _coefficients(grid, f), _coefficients(grid, g)
-    # The product's spectrum is that of its samples, the real field fg.
-    product = _coefficients(grid, _fields(grid, dealiased_pointwise(grid, np.multiply, 2, fc, gc)))
+    # The product's spectrum is that of the real field fg.
+    product = _real_part(grid, dealiased_pointwise(grid, np.multiply, 2, fc, gc))
     num = _besov(blocks, product, cfg.alpha, cfg.r, 2.0)
     den = _besov(blocks, fc, cfg.alpha, cfg.p1, 2.0) * lebesgue_norms(
         grid, g, cfg.q1

@@ -13,12 +13,21 @@ def field_from_function(grid, func):
     return GridField(grid, np.broadcast_to(func(*grid.coords), grid.shape).copy())
 
 
+class Transforms(collections.Counter):
+    """Transform calls by (direction, lattice); points holds the real
+    points they transformed, by the same keys."""
+
+    def __init__(self):
+        super().__init__()
+        self.points = collections.Counter()
+
+
 def count_transforms(monkeypatch, N):
     """Count np.fft's real transforms by direction and by lattice: "grid"
-    when the real side has N points on its last axis, "padded" otherwise.
-    Both entry names of each transform count (rfft and rfftn, irfft and
-    irfftn)."""
-    counts = collections.Counter()
+    when the real side has N points on its last axis, "padded" when more
+    and "coarse" when fewer.  Both entry names of each transform count
+    (rfft and rfftn, irfft and irfftn)."""
+    counts = Transforms()
     for name, direction in (
         ("rfft", "forward"), ("rfftn", "forward"), ("irfft", "inverse"), ("irfftn", "inverse")
     ):
@@ -27,8 +36,10 @@ def count_transforms(monkeypatch, N):
         def counted(*args, _direction=direction, _original=original, **kwargs):
             result = _original(*args, **kwargs)
             real = args[0] if _direction == "forward" else result
-            lattice = "grid" if real.shape[-1] == N else "padded"
+            M = real.shape[-1]
+            lattice = "grid" if M == N else "padded" if M > N else "coarse"
             counts[_direction, lattice] += 1
+            counts.points[_direction, lattice] += real.size
             return result
 
         monkeypatch.setattr(np.fft, name, counted)

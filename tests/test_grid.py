@@ -26,6 +26,7 @@ from besov_wave_lab.grid import (
     pad_factor_for_power,
     refine_field,
 )
+from besov_wave_lab import grid as grid_module
 from besov_wave_lab.littlewood_paley import make_blocks
 from besov_wave_lab.paraproduct import decomposition_residuals
 from fields import field_from_function
@@ -551,8 +552,12 @@ class TestKeptLattice:
             got = dealiased_pointwise(grid, op, 2, *coeffs)
             expected = _fresh_pointwise(grid, op, 2, *coeffs)
             assert _same_bits(got, expected)
-            kept = grid._lattices[2 * N]
-            buffers = (kept.padded, kept.half, kept.truncate) + kept.samples
+            buffers = [
+                b
+                for kept in grid._lattices.values()
+                for b in (kept.padded, kept.half, kept.truncate) + kept.samples
+                if b is not None
+            ]
             for out in outputs + [got]:
                 assert not any(np.shares_memory(out, b) for b in buffers)
             outputs.append(got)
@@ -564,6 +569,37 @@ class TestKeptLattice:
         # Later calls left the earlier outputs alone.
         for (op, *coeffs), out in zip(calls, outputs):
             assert _same_bits(out, _fresh_pointwise(grid, op, 2, *coeffs))
+
+    @pytest.mark.parametrize("n, N", [(1, 16), (2, 8)])
+    def test_each_stacking_builds_its_lattice_once(self, monkeypatch, n, N):
+        # decomposition_residuals alternates (b,) products and (b, J) block
+        # sums on one padded lattice, then a shorter last chunk.  Each
+        # stacking keeps its own buffers, built on its first call, the two
+        # used last stay, and every call has a fresh grid's bits.
+        rng = np.random.default_rng(11)
+        shape = make_grid(n, N, 5.0).spectral_shape
+
+        def spectra(*stack):
+            return rng.standard_normal(stack + shape) + 1j * rng.standard_normal(stack + shape)
+
+        lattice = "xy"[:n]
+        summed = partial(np.einsum, f"...j{lattice},...j{lattice}->...{lattice}")
+        calls = [(np.multiply, spectra(3), spectra(3)), (summed, spectra(3, 4), spectra(3, 4))]
+        calls = 3 * calls + [(np.multiply, spectra(2), spectra(2))]
+        fresh = [dealiased_pointwise(make_grid(n, N, 5.0), op, 2, *c) for op, *c in calls]
+        built = []
+        original = grid_module._Lattice
+
+        def counted(**kwargs):
+            built.append(kwargs["padded"].shape)
+            return original(**kwargs)
+
+        monkeypatch.setattr(grid_module, "_Lattice", counted)
+        grid = make_grid(n, N, 5.0)
+        for (op, *coeffs), expected in zip(calls, fresh):
+            assert _same_bits(dealiased_pointwise(grid, op, 2, *coeffs), expected)
+        assert len(built) == 3
+        assert list(grid._lattices) == [(2 * N, (3, 4), 2), (2 * N, (2,), 2)]
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_transform_helpers_match_nd_transforms(self, n):

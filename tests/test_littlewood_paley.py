@@ -17,6 +17,7 @@ from besov_wave_lab.littlewood_paley import (
     make_blocks,
 )
 from besov_wave_lab.norms import lebesgue_norm
+from fields import count_transforms, field_from_function
 
 RNG = np.random.default_rng(7)
 
@@ -137,11 +138,13 @@ class TestBlockNorms:
     @given(**GRID_ARGS, seed=st.integers(0, 2**32 - 1))
     def test_parseval_norms_match_block_fields(self, n, N, L, seed):
         # block_norms reduces all blocks at once (p = 2 through Parseval on
-        # the half lattice, any other p over one batched inverse transform);
-        # the oracle transforms every block back on its own and takes its
-        # quadrature L^p norm.  Away from p = 2 both reduce the same samples
-        # with the same powers, so they agree bit for bit.  Coefficient
-        # arrays stacked on a leading axis give each row's norms bit for bit.
+        # the half lattice, any other p over one batched inverse transform
+        # per lattice); the oracle transforms every block back on its own
+        # and takes its quadrature L^p norm.  For odd and infinite p both
+        # reduce the same samples with the same powers, so they agree bit
+        # for bit; for even p a block may be summed on a coarser lattice,
+        # exact up to rounding.  Coefficient arrays stacked on a leading
+        # axis give each row's norms bit for bit.
         grid = make_grid(n, N, L)
         f = grid.field(np.random.default_rng(seed).standard_normal(grid.shape))
         blocks = make_blocks(grid)
@@ -152,9 +155,84 @@ class TestBlockNorms:
             np.testing.assert_allclose(
                 batched, direct, rtol=1e-12, atol=1e-15 * max(direct)
             )
-            if p != 2.0:
+            if p == 4.0:
+                np.testing.assert_allclose(batched, direct, rtol=1e-13, atol=0.0)
+            elif p != 2.0:
                 np.testing.assert_array_equal(batched, direct)
             np.testing.assert_array_equal(blocks.block_norms(stack, p)[1], batched)
+
+
+class TestExactLattices:
+    """Even-p block norms are summed on the coarsest of N, N/2 and N/4
+    points whose trapezoid rule integrates f_j^p exactly: p*K_j < M."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.sampled_from([1, 2]),
+        N=st.integers(4, 32).map(lambda half: 2 * half),
+        L=st.floats(0.5, 200.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_norms_match_the_grid_quadrature(self, n, N, L, seed):
+        grid = make_grid(n, N, L)
+        f = grid.field(np.random.default_rng(seed).standard_normal(grid.shape))
+        blocks = make_blocks(grid)
+        stack = np.stack([f.spectrum, -0.5 * f.spectrum, 3.0j * f.spectrum])
+        for p in (4.0, 6.0, 1.0, 3.0, 2.5, np.inf):
+            direct = np.array([lebesgue_norm(blocks.block(f, j), p) for j in blocks.indices()])
+            batched = blocks.block_norms(f.spectrum, p)
+            np.testing.assert_allclose(batched, direct, rtol=1e-13, atol=0.0)
+            on_grid = np.ones(len(direct), dtype=bool)
+            for lattice in blocks._plan(p):
+                if lattice.M < N:
+                    assert p % 2 == 0 and lattice.M % 2 == 0
+                    assert np.all(p * blocks.extents[lattice.rows] < lattice.M)
+                    on_grid[lattice.rows] = False
+            np.testing.assert_array_equal(batched[on_grid], direct[on_grid])
+            for row in range(len(stack)):
+                np.testing.assert_array_equal(
+                    blocks.block_norms(stack, p)[row], blocks.block_norms(stack[row], p)
+                )
+
+    def test_plan_takes_the_coarsest_exact_lattice(self):
+        grid = make_grid(1, 4096, 400.0)
+        blocks = make_blocks(grid)
+        K = blocks.extents
+        assert K[-1] == -1  # j_max holds no lattice mode
+        for p in (4.0, 6.0):
+            lattices = blocks._plan(p)
+            assert [lat.M for lat in lattices] == [4096, 2048, 1024]
+            for lat in lattices:
+                # Exact on M, and not on the next coarser lattice.
+                if lat.M < 4096:
+                    assert np.all(p * K[lat.rows] < lat.M)
+                if lat.M > 1024:
+                    assert np.all(p * K[lat.rows] >= lat.M // 2)
+            on = np.concatenate([lat.rows for lat in lattices])
+            assert sorted(on) == list(np.flatnonzero(K >= 0))
+        for p in (1.0, 3.0, 2.5, np.inf):
+            assert [lat.M for lat in blocks._plan(p)] == [4096]
+        # Every exponent but an even one shares one plan and its workspace.
+        assert blocks._plan(3.0) is blocks._plan(np.inf)
+
+    def test_aliased_lattice_is_wrong(self):
+        # Block j = 3 of cos(8x) on N = 64, L = 2*pi is cos(8x) itself, so
+        # K_j = 8 and 4*K_j = N/2.  On N/2 points cos(8x)^4 = 3/8 + cos(16x)/2
+        # + cos(32x)/8 aliases its last term onto the mean: the sum reads
+        # 1/2 where the integral is 3/8.  block_norms keeps it on N.
+        grid = make_grid(1, 64, 2 * np.pi)
+        f = field_from_function(grid, lambda x: np.cos(8 * x))
+        blocks = make_blocks(grid)
+        j = 3
+        row = j - blocks.j_min
+        assert blocks.extents[row] == 8
+        exact = lebesgue_norm(blocks.block(f, j), 4.0)
+        assert exact == pytest.approx((2 * np.pi * 3 / 8) ** 0.25, rel=1e-14)
+        half = littlewood_paley._BlockLattice.build(blocks, 32, np.array([row]))
+        samples = half.samples(f.spectrum)
+        aliased = (2 * np.pi / 32 * np.sum(samples**4)) ** 0.25
+        assert aliased == pytest.approx((2 * np.pi / 2) ** 0.25, rel=1e-14)
+        assert blocks.block_norms(f.spectrum, 4.0)[row] == exact
 
 
 def _second_call_peak(blocks, coeffs, p):
@@ -172,18 +250,35 @@ def _second_call_peak(blocks, coeffs, p):
 
 
 class TestBlockNormMemory:
-    # A call holds no block stack but the inverse transform's output: the
-    # p != 2 workspace is kept from the first call and the power squares
+    # A call holds no block stack but the inverse transforms' output: the
+    # p != 2 workspaces are kept from the first call and the power squares
     # that output in place, and p = 2 contracts the spectrum without one.
+    # For p = 4 the blocks summed on N/2 or N/4 points hold less.
     @pytest.mark.parametrize("N, L, lead", [(4096, 400.0, ()), (256, 32.0, (9,))])
     def test_second_call_peak(self, N, L, lead):
         grid = make_grid(1, N, L)
         f = grid.field(RNG.standard_normal(grid.shape))
         coeffs = np.broadcast_to(f.spectrum, lead + f.spectrum.shape).copy()
         blocks = make_blocks(grid)
-        for p in (4.0, 2.5, np.inf):
+        for p in (2.5, np.inf):
             assert _second_call_peak(blocks, coeffs, p) <= 1.5, p
+        assert _second_call_peak(blocks, coeffs, 4.0) <= 0.75
         assert _second_call_peak(blocks, coeffs, 2.0) <= 0.25
+
+
+class TestBlockNormWork:
+    # The benchmark's B^0_{4,2} grids: a p = 4 call transforms at most half
+    # the points of one J x N block stack (all of them before blocks were
+    # summed on N/2 and N/4 points).
+    @pytest.mark.parametrize("N, L", [(4096, 400.0), (8192, 800.0)])
+    def test_p4_call_transforms_at_most_half_a_stack(self, monkeypatch, N, L):
+        grid = make_grid(1, N, L)
+        blocks = make_blocks(grid)
+        coeffs = grid.field(RNG.standard_normal(grid.shape)).spectrum
+        counts = count_transforms(monkeypatch, N)
+        blocks.block_norms(coeffs, 4.0)
+        assert sum(counts.values()) == 3
+        assert sum(counts.points.values()) <= 0.5 * len(blocks.annuli) * N
 
 
 class TestBlockNormWorkspace:

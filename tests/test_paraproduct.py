@@ -18,7 +18,7 @@ from besov_wave_lab.paraproduct import (
     para_T,
 )
 from besov_wave_lab.profiles import band_limited_random
-from fields import field_from_function
+from fields import count_transforms, field_from_function
 
 RNG = np.random.default_rng(21)
 
@@ -287,6 +287,22 @@ class TestStackedEnsembles:
             g = band_limited_random(grid, rng, 0.3, grid.max_freq / 4.0, rng.uniform(0.0, 0.8))
             worst = max(worst, decomposition_residual(f, g))
         assert scalars["max_residual"] == worst
+
+    def test_leibniz_chunk_transforms_each_stack_forward_once(self, monkeypatch):
+        # The product's spectrum is projected onto real fields, not sampled
+        # and transformed back: the forward transforms on the grid are the
+        # f and the g stacks', one each.
+        grid = make_grid(1, 64, 16.0)
+        rng = np.random.default_rng(5)
+        f, g = (
+            np.stack([band_limited_random(grid, rng, 0.5, 4.0).values for _ in range(3)])
+            for _ in range(2)
+        )
+        cfg = LeibnizConfig(alpha=0.7, r=2.0, p1=4.0, q1=4.0, p2=4.0, q2=4.0)
+        counts = count_transforms(monkeypatch, 64)
+        leibniz_ratios(make_blocks(grid), f, g, cfg)
+        assert counts["forward", "grid"] == 2
+        assert counts["forward", "padded"] == 1
 
     def test_zero_pair_inside_a_chunk_raises_as_one_pair_does(self):
         grid = make_grid(1, 64, 16.0)

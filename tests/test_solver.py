@@ -329,7 +329,8 @@ class TestCoefficientPath:
 
     def test_transform_budget(self, monkeypatch):
         # Per node and iteration: one padded pair (the power) and one inverse
-        # transform on the grid (the batched B^0_{r,2} block norms, r != 2).
+        # transform per block lattice (the batched B^0_{r,2} block norms,
+        # r = 4: blocks on N = 64, on 32 and on 16 points).
         # The escape check takes no samples while the Fourier bound stays
         # under the threshold, and the returned trajectory holds the
         # iterate's spectra, so no node is sampled at the end.  The linear
@@ -342,7 +343,8 @@ class TestCoefficientPath:
         cfg = SolverConfig.uniform(
             1.0, nodes, picard_tol=1e-300, max_iters=iterations, blowup_threshold=1.0
         )
-        assert PP2.r != 2.0
+        assert PP2.r == 4.0
+        assert [lat.M for lat in make_blocks(grid)._plan(PP2.r)] == [64, 32, 16]
         _, diag = picard_solve(u0, u0, PP2, cfg)
         assert diag.iterations == iterations and not diag.converged
         assert counts == {
@@ -350,6 +352,7 @@ class TestCoefficientPath:
             ("forward", "grid"): 1,
             ("inverse", "padded"): nodes * iterations,
             ("inverse", "grid"): nodes * iterations,
+            ("inverse", "coarse"): 2 * nodes * iterations,
         }
 
     def test_etd_transform_budget(self, monkeypatch):
