@@ -454,6 +454,9 @@ def run_global_decay(values: Values, out_dir: Path, rng, jobs: int) -> Experimen
         _pair_norm(grid, c - ref) / max(_pair_norm(grid, c), 1e-300)
         for c, ref in zip(traj.spectra[1:], etd_traj.spectra[1:], strict=True)
     )
+    # Only the agreement reads the oracle's spectra: dropping them before
+    # the study leaves room for its stacked block norms.
+    del etd_traj
     study = decay_study(traj, pp, blown_up=False)
     study.kind = "global-decay"
     study.scalars["oracle_agreement"] = agreement

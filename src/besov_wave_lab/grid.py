@@ -30,7 +30,12 @@ only the trailing n axes, so coefficient or sample arrays stacked on any
 leading axes (an ensemble of fields, a stack of dyadic blocks) go through
 in one call, and each slice comes out bit for bit what it gives alone.
 A GridField holds one unstacked array of samples, and its spectrum is the
-read-only coefficient array of them.
+read-only coefficient array of them.  The node-batched callers stack the
+time nodes of a trajectory: solver.picard_solve's powers u^p, and the
+block norms of norms.x_norm and solver.decay_study.  _node_chunks cuts
+their nodes into chunks of STACK_POINTS real lattice points per stacked
+transform, whole nodes each, so a chunk costs one transform call per
+lattice however many nodes it holds.
 """
 
 from __future__ import annotations
@@ -60,6 +65,14 @@ __all__ = [
 
 # Interior fraction of each axis; |x| beyond 0.9*(L/2) counts as the outer shell.
 OUTER_SHELL_START = 0.9
+# Real lattice points that one stacked transform of a node-batched caller
+# fills with whole nodes (see _node_chunks): 4 nodes of u^p on M = 8192
+# padded points, 1 on M = 40960, 8 nodes of block norms at N = 4096, 4 at
+# N = 8192.  A row of a stacked transform costs less than a call of its own
+# (an 8192-point rfft: 91 us alone, 50 us a row in a stack of 4, on a
+# 2-core Xeon), and a fixed budget bounds the stacks' memory whatever the
+# number of nodes.
+STACK_POINTS = 2**15
 
 
 @dataclass(frozen=True)
@@ -284,6 +297,14 @@ def integer_power(v: np.ndarray, p: int) -> np.ndarray:
         if p == 0:
             return out
         v = np.multiply(v, v, out=None if v is out else v)
+
+
+def _node_chunks(nodes: int, points: int) -> list[slice]:
+    """Slices of nodes in order, STACK_POINTS // points of them a chunk (at
+    least one), for a caller that stacks nodes of points real lattice
+    points each."""
+    size = max(1, STACK_POINTS // points)
+    return [slice(start, min(start + size, nodes)) for start in range(0, nodes, size)]
 
 
 @lru_cache(maxsize=64)

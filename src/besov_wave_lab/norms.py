@@ -5,20 +5,28 @@ grid's dyadic range; the DC mode never enters (it lives in the low block).
 The solution-space norm weights ||.||_{B^s_{2,2}} by <t>^(s/2 - (n/2)(1/2-1/r)).
 Both reduce the dyadic block norms of a coefficient array; besov_seminorm
 takes a field and passes its spectrum, x_norm takes the spectra at the
-nodes directly, as a Trajectory holds them.  lebesgue_norms and _besov act
-on the trailing axes, so an ensemble of fields stacked on a leading axis
-reduces in one call.
+nodes directly, as a Trajectory or picard_solve holds them.  lebesgue_norms
+and _besov act on the trailing axes, so an ensemble of fields stacked on a
+leading axis reduces in one call, and x_norm reduces its nodes that way in
+chunks.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from besov_wave_lab.grid import GridField, TorusGrid, _samples, field_from_coeffs, integer_power
+from besov_wave_lab.grid import (
+    GridField,
+    TorusGrid,
+    _node_chunks,
+    _samples,
+    field_from_coeffs,
+    integer_power,
+)
 from besov_wave_lab.littlewood_paley import DyadicBlocks, make_blocks
 
 __all__ = [
@@ -125,7 +133,9 @@ class ProblemParams:
 
 
 def x_weight(t, pp: ProblemParams) -> np.ndarray:
-    return time_bracket(t) ** pp.x_weight_exponent()
+    """<t>^(s/2 - (n/2)(1/2 - 1/r)) at a time or an array of times."""
+    # float_power has no SIMD loop, so each time rounds as it does alone.
+    return np.float_power(time_bracket(t), pp.x_weight_exponent())
 
 
 @dataclass(frozen=True)
@@ -167,26 +177,40 @@ class Trajectory:
 
 
 def _x_integrand(
-    t: float, coeffs: np.ndarray, pp: ProblemParams, blocks: DyadicBlocks
-) -> tuple[float, float, float]:
-    """B^s_{2,2}, B^0_{r,2} and x_norm's weighted sum of the two at time t."""
-    b_s = float(_besov(blocks, coeffs, pp.s, 2.0, 2.0))
-    b_r = float(_besov(blocks, coeffs, 0.0, pp.r, 2.0))
-    return b_s, b_r, float(x_weight(t, pp)) * b_s + b_r
+    times: Iterable[float],
+    spectra: np.ndarray | Sequence[np.ndarray],
+    pp: ProblemParams,
+    blocks: DyadicBlocks,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """B^s_{2,2}, B^0_{r,2} and x_norm's weighted sum of the two at every
+    node time, one entry per spectrum.  The spectra go through _besov in
+    chunks of grid._node_chunks, stacked on a leading axis: slices of an
+    array of spectra stacked as (nodes,) + spectral shape, or stacked
+    copies of a sequence's.  Each node's norms are bit for bit the ones it
+    gives alone."""
+    grid = blocks.grid
+    times = np.asarray(times, dtype=float)
+    if len(spectra) != times.size:
+        raise ValueError("one spectrum per node time required")
+    b_s, b_r = np.empty(times.size), np.empty(times.size)
+    for chunk in _node_chunks(times.size, grid.points_per_axis**grid.n):
+        coeffs = spectra[chunk] if isinstance(spectra, np.ndarray) else np.stack(spectra[chunk])
+        b_s[chunk] = _besov(blocks, coeffs, pp.s, 2.0, 2.0)
+        b_r[chunk] = _besov(blocks, coeffs, 0.0, pp.r, 2.0)
+    return b_s, b_r, x_weight(times, pp) * b_s + b_r
 
 
 def x_norm(
     times: Iterable[float],
-    spectra: Iterable[np.ndarray],
+    spectra: np.ndarray | Sequence[np.ndarray],
     pp: ProblemParams,
     blocks: DyadicBlocks,
 ) -> float:
     """Sup over the node times of the weighted smoothness plus decay norms
-    of the fields with coefficient arrays spectra, on the grid of blocks."""
-    best = 0.0
-    for t, coeffs in zip(times, spectra, strict=True):
-        best = max(best, _x_integrand(t, coeffs, pp, blocks)[2])
-    return best
+    of the fields with coefficient arrays spectra, on the grid of blocks:
+    a sequence of spectra, or an array of them stacked on a leading axis.
+    The norms come from _x_integrand, in stacked chunks of nodes."""
+    return max([0.0, *_x_integrand(times, spectra, pp, blocks)[2].tolist()])
 
 
 def interpolation_exponents(

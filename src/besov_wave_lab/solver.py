@@ -20,12 +20,13 @@ before the next store time.
 Both time loops hold spectra from start to finish: u^p comes from the
 alias-free kernel grid.dealiased_pointwise on spectra they hold, Picard's
 difference norms read the spectra of its corrections, and the trajectories
-they return hold spectra.  One escape gate, _escaped, serves both:
-the Fourier-series bound _sup_bound, a sum over the spectrum, is at least
-the max-norm, so a state whose bound sits under the threshold (with a
-margin far above rounding) cannot escape and is not sampled.  Otherwise a
-non-finite sample, or one above the threshold, is a blow-up, read off the
-raw samples.
+they return hold spectra.  The nodes of a Picard iteration are independent
+in u^p and in the norms, so Picard takes both in stacked chunks of nodes.
+One escape gate, _escaped, serves both loops: the Fourier-series bound
+_sup_bound, a sum over the spectrum, is at least the max-norm, so a state
+whose bound sits under the threshold (with a margin far above rounding)
+cannot escape and is not sampled.  Otherwise a non-finite sample, or one
+above the threshold, is a blow-up, read off the raw samples.
 
 Neither solver judges admissibility; experiments.run_experiment does.
 """
@@ -46,6 +47,7 @@ import numpy as np
 from besov_wave_lab.grid import (
     GridField,
     TorusGrid,
+    _node_chunks,
     _samples,
     dealiased_pointwise,
     integer_power,
@@ -237,26 +239,29 @@ def _flow_recursion(
     u_hat: np.ndarray,
     v_hat: np.ndarray,
     source: Iterable[np.ndarray] | None = None,
-) -> list[np.ndarray]:
-    """Spectra of u at every node from spectral data (u, u_t) = (u_hat,
-    v_hat) at t = 0, plus the Duhamel integral of the source spectra, read
-    one node at a time: each step is _step from F_k to F_{k+1}, exact for a
-    source that is linear between the nodes, which may be uneven.
+) -> np.ndarray:
+    """Spectra of u at every node, stacked as (nodes,) + spectral shape,
+    from spectral data (u, u_t) = (u_hat, v_hat) at t = 0, plus the Duhamel
+    integral of the source spectra, read one node at a time: each step is
+    _step from F_k to F_{k+1}, exact for a source that is linear between
+    the nodes, which may be uneven.
     """
     ends = itertools.pairwise(itertools.repeat(0.0) if source is None else source)
-    spectra = [u_hat]
-    for h, (f_start, f_end) in zip(np.diff(times).tolist(), ends):
+    spectra = np.empty((times.size,) + grid.spectral_shape, dtype=complex)
+    spectra[0] = u_hat
+    for k, (h, (f_start, f_end)) in enumerate(zip(np.diff(times).tolist(), ends), start=1):
         u_hat, v_hat, _ = _step(grid, h, u_hat, v_hat, f_start, f_end)
-        spectra.append(u_hat)
+        spectra[k] = u_hat
     return spectra
 
 
 def duhamel_integral(
     grid: TorusGrid, times: np.ndarray, source: Iterable[np.ndarray]
-) -> list[np.ndarray]:
+) -> np.ndarray:
     """Spectra at every node t of the integral over [0, t] of the damped
     flow applied to the source, taken as linear between nodes (exponential
-    quadrature).  source yields one coefficient array per node."""
+    quadrature), stacked as (nodes,) + spectral shape.  source yields one
+    coefficient array per node."""
     zero = np.zeros(grid.spectral_shape, dtype=complex)
     return _flow_recursion(grid, times, zero, zero, source)
 
@@ -272,6 +277,22 @@ def psi_apply(
     source = (_power(grid, c, pp.p_nl) for c in traj.spectra)
     spectra = _flow_recursion(grid, traj.times, u0.spectrum, u1.spectrum, source)
     return Trajectory(grid, traj.times, tuple(spectra))
+
+
+def _sources(
+    grid: TorusGrid, linear: np.ndarray, correction: np.ndarray | None, p: int
+) -> Iterable[np.ndarray]:
+    """Spectra of u^p at every node, in node order, of the iterate
+    linear + correction (both stacked as (nodes,) + spectral shape; None
+    adds 0.0, the first iteration's zero correction).  The power takes the
+    nodes in chunks of grid._node_chunks, stacked on a leading axis of its
+    padded lattice; a chunk of one goes unstacked, so that it shares the
+    kept buffers of the ETD oracle's powers."""
+    points = (pad_factor_for_power(p) * grid.points_per_axis) ** grid.n
+    for chunk in _node_chunks(len(linear), points):
+        iterate = linear[chunk] + (0.0 if correction is None else correction[chunk])
+        power = _power(grid, iterate[0] if len(iterate) == 1 else iterate, p)
+        yield from power.reshape((-1,) + grid.spectral_shape)
 
 
 def picard_solve(
@@ -293,10 +314,16 @@ def picard_solve(
     the linear part (the same bits in every iterate) does not set their
     rounding floor.
 
-    The iteration holds spectra only: u^p comes from the spectrum of the
-    iterate, the difference norms from the spectra of the corrections, and
-    the trajectory returned holds the iterate's.  The escape gate _escaped
-    samples a node only when its bound cannot rule the escape out.
+    The iteration holds spectra only, as arrays stacked (nodes,) +
+    spectral shape: the linear solution, the last accepted correction and
+    the update, and nothing else of a whole trajectory.  u^p comes from
+    the iterate's spectra through _sources, in stacked chunks of nodes;
+    the escape gate _escaped takes the iterate one node at a time, and
+    samples a node only when its bound cannot rule the escape out; the
+    difference of two corrections is written over the older one, whose
+    X-norm x_norm reads in stacked chunks of nodes.  The trajectory
+    returned is formed once, at the end: the linear solution plus the last
+    accepted correction, or the linear solution itself if none was.
     """
     if u0.grid != u1.grid:
         raise ValueError("initial data live on different grids")
@@ -308,29 +335,31 @@ def picard_solve(
     times = cfg.time_grid
     diag = PicardDiagnostics()
     linear = _flow_recursion(grid, times, u0.spectrum, u1.spectrum)
-    correction = [0.0] * times.size
-    kept = linear  # spectra of the last iterate that stayed finite
+    correction = None  # the last accepted Duhamel correction
     threshold = cfg.blowup_threshold
 
     for iteration in range(1, cfg.max_iters + 1):
-        source = (_power(grid, a + b, pp.p_nl) for a, b in zip(linear, correction))
-        update = duhamel_integral(grid, times, source)
+        update = duhamel_integral(grid, times, _sources(grid, linear, correction, pp.p_nl))
         diag.iterations = iteration
-        iterate = []
         for t, a, b in zip(times, linear, update):
-            iterate.append(a + b)
-            if _escaped(grid, iterate[-1], threshold):
+            if _escaped(grid, a + b, threshold):
                 diag.blown_up = True
                 diag.escape_time = float(t)
                 break
         if diag.blown_up:
             break
-        steps = (a - b for a, b in zip(update, correction))
-        diff_norm = x_norm(times, steps, pp, blocks)
+        # The step is written over the last correction, which nothing reads
+        # again, so no fourth trajectory is allocated.
+        diff_norm = x_norm(
+            times,
+            update if correction is None else np.subtract(update, correction, out=correction),
+            pp,
+            blocks,
+        )
         diag.diff_norms.append(diff_norm)
         if len(diag.diff_norms) >= 2 and diag.diff_norms[-2] > 0:
             diag.ratios.append(diff_norm / diag.diff_norms[-2])
-        correction, kept = update, iterate
+        correction = update
         if diff_norm < cfg.picard_tol:
             diag.converged = not diag.ratios or diag.ratios[-1] < 1.0
             break
@@ -338,7 +367,8 @@ def picard_solve(
         diag.residual = math.inf
     else:
         diag.residual = diag.diff_norms[-1] if diag.diff_norms else 0.0
-    return Trajectory(grid, times, tuple(kept)), diag
+    spectra = linear if correction is None else np.add(linear, correction, out=correction)
+    return Trajectory(grid, times, tuple(spectra)), diag
 
 
 def _pair_norm(grid: TorusGrid, *spectra: np.ndarray) -> float:
@@ -501,7 +531,9 @@ def decay_study(
     the box (the torus would stop approximating whole space there).  A
     smoothness series that is not positive after t = 0 leaves nothing to
     fit; the verdict is then "undetermined", which does not pass.  The
-    norms are x_norm's, read off the spectra; only confinement samples.
+    norms are x_norm's: _x_integrand reads them off the spectra in
+    stacked chunks of nodes, so weighted_sup is the trajectory's x_norm
+    bit for bit.  Only confinement samples, one node at a time.
     """
     if blown_up:
         raise ValueError("decay study rejected: the run blew up")
@@ -511,11 +543,8 @@ def decay_study(
             f"decay study rejected: outer-shell mass fraction {confinement:.3e} "
             f"exceeds {CONFINEMENT_THRESHOLD:.1e}"
         )
-    blocks = make_blocks(traj.grid)
     ts = traj.times
-    b_s, b_r, weighted = np.array(
-        [_x_integrand(t, c, pp, blocks) for t, c in zip(ts, traj.spectra)]
-    ).T
+    b_s, b_r, weighted = _x_integrand(ts, traj.spectra, pp, make_blocks(traj.grid))
     running = np.maximum.accumulate(weighted)
     scalars: dict[str, float] = {
         "confinement_fraction": confinement,

@@ -234,6 +234,10 @@ spacing = geometirc
         for section, keys in cfg.items():
             assert set(keys) <= set(values[section])
 
+    def test_every_kind_ships_a_config(self):
+        kinds = {load_config(str(p))["experiment"]["kind"] for p in CONFIGS.glob("*.cfg")}
+        assert kinds == set(REGISTRY)
+
 
 class TestRun:
     def test_partition_run_writes_report(self, tmp_path, capsys):

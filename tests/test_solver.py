@@ -3,6 +3,7 @@
 import collections
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,9 +11,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from besov_wave_lab.grid import _samples, field_from_coeffs, make_grid
+from besov_wave_lab.grid import STACK_POINTS, _samples, field_from_coeffs, make_grid
 from besov_wave_lab.littlewood_paley import make_blocks
-from besov_wave_lab.norms import ProblemParams, Trajectory, lebesgue_norm, x_norm
+from besov_wave_lab.norms import (
+    ProblemParams,
+    Trajectory,
+    _besov,
+    _x_integrand,
+    lebesgue_norm,
+    x_norm,
+    x_weight,
+)
 from besov_wave_lab.profiles import gaussian, single_mode, slow_decay
 from fields import count_transforms, field_from_function
 from besov_wave_lab.propagator import (
@@ -328,31 +337,46 @@ class TestCoefficientPath:
         assert diag.blown_up and diag.iterations == 1
 
     def test_transform_budget(self, monkeypatch):
-        # Per node and iteration: one padded pair (the power) and one inverse
-        # transform per block lattice (the batched B^0_{r,2} block norms,
-        # r = 4: blocks on N = 64, on 32 and on 16 points).
-        # The escape check takes no samples while the Fourier bound stays
-        # under the threshold, and the returned trajectory holds the
-        # iterate's spectra, so no node is sampled at the end.  The linear
-        # start costs nothing; the data's spectrum is the one forward
-        # transform on the grid.
-        counts = count_transforms(monkeypatch, 64)
-        grid = make_grid(1, 64, 32.0)
+        # Per iteration, one padded pair (the power) for every chunk of
+        # STACK_POINTS // M nodes (M = 2N for p = 2), and one inverse
+        # transform per block lattice (the B^0_{r,2} block norms, r = 4:
+        # blocks on N, N/2 and N/4 points) for every chunk of
+        # STACK_POINTS // N nodes.  The points are every node's, as calls
+        # one node at a time would transform.  The escape check takes no
+        # samples while the Fourier bound stays under the threshold, and
+        # the returned trajectory holds spectra, so no node is sampled at
+        # the end.  The linear start costs nothing; the data's spectrum is
+        # the one forward transform on the grid.
+        N, M = 1024, 2048
+        counts = count_transforms(monkeypatch, N)
+        grid = make_grid(1, N, 128.0)
         u0 = gaussian(grid, width=2.0, amplitude=0.05)
-        nodes, iterations = 9, 3
+        nodes, iterations = 41, 3
         cfg = SolverConfig.uniform(
             1.0, nodes, picard_tol=1e-300, max_iters=iterations, blowup_threshold=1.0
         )
         assert PP2.r == 4.0
-        assert [lat.M for lat in make_blocks(grid)._plan(PP2.r)] == [64, 32, 16]
+        plan = {lat.M: lat.rows.size for lat in make_blocks(grid)._plan(PP2.r)}
+        assert list(plan) == [N, N // 2, N // 4]
+        powers = -(-nodes // (STACK_POINTS // M))
+        norms = -(-nodes // (STACK_POINTS // N))
+        assert 1 < norms < powers < nodes  # chunks of several nodes, and a remainder
         _, diag = picard_solve(u0, u0, PP2, cfg)
         assert diag.iterations == iterations and not diag.converged
         assert counts == {
-            ("forward", "padded"): nodes * iterations,
+            ("forward", "padded"): powers * iterations,
             ("forward", "grid"): 1,
-            ("inverse", "padded"): nodes * iterations,
-            ("inverse", "grid"): nodes * iterations,
-            ("inverse", "coarse"): 2 * nodes * iterations,
+            ("inverse", "padded"): powers * iterations,
+            ("inverse", "grid"): norms * iterations,
+            ("inverse", "coarse"): 2 * norms * iterations,
+        }
+        work = nodes * iterations
+        assert counts.points == {
+            ("forward", "padded"): work * M,
+            ("forward", "grid"): N,
+            ("inverse", "padded"): work * M,
+            ("inverse", "grid"): work * plan[N] * N,
+            ("inverse", "coarse"): work * (plan[N // 2] * N // 2 + plan[N // 4] * N // 4),
         }
 
     def test_etd_transform_budget(self, monkeypatch):
@@ -374,6 +398,123 @@ class TestCoefficientPath:
             ("forward", "grid"): 1,
             ("inverse", "padded"): pairs,
         }
+
+
+def per_node_integrand(t, coeffs, pp, blocks):
+    """B^s_{2,2}, B^0_{r,2} and their weighted sum at one node, reduced
+    alone: the reference for the stacked chunks of _x_integrand."""
+    b_s = float(_besov(blocks, coeffs, pp.s, 2.0, 2.0))
+    b_r = float(_besov(blocks, coeffs, 0.0, pp.r, 2.0))
+    return b_s, b_r, float(x_weight(t, pp)) * b_s + b_r
+
+
+def per_node_picard(u0, u1, pp, cfg):
+    """picard_solve one node at a time: a power per node, the escape gate
+    on each node's iterate, and each difference's norms from _x_integrand
+    on that node alone.  Returns the spectra of the last iterate that
+    stayed finite, the difference norms and the escape time."""
+    grid, times = u0.grid, cfg.time_grid
+    blocks = make_blocks(grid)
+    linear = list(_flow_recursion(grid, times, u0.spectrum, u1.spectrum))
+    correction = [0.0] * times.size
+    kept, diffs = linear, []
+    for _ in range(cfg.max_iters):
+        source = [_power(grid, a + b, pp.p_nl) for a, b in zip(linear, correction)]
+        update = list(duhamel_integral(grid, times, source))
+        iterate = [a + b for a, b in zip(linear, update)]
+        for t, c in zip(times, iterate):
+            if solver._escaped(grid, c, cfg.blowup_threshold):
+                return kept, diffs, float(t)
+        norms = [
+            _x_integrand([t], [a - b], pp, blocks)[2][0]
+            for t, a, b in zip(times, update, correction)
+        ]
+        diffs.append(max([0.0, *norms]))
+        correction, kept = update, iterate
+        if diffs[-1] < cfg.picard_tol:
+            break
+    return kept, diffs, None
+
+
+class TestNodeBatching:
+    """Picard's powers and the X-norm integrands go through the kernels in
+    stacked chunks of nodes, with every node's bits those it gives alone."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n=st.sampled_from([1, 2]),
+        nodes=st.integers(1, 19),
+        r=st.sampled_from([3.0, 4.0, 5.5]),
+        s=st.floats(0.5, 5.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_integrands_match_one_node_at_a_time(self, n, nodes, r, s, seed):
+        # 8 nodes a chunk on both grids, so node counts up to 19 take one
+        # to three chunks, most of them with a remainder.
+        grid = make_grid(1, 4096, 400.0) if n == 1 else make_grid(2, 64, 20.0)
+        assert STACK_POINTS // grid.points_per_axis**n == 8
+        pp = ProblemParams(n=n, r=r, s=s, p_nl=3)
+        blocks = make_blocks(grid)
+        rng = np.random.default_rng(seed)
+        g = gaussian(grid, width=2.0).spectrum
+        spectra = [
+            a * np.exp(-b * grid.freq_abs**2) * g
+            for a, b in zip(rng.uniform(0.1, 10.0, nodes), rng.uniform(0.0, 0.5, nodes))
+        ]
+        times = np.concatenate([[0.0], np.cumsum(rng.uniform(0.1, 5.0, nodes - 1))])
+        ref = np.array([per_node_integrand(t, c, pp, blocks) for t, c in zip(times, spectra)]).T
+        for stacked in (spectra, np.stack(spectra)):
+            got = np.array(_x_integrand(times, stacked, pp, blocks))
+            assert got.tobytes() == ref.tobytes()
+            assert x_norm(times, stacked, pp, blocks) == max([0.0, *ref[2].tolist()])
+        if nodes >= 2:
+            traj = Trajectory(grid, times, tuple(spectra))
+            report = decay_study(traj, pp, fit_window=(0.0, math.inf))
+            _, b_r, b_s, weighted, _ = np.array(report.tables["decay"].rows).T
+            assert np.array([b_s, b_r, weighted]).tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize(
+        "amp, cap, escape_iteration",
+        [
+            (1.0, 20.0, 2),  # after one accepted correction, past the first chunk
+            (1.0, 5.0, 1),  # in the first iteration: the linear solution returns
+            (0.05, math.inf, None),
+        ],
+    )
+    def test_picard_matches_one_node_at_a_time(self, amp, cap, escape_iteration):
+        grid = make_grid(1, 1024, 40.0)
+        u0 = gaussian(grid, width=2.0, amplitude=amp)
+        cfg = SolverConfig.uniform(8.0, 65, blowup_threshold=cap, max_iters=30, picard_tol=1e-12)
+        traj, diag = picard_solve(u0, u0, PP2, cfg)
+        spectra, diffs, escape = per_node_picard(u0, u0, PP2, cfg)
+        assert diag.escape_time == escape
+        assert diag.diff_norms == diffs
+        assert b"".join(c.tobytes() for c in traj.spectra) == b"".join(c.tobytes() for c in spectra)
+        if escape_iteration is None:
+            assert not diag.blown_up and diag.converged
+        else:
+            assert diag.blown_up and diag.iterations == escape_iteration
+            power_chunk = STACK_POINTS // (2 * grid.points_per_axis)
+            assert list(cfg.time_grid).index(escape) >= power_chunk
+
+    def test_picard_peak_memory_in_trajectories(self):
+        # The iteration holds the linear solution, the last accepted
+        # correction and the update, plus stacks of a few nodes (about 0.6
+        # of a trajectory at N = 4096); holding each iterate and the last
+        # one kept besides, as lists of nodes, took 5.3 trajectories.
+        grid = make_grid(1, 4096, 400.0)
+        u0 = gaussian(grid, width=2.0, amplitude=0.05)
+        nodes = 161
+        cfg = SolverConfig.uniform(2.0, nodes, picard_tol=1e-300, max_iters=3)
+        picard_solve(u0, u0, PP2, cfg)  # builds the kept buffers and weights
+        tracemalloc.start()
+        try:
+            _, diag = picard_solve(u0, u0, PP2, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert diag.iterations == 3
+        assert peak <= 4.0 * nodes * grid.spectral_shape[-1] * 16
 
 
 def test_step_weights_built_once_per_distinct_step(monkeypatch):
