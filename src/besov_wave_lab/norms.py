@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -140,12 +140,13 @@ def x_weight(t, pp: ProblemParams) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Half spectra of fields on one grid at increasing times from 0; fields
-    are sampled on demand, and iterating yields (t, field) pairs."""
+    """Half spectra of fields on one grid at increasing times from 0, in one
+    read-only array (times,) + spectral shape, a view of the caller's array
+    if it is one; fields are sampled on demand, iterating yields (t, field)."""
 
     grid: TorusGrid
     times: np.ndarray
-    spectra: tuple[np.ndarray, ...]
+    spectra: np.ndarray
 
     def __post_init__(self) -> None:
         times = np.asarray(self.times, dtype=float)
@@ -155,15 +156,17 @@ class Trajectory:
             raise ValueError("trajectory must start at t = 0")
         if np.any(np.diff(times) <= 0):
             raise ValueError("times must be strictly increasing")
-        if len(self.spectra) != times.size:
-            raise ValueError("one spectrum per time sample required")
-        shape = self.grid.spectral_shape
-        if any(np.shape(c) != shape for c in self.spectra):
-            raise ValueError(f"every spectrum must have the grid's spectral shape {shape}")
+        shape = (times.size,) + self.grid.spectral_shape
+        try:  # a ragged sequence of spectra has no shape
+            spectra = np.asarray(self.spectra, dtype=complex).view()
+        except ValueError:
+            spectra = None
+        if spectra is None or spectra.shape != shape:
+            raise ValueError(f"spectra must be stacked as (times,) + spectral shape, {shape}")
         times = times.copy()
-        times.flags.writeable = False
+        times.flags.writeable = spectra.flags.writeable = False
         object.__setattr__(self, "times", times)
-        object.__setattr__(self, "spectra", tuple(self.spectra))
+        object.__setattr__(self, "spectra", spectra)
 
     @property
     def fields(self) -> tuple[GridField, ...]:
@@ -177,39 +180,29 @@ class Trajectory:
 
 
 def _x_integrand(
-    times: Iterable[float],
-    spectra: np.ndarray | Sequence[np.ndarray],
-    pp: ProblemParams,
-    blocks: DyadicBlocks,
+    times: Iterable[float], spectra: np.ndarray, pp: ProblemParams, blocks: DyadicBlocks
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """B^s_{2,2}, B^0_{r,2} and x_norm's weighted sum of the two at every
-    node time, one entry per spectrum.  The spectra go through _besov in
-    chunks of grid._node_chunks, stacked on a leading axis: slices of an
-    array of spectra stacked as (nodes,) + spectral shape, or stacked
-    copies of a sequence's.  Each node's norms are bit for bit the ones it
-    gives alone."""
+    node time, from spectra stacked as (nodes,) + spectral shape, sliced in
+    chunks of grid._node_chunks for _besov; each node's norms are bit for
+    bit the ones it gives alone."""
     grid = blocks.grid
     times = np.asarray(times, dtype=float)
     if len(spectra) != times.size:
         raise ValueError("one spectrum per node time required")
     b_s, b_r = np.empty(times.size), np.empty(times.size)
     for chunk in _node_chunks(times.size, grid.points_per_axis**grid.n):
-        coeffs = spectra[chunk] if isinstance(spectra, np.ndarray) else np.stack(spectra[chunk])
-        b_s[chunk] = _besov(blocks, coeffs, pp.s, 2.0, 2.0)
-        b_r[chunk] = _besov(blocks, coeffs, 0.0, pp.r, 2.0)
+        b_s[chunk] = _besov(blocks, spectra[chunk], pp.s, 2.0, 2.0)
+        b_r[chunk] = _besov(blocks, spectra[chunk], 0.0, pp.r, 2.0)
     return b_s, b_r, x_weight(times, pp) * b_s + b_r
 
 
 def x_norm(
-    times: Iterable[float],
-    spectra: np.ndarray | Sequence[np.ndarray],
-    pp: ProblemParams,
-    blocks: DyadicBlocks,
+    times: Iterable[float], spectra: np.ndarray, pp: ProblemParams, blocks: DyadicBlocks
 ) -> float:
     """Sup over the node times of the weighted smoothness plus decay norms
-    of the fields with coefficient arrays spectra, on the grid of blocks:
-    a sequence of spectra, or an array of them stacked on a leading axis.
-    The norms come from _x_integrand, in stacked chunks of nodes."""
+    of the fields with spectra stacked as (nodes,) + spectral shape, on the
+    grid of blocks, as _x_integrand reads them in chunks of nodes."""
     return max([0.0, *_x_integrand(times, spectra, pp, blocks)[2].tolist()])
 
 
@@ -225,34 +218,36 @@ def interpolation_exponents(
 
 def interpolation_check(
     f: GridField,
-    pp: ProblemParams,
+    r: float,
+    s: float,
     q: float,
     alpha: float,
     theta: float,
     *,
     blocks: DyadicBlocks | None = None,
 ) -> float:
-    """Ratio of the interpolated seminorm to the two-endpoint product.
+    """Ratio of the interpolated seminorm to the two-endpoint product, in f's dimension n.
 
     The exponents must satisfy n/q - alpha = (1-theta)n/r + theta(n/2 - s)
     and alpha <= theta*s, to 1e-10; tuples off the scaling line are rejected.
     """
     if not 0.0 <= theta <= 1.0:
         raise ValueError("theta must lie in [0, 1]")
-    lhs = pp.n / q - alpha
-    rhs = (1.0 - theta) * pp.n / pp.r + theta * (pp.n / 2.0 - pp.s)
+    n = f.grid.n
+    lhs = n / q - alpha
+    rhs = (1.0 - theta) * n / r + theta * (n / 2.0 - s)
     if abs(lhs - rhs) > 1e-10:
         raise ValueError(
             f"exponent tuple violates the scaling identity by {abs(lhs - rhs):.3e}"
         )
-    if alpha > theta * pp.s + 1e-10:
+    if alpha > theta * s + 1e-10:
         raise ValueError("alpha must not exceed theta*s")
     if blocks is None:
         blocks = make_blocks(f.grid)
     num = besov_seminorm(f, alpha, q, blocks=blocks)
     den = (
-        besov_seminorm(f, 0.0, pp.r, blocks=blocks) ** (1.0 - theta)
-        * besov_seminorm(f, pp.s, 2.0, blocks=blocks) ** theta
+        besov_seminorm(f, 0.0, r, blocks=blocks) ** (1.0 - theta)
+        * besov_seminorm(f, s, 2.0, blocks=blocks) ** theta
     )
     if den == 0.0:
         raise ValueError("interpolation ratio undefined for the zero field")

@@ -21,12 +21,12 @@ Both time loops hold spectra from start to finish: u^p comes from the
 alias-free kernel grid.dealiased_pointwise on spectra they hold, Picard's
 difference norms read the spectra of its corrections, and the trajectories
 they return hold spectra.  The nodes of a Picard iteration are independent
-in u^p and in the norms, so Picard takes both in stacked chunks of nodes.
-One escape gate, _escaped, serves both loops: the Fourier-series bound
+in u^p, the norms and the escape gate, which Picard takes in stacked chunks
+of nodes.  One gate, _peaks, serves both loops: the Fourier-series bound
 _sup_bound, a sum over the spectrum, is at least the max-norm, so a state
 whose bound sits under the threshold (with a margin far above rounding)
-cannot escape and is not sampled.  Otherwise a non-finite sample, or one
-above the threshold, is a blow-up, read off the raw samples.
+cannot escape and is not sampled.  The others are sampled in one stacked
+call, and a non-finite sample, or one above the threshold, is a blow-up.
 
 Neither solver judges admissibility; experiments.run_experiment does.
 """
@@ -103,6 +103,10 @@ class SolverConfig:
             raise ValueError("time grid must end at the horizon")
         if self.picard_tol <= 0:
             raise ValueError("picard_tol must be positive")
+        if self.max_iters < 1:
+            raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
+        if not self.etd_dt > 0:
+            raise ValueError(f"etd_dt must be positive, got {self.etd_dt}")
         if self.blowup_threshold <= 0:
             raise ValueError("blowup threshold must be positive")
         grid = grid.copy()
@@ -161,26 +165,31 @@ def spectral_tail_fraction(grid: TorusGrid, coeffs: np.ndarray) -> float:
     return float(np.sum(power[grid.freq_abs >= grid.max_freq / 2.0])) / total
 
 
-def _sup_bound(grid: TorusGrid, coeffs: np.ndarray) -> float:
+def _sup_bound(grid: TorusGrid, coeffs: np.ndarray):
     """(2 pi)^(-n/2) dxi^n sum(mode_weight |c|), at least the max-norm of
     the field with half spectrum coeffs: each sample is a sum of the
-    coefficients times unit phases, a real part on self-paired entries."""
+    coefficients times unit phases, a real part on self-paired entries.
+    Stacked on leading axes, each array's bound is the one it gives alone."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return grid._sup_scale * float(np.sum(np.abs(coeffs) @ grid.mode_weight))
+        bound = (np.abs(coeffs) * grid.mode_weight).sum(axis=tuple(range(-grid.n, 0)))
+    return grid._sup_scale * bound
 
 
-def _escaped(grid: TorusGrid, coeffs: np.ndarray, threshold: float) -> bool:
-    """Whether the field with half spectrum coeffs has escaped: a non-finite
-    sample, or one above the max-norm threshold, is a blow-up.  Samples are
-    read only when _sup_bound cannot rule the escape out: a bound that is
-    finite and under the threshold, and under the size whose transform
-    could overflow, by a margin of 1e-9 that no rounding of a transform
-    reaches, is clear.  A NaN bound is not."""
+def _peaks(grid: TorusGrid, coeffs: np.ndarray, threshold: float):
+    """Per half spectrum stacked on leading axes of coeffs: its _sup_bound
+    if that is finite and under the threshold, and under the size whose
+    transform could overflow, by a margin of 1e-9 that no rounding of a
+    transform reaches; else the max |u| of its samples, all taken in one
+    _samples call (inf or NaN for a non-finite sample).  A peak that is
+    not finite or is above the threshold is a blow-up."""
     cap = min(threshold, grid._sup_scale * sys.float_info.max)
-    if _sup_bound(grid, coeffs) <= cap * (1.0 - 1e-9):
-        return False
-    peak = float(np.max(np.abs(_samples(grid, coeffs, grid.points_per_axis))))
-    return not math.isfinite(peak) or peak > threshold
+    peaks = _sup_bound(grid, coeffs)
+    unclear = np.logical_not(peaks <= cap * (1.0 - 1e-9))
+    if np.count_nonzero(unclear):
+        peaks = np.array(peaks)
+        samples = _samples(grid, coeffs[unclear], grid.points_per_axis)
+        peaks[unclear] = np.max(np.abs(samples), axis=tuple(range(-grid.n, 0)))
+    return peaks
 
 
 def _power(grid: TorusGrid, coeffs: np.ndarray, p: int) -> np.ndarray:
@@ -274,9 +283,9 @@ def psi_apply(
 ) -> Trajectory:
     """One application of the fixed-point map to a trajectory's spectra."""
     grid = traj.grid
-    source = (_power(grid, c, pp.p_nl) for c in traj.spectra)
+    source = _sources(grid, traj.spectra, None, pp.p_nl)
     spectra = _flow_recursion(grid, traj.times, u0.spectrum, u1.spectrum, source)
-    return Trajectory(grid, traj.times, tuple(spectra))
+    return Trajectory(grid, traj.times, spectra)
 
 
 def _sources(
@@ -318,12 +327,12 @@ def picard_solve(
     spectral shape: the linear solution, the last accepted correction and
     the update, and nothing else of a whole trajectory.  u^p comes from
     the iterate's spectra through _sources, in stacked chunks of nodes;
-    the escape gate _escaped takes the iterate one node at a time, and
-    samples a node only when its bound cannot rule the escape out; the
-    difference of two corrections is written over the older one, whose
-    X-norm x_norm reads in stacked chunks of nodes.  The trajectory
-    returned is formed once, at the end: the linear solution plus the last
-    accepted correction, or the linear solution itself if none was.
+    the escape gate _peaks takes it in chunks of nodes too, and the first
+    node that fails is the escape; the difference of two corrections is
+    written over the older one, whose X-norm x_norm reads in stacked
+    chunks of nodes.  The trajectory returned is formed once, at the end:
+    the linear solution plus the last accepted correction, or the linear
+    solution itself if none was.
     """
     if u0.grid != u1.grid:
         raise ValueError("initial data live on different grids")
@@ -341,10 +350,11 @@ def picard_solve(
     for iteration in range(1, cfg.max_iters + 1):
         update = duhamel_integral(grid, times, _sources(grid, linear, correction, pp.p_nl))
         diag.iterations = iteration
-        for t, a, b in zip(times, linear, update):
-            if _escaped(grid, a + b, threshold):
-                diag.blown_up = True
-                diag.escape_time = float(t)
+        for chunk in _node_chunks(times.size, grid.points_per_axis**grid.n):
+            peaks = _peaks(grid, linear[chunk] + update[chunk], threshold)
+            escapes = times[chunk][~(np.isfinite(peaks) & (peaks <= threshold))]
+            if escapes.size:
+                diag.blown_up, diag.escape_time = True, float(escapes[0])
                 break
         if diag.blown_up:
             break
@@ -368,7 +378,7 @@ def picard_solve(
     else:
         diag.residual = diag.diff_norms[-1] if diag.diff_norms else 0.0
     spectra = linear if correction is None else np.add(linear, correction, out=correction)
-    return Trajectory(grid, times, tuple(spectra)), diag
+    return Trajectory(grid, times, spectra), diag
 
 
 def _pair_norm(grid: TorusGrid, *spectra: np.ndarray) -> float:
@@ -405,10 +415,10 @@ def etd_oracle(
     position is an integer count of dt (t = m dt), and no step crosses the
     next store time or the horizon, so every store time is hit exactly.  The
     first step with a non-finite sample or one above blowup_threshold is the
-    escape, stored when its samples are finite; stores hold spectra.  A step
-    is sampled only when the gate _escaped cannot rule its escape out, or
-    to learn whether an escape is finite; the final tail fraction reads the
-    spectrum of the last state with finite samples.
+    escape, stored when its samples are finite; stores hold spectra, in one
+    array sized for every store time and an escape.  A step is sampled only
+    when the gate _peaks cannot rule its escape out, once; the final tail
+    fraction reads the spectrum of the last state with finite samples.
     """
     if dt <= 0 or T <= 0:
         raise ValueError("time step and horizon must be positive")
@@ -432,8 +442,8 @@ def etd_oracle(
 
     uh, vh = u0.spectrum, u1.spectrum
     diag = OracleDiagnostics()
-    out_times, out_spectra = [0.0], [uh]
-    last = uh  # spectrum of the last state with finite samples
+    out_times, stores = [0.0], np.empty((len(store_idx) + 1,) + uh.shape, dtype=complex)
+    stores[0] = last = uh  # last: spectrum of the last state with finite samples
     m, k, n0 = 0, 0, None
     while m < steps:
         if n0 is None:
@@ -447,7 +457,9 @@ def etd_oracle(
             diag.rejected += 1
             k = j - 1
             continue
-        escaped = _escaped(grid, new_u, blowup_threshold)
+        peak = float(_peaks(grid, new_u, blowup_threshold))
+        finite = math.isfinite(peak)
+        escaped = not finite or peak > blowup_threshold
         if j > 0 and escaped:
             diag.rejected += 1
             k = j - 1
@@ -458,20 +470,17 @@ def etd_oracle(
         diag.steps += 1
         if j == k and 8.0 * err < scale:
             k += 1
-        finite = not escaped or bool(
-            np.all(np.isfinite(_samples(grid, uh, grid.points_per_axis)))
-        )
         if finite:
             last = uh
             if escaped or m in store_idx:
+                stores[len(out_times)] = uh
                 out_times.append(m * dt)
-                out_spectra.append(uh)
         if escaped:
             diag.blown_up = True
             diag.escape_time = m * dt
             break
     diag.final_tail_fraction = spectral_tail_fraction(grid, last)
-    return Trajectory(grid, np.array(out_times), tuple(out_spectra)), diag
+    return Trajectory(grid, np.array(out_times), stores[: len(out_times)]), diag
 
 
 def first_contraction_ratio(diag: PicardDiagnostics) -> float:

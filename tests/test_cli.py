@@ -171,9 +171,12 @@ class TestConfigSchema:
              "unknown key 'etd_dt' in [solver]"),
             ((CONFIGS / "global-decay.cfg").read_text().replace("p = 9\n", "p = 9\neps = 0.01\n"),
              "unknown key 'eps' in [problem]"),
+            # interpolation reads r and s, and n from the grid: no power.
+            ((CONFIGS / "interpolation.cfg").read_text().replace("s = 5\n", "s = 5\np = 9\n"),
+             "unknown key 'p' in [problem]"),
         ],
         ids=["tolerence", "NN", "sovler", "xi_lo", "sweep-p", "sweep-nodes", "blowup-max_iters",
-             "contraction-etd_dt", "problem-eps"],
+             "contraction-etd_dt", "problem-eps", "interpolation-p"],
     )
     def test_unknown_section_or_key_exits_2(self, text, named, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "typo.cfg", text)
@@ -290,6 +293,13 @@ points = 12
         err = capsys.readouterr().err
         assert "(2, inf)" in err
 
+    def test_interpolation_keeps_the_r_domain(self, tmp_path, capsys):
+        # interpolation builds no ProblemParams, so it checks r itself.
+        text = (CONFIGS / "interpolation.cfg").read_text().replace("r = 4\n", "r = 2\n")
+        cfg = write_cfg(tmp_path / "r2.cfg", text)
+        assert main(["run", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert "[problem] r must lie in (2, inf), got 2.0" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "text, named",
         [
@@ -299,12 +309,20 @@ points = 12
              "[experiment] pairs must be at least 1, got 0"),
             ("[experiment]\nkind = interpolation\nensemble = 0\n",
              "[experiment] ensemble must be at least 1, got 0"),
+            ((CONFIGS / "global-decay.cfg").read_text().replace("max_iters = 12", "max_iters = 0"),
+             "max_iters must be at least 1, got 0"),
+            ((CONFIGS / "contraction.cfg").read_text().replace("max_iters = 3", "max_iters = 0"),
+             "max_iters must be at least 1, got 0"),
+            ((CONFIGS / "global-decay.cfg").read_text().replace("etd_dt = 0.025", "etd_dt = 0"),
+             "etd_dt must be positive, got 0.0"),
         ],
-        ids=["leibniz-ensemble", "paraproduct-pairs", "interpolation-ensemble"],
+        ids=["leibniz-ensemble", "paraproduct-pairs", "interpolation-ensemble",
+             "global-decay-max_iters", "contraction-max_iters", "global-decay-etd_dt"],
     )
     def test_empty_ensemble_exits_2_and_names_the_key(self, text, named, tmp_path, capsys):
         # An empty ensemble has no maximum: leibniz would divide by it, and
-        # the other kinds would report on a check they never made.
+        # the other kinds would report on a check they never made.  No
+        # Picard iteration, or an oracle step of zero, is no run either.
         cfg = write_cfg(tmp_path / "empty.cfg", text)
         assert main(["run", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
         assert named in capsys.readouterr().err

@@ -158,8 +158,10 @@ class TestProblemParams:
 
 
 def constant_trajectory(grid, f, times):
-    """Node times and the spectrum of f at every node: x_norm's arguments."""
-    return np.asarray(times, dtype=float), [f.spectrum for _ in times]
+    """Node times and the spectrum of f at every node, stacked: x_norm's
+    arguments."""
+    times = np.asarray(times, dtype=float)
+    return times, np.stack([f.spectrum] * times.size)
 
 
 class TestXNorm:
@@ -210,26 +212,39 @@ class TestTrajectory:
         with pytest.raises(ValueError, match="spectral shape"):
             Trajectory(grid, np.array([0.0, 1.0]), (good, np.zeros(shape, dtype=complex)))
 
+    def test_freezes_a_view_and_leaves_the_callers_array_writable(self):
+        grid = make_grid(1, 64, 10.0)
+        spectra = np.zeros((2,) + grid.spectral_shape, dtype=complex)
+        traj = Trajectory(grid, np.array([0.0, 1.0]), spectra)
+        assert traj.spectra.shape == spectra.shape and np.shares_memory(traj.spectra, spectra)
+        with pytest.raises(ValueError, match="read-only"):
+            traj.spectra[1, 3] = 1.0
+        spectra[1, 3] = 1.0
+        assert spectra.flags.writeable
+        # A sequence of spectra is stacked into one array, frozen as well.
+        stacked = Trajectory(grid, np.array([0.0, 1.0]), tuple(spectra))
+        assert stacked.spectra.tobytes() == spectra.tobytes()
+        assert not stacked.spectra.flags.writeable
+
 
 class TestInterpolation:
     def setup_method(self):
         self.grid = make_grid(1, 256, 32.0)
         self.blocks = make_blocks(self.grid)
-        self.pp = ProblemParams(n=1, r=4.0, s=2.0, p_nl=3)
 
     def test_theta_endpoints_give_ratio_one(self):
         f = band_limited_random(self.grid, np.random.default_rng(2), 0.4, 10.0, 0.5)
         for theta in (0.0, 1.0):
             q, alpha = interpolation_exponents(1, 4.0, 2.0, theta)
             ratio = interpolation_check(
-                f, self.pp, q, alpha, theta, blocks=self.blocks
+                f, 4.0, 2.0, q, alpha, theta, blocks=self.blocks
             )
             assert ratio == pytest.approx(1.0, rel=1e-10)
 
     def test_rejects_off_scaling_tuple(self):
         f = band_limited_random(self.grid, np.random.default_rng(3), 0.4, 10.0, 0.5)
         with pytest.raises(ValueError, match="scaling identity"):
-            interpolation_check(f, self.pp, 3.0, 0.2, 0.5, blocks=self.blocks)
+            interpolation_check(f, 4.0, 2.0, 3.0, 0.2, 0.5, blocks=self.blocks)
 
     def test_midpoint_ensemble_constant_bounded(self):
         theta = 0.5
@@ -240,7 +255,7 @@ class TestInterpolation:
             f = band_limited_random(self.grid, rng, 0.4, 12.0, rng.uniform(0.0, 1.0))
             worst = max(
                 worst,
-                interpolation_check(f, self.pp, q, alpha, theta, blocks=self.blocks),
+                interpolation_check(f, 4.0, 2.0, q, alpha, theta, blocks=self.blocks),
             )
         assert 0.0 < worst < 10.0
 

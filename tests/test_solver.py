@@ -11,7 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from besov_wave_lab.grid import STACK_POINTS, _samples, field_from_coeffs, make_grid
+from besov_wave_lab.grid import (
+    STACK_POINTS,
+    _samples,
+    field_from_coeffs,
+    make_grid,
+    pad_factor_for_power,
+)
 from besov_wave_lab.littlewood_paley import make_blocks
 from besov_wave_lab.norms import (
     ProblemParams,
@@ -37,6 +43,7 @@ from besov_wave_lab.solver import (
     SolverConfig,
     _flow_recursion,
     _pair_norm,
+    _peaks,
     _power,
     _step_weights,
     _sup_bound,
@@ -46,6 +53,7 @@ from besov_wave_lab.solver import (
     etd_oracle,
     first_contraction_ratio,
     picard_solve,
+    psi_apply,
     spectral_tail_fraction,
 )
 
@@ -230,8 +238,7 @@ class TestPicard:
         refined = _flow_recursion(
             grid, fine_times, u0.spectrum, u1.spectrum, fine_source
         )[::2]
-        diff = [v - f.spectrum for v, f in zip(refined, traj.fields)]
-        assert x_norm(t, diff, PP3, make_blocks(grid)) < 2 * tol
+        assert x_norm(t, refined - traj.spectra, PP3, make_blocks(grid)) < 2 * tol
 
     def test_first_correction_scales_with_amplitude_power(self):
         cfg = SolverConfig.uniform(2.0, 33, picard_tol=1e-14, max_iters=2)
@@ -291,7 +298,7 @@ def sample_path_picard(u0, u1, pp, cfg):
             peak = np.max(np.abs(v))
             if not np.isfinite(peak) or peak > cfg.blowup_threshold:
                 return current, diffs, float(t)
-        steps = [grid.field(a - b).spectrum for a, b in zip(update, correction)]
+        steps = np.stack([grid.field(a - b).spectrum for a, b in zip(update, correction)])
         diffs.append(x_norm(times, steps, pp, blocks))
         current = trajectory(iterate)
         correction = update
@@ -399,6 +406,34 @@ class TestCoefficientPath:
             ("inverse", "padded"): pairs,
         }
 
+    def test_etd_transform_budget_through_an_escape(self, monkeypatch):
+        # As above, plus one inverse transform on the grid for every state
+        # whose Fourier bound does not clear the cap: the gate's peak tells
+        # both whether it escaped and whether its samples are finite, so
+        # the escaping state is sampled once.
+        counts = count_transforms(monkeypatch, 64)
+        grid = make_grid(1, 64, 32.0)
+        u0 = gaussian(grid, width=2.0, amplitude=1.0)
+        cap, bounds = 20.0, []
+
+        def recorded(grid, coeffs):
+            bound = _sup_bound(grid, coeffs)
+            bounds.append(float(bound))
+            return bound
+
+        monkeypatch.setattr(solver, "_sup_bound", recorded)
+        _, diag = etd_oracle(u0, u0, PP2, 0.05, 8.0, blowup_threshold=cap, store_times=[8.0])
+        assert diag.blown_up
+        unclear = sum(not b <= cap * (1.0 - 1e-9) for b in bounds)
+        assert 0 < unclear < len(bounds)
+        pairs = 2 * diag.steps + diag.rejected
+        assert counts == {
+            ("forward", "padded"): pairs,
+            ("forward", "grid"): 1,
+            ("inverse", "padded"): pairs,
+            ("inverse", "grid"): unclear,
+        }
+
 
 def per_node_integrand(t, coeffs, pp, blocks):
     """B^s_{2,2}, B^0_{r,2} and their weighted sum at one node, reduced
@@ -423,10 +458,11 @@ def per_node_picard(u0, u1, pp, cfg):
         update = list(duhamel_integral(grid, times, source))
         iterate = [a + b for a, b in zip(linear, update)]
         for t, c in zip(times, iterate):
-            if solver._escaped(grid, c, cfg.blowup_threshold):
+            peak = solver._peaks(grid, c, cfg.blowup_threshold)
+            if not (np.isfinite(peak) and peak <= cfg.blowup_threshold):
                 return kept, diffs, float(t)
         norms = [
-            _x_integrand([t], [a - b], pp, blocks)[2][0]
+            _x_integrand([t], (a - b)[np.newaxis], pp, blocks)[2][0]
             for t, a, b in zip(times, update, correction)
         ]
         diffs.append(max([0.0, *norms]))
@@ -463,10 +499,10 @@ class TestNodeBatching:
         ]
         times = np.concatenate([[0.0], np.cumsum(rng.uniform(0.1, 5.0, nodes - 1))])
         ref = np.array([per_node_integrand(t, c, pp, blocks) for t, c in zip(times, spectra)]).T
-        for stacked in (spectra, np.stack(spectra)):
-            got = np.array(_x_integrand(times, stacked, pp, blocks))
-            assert got.tobytes() == ref.tobytes()
-            assert x_norm(times, stacked, pp, blocks) == max([0.0, *ref[2].tolist()])
+        stacked = np.stack(spectra)
+        got = np.array(_x_integrand(times, stacked, pp, blocks))
+        assert got.tobytes() == ref.tobytes()
+        assert x_norm(times, stacked, pp, blocks) == max([0.0, *ref[2].tolist()])
         if nodes >= 2:
             traj = Trajectory(grid, times, tuple(spectra))
             report = decay_study(traj, pp, fit_window=(0.0, math.inf))
@@ -496,6 +532,21 @@ class TestNodeBatching:
             assert diag.blown_up and diag.iterations == escape_iteration
             power_chunk = STACK_POINTS // (2 * grid.points_per_axis)
             assert list(cfg.time_grid).index(escape) >= power_chunk
+
+    def test_psi_apply_matches_one_node_at_a_time(self):
+        # psi_apply takes the powers in stacked chunks of nodes, as Picard
+        # does; a power per node, then the same recursion, is its reference.
+        grid = make_grid(1, 1024, 64.0)
+        u0 = gaussian(grid, width=2.0, amplitude=0.3)
+        times = np.linspace(0.0, 2.0, 37)
+        chunk = STACK_POINTS // (pad_factor_for_power(PP3.p_nl) * grid.points_per_axis)
+        assert 1 < chunk < times.size and times.size % chunk
+        traj = Trajectory(grid, times, _flow_recursion(grid, times, u0.spectrum, u0.spectrum))
+        got = psi_apply(traj, u0, u0, PP3)
+        source = [_power(grid, c, PP3.p_nl) for c in traj.spectra]
+        ref = _flow_recursion(grid, times, u0.spectrum, u0.spectrum, source)
+        assert got.times.tobytes() == times.tobytes()
+        assert got.spectra.tobytes() == ref.tobytes()
 
     def test_picard_peak_memory_in_trajectories(self):
         # The iteration holds the linear solution, the last accepted
@@ -577,6 +628,51 @@ class TestEscapeGate:
         peak = np.max(np.abs(_samples(grid, coeffs, 16)))
         assert peak == pytest.approx(_sup_bound(grid, coeffs), rel=1e-12)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.sampled_from([1, 2]),
+        N=st.sampled_from([8, 16]),
+        L=st.floats(0.5, 200.0),
+        kinds=st.lists(
+            st.sampled_from(["cleared", "under", "over", "inf", "nan"]), min_size=1, max_size=6
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_peaks_of_a_stack_are_each_rows_alone(self, n, N, L, kinds, seed):
+        # The threshold sits between a random spectrum's max-norm and its
+        # Fourier bound, so that spectrum is sampled and stays under it;
+        # scaled down it is cleared, scaled up it crosses, and an inf or a
+        # NaN coefficient makes the bound and the samples non-finite.
+        grid = make_grid(n, N, L)
+        rng = np.random.default_rng(seed)
+        shape = grid.spectral_shape
+        base = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        peak = np.max(np.abs(_samples(grid, base, N)))
+        bound = _sup_bound(grid, base)
+        assert peak < bound
+        threshold = math.sqrt(peak * bound)
+        rows = {"cleared": 1e-3 * base, "under": base, "over": 1e3 * base}
+        rows["inf"], rows["nan"] = base.copy(), base.copy()
+        rows["inf"].flat[rng.integers(base.size)] = math.inf
+        rows["nan"].flat[rng.integers(base.size)] = math.nan
+        stack = np.stack([rows[k] for k in kinds])
+        calls = []
+
+        def counted(*args):
+            calls.append(args[1].shape)
+            return _samples(*args)
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(solver, "_samples", counted)
+            peaks = _peaks(grid, stack, threshold)
+        unclear = [k != "cleared" for k in kinds]
+        assert calls == ([(sum(unclear),) + shape] if any(unclear) else [])
+        alone = np.array([_peaks(grid, row, threshold) for row in stack])
+        assert peaks.tobytes() == alone.tobytes()
+        escaped = ~(np.isfinite(peaks) & (peaks <= threshold))
+        assert escaped.tolist() == [k in ("over", "inf", "nan") for k in kinds]
+        assert np.all(peaks[~escaped] <= threshold)
+
     @staticmethod
     def sampled_runs(monkeypatch, run, gate):
         """run() with the gate as given (or forced to sample every state),
@@ -590,7 +686,11 @@ class TestEscapeGate:
         with monkeypatch.context() as m:
             m.setattr(solver, "_samples", counted)
             if not gate:
-                m.setattr(solver, "_sup_bound", lambda *args: math.inf)
+                m.setattr(
+                    solver,
+                    "_sup_bound",
+                    lambda grid, coeffs: np.full(coeffs.shape[: -grid.n], math.inf),
+                )
             traj, diag = run()
         return traj, diag, len(calls)
 
