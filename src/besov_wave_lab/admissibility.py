@@ -20,6 +20,7 @@ __all__ = [
     "ConditionResult",
     "AdmissibilityVerdict",
     "AdmissibilityError",
+    "check_decay_integrability",
     "check_lwp",
     "require_lwp",
     "check_gwp",
@@ -71,11 +72,17 @@ class AdmissibilityVerdict:
         return {c.name: c.status for c in self.conditions}
 
 
+def check_decay_integrability(r) -> None:
+    """Raise ValueError unless r, the solution space's decay integrability,
+    lies in (2, inf): the one copy of that domain rule."""
+    if not 2.0 < r < math.inf:
+        raise ValueError(f"decay integrability r must lie in (2, inf), got {r}")
+
+
 def _validate_domain(n, r, p) -> None:
     if int(n) != n or n < 1:
         raise ValueError(f"dimension must be a positive integer, got {n}")
-    if not (r > 2 and math.isfinite(float(r))):
-        raise ValueError(f"decay integrability r must lie in (2, inf), got {r}")
+    check_decay_integrability(r)
     if int(p) != p:
         raise ValueError(f"nonlinearity power must be an integer, got {p}")
 

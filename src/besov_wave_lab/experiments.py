@@ -23,7 +23,12 @@ try:
 except ImportError:  # no getrusage (Windows): reports leave minor_faults out
     getrusage = None
 
-from besov_wave_lab.admissibility import check_gwp, check_lwp, require_lwp
+from besov_wave_lab.admissibility import (
+    check_decay_integrability,
+    check_gwp,
+    check_lwp,
+    require_lwp,
+)
 from besov_wave_lab.grid import TorusGrid, make_grid
 from besov_wave_lab.littlewood_paley import make_blocks
 from besov_wave_lab.norms import (
@@ -143,7 +148,7 @@ def read_config(spec: ExperimentSpec, cfg: Config) -> Values:
         name: {key: _read(decl, cfg.get(name, {}).get(key)) for key, decl in keys.items()}
         for name, keys in schema.items()
     }
-    if "problem" in values:
+    if "n" in values.get("problem", {}):
         problem, grid_n = values["problem"], values["grid"]["n"]
         if problem["n"] is None:
             problem["n"] = grid_n
@@ -380,8 +385,7 @@ def run_interpolation(values: Values, out_dir: Path, rng, jobs: int) -> Experime
     grid = make_grid(**values["grid"])
     blocks = make_blocks(grid)
     r, s = values["problem"]["r"], values["problem"]["s"]
-    if not 2.0 < r < math.inf:  # the solution space's decay integrability
-        raise ValueError(f"[problem] r must lie in (2, inf), got {r}")
+    check_decay_integrability(r)
     rows = []
     for theta in values["experiment"]["thetas"]:
         q, alpha = interpolation_exponents(grid.n, r, s, theta)
@@ -640,7 +644,7 @@ REGISTRY: dict[str, ExperimentSpec] = {
             "two-endpoint interpolation inequality for the solution space",
             "||f||_{B^a_q} <= C ||f||_{B^0_r}^(1-theta) ||f||_{B^s_2}^theta",
             run_interpolation,
-            {"grid": GRID, "problem": {key: PROBLEM[key] for key in ("n", "r", "s")},
+            {"grid": GRID, "problem": {key: PROBLEM[key] for key in ("r", "s")},
              "experiment": {"ensemble": 200, "thetas": (0.25, 0.5, 0.75)}},
         ),
         ExperimentSpec(

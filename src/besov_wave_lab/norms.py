@@ -19,6 +19,7 @@ from typing import Iterable
 
 import numpy as np
 
+from besov_wave_lab.admissibility import check_decay_integrability
 from besov_wave_lab.grid import (
     GridField,
     TorusGrid,
@@ -119,8 +120,7 @@ class ProblemParams:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("dimension must be a positive integer")
-        if not (2.0 < self.r < math.inf):
-            raise ValueError(f"decay integrability r must lie in (2, inf), got {self.r}")
+        check_decay_integrability(self.r)
         if int(self.p_nl) != self.p_nl or self.p_nl < 2:
             raise ValueError(f"nonlinearity power must be an integer >= 2, got {self.p_nl}")
 

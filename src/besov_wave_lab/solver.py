@@ -171,8 +171,14 @@ def _sup_bound(grid: TorusGrid, coeffs: np.ndarray):
     coefficients times unit phases, a real part on self-paired entries.
     Stacked on leading axes, each array's bound is the one it gives alone."""
     with np.errstate(over="ignore", invalid="ignore"):
-        bound = (np.abs(coeffs) * grid.mode_weight).sum(axis=tuple(range(-grid.n, 0)))
-    return grid._sup_scale * bound
+        return grid._sup_scale * (np.abs(coeffs) * grid.mode_weight).sum(
+            axis=tuple(range(-grid.n, 0))
+        )
+
+
+def _escapes(peaks, threshold: float):
+    """Blow-ups among peaks of _peaks: NaN, inf (no finite cap holds either) or above threshold."""
+    return np.logical_not(peaks <= min(threshold, sys.float_info.max))
 
 
 def _peaks(grid: TorusGrid, coeffs: np.ndarray, threshold: float):
@@ -180,11 +186,11 @@ def _peaks(grid: TorusGrid, coeffs: np.ndarray, threshold: float):
     if that is finite and under the threshold, and under the size whose
     transform could overflow, by a margin of 1e-9 that no rounding of a
     transform reaches; else the max |u| of its samples, all taken in one
-    _samples call (inf or NaN for a non-finite sample).  A peak that is
-    not finite or is above the threshold is a blow-up."""
+    _samples call (inf or NaN for a non-finite sample).  _escapes tells
+    which peaks are blow-ups."""
     cap = min(threshold, grid._sup_scale * sys.float_info.max)
     peaks = _sup_bound(grid, coeffs)
-    unclear = np.logical_not(peaks <= cap * (1.0 - 1e-9))
+    unclear = _escapes(peaks, cap * (1.0 - 1e-9))
     if np.count_nonzero(unclear):
         peaks = np.array(peaks)
         samples = _samples(grid, coeffs[unclear], grid.points_per_axis)
@@ -352,7 +358,7 @@ def picard_solve(
         diag.iterations = iteration
         for chunk in _node_chunks(times.size, grid.points_per_axis**grid.n):
             peaks = _peaks(grid, linear[chunk] + update[chunk], threshold)
-            escapes = times[chunk][~(np.isfinite(peaks) & (peaks <= threshold))]
+            escapes = times[chunk][_escapes(peaks, threshold)]
             if escapes.size:
                 diag.blown_up, diag.escape_time = True, float(escapes[0])
                 break
@@ -420,8 +426,10 @@ def etd_oracle(
     when the gate _peaks cannot rule its escape out, once; the final tail
     fraction reads the spectrum of the last state with finite samples.
     """
-    if dt <= 0 or T <= 0:
-        raise ValueError("time step and horizon must be positive")
+    if not dt > 0:
+        raise ValueError(f"etd_dt must be positive, got {dt}")
+    if not T > 0:
+        raise ValueError(f"horizon must be positive, got {T}")
     if blowup_threshold <= 0:
         raise ValueError("blowup threshold must be positive")
     if u0.grid != u1.grid:
@@ -458,8 +466,7 @@ def etd_oracle(
             k = j - 1
             continue
         peak = float(_peaks(grid, new_u, blowup_threshold))
-        finite = math.isfinite(peak)
-        escaped = not finite or peak > blowup_threshold
+        finite, escaped = math.isfinite(peak), bool(_escapes(peak, blowup_threshold))
         if j > 0 and escaped:
             diag.rejected += 1
             k = j - 1

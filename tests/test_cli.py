@@ -174,9 +174,11 @@ class TestConfigSchema:
             # interpolation reads r and s, and n from the grid: no power.
             ((CONFIGS / "interpolation.cfg").read_text().replace("s = 5\n", "s = 5\np = 9\n"),
              "unknown key 'p' in [problem]"),
+            ((CONFIGS / "interpolation.cfg").read_text().replace("s = 5\n", "s = 5\nn = 2\n"),
+             "unknown key 'n' in [problem]"),
         ],
         ids=["tolerence", "NN", "sovler", "xi_lo", "sweep-p", "sweep-nodes", "blowup-max_iters",
-             "contraction-etd_dt", "problem-eps", "interpolation-p"],
+             "contraction-etd_dt", "problem-eps", "interpolation-p", "interpolation-n"],
     )
     def test_unknown_section_or_key_exits_2(self, text, named, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "typo.cfg", text)
@@ -298,7 +300,7 @@ points = 12
         text = (CONFIGS / "interpolation.cfg").read_text().replace("r = 4\n", "r = 2\n")
         cfg = write_cfg(tmp_path / "r2.cfg", text)
         assert main(["run", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
-        assert "[problem] r must lie in (2, inf), got 2.0" in capsys.readouterr().err
+        assert "decay integrability r must lie in (2, inf), got 2.0" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "text, named",
@@ -315,9 +317,15 @@ points = 12
              "max_iters must be at least 1, got 0"),
             ((CONFIGS / "global-decay.cfg").read_text().replace("etd_dt = 0.025", "etd_dt = 0"),
              "etd_dt must be positive, got 0.0"),
+            # sweep-critical hands its [solver] keys to the oracle directly.
+            ((CONFIGS / "sweep-critical.cfg").read_text().replace("etd_dt = 0.01", "etd_dt = 0"),
+             "etd_dt must be positive, got 0.0"),
+            ((CONFIGS / "sweep-critical.cfg").read_text().replace("etd_dt = 0.01", "etd_dt = nan"),
+             "etd_dt must be positive, got nan"),
         ],
         ids=["leibniz-ensemble", "paraproduct-pairs", "interpolation-ensemble",
-             "global-decay-max_iters", "contraction-max_iters", "global-decay-etd_dt"],
+             "global-decay-max_iters", "contraction-max_iters", "global-decay-etd_dt",
+             "sweep-critical-etd_dt", "sweep-critical-etd_dt-nan"],
     )
     def test_empty_ensemble_exits_2_and_names_the_key(self, text, named, tmp_path, capsys):
         # An empty ensemble has no maximum: leibniz would divide by it, and

@@ -3,6 +3,7 @@
 import collections
 import dataclasses
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -43,6 +44,7 @@ from besov_wave_lab.solver import (
     SolverConfig,
     _flow_recursion,
     _pair_norm,
+    _escapes,
     _peaks,
     _power,
     _step_weights,
@@ -295,8 +297,7 @@ def sample_path_picard(u0, u1, pp, cfg):
         update = values(duhamel_integral(grid, times, source))
         iterate = [a + b for a, b in zip(linear, update)]
         for t, v in zip(times, iterate):
-            peak = np.max(np.abs(v))
-            if not np.isfinite(peak) or peak > cfg.blowup_threshold:
+            if _escapes(np.max(np.abs(v)), cfg.blowup_threshold):
                 return current, diffs, float(t)
         steps = np.stack([grid.field(a - b).spectrum for a, b in zip(update, correction)])
         diffs.append(x_norm(times, steps, pp, blocks))
@@ -458,8 +459,7 @@ def per_node_picard(u0, u1, pp, cfg):
         update = list(duhamel_integral(grid, times, source))
         iterate = [a + b for a, b in zip(linear, update)]
         for t, c in zip(times, iterate):
-            peak = solver._peaks(grid, c, cfg.blowup_threshold)
-            if not (np.isfinite(peak) and peak <= cfg.blowup_threshold):
+            if _escapes(solver._peaks(grid, c, cfg.blowup_threshold), cfg.blowup_threshold):
                 return kept, diffs, float(t)
         norms = [
             _x_integrand([t], (a - b)[np.newaxis], pp, blocks)[2][0]
@@ -628,6 +628,25 @@ class TestEscapeGate:
         peak = np.max(np.abs(_samples(grid, coeffs, 16)))
         assert peak == pytest.approx(_sup_bound(grid, coeffs), rel=1e-12)
 
+    def test_an_overflowing_bound_is_inf_and_sampled(self, monkeypatch):
+        # At L = 0.5 the bound's scale exceeds 1, so a finite sum overflows
+        # when scaled: the bound is inf, without a warning, and an infinite
+        # bound clears nothing, even under an infinite threshold.
+        grid = make_grid(1, 8, 0.5)
+        coeffs = np.zeros((2,) + grid.spectral_shape, dtype=complex)
+        coeffs[:, 0] = 0.5 * sys.float_info.max
+        assert grid._sup_scale > 2.0
+        assert _sup_bound(grid, coeffs).tolist() == [math.inf, math.inf]
+        calls = []
+
+        def counted(*args):
+            calls.append(args[1].shape)
+            return _samples(*args)
+
+        monkeypatch.setattr(solver, "_samples", counted)
+        assert _peaks(grid, coeffs, math.inf).tolist() == [math.inf, math.inf]
+        assert calls == [coeffs.shape]
+
     @settings(max_examples=60, deadline=None)
     @given(
         n=st.sampled_from([1, 2]),
@@ -669,7 +688,7 @@ class TestEscapeGate:
         assert calls == ([(sum(unclear),) + shape] if any(unclear) else [])
         alone = np.array([_peaks(grid, row, threshold) for row in stack])
         assert peaks.tobytes() == alone.tobytes()
-        escaped = ~(np.isfinite(peaks) & (peaks <= threshold))
+        escaped = _escapes(peaks, threshold)
         assert escaped.tolist() == [k in ("over", "inf", "nan") for k in kinds]
         assert np.all(peaks[~escaped] <= threshold)
 
