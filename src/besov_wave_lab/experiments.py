@@ -53,6 +53,7 @@ from besov_wave_lab.propagator import (
 from besov_wave_lab.reporting import ExperimentReport, Table, write_loglog_svg
 from besov_wave_lab.solver import (
     SolverConfig,
+    _lattice_count,
     _pair_norm,
     blowup_probe,
     contraction_report,
@@ -435,12 +436,8 @@ def run_global_decay(values: Values, out_dir: Path, rng, jobs: int) -> Experimen
     scfg = SolverConfig.uniform(**values["solver"])
     agreement_tol = values["experiment"]["oracle_tol"]
     # The oracle stores only on its own lattice, so every node must sit on it.
-    dt = scfg.etd_dt
     for t in scfg.time_grid:
-        if abs(t - round(t / dt) * dt) > 1e-9 * max(1.0, t):
-            raise ValueError(
-                f"[solver] node t = {t:.12g} is not a multiple of etd_dt = {dt:g}"
-            )
+        _lattice_count(t, scfg.etd_dt, "[solver] node t")
     u = _data_field(values["data"], grid, rng)
     traj, diag = picard_solve(u, u, pp, scfg)
     if diag.blown_up:
@@ -502,14 +499,15 @@ def run_blowup_probe(values: Values, out_dir: Path, rng, jobs: int) -> Experimen
     return blowup_probe(u, u, pp, scfg)
 
 
-def _sweep_one(args) -> tuple[int, str, float | None, int]:
+def _sweep_one(args) -> tuple[int, str, float | None, int, int]:
     u, pp, solver = args
     T = solver["T"]
     _, diag = etd_oracle(
         u, u, pp, solver["etd_dt"], T,
         blowup_threshold=solver["blowup_threshold"], store_times=[T],
     )
-    return pp.p_nl, ("escape" if diag.blown_up else "decay"), diag.escape_time, diag.steps
+    verdict = "escape" if diag.blown_up else "decay"
+    return pp.p_nl, verdict, diag.escape_time, diag.steps, diag.rejected
 
 
 def run_sweep_critical(values: Values, out_dir: Path, rng, jobs: int) -> ExperimentReport:
@@ -526,17 +524,19 @@ def run_sweep_critical(values: Values, out_dir: Path, rng, jobs: int) -> Experim
     fujita = 1.0 + 2.0 * r / n
     rows = [
         [float(p), 1.0 if verdict == "escape" else 0.0, t if t is not None else -1.0,
-         float(steps)]
-        for p, verdict, t, steps in results
+         float(steps), float(rejected)]
+        for p, verdict, t, steps, rejected in results
     ]
     # The claim: every power below 1 + 2r/n escapes, every other one decays.
-    boundary = all((v == "escape") == (p < fujita) for p, v, _, _ in results)
+    boundary = all((v == "escape") == (p < fujita) for p, v, *_ in results)
     return ExperimentReport(
         kind="sweep-critical",
         scalars={"fujita": fujita},
         verdicts={"boundary_at_critical": "pass" if boundary else "fail"},
         tables={
-            "sweep": Table(columns=["p", "escaped", "escape_time", "steps"], rows=rows)
+            "sweep": Table(
+                columns=["p", "escaped", "escape_time", "steps", "rejected"], rows=rows
+            )
         },
         meta={"n": n, "r": r},
     )

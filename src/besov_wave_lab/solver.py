@@ -12,10 +12,11 @@ from the linear solution and stops when successive iterates are close in
 the weighted solution norm.  The ETD oracle takes the same step with the
 source at its end predicted by a first-order step (ETD2); the two loops
 share the step and its cached weights and nothing more.  The oracle's
-steps come from the ladder dt * 2^k and are controlled by the corrector
-term, the scheme's own error estimate, against ETD_TOL; dt is the floor,
-so no run takes more steps than at fixed dt, and every step lands on or
-before the next store time.
+steps are whole counts of dt: a rung dt * 2^k of a ladder, cut short to
+land on the next store time.  The corrector term, the scheme's own error
+estimate, picks the rung against ETD_TOL, and may climb several rungs at
+once; dt is the floor, so no run takes more steps than at fixed dt, and
+every store time is hit exactly.
 
 Both time loops hold spectra from start to finish: u^p comes from the
 alias-free kernel grid.dealiased_pointwise on spectra they hold, Picard's
@@ -132,7 +133,7 @@ class PicardDiagnostics:
 @dataclass
 class OracleDiagnostics:
     steps: int = 0  # steps taken
-    rejected: int = 0  # steps retried one rung down
+    rejected: int = 0  # steps retried on the largest rung shorter than them
     blown_up: bool = False
     escape_time: float | None = None
     final_tail_fraction: float = 0.0
@@ -387,6 +388,15 @@ def picard_solve(
     return Trajectory(grid, times, spectra), diag
 
 
+def _lattice_count(t: float, dt: float, what: str) -> int:
+    """The integer m with t = m dt, up to 1e-9 relative; what names t in
+    the error raised for a t off the dt lattice."""
+    count = t / dt
+    if not math.isfinite(count) or abs(t - round(count) * dt) > 1e-9 * max(1.0, abs(t)):
+        raise ValueError(f"{what} = {t:.12g} is not a multiple of etd_dt = {dt:g}")
+    return round(count)
+
+
 def _pair_norm(grid: TorusGrid, *spectra: np.ndarray) -> float:
     """L^2 norm, up to a factor dxi^(n/2), of a field or a pair (u, v) from
     its half spectra (Parseval)."""
@@ -405,26 +415,34 @@ def etd_oracle(
     store_times: Sequence[float] | None = None,
 ) -> tuple[Trajectory, OracleDiagnostics]:
     """Exponential time differencing (ETD2) on the pair (u, u_t), with
-    error-controlled steps on the ladder dt * 2^k.
+    error-controlled steps on the ladder dt * 2^k that land on store times.
 
     Each step is _step with the source at its end, n1, read off the
     first-order update: exact on linear problems, second order otherwise.
     The correction i2 (n1 - n0), in the u and the v slot, is the gap between
     the first- and the second-order update, a local error estimate that
-    costs no extra transform.  A step of rung k > 0 whose estimate exceeds
-    ETD_TOL times the L^2 norm of the pair at its start, or that escapes, is
-    retried one rung down with the same n0.  An accepted step whose estimate
-    is below an eighth of that climbs one rung: the estimate grows like the
-    step squared, so the next step stays under the tolerance with a factor 2
-    to spare.  Rung 0 is always accepted, which makes dt the floor: no run
-    takes more steps than at fixed dt, and an escape is resolved to dt.  The
-    position is an integer count of dt (t = m dt), and no step crosses the
-    next store time or the horizon, so every store time is hit exactly.  The
-    first step with a non-finite sample or one above blowup_threshold is the
-    escape, stored when its samples are finite; stores hold spectra, in one
-    array sized for every store time and an escape.  A step is sampled only
-    when the gate _peaks cannot rule its escape out, once; the final tail
-    fraction reads the spectrum of the last state with finite samples.
+    costs no extra transform.  The position is an integer count of dt
+    (t = m dt), and a step on rung k is min(2^k, room) counts, room being
+    the count to the next store time or the horizon: a gap the rung covers
+    is one step, and every store time is hit exactly.  A step of more than
+    one dt whose estimate exceeds ETD_TOL times the L^2 norm of the pair at
+    its start, or that escapes, is retried with the same n0 on the largest
+    rung shorter than it.  A step of one dt is always accepted, which makes
+    dt the floor: no run takes more steps than at fixed dt, and an escape
+    is resolved to dt.  An accepted step of a whole rung (not one cut short
+    to land) climbs the largest r rungs with 2 * 4^r times its estimate
+    under the tolerance: the estimate grows like the step squared, so the
+    next step stays under the tolerance with a factor 2 to spare.  The
+    climb stops at the first rung longer than the horizon, or an estimate
+    of 0 (u^p underflowing) would climb without end.  Store times must lie
+    on the dt lattice (to 1e-9 relative, by _lattice_count), in (0, T], and
+    apart after rounding, or ValueError names the first that does not; none
+    is moved, dropped or merged.  The first step with a non-finite sample
+    or one above blowup_threshold is the escape, stored when its samples
+    are finite; stores hold spectra, in one array sized for every store
+    time and an escape.  A step is sampled only when the gate _peaks cannot
+    rule its escape out, once; the final tail fraction reads the spectrum
+    of the last state with finite samples.
     """
     if not dt > 0:
         raise ValueError(f"etd_dt must be positive, got {dt}")
@@ -435,17 +453,20 @@ def etd_oracle(
     if u0.grid != u1.grid:
         raise ValueError("initial data live on different grids")
     grid = u0.grid
-    steps = int(round(T / dt))
-    if abs(steps * dt - T) > 1e-9 * max(1.0, T):
-        raise ValueError("horizon must be an integer number of steps")
-
+    steps = _lattice_count(T, dt, "horizon T")
     if store_times is None:
         store_idx = set(range(0, steps + 1, max(1, steps // 200)))
         store_idx.add(steps)
     else:
-        store_idx = {int(round(t / dt)) for t in store_times}
-        store_idx.add(0)
-    landings = sorted(m for m in store_idx | {steps} if 0 < m <= steps)
+        store_idx = {0}
+        for t in store_times:
+            m = _lattice_count(t, dt, "store time t")
+            if not 0 < m <= steps:
+                raise ValueError(f"store time t = {t:.12g} lies outside (0, T = {T:g}]")
+            if m in store_idx:
+                raise ValueError(f"store time t = {t:.12g} repeats an earlier store time")
+            store_idx.add(m)
+    landings = sorted((store_idx | {steps}) - {0})
     power = partial(_power, grid, p=pp.p_nl)
 
     uh, vh = u0.spectrum, u1.spectrum
@@ -458,25 +479,29 @@ def etd_oracle(
             n0 = power(uh)
             scale = ETD_TOL * _pair_norm(grid, uh, vh)
         room = landings[bisect.bisect_right(landings, m)] - m
-        j = min(k, room.bit_length() - 1)
-        new_u, new_v, (cu, cv) = _step(grid, dt * 2**j, uh, vh, n0, power)
+        units = min(2**k, room)
+        new_u, new_v, (cu, cv) = _step(grid, dt * units, uh, vh, n0, power)
         err = _pair_norm(grid, cu, cv)
-        if j > 0 and not err <= scale:
+        retry = units > 1 and not err <= scale
+        if not retry:
+            peak = float(_peaks(grid, new_u, blowup_threshold))
+            finite, escaped = math.isfinite(peak), bool(_escapes(peak, blowup_threshold))
+            retry = units > 1 and escaped
+        if retry:
             diag.rejected += 1
-            k = j - 1
-            continue
-        peak = float(_peaks(grid, new_u, blowup_threshold))
-        finite, escaped = math.isfinite(peak), bool(_escapes(peak, blowup_threshold))
-        if j > 0 and escaped:
-            diag.rejected += 1
-            k = j - 1
+            k = (units - 1).bit_length() - 1
             continue
         uh, vh = new_u, new_v
         n0 = None
-        m += 2**j
+        m += units
         diag.steps += 1
-        if j == k and 8.0 * err < scale:
-            k += 1
+        if units == 2**k:
+            # The estimate grows like h^2, so r rungs up it is 4^r err: climb
+            # as far as that stays under the scale with a factor 2 to spare.
+            bound = 2.0 * err
+            while k < steps.bit_length() and 4.0 * bound < scale:
+                bound *= 4.0
+                k += 1
         if finite:
             last = uh
             if escaped or m in store_idx:

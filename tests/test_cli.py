@@ -563,8 +563,8 @@ blowup_threshold = 50
         # Steps taken per power: the escape at p = 2 ends its run early, and
         # no run takes more than the 800 steps of 0.01 to T = 8.
         table = report["tables"]["sweep"]
-        assert table["columns"] == ["p", "escaped", "escape_time", "steps"]
-        (_, _, t_escape, escape_steps), (_, _, _, calm_steps) = table["rows"]
+        assert table["columns"] == ["p", "escaped", "escape_time", "steps", "rejected"]
+        (_, _, t_escape, escape_steps, _), (_, _, _, calm_steps, _) = table["rows"]
         assert escape_steps <= round(t_escape / 0.01)
         assert 0 < calm_steps <= 800.0
 

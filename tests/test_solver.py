@@ -3,6 +3,7 @@
 import collections
 import dataclasses
 import math
+import re
 import sys
 import tracemalloc
 
@@ -872,9 +873,64 @@ class TestEtdOracle:
         with pytest.raises(ValueError, match="blowup threshold must be positive"):
             etd_oracle(u0, u0, PP3, 0.1, 1.0, blowup_threshold=0.0)
 
+    @pytest.mark.parametrize(
+        "T, store, message",
+        [
+            (4.0, [0.3, 1.1, 5.0, -1.0], "store time t = 0.3 is not a multiple of etd_dt = 0.25"),
+            (4.0, [0.3, 0.26], "store time t = 0.3 is not a multiple of etd_dt = 0.25"),
+            (4.0, [1.0, math.nan], "store time t = nan is not a multiple of etd_dt = 0.25"),
+            (4.0, [1.0, 5.0, -1.0], "store time t = 5 lies outside (0, T = 4]"),
+            (4.0, [-1.0], "store time t = -1 lies outside (0, T = 4]"),
+            (4.0, [0.0, 4.0], "store time t = 0 lies outside (0, T = 4]"),
+            (4.0, [0.5, 2.0, 0.5 + 1e-12], "store time t = 0.500000000001 repeats an earlier"),
+            (4.0, [4.0, 4.0], "store time t = 4 repeats an earlier"),
+            (4.1, [4.0], "horizon T = 4.1 is not a multiple of etd_dt = 0.25"),
+        ],
+    )
+    def test_store_times_off_the_lattice_outside_or_repeated_raise(self, T, store, message):
+        # A caller pairs the stores with its own times by position, so each
+        # time must get one store, at that time, or the run must not start.
+        u0 = self.grid.zeros()
+        with pytest.raises(ValueError, match=re.escape(message)):
+            etd_oracle(u0, u0, PP3, 0.25, T, store_times=store)
+
+    def test_store_gaps_are_one_step_each_in_the_linear_regime(self):
+        # 24 store gaps of 50 steps at amplitude 1e-7: the first step, of dt,
+        # climbs to the top rung at once, and every later step lands on the
+        # next store time, on 3 weight sets (dt, 49 dt and 50 dt).
+        grid = make_grid(1, 256, 64.0)
+        u0, u1 = small_gaussian_data(grid, 1e-7)
+        dt, gaps = 0.025, 50 * np.arange(1, 25)
+        traj, diag = etd_oracle(u0, u1, PP3, dt, 30.0, store_times=dt * gaps)
+        assert np.array_equal(traj.times, dt * np.concatenate([[0], gaps]))
+        assert diag.steps <= 25 and diag.rejected == 0
+        assert len(grid._steps) <= 3
+
+    def test_horizon_only_run_takes_two_steps(self):
+        # 1200 steps of dt: one step of dt, then one of the remaining 1199,
+        # exact on the linear flow as every step is.
+        grid = make_grid(1, 256, 64.0)
+        amp = 1e-7
+        u0, u1 = small_gaussian_data(grid, amp)
+        traj, diag = etd_oracle(u0, u1, PP3, 0.025, 30.0, store_times=[30.0])
+        assert diag.steps == 2
+        assert traj.times.tolist() == [0.0, 30.0]
+        ref = linear_solution(u0, u1, 30.0)
+        assert np.max(np.abs(traj.fields[-1].values - ref.values)) < 1e-10 * amp / 0.3
+
+    def test_an_estimate_of_zero_climbs_no_further_than_the_horizon(self):
+        # At amplitude 1e-120, u^3 underflows to 0, so every estimate is 0
+        # and clears any bound; the climb stops at the rung above the
+        # horizon, and the run ends.
+        grid = make_grid(1, 64, 64.0)
+        u0, u1 = small_gaussian_data(grid, 1e-120)
+        traj, diag = etd_oracle(u0, u1, PP3, 0.01, 100.0, store_times=[100.0])
+        assert diag.steps == 2
+        assert traj.times.tolist() == [0.0, 100.0]
+
     def test_store_times_hit_bit_for_bit(self, monkeypatch):
-        # Gaps of 24, 56, 108 and 212 steps are no power of two, so every
-        # landing is a capped step.
+        # Gaps of 24, 56, 108 and 212 steps are no power of two, so a landing
+        # taken from a rung above its gap is a step of the gap itself.
         u0, u1 = small_gaussian_data(self.grid, 1e-3)
         dt, store = 0.0125, [0.3, 1.0, 2.35, 5.0]
         traj, diag = etd_oracle(u0, u1, PP3, dt, 5.0, store_times=store)
