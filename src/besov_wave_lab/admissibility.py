@@ -12,9 +12,11 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
+
+from besov_wave_lab.reporting import Check
 
 __all__ = [
     "ConditionResult",
@@ -27,19 +29,30 @@ __all__ = [
     "suggest_s",
 ]
 
-Number = Union[float, Fraction]
-
 
 @dataclass(frozen=True)
 class ConditionResult:
+    """One hypothesis, held when every check of one of its alternatives
+    passes: one alternative for a plain condition, two for (iii)."""
+
     name: str
-    status: str  # pass | fail | not-applicable
-    margin: float
+    alternatives: tuple[tuple[Check, ...], ...]
     detail: str
 
     @property
+    def status(self) -> str:
+        """Judged on the count of alternatives that hold, which must be positive."""
+        holding = sum(all(c.status == "pass" for c in alt) for alt in self.alternatives)
+        return Check(holding, ">", 0).status
+
+    @property
     def ok(self) -> bool:
-        return self.status != "fail"
+        return self.status == "pass"
+
+    @property
+    def margin(self) -> float:
+        """The best alternative's least slack: negative when it fails."""
+        return float(max(min(c.margin for c in alt) for alt in self.alternatives))
 
 
 @dataclass(frozen=True)
@@ -92,16 +105,6 @@ def _exactify(x: float) -> Fraction:
     return Fraction(*float(x).as_integer_ratio())
 
 
-def _cond(name: str, margin: Number, strict: bool, detail: str) -> ConditionResult:
-    satisfied = margin > 0 if strict else margin >= 0
-    return ConditionResult(
-        name=name,
-        status="pass" if satisfied else "fail",
-        margin=float(margin),
-        detail=detail,
-    )
-
-
 def check_lwp(
     n: int, r: float, s: float, p: int, *, exact: bool = False
 ) -> AdmissibilityVerdict:
@@ -124,59 +127,46 @@ def check_lwp(
 
     # (i) smoothness above the scaling line, strict.
     bound_i = n_ * (half - 1 / r_)
-    cond_i = _cond(
-        "condition_i", s_ - bound_i, True, f"requires s > {float(bound_i):.6g}, s = {float(s_):.6g}"
+    cond_i = ConditionResult(
+        "condition_i", ((Check(s_, ">", bound_i),),),
+        f"requires s > {float(bound_i):.6g}, s = {float(s_):.6g}",
     )
 
-    # (ii) the power window.
+    # (ii) the power window, whose parts mix strict and non-strict bounds.
     if s_ <= 0:
         cond_ii = ConditionResult(
-            "condition_ii", "fail", -math.inf, "requires s > 0 for the lower bound"
+            "condition_ii", ((Check(s_, ">", 0),),), "requires s > 0 for the lower bound"
         )
     else:
         lower = min(r_ / 2, 1 + r_ / (2 * s_) - 1 / s_)
-        margins = [(p_ - lower, False, f"lower bound {float(lower):.6g} <= p")]
+        parts = [(Check(p_, ">=", lower), f"lower bound {float(lower):.6g} <= p")]
         if 2 * s_ < n_:
             window = 1 + n_ / (n_ - 2 * s_)
             upper = 1 + 2 / (n_ - 2 * s_)
-            margins.append((window - p_, True, f"p < {float(window):.6g}"))
-            margins.append((upper - p_, False, f"p <= {float(upper):.6g}"))
-        ok = all((m > 0 if strict else m >= 0) for m, strict, _ in margins)
+            parts.append((Check(p_, "<", window), f"p < {float(window):.6g}"))
+            parts.append((Check(p_, "<=", upper), f"p <= {float(upper):.6g}"))
         cond_ii = ConditionResult(
-            "condition_ii",
-            "pass" if ok else "fail",
-            float(min(m for m, _, _ in margins)),
-            "; ".join(d for _, _, d in margins),
+            "condition_ii", (tuple(c for c, _ in parts),), "; ".join(d for _, d in parts)
         )
 
     # (iii) either enough smoothness, or beta <= 1 with a power cap.
     bound_a = (2 * n_ - 1) * (half - 1 / r_)
-    disj_a = _cond("iii_a", s_ - bound_a, False, f"(2n-1)(1/2-1/r) = {float(bound_a):.6g} <= s")
-    beta_margin = 1 - beta
+    alt_a = (Check(s_, ">=", bound_a),)
+    a_detail = f"(2n-1)(1/2-1/r) = {float(bound_a):.6g} <= s"
     if 2 * s_ < n_:
         cap = (2 * n_ / (n_ - 2 * s_)) * (1 / r_ + (1 - beta) / n_)
-        b_margin: Number = min(beta_margin, cap - p_)
+        alt_b = (Check(beta, "<=", 1), Check(p_, "<=", cap))
         b_detail = f"beta <= 1 and p <= {float(cap):.6g}"
     else:
-        b_margin = beta_margin
+        alt_b = (Check(beta, "<=", 1),)
         b_detail = "beta <= 1 (no power cap since 2s >= n)"
-    disj_b = _cond("iii_b", b_margin, False, b_detail)
-    if disj_a.ok and disj_b.ok:
-        iii_disjunct = "both"
-    elif disj_a.ok:
-        iii_disjunct = "smoothness"
-    elif disj_b.ok:
-        iii_disjunct = "beta-window"
-    else:
-        iii_disjunct = None
-    cond_iii = ConditionResult(
-        "condition_iii",
-        "pass" if (disj_a.ok or disj_b.ok) else "fail",
-        max(disj_a.margin, disj_b.margin),
-        f"{disj_a.detail} OR {disj_b.detail}",
-    )
+    a_ok, b_ok = (all(c.status == "pass" for c in alt) for alt in (alt_a, alt_b))
+    iii_disjunct = ("both" if b_ok else "smoothness") if a_ok else "beta-window" if b_ok else None
+    cond_iii = ConditionResult("condition_iii", (alt_a, alt_b), f"{a_detail} OR {b_detail}")
 
-    cond_p = _cond("integer_p", p_ - 2, False, f"integer power p >= 2, p = {int(p_)}")
+    cond_p = ConditionResult(
+        "integer_p", ((Check(p_, ">=", 2),),), f"integer power p >= 2, p = {int(p_)}"
+    )
 
     return AdmissibilityVerdict(
         condition_i=cond_i,
@@ -218,10 +208,9 @@ def check_gwp(
     else:
         p_ = p
         threshold = 1.0 + 2.0 * float(r) / float(n)
-    cond = _cond(
+    cond = ConditionResult(
         "gwp_threshold",
-        p_ - threshold,
-        False,
+        ((Check(p_, ">=", threshold),),),
         f"p >= 1 + 2r/n = {float(threshold):.6g} (critical case included)",
     )
     return dataclasses.replace(base, gwp_threshold=cond)
@@ -244,8 +233,5 @@ def suggest_s(
         verdict = check_lwp(n, r, float(s), p)
         if verdict.passed:
             return float(s), None
-        for cond in verdict.conditions:
-            if not cond.ok:
-                binding = cond.name
-                break
+        binding = next(c.name for c in verdict.conditions if not c.ok)
     return None, binding

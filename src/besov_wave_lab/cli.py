@@ -7,8 +7,9 @@ Usage:
 
 Configs are flat INI sections (auditable key = value lines), read by
 experiments.run_experiment, which also applies the admissibility policy.
-Exit codes: 0 success, 2 config error, 3 admissibility failure without
-override, 4 blow-up inside a run that asserted global decay.
+Exit codes: 0 every check passed, 2 config error, 3 admissibility failure
+without override, 4 blow-up inside a run that asserted global decay, 5 a
+check that did not pass (its report is saved first).
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_ADMISSIBILITY = 3
 EXIT_BLOWUP = 4
+EXIT_CHECK = 5
 
 
 class ConfigError(ValueError):
@@ -119,7 +121,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     print(f"{kind}: {status} -> {path}")
     for name, verdict in sorted(report.verdicts.items()):
         print(f"  {name}: {verdict}")
-    return EXIT_OK
+    return EXIT_OK if report.passed() else EXIT_CHECK
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -1,9 +1,9 @@
 """Experiment reports: JSON/CSV serialization and minimal SVG log-log plots.
 
 Reports are deterministic given a config and seed: scalars are plain floats
-serialized via repr, tables are column-named row lists, and the timing
-block (timestamp, wall and CPU seconds, minor page faults) is the only
-part excluded from reproducibility comparisons.
+serialized via repr, checks hold each verdict's value, relation and bound,
+tables are column-named row lists, and the timing block (timestamp, wall
+and CPU seconds, minor page faults) alone is left out of comparisons.
 """
 
 from __future__ import annotations
@@ -12,12 +12,36 @@ import csv
 import hashlib
 import json
 import math
+import operator
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
-__all__ = ["Table", "ExperimentReport", "config_hash", "write_loglog_svg"]
+__all__ = ["Check", "Table", "ExperimentReport", "config_hash", "write_loglog_svg"]
+
+
+@dataclass(frozen=True)
+class Check:
+    """A value judged against a bound by one of RELATIONS: "pass", "fail" (also
+    for NaN), or "undetermined" for a value of None, which does not pass."""
+
+    value: Any
+    relation: str
+    bound: Any
+    RELATIONS = {"<": operator.lt, "<=": operator.le, "==": operator.eq,
+                 ">=": operator.ge, ">": operator.gt}
+
+    @property
+    def status(self) -> str:
+        if self.value is None:
+            return "undetermined"
+        return "pass" if self.RELATIONS[self.relation](self.value, self.bound) else "fail"
+
+    @property
+    def margin(self) -> Any:
+        """How far value clears the bound of an inequality; negative past it."""
+        return self.value - self.bound if ">" in self.relation else self.bound - self.value
 
 
 @dataclass
@@ -43,12 +67,16 @@ class Table:
 class ExperimentReport:
     kind: str
     scalars: dict[str, float] = field(default_factory=dict)
-    verdicts: dict[str, str] = field(default_factory=dict)
+    checks: dict[str, Check] = field(default_factory=dict)
     tables: dict[str, Table] = field(default_factory=dict)
     meta: dict[str, Any] = field(default_factory=dict)
     runtime_s: float = 0.0
     cpu_s: float = 0.0
     minor_faults: int | None = None
+
+    @property
+    def verdicts(self) -> dict[str, str]:
+        return {name: check.status for name, check in self.checks.items()}
 
     def passed(self) -> bool:
         return all(v == "pass" for v in self.verdicts.values())
@@ -58,6 +86,7 @@ class ExperimentReport:
             "kind": self.kind,
             "scalars": dict(sorted(self.scalars.items())),
             "verdicts": dict(sorted(self.verdicts.items())),
+            "checks": {name: asdict(c) for name, c in sorted(self.checks.items())},
             "tables": {k: t.to_dict() for k, t in sorted(self.tables.items())},
             "meta": dict(sorted(self.meta.items())),
             # The single volatile field: everything else is reproducible

@@ -25,6 +25,22 @@ class TestWorkedVerdicts:
         assert v.condition_i.status == "fail"
         assert v.condition_i.margin == pytest.approx(0.2 - 0.25)
 
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_condition_ii_judges_each_part_in_its_own_sense(self, exact):
+        # n = 1, r = 4, s = 1/4: lower bound 2 <= p, window p < 3, cap p <= 5.
+        # Both powers have least slack 0, so one margin cannot tell them
+        # apart: p = 2 meets the non-strict lower bound, p = 3 misses the
+        # strict window.
+        at_lower = check_lwp(1, 4.0, 0.25, 2, exact=exact).condition_ii
+        at_window = check_lwp(1, 4.0, 0.25, 3, exact=exact).condition_ii
+        assert (at_lower.status, at_lower.margin) == ("pass", 0.0)
+        assert (at_window.status, at_window.margin) == ("fail", 0.0)
+
+    def test_condition_ii_needs_positive_s(self):
+        cond = check_lwp(1, 4.0, -0.5, 9).condition_ii
+        assert cond.status == "fail"
+        assert cond.margin == -0.5  # the slack of s > 0
+
     def test_non_integer_power_rejected(self):
         with pytest.raises(ValueError, match="integer"):
             check_lwp(1, 4.0, 5.0, 2.5)

@@ -1,5 +1,6 @@
 """CLI contract: exit codes, artifacts, reproducibility."""
 
+import functools
 import json
 from pathlib import Path
 
@@ -9,6 +10,7 @@ from besov_wave_lab.admissibility import AdmissibilityError
 from besov_wave_lab.cli import (
     EXIT_ADMISSIBILITY,
     EXIT_BLOWUP,
+    EXIT_CHECK,
     EXIT_CONFIG,
     EXIT_OK,
     load_config,
@@ -272,7 +274,9 @@ points = 12
         assert main(["run", cfg, "--out", str(out)]) == EXIT_OK
         report = json.loads((out / "high-frequency-bound.json").read_text())
         assert report["verdicts"] == {"log_growth_only": "pass"}
-        assert 0.0 <= report["scalars"]["delta_hat"] <= report["scalars"]["delta_cap"]
+        assert report["checks"]["log_growth_only"] == {
+            "value": report["scalars"]["delta_hat"], "relation": "<=", "bound": 10.0
+        }
         assert (out / "high-frequency-bound.svg").exists()
 
     def test_missing_config_exits_2(self, tmp_path, capsys):
@@ -422,8 +426,11 @@ amplitude = 0.3
 """
         cfg = write_cfg(tmp_path / "history.cfg", text)
         out = tmp_path / "o"
-        assert main(["run", cfg, "--out", str(out)]) == EXIT_OK
+        # Four iterations do not converge and T = 4 is too short a window to
+        # show the weighted sup saturate: two checks fail, so the run exits 5.
+        assert main(["run", cfg, "--out", str(out)]) == EXIT_CHECK
         report = json.loads((out / "global-decay.json").read_text())
+        assert report["verdicts"]["picard_converged"] == "fail"
         table = report["tables"]["picard"]
         assert table["columns"] == ["iteration", "diff_norm"]
         iterations = int(report["scalars"]["picard_iterations"])
@@ -537,7 +544,7 @@ blowup_threshold = 50
 """
         cfg = write_cfg(tmp_path / "sweep.cfg", text)
         out = tmp_path / "o"
-        assert main(["run", cfg, "--out", str(out), "--jobs", "2"]) == EXIT_OK
+        assert main(["run", cfg, "--out", str(out), "--jobs", "2"]) == EXIT_CHECK
         report = json.loads((out / "sweep-critical.json").read_text())
         # Amplitude 1 ignites all, so p = 9 = 1 + 2r/n escapes too.
         assert report["tables"]["sweep"]["rows"][0][:2] == [2.0, 1.0]
@@ -609,7 +616,9 @@ class TestAdmissibilityGate:
     def test_override_runs_the_sweep(self, tmp_path, capsys):
         text = SWEEP_CFG.format(powers="2,9", r="6", s="0.6", profile="gaussian")
         code, out = self.run(tmp_path, text, "--override-admissibility")
-        assert code == EXIT_OK
+        # At amplitude 0.1 and T = 1 nothing escapes, so both powers, below
+        # 1 + 2r/n = 13, sit on the wrong side and the boundary check fails.
+        assert code == EXIT_CHECK
         report = json.loads((out / "sweep-critical.json").read_text())
         assert [row[0] for row in report["tables"]["sweep"]["rows"]] == [2.0, 9.0]
         assert set(report["verdicts"]) == {"boundary_at_critical"}
@@ -640,6 +649,21 @@ class TestAdmissibilityGate:
         assert "unknown data profile" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="class")
+def kind_only(tmp_path_factory):
+    """Exit code and saved report of the run of a config that names only
+    its kind, run once per kind."""
+    root = tmp_path_factory.mktemp("kind-only")
+
+    @functools.cache
+    def run(kind):
+        cfg = write_cfg(root / f"{kind}.cfg", f"[experiment]\nkind = {kind}\n")
+        code = main(["run", cfg, "--out", str(root / kind)])
+        return code, json.loads((root / kind / f"{kind}.json").read_text())
+
+    return run
+
+
 class TestShippedConfigs:
     @pytest.mark.parametrize(
         "name",
@@ -649,7 +673,7 @@ class TestShippedConfigs:
         ],
     )
     def test_quick_configs_run_clean(self, name, tmp_path, capsys):
-        # A failing verdict still exits 0, so the saved verdicts are read too.
+        # Exit 0 means every check passed; the saved verdicts say which.
         cfg = CONFIGS / name
         assert cfg.exists()
         assert main(["run", str(cfg), "--out", str(tmp_path)]) == EXIT_OK
@@ -657,11 +681,15 @@ class TestShippedConfigs:
         verdicts = json.loads(report.read_text())["verdicts"]
         assert verdicts and set(verdicts.values()) == {"pass"}
 
-    def test_kind_only_contraction_passes(self, tmp_path, capsys):
+    @pytest.mark.parametrize("kind", sorted(REGISTRY))
+    def test_kind_only_config_exits_with_the_pass_code(self, kind, kind_only):
+        code, report = kind_only(kind)
+        assert code == EXIT_OK
+        assert report["verdicts"] and set(report["verdicts"].values()) == {"pass"}
+
+    def test_kind_only_contraction_passes(self, kind_only):
         # The kind's defaults are configs/contraction.cfg's values.
-        cfg = write_cfg(tmp_path / "kind.cfg", "[experiment]\nkind = contraction\n")
-        assert main(["run", cfg, "--out", str(tmp_path / "o")]) == EXIT_OK
-        report = json.loads((tmp_path / "o" / "contraction.json").read_text())
+        _, report = kind_only("contraction")
         assert report["verdicts"] == {"amplitude_power": "pass"}
         # The picard table holds every difference norm the ratios come from.
         rows = report["tables"]["picard"]["rows"]
@@ -670,11 +698,9 @@ class TestShippedConfigs:
             assert [i for a, i, _ in rows if a == amp] == [1.0, 2.0, 3.0]
             assert ratio == diffs[1] / diffs[0]
 
-    def test_kind_only_global_decay_passes(self, tmp_path, capsys):
+    def test_kind_only_global_decay_passes(self, kind_only):
         # The kind's defaults are configs/global-decay.cfg's values.
-        cfg = write_cfg(tmp_path / "kind.cfg", "[experiment]\nkind = global-decay\n")
-        assert main(["run", cfg, "--out", str(tmp_path / "o")]) == EXIT_OK
-        report = json.loads((tmp_path / "o" / "global-decay.json").read_text())
+        _, report = kind_only("global-decay")
         assert report["verdicts"] == {
             "oracle_agreement": "pass",
             "picard_converged": "pass",

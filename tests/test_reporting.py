@@ -2,13 +2,21 @@
 
 import csv
 import json
+import math
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from besov_wave_lab import experiments
 from besov_wave_lab.cli import load_config
-from besov_wave_lab.reporting import ExperimentReport, Table, config_hash, write_loglog_svg
+from besov_wave_lab.reporting import (
+    Check,
+    ExperimentReport,
+    Table,
+    config_hash,
+    write_loglog_svg,
+)
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -35,20 +43,62 @@ class TestReport:
         report = ExperimentReport(
             kind="demo",
             scalars={"x": 1.5},
-            verdicts={"check": "pass"},
+            checks={"check": Check(0.5, "<", 1.0)},
             tables={"data": Table(columns=["t"], rows=[[0.0], [1.0]])},
         )
         path = report.save(tmp_path)
         body = json.loads(path.read_text())
         assert body["scalars"]["x"] == 1.5
+        assert body["verdicts"] == {"check": "pass"}
+        assert body["checks"] == {"check": {"value": 0.5, "relation": "<", "bound": 1.0}}
         assert (tmp_path / "demo.data.csv").exists()
         assert "timestamp" in body["timing"]
 
     def test_passed_requires_all_verdicts(self):
-        r = ExperimentReport(kind="d", verdicts={"a": "pass", "b": "fail"})
+        r = ExperimentReport(kind="d", checks={"a": Check(0, "==", 0), "b": Check(1, "==", 0)})
+        assert r.verdicts == {"a": "pass", "b": "fail"}
         assert not r.passed()
-        r2 = ExperimentReport(kind="d", verdicts={"a": "pass"})
+        r2 = ExperimentReport(kind="d", checks={"a": Check(0, "==", 0)})
         assert r2.passed()
+        # Nothing to judge does not pass either.
+        r3 = ExperimentReport(kind="d", checks={"a": Check(None, "<", 1.0)})
+        assert r3.verdicts == {"a": "undetermined"} and not r3.passed()
+
+
+class TestCheck:
+    BOUND = 0.1
+    CASES = [  # relation, then the status just under, at and just over the bound
+        ("<", "pass", "fail", "fail"),
+        ("<=", "pass", "pass", "fail"),
+        ("==", "fail", "pass", "fail"),
+        (">=", "fail", "pass", "pass"),
+        (">", "fail", "fail", "pass"),
+    ]
+
+    def test_cases_cover_every_relation(self):
+        assert {case[0] for case in self.CASES} == set(Check.RELATIONS)
+
+    @pytest.mark.parametrize("relation, under, at, over", CASES)
+    def test_status_at_under_and_over_the_bound(self, relation, under, at, over):
+        b = self.BOUND
+        values = (math.nextafter(b, 0.0), b, math.nextafter(b, 1.0))
+        assert [Check(v, relation, b).status for v in values] == [under, at, over]
+
+    @pytest.mark.parametrize("relation", sorted(Check.RELATIONS))
+    def test_nan_fails_and_none_is_undetermined(self, relation):
+        assert Check(math.nan, relation, self.BOUND).status == "fail"
+        assert Check(None, relation, self.BOUND).status == "undetermined"
+
+    def test_fractions_compare_exactly(self):
+        third = Fraction(1, 3)
+        assert Check(third, "<", third).status == "fail"
+        assert Check(third, "<=", third).status == "pass"
+        assert Check(third - Fraction(1, 10**30), "<", third).status == "pass"
+
+    def test_margin_is_the_slack_on_the_passing_side(self):
+        assert Check(3.0, ">=", 1.0).margin == 2.0
+        assert Check(3.0, "<", 1.0).margin == -2.0
+        assert Check(1.0, ">", 1.0).margin == 0.0  # a strict relation fails at zero slack
 
 
 class TestTiming:

@@ -1098,7 +1098,9 @@ class TestBlowupProbe:
         from besov_wave_lab.solver import blowup_probe
 
         report = blowup_probe(grid.zeros(), grid.zeros(), PP2, cfg)
-        assert report.verdicts["escaped"] == "no-escape"
+        # The claim is that data escape: a probe that sees none fails it.
+        assert report.verdicts["escaped"] == "fail"
+        assert not report.passed()
 
 
 def test_spectral_tail_fraction_monitors_resolution():
