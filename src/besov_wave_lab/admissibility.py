@@ -32,8 +32,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ConditionResult:
-    """One hypothesis, held when every check of one of its alternatives
-    passes: one alternative for a plain condition, two for (iii)."""
+    """One hypothesis, held when the count of alternatives whose checks all
+    pass is positive: one alternative for a plain condition, two for (iii)."""
 
     name: str
     alternatives: tuple[tuple[Check, ...], ...]
@@ -41,7 +41,6 @@ class ConditionResult:
 
     @property
     def status(self) -> str:
-        """Judged on the count of alternatives that hold, which must be positive."""
         holding = sum(all(c.status == "pass" for c in alt) for alt in self.alternatives)
         return Check(holding, ">", 0).status
 

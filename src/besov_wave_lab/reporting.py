@@ -36,7 +36,9 @@ class Check:
     def status(self) -> str:
         if self.value is None:
             return "undetermined"
-        return "pass" if self.RELATIONS[self.relation](self.value, self.bound) else "fail"
+        if self.RELATIONS[self.relation](self.value, self.bound):
+            return "pass"
+        return "fail"
 
     @property
     def margin(self) -> Any:

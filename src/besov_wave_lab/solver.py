@@ -626,9 +626,8 @@ def blowup_probe(
 ) -> ExperimentReport:
     """Escape-time probe at two spatial resolutions.
 
-    The claim is that the data escape: the escaped check fails unless both
-    resolutions escape within the horizon.  When both do, their relative
-    gap measures discretization sensitivity.
+    The claim is that the data escape at both resolutions within the horizon;
+    when they do, their escape times' relative gap measures discretization sensitivity.
     """
     times = {}
     tails = {}
