@@ -32,21 +32,20 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ConditionResult:
-    """One hypothesis, held when the count of alternatives whose checks all
-    pass is positive: one alternative for a plain condition, two for (iii)."""
+    """One hypothesis, held when the count of alternatives holding (all their
+    checks pass) is positive: one for a plain condition, two for (iii)."""
 
     name: str
     alternatives: tuple[tuple[Check, ...], ...]
     detail: str
 
     @property
-    def status(self) -> str:
-        holding = sum(all(c.status == "pass" for c in alt) for alt in self.alternatives)
-        return Check(holding, ">", 0).status
+    def holding(self) -> tuple[bool, ...]:
+        return tuple(all(c.status == "pass" for c in alt) for alt in self.alternatives)
 
     @property
-    def ok(self) -> bool:
-        return self.status == "pass"
+    def status(self) -> str:
+        return Check(sum(self.holding), ">", 0).status
 
     @property
     def margin(self) -> float:
@@ -75,10 +74,10 @@ class AdmissibilityVerdict:
 
     @property
     def passed(self) -> bool:
-        return all(c.ok for c in self.conditions)
+        return not self.failed_conditions()
 
     def failed_conditions(self) -> list[str]:
-        return [f"{c.name}: {c.detail}" for c in self.conditions if not c.ok]
+        return [f"{c.name}: {c.detail}" for c in self.conditions if c.status != "pass"]
 
     def statuses(self) -> dict[str, str]:
         return {c.name: c.status for c in self.conditions}
@@ -133,9 +132,7 @@ def check_lwp(
 
     # (ii) the power window, whose parts mix strict and non-strict bounds.
     if s_ <= 0:
-        cond_ii = ConditionResult(
-            "condition_ii", ((Check(s_, ">", 0),),), "requires s > 0 for the lower bound"
-        )
+        parts = [(Check(s_, ">", 0), "requires s > 0 for the lower bound")]
     else:
         lower = min(r_ / 2, 1 + r_ / (2 * s_) - 1 / s_)
         parts = [(Check(p_, ">=", lower), f"lower bound {float(lower):.6g} <= p")]
@@ -144,24 +141,22 @@ def check_lwp(
             upper = 1 + 2 / (n_ - 2 * s_)
             parts.append((Check(p_, "<", window), f"p < {float(window):.6g}"))
             parts.append((Check(p_, "<=", upper), f"p <= {float(upper):.6g}"))
-        cond_ii = ConditionResult(
-            "condition_ii", (tuple(c for c, _ in parts),), "; ".join(d for _, d in parts)
-        )
+    cond_ii = ConditionResult(
+        "condition_ii", (tuple(c for c, _ in parts),), "; ".join(d for _, d in parts)
+    )
 
     # (iii) either enough smoothness, or beta <= 1 with a power cap.
     bound_a = (2 * n_ - 1) * (half - 1 / r_)
     alt_a = (Check(s_, ">=", bound_a),)
     a_detail = f"(2n-1)(1/2-1/r) = {float(bound_a):.6g} <= s"
+    alt_b, b_detail = (Check(beta, "<=", 1),), "beta <= 1 (no power cap since 2s >= n)"
     if 2 * s_ < n_:
         cap = (2 * n_ / (n_ - 2 * s_)) * (1 / r_ + (1 - beta) / n_)
-        alt_b = (Check(beta, "<=", 1), Check(p_, "<=", cap))
+        alt_b += (Check(p_, "<=", cap),)
         b_detail = f"beta <= 1 and p <= {float(cap):.6g}"
-    else:
-        alt_b = (Check(beta, "<=", 1),)
-        b_detail = "beta <= 1 (no power cap since 2s >= n)"
-    a_ok, b_ok = (all(c.status == "pass" for c in alt) for alt in (alt_a, alt_b))
-    iii_disjunct = ("both" if b_ok else "smoothness") if a_ok else "beta-window" if b_ok else None
     cond_iii = ConditionResult("condition_iii", (alt_a, alt_b), f"{a_detail} OR {b_detail}")
+    a_ok, b_ok = cond_iii.holding
+    iii_disjunct = ("both" if b_ok else "smoothness") if a_ok else "beta-window" if b_ok else None
 
     cond_p = ConditionResult(
         "integer_p", ((Check(p_, ">=", 2),),), f"integer power p >= 2, p = {int(p_)}"
@@ -208,8 +203,7 @@ def check_gwp(
         p_ = p
         threshold = 1.0 + 2.0 * float(r) / float(n)
     cond = ConditionResult(
-        "gwp_threshold",
-        ((Check(p_, ">=", threshold),),),
+        "gwp_threshold", ((Check(p_, ">=", threshold),),),
         f"p >= 1 + 2r/n = {float(threshold):.6g} (critical case included)",
     )
     return dataclasses.replace(base, gwp_threshold=cond)
@@ -232,5 +226,8 @@ def suggest_s(
         verdict = check_lwp(n, r, float(s), p)
         if verdict.passed:
             return float(s), None
-        binding = next(c.name for c in verdict.conditions if not c.ok)
+        for cond in verdict.conditions:
+            if cond.status != "pass":
+                binding = cond.name
+                break
     return None, binding

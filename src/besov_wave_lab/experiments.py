@@ -1,7 +1,7 @@
 """Experiment registry: named, config-driven verification runs.
 
 Every experiment consumes a flat sectioned config, runs deterministically
-given its seed, and emits an ExperimentReport (JSON scalars/verdicts plus
+given its seed, and emits an ExperimentReport (JSON scalars/checks/verdicts plus
 CSV tables and log-log SVG plots where a decay curve is involved).
 """
 
@@ -283,7 +283,7 @@ def run_block_estimates(values: Values, out_dir: Path, rng, jobs: int) -> Experi
             rows.append([float(k), rep.max_ratio, rep.fitted_exponent or 0.0])
         maxima = [m for m in maxima if m > 0]
         sides[side] = max(maxima) / min(maxima) if maxima else math.inf
-    return ExperimentReport(
+    report = ExperimentReport(
         kind="block-estimates",
         scalars={"low_spread": sides["low"], "high_spread": sides["high"]},
         checks={
@@ -293,6 +293,7 @@ def run_block_estimates(values: Values, out_dir: Path, rng, jobs: int) -> Experi
         tables={"blocks": Table(columns=["k", "max_ratio", "fitted_exponent"], rows=rows)},
         meta={"p": p, "q": q, "s1": s1, "s2": s2},
     )
+    return report
 
 
 def _ensemble_max(blocks, count: int, draw, measure) -> float:
@@ -456,8 +457,7 @@ def run_global_decay(values: Values, out_dir: Path, rng, jobs: int) -> Experimen
     study.scalars["oracle_rejected"] = float(etd_diag.rejected)
     first = diag.diff_norms[0] if diag.diff_norms else 0.0
     study.scalars["nonlinear_share"] = first / max(study.scalars["weighted_sup"], 1e-300)
-    # Picard stops at its first difference under picard_tol, so that is convergence.
-    study.checks["picard_converged"] = Check(diag.residual, "<", scfg.picard_tol)
+    study.checks["picard_converged"] = diag.convergence
     study.tables["picard"] = Table(
         columns=["iteration", "diff_norm"],
         rows=[[float(i), d] for i, d in enumerate(diag.diff_norms, start=1)],
@@ -541,9 +541,7 @@ def run_admissibility(values: Values, out_dir: Path, rng, jobs: int) -> Experime
             nn, rr, ss, pq, exact=True
         ).statuses():
             mismatches += 1
-    rows = [
-        [c.name, 1.0 if c.ok else 0.0, c.margin] for c in verdict.conditions
-    ]
+    rows = [[c.name, float(c.status == "pass"), c.margin] for c in verdict.conditions]
     return ExperimentReport(
         kind="admissibility",
         scalars={

@@ -124,10 +124,19 @@ class PicardDiagnostics:
     diff_norms: list[float] = dc_field(default_factory=list)
     ratios: list[float] = dc_field(default_factory=list)
     residual: float = math.nan
+    picard_tol: float = math.nan
     iterations: int = 0
-    converged: bool = False
     blown_up: bool = False
     escape_time: float | None = None
+
+    @property
+    def convergence(self) -> Check:
+        """The last successive difference against picard_tol."""
+        return Check(self.residual, "<", self.picard_tol)
+
+    @property
+    def converged(self) -> bool:
+        return self.convergence.status == "pass"
 
 
 @dataclass
@@ -319,16 +328,14 @@ def picard_solve(
 ) -> tuple[Trajectory, PicardDiagnostics]:
     """Fixed-point iteration for the integral equation with source u^p.
 
-    Starts from the linear solution and stops when the successive
-    difference drops below picard_tol in the solution norm; the run is
-    converged unless its last ratio of differences is >= 1, since a
-    difference that grew did not contract, however small.  At the first
-    node where an iterate has a non-finite sample or crosses the max-norm
-    threshold it aborts with a blow-up flag and returns the last iterate
-    that did not.  Each iterate is the linear solution plus a Duhamel
-    correction; successive differences are taken between corrections, so
-    the linear part (the same bits in every iterate) does not set their
-    rounding floor.
+    Starts from the linear solution and stops, converged, when the
+    successive difference drops below picard_tol in the solution norm.
+    At the first node where an iterate has a non-finite sample or crosses
+    the max-norm threshold it aborts with a blow-up flag (residual inf)
+    and returns the last iterate that did not.  Each iterate is the linear
+    solution plus a Duhamel correction; successive differences are taken
+    between corrections, so the linear part (the same bits in every
+    iterate) does not set their rounding floor.
 
     The iteration holds spectra only, as arrays stacked (nodes,) +
     spectral shape: the linear solution, the last accepted correction and
@@ -349,7 +356,7 @@ def picard_solve(
     blocks = make_blocks(u0.grid)
     grid = u0.grid
     times = cfg.time_grid
-    diag = PicardDiagnostics()
+    diag = PicardDiagnostics(picard_tol=cfg.picard_tol)
     linear = _flow_recursion(grid, times, u0.spectrum, u1.spectrum)
     correction = None  # the last accepted Duhamel correction
     threshold = cfg.blowup_threshold
@@ -377,13 +384,11 @@ def picard_solve(
         if len(diag.diff_norms) >= 2 and diag.diff_norms[-2] > 0:
             diag.ratios.append(diff_norm / diag.diff_norms[-2])
         correction = update
-        if diff_norm < cfg.picard_tol:
-            diag.converged = not diag.ratios or diag.ratios[-1] < 1.0
+        diag.residual = diff_norm
+        if diag.converged:
             break
     if diag.blown_up:
         diag.residual = math.inf
-    else:
-        diag.residual = diag.diff_norms[-1] if diag.diff_norms else 0.0
     spectra = linear if correction is None else np.add(linear, correction, out=correction)
     return Trajectory(grid, times, spectra), diag
 

@@ -40,6 +40,7 @@ from besov_wave_lab.propagator import (
     linear_solution,
 )
 from besov_wave_lab import solver
+from besov_wave_lab.reporting import Check
 from besov_wave_lab.solver import (
     ETD_TOL,
     SolverConfig,
@@ -221,6 +222,19 @@ class TestPicard:
         _, diag = picard_solve(u0, u1, PP3, cfg)
         assert diag.ratios == [2.0] and diag.iterations == 2
         assert not diag.converged
+
+    def test_convergence_is_the_last_difference_under_picard_tol(self):
+        # The one convergence rule: global-decay's picard_converged check is
+        # this record, and converged reads its status.
+        cfg = SolverConfig.uniform(2.0, 17, picard_tol=1e-8, max_iters=15)
+        u0, u1 = small_gaussian_data(self.grid, 0.02)
+        _, diag = picard_solve(u0, u1, PP3, cfg)
+        assert diag.convergence == Check(diag.diff_norms[-1], "<", 1e-8)
+        assert diag.convergence.status == "pass" and diag.converged
+        cfg = SolverConfig.uniform(2.0, 17, picard_tol=1e-8, max_iters=1)
+        _, diag = picard_solve(u0, u1, PP3, cfg)
+        assert diag.convergence == Check(diag.diff_norms[0], "<", 1e-8)
+        assert diag.convergence.status == "fail" and not diag.converged
 
     def test_fixed_point_residual_with_refined_quadrature(self):
         tol = 1e-7
