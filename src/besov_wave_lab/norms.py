@@ -24,7 +24,6 @@ from besov_wave_lab.grid import (
     GridField,
     TorusGrid,
     _node_chunks,
-    _samples,
     field_from_coeffs,
     integer_power,
 )
@@ -66,11 +65,6 @@ def lebesgue_norms(grid: TorusGrid, values: np.ndarray, p: float) -> np.ndarray:
 def lebesgue_norm(f: GridField, p: float) -> float:
     """Quadrature L^p norm; p = inf gives the max of |f|."""
     return float(lebesgue_norms(f.grid, f.values, p))
-
-
-def _lebesgue(grid: TorusGrid, coeffs: np.ndarray, p: float) -> float:
-    """lebesgue_norm of the field with coefficient array coeffs."""
-    return float(lebesgue_norms(grid, _samples(grid, coeffs, grid.points_per_axis), p))
 
 
 def _besov(blocks: DyadicBlocks, coeffs: np.ndarray, s: float, p: float, q: float) -> np.ndarray:
@@ -206,9 +200,7 @@ def x_norm(
     return max([0.0, *_x_integrand(times, spectra, pp, blocks)[2].tolist()])
 
 
-def interpolation_exponents(
-    n: int, r: float, s: float, theta: float
-) -> tuple[float, float]:
+def interpolation_exponents(r: float, s: float, theta: float) -> tuple[float, float]:
     """Canonical (q, alpha) with alpha = theta*s on the scaling line."""
     if not 0.0 <= theta <= 1.0:
         raise ValueError("theta must lie in [0, 1]")

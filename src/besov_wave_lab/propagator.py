@@ -20,7 +20,7 @@ import numpy as np
 
 from besov_wave_lab.grid import GridField, apply_symbol
 from besov_wave_lab.littlewood_paley import DyadicBlocks, make_blocks
-from besov_wave_lab.norms import _besov, _lebesgue, time_bracket
+from besov_wave_lab.norms import _besov, time_bracket
 from besov_wave_lab.reporting import ExperimentReport, Table
 
 __all__ = [
@@ -169,6 +169,13 @@ def fit_high_growth(
     return delta, const
 
 
+def _flow_exponents(n: int, p: float, q: float, s1: float, s2: float) -> tuple[float, float]:
+    """beta = (n - 1)|1/2 - 1/p|, the derivatives the high frequencies lose
+    from L^p to L^p, and the low-frequency rate -(n/2)(1/q - 1/p) - (s1 - s2)/2
+    of the flow from B^{s2}_q to B^{s1}_p."""
+    return (n - 1) * abs(0.5 - 1.0 / p), -(n / 2.0) * (1.0 / q - 1.0 / p) - (s1 - s2) / 2.0
+
+
 def verify_lp_lq(
     g: GridField,
     p: float,
@@ -193,8 +200,7 @@ def verify_lp_lq(
     if blocks is None:
         blocks = make_blocks(g.grid)
     n = g.grid.n
-    beta = (n - 1) * abs(0.5 - 1.0 / p)
-    low_exponent = -(n / 2.0) * (1.0 / q - 1.0 / p) - (s1 - s2) / 2.0
+    beta, low_exponent = _flow_exponents(n, p, q, s1, s2)
 
     chi = blocks.low_pass_multiplier(1.0)
     g_low, g_high = chi * g.spectrum, (1.0 - chi) * g.spectrum
@@ -274,41 +280,39 @@ def verify_block_estimate(
 
     k <= 0 compares 2^(k*s1) ||block_k D(t) g||_p with the polynomially
     decaying bound; k >= 1 compares against exp(-t/2) 2^(k(s1+beta-1)) with
-    a fitted log-growth exponent of the exp(t/2)-compensated ratio.
+    a fitted log-growth exponent of the exp(t/2)-compensated ratio, 0.0 when
+    fewer than two ratios are positive.  Every block norm is column
+    k - j_min of blocks.block_norms.
     """
+    for name, exponent in (("p", p), ("q", q)):
+        if exponent < 1:
+            raise ValueError(f"Lebesgue exponent {name} must be >= 1, got {exponent}")
     if blocks is None:
         blocks = make_blocks(g.grid)
     if not (blocks.j_min <= k <= blocks.j_max):
         raise ValueError(f"block index {k} outside [{blocks.j_min}, {blocks.j_max}]")
-    n = g.grid.n
-    beta = (n - 1) * abs(0.5 - 1.0 / p)
+    beta, rate = _flow_exponents(g.grid.n, p, q, s1, s2)
     ts = np.asarray(t_grid, dtype=float)
-    grid = g.grid
-    gk = blocks.block_multiplier(k) * g.spectrum
-    lhs = np.array(
-        [2.0 ** (k * s1) * _lebesgue(grid, damped_L(t, grid.freq_abs) * gk, p) for t in ts]
+    column = k - blocks.j_min
+    # One time per call, so block_norms holds J blocks at a time, not J per time.
+    lhs = 2.0 ** (k * s1) * np.array(
+        [blocks.block_norms(damped_L(t, g.grid.freq_abs) * g.spectrum, p)[column] for t in ts]
     )
     if k <= 0:
-        rate = -(n / 2.0) * (1.0 / q - 1.0 / p) - (s1 - s2) / 2.0
-        rhs = time_bracket(ts) ** rate * 2.0 ** (k * s2) * _lebesgue(grid, gk, q)
-        side = "low"
-        fitted = None
+        decay, weight, data_exponent = time_bracket(ts) ** rate, 2.0 ** (k * s2), q
     else:
-        rhs = np.exp(-ts / 2.0) * 2.0 ** (k * (s1 + beta - 1.0)) * _lebesgue(grid, gk, p)
-        side = "high"
-        compensated = np.divide(lhs, rhs, out=np.zeros_like(lhs), where=rhs > 0)
-        pos = compensated > 0
-        if np.count_nonzero(pos) >= 2:
-            slope, _ = np.polyfit(
-                np.log10(time_bracket(ts[pos])), np.log10(compensated[pos]), 1
-            )
-            fitted = float(slope)
-        else:
-            fitted = 0.0
+        decay, weight, data_exponent = np.exp(-ts / 2.0), 2.0 ** (k * (s1 + beta - 1.0)), p
+    rhs = decay * weight * blocks.block_norms(g.spectrum, data_exponent)[column]
     ratios = np.divide(lhs, rhs, out=np.zeros_like(lhs), where=rhs > 0)
+    fitted = None
+    if k > 0:
+        try:
+            fitted = fit_power_law(ts, ratios, window=(ts[0], ts[-1]))[0]
+        except ValueError:  # fewer than two positive ratios
+            fitted = 0.0
     return BlockEstimateReport(
         k=k,
-        side=side,
+        side="low" if k <= 0 else "high",
         ts=ts,
         ratios=ratios,
         max_ratio=float(np.max(ratios)),

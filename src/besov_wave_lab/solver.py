@@ -76,7 +76,6 @@ __all__ = [
 ]
 
 CONFINEMENT_THRESHOLD = 1e-6
-TAIL_FRACTION_THRESHOLD = 0.10
 # Local error tolerance of the ETD oracle's step control, relative to the
 # L^2 norm of the pair (u, u_t); see etd_oracle.
 ETD_TOL = 1e-6
@@ -87,7 +86,6 @@ TREND_TOL = 0.05
 
 @dataclass(frozen=True)
 class SolverConfig:
-    horizon: float
     time_grid: np.ndarray
     picard_tol: float = 1e-10
     max_iters: int = 25
@@ -100,8 +98,6 @@ class SolverConfig:
             raise ValueError("time grid must start at 0 and hold at least 2 nodes")
         if np.any(np.diff(grid) <= 0):
             raise ValueError("time grid must be strictly increasing")
-        if abs(grid[-1] - self.horizon) > 1e-9 * max(1.0, self.horizon):
-            raise ValueError("time grid must end at the horizon")
         if self.picard_tol <= 0:
             raise ValueError("picard_tol must be positive")
         if self.max_iters < 1:
@@ -114,20 +110,26 @@ class SolverConfig:
         grid.flags.writeable = False
         object.__setattr__(self, "time_grid", grid)
 
+    @property
+    def horizon(self) -> float:
+        return float(self.time_grid[-1])
+
     @classmethod
     def uniform(cls, T: float, nodes: int, **kw) -> "SolverConfig":
-        return cls(horizon=T, time_grid=np.linspace(0.0, T, nodes), **kw)
+        return cls(time_grid=np.linspace(0.0, T, nodes), **kw)
 
 
 @dataclass
 class PicardDiagnostics:
     diff_norms: list[float] = dc_field(default_factory=list)
-    ratios: list[float] = dc_field(default_factory=list)
     residual: float = math.nan
     picard_tol: float = math.nan
     iterations: int = 0
-    blown_up: bool = False
     escape_time: float | None = None
+
+    @property
+    def blown_up(self) -> bool:
+        return self.escape_time is not None
 
     @property
     def convergence(self) -> Check:
@@ -143,9 +145,12 @@ class PicardDiagnostics:
 class OracleDiagnostics:
     steps: int = 0  # steps taken
     rejected: int = 0  # steps retried on the largest rung shorter than them
-    blown_up: bool = False
     escape_time: float | None = None
     final_tail_fraction: float = 0.0
+
+    @property
+    def blown_up(self) -> bool:
+        return self.escape_time is not None
 
 
 def _mode_power(grid: TorusGrid, *spectra: np.ndarray) -> tuple[np.ndarray, float, float]:
@@ -368,7 +373,7 @@ def picard_solve(
             peaks = _peaks(grid, linear[chunk] + update[chunk], threshold)
             escapes = times[chunk][_escapes(peaks, threshold)]
             if escapes.size:
-                diag.blown_up, diag.escape_time = True, float(escapes[0])
+                diag.escape_time = float(escapes[0])
                 break
         if diag.blown_up:
             break
@@ -381,8 +386,6 @@ def picard_solve(
             blocks,
         )
         diag.diff_norms.append(diff_norm)
-        if len(diag.diff_norms) >= 2 and diag.diff_norms[-2] > 0:
-            diag.ratios.append(diff_norm / diag.diff_norms[-2])
         correction = update
         diag.residual = diff_norm
         if diag.converged:
@@ -417,7 +420,7 @@ def etd_oracle(
     T: float,
     *,
     blowup_threshold: float = math.inf,
-    store_times: Sequence[float] | None = None,
+    store_times: Sequence[float] = (),
 ) -> tuple[Trajectory, OracleDiagnostics]:
     """Exponential time differencing (ETD2) on the pair (u, u_t), with
     error-controlled steps on the ladder dt * 2^k that land on store times.
@@ -442,12 +445,13 @@ def etd_oracle(
     of 0 (u^p underflowing) would climb without end.  Store times must lie
     on the dt lattice (to 1e-9 relative, by _lattice_count), in (0, T], and
     apart after rounding, or ValueError names the first that does not; none
-    is moved, dropped or merged.  The first step with a non-finite sample
-    or one above blowup_threshold is the escape, stored when its samples
-    are finite; stores hold spectra, in one array sized for every store
-    time and an escape.  A step is sampled only when the gate _peaks cannot
-    rule its escape out, once; the final tail fraction reads the spectrum
-    of the last state with finite samples.
+    is moved, dropped or merged.  t = 0 is always stored, and the horizon
+    is always a landing but stored only as a store time.  The first step
+    with a non-finite sample or one above blowup_threshold is the escape,
+    stored when its samples are finite; stores hold spectra, in one array
+    sized for every store time and an escape.  A step is sampled only when
+    the gate _peaks cannot rule its escape out, once; the final tail
+    fraction reads the spectrum of the last state with finite samples.
     """
     if not dt > 0:
         raise ValueError(f"etd_dt must be positive, got {dt}")
@@ -459,18 +463,14 @@ def etd_oracle(
         raise ValueError("initial data live on different grids")
     grid = u0.grid
     steps = _lattice_count(T, dt, "horizon T")
-    if store_times is None:
-        store_idx = set(range(0, steps + 1, max(1, steps // 200)))
-        store_idx.add(steps)
-    else:
-        store_idx = {0}
-        for t in store_times:
-            m = _lattice_count(t, dt, "store time t")
-            if not 0 < m <= steps:
-                raise ValueError(f"store time t = {t:.12g} lies outside (0, T = {T:g}]")
-            if m in store_idx:
-                raise ValueError(f"store time t = {t:.12g} repeats an earlier store time")
-            store_idx.add(m)
+    store_idx = {0}
+    for t in store_times:
+        m = _lattice_count(t, dt, "store time t")
+        if not 0 < m <= steps:
+            raise ValueError(f"store time t = {t:.12g} lies outside (0, T = {T:g}]")
+        if m in store_idx:
+            raise ValueError(f"store time t = {t:.12g} repeats an earlier store time")
+        store_idx.add(m)
     landings = sorted((store_idx | {steps}) - {0})
     power = partial(_power, grid, p=pp.p_nl)
 
@@ -513,7 +513,6 @@ def etd_oracle(
                 stores[len(out_times)] = uh
                 out_times.append(m * dt)
         if escaped:
-            diag.blown_up = True
             diag.escape_time = m * dt
             break
     diag.final_tail_fraction = spectral_tail_fraction(grid, last)
@@ -641,8 +640,7 @@ def blowup_probe(
         "fine": (refine_field(u0), refine_field(u1)),
     }.items():
         _, diag = etd_oracle(
-            a, b, pp, cfg.etd_dt, cfg.horizon,
-            blowup_threshold=cfg.blowup_threshold, store_times=[cfg.horizon],
+            a, b, pp, cfg.etd_dt, cfg.horizon, blowup_threshold=cfg.blowup_threshold
         )
         times[label] = diag.escape_time
         tails[label] = diag.final_tail_fraction

@@ -279,6 +279,28 @@ points = 12
         assert 0.0 <= report["scalars"]["delta_hat"] <= check["bound"]
         assert (out / "high-frequency-bound.svg").exists()
 
+    def test_zero_expected_rate_is_undetermined_and_exits_5(self, tmp_path, capsys):
+        # q = p and s1 = s2: the expected low-frequency rate is 0, where a
+        # relative tolerance has no scale.  The rate is still a check, one
+        # with nothing to judge, so the run does not pass.
+        cfg = write_cfg(tmp_path / "zero.cfg", "[experiment]\nkind = verify-lp-lq\n"
+                        "[estimate]\nq = 2\n")
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--out", str(out)]) == EXIT_CHECK
+        assert "low_frequency_rate: undetermined" in capsys.readouterr().out
+        report = json.loads((out / "verify-lp-lq.json").read_text())
+        assert report["scalars"]["expected_low_exponent"] == 0.0
+        assert report["verdicts"] == {"low_frequency_rate": "undetermined"}
+        assert report["checks"]["low_frequency_rate"]["value"] is None
+
+    @pytest.mark.parametrize("key", ["p", "q"])
+    def test_block_exponent_below_one_exits_2(self, key, tmp_path, capsys):
+        text = (CONFIGS / "block-estimates.cfg").read_text()
+        assert f"\n{key} = 2\n" in text
+        cfg = write_cfg(tmp_path / "half.cfg", text.replace(f"\n{key} = 2\n", f"\n{key} = 0.5\n"))
+        assert main(["run", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert "must be >= 1, got 0.5" in capsys.readouterr().err
+
     def test_missing_config_exits_2(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "nope.cfg")]) == EXIT_CONFIG
         err = capsys.readouterr().err

@@ -235,7 +235,7 @@ class TestInterpolation:
     def test_theta_endpoints_give_ratio_one(self):
         f = band_limited_random(self.grid, np.random.default_rng(2), 0.4, 10.0, 0.5)
         for theta in (0.0, 1.0):
-            q, alpha = interpolation_exponents(1, 4.0, 2.0, theta)
+            q, alpha = interpolation_exponents(4.0, 2.0, theta)
             ratio = interpolation_check(
                 f, 4.0, 2.0, q, alpha, theta, blocks=self.blocks
             )
@@ -248,7 +248,7 @@ class TestInterpolation:
 
     def test_midpoint_ensemble_constant_bounded(self):
         theta = 0.5
-        q, alpha = interpolation_exponents(1, 4.0, 2.0, theta)
+        q, alpha = interpolation_exponents(4.0, 2.0, theta)
         rng = np.random.default_rng(17)
         worst = 0.0
         for _ in range(200):
