@@ -33,8 +33,8 @@ from besov_wave_lab.grid import _samples, make_grid
 from besov_wave_lab.littlewood_paley import make_blocks
 from besov_wave_lab.norms import (
     ProblemParams,
-    interpolation_check,
     interpolation_exponents,
+    interpolation_ratios,
     lebesgue_norms,
 )
 from besov_wave_lab.paraproduct import (
@@ -42,12 +42,12 @@ from besov_wave_lab.paraproduct import (
     decomposition_residuals,
     leibniz_ratios,
 )
-from besov_wave_lab.profiles import PROFILES, band_limited_random, band_limited_samples
+from besov_wave_lab.profiles import PROFILES, band_limited_samples
 from besov_wave_lab.profiles import build_profile
 from besov_wave_lab.propagator import (
     damped_L,
     fit_high_growth,
-    verify_block_estimate,
+    verify_block_estimates,
     verify_lp_lq,
 )
 from besov_wave_lab.reporting import Check, ExperimentReport, Table, write_loglog_svg
@@ -272,17 +272,13 @@ def run_block_estimates(values: Values, out_dir: Path, rng, jobs: int) -> Experi
     blocks = make_blocks(grid)
     ts = _times_from(values)
     g = build_profile(values["data"]["profile"], grid, values["data"], rng)
-    rows = []
+    reps = verify_block_estimates(
+        g, (*est["k_low"], *est["k_high"]), ts, p=p, q=q, s1=s1, s2=s2, blocks=blocks
+    )
+    rows = [[float(rep.k), rep.max_ratio, rep.fitted_exponent or 0.0] for rep in reps]
     sides = {}
-    for side, ks in (("low", est["k_low"]), ("high", est["k_high"])):
-        maxima = []
-        for k in ks:
-            rep = verify_block_estimate(
-                g, k, ts, p=p, q=q, s1=s1, s2=s2, blocks=blocks
-            )
-            maxima.append(rep.max_ratio)
-            rows.append([float(k), rep.max_ratio, rep.fitted_exponent or 0.0])
-        maxima = [m for m in maxima if m > 0]
+    for side in ("low", "high"):
+        maxima = [rep.max_ratio for rep in reps if rep.side == side and rep.max_ratio > 0]
         sides[side] = max(maxima) / min(maxima) if maxima else math.inf
     report = ExperimentReport(
         kind="block-estimates",
@@ -298,13 +294,22 @@ def run_block_estimates(values: Values, out_dir: Path, rng, jobs: int) -> Experi
 
 
 def _ensemble_max(blocks, count: int, draw, measure) -> float:
-    """Max of measure(blocks, f, g) over count random pairs that draw(b) gives
-    as samples f, g, b pairs at a time: chunks of as many pairs as
-    ENSEMBLE_CHUNK_BYTES holds at eight complex block stacks a pair (the
-    peak of decomposition_residuals; leibniz_ratios holds about three)."""
+    """Max of measure(blocks, *draw(b)) over count random members (a field
+    or a pair of fields) that draw(b) gives as stacked samples, b at a time:
+    chunks of as many as ENSEMBLE_CHUNK_BYTES holds at eight complex block
+    stacks a member (the peak of decomposition_residuals; leibniz_ratios
+    holds about three)."""
     chunk = max(1, ENSEMBLE_CHUNK_BYTES // (16 * blocks.annuli.nbytes))
     sizes = [min(chunk, count - start) for start in range(0, count, chunk)]
     return max(float(np.max(measure(blocks, *draw(b)))) for b in sizes)
+
+
+def _random_bands(rng, grid, count: int, slope_max: float, lo: float, hi: float) -> np.ndarray:
+    """Samples of count band_limited_random fields on [lo, hi], stacked: each
+    field draws its slope, uniform on [0, slope_max), then its noise."""
+    rows = [(rng.uniform(0.0, slope_max), rng.standard_normal(grid.shape)) for _ in range(count)]
+    slopes, noise = np.array([s for s, _ in rows]), np.stack([x for _, x in rows])
+    return band_limited_samples(grid, noise, lo, hi, slopes)
 
 
 def run_paraproduct_residual(values: Values, out_dir: Path, rng, jobs: int) -> ExperimentReport:
@@ -315,10 +320,8 @@ def run_paraproduct_residual(values: Values, out_dir: Path, rng, jobs: int) -> E
     grid = make_grid(**values["grid"])
     band_hi = grid.max_freq / 4.0 if exp["band_hi"] is None else exp["band_hi"]
 
-    def draw(b):  # f, then g: each field draws its slope, then its noise
-        rows = [(rng.uniform(0.0, 0.8), rng.standard_normal(grid.shape)) for _ in range(2 * b)]
-        slopes, noise = np.array([s for s, _ in rows]), np.stack([x for _, x in rows])
-        fields = band_limited_samples(grid, noise, band_lo, band_hi, slopes)
+    def draw(b):  # f, then g
+        fields = _random_bands(rng, grid, 2 * b, 0.8, band_lo, band_hi)
         return fields[0::2], fields[1::2]
 
     worst = _ensemble_max(make_blocks(grid), pairs, draw, decomposition_residuals)
@@ -377,18 +380,15 @@ def run_interpolation(values: Values, out_dir: Path, rng, jobs: int) -> Experime
     blocks = make_blocks(grid)
     r, s = values["problem"]["r"], values["problem"]["s"]
     check_decay_integrability(r)
+
+    def draw(b):  # one stack of fields
+        return (_random_bands(rng, grid, b, 1.0, 0.4, grid.max_freq / 4.0),)
+
     rows = []
     for theta in values["experiment"]["thetas"]:
         q, alpha = interpolation_exponents(r, s, theta)
-        worst = 0.0
-        for _ in range(ensemble):
-            f = band_limited_random(
-                grid, rng, 0.4, grid.max_freq / 4.0, rng.uniform(0.0, 1.0)
-            )
-            worst = max(
-                worst, interpolation_check(f, r, s, q, alpha, theta, blocks=blocks)
-            )
-        rows.append([theta, q, alpha, worst])
+        ratios = partial(interpolation_ratios, r=r, s=s, theta=theta)
+        rows.append([theta, q, alpha, _ensemble_max(blocks, ensemble, draw, ratios)])
     degenerate = sum(not 0 < r[3] < math.inf for r in rows)  # constants not positive, finite
     return ExperimentReport(
         kind="interpolation",

@@ -7,9 +7,14 @@ absorbed into the forward transform, so discrete norms converge to their
 continuum counterparts as N and L grow.
 
 Fields are real, so half of their Hermitian coefficients carry everything:
-the one coefficient format is rfftn's half spectrum, of shape
-spectral_shape = (N,)*(n-1) + (N//2+1,) (FFT order on the leading axes,
-modes 0..N/2 on the last), which freqs, freq_abs and mode_weight share.
+the one coefficient format is (2*pi)^(-n/2) dx^n times rfftn's half
+spectrum of the samples as stored, of shape spectral_shape =
+(N,)*(n-1) + (N//2+1,) (FFT order on the leading axes, modes 0..N/2 on
+the last), which freqs, freq_abs and mode_weight share.  Its origin is
+the first sample, -L/2, so a coefficient's phase differs by (-1)^k per
+axis from the continuum transform's about x = 0.  Nothing reads that
+phase: every multiplier is a real symbol of xi and every pointwise op acts
+on samples.
 Every transform is a real one and goes through one helper pair, _rfft and
 _irfft: rfft/irfft on the last axis for n = 1, rfftn/irfftn on the
 trailing n axes otherwise (the same bits, without the n-D wrapper).  Every
@@ -22,8 +27,8 @@ stacked shape (TorusGrid._lattices), written in place by the
 transforms; what it returns is always a fresh array.  _samples is the
 one map from coefficients to samples on any lattice and _coefficients
 its inverse on the grid's own lattice, field_from_coeffs the one way
-from coefficients to a GridField, and integer_power the one pointwise
-power (by repeated squaring, not libm pow).
+from coefficients to a GridField, integer_power the one pointwise power
+(by repeated squaring, not libm pow) and _power the one padded power.
 
 Stacked inputs.  _samples, _coefficients and dealiased_pointwise transform
 only the trailing n axes, so coefficient or sample arrays stacked on any
@@ -164,12 +169,6 @@ class TorusGrid:
         weight[[0, -1]] = 1.0
         weight.flags.writeable = False
         return weight
-
-    @cached_property
-    def _phase_signs(self) -> np.ndarray:
-        # Relates samples at x_j = -L/2 + j*dx to the FFT's x_j = j*dx origin:
-        # exp(i*(L/2)*xi_k) = (-1)^k per axis, and k = index mod N, N even.
-        return 1.0 - 2.0 * (sum(np.indices(self.spectral_shape, sparse=True)) % 2)
 
     @cached_property
     def _sup_scale(self) -> float:
@@ -333,66 +332,59 @@ def _irfft(n: int, half: np.ndarray, out: np.ndarray | None = None) -> np.ndarra
 
 def _coefficients(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
     """Coefficient arrays of samples on grid, stacked as the samples are:
-    the discrete analogue of the symmetric-normalization Fourier transform.
-    Non-finite coefficients raise ValueError, and so do non-finite samples,
-    whose sum is the mean mode."""
+    the discrete analogue of the symmetric-normalization Fourier transform,
+    with its origin at the first sample.  Non-finite coefficients raise
+    ValueError, and so do non-finite samples, whose sum is the mean mode."""
     scale = (2.0 * np.pi) ** (-grid.n / 2) * grid.spacing**grid.n
     with np.errstate(over="ignore", invalid="ignore"):
-        coeffs = scale * grid._phase_signs * _rfft(grid.n, values)
+        coeffs = scale * _rfft(grid.n, values)
     return require_finite(coeffs, "spectral coefficients")
 
 
-def _samples(grid: TorusGrid, coeffs: np.ndarray, M: int) -> np.ndarray:
-    """Real samples on the M-point lattice over grid's box of a coefficient
-    array of grid, unvalidated: non-finite coefficients give non-finite ones,
-    without a floating-point warning.  Coefficient arrays stacked on leading
-    axes give samples stacked the same way, each slice bit for bit what it
-    gives alone.  For M > N the coefficients are padded by the Nyquist rule
-    of dealiased_pointwise.  The samples are a fresh array."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _signed_samples(grid, grid._phase_signs * coeffs, M)
-
-
-def _signed_samples(
+def _samples(
     grid: TorusGrid,
-    signed: np.ndarray,
+    coeffs: np.ndarray,
     M: int,
     padded: np.ndarray | None = None,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """_samples of the coefficients signed * grid._phase_signs (signs +-1),
-    into out if given.  For M > N the padded half spectrum is written into
-    padded, which must hold zeros wherever no mode lands (fresh if None).
-    For M < N, signed must be the M-point half lattice already (modes
-    |k| < M/2 taken from grid's, as DyadicBlocks.block_norms restricts
-    them); it is transformed as it is."""
+    """Real samples on the M-point lattice over grid's box of a coefficient
+    array of grid, into out if given (fresh otherwise), unvalidated:
+    non-finite coefficients give non-finite ones, without a floating-point
+    warning.  Coefficient arrays stacked on leading axes give samples
+    stacked the same way, each slice bit for bit what it gives alone.  For
+    M > N the coefficients are padded by the Nyquist rule of
+    dealiased_pointwise into padded, which must hold zeros wherever no
+    mode lands (fresh if None).  For M < N, coeffs must be the M-point half
+    lattice already (modes |k| < M/2 taken from grid's, as
+    DyadicBlocks.block_norms restricts them); it is transformed as it is."""
     n, N = grid.n, grid.points_per_axis
     if M > N:
         h = N // 2
         if padded is None:
-            padded = np.zeros(signed.shape[:-n] + (M,) * (n - 1) + (M // 2 + 1,), dtype=complex)
-        padded[(Ellipsis,) + _leading_index(N, M, n) + (slice(0, h + 1),)] = signed
+            padded = np.zeros(coeffs.shape[:-n] + (M,) * (n - 1) + (M // 2 + 1,), dtype=complex)
+        padded[(Ellipsis,) + _leading_index(N, M, n) + (slice(0, h + 1),)] = coeffs
         padded[..., h] *= 0.5
         for axis in range(n - 1):
             after = (slice(None),) * (n - 1 - axis)
             padded[(Ellipsis, M - h) + after] *= 0.5
             padded[(Ellipsis, h) + after] = padded[(Ellipsis, M - h) + after]
-        signed = padded
+        coeffs = padded
     scale = (2.0 * np.pi) ** (-n / 2) * grid.freq_spacing**n * M**n
-    out = _irfft(n, signed, out=out)
-    out *= scale
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _irfft(n, coeffs, out=out)
+        out *= scale
     return out
 
 
 @dataclass
 class _Lattice:
     """dealiased_pointwise's buffers on one padded lattice: the padded half
-    spectrum, one sample stack per input, the forward half spectrum of the
-    op's samples (None until the first call) and the truncation multiplier."""
+    spectrum, one sample stack per input and the forward half spectrum of
+    the op's samples (None until the first call)."""
 
     padded: np.ndarray
     samples: tuple[np.ndarray, ...]
-    truncate: np.ndarray
     half: np.ndarray | None = None
 
 
@@ -407,11 +399,9 @@ def _lattice(grid: TorusGrid, M: int, stack: tuple[int, ...], inputs: int) -> _L
     if kept is None:
         if len(grid._lattices) == 2:
             del grid._lattices[next(iter(grid._lattices))]
-        scale = (2.0 * np.pi) ** (-n / 2) * (grid.box_length / M) ** n
         kept = _Lattice(
             padded=np.zeros(stack + (M,) * (n - 1) + (M // 2 + 1,), dtype=complex),
             samples=tuple(np.empty(stack + (M,) * n) for _ in range(inputs)),
-            truncate=scale * grid._phase_signs,
         )
     grid._lattices[key] = kept
     return kept
@@ -427,9 +417,9 @@ def dealiased_pointwise(
     alike: op gets samples stacked the same way, which it may overwrite,
     and must return samples whose trailing n axes are the padded lattice
     (it may reduce or keep the leading ones), and each output slice is bit
-    for bit what its own inputs give alone.  The signs (-1)^k that put the
-    sample origin at -L/2 agree on both lattices for every shared mode, so
-    the grid's cached ones serve and no padded grid is built.
+    for bit what its own inputs give alone.  Both lattices start at the
+    same first sample, the transform's origin, so a shared mode has one
+    coefficient on both and no padded grid is built.
 
     Kept buffers.  The padded spectrum, the sample stacks op gets and the
     forward spectrum of what it returns live in grid._lattices, one set
@@ -462,16 +452,17 @@ def dealiased_pointwise(
     n, N = grid.n, grid.points_per_axis
     M = factor * N
     kept = _lattice(grid, M, coeffs[0].shape[:-n], len(coeffs))
+    for c, samples in zip(coeffs, kept.samples):
+        _samples(grid, c, M, kept.padded, samples)
     # An overflow here is a blow-up, which the time loops read off the samples.
     with np.errstate(over="ignore", invalid="ignore"):
-        for c, samples in zip(coeffs, kept.samples):
-            _signed_samples(grid, grid._phase_signs * c, M, kept.padded, samples)
         result = op(*kept.samples)
         reuse = kept.half is not None and kept.half.shape[:-n] == result.shape[:-n]
         kept.half = _rfft(n, result, out=kept.half if reuse else None)
         truncated = kept.half[(Ellipsis,) + _leading_index(N, M, n) + (slice(0, N // 2 + 1),)]
+        scale = (2.0 * np.pi) ** (-n / 2) * (grid.box_length / M) ** n
         # C order, as for one field: sums over a field's samples run in memory order.
-        return np.multiply(kept.truncate, truncated, order="C")
+        return np.multiply(scale, truncated, order="C")
 
 
 def dealiased_product(f: GridField, g: GridField) -> GridField:
@@ -482,12 +473,16 @@ def dealiased_product(f: GridField, g: GridField) -> GridField:
     return field_from_coeffs(f.grid, coeffs)
 
 
+def _power(grid: TorusGrid, coeffs: np.ndarray, p: int) -> np.ndarray:
+    """Alias-free coefficients of u^p from those of u, padded by
+    pad_factor_for_power(p); an overflow shows in the samples."""
+    power = partial(integer_power, p=p)
+    return dealiased_pointwise(grid, power, pad_factor_for_power(p), coeffs)
+
+
 def dealiased_power(f: GridField, p: int) -> GridField:
     """f**p computed pointwise on a grid padded by ceil((p+1)/2)."""
-    power = partial(integer_power, p=p)
-    factor = pad_factor_for_power(p)
-    coeffs = dealiased_pointwise(f.grid, power, factor, f.spectrum)
-    return field_from_coeffs(f.grid, coeffs)
+    return field_from_coeffs(f.grid, _power(f.grid, f.spectrum, p))
 
 
 def refine_field(f: GridField) -> GridField:

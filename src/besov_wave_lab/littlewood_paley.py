@@ -27,7 +27,7 @@ from besov_wave_lab.grid import (
     GridField,
     TorusGrid,
     _leading_index,
-    _signed_samples,
+    _samples,
     apply_symbol,
     integer_power,
 )
@@ -235,7 +235,7 @@ class DyadicBlocks:
 @dataclass
 class _BlockLattice:
     """The blocks rows that block_norms sums on M points per axis: their
-    signed annuli restricted to that lattice, the index that restricts a
+    annuli restricted to that lattice, the index that restricts a
     coefficient array of the grid to it, and the complex block stack the
     products go into (None until the first call)."""
 
@@ -248,17 +248,12 @@ class _BlockLattice:
 
     @classmethod
     def build(cls, blocks: DyadicBlocks, M: int, rows: np.ndarray) -> "_BlockLattice":
-        grid = blocks.grid
-        N, n = grid.points_per_axis, grid.n
-        # The phase signs +-1 folded in (exact), which _samples would
-        # otherwise apply to a complex copy of every block stack.
-        annuli = grid._phase_signs * blocks.annuli[rows]
-        index = (Ellipsis,)
-        if M < N:
+        grid, index = blocks.grid, (Ellipsis,)
+        if M < grid.points_per_axis:
             # Last-axis columns 0..M/2, leading rows k mod N for |k| <= M/2.
-            index = (Ellipsis,) + _leading_index(M, N, n) + (slice(0, M // 2 + 1),)
-            annuli = annuli[index]
-        return cls(grid, M, rows, annuli, index)
+            rows_mod_N = _leading_index(M, grid.points_per_axis, grid.n)
+            index = (Ellipsis,) + rows_mod_N + (slice(0, M // 2 + 1),)
+        return cls(grid, M, rows, blocks.annuli[rows][index], index)
 
     def samples(self, coeffs: np.ndarray) -> np.ndarray:
         """Fresh samples on M points per axis of the blocks rows of the
@@ -268,7 +263,7 @@ class _BlockLattice:
         if self.work is None or self.work.shape != shape:
             self.work = np.empty(shape, dtype=complex)
         np.multiply(self.annuli, np.expand_dims(coeffs[self.index], -n - 1), out=self.work)
-        return _signed_samples(self.grid, self.work, self.M)
+        return _samples(self.grid, self.work, self.M)
 
 
 def default_j_range(grid: TorusGrid) -> tuple[int, int]:

@@ -23,6 +23,7 @@ from besov_wave_lab.admissibility import check_decay_integrability
 from besov_wave_lab.grid import (
     GridField,
     TorusGrid,
+    _coefficients,
     _node_chunks,
     field_from_coeffs,
     integer_power,
@@ -38,8 +39,8 @@ __all__ = [
     "x_norm",
     "time_bracket",
     "x_weight",
-    "interpolation_check",
     "interpolation_exponents",
+    "interpolation_ratios",
 ]
 
 
@@ -208,39 +209,18 @@ def interpolation_exponents(r: float, s: float, theta: float) -> tuple[float, fl
     return 1.0 / inv_q, theta * s
 
 
-def interpolation_check(
-    f: GridField,
-    r: float,
-    s: float,
-    q: float,
-    alpha: float,
-    theta: float,
-    *,
-    blocks: DyadicBlocks | None = None,
-) -> float:
-    """Ratio of the interpolated seminorm to the two-endpoint product, in f's dimension n.
-
-    The exponents must satisfy n/q - alpha = (1-theta)n/r + theta(n/2 - s)
-    and alpha <= theta*s, to 1e-10; tuples off the scaling line are rejected.
-    """
-    if not 0.0 <= theta <= 1.0:
-        raise ValueError("theta must lie in [0, 1]")
-    n = f.grid.n
-    lhs = n / q - alpha
-    rhs = (1.0 - theta) * n / r + theta * (n / 2.0 - s)
-    if abs(lhs - rhs) > 1e-10:
-        raise ValueError(
-            f"exponent tuple violates the scaling identity by {abs(lhs - rhs):.3e}"
-        )
-    if alpha > theta * s + 1e-10:
-        raise ValueError("alpha must not exceed theta*s")
-    if blocks is None:
-        blocks = make_blocks(f.grid)
-    num = besov_seminorm(f, alpha, q, blocks=blocks)
-    den = (
-        besov_seminorm(f, 0.0, r, blocks=blocks) ** (1.0 - theta)
-        * besov_seminorm(f, s, 2.0, blocks=blocks) ** theta
-    )
-    if den == 0.0:
+def interpolation_ratios(
+    blocks: DyadicBlocks, samples: np.ndarray, r: float, s: float, theta: float
+) -> np.ndarray:
+    """||f||_{B^alpha_{q,2}} over ||f||_{B^0_{r,2}}^(1-theta) ||f||_{B^s_{2,2}}^theta
+    at the canonical (q, alpha) of interpolation_exponents, for every field
+    of samples on blocks.grid stacked on leading axes; raises if the product
+    vanishes for any field."""
+    q, alpha = interpolation_exponents(r, s, theta)
+    coeffs = _coefficients(blocks.grid, samples)
+    b_r, b_s = _besov(blocks, coeffs, 0.0, r, 2.0), _besov(blocks, coeffs, s, 2.0, 2.0)
+    # float_power has no SIMD loop, so each power rounds as a scalar's would.
+    den = np.float_power(b_r, 1.0 - theta) * np.float_power(b_s, theta)
+    if np.any(den == 0.0):
         raise ValueError("interpolation ratio undefined for the zero field")
-    return num / den
+    return _besov(blocks, coeffs, alpha, q, 2.0) / den

@@ -6,7 +6,7 @@ from typing import Callable
 
 import numpy as np
 
-from besov_wave_lab.grid import GridField, TorusGrid, field_from_coeffs
+from besov_wave_lab.grid import GridField, TorusGrid, _irfft, _rfft, field_from_coeffs
 from besov_wave_lab.littlewood_paley import chi
 
 __all__ = [
@@ -77,7 +77,7 @@ def band_limited_samples(
     slopes = np.asarray(spectrum_slope)
     shapes = np.zeros(slopes.shape + xi.shape)
     shapes[..., band] = xi[band] ** (-spectrum_slope if slopes.ndim == 0 else -slopes[:, None])
-    vals = np.fft.irfftn(np.fft.rfftn(noise, axes=axes) * shapes, axes=axes)
+    vals = _irfft(grid.n, _rfft(grid.n, noise) * shapes)
     scale = np.sqrt(np.sum(vals**2, axis=axes) * grid.spacing**grid.n)
     return vals / np.expand_dims(np.where(scale > 0, scale, 1.0), axes)
 
@@ -108,8 +108,10 @@ def saturating_low(
     """Low-frequency data saturating the L^q -> L^p decay bound.
 
     The spectrum is |xi|^(-n(1 - 1/q)) under a Gaussian envelope with the
-    DC mode removed; for q = 1 this is a plain Gaussian spectral bump.
-    real and even, so the samples are real.
+    DC mode removed; for q = 1 this is a plain Gaussian spectral bump,
+    real and even, so the samples are real.  The factor (-1)^k per axis
+    moves the bump from the transform's origin, the first sample -L/2, to
+    x = 0.
     """
     if q < 1:
         raise ValueError("q must be >= 1")
@@ -120,7 +122,8 @@ def saturating_low(
     coeffs[nonzero] = xi[nonzero] ** power * np.exp(
         -(xi[nonzero] ** 2) / (2.0 * envelope_width**2)
     )
-    f = field_from_coeffs(grid, coeffs)
+    signs = 1.0 - 2.0 * (sum(np.indices(grid.spectral_shape, sparse=True)) % 2)
+    f = field_from_coeffs(grid, signs * coeffs)
     peak = f.max_abs()
     return f * (amplitude / peak) if peak > 0 else f
 

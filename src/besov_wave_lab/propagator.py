@@ -35,6 +35,7 @@ __all__ = [
     "verify_lp_lq",
     "BlockEstimateReport",
     "verify_block_estimate",
+    "verify_block_estimates",
 ]
 
 DELTA_BAND = 1e-3
@@ -265,9 +266,9 @@ class BlockEstimateReport:
             raise ValueError("block-estimate ratios must be finite")
 
 
-def verify_block_estimate(
+def verify_block_estimates(
     g: GridField,
-    k: int,
+    ks,
     t_grid: np.ndarray,
     *,
     p: float = 2.0,
@@ -275,46 +276,51 @@ def verify_block_estimate(
     s1: float = 0.0,
     s2: float = 0.0,
     blocks: DyadicBlocks | None = None,
-) -> BlockEstimateReport:
-    """Per-block decay ratio at dyadic index k.
+) -> list[BlockEstimateReport]:
+    """Per-block decay ratios at the dyadic indices ks, one report each.
 
     k <= 0 compares 2^(k*s1) ||block_k D(t) g||_p with the polynomially
     decaying bound; k >= 1 compares against exp(-t/2) 2^(k(s1+beta-1)) with
     a fitted log-growth exponent of the exp(t/2)-compensated ratio, 0.0 when
-    fewer than two ratios are positive.  Every block norm is column
-    k - j_min of blocks.block_norms.
+    fewer than two ratios are positive.  Every block norm is a column of
+    blocks.block_norms, taken once per time for the flowed data (so it
+    holds J blocks at a time, not J per time) and once per exponent for
+    the data, whatever the number of indices.
     """
     for name, exponent in (("p", p), ("q", q)):
         if exponent < 1:
             raise ValueError(f"Lebesgue exponent {name} must be >= 1, got {exponent}")
     if blocks is None:
         blocks = make_blocks(g.grid)
-    if not (blocks.j_min <= k <= blocks.j_max):
-        raise ValueError(f"block index {k} outside [{blocks.j_min}, {blocks.j_max}]")
+    for k in ks:
+        blocks._check_range(k)
     beta, rate = _flow_exponents(g.grid.n, p, q, s1, s2)
     ts = np.asarray(t_grid, dtype=float)
-    column = k - blocks.j_min
-    # One time per call, so block_norms holds J blocks at a time, not J per time.
-    lhs = 2.0 ** (k * s1) * np.array(
-        [blocks.block_norms(damped_L(t, g.grid.freq_abs) * g.spectrum, p)[column] for t in ts]
+    flowed = np.array(
+        [blocks.block_norms(damped_L(t, g.grid.freq_abs) * g.spectrum, p) for t in ts]
     )
-    if k <= 0:
-        decay, weight, data_exponent = time_bracket(ts) ** rate, 2.0 ** (k * s2), q
-    else:
-        decay, weight, data_exponent = np.exp(-ts / 2.0), 2.0 ** (k * (s1 + beta - 1.0)), p
-    rhs = decay * weight * blocks.block_norms(g.spectrum, data_exponent)[column]
-    ratios = np.divide(lhs, rhs, out=np.zeros_like(lhs), where=rhs > 0)
-    fitted = None
-    if k > 0:
-        try:
-            fitted = fit_power_law(ts, ratios, window=(ts[0], ts[-1]))[0]
-        except ValueError:  # fewer than two positive ratios
-            fitted = 0.0
-    return BlockEstimateReport(
-        k=k,
-        side="low" if k <= 0 else "high",
-        ts=ts,
-        ratios=ratios,
-        max_ratio=float(np.max(ratios)),
-        fitted_exponent=fitted,
-    )
+    data = {e: blocks.block_norms(g.spectrum, e) for e in {q if k <= 0 else p for k in ks}}
+    reports = []
+    for k in ks:
+        column = k - blocks.j_min
+        lhs = 2.0 ** (k * s1) * flowed[:, column]
+        if k <= 0:
+            decay, weight, data_exponent = time_bracket(ts) ** rate, 2.0 ** (k * s2), q
+        else:
+            decay, weight, data_exponent = np.exp(-ts / 2.0), 2.0 ** (k * (s1 + beta - 1.0)), p
+        rhs = decay * weight * data[data_exponent][column]
+        ratios = np.divide(lhs, rhs, out=np.zeros_like(lhs), where=rhs > 0)
+        fitted = None
+        if k > 0:
+            try:
+                fitted = fit_power_law(ts, ratios, window=(ts[0], ts[-1]))[0]
+            except ValueError:  # fewer than two positive ratios
+                fitted = 0.0
+        side = "low" if k <= 0 else "high"
+        reports.append(BlockEstimateReport(k, side, ts, ratios, float(np.max(ratios)), fitted))
+    return reports
+
+
+def verify_block_estimate(g: GridField, k: int, t_grid: np.ndarray, **keys) -> BlockEstimateReport:
+    """verify_block_estimates at the one index k."""
+    return verify_block_estimates(g, [k], t_grid, **keys)[0]

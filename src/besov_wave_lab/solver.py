@@ -49,9 +49,8 @@ from besov_wave_lab.grid import (
     GridField,
     TorusGrid,
     _node_chunks,
+    _power,
     _samples,
-    dealiased_pointwise,
-    integer_power,
     outer_shell_fraction,
     pad_factor_for_power,
     refine_field,
@@ -211,12 +210,6 @@ def _peaks(grid: TorusGrid, coeffs: np.ndarray, threshold: float):
         samples = _samples(grid, coeffs[unclear], grid.points_per_axis)
         peaks[unclear] = np.max(np.abs(samples), axis=tuple(range(-grid.n, 0)))
     return peaks
-
-
-def _power(grid: TorusGrid, coeffs: np.ndarray, p: int) -> np.ndarray:
-    """Alias-free spectrum of u^p from that of u; overflows show in the samples."""
-    power = partial(integer_power, p=p)
-    return dealiased_pointwise(grid, power, pad_factor_for_power(p), coeffs)
 
 
 def _step_weights(grid: TorusGrid, h: float):

@@ -83,6 +83,8 @@ class TestForwardTransform:
         # F[exp(-x^2/2)] = exp(-xi^2/2) under the symmetric convention.
         grid = make_grid(1, 128, 40.0)
         F = field_from_function(grid, lambda x: np.exp(-(x**2) / 2)).spectrum
+        # The coefficients' origin is the first sample, -L/2; (-1)^k moves it to 0.
+        F = (1.0 - 2.0 * (np.arange(F.size) % 2)) * F
         xi = grid.freqs[0]
         mask = np.abs(xi) <= 4.0
         expected = np.exp(-(xi[mask] ** 2) / 2)
@@ -191,9 +193,8 @@ def _full_spectrum(f):
     """The coefficients of f on the whole lattice, FFT order, from a complex
     transform: the test's own view of the forward transform."""
     grid = f.grid
-    signs = 1.0 - 2.0 * (sum(np.indices(grid.shape, sparse=True)) % 2)
     scale = (2.0 * np.pi) ** (-grid.n / 2) * grid.spacing**grid.n
-    return scale * signs * np.fft.fftn(f.values)
+    return scale * np.fft.fftn(f.values)
 
 
 class TestTransformProperties:
@@ -503,7 +504,7 @@ def _fresh_pointwise(grid, op, factor, *coeffs):
     samples = []
     for c in coeffs:
         padded = np.zeros(c.shape[:-n] + (M,) * (n - 1) + (M // 2 + 1,), dtype=complex)
-        padded[(Ellipsis,) + rows + (slice(0, h + 1),)] = grid._phase_signs * c
+        padded[(Ellipsis,) + rows + (slice(0, h + 1),)] = c
         padded[..., h] *= 0.5
         for axis in range(n - 1):
             after = (slice(None),) * (n - 1 - axis)
@@ -514,9 +515,7 @@ def _fresh_pointwise(grid, op, factor, *coeffs):
         samples.append(v)
     half = np.fft.rfftn(op(*samples), axes=axes)
     scale = (2.0 * np.pi) ** (-n / 2) * (grid.box_length / M) ** n
-    return np.multiply(
-        scale * grid._phase_signs, half[(Ellipsis,) + rows + (slice(0, h + 1),)], order="C"
-    )
+    return np.multiply(scale, half[(Ellipsis,) + rows + (slice(0, h + 1),)], order="C")
 
 
 class TestKeptLattice:
@@ -555,7 +554,7 @@ class TestKeptLattice:
             buffers = [
                 b
                 for kept in grid._lattices.values()
-                for b in (kept.padded, kept.half, kept.truncate) + kept.samples
+                for b in (kept.padded, kept.half) + kept.samples
                 if b is not None
             ]
             for out in outputs + [got]:

@@ -11,8 +11,7 @@ from besov_wave_lab.norms import (
     ProblemParams,
     Trajectory,
     besov_seminorm,
-    interpolation_check,
-    interpolation_exponents,
+    interpolation_ratios,
     lebesgue_norm,
     time_bracket,
     x_norm,
@@ -235,28 +234,16 @@ class TestInterpolation:
     def test_theta_endpoints_give_ratio_one(self):
         f = band_limited_random(self.grid, np.random.default_rng(2), 0.4, 10.0, 0.5)
         for theta in (0.0, 1.0):
-            q, alpha = interpolation_exponents(4.0, 2.0, theta)
-            ratio = interpolation_check(
-                f, 4.0, 2.0, q, alpha, theta, blocks=self.blocks
-            )
+            ratio = interpolation_ratios(self.blocks, f.values, 4.0, 2.0, theta)
             assert ratio == pytest.approx(1.0, rel=1e-10)
 
-    def test_rejects_off_scaling_tuple(self):
-        f = band_limited_random(self.grid, np.random.default_rng(3), 0.4, 10.0, 0.5)
-        with pytest.raises(ValueError, match="scaling identity"):
-            interpolation_check(f, 4.0, 2.0, 3.0, 0.2, 0.5, blocks=self.blocks)
-
     def test_midpoint_ensemble_constant_bounded(self):
-        theta = 0.5
-        q, alpha = interpolation_exponents(4.0, 2.0, theta)
         rng = np.random.default_rng(17)
-        worst = 0.0
-        for _ in range(200):
-            f = band_limited_random(self.grid, rng, 0.4, 12.0, rng.uniform(0.0, 1.0))
-            worst = max(
-                worst,
-                interpolation_check(f, 4.0, 2.0, q, alpha, theta, blocks=self.blocks),
-            )
+        fields = np.stack([
+            band_limited_random(self.grid, rng, 0.4, 12.0, rng.uniform(0.0, 1.0)).values
+            for _ in range(200)
+        ])
+        worst = np.max(interpolation_ratios(self.blocks, fields, 4.0, 2.0, 0.5))
         assert 0.0 < worst < 10.0
 
 

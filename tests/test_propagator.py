@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from besov_wave_lab.grid import apply_symbol, make_grid
-from besov_wave_lab.littlewood_paley import make_blocks
+from besov_wave_lab.littlewood_paley import DyadicBlocks, make_blocks
 from besov_wave_lab.norms import lebesgue_norm
 from besov_wave_lab.profiles import band_limited_random, saturating_low, single_mode
 from besov_wave_lab.propagator import (
@@ -19,6 +19,7 @@ from besov_wave_lab.propagator import (
     flow_matrix,
     linear_solution,
     verify_block_estimate,
+    verify_block_estimates,
     verify_lp_lq,
 )
 
@@ -307,3 +308,31 @@ class TestBlockEstimates:
             verify_block_estimate(
                 grid.zeros(), blocks.j_max + 3, np.array([1.0]), blocks=blocks
             )
+
+    @pytest.mark.parametrize("q, calls", [(2.0, 6 + 2), (4.0, 6 + 1)])
+    def test_block_norms_once_per_time_and_exponent(self, monkeypatch, q, calls):
+        # One table of the flowed data per time serves every k, and the
+        # data's norms are taken once per exponent (q below, p above).
+        grid = make_grid(1, 256, 50.0)
+        blocks = make_blocks(grid)
+        g = band_limited_random(grid, np.random.default_rng(4), 0.1, 5.0, 0.0)
+        ts = np.geomspace(0.5, 20.0, 6)
+        ks = (-2, -1, 1, 2)
+        exponents = []
+        block_norms = DyadicBlocks.block_norms
+
+        def counted(self, coeffs, p):
+            exponents.append(p)
+            return block_norms(self, coeffs, p)
+
+        monkeypatch.setattr(DyadicBlocks, "block_norms", counted)
+        reports = verify_block_estimates(g, ks, ts, p=4.0, q=q, blocks=blocks)
+        assert len(exponents) == calls
+        assert [(r.k, r.side) for r in reports] == [
+            (-2, "low"), (-1, "low"), (1, "high"), (2, "high")
+        ]
+        monkeypatch.undo()
+        for r in reports:
+            alone = verify_block_estimate(g, r.k, ts, p=4.0, q=q, blocks=blocks)
+            assert alone.ratios.tobytes() == r.ratios.tobytes()
+            assert alone.fitted_exponent == r.fitted_exponent

@@ -637,8 +637,9 @@ class TestEscapeGate:
     @pytest.mark.parametrize("n", [1, 2])
     @pytest.mark.parametrize("column", [0, 3, 8])
     def test_bound_is_reached_by_one_mode(self, n, column):
-        # One real coefficient peaks at x = 0, where every phase is 1: the
-        # bound is the max-norm there, so its scale and weights are right.
+        # One real coefficient peaks at the first sample, the transform's
+        # origin, where every phase is 1: the bound is the max-norm there,
+        # so its scale and weights are right.
         grid = make_grid(n, 16, 7.0)
         coeffs = np.zeros(grid.spectral_shape, dtype=complex)
         coeffs[(0,) * (n - 1) + (column,)] = 2.5
