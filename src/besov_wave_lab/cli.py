@@ -21,9 +21,9 @@ import sys
 from pathlib import Path
 
 from besov_wave_lab.admissibility import AdmissibilityError
-from besov_wave_lab.experiments import COMMON, REGISTRY, BlowupInGlobalRun, run_experiment
+from besov_wave_lab.experiments import COMMON, REGISTRY, BlowupInGlobalRun, config_text
+from besov_wave_lab.experiments import run_experiment
 from besov_wave_lab.profiles import PROFILES
-from besov_wave_lab.reporting import config_hash
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -63,11 +63,7 @@ def _emit_error(kind: str, message: str, code: int, out_dir: Path | None) -> Non
 def _keys(keys) -> str:
     """'key = default ...' as a config writes them; a type marks no default,
     and a withheld key (None) is left out."""
-    return "  ".join(
-        f"{key} = {','.join(map(str, v)) if isinstance(v, tuple) else getattr(v, '__name__', v)}"
-        for key, v in keys.items()
-        if v is not None
-    )
+    return "  ".join(f"{key} = {config_text(v)}" for key, v in keys.items() if v is not None)
 
 
 def cmd_list() -> int:
@@ -115,7 +111,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         _emit_error("config", str(exc), EXIT_CONFIG, out_dir)
         return EXIT_CONFIG
 
-    report.meta["config_hash"] = config_hash(cfg)
     path = report.save(out_dir)
     status = "ok" if report.passed() else "check-verdicts"
     print(f"{kind}: {status} -> {path}")

@@ -50,7 +50,8 @@ from besov_wave_lab.propagator import (
     verify_block_estimates,
     verify_lp_lq,
 )
-from besov_wave_lab.reporting import Check, ExperimentReport, Table, write_loglog_svg
+from besov_wave_lab.reporting import Check, ExperimentReport, Table, config_hash
+from besov_wave_lab.reporting import write_loglog_svg
 from besov_wave_lab.solver import (
     SolverConfig,
     _lattice_count,
@@ -123,6 +124,14 @@ def _read(decl, text: str | None) -> Any:
     return kind(text)
 
 
+def config_text(value) -> str:
+    """value as a config file writes it: a tuple as a comma list, a type (a
+    key without a default) by its name, inf as inf."""
+    if isinstance(value, tuple):
+        return ",".join(map(str, value))
+    return str(getattr(value, "__name__", value))
+
+
 def read_config(spec: ExperimentSpec, cfg: Config) -> Values:
     """Typed value of every key spec declares, defaults filled in.  An unknown
     section, key or data profile raises ValueError naming the nearest valid
@@ -178,7 +187,6 @@ def run_partition_residual(values: Values, out_dir: Path, rng, jobs: int) -> Exp
     blocks = make_blocks(make_grid(**values["grid"]))
     residual = blocks.partition_residual()
     return ExperimentReport(
-        kind="partition-residual",
         scalars={"residual": residual},
         checks={"partition": Check(residual, "<", values["experiment"]["tolerance"])},
         meta={"j_min": blocks.j_min, "j_max": blocks.j_max},
@@ -199,7 +207,6 @@ def run_mode_ode(values: Values, out_dir: Path, rng, jobs: int) -> ExperimentRep
         worst = max(worst, resid)
         rows.append([t, xi, resid])
     return ExperimentReport(
-        kind="mode-ode",
         scalars={"max_residual": worst, "pairs": float(len(pairs))},
         checks={"mode_ode": Check(worst, "<", tol)},
         tables={"residuals": Table(columns=["t", "xi", "residual"], rows=rows)},
@@ -249,11 +256,9 @@ def run_high_frequency_bound(values: Values, out_dir: Path, rng, jobs: int) -> E
     log_c = math.log10(const)
     rows = [[float(t), float(v), float(c)] for t, v, c in zip(ts, norms, compensated)]
     report = ExperimentReport(
-        kind="high-frequency-bound",
         scalars={"delta_hat": delta, "log10_const": log_c},
         checks={"log_growth_only": Check(delta, "<=", delta_cap)},
         tables={"decay": Table(columns=["t", "norm", "exp_half_t_norm"], rows=rows)},
-        meta={"p": p},
     )
     write_loglog_svg(
         out_dir / "high-frequency-bound.svg",
@@ -267,30 +272,30 @@ def run_high_frequency_bound(values: Values, out_dir: Path, rng, jobs: int) -> E
 
 def run_block_estimates(values: Values, out_dir: Path, rng, jobs: int) -> ExperimentReport:
     est = values["estimate"]
-    p, q, s1, s2 = est["p"], est["q"], est["s1"], est["s2"]
+    ks = (*est["k_low"], *est["k_high"])
+    for key, low in (("k_low", True), ("k_high", False)):
+        for k in est[key]:
+            if (k <= 0) != low:
+                raise ValueError(f"[estimate] {key} entry {k} must be {'<= 0' if low else '>= 1'}")
+            if ks.count(k) > 1:
+                raise ValueError(f"[estimate] {key} entry {k} names its block twice")
     grid = make_grid(**values["grid"])
-    blocks = make_blocks(grid)
     ts = _times_from(values)
     g = build_profile(values["data"]["profile"], grid, values["data"], rng)
-    reps = verify_block_estimates(
-        g, (*est["k_low"], *est["k_high"]), ts, p=p, q=q, s1=s1, s2=s2, blocks=blocks
-    )
+    reps = verify_block_estimates(g, ks, ts, **{key: est[key] for key in ESTIMATE})
     rows = [[float(rep.k), rep.max_ratio, rep.fitted_exponent or 0.0] for rep in reps]
     sides = {}
     for side in ("low", "high"):
         maxima = [rep.max_ratio for rep in reps if rep.side == side and rep.max_ratio > 0]
         sides[side] = max(maxima) / min(maxima) if maxima else math.inf
-    report = ExperimentReport(
-        kind="block-estimates",
+    return ExperimentReport(
         scalars={"low_spread": sides["low"], "high_spread": sides["high"]},
         checks={
             "low_k_independent": Check(sides["low"], "<", est["spread_cap"]),
             "high_k_independent": Check(sides["high"], "<", est["spread_cap"]),
         },
         tables={"blocks": Table(columns=["k", "max_ratio", "fitted_exponent"], rows=rows)},
-        meta={"p": p, "q": q, "s1": s1, "s2": s2},
     )
-    return report
 
 
 def _ensemble_max(blocks, count: int, draw, measure) -> float:
@@ -326,10 +331,8 @@ def run_paraproduct_residual(values: Values, out_dir: Path, rng, jobs: int) -> E
 
     worst = _ensemble_max(make_blocks(grid), pairs, draw, decomposition_residuals)
     return ExperimentReport(
-        kind="paraproduct-residual",
         scalars={"max_residual": worst, "pairs": float(pairs)},
         checks={"repartition": Check(worst, "<", tol)},
-        meta={"n": grid.n, "N": grid.points_per_axis},
     )
 
 
@@ -353,7 +356,6 @@ def run_leibniz(values: Values, out_dir: Path, rng, jobs: int) -> ExperimentRepo
         )
     change = abs(maxima["refined"] - maxima["base"]) / maxima["base"]
     return ExperimentReport(
-        kind="leibniz",
         scalars={
             "max_ratio_base": maxima["base"],
             "max_ratio_refined": maxima["refined"],
@@ -362,12 +364,6 @@ def run_leibniz(values: Values, out_dir: Path, rng, jobs: int) -> ExperimentRepo
         checks={
             "finite": Check(maxima["base"], "<=", np.finfo(float).max),  # JSON has no inf
             "stable_under_refinement": Check(change, "<", sec["stability_cap"]),
-        },
-        meta={
-            "alpha": lcfg.alpha,
-            "exponents": f"r={lcfg.r:g} p1={lcfg.p1:g} q1={lcfg.q1:g} "
-            f"p2={lcfg.p2:g} q2={lcfg.q2:g}",
-            "ensemble": lcfg.ensemble,
         },
     )
 
@@ -391,7 +387,6 @@ def run_interpolation(values: Values, out_dir: Path, rng, jobs: int) -> Experime
         rows.append([theta, q, alpha, _ensemble_max(blocks, ensemble, draw, ratios)])
     degenerate = sum(not 0 < r[3] < math.inf for r in rows)  # constants not positive, finite
     return ExperimentReport(
-        kind="interpolation",
         scalars={"max_ratio": max(r[3] for r in rows)},
         checks={"finite_constants": Check(degenerate, "==", 0)},
         tables={
@@ -399,7 +394,6 @@ def run_interpolation(values: Values, out_dir: Path, rng, jobs: int) -> Experime
                 columns=["theta", "q", "alpha", "max_ratio"], rows=rows
             )
         },
-        meta={"ensemble": ensemble},
     )
 
 
@@ -450,7 +444,6 @@ def run_global_decay(values: Values, out_dir: Path, rng, jobs: int) -> Experimen
     # the study leaves room for its stacked block norms.
     del etd_traj
     study = decay_study(traj, pp, blown_up=False)
-    study.kind = "global-decay"
     study.scalars["oracle_agreement"] = agreement
     study.scalars["picard_residual"] = diag.residual
     study.scalars["picard_iterations"] = float(diag.iterations)
@@ -512,7 +505,6 @@ def run_sweep_critical(values: Values, out_dir: Path, rng, jobs: int) -> Experim
     # The claim: every power below 1 + 2r/n escapes, every other one decays.
     wrong_side = sum(escaped != (p < fujita) for p, escaped, *_ in results)
     return ExperimentReport(
-        kind="sweep-critical",
         scalars={"fujita": fujita},
         checks={"boundary_at_critical": Check(wrong_side, "==", 0)},
         tables={
@@ -520,7 +512,6 @@ def run_sweep_critical(values: Values, out_dir: Path, rng, jobs: int) -> Experim
                 columns=["p", "escaped", "escape_time", "steps", "rejected"], rows=rows
             )
         },
-        meta={"n": params[0].n, "r": params[0].r},
     )
 
 
@@ -541,7 +532,6 @@ def run_admissibility(values: Values, out_dir: Path, rng, jobs: int) -> Experime
             mismatches += 1
     rows = [[c.name, float(c.status == "pass"), c.margin] for c in verdict.conditions]
     return ExperimentReport(
-        kind="admissibility",
         scalars={
             "beta": verdict.beta,
             "fujita": verdict.fujita,
@@ -554,7 +544,7 @@ def run_admissibility(values: Values, out_dir: Path, rng, jobs: int) -> Experime
         tables={
             "conditions": Table(columns=["condition", "ok", "margin"], rows=rows)
         },
-        meta={"n": n, "r": r, "s": s, "p": p, "branch": verdict.two_s_branch},
+        meta={"branch": verdict.two_s_branch},
     )
 
 
@@ -704,7 +694,12 @@ def run_experiment(
 ) -> ExperimentReport:
     """Run one registered experiment on its read_config values; seed None
     takes [run] seed.  Unless overridden, the powers of a solving experiment
-    must pass require_lwp before anything is built."""
+    must pass require_lwp before anything is built.
+
+    The report is named after the kind, and its meta records the effective
+    config: meta.config holds every key the kind reads as config_text, with
+    defaults filled in and the seed as run (a key with no value left out),
+    and meta.config_hash hashes it.  A report reruns from its meta.config."""
     if name not in REGISTRY:
         raise KeyError(f"unknown experiment '{name}'")
     spec = REGISTRY[name]
@@ -716,8 +711,14 @@ def run_experiment(
         require_lwp(pr["n"], pr["r"], pr["s"], powers if isinstance(powers, tuple) else [powers])
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    seed = values["run"]["seed"] if seed is None else seed
-    rng = np.random.default_rng(seed)
+    values["experiment"]["kind"] = name
+    if seed is not None:
+        values["run"]["seed"] = seed
+    config = {
+        section: {key: config_text(v) for key, v in keys.items() if v is not None}
+        for section, keys in values.items()
+    }
+    rng = np.random.default_rng(values["run"]["seed"])
     started, cpu = time.perf_counter(), time.process_time()
     faults = getrusage and getrusage(RUSAGE_SELF).ru_minflt
     report = spec.runner(values, out_dir, rng, jobs)
@@ -725,5 +726,6 @@ def run_experiment(
     report.cpu_s = round(time.process_time() - cpu, 3)
     if getrusage:
         report.minor_faults = getrusage(RUSAGE_SELF).ru_minflt - faults
-    report.meta["seed"] = seed
+    report.kind = name
+    report.meta.update(config=config, config_hash=config_hash(config))
     return report

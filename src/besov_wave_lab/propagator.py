@@ -200,8 +200,7 @@ def verify_lp_lq(
         raise ValueError("need s1 >= s2")
     if blocks is None:
         blocks = make_blocks(g.grid)
-    n = g.grid.n
-    beta, low_exponent = _flow_exponents(n, p, q, s1, s2)
+    beta, low_exponent = _flow_exponents(g.grid.n, p, q, s1, s2)
 
     chi = blocks.low_pass_multiplier(1.0)
     g_low, g_high = chi * g.spectrum, (1.0 - chi) * g.spectrum
@@ -243,19 +242,13 @@ def verify_lp_lq(
             for i in range(ts.size)
         ],
     )
-    return ExperimentReport(
-        kind="verify-lp-lq",
-        scalars=scalars,
-        tables={"decay": table},
-        meta={"p": p, "q": q, "s1": s1, "s2": s2, "n": n},
-    )
+    return ExperimentReport(scalars=scalars, tables={"decay": table})
 
 
 @dataclass
 class BlockEstimateReport:
     k: int
     side: str
-    ts: np.ndarray
     ratios: np.ndarray
     max_ratio: float
     fitted_exponent: float | None
@@ -317,7 +310,7 @@ def verify_block_estimates(
             except ValueError:  # fewer than two positive ratios
                 fitted = 0.0
         side = "low" if k <= 0 else "high"
-        reports.append(BlockEstimateReport(k, side, ts, ratios, float(np.max(ratios)), fitted))
+        reports.append(BlockEstimateReport(k, side, ratios, float(np.max(ratios)), fitted))
     return reports
 
 

@@ -67,7 +67,7 @@ class Table:
 
 @dataclass
 class ExperimentReport:
-    kind: str
+    kind: str = ""
     scalars: dict[str, float] = field(default_factory=dict)
     checks: dict[str, Check] = field(default_factory=dict)
     tables: dict[str, Table] = field(default_factory=dict)

@@ -545,14 +545,12 @@ def contraction_report(
         ],
     )
     return ExperimentReport(
-        kind="contraction",
         scalars={
             "fitted_slope": float(slope),
             "expected_slope": float(pp.p_nl - 1),
             "intercept": float(intercept),
         },
         tables={"ratios": table, "picard": history},
-        meta={"variable": "amplitude", "p_nl": pp.p_nl},
     )
 
 
@@ -607,11 +605,9 @@ def decay_study(
         rows=np.column_stack([ts, b_r, b_s, weighted, running]).tolist(),
     )
     return ExperimentReport(
-        kind="decay-study",
         scalars=scalars,
         checks={"weighted_sup_bounded": Check(slope_w, "<=", TREND_TOL)},
         tables={"decay": table},
-        meta={"n": pp.n, "r": pp.r, "s": pp.s, "p_nl": pp.p_nl},
     )
 
 
@@ -648,8 +644,7 @@ def blowup_probe(
         scalars["escape_time_fine"] = t_f
         scalars["escape_time_rel_gap"] = abs(t_c - t_f) / max(t_c, t_f)
     return ExperimentReport(
-        kind="blowup-probe",
         scalars=scalars,
         checks={"escaped": Check(calm, "==", 0)},
-        meta={"p_nl": pp.p_nl, "fujita": pp.fujita, "horizon": cfg.horizon},
+        meta={"fujita": pp.fujita},
     )

@@ -1,5 +1,6 @@
 """CLI contract: exit codes, artifacts, reproducibility."""
 
+import configparser
 import functools
 import json
 from pathlib import Path
@@ -16,7 +17,7 @@ from besov_wave_lab.cli import (
     load_config,
     main,
 )
-from besov_wave_lab.experiments import REGISTRY, read_config, run_experiment
+from besov_wave_lab.experiments import REGISTRY, config_text, read_config, run_experiment
 from besov_wave_lab.reporting import config_hash
 from fields import count_transforms
 
@@ -300,6 +301,23 @@ points = 12
         cfg = write_cfg(tmp_path / "half.cfg", text.replace(f"\n{key} = 2\n", f"\n{key} = 0.5\n"))
         assert main(["run", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
         assert "must be >= 1, got 0.5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "shipped, changed, named",
+        [
+            ("k_low = -4,-3,-2,-1", "k_low = -4,-3,-2,2", "k_low entry 2 must be <= 0"),
+            ("k_high = 1,2,3,4", "k_high = 0,1,2,3", "k_high entry 0 must be >= 1"),
+            ("k_low = -4,-3,-2,-1", "k_low = -4,-3,-3,-1", "k_low entry -3 names its block twice"),
+        ],
+    )
+    def test_block_off_its_side_or_named_twice_exits_2(
+        self, shipped, changed, named, tmp_path, capsys
+    ):
+        text = (CONFIGS / "block-estimates.cfg").read_text()
+        assert shipped in text
+        cfg = write_cfg(tmp_path / "sides.cfg", text.replace(shipped, changed))
+        assert main(["run", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert named in capsys.readouterr().err
 
     def test_missing_config_exits_2(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "nope.cfg")]) == EXIT_CONFIG
@@ -692,6 +710,7 @@ class TestShippedConfigs:
         [
             "partition.cfg", "paraproduct.cfg", "admissibility.cfg", "leibniz.cfg",
             "contraction.cfg", "high-frequency-bound.cfg", "block-estimates.cfg",
+            "decay-linear-2d.cfg",
         ],
     )
     def test_quick_configs_run_clean(self, name, tmp_path, capsys):
@@ -702,12 +721,36 @@ class TestShippedConfigs:
         (report,) = tmp_path.glob("*.json")
         verdicts = json.loads(report.read_text())["verdicts"]
         assert verdicts and set(verdicts.values()) == {"pass"}
+        # The report's meta.config, written back as a config, reruns it.
+        saved = json.loads(report.read_text())
+        parser = configparser.ConfigParser()
+        parser.optionxform = str
+        parser.read_dict(saved["meta"]["config"])
+        with open(tmp_path / "rerun.cfg", "w", encoding="utf-8") as fh:
+            parser.write(fh)
+        rerun_out = tmp_path / "rerun"
+        assert main(["run", str(tmp_path / "rerun.cfg"), "--out", str(rerun_out)]) == EXIT_OK
+        rerun = json.loads((rerun_out / report.name).read_text())
+        saved.pop("timing")
+        rerun.pop("timing")
+        assert rerun == saved
 
     @pytest.mark.parametrize("kind", sorted(REGISTRY))
     def test_kind_only_config_exits_with_the_pass_code(self, kind, kind_only):
         code, report = kind_only(kind)
         assert code == EXIT_OK
         assert report["verdicts"] and set(report["verdicts"].values()) == {"pass"}
+
+    @pytest.mark.parametrize("kind", sorted(REGISTRY))
+    def test_kind_only_report_records_its_effective_config(self, kind, kind_only):
+        # Every key the kind reads, defaults filled in, as config text.
+        _, report = kind_only(kind)
+        values = read_config(REGISTRY[kind], {"experiment": {"kind": kind}})
+        assert report["meta"]["config"] == {
+            section: {key: config_text(v) for key, v in keys.items() if v is not None}
+            for section, keys in values.items()
+        }
+        assert report["meta"]["config_hash"] == config_hash(report["meta"]["config"])
 
     def test_kind_only_contraction_passes(self, kind_only):
         # The kind's defaults are configs/contraction.cfg's values.
