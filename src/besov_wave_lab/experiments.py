@@ -298,13 +298,21 @@ def run_block_estimates(values: Values, out_dir: Path, rng, jobs: int) -> Experi
     )
 
 
-def _ensemble_max(blocks, count: int, draw, measure) -> float:
+def _chunk_members(blocks, stacks: float) -> int:
+    """Members in a chunk of ENSEMBLE_CHUNK_BYTES, each charged stacks complex
+    block stacks of blocks (at least one member)."""
+    return max(1, int(ENSEMBLE_CHUNK_BYTES // (2 * stacks * blocks.annuli.nbytes)))
+
+
+def _ensemble_max(blocks, count: int, draw, measure, stacks: float) -> float:
     """Max of measure(blocks, *draw(b)) over count random members (a field
-    or a pair of fields) that draw(b) gives as stacked samples, b at a time:
-    chunks of as many as ENSEMBLE_CHUNK_BYTES holds at eight complex block
-    stacks a member (the peak of decomposition_residuals; leibniz_ratios
-    holds about three)."""
-    chunk = max(1, ENSEMBLE_CHUNK_BYTES // (16 * blocks.annuli.nbytes))
+    or a pair of fields) that draw(b) gives as stacked samples, b at a time,
+    in chunks of _chunk_members(blocks, stacks).  stacks is the caller's
+    upper bound on the complex block stacks one member holds, draw
+    included.  Warm tracemalloc peaks measure about 4 a pair for
+    decomposition_residuals (charged 8), about 1 a pair for leibniz_ratios
+    (charged 3) and 1.08 a field for interpolation_ratios (charged 1.25)."""
+    chunk = _chunk_members(blocks, stacks)
     sizes = [min(chunk, count - start) for start in range(0, count, chunk)]
     return max(float(np.max(measure(blocks, *draw(b)))) for b in sizes)
 
@@ -329,7 +337,7 @@ def run_paraproduct_residual(values: Values, out_dir: Path, rng, jobs: int) -> E
         fields = _random_bands(rng, grid, 2 * b, 0.8, band_lo, band_hi)
         return fields[0::2], fields[1::2]
 
-    worst = _ensemble_max(make_blocks(grid), pairs, draw, decomposition_residuals)
+    worst = _ensemble_max(make_blocks(grid), pairs, draw, decomposition_residuals, stacks=8)
     return ExperimentReport(
         scalars={"max_residual": worst, "pairs": float(pairs)},
         checks={"repartition": Check(worst, "<", tol)},
@@ -352,7 +360,7 @@ def run_leibniz(values: Values, out_dir: Path, rng, jobs: int) -> ExperimentRepo
             return fields.swapaxes(0, 1)
 
         maxima[label] = _ensemble_max(
-            make_blocks(grid), lcfg.ensemble, draw, partial(leibniz_ratios, cfg=lcfg)
+            make_blocks(grid), lcfg.ensemble, draw, partial(leibniz_ratios, cfg=lcfg), stacks=3
         )
     change = abs(maxima["refined"] - maxima["base"]) / maxima["base"]
     return ExperimentReport(
@@ -384,7 +392,7 @@ def run_interpolation(values: Values, out_dir: Path, rng, jobs: int) -> Experime
     for theta in values["experiment"]["thetas"]:
         q, alpha = interpolation_exponents(r, s, theta)
         ratios = partial(interpolation_ratios, r=r, s=s, theta=theta)
-        rows.append([theta, q, alpha, _ensemble_max(blocks, ensemble, draw, ratios)])
+        rows.append([theta, q, alpha, _ensemble_max(blocks, ensemble, draw, ratios, stacks=1.25)])
     degenerate = sum(not 0 < r[3] < math.inf for r in rows)  # constants not positive, finite
     return ExperimentReport(
         scalars={"max_ratio": max(r[3] for r in rows)},

@@ -348,11 +348,24 @@ def _samples(
     padded: np.ndarray | None = None,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
+    """_sample_into under an errstate that ignores overflow and invalid."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _sample_into(grid, coeffs, M, padded, out)
+
+
+def _sample_into(
+    grid: TorusGrid,
+    coeffs: np.ndarray,
+    M: int,
+    padded: np.ndarray | None,
+    out: np.ndarray | None,
+) -> np.ndarray:
     """Real samples on the M-point lattice over grid's box of a coefficient
     array of grid, into out if given (fresh otherwise), unvalidated:
-    non-finite coefficients give non-finite ones, without a floating-point
-    warning.  Coefficient arrays stacked on leading axes give samples
-    stacked the same way, each slice bit for bit what it gives alone.  For
+    non-finite coefficients give non-finite ones, which warn unless the
+    caller's errstate ignores overflow and invalid, as _samples' does.
+    Coefficient arrays stacked on leading axes give samples stacked the
+    same way, each slice bit for bit what it gives alone.  For
     M > N the coefficients are padded by the Nyquist rule of
     dealiased_pointwise into padded, which must hold zeros wherever no
     mode lands (fresh if None).  For M < N, coeffs must be the M-point half
@@ -371,9 +384,8 @@ def _samples(
             padded[(Ellipsis, h) + after] = padded[(Ellipsis, M - h) + after]
         coeffs = padded
     scale = (2.0 * np.pi) ** (-n / 2) * grid.freq_spacing**n * M**n
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = _irfft(n, coeffs, out=out)
-        out *= scale
+    out = _irfft(n, coeffs, out=out)
+    out *= scale
     return out
 
 
@@ -452,10 +464,10 @@ def dealiased_pointwise(
     n, N = grid.n, grid.points_per_axis
     M = factor * N
     kept = _lattice(grid, M, coeffs[0].shape[:-n], len(coeffs))
-    for c, samples in zip(coeffs, kept.samples):
-        _samples(grid, c, M, kept.padded, samples)
     # An overflow here is a blow-up, which the time loops read off the samples.
     with np.errstate(over="ignore", invalid="ignore"):
+        for c, samples in zip(coeffs, kept.samples):
+            _sample_into(grid, c, M, kept.padded, samples)
         result = op(*kept.samples)
         reuse = kept.half is not None and kept.half.shape[:-n] == result.shape[:-n]
         kept.half = _rfft(n, result, out=kept.half if reuse else None)

@@ -231,12 +231,21 @@ class TestStackedEnsembles:
 
     @staticmethod
     def run(kind, cfg, seed):
-        # A chunk of 4 pairs on the base grid (2 or 1 on the refined one), so
-        # ensembles of 1, 3 and 5 pairs are one pair, chunk - 1 and chunk + 1.
+        # A budget of 4 pairs at the kind's own charge on the base grid (2 or
+        # 1 on the refined one), so ensembles of 1, 3 and 5 pairs are one
+        # pair, chunk - 1 and chunk + 1.
         values = experiments.read_config(experiments.REGISTRY[kind], cfg)
-        grid = make_grid(**values["grid"])
+        base = make_blocks(make_grid(**values["grid"])).annuli.nbytes
+        ensemble_max = experiments._ensemble_max
         with pytest.MonkeyPatch.context() as m:
-            m.setattr(experiments, "ENSEMBLE_CHUNK_BYTES", 4 * 16 * make_blocks(grid).annuli.nbytes)
+
+            def four_a_chunk(blocks, count, draw, measure, stacks):
+                m.setattr(experiments, "ENSEMBLE_CHUNK_BYTES", 4 * 2 * stacks * base)
+                if blocks.annuli.nbytes == base:
+                    assert experiments._chunk_members(blocks, stacks) == 4
+                return ensemble_max(blocks, count, draw, measure, stacks=stacks)
+
+            m.setattr(experiments, "_ensemble_max", four_a_chunk)
             runner = experiments.REGISTRY[kind].runner
             return runner(values, None, np.random.default_rng(seed), 1).scalars
 
