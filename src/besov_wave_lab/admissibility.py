@@ -63,7 +63,12 @@ class AdmissibilityVerdict:
     beta: float
     fujita: float
     two_s_branch: str
-    iii_disjunct: str | None
+
+    @property
+    def iii_disjunct(self) -> str | None:
+        """The alternatives of condition (iii) that hold: smoothness, beta-window, both or None."""
+        a_ok, b_ok = self.condition_iii.holding
+        return ("both" if b_ok else "smoothness") if a_ok else "beta-window" if b_ok else None
 
     @property
     def conditions(self) -> list[ConditionResult]:
@@ -155,8 +160,6 @@ def check_lwp(
         alt_b += (Check(p_, "<=", cap),)
         b_detail = f"beta <= 1 and p <= {float(cap):.6g}"
     cond_iii = ConditionResult("condition_iii", (alt_a, alt_b), f"{a_detail} OR {b_detail}")
-    a_ok, b_ok = cond_iii.holding
-    iii_disjunct = ("both" if b_ok else "smoothness") if a_ok else "beta-window" if b_ok else None
 
     cond_p = ConditionResult(
         "integer_p", ((Check(p_, ">=", 2),),), f"integer power p >= 2, p = {int(p_)}"
@@ -171,7 +174,6 @@ def check_lwp(
         beta=float(beta),
         fujita=float(fujita),
         two_s_branch=two_s_branch,
-        iii_disjunct=iii_disjunct,
     )
 
 

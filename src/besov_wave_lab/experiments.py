@@ -10,7 +10,6 @@ from __future__ import annotations
 import difflib
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -103,8 +102,6 @@ class ExperimentSpec:
     claim: str
     runner: Callable[..., ExperimentReport]
     keys: Mapping[str, Mapping[str, Any]]
-    # The (section, key) of the powers the run solves for, which run_experiment checks.
-    powers: tuple[str, str] | None = None
 
 
 def _nearest(word: str, options) -> str:
@@ -501,6 +498,7 @@ def run_sweep_critical(values: Values, out_dir: Path, rng, jobs: int) -> Experim
     params = [_problem_from(values, p) for p in values["experiment"]["powers"]]
     args = [(u, pp, values["solver"]) for pp in params]
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only a parallel sweep pays its import
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_sweep_one, args))
     else:
@@ -642,7 +640,6 @@ REGISTRY: dict[str, ExperimentSpec] = {
                         "max_iters": 3},
              "data": {**DATA, "width": 2.0, "amplitude": None},
              "experiment": {"amplitudes": (1e-3, 2e-3, 4e-3), "slope_tol": 0.2}},
-            powers=("problem", "p"),
         ),
         ExperimentSpec(
             "global-decay",
@@ -656,7 +653,6 @@ REGISTRY: dict[str, ExperimentSpec] = {
                         "blowup_threshold": 10.0, "etd_dt": 0.025},
              "data": {**DATA, "profile": "slow-decay", "amplitude": 1e-2},
              "experiment": {"oracle_tol": 1e-4}},
-            powers=("problem", "p"),
         ),
         ExperimentSpec(
             "blowup-probe",
@@ -664,7 +660,6 @@ REGISTRY: dict[str, ExperimentSpec] = {
             "positive data escapes the max-norm cap; stable under refinement",
             run_blowup_probe,
             SOLVING,
-            powers=("problem", "p"),
         ),
         ExperimentSpec(
             "sweep-critical",
@@ -677,7 +672,6 @@ REGISTRY: dict[str, ExperimentSpec] = {
              "solver": {**SOLVER, **ETD, "T": 80.0, "etd_dt": 0.01, "blowup_threshold": 100.0},
              "data": {**DATA, "width": 2.0, "amplitude": 0.5},
              "experiment": {"powers": (7, 8, 9, 10)}},
-            powers=("experiment", "powers"),
         ),
         ExperimentSpec(
             "admissibility",
@@ -701,8 +695,9 @@ def run_experiment(
     override_admissibility: bool = False,
 ) -> ExperimentReport:
     """Run one registered experiment on its read_config values; seed None
-    takes [run] seed.  Unless overridden, the powers of a solving experiment
-    must pass require_lwp before anything is built.
+    takes [run] seed.  Unless overridden, a kind with [solver] must pass
+    require_lwp at its [experiment] powers, or at [problem] p if it has no
+    powers, before anything is built.
 
     The report is named after the kind, and its meta records the effective
     config: meta.config holds every key the kind reads as config_text, with
@@ -712,11 +707,9 @@ def run_experiment(
         raise KeyError(f"unknown experiment '{name}'")
     spec = REGISTRY[name]
     values = read_config(spec, cfg)
-    if spec.powers is not None and not override_admissibility:
-        section, key = spec.powers
-        powers = values[section][key]
-        pr = values["problem"]
-        require_lwp(pr["n"], pr["r"], pr["s"], powers if isinstance(powers, tuple) else [powers])
+    if "solver" in spec.keys and not override_admissibility:
+        pr, exp = values["problem"], values["experiment"]
+        require_lwp(pr["n"], pr["r"], pr["s"], exp["powers"] if "powers" in exp else (pr["p"],))
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     values["experiment"]["kind"] = name

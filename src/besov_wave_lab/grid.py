@@ -341,16 +341,10 @@ def _coefficients(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
     return require_finite(coeffs, "spectral coefficients")
 
 
-def _samples(
-    grid: TorusGrid,
-    coeffs: np.ndarray,
-    M: int,
-    padded: np.ndarray | None = None,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """_sample_into under an errstate that ignores overflow and invalid."""
+def _samples(grid: TorusGrid, coeffs: np.ndarray, M: int) -> np.ndarray:
+    """_sample_into a fresh array, under an errstate that ignores overflow and invalid."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return _sample_into(grid, coeffs, M, padded, out)
+        return _sample_into(grid, coeffs, M, None, None)
 
 
 def _sample_into(

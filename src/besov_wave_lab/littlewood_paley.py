@@ -4,7 +4,8 @@ The cutoff chi equals 1 on [0, 1], vanishes from 25/24 on, and is C-infinity
 in between (a standard exp(-1/t) smooth step).  Annulus projections
 chi_{2^j} = chi_{<=2^j} - chi_{<=2^(j-1)} telescope to a partition of unity
 over the lattice; the DC mode is routed to a dedicated low block and is
-excluded from all homogeneous seminorms.
+excluded from all homogeneous seminorms.  The block range is the grid's,
+default_j_range: the blocks j_min..j_max cover every nonzero frequency.
 
 Block norms for even p are summed on the coarsest lattice that integrates
 them exactly.  The M-point trapezoid rule integrates every trigonometric
@@ -75,21 +76,20 @@ def chi(t):
 class DyadicBlocks:
     """Family of dyadic projections on a fixed grid.
 
-    j_min and j_max default to the range covering every nonzero lattice
-    frequency: j_min = ceil(log2(2*pi/L)) - 1 and
+    The block range is the grid's, default_j_range(grid), which covers every
+    nonzero lattice frequency: j_min = ceil(log2(2*pi/L)) - 1 and
     j_max = ceil(log2(pi*N/L)) + 1.  Every multiplier but an arbitrary
     low-pass is read off one stacked array, the ladder, built on first use:
     an annulus is the difference of neighbouring rows.
     """
 
     grid: TorusGrid
-    j_min: int
-    j_max: int
+    j_min: int = field(init=False)
+    j_max: int = field(init=False)
     _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.j_min > self.j_max:
-            raise ValueError("j_min exceeds j_max")
+        self.j_min, self.j_max = default_j_range(self.grid)
 
     # -- multiplier arrays -------------------------------------------------
 
@@ -127,7 +127,7 @@ class DyadicBlocks:
         return self.annuli[j - self.j_min]
 
     def low_block_multiplier(self) -> np.ndarray:
-        """The block below j_min; on the default range it holds only DC."""
+        """The block below j_min, which holds only DC."""
         return self.ladder[1]
 
     # -- projections -------------------------------------------------------
@@ -275,6 +275,5 @@ def default_j_range(grid: TorusGrid) -> tuple[int, int]:
 
 
 def make_blocks(grid: TorusGrid) -> DyadicBlocks:
-    """The dyadic blocks of grid on its default range."""
-    lo, hi = default_j_range(grid)
-    return DyadicBlocks(grid=grid, j_min=lo, j_max=hi)
+    """The dyadic blocks of grid, on the grid's block range."""
+    return DyadicBlocks(grid)

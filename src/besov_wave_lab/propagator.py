@@ -248,15 +248,21 @@ def verify_lp_lq(
 @dataclass
 class BlockEstimateReport:
     k: int
-    side: str
     ratios: np.ndarray
-    max_ratio: float
     fitted_exponent: float | None
 
     def __post_init__(self) -> None:
         finite = np.isfinite(self.ratios)
         if not np.all(finite):
             raise ValueError("block-estimate ratios must be finite")
+
+    @property
+    def side(self) -> str:
+        return "low" if self.k <= 0 else "high"
+
+    @property
+    def max_ratio(self) -> float:
+        return float(np.max(self.ratios))
 
 
 def verify_block_estimates(
@@ -309,8 +315,7 @@ def verify_block_estimates(
                 fitted = fit_power_law(ts, ratios, window=(ts[0], ts[-1]))[0]
             except ValueError:  # fewer than two positive ratios
                 fitted = 0.0
-        side = "low" if k <= 0 else "high"
-        reports.append(BlockEstimateReport(k, side, ratios, float(np.max(ratios)), fitted))
+        reports.append(BlockEstimateReport(k, ratios, fitted))
     return reports
 
 

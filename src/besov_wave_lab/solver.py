@@ -97,14 +97,14 @@ class SolverConfig:
             raise ValueError("time grid must start at 0 and hold at least 2 nodes")
         if np.any(np.diff(grid) <= 0):
             raise ValueError("time grid must be strictly increasing")
-        if self.picard_tol <= 0:
-            raise ValueError("picard_tol must be positive")
+        if not self.picard_tol > 0:
+            raise ValueError(f"picard_tol must be positive, got {self.picard_tol}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
         if not self.etd_dt > 0:
             raise ValueError(f"etd_dt must be positive, got {self.etd_dt}")
-        if self.blowup_threshold <= 0:
-            raise ValueError("blowup threshold must be positive")
+        if not self.blowup_threshold > 0:
+            raise ValueError(f"blowup threshold must be positive, got {self.blowup_threshold}")
         grid = grid.copy()
         grid.flags.writeable = False
         object.__setattr__(self, "time_grid", grid)
@@ -121,14 +121,24 @@ class SolverConfig:
 @dataclass
 class PicardDiagnostics:
     diff_norms: list[float] = dc_field(default_factory=list)
-    residual: float = math.nan
     picard_tol: float = math.nan
-    iterations: int = 0
     escape_time: float | None = None
 
     @property
     def blown_up(self) -> bool:
         return self.escape_time is not None
+
+    @property
+    def iterations(self) -> int:
+        """Iterations begun: one a difference norm, plus the one that escaped."""
+        return len(self.diff_norms) + self.blown_up
+
+    @property
+    def residual(self) -> float:
+        """The last successive difference: inf after an escape, NaN before any."""
+        if self.blown_up:
+            return math.inf
+        return self.diff_norms[-1] if self.diff_norms else math.nan
 
     @property
     def convergence(self) -> Check:
@@ -359,9 +369,8 @@ def picard_solve(
     correction = None  # the last accepted Duhamel correction
     threshold = cfg.blowup_threshold
 
-    for iteration in range(1, cfg.max_iters + 1):
+    for _ in range(cfg.max_iters):
         update = duhamel_integral(grid, times, _sources(grid, linear, correction, pp.p_nl))
-        diag.iterations = iteration
         for chunk in _node_chunks(times.size, grid.points_per_axis**grid.n):
             peaks = _peaks(grid, linear[chunk] + update[chunk], threshold)
             escapes = times[chunk][_escapes(peaks, threshold)]
@@ -380,11 +389,8 @@ def picard_solve(
         )
         diag.diff_norms.append(diff_norm)
         correction = update
-        diag.residual = diff_norm
         if diag.converged:
             break
-    if diag.blown_up:
-        diag.residual = math.inf
     spectra = linear if correction is None else np.add(linear, correction, out=correction)
     return Trajectory(grid, times, spectra), diag
 
@@ -450,8 +456,8 @@ def etd_oracle(
         raise ValueError(f"etd_dt must be positive, got {dt}")
     if not T > 0:
         raise ValueError(f"horizon must be positive, got {T}")
-    if blowup_threshold <= 0:
-        raise ValueError("blowup threshold must be positive")
+    if not blowup_threshold > 0:
+        raise ValueError(f"blowup threshold must be positive, got {blowup_threshold}")
     if u0.grid != u1.grid:
         raise ValueError("initial data live on different grids")
     grid = u0.grid

@@ -1,6 +1,7 @@
 """CLI contract: exit codes, artifacts, reproducibility."""
 
 import configparser
+import dataclasses
 import functools
 import json
 from pathlib import Path
@@ -18,7 +19,7 @@ from besov_wave_lab.cli import (
     main,
 )
 from besov_wave_lab.experiments import REGISTRY, config_text, read_config, run_experiment
-from besov_wave_lab.reporting import config_hash
+from besov_wave_lab.reporting import ExperimentReport, config_hash
 from fields import count_transforms
 
 
@@ -366,10 +367,24 @@ points = 12
              "etd_dt must be positive, got 0.0"),
             ((CONFIGS / "sweep-critical.cfg").read_text().replace("etd_dt = 0.01", "etd_dt = nan"),
              "etd_dt must be positive, got nan"),
+            # NaN fails every comparison, so a positivity check must ask
+            # x > 0: x <= 0 lets NaN through to the run.
+            ((CONFIGS / "global-decay-nonlinear.cfg").read_text()
+             .replace("T = 30", "T = 1").replace("nodes = 25", "nodes = 5")
+             .replace("blowup_threshold = 10", "blowup_threshold = nan"),
+             "blowup threshold must be positive, got nan"),
+            ((CONFIGS / "sweep-critical.cfg").read_text()
+             .replace("blowup_threshold = 100", "blowup_threshold = nan"),
+             "blowup threshold must be positive, got nan"),
+            ((CONFIGS / "contraction.cfg").read_text()
+             .replace("picard_tol = 1e-15", "picard_tol = nan"),
+             "picard_tol must be positive, got nan"),
         ],
         ids=["leibniz-ensemble", "paraproduct-pairs", "interpolation-ensemble",
              "global-decay-max_iters", "contraction-max_iters", "global-decay-etd_dt",
-             "sweep-critical-etd_dt", "sweep-critical-etd_dt-nan"],
+             "sweep-critical-etd_dt", "sweep-critical-etd_dt-nan",
+             "global-decay-blowup_threshold-nan", "sweep-critical-blowup_threshold-nan",
+             "contraction-picard_tol-nan"],
     )
     def test_empty_ensemble_exits_2_and_names_the_key(self, text, named, tmp_path, capsys):
         # An empty ensemble has no maximum: leibniz would divide by it, and
@@ -682,6 +697,25 @@ class TestAdmissibilityGate:
             "contraction", cfg, tmp_path / "b", seed=0, override_admissibility=True
         )
         assert report.kind == "contraction"
+
+    def test_every_kind_with_a_solver_and_only_those_is_gated(self, tmp_path, monkeypatch):
+        # [problem] s = 0.1 fails condition (i), s > 1/4, at n = 1 and r = 4.
+        # Each runner is stubbed, so a kind that is not gated returns at once.
+        gated = set()
+        for kind, spec in REGISTRY.items():
+            if "problem" not in spec.keys:
+                continue
+            stub = dataclasses.replace(spec, runner=lambda *args: ExperimentReport())
+            monkeypatch.setitem(REGISTRY, kind, stub)
+            try:
+                run_experiment(kind, {"problem": {"s": "0.1"}}, tmp_path / kind, seed=0)
+            except AdmissibilityError as exc:
+                assert "condition_i" in str(exc)
+                gated.add(kind)
+        assert gated == {"contraction", "global-decay", "blowup-probe", "sweep-critical"}
+        assert gated == {kind for kind, spec in REGISTRY.items() if "solver" in spec.keys}
+        ungated = {kind for kind, spec in REGISTRY.items() if "problem" in spec.keys} - gated
+        assert ungated == {"admissibility", "interpolation"}
 
     def test_sweep_unknown_profile_exits_2(self, tmp_path, capsys):
         text = SWEEP_CFG.format(powers="9", r="4", s="5", profile="nosuch")

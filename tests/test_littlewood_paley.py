@@ -117,19 +117,21 @@ class TestPartition:
         blocks = make_blocks(make_grid(n, N, L))
         assert blocks.partition_residual() < 1e-12
 
-    def test_truncated_range_detected(self):
+    def test_truncated_range_detected(self, monkeypatch):
+        # A range two blocks short of the grid's leaves the top frequencies
+        # uncovered, and the residual shows it.
         grid = make_grid(1, 256, 64.0)
         lo, hi = default_j_range(grid)
-        crippled = DyadicBlocks(grid=grid, j_min=lo, j_max=hi - 2)
+        monkeypatch.setattr(littlewood_paley, "default_j_range", lambda g: (lo, hi - 2))
+        crippled = make_blocks(grid)
+        assert crippled.j_max == hi - 2
         assert crippled.partition_residual() > 0.9
 
     def test_defective_user_cutoff_detected(self, monkeypatch):
         # A profile whose plateau misses 1 cannot telescope to a partition,
         # and the residual shows it.
         monkeypatch.setattr(littlewood_paley, "chi", lambda t: 0.99 * chi(t))
-        grid = make_grid(1, 256, 64.0)
-        lo, hi = default_j_range(grid)
-        blocks = DyadicBlocks(grid=grid, j_min=lo, j_max=hi)
+        blocks = DyadicBlocks(make_grid(1, 256, 64.0))
         assert blocks.partition_residual() > 1e-3
 
 
