@@ -23,7 +23,7 @@ from pathlib import Path
 from besov_wave_lab.admissibility import AdmissibilityError
 from besov_wave_lab.experiments import COMMON, REGISTRY, BlowupInGlobalRun, config_text
 from besov_wave_lab.experiments import run_experiment
-from besov_wave_lab.profiles import PROFILES
+from besov_wave_lab.profiles import PROFILES, profile_keys
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -76,8 +76,8 @@ def cmd_list() -> int:
             print(f"{'':<{width}}  [{section}] {_keys(keys)}")
     for section, keys in COMMON.items():
         print(f"every kind: [{section}] {_keys(keys)}")
-    for name, (_, keys) in PROFILES.items():
-        print(f"[data] profile = {name}: {_keys(keys)}")
+    for name in PROFILES:
+        print(f"[data] profile = {name}: {_keys(profile_keys(name))}")
     return EXIT_OK
 
 
@@ -97,6 +97,8 @@ def cmd_run(args: argparse.Namespace) -> int:
             # Read before the config is checked, so error.json has a home.
             configured = cfg.get("output", {}).get("dir")
             out_dir = Path(configured) if configured else Path("bwl-out") / kind
+        if args.jobs < 1:
+            raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
         report = run_experiment(
             kind, cfg, out_dir, seed=args.seed, jobs=args.jobs,
             override_admissibility=args.override_admissibility,

@@ -7,13 +7,13 @@ CSV tables and log-log SVG plots where a decay curve is involved).
 
 from __future__ import annotations
 
+import dataclasses
 import difflib
 import math
 import time
-from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
-from typing import Any, Callable, Mapping, get_args, get_origin
+from typing import Any, Callable, Mapping
 
 import numpy as np
 
@@ -41,8 +41,7 @@ from besov_wave_lab.paraproduct import (
     decomposition_residuals,
     leibniz_ratios,
 )
-from besov_wave_lab.profiles import PROFILES, band_limited_samples
-from besov_wave_lab.profiles import build_profile
+from besov_wave_lab.profiles import PROFILES, band_limited_samples, build_profile, profile_keys
 from besov_wave_lab.propagator import (
     damped_L,
     fit_high_growth,
@@ -89,13 +88,13 @@ PICARD = {"nodes": 201, "picard_tol": 1e-9, "max_iters": 20}
 ETD = {"etd_dt": 0.02}
 TIME = {"t_min": 1.0, "t_max": 500.0, "points": 24, "spacing": "geometric"}
 ESTIMATE = {"p": 2.0, "q": 2.0, "s1": 0.0, "s2": 0.0}
-# [data] also takes the keys of the chosen profile (profiles.PROFILES); a
-# kind's value for one of them replaces the profile's default, and a kind's
-# None withholds the key.
+# [data] also takes the keys of the chosen profile (profiles.profile_keys:
+# its builder's keyword parameters); a kind's value for one of them
+# replaces the profile's default, and a kind's None withholds the key.
 DATA = {"profile": "gaussian"}
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class ExperimentSpec:
     name: str
     description: str
@@ -109,16 +108,22 @@ def _nearest(word: str, options) -> str:
     return f"; did you mean '{match[0]}'?" if match else f"; valid: {', '.join(options)}"
 
 
-def _read(decl, text: str | None) -> Any:
-    """text read as the key's type; None gives the default, or None for a
-    key without one."""
-    bare = isinstance(decl, type)
+def _read(cfg: Config, section: str, key: str, decl) -> Any:
+    """[section] key of cfg read as the key's type, or its default (None if it has none) when
+    absent.  Text that does not parse, or a float that reads NaN (inf reads), raises
+    ValueError naming the key and the text."""
+    text = cfg.get(section, {}).get(key)
     if text is None:
-        return None if bare else decl
-    kind = decl if bare else tuple[type(decl[0]), ...] if isinstance(decl, tuple) else type(decl)
-    if get_origin(kind) is tuple:
-        return tuple(get_args(kind)[0](part) for part in text.split(","))
-    return kind(text)
+        return None if isinstance(decl, type) else decl
+    listed = isinstance(decl, tuple)
+    kind = type(decl[0]) if listed else decl if isinstance(decl, type) else type(decl)
+    try:
+        parts = [kind(part) for part in (text.split(",") if listed else [text])]
+    except ValueError:
+        raise ValueError(f"[{section}] {key} = {text!r}: not a valid {kind.__name__}") from None
+    if any(isinstance(v, float) and math.isnan(v) for v in parts):
+        raise ValueError(f"[{section}] {key} = {text!r}: NaN is not accepted")
+    return tuple(parts) if listed else parts[0]
 
 
 def config_text(value) -> str:
@@ -141,9 +146,8 @@ def read_config(spec: ExperimentSpec, cfg: Config) -> Values:
         name = (given["profile"] if "profile" in given else table["profile"]).replace("_", "-")
         if name not in PROFILES:
             raise ValueError(f"unknown data profile '{name}'{_nearest(name, PROFILES)}")
-        keys = PROFILES[name][1]
-        overrides = {key: v for key, v in table.items() if key in keys}
-        merged = {"profile": table["profile"], **keys, **overrides}
+        keys = profile_keys(name)
+        merged = {"profile": table["profile"], **keys, **{k: table[k] for k in keys if k in table}}
         schema["data"] = {key: v for key, v in merged.items() if v is not None}
     for name, given in cfg.items():
         if name not in schema:
@@ -152,7 +156,7 @@ def read_config(spec: ExperimentSpec, cfg: Config) -> Values:
             if key not in schema[name]:
                 raise ValueError(f"unknown key '{key}' in [{name}]{_nearest(key, schema[name])}")
     values = {
-        name: {key: _read(decl, cfg.get(name, {}).get(key)) for key, decl in keys.items()}
+        name: {key: _read(cfg, name, key, decl) for key, decl in keys.items()}
         for name, keys in schema.items()
     }
     if "n" in values.get("problem", {}):
@@ -215,10 +219,8 @@ def run_verify_lp_lq(values: Values, out_dir: Path, rng, jobs: int) -> Experimen
     est, time = values["estimate"], values["time"]
     p, q, s1, s2 = est["p"], est["q"], est["s1"], est["s2"]
     ts = _times_from(values)
-    g = build_profile(values["data"]["profile"], grid, values["data"], rng)
-    fit_lo = float(ts[-1]) / 10.0 if time["fit_lo"] is None else time["fit_lo"]
-    fit_hi = float(ts[-1]) if time["fit_hi"] is None else time["fit_hi"]
-    report = verify_lp_lq(g, p, q, s1, s2, ts, fit_window=(fit_lo, fit_hi))
+    g = build_profile(grid, values["data"], rng)
+    report = verify_lp_lq(g, p, q, s1, s2, ts, fit_window=(time["fit_lo"], time["fit_hi"]))
     fitted = report.scalars.get("fitted_low_exponent")
     intercept = report.scalars.get("fitted_low_intercept")
     expected = report.scalars["expected_low_exponent"]
@@ -243,7 +245,7 @@ def run_high_frequency_bound(values: Values, out_dir: Path, rng, jobs: int) -> E
     blocks = make_blocks(grid)
     p, delta_cap = values["estimate"]["p"], values["estimate"]["delta_cap"]
     ts = _times_from(values)
-    g = build_profile(values["data"]["profile"], grid, values["data"], rng)
+    g = build_profile(grid, values["data"], rng)
     high = (1.0 - blocks.low_pass_multiplier(1.0)) * g.spectrum
     flowed = np.stack([damped_L(t, grid.freq_abs) * high for t in ts])
     norms = lebesgue_norms(grid, _samples(grid, flowed, grid.points_per_axis), p)
@@ -278,7 +280,7 @@ def run_block_estimates(values: Values, out_dir: Path, rng, jobs: int) -> Experi
                 raise ValueError(f"[estimate] {key} entry {k} names its block twice")
     grid = make_grid(**values["grid"])
     ts = _times_from(values)
-    g = build_profile(values["data"]["profile"], grid, values["data"], rng)
+    g = build_profile(grid, values["data"], rng)
     reps = verify_block_estimates(g, ks, ts, **{key: est[key] for key in ESTIMATE})
     rows = [[float(rep.k), rep.max_ratio, rep.fitted_exponent or 0.0] for rep in reps]
     sides = {}
@@ -343,7 +345,9 @@ def run_paraproduct_residual(values: Values, out_dir: Path, rng, jobs: int) -> E
 
 def run_leibniz(values: Values, out_dir: Path, rng, jobs: int) -> ExperimentReport:
     sec = values["leibniz"]
-    lcfg = LeibnizConfig(**{key: v for key, v in sec.items() if key != "stability_cap"})
+    if sec["ensemble"] < 1:
+        raise ValueError(f"[leibniz] ensemble must be at least 1, got {sec['ensemble']}")
+    lcfg = LeibnizConfig(**{f.name: sec[f.name] for f in dataclasses.fields(LeibnizConfig)})
     base = make_grid(**values["grid"])
     refined = make_grid(base.n, 2 * base.points_per_axis, base.box_length)
     band_hi = base.max_freq / 4.0
@@ -353,11 +357,11 @@ def run_leibniz(values: Values, out_dir: Path, rng, jobs: int) -> ExperimentRepo
 
         def draw(b):  # f and g of each pair, in that order
             noise = ens_rng.standard_normal((b, 2) + grid.shape)
-            fields = band_limited_samples(grid, noise, 0.3, band_hi, lcfg.spectrum_slope)
+            fields = band_limited_samples(grid, noise, 0.3, band_hi, sec["spectrum_slope"])
             return fields.swapaxes(0, 1)
 
         maxima[label] = _ensemble_max(
-            make_blocks(grid), lcfg.ensemble, draw, partial(leibniz_ratios, cfg=lcfg), stacks=3
+            make_blocks(grid), sec["ensemble"], draw, partial(leibniz_ratios, cfg=lcfg), stacks=3
         )
     change = abs(maxima["refined"] - maxima["base"]) / maxima["base"]
     return ExperimentReport(
@@ -410,7 +414,7 @@ def run_contraction(values: Values, out_dir: Path, rng, jobs: int) -> Experiment
     diags = []
     for amp in amps:
         data = {**values["data"], "amplitude": amp}
-        u = build_profile(data["profile"], grid, data, rng)
+        u = build_profile(grid, data, rng)
         _, diag = picard_solve(u, u, pp, scfg)
         diags.append(diag)
     report = contraction_report(amps, diags, pp)
@@ -426,7 +430,7 @@ def run_global_decay(values: Values, out_dir: Path, rng, jobs: int) -> Experimen
     # The oracle stores only on its own lattice, so every node must sit on it.
     for t in scfg.time_grid:
         _lattice_count(t, scfg.etd_dt, "[solver] node t")
-    u = build_profile(values["data"]["profile"], grid, values["data"], rng)
+    u = build_profile(grid, values["data"], rng)
     traj, diag = picard_solve(u, u, pp, scfg)
     if diag.blown_up:
         raise BlowupInGlobalRun(
@@ -480,7 +484,7 @@ def run_blowup_probe(values: Values, out_dir: Path, rng, jobs: int) -> Experimen
     pp = _problem_from(values)
     # blowup_probe reads T, etd_dt and the cap: the time grid is [0, T].
     scfg = SolverConfig.uniform(nodes=2, **values["solver"])
-    u = build_profile(values["data"]["profile"], grid, values["data"], rng)
+    u = build_profile(grid, values["data"], rng)
     return blowup_probe(u, u, pp, scfg)
 
 
@@ -494,7 +498,7 @@ def _sweep_one(args) -> tuple[int, bool, float | None, int, int]:
 
 def run_sweep_critical(values: Values, out_dir: Path, rng, jobs: int) -> ExperimentReport:
     grid = make_grid(**values["grid"])
-    u = build_profile(values["data"]["profile"], grid, values["data"], rng)
+    u = build_profile(grid, values["data"], rng)
     params = [_problem_from(values, p) for p in values["experiment"]["powers"]]
     args = [(u, pp, values["solver"]) for pp in params]
     if jobs > 1:

@@ -28,7 +28,8 @@ transforms; what it returns is always a fresh array.  _samples is the
 one map from coefficients to samples on any lattice and _coefficients
 its inverse on the grid's own lattice, field_from_coeffs the one way
 from coefficients to a GridField, integer_power the one pointwise power
-(by repeated squaring, not libm pow) and _power the one padded power.
+(by repeated squaring, not libm pow), _power the one padded power and
+_power_sums the one L^p power sum of samples.
 
 Stacked inputs.  _samples, _coefficients and dealiased_pointwise transform
 only the trailing n axes, so coefficient or sample arrays stacked on any
@@ -296,6 +297,18 @@ def integer_power(v: np.ndarray, p: int) -> np.ndarray:
         if p == 0:
             return out
         v = np.multiply(v, v, out=None if v is out else v)
+
+
+def _power_sums(samples: np.ndarray, p: float, n: int, weight: float) -> np.ndarray:
+    """weight times the sum of |samples|^p over the trailing n axes, or max |samples| for
+    p = inf; samples is overwritten, so pass an array that is yours to give up."""
+    axes = tuple(range(-n, 0))
+    if p % 2 != 0:  # an even power squares the sign away, bit for bit
+        np.abs(samples, out=samples)
+    if math.isinf(p):
+        return np.max(samples, axis=axes)
+    samples = integer_power(samples, int(p)) if p == int(p) else np.power(samples, p, out=samples)
+    return weight * np.sum(samples, axis=axes)
 
 
 def _node_chunks(nodes: int, points: int) -> list[slice]:

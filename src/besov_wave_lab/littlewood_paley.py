@@ -7,8 +7,9 @@ over the lattice; the DC mode is routed to a dedicated low block and is
 excluded from all homogeneous seminorms.  The block range is the grid's,
 default_j_range: the blocks j_min..j_max cover every nonzero frequency.
 
-Block norms for even p are summed on the coarsest lattice that integrates
-them exactly.  The M-point trapezoid rule integrates every trigonometric
+Block norms reduce through grid._power_sums, the one L^p power sum, and
+for even p they are summed on the coarsest lattice that integrates them
+exactly.  The M-point trapezoid rule integrates every trigonometric
 polynomial of degree < M exactly (Trefethen & Weideman, SIAM Review 56
 (2014) 385), and for even p, |f_j|^p = f_j^p has degree p*K_j when the
 block's modes reach |k| = K_j on every axis.  So block j is sampled on the
@@ -28,9 +29,9 @@ from besov_wave_lab.grid import (
     GridField,
     TorusGrid,
     _leading_index,
+    _power_sums,
     _samples,
     apply_symbol,
-    integer_power,
 )
 
 __all__ = [
@@ -194,36 +195,23 @@ class DyadicBlocks:
         blocks: the restricted annuli times the restricted coeffs go into a
         complex block stack the lattice keeps while the stacked shape
         repeats, and the transform's output, the only fresh stack, is
-        reduced in place with the lattice's weight (L/M)^n.  For even p a
-        block sits on the coarsest lattice whose trapezoid rule integrates
-        f_j^p exactly (Trefethen & Weideman 2014), so its norm is its
-        N-point one up to rounding; blocks on N keep their bits.  An
-        annulus zero on the whole lattice takes no transform and reads 0.
-        Integer powers go through integer_power, as in lebesgue_norm."""
+        reduced in place by grid._power_sums, the one L^p power sum, with
+        the lattice's weight (L/M)^n.  For even p a block sits on the
+        coarsest lattice whose trapezoid rule integrates f_j^p exactly
+        (Trefethen & Weideman 2014), so its norm is its N-point one up to
+        rounding; blocks on N keep their bits.  An annulus zero on the
+        whole lattice takes no transform and reads 0."""
         grid = self.grid
-        rows = tuple(range(-grid.n, 0))
         if p == 2.0:
             power = (coeffs.real**2 + coeffs.imag**2).reshape(coeffs.shape[: -grid.n] + (-1,))
             sums = np.einsum("...k,jk->...j", power, self.parseval_weights)
             return np.sqrt(grid.freq_spacing**grid.n * sums)
         sums = np.zeros(coeffs.shape[: -grid.n] + (len(self.annuli),))
         for lattice in self._plan(p):
-            samples = lattice.samples(coeffs)
-            if p % 2 != 0:  # an even power squares the sign away, bit for bit
-                np.abs(samples, out=samples)
-            if math.isinf(p):
-                sums[..., lattice.rows] = np.max(samples, axis=rows)
-                continue
-            if p == int(p):
-                samples = integer_power(samples, int(p))
-            else:
-                samples **= p
             weight = (grid.box_length / lattice.M) ** grid.n
-            sums[..., lattice.rows] = weight * np.sum(samples, axis=rows)
-        if math.isinf(p):
-            return sums
-        # float_power has no SIMD loop: each root rounds as lebesgue_norm's does.
-        return np.float_power(sums, 1.0 / p)
+            sums[..., lattice.rows] = _power_sums(lattice.samples(coeffs), p, grid.n, weight)
+        # float_power has no SIMD loop: each root rounds as lebesgue_norms' does.
+        return sums if math.isinf(p) else np.float_power(sums, 1.0 / p)
 
     def partition_residual(self) -> float:
         """Max over nonzero lattice frequencies of |1 - (low + sum of blocks)|."""

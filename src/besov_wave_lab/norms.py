@@ -8,7 +8,8 @@ takes a field and passes its spectrum, x_norm takes the spectra at the
 nodes directly, as a Trajectory or picard_solve holds them.  lebesgue_norms
 and _besov act on the trailing axes, so an ensemble of fields stacked on a
 leading axis reduces in one call, and x_norm reduces its nodes that way in
-chunks.
+chunks.  lebesgue_norms and the block norms share one L^p power sum,
+grid._power_sums.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from besov_wave_lab.grid import (
     TorusGrid,
     _coefficients,
     _node_chunks,
+    _power_sums,
     field_from_coeffs,
-    integer_power,
 )
 from besov_wave_lab.littlewood_paley import DyadicBlocks, make_blocks
 
@@ -54,13 +55,10 @@ def lebesgue_norms(grid: TorusGrid, values: np.ndarray, p: float) -> np.ndarray:
     per field; p = inf gives the max of |f|."""
     if p < 1:
         raise ValueError(f"Lebesgue exponent must be >= 1, got {p}")
-    axes = tuple(range(-grid.n, 0))
-    values = np.abs(values)
-    if math.isinf(p):
-        return np.max(values, axis=axes)
-    power = integer_power(values, int(p)) if p == int(p) else values**p
+    # _power_sums overwrites what it is given: here a copy, never values.
+    sums = _power_sums(np.array(values, dtype=float), p, grid.n, grid.spacing**grid.n)
     # float_power has no SIMD loop, so each root rounds as a scalar's would.
-    return np.float_power(grid.spacing**grid.n * np.sum(power, axis=axes), 1.0 / p)
+    return sums if math.isinf(p) else np.float_power(sums, 1.0 / p)
 
 
 def lebesgue_norm(f: GridField, p: float) -> float:
@@ -72,10 +70,8 @@ def _besov(blocks: DyadicBlocks, coeffs: np.ndarray, s: float, p: float, q: floa
     """The l^q sum over blocks of 2^(j*s) ||block_j||_p, from coefficient
     arrays stacked on leading axes, one per field."""
     js = np.array(list(blocks.indices()), dtype=float)
-    values = 2.0 ** (js * s) * blocks.block_norms(coeffs, p)
-    if math.isinf(q):
-        return np.max(values, axis=-1)
-    return np.float_power(np.sum(values**q, axis=-1), 1.0 / q)
+    sums = _power_sums(2.0 ** (js * s) * blocks.block_norms(coeffs, p), q, 1, 1.0)
+    return sums if math.isinf(q) else np.float_power(sums, 1.0 / q)
 
 
 def besov_seminorm(

@@ -135,14 +135,10 @@ class LeibnizConfig:
     q1: float
     p2: float
     q2: float
-    ensemble: int = 500
-    spectrum_slope: float = 0.5
 
     def __post_init__(self) -> None:
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
-        if self.ensemble < 1:
-            raise ValueError(f"ensemble must be at least 1, got {self.ensemble}")
         for name in ("r", "q1", "q2"):
             if math.isinf(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")

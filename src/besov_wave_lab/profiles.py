@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 from typing import Callable
 
 import numpy as np
@@ -17,20 +18,19 @@ __all__ = [
     "band_limited_samples",
     "saturating_low",
     "PROFILES",
+    "profile_keys",
     "build_profile",
 ]
 
 
 def gaussian(grid: TorusGrid, width: float = 1.0, amplitude: float = 1.0) -> GridField:
-    r2 = np.zeros(grid.shape)
-    for x in grid.coords:
-        r2 = r2 + x**2
+    r2 = sum(x**2 for x in grid.coords)
     return GridField(grid, amplitude * np.exp(-r2 / (2.0 * width**2)))
 
 
 def slow_decay(
     grid: TorusGrid,
-    r: float,
+    r: float = 4.0,
     eps: float = 0.05,
     amplitude: float = 1.0,
     support_fraction: float = 0.3,
@@ -40,9 +40,7 @@ def slow_decay(
     The truncation keeps the far field empty so box-confinement monitors
     stay meaningful over long horizons.
     """
-    r2 = np.zeros(grid.shape)
-    for x in grid.coords:
-        r2 = r2 + x**2
+    r2 = sum(x**2 for x in grid.coords)
     radius = np.sqrt(r2)
     power = -(grid.n / r + eps)
     profile = (1.0 + r2) ** (power / 2.0)
@@ -51,13 +49,11 @@ def slow_decay(
     return GridField(grid, amplitude * profile * window)
 
 
-def single_mode(
-    grid: TorusGrid, xi_target: float, amplitude: float = 1.0
-) -> GridField:
+def single_mode(grid: TorusGrid, xi: float = 1.0, amplitude: float = 1.0) -> GridField:
     """cos(xi * x1) with xi snapped to the nearest nonzero lattice frequency."""
     axis = grid.axis_freqs
     positive = axis[axis > 0]
-    xi = positive[np.argmin(np.abs(positive - xi_target))]
+    xi = positive[np.argmin(np.abs(positive - xi))]
     return GridField(grid, amplitude * np.cos(xi * np.broadcast_to(grid.coords[0], grid.shape)))
 
 
@@ -66,7 +62,7 @@ def band_limited_samples(
     noise: np.ndarray,
     xi_lo: float,
     xi_hi: float,
-    spectrum_slope: float | np.ndarray = 0.0,
+    spectrum_slope: float | np.ndarray,
 ) -> np.ndarray:
     """Samples of band_limited_random's fields for white-noise samples
     stacked on leading axes, with one spectrum slope or one per field."""
@@ -85,23 +81,25 @@ def band_limited_samples(
 def band_limited_random(
     grid: TorusGrid,
     rng: np.random.Generator,
-    xi_lo: float,
-    xi_hi: float,
+    xi_lo: float = 0.5,
+    xi_hi: float = 4.0,
     spectrum_slope: float = 0.0,
+    amplitude: float = 1.0,
 ) -> GridField:
     """Random-phase field with |spectrum| ~ |xi|^(-slope) on [xi_lo, xi_hi].
 
     Hermitian symmetry comes free from shaping white real noise, so the
     samples are exactly real; the mean is zero and the L^2 norm is
-    normalized to 1.
+    normalized to amplitude.
     """
     noise = rng.standard_normal(grid.shape)
-    return GridField(grid, band_limited_samples(grid, noise, xi_lo, xi_hi, spectrum_slope))
+    samples = band_limited_samples(grid, noise, xi_lo, xi_hi, spectrum_slope)
+    return GridField(grid, samples * amplitude)
 
 
 def saturating_low(
     grid: TorusGrid,
-    q: float,
+    q: float = 1.0,
     envelope_width: float = 0.5,
     amplitude: float = 1.0,
 ) -> GridField:
@@ -128,32 +126,32 @@ def saturating_low(
     return f * (amplitude / peak) if peak > 0 else f
 
 
-def _without_rng(profile: Callable[..., GridField]) -> Callable[..., GridField]:
-    return lambda grid, rng, **keys: profile(grid, **keys)
-
-
-def _random_band(grid, rng, xi_lo, xi_hi, spectrum_slope, amplitude):
-    return band_limited_random(grid, rng, xi_lo, xi_hi, spectrum_slope) * amplitude
-
-
-# Config name -> (builder(grid, rng, **keys), the [data] keys with defaults).
-# A positive bump is a Gaussian, named so that blow-up configs read well.
-PROFILES: dict[str, tuple[Callable[..., GridField], dict[str, float]]] = {
-    "gaussian": (_without_rng(gaussian), {"width": 1.0, "amplitude": 1.0}),
-    "positive-bump": (_without_rng(gaussian), {"width": 1.0, "amplitude": 1.0}),
-    "slow-decay": (_without_rng(slow_decay),
-                   {"r": 4.0, "eps": 0.05, "amplitude": 1.0, "support_fraction": 0.3}),
-    "single-mode": (lambda grid, rng, xi, amplitude: single_mode(grid, xi, amplitude),
-                    {"xi": 1.0, "amplitude": 1.0}),
-    "random-band": (_random_band,
-                    {"xi_lo": 0.5, "xi_hi": 4.0, "spectrum_slope": 0.0, "amplitude": 1.0}),
-    "saturating-low": (_without_rng(saturating_low),
-                       {"q": 1.0, "envelope_width": 0.5, "amplitude": 1.0}),
+# Config name -> builder, whose parameters but grid and rng are the [data]
+# keys, defaults included.  A positive bump is a Gaussian: blow-up configs read well.
+PROFILES: dict[str, Callable[..., GridField]] = {
+    "gaussian": gaussian,
+    "positive-bump": gaussian,
+    "slow-decay": slow_decay,
+    "single-mode": single_mode,
+    "random-band": band_limited_random,
+    "saturating-low": saturating_low,
 }
 
 
-def build_profile(name: str, grid: TorusGrid, params: dict, rng: np.random.Generator) -> GridField:
-    """Profile factory used by experiment configs; params holds a value for
-    every key of the profile ('_' may stand for '-' in the name)."""
-    builder, keys = PROFILES[name.replace("_", "-")]
-    return builder(grid, rng, **{key: params[key] for key in keys})
+def _builder(name: str) -> Callable[..., GridField]:
+    """The builder of profile name ('_' may stand for '-')."""
+    return PROFILES[name.replace("_", "-")]
+
+
+def profile_keys(name: str) -> dict[str, float]:
+    """The [data] keys and defaults of profile name: its builder's parameters but grid and rng."""
+    params = inspect.signature(_builder(name)).parameters
+    return {key: param.default for key, param in params.items() if key not in ("grid", "rng")}
+
+
+def build_profile(grid: TorusGrid, data: dict, rng: np.random.Generator) -> GridField:
+    """The profile named by data["profile"], with data's value for every one
+    of its keys; rng goes only to a builder that takes it."""
+    builder = _builder(data["profile"])
+    keys = [key for key in inspect.signature(builder).parameters if key != "grid"]
+    return builder(grid, **{key: rng if key == "rng" else data[key] for key in keys})

@@ -131,18 +131,18 @@ def fit_power_law(
     ts: np.ndarray,
     values: np.ndarray,
     *,
-    window: tuple[float, float] | None = None,
+    window: tuple[float | None, float | None] | None = None,
 ) -> tuple[float, float, float]:
     """Least-squares fit of log10(value) against log10(<t>).
 
-    window restricts the fit to t in [lo, hi]; the default is the last
-    decade of the grid.  Returns (slope, intercept, max residual in log10).
+    window restricts the fit to t in [lo, hi], a missing window or end to the
+    last decade's (t_last / 10, t_last).  Returns (slope, intercept, max residual in log10).
     """
     ts = np.asarray(ts, dtype=float)
     values = np.asarray(values, dtype=float)
-    if window is None:
-        window = (ts[-1] / 10.0, ts[-1])
-    mask = (ts >= window[0]) & (ts <= window[1]) & (values > 0)
+    lo, hi = window or (None, None)
+    lo, hi = ts[-1] / 10.0 if lo is None else lo, ts[-1] if hi is None else hi
+    mask = (ts >= lo) & (ts <= hi) & (values > 0)
     if np.count_nonzero(mask) < 2:
         raise ValueError("fit window contains fewer than two positive samples")
     x = np.log10(time_bracket(ts[mask]))
@@ -186,7 +186,7 @@ def verify_lp_lq(
     t_grid: np.ndarray,
     *,
     blocks: DyadicBlocks | None = None,
-    fit_window: tuple[float, float] | None = None,
+    fit_window: tuple[float | None, float | None] | None = None,
 ) -> ExperimentReport:
     """Measure the Besov-norm decay of the flow against its two-sided bound.
 

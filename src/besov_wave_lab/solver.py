@@ -115,6 +115,8 @@ class SolverConfig:
 
     @classmethod
     def uniform(cls, T: float, nodes: int, **kw) -> "SolverConfig":
+        if not T > 0:
+            raise ValueError(f"horizon T must be positive, got {T}")
         return cls(time_grid=np.linspace(0.0, T, nodes), **kw)
 
 

@@ -351,7 +351,7 @@ points = 12
         "text, named",
         [
             ((CONFIGS / "leibniz.cfg").read_text().replace("ensemble = 500", "ensemble = 0"),
-             "ensemble must be at least 1, got 0"),
+             "[leibniz] ensemble must be at least 1, got 0"),
             ((CONFIGS / "paraproduct.cfg").read_text().replace("pairs = 100", "pairs = 0"),
              "[experiment] pairs must be at least 1, got 0"),
             ("[experiment]\nkind = interpolation\nensemble = 0\n",
@@ -365,26 +365,45 @@ points = 12
             # sweep-critical hands its [solver] keys to the oracle directly.
             ((CONFIGS / "sweep-critical.cfg").read_text().replace("etd_dt = 0.01", "etd_dt = 0"),
              "etd_dt must be positive, got 0.0"),
+            # NaN fails every comparison, so a check it reaches would pass or
+            # fail it silently: the reader refuses it for every float key,
+            # in a list too.  The solver's own NaN guards serve Python
+            # callers (tests/test_solver.py).
             ((CONFIGS / "sweep-critical.cfg").read_text().replace("etd_dt = 0.01", "etd_dt = nan"),
-             "etd_dt must be positive, got nan"),
-            # NaN fails every comparison, so a positivity check must ask
-            # x > 0: x <= 0 lets NaN through to the run.
+             "[solver] etd_dt = 'nan': NaN is not accepted"),
             ((CONFIGS / "global-decay-nonlinear.cfg").read_text()
              .replace("T = 30", "T = 1").replace("nodes = 25", "nodes = 5")
              .replace("blowup_threshold = 10", "blowup_threshold = nan"),
-             "blowup threshold must be positive, got nan"),
+             "[solver] blowup_threshold = 'nan': NaN is not accepted"),
             ((CONFIGS / "sweep-critical.cfg").read_text()
              .replace("blowup_threshold = 100", "blowup_threshold = nan"),
-             "blowup threshold must be positive, got nan"),
+             "[solver] blowup_threshold = 'nan': NaN is not accepted"),
             ((CONFIGS / "contraction.cfg").read_text()
              .replace("picard_tol = 1e-15", "picard_tol = nan"),
-             "picard_tol must be positive, got nan"),
+             "[solver] picard_tol = 'nan': NaN is not accepted"),
+            ((CONFIGS / "contraction.cfg").read_text().replace("slope_tol = 0.2", "slope_tol = nan"),
+             "[experiment] slope_tol = 'nan': NaN is not accepted"),
+            ((CONFIGS / "partition.cfg").read_text()
+             .replace("tolerance = 1e-12", "tolerance = nan"),
+             "[experiment] tolerance = 'nan': NaN is not accepted"),
+            ((CONFIGS / "contraction.cfg").read_text()
+             .replace("amplitudes = 1e-3,2e-3,4e-3", "amplitudes = 1e-3,nan"),
+             "[experiment] amplitudes = '1e-3,nan': NaN is not accepted"),
+            ((CONFIGS / "contraction.cfg").read_text().replace("T = 2\n", "T = nan\n"),
+             "[solver] T = 'nan': NaN is not accepted"),
+            # A text that does not parse names its key; inf is no int.
+            ((CONFIGS / "partition.cfg").read_text().replace("N = 4096", "N = inf"),
+             "[grid] N = 'inf': not a valid int"),
+            ((CONFIGS / "contraction.cfg").read_text().replace("T = 2\n", "T = 0\n"),
+             "horizon T must be positive, got 0.0"),
         ],
         ids=["leibniz-ensemble", "paraproduct-pairs", "interpolation-ensemble",
              "global-decay-max_iters", "contraction-max_iters", "global-decay-etd_dt",
              "sweep-critical-etd_dt", "sweep-critical-etd_dt-nan",
              "global-decay-blowup_threshold-nan", "sweep-critical-blowup_threshold-nan",
-             "contraction-picard_tol-nan"],
+             "contraction-picard_tol-nan", "contraction-slope_tol-nan",
+             "partition-tolerance-nan", "contraction-amplitudes-nan", "contraction-T-nan",
+             "partition-N-inf", "contraction-T-0"],
     )
     def test_empty_ensemble_exits_2_and_names_the_key(self, text, named, tmp_path, capsys):
         # An empty ensemble has no maximum: leibniz would divide by it, and
@@ -570,6 +589,18 @@ amplitude = 5
         cfg = write_cfg(tmp_path / "dims.cfg", text)
         assert main(["run", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
         assert "[problem] n = 2 differs from [grid] n = 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exits_2_and_names_the_option(self, jobs, tmp_path, capsys):
+        # Below 1 is no worker count.  partition-residual starts no worker,
+        # whatever --jobs says.
+        out = tmp_path / "o"
+        cfg = str(CONFIGS / "partition.cfg")
+        assert main(["run", cfg, "--out", str(out), "--jobs", jobs]) == EXIT_CONFIG
+        assert f"--jobs must be at least 1, got {jobs}" in capsys.readouterr().err
+        error = json.loads((out / "error.json").read_text())["error"]
+        assert (error["type"], error["exit_code"]) == ("config", EXIT_CONFIG)
+        assert [p.name for p in out.iterdir()] == ["error.json"]
 
     def test_sweep_runs_with_parallel_jobs(self, tmp_path, capsys):
         text = """

@@ -13,6 +13,7 @@ from besov_wave_lab.norms import (
     besov_seminorm,
     interpolation_ratios,
     lebesgue_norm,
+    lebesgue_norms,
     time_bracket,
     x_norm,
     x_weight,
@@ -53,6 +54,19 @@ class TestLebesgue:
         grid = make_grid(1, 16, 1.0)
         with pytest.raises(ValueError):
             lebesgue_norm(grid.zeros(), 0.5)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, 2.5, 4.0, math.inf])
+    def test_stacked_input_is_left_unchanged(self, n, p):
+        # The one power sum, grid._power_sums, overwrites what it is given:
+        # lebesgue_norms hands it a copy, never the caller's samples.
+        grid = make_grid(n, 16, 5.0)
+        values = np.random.default_rng(3).standard_normal((2, 3) + grid.shape)
+        kept = values.copy()
+        norms = lebesgue_norms(grid, values, p)
+        np.testing.assert_array_equal(values, kept)
+        assert norms.shape == (2, 3)
+        assert norms[1, 2] == lebesgue_norm(grid.field(kept[1, 2]), p)
 
 
 class TestBesov:

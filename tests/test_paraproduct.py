@@ -266,7 +266,7 @@ class TestStackedEnsembles:
             "leibniz": {"ensemble": str(size), **{k: repr(v) for k, v in exponents.items()}},
         }
         scalars = self.run("leibniz", cfg, seed)
-        lcfg = LeibnizConfig(alpha=0.7, ensemble=size, **exponents)
+        lcfg = LeibnizConfig(alpha=0.7, **exponents)
         base = make_grid(n, int(self.GRIDS[n]["N"]), 8.0)
         rng = np.random.default_rng(seed)
         for label, N in (("base", base.points_per_axis), ("refined", 2 * base.points_per_axis)):

@@ -172,6 +172,29 @@ class TestDuhamel:
                 assert abs(w[4] - exact) <= 1e-9 * abs(exact)
 
 
+class TestSolverConfig:
+    # The config reader refuses NaN before a run; a Python caller meets
+    # these guards, which ask x > 0 because NaN fails every comparison.
+    @pytest.mark.parametrize(
+        "kw, message",
+        [
+            ({"picard_tol": math.nan}, "picard_tol must be positive, got nan"),
+            ({"blowup_threshold": math.nan}, "blowup threshold must be positive, got nan"),
+            ({"etd_dt": math.nan}, "etd_dt must be positive, got nan"),
+        ],
+    )
+    def test_nan_setting_is_refused(self, kw, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SolverConfig.uniform(2.0, 17, **kw)
+
+    @pytest.mark.parametrize("T", [0.0, -1.0, math.nan])
+    def test_horizon_must_be_positive(self, T):
+        # np.linspace(0, T, n) would reach the time-grid checks, which name
+        # the grid rather than the horizon.
+        with pytest.raises(ValueError, match=re.escape(f"horizon T must be positive, got {T}")):
+            SolverConfig.uniform(T, 17)
+
+
 class TestPicard:
     def setup_method(self):
         self.grid = make_grid(1, 256, 64.0)
@@ -889,6 +912,21 @@ class TestEtdOracle:
             etd_oracle(u0, u0, PP3, 0.1, 0.0)
         with pytest.raises(ValueError, match="blowup threshold must be positive"):
             etd_oracle(u0, u0, PP3, 0.1, 1.0, blowup_threshold=0.0)
+
+    @pytest.mark.parametrize(
+        "dt, T, cap, message",
+        [
+            (math.nan, 1.0, math.inf, "etd_dt must be positive, got nan"),
+            (0.1, math.nan, math.inf, "horizon must be positive, got nan"),
+            (0.1, 1.0, math.nan, "blowup threshold must be positive, got nan"),
+        ],
+    )
+    def test_nan_setting_is_refused(self, dt, T, cap, message):
+        # The config reader refuses NaN before a run; a Python caller meets
+        # these guards, which ask x > 0 because NaN fails every comparison.
+        u0 = self.grid.zeros()
+        with pytest.raises(ValueError, match=re.escape(message)):
+            etd_oracle(u0, u0, PP3, dt, T, blowup_threshold=cap)
 
     @pytest.mark.parametrize(
         "T, store, message",
