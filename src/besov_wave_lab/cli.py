@@ -21,7 +21,7 @@ import sys
 from pathlib import Path
 
 from besov_wave_lab.admissibility import AdmissibilityError
-from besov_wave_lab.experiments import COMMON, REGISTRY, BlowupInGlobalRun, config_text
+from besov_wave_lab.experiments import COMMON, REGISTRY, BlowupInGlobalRun, ConfigError, config_text
 from besov_wave_lab.experiments import run_experiment
 from besov_wave_lab.profiles import PROFILES, profile_keys
 
@@ -30,10 +30,6 @@ EXIT_CONFIG = 2
 EXIT_ADMISSIBILITY = 3
 EXIT_BLOWUP = 4
 EXIT_CHECK = 5
-
-
-class ConfigError(ValueError):
-    pass
 
 
 def load_config(path: str) -> dict[str, dict[str, str]]:

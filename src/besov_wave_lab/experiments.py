@@ -68,6 +68,10 @@ class BlowupInGlobalRun(RuntimeError):
     """A run that asserted global decay escaped the max-norm cap."""
 
 
+class ConfigError(ValueError):
+    """A config or command-line value the run cannot take."""
+
+
 # Bytes of block stacks one chunk of a random-pair ensemble may hold: chunks
 # amortise per-call costs, and the cap bounds the run's peak memory.
 ENSEMBLE_CHUNK_BYTES = 3 * 2**19
@@ -719,6 +723,9 @@ def run_experiment(
     values["experiment"]["kind"] = name
     if seed is not None:
         values["run"]["seed"] = seed
+    if values["run"]["seed"] < 0:
+        where = "[run] seed" if seed is None else "--seed"
+        raise ConfigError(f"{where} must be non-negative, got {values['run']['seed']}")
     config = {
         section: {key: config_text(v) for key, v in keys.items() if v is not None}
         for section, keys in values.items()

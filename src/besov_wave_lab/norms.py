@@ -15,6 +15,7 @@ grid._power_sums.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -66,12 +67,18 @@ def lebesgue_norm(f: GridField, p: float) -> float:
     return float(lebesgue_norms(f.grid, f.values, p))
 
 
+def _block_sum(blocks: DyadicBlocks, norms: np.ndarray, s: float, q: float) -> np.ndarray:
+    """The l^q sum over blocks of 2^(j*s) norms_j, for block norms stacked
+    as (..., J) as DyadicBlocks.block_norms gives them."""
+    js = np.array(list(blocks.indices()), dtype=float)
+    sums = _power_sums(2.0 ** (js * s) * norms, q, 1, 1.0)
+    return sums if math.isinf(q) else np.float_power(sums, 1.0 / q)
+
+
 def _besov(blocks: DyadicBlocks, coeffs: np.ndarray, s: float, p: float, q: float) -> np.ndarray:
     """The l^q sum over blocks of 2^(j*s) ||block_j||_p, from coefficient
     arrays stacked on leading axes, one per field."""
-    js = np.array(list(blocks.indices()), dtype=float)
-    sums = _power_sums(2.0 ** (js * s) * blocks.block_norms(coeffs, p), q, 1, 1.0)
-    return sums if math.isinf(q) else np.float_power(sums, 1.0 / q)
+    return _block_sum(blocks, blocks.block_norms(coeffs, p), s, q)
 
 
 def besov_seminorm(
@@ -188,13 +195,65 @@ def _x_integrand(
     return b_s, b_r, x_weight(times, pp) * b_s + b_r
 
 
+def _x_sup(
+    times: np.ndarray, spectra: np.ndarray, pp: ProblemParams, blocks: DyadicBlocks, nodes
+) -> float:
+    """max(0, _x_integrand's weighted sums at the given increasing nodes),
+    their spectra gathered one chunk of grid._node_chunks at a time (a
+    view, not a copy, for a chunk of consecutive nodes)."""
+    grid, sup = blocks.grid, 0.0
+    for chunk in _node_chunks(len(nodes), grid.points_per_axis**grid.n):
+        picked = nodes[chunk]
+        if picked[-1] - picked[0] == len(picked) - 1:
+            picked = slice(picked[0], picked[-1] + 1)
+        sup = max([sup, *_x_integrand(times[picked], spectra[picked], pp, blocks)[2].tolist()])
+    return sup
+
+
 def x_norm(
     times: Iterable[float], spectra: np.ndarray, pp: ProblemParams, blocks: DyadicBlocks
 ) -> float:
     """Sup over the node times of the weighted smoothness plus decay norms
     of the fields with spectra stacked as (nodes,) + spectral shape, on the
-    grid of blocks, as _x_integrand reads them in chunks of nodes."""
-    return max([0.0, *_x_integrand(times, spectra, pp, blocks)[2].tolist()])
+    grid of blocks: bit for bit the max of _x_integrand's sums over every
+    node, taken only at the nodes that can hold it.
+
+    In chunks of nodes, the block L^2 norms (Parseval) give each node's
+    weighted B^s_{2,2} part w_k, the bits _x_integrand gives, and by
+    DyadicBlocks.bracket(r) a bracket [lo_k, hi_k] on its B^0_{r,2} part.
+    best = max_k (w_k + lo_k) less a relative margin of 1e-9, as
+    solver._peaks keeps, so a node with w_k + hi_k plus the margin below
+    best cannot hold the sup.  _x_integrand takes every other node, and
+    one whose power sums could overflow to inf.  If the largest value
+    falls below best, a lower end failed (|f|^r underflowed, or an array
+    is no real field's spectrum) and every node is taken."""
+    grid = blocks.grid
+    times = np.asarray(times, dtype=float)
+    if len(spectra) != times.size:
+        raise ValueError("one spectrum per node time required")
+    lo, hi = blocks.bracket(pp.r)
+    sup_j = blocks.bracket(math.inf)[1]
+    # A node whose blocks' sup bounds all stay under cap has every power
+    # sum, l^2 sum and transform of its B^0_{r,2} norm below the largest
+    # float: each is at most J max(N, L)^n max(1, sup_j l2_j)^r.
+    scale = len(lo) * max(grid.points_per_axis, grid.box_length) ** grid.n
+    cap = (sys.float_info.max * (1.0 - 1e-9) / scale) ** (1.0 / pp.r)
+    weight = x_weight(times, pp)
+    low, high = np.empty(times.size), np.empty(times.size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for chunk in _node_chunks(times.size, grid.points_per_axis**grid.n):
+            l2 = blocks.block_norms(spectra[chunk], 2.0)
+            w = weight[chunk] * _block_sum(blocks, l2, pp.s, 2.0)
+            low[chunk] = w + _block_sum(blocks, lo * l2, 0.0, 2.0)
+            bounded = np.max(sup_j * l2, axis=-1) < cap
+            high[chunk] = np.where(bounded, w + _block_sum(blocks, hi * l2, 0.0, 2.0), np.inf)
+        best = max([0.0, *low.tolist()]) * (1.0 - 1e-9)
+        # Written as a negation, so that a NaN bound keeps its node.
+        kept = np.logical_not(high * (1.0 + 1e-9) < best)
+    value = _x_sup(times, spectra, pp, blocks, np.flatnonzero(kept))
+    if value < best:
+        value = max(value, _x_sup(times, spectra, pp, blocks, np.flatnonzero(~kept)))
+    return value
 
 
 def interpolation_exponents(r: float, s: float, theta: float) -> tuple[float, float]:

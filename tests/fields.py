@@ -1,10 +1,11 @@
-"""Test-side field construction from closed-form functions, and a counter
-of the transforms a run takes."""
+"""Test-side field construction from closed-form functions, a counter of
+the transforms a run takes, and a record of the nodes x_norm evaluates."""
 
 import collections
 
 import numpy as np
 
+from besov_wave_lab import norms
 from besov_wave_lab.grid import GridField
 
 
@@ -44,3 +45,16 @@ def count_transforms(monkeypatch, N):
 
         monkeypatch.setattr(np.fft, name, counted)
     return counts
+
+
+def record_x_nodes(monkeypatch):
+    """Patch norms._x_integrand to record the node count of each call, as
+    x_norm makes them; returns the list they are appended to."""
+    calls, original = [], norms._x_integrand
+
+    def recorded(times, *args):
+        calls.append(len(times))
+        return original(times, *args)
+
+    monkeypatch.setattr(norms, "_x_integrand", recorded)
+    return calls

@@ -602,6 +602,25 @@ amplitude = 5
         assert (error["type"], error["exit_code"]) == ("config", EXIT_CONFIG)
         assert [p.name for p in out.iterdir()] == ["error.json"]
 
+    @pytest.mark.parametrize(
+        "where, value", [("--seed", "-1"), ("[run] seed", "-2")], ids=["option", "key"]
+    )
+    def test_negative_seed_exits_2_and_names_its_source(self, where, value, tmp_path, capsys):
+        # numpy's generator takes no negative seed; the message names the
+        # option or the key it came from, not numpy's bare complaint.
+        out = tmp_path / "o"
+        text = (CONFIGS / "partition.cfg").read_text()
+        args = []
+        if where == "--seed":
+            args = ["--seed", value]
+        else:
+            text += f"\n[run]\nseed = {value}\n"
+        cfg = write_cfg(tmp_path / "seed.cfg", text)
+        assert main(["run", cfg, "--out", str(out), *args]) == EXIT_CONFIG
+        assert f"{where} must be non-negative, got {value}" in capsys.readouterr().err
+        error = json.loads((out / "error.json").read_text())["error"]
+        assert (error["type"], error["exit_code"]) == ("config", EXIT_CONFIG)
+
     def test_sweep_runs_with_parallel_jobs(self, tmp_path, capsys):
         text = """
 [experiment]

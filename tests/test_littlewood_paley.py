@@ -17,6 +17,7 @@ from besov_wave_lab.littlewood_paley import (
     make_blocks,
 )
 from besov_wave_lab.norms import lebesgue_norm
+from besov_wave_lab.profiles import band_limited_random
 from fields import count_transforms, field_from_function
 
 RNG = np.random.default_rng(7)
@@ -235,6 +236,73 @@ class TestExactLattices:
         aliased = (2 * np.pi / 32 * np.sum(samples**4)) ** 0.25
         assert aliased == pytest.approx((2 * np.pi / 2) ** 0.25, rel=1e-14)
         assert blocks.block_norms(f.spectrum, 4.0)[row] == exact
+
+
+def bracket_samples(grid, kind, rng, amplitude):
+    """Real samples on grid: a band-limited random field, a Gaussian of
+    random width and centre, or a spike at one sample (every phase aligned
+    there), each scaled to amplitude."""
+    if kind == "random":
+        xi_hi = 0.8 * np.pi * grid.points_per_axis / grid.box_length
+        return band_limited_random(grid, rng, grid.freq_spacing, xi_hi, 0.0, amplitude).values
+    if kind == "gaussian":
+        width = grid.box_length * rng.uniform(0.02, 0.2)
+        centre = rng.uniform(-0.25, 0.25, grid.n) * grid.box_length
+        r2 = sum((x - c) ** 2 for x, c in zip(grid.coords, centre))
+        return amplitude * np.exp(-r2 / (2.0 * width**2))
+    spike = np.zeros(grid.shape)
+    spike[tuple(rng.integers(0, grid.points_per_axis, grid.n))] = amplitude
+    return spike
+
+
+class TestBracket:
+    """DyadicBlocks.bracket(p): lo_j ||f_j||_2 <= ||f_j||_p <= hi_j ||f_j||_2
+    for every block of a real field and 2 <= p <= inf (discrete Nikolskii)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.sampled_from([1, 2]),
+        half=st.integers(4, 64),
+        L=st.floats(1.0, 200.0),
+        p=st.sampled_from([2.5, 3.0, 4.0, 8.0]),
+        kind=st.sampled_from(["random", "gaussian", "spike"]),
+        exponent=st.floats(-6.0, 6.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_block_norms_lie_in_the_bracket(self, n, half, L, p, kind, exponent, seed):
+        # Amplitudes stay far above the range where |f|^p underflows, which
+        # would break the lower end.
+        grid = make_grid(n, 2 * half if n == 1 else 2 * (half // 4 + 4), L)
+        blocks = make_blocks(grid)
+        samples = bracket_samples(grid, kind, np.random.default_rng(seed), 10.0**exponent)
+        coeffs = grid.field(samples).spectrum
+        l2, lp = blocks.block_norms(coeffs, 2.0), blocks.block_norms(coeffs, p)
+        lo, hi = blocks.bracket(p)
+        assert np.all(lo * l2 <= lp * (1.0 + 1e-12))
+        assert np.all(lp <= hi * l2 * (1.0 + 1e-12))
+
+    @pytest.mark.parametrize("n, N, L", [(1, 64, 20.0), (2, 16, 7.0)])
+    def test_constants(self, n, N, L):
+        # m_j counts the lattice modes where annulus j is nonzero, each
+        # half-spectrum entry standing for mode_weight of them; at p = inf
+        # hi_j is the Cauchy-Schwarz bound (m_j / L^n)^(1/2).
+        grid = make_grid(n, N, L)
+        blocks = make_blocks(grid)
+        full = np.fft.fftfreq(N, 1.0 / N)
+        ks = np.stack(np.meshgrid(*[full] * n, indexing="ij"), axis=-1).reshape(-1, n)
+        xi = 2.0 * np.pi / L * np.sqrt(np.sum(ks**2, axis=-1))
+        for row, j in enumerate(blocks.indices()):
+            annulus = littlewood_paley.chi(xi / 2.0**j) - littlewood_paley.chi(xi / 2.0 ** (j - 1))
+            assert blocks.mode_counts[row] == np.count_nonzero(annulus)
+        lo, hi = blocks.bracket(np.inf)
+        np.testing.assert_allclose(lo, L ** (-n / 2), rtol=1e-15)
+        np.testing.assert_allclose(hi, np.sqrt(blocks.mode_counts / L**n), rtol=1e-15)
+        assert blocks.bracket(np.inf) is blocks.bracket(np.inf)
+        np.testing.assert_array_equal(*blocks.bracket(2.0))
+
+    def test_rejects_an_exponent_below_two(self):
+        with pytest.raises(ValueError, match="must be >= 2"):
+            make_blocks(make_grid(1, 64, 10.0)).bracket(1.5)
 
 
 def _second_call_peak(blocks, coeffs, p):

@@ -4,12 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from besov_wave_lab.grid import apply_symbol, make_grid
 from besov_wave_lab.littlewood_paley import make_blocks
 from besov_wave_lab.norms import (
     ProblemParams,
     Trajectory,
+    _x_integrand,
     besov_seminorm,
     interpolation_ratios,
     lebesgue_norm,
@@ -18,8 +21,8 @@ from besov_wave_lab.norms import (
     x_norm,
     x_weight,
 )
-from besov_wave_lab.profiles import band_limited_random, saturating_low
-from fields import field_from_function
+from besov_wave_lab.profiles import band_limited_random, gaussian, saturating_low
+from fields import field_from_function, record_x_nodes
 
 RNG = np.random.default_rng(42)
 
@@ -213,6 +216,141 @@ class TestXNorm:
         assert x_norm(*scaled, self.pp, self.blocks) == 4.0 * x_norm(
             *traj, self.pp, self.blocks
         )
+
+
+def every_node_max(times, spectra, pp, blocks):
+    """What x_norm returned before its gate: the max over every node."""
+    return max([0.0, *_x_integrand(times, spectra, pp, blocks)[2].tolist()])
+
+
+def single_modes(grid, entries):
+    """Half spectra, one per node, each holding one coefficient: entries is
+    a list of (last-axis column, value)."""
+    spectra = np.zeros((len(entries),) + grid.spectral_shape, dtype=complex)
+    for node, (k, value) in enumerate(entries):
+        spectra[(node,) + (0,) * (grid.n - 1) + (k,)] = value
+    return spectra
+
+
+class TestXNormGate:
+    """x_norm evaluates _x_integrand only where a node's bracket can reach
+    the sup, and returns bit for bit the max over every node."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.sampled_from([1, 2]),
+        nodes=st.integers(1, 19),
+        r=st.sampled_from([3.0, 4.0, 5.5]),
+        s=st.floats(0.5, 5.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_random_stacks_give_the_max_over_every_node(self, n, nodes, r, s, seed):
+        grid = make_grid(1, 512, 64.0) if n == 1 else make_grid(2, 32, 16.0)
+        blocks, pp = make_blocks(grid), ProblemParams(n=n, r=r, s=s, p_nl=3)
+        rng = np.random.default_rng(seed)
+        spectra = np.stack([
+            (
+                gaussian(grid, width=w, amplitude=a)
+                + band_limited_random(grid, rng, 0.5, 6.0, 0.0, amplitude=b)
+            ).spectrum
+            for a, w, b in zip(
+                10.0 ** rng.uniform(-3, 1, nodes),
+                rng.uniform(0.5, 4.0, nodes),
+                10.0 ** rng.uniform(-3, 1, nodes),
+            )
+        ])
+        times = np.sort(rng.uniform(0.0, 20.0, nodes))
+        assert x_norm(times, spectra, pp, blocks) == every_node_max(times, spectra, pp, blocks)
+
+    def test_a_decaying_stack_evaluates_few_nodes(self, monkeypatch):
+        # Nodes that decay in time: the bracket rules most of them out.
+        grid = make_grid(1, 256, 32.0)
+        blocks, pp = make_blocks(grid), ProblemParams(n=1, r=4.0, s=2.0, p_nl=3)
+        times = np.linspace(0.0, 10.0, 41)
+        f = gaussian(grid, width=2.0).spectrum
+        spectra = np.stack([np.exp(-t) * f for t in times])
+        calls = record_x_nodes(monkeypatch)
+        got = x_norm(times, spectra, pp, blocks)
+        assert got == every_node_max(times, spectra, pp, blocks)
+        assert 0 < sum(calls) < times.size // 4
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_nodes_parseval_cannot_tell_apart_all_stay(self, n, monkeypatch):
+        # The same |c| at every node, with the phases of the free entries
+        # scrambled: the block L^2 norms agree, the L^r norms do not.
+        grid = make_grid(1, 256, 32.0) if n == 1 else make_grid(2, 32, 16.0)
+        blocks, pp = make_blocks(grid), ProblemParams(n=n, r=4.0, s=2.0, p_nl=3)
+        rng = np.random.default_rng(3)
+        base = band_limited_random(grid, rng, 0.5, 6.0, 0.0).spectrum
+        phases = np.exp(2j * np.pi * rng.uniform(size=(12,) + base.shape))
+        phases[..., [0, -1]] = 1.0  # the self-paired columns keep a real field's pairing
+        spectra = np.abs(base) * phases
+        times = np.full(12, 3.0)
+        assert np.unique(_x_integrand(times, spectra, pp, blocks)[1]).size > 1
+        calls = record_x_nodes(monkeypatch)
+        assert x_norm(times, spectra, pp, blocks) == every_node_max(times, spectra, pp, blocks)
+        assert sum(calls) == 12
+
+    def test_an_all_zero_stack_reads_zero(self):
+        grid = make_grid(2, 16, 8.0)
+        blocks, pp = make_blocks(grid), ProblemParams(n=2, r=3.0, s=1.0, p_nl=3)
+        spectra = np.zeros((5,) + grid.spectral_shape, dtype=complex)
+        times = np.arange(5.0)
+        assert x_norm(times, spectra, pp, blocks) == every_node_max(times, spectra, pp, blocks)
+        assert x_norm(times, spectra, pp, blocks) == 0.0
+
+    def test_a_node_whose_power_sums_overflow_still_reads_inf(self, monkeypatch):
+        # Node 0 holds k = 1 at 1e100: |f|^4 overflows, so its norm reads
+        # inf.  Node 1 holds k = 16 (block 1) at 1e60, where 2^(150 j)
+        # outweighs node 0's whole bracket, so only the overflow guard
+        # keeps node 0.
+        grid = make_grid(1, 64, 64.0)
+        blocks, pp = make_blocks(grid), ProblemParams(n=1, r=4.0, s=150.0, p_nl=3)
+        spectra = single_modes(grid, [(1, 1e100), (16, 1e60)])
+        times = np.zeros(2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            b_s, b_r, _ = _x_integrand(times, spectra, pp, blocks)
+            assert b_r[0] == math.inf and math.isfinite(b_r[1] + b_s[1])
+            lo, hi = blocks.bracket(pp.r)
+            l2 = blocks.block_norms(spectra, 2.0)
+            assert b_s[1] > b_s[0] + math.sqrt(np.sum((hi * l2[0]) ** 2))
+            calls = record_x_nodes(monkeypatch)
+            assert x_norm(times, spectra, pp, blocks) == math.inf
+        assert sum(calls) == 2
+
+    def test_an_underflowing_stack_takes_every_node(self, monkeypatch):
+        # At 1e-120, |f|^4 underflows and each B^0_{4,2} norm reads about
+        # 0, under its lower end.  Node 0 (k = 1, block -3) holds the
+        # largest lower end, node 1 (k = 16, block 1) the largest value,
+        # its 2^(8 j)-weighted B^s_{2,2} part, and its bracket rules it out:
+        # only the fall-back to every node finds it.
+        grid = make_grid(1, 64, 64.0)
+        blocks, pp = make_blocks(grid), ProblemParams(n=1, r=4.0, s=8.0, p_nl=3)
+        spectra = single_modes(grid, [(1, 1e-120), (16, 1e-124)])
+        times = np.zeros(2)
+        b_s, b_r, weighted = _x_integrand(times, spectra, pp, blocks)
+        assert weighted[1] > weighted[0]
+        lo, hi = blocks.bracket(pp.r)
+        l2 = blocks.block_norms(spectra, 2.0)
+        assert b_s[1] + math.sqrt(np.sum((hi * l2[1]) ** 2)) < math.sqrt(np.sum((lo * l2[0]) ** 2))
+        calls = record_x_nodes(monkeypatch)
+        assert x_norm(times, spectra, pp, blocks) == every_node_max(times, spectra, pp, blocks)
+        assert calls == [1, 1]
+
+    def test_nodes_within_the_margin_of_a_tight_bracket_stay(self, monkeypatch):
+        # On N = 8, L = 7 pi the Nyquist mode sits alone in block 1, whose
+        # bracket is then tight (lo = hi): a node holding that mode alone has
+        # |f| constant.  Amplitudes 1e-12 apart all lie within the 1e-9
+        # margin of the largest lower end, so every node is evaluated.
+        grid = make_grid(1, 8, 7.0 * math.pi)
+        blocks, pp = make_blocks(grid), ProblemParams(n=1, r=4.0, s=1.0, p_nl=3)
+        lo, hi = blocks.bracket(pp.r)
+        assert blocks.mode_counts[1 - blocks.j_min] == 1.0 and hi[1 - blocks.j_min] == lo[0]
+        spectra = single_modes(grid, [(4, 1.0 + 1e-12 * k) for k in range(8)])
+        times = np.zeros(8)
+        calls = record_x_nodes(monkeypatch)
+        assert x_norm(times, spectra, pp, blocks) == every_node_max(times, spectra, pp, blocks)
+        assert sum(calls) == 8
 
 
 class TestTrajectory:

@@ -31,7 +31,7 @@ from besov_wave_lab.norms import (
     x_weight,
 )
 from besov_wave_lab.profiles import gaussian, single_mode, slow_decay
-from fields import count_transforms, field_from_function
+from fields import count_transforms, field_from_function, record_x_nodes
 from besov_wave_lab.propagator import (
     DELTA_BAND,
     damped_dtL,
@@ -386,17 +386,20 @@ class TestCoefficientPath:
 
     def test_transform_budget(self, monkeypatch):
         # Per iteration, one padded pair (the power) for every chunk of
-        # STACK_POINTS // M nodes (M = 2N for p = 2), and one inverse
-        # transform per block lattice (the B^0_{r,2} block norms, r = 4:
-        # blocks on N, N/2 and N/4 points) for every chunk of
-        # STACK_POINTS // N nodes.  The points are every node's, as calls
-        # one node at a time would transform.  The escape check takes no
-        # samples while the Fourier bound stays under the threshold, and
-        # the returned trajectory holds spectra, so no node is sampled at
-        # the end.  The linear start costs nothing; the data's spectrum is
-        # the one forward transform on the grid.
+        # STACK_POINTS // M nodes (M = 2N for p = 2).  The B^0_{r,2} block
+        # norms (r = 4: blocks on N, N/2 and N/4 points) take one inverse
+        # transform per block lattice only for every chunk of the nodes
+        # x_norm's bracket cannot rule out, STACK_POINTS // N of them a
+        # chunk: here the late nodes of each iteration, one chunk.  The
+        # points are those nodes', as calls one node at a time would
+        # transform.  The escape check takes no samples while the Fourier
+        # bound stays under the threshold, and the returned trajectory
+        # holds spectra, so no node is sampled at the end.  The linear start
+        # costs nothing; the data's spectrum is the one forward transform on
+        # the grid.
         N, M = 1024, 2048
         counts = count_transforms(monkeypatch, N)
+        evaluated = record_x_nodes(monkeypatch)
         grid = make_grid(1, N, 128.0)
         u0 = gaussian(grid, width=2.0, amplitude=0.05)
         nodes, iterations = 41, 3
@@ -407,24 +410,28 @@ class TestCoefficientPath:
         plan = {lat.M: lat.rows.size for lat in make_blocks(grid)._plan(PP2.r)}
         assert list(plan) == [N, N // 2, N // 4]
         powers = -(-nodes // (STACK_POINTS // M))
-        norms = -(-nodes // (STACK_POINTS // N))
-        assert 1 < norms < powers < nodes  # chunks of several nodes, and a remainder
+        assert 1 < powers < nodes  # chunks of several nodes, and a remainder
         _, diag = picard_solve(u0, u0, PP2, cfg)
         assert diag.iterations == iterations and not diag.converged
+        # One chunk of candidates per iteration, where every node would
+        # take two chunks of STACK_POINTS // N = 32.
+        assert len(evaluated) == iterations
+        assert all(0 < chunk <= STACK_POINTS // N for chunk in evaluated)
+        assert -(-nodes // (STACK_POINTS // N)) == 2
         assert counts == {
             ("forward", "padded"): powers * iterations,
             ("forward", "grid"): 1,
             ("inverse", "padded"): powers * iterations,
-            ("inverse", "grid"): norms * iterations,
-            ("inverse", "coarse"): 2 * norms * iterations,
+            ("inverse", "grid"): iterations,
+            ("inverse", "coarse"): 2 * iterations,
         }
-        work = nodes * iterations
+        work, norm_work = nodes * iterations, sum(evaluated)
         assert counts.points == {
             ("forward", "padded"): work * M,
             ("forward", "grid"): N,
             ("inverse", "padded"): work * M,
-            ("inverse", "grid"): work * plan[N] * N,
-            ("inverse", "coarse"): work * (plan[N // 2] * N // 2 + plan[N // 4] * N // 4),
+            ("inverse", "grid"): norm_work * plan[N] * N,
+            ("inverse", "coarse"): norm_work * (plan[N // 2] * N // 2 + plan[N // 4] * N // 4),
         }
 
     def test_etd_transform_budget(self, monkeypatch):
