@@ -22,14 +22,16 @@ padded pointwise product goes through one alias-free kernel,
 dealiased_pointwise: coefficient arrays in, one inverse transform per
 input on the zero-padded lattice, the op on the real samples, one forward
 transform, truncation back.  Its padded spectrum, sample stacks and
-forward spectrum are kept buffers, one set per grid, padded lattice and
-stacked shape (TorusGrid._lattices), written in place by the
-transforms; what it returns is always a fresh array.  _samples is the
-one map from coefficients to samples on any lattice and _coefficients
-its inverse on the grid's own lattice, field_from_coeffs the one way
-from coefficients to a GridField, integer_power the one pointwise power
-(by repeated squaring, not libm pow), _power the one padded power and
-_power_sums the one L^p power sum of samples.
+forward spectrum are kept buffers, with the lattice's constants, one set
+per grid, padded lattice and stacked shape (TorusGrid._lattices),
+written in place by the transforms; what it returns is always a fresh
+array.  _power_kernel resolves a power's set once, for a time loop that
+takes many.  _samples is the one map from coefficients to samples on any
+lattice and _coefficients its inverse on the grid's own lattice,
+field_from_coeffs the one way from coefficients to a GridField,
+integer_power the one pointwise power (by repeated squaring, not libm
+pow), _power the one padded power and _power_sums the one L^p power sum
+of samples.
 
 Stacked inputs.  _samples, _coefficients and dealiased_pointwise transform
 only the trailing n axes, so coefficient or sample arrays stacked on any
@@ -170,6 +172,12 @@ class TorusGrid:
         weight[[0, -1]] = 1.0
         weight.flags.writeable = False
         return weight
+
+    @cached_property
+    def _axes(self) -> tuple[int, ...]:
+        """The trailing n axes, which a field's arrays stacked on leading
+        axes reduce over."""
+        return tuple(range(-self.n, 0))
 
     @cached_property
     def _sup_scale(self) -> float:
@@ -355,72 +363,108 @@ def _coefficients(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
 
 
 def _samples(grid: TorusGrid, coeffs: np.ndarray, M: int) -> np.ndarray:
-    """_sample_into a fresh array, under an errstate that ignores overflow and invalid."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _sample_into(grid, coeffs, M, None, None)
-
-
-def _sample_into(
-    grid: TorusGrid,
-    coeffs: np.ndarray,
-    M: int,
-    padded: np.ndarray | None,
-    out: np.ndarray | None,
-) -> np.ndarray:
     """Real samples on the M-point lattice over grid's box of a coefficient
-    array of grid, into out if given (fresh otherwise), unvalidated:
-    non-finite coefficients give non-finite ones, which warn unless the
-    caller's errstate ignores overflow and invalid, as _samples' does.
+    array of grid, in a fresh array, under an errstate that ignores
+    overflow and invalid: non-finite coefficients give non-finite samples.
     Coefficient arrays stacked on leading axes give samples stacked the
-    same way, each slice bit for bit what it gives alone.  For
-    M > N the coefficients are padded by the Nyquist rule of
-    dealiased_pointwise into padded, which must hold zeros wherever no
-    mode lands (fresh if None).  For M < N, coeffs must be the M-point half
-    lattice already (modes |k| < M/2 taken from grid's, as
-    DyadicBlocks.block_norms restricts them); it is transformed as it is."""
+    same way, each slice bit for bit what it gives alone.  For M > N the
+    coefficients are padded by the Nyquist rule of dealiased_pointwise.
+    For M < N, coeffs must be the M-point half lattice already (modes
+    |k| < M/2 taken from grid's, as DyadicBlocks.block_norms restricts
+    them); it is transformed as it is."""
     n, N = grid.n, grid.points_per_axis
-    if M > N:
-        h = N // 2
-        if padded is None:
+    with np.errstate(over="ignore", invalid="ignore"):
+        if M > N:
             padded = np.zeros(coeffs.shape[:-n] + (M,) * (n - 1) + (M // 2 + 1,), dtype=complex)
-        padded[(Ellipsis,) + _leading_index(N, M, n) + (slice(0, h + 1),)] = coeffs
-        padded[..., h] *= 0.5
-        for axis in range(n - 1):
-            after = (slice(None),) * (n - 1 - axis)
-            padded[(Ellipsis, M - h) + after] *= 0.5
-            padded[(Ellipsis, h) + after] = padded[(Ellipsis, M - h) + after]
-        coeffs = padded
-    scale = (2.0 * np.pi) ** (-n / 2) * grid.freq_spacing**n * M**n
-    out = _irfft(n, coeffs, out=out)
-    out *= scale
-    return out
+            coeffs = _pad_into(padded, coeffs, _pad_index(N, M, n), n)
+        out = _irfft(n, coeffs)
+        out *= _inverse_scale(grid, M)
+        return out
+
+
+def _pad_index(N: int, M: int, n: int) -> tuple:
+    """Index, in the M-point half lattice, of the N-point one: rows at k
+    mod M on the leading axes and columns 0..N/2 on the last."""
+    return (Ellipsis,) + _leading_index(N, M, n) + (slice(0, N // 2 + 1),)
+
+
+def _inverse_scale(grid: TorusGrid, M: int) -> float:
+    """(2 pi)^(-n/2) dxi^n M^n: irfftn's samples on the M-point lattice
+    over grid's box times this are the field's."""
+    n = grid.n
+    return (2.0 * np.pi) ** (-n / 2) * grid.freq_spacing**n * M**n
+
+
+def _pad_into(padded: np.ndarray, coeffs: np.ndarray, index: tuple, n: int) -> np.ndarray:
+    """padded, holding coeffs at index (_pad_index's) by the Nyquist rule of
+    dealiased_pointwise.  It must hold zeros wherever no mode lands; every
+    entry written here is rewritten on each call."""
+    h = coeffs.shape[-1] - 1  # N/2
+    padded[index] = coeffs
+    padded[..., h] *= 0.5
+    for axis in range(n - 1):
+        # Row -h is M - h, the -N/2 row of the leading axis.
+        after = (slice(None),) * (n - 1 - axis)
+        padded[(Ellipsis, -h) + after] *= 0.5
+        padded[(Ellipsis, h) + after] = padded[(Ellipsis, -h) + after]
+    return padded
 
 
 @dataclass
 class _Lattice:
-    """dealiased_pointwise's buffers on one padded lattice: the padded half
-    spectrum, one sample stack per input and the forward half spectrum of
-    the op's samples (None until the first call)."""
+    """dealiased_pointwise's kept set on one padded lattice: the padded half
+    spectrum (None for M = N, where nothing is padded), one sample stack
+    per input and the forward half spectrum of the op's samples (None
+    until the first call), with the lattice's constants: the index of the
+    grid's half lattice in the padded one (_pad_index, where coefficients
+    are copied in and the result is truncated from) and the inverse and
+    forward transforms' scales."""
 
-    padded: np.ndarray
+    n: int
+    padded: np.ndarray | None
     samples: tuple[np.ndarray, ...]
+    index: tuple
+    inverse_scale: float
+    forward_scale: float
     half: np.ndarray | None = None
+
+    def apply(self, op: Callable[..., np.ndarray], *coeffs: np.ndarray) -> np.ndarray:
+        """dealiased_pointwise's result for op on coeffs, in a fresh array.
+        The caller holds an errstate that ignores overflow and invalid."""
+        n = self.n
+        for c, samples in zip(coeffs, self.samples):
+            if self.padded is not None:
+                c = _pad_into(self.padded, c, self.index, n)
+            _irfft(n, c, out=samples)
+            samples *= self.inverse_scale
+        result = op(*self.samples)
+        # op may reduce leading axes, so the kept forward spectrum is reused
+        # only when it has the result's stacking.
+        reuse = self.half is not None and self.half.shape[:-n] == result.shape[:-n]
+        self.half = _rfft(n, result, out=self.half if reuse else None)
+        # C order, as for one field: sums over a field's samples run in memory order.
+        return np.multiply(self.forward_scale, self.half[self.index], order="C")
 
 
 def _lattice(grid: TorusGrid, M: int, stack: tuple[int, ...], inputs: int) -> _Lattice:
-    """grid's kept buffers on the M-point lattice for inputs coefficient
+    """grid's kept set on the M-point lattice for inputs coefficient
     arrays stacked as stack.  The two sets used last are kept, so a caller
     that alternates two stackings builds each once; a third key drops the
     set used least recently before its own is built."""
-    n = grid.n
+    n, N = grid.n, grid.points_per_axis
     key = (M, stack, inputs)
     kept = grid._lattices.pop(key, None)
     if kept is None:
         if len(grid._lattices) == 2:
             del grid._lattices[next(iter(grid._lattices))]
+        half_shape = stack + (M,) * (n - 1) + (M // 2 + 1,)
         kept = _Lattice(
-            padded=np.zeros(stack + (M,) * (n - 1) + (M // 2 + 1,), dtype=complex),
+            n=n,
+            padded=np.zeros(half_shape, dtype=complex) if M > N else None,
             samples=tuple(np.empty(stack + (M,) * n) for _ in range(inputs)),
+            index=_pad_index(N, M, n),
+            inverse_scale=_inverse_scale(grid, M),
+            forward_scale=(2.0 * np.pi) ** (-n / 2) * (grid.box_length / M) ** n,
         )
     grid._lattices[key] = kept
     return kept
@@ -440,15 +484,17 @@ def dealiased_pointwise(
     same first sample, the transform's origin, so a shared mode has one
     coefficient on both and no padded grid is built.
 
-    Kept buffers.  The padded spectrum, the sample stacks op gets and the
+    Kept sets.  The padded spectrum, the sample stacks op gets and the
     forward spectrum of what it returns live in grid._lattices, one set
     per M, stacking and number of inputs, of which the two used last are
     kept: a caller that alternates two stackings on one lattice builds
-    each set once.  The transforms write into them.  The returned array is
-    always fresh, so nothing a caller holds aliases them.  op must not
-    call this kernel on the same lattice, and the buffers are not shared
-    between threads: the CLI's --jobs runs sweeps in processes, each with
-    its own.
+    each set once.  Each set also carries its lattice's constants, built
+    with it (_Lattice).  A call looks its set up and applies it; a time
+    loop that takes many powers resolves its set once (_power_kernel).
+    The transforms write into the buffers.  The returned array is always
+    fresh, so nothing a caller holds aliases them.  op must not call this
+    kernel on the same lattice, and the buffers are not shared between
+    threads: the CLI's --jobs runs sweeps in processes, each with its own.
 
     Nyquist rule.  A coarse mode at k_i = +-N/2 pairs with itself, and for
     M > N the padded lattice has both -N/2 and +N/2.  Padding splits it
@@ -468,20 +514,11 @@ def dealiased_pointwise(
     takes the real part of the self-paired entries, so the samples are
     those of the real field the coefficients stand for.
     """
-    n, N = grid.n, grid.points_per_axis
-    M = factor * N
-    kept = _lattice(grid, M, coeffs[0].shape[:-n], len(coeffs))
+    n = grid.n
+    kept = _lattice(grid, factor * grid.points_per_axis, coeffs[0].shape[:-n], len(coeffs))
     # An overflow here is a blow-up, which the time loops read off the samples.
     with np.errstate(over="ignore", invalid="ignore"):
-        for c, samples in zip(coeffs, kept.samples):
-            _sample_into(grid, c, M, kept.padded, samples)
-        result = op(*kept.samples)
-        reuse = kept.half is not None and kept.half.shape[:-n] == result.shape[:-n]
-        kept.half = _rfft(n, result, out=kept.half if reuse else None)
-        truncated = kept.half[(Ellipsis,) + _leading_index(N, M, n) + (slice(0, N // 2 + 1),)]
-        scale = (2.0 * np.pi) ** (-n / 2) * (grid.box_length / M) ** n
-        # C order, as for one field: sums over a field's samples run in memory order.
-        return np.multiply(scale, truncated, order="C")
+        return kept.apply(op, *coeffs)
 
 
 def dealiased_product(f: GridField, g: GridField) -> GridField:
@@ -497,6 +534,15 @@ def _power(grid: TorusGrid, coeffs: np.ndarray, p: int) -> np.ndarray:
     pad_factor_for_power(p); an overflow shows in the samples."""
     power = partial(integer_power, p=p)
     return dealiased_pointwise(grid, power, pad_factor_for_power(p), coeffs)
+
+
+def _power_kernel(grid: TorusGrid, p: int) -> Callable[[np.ndarray], np.ndarray]:
+    """_power(grid, ., p) for one unstacked coefficient array, bit for bit,
+    its kept set resolved once here rather than on every call.  Calls
+    must hold an errstate that ignores overflow and invalid, as the time
+    loops do."""
+    kept = _lattice(grid, pad_factor_for_power(p) * grid.points_per_axis, (), 1)
+    return partial(kept.apply, partial(integer_power, p=p))
 
 
 def dealiased_power(f: GridField, p: int) -> GridField:

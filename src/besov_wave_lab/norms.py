@@ -196,17 +196,24 @@ def _x_integrand(
 
 
 def _x_sup(
-    times: np.ndarray, spectra: np.ndarray, pp: ProblemParams, blocks: DyadicBlocks, nodes
+    times: np.ndarray,
+    spectra: np.ndarray,
+    pp: ProblemParams,
+    blocks: DyadicBlocks,
+    nodes,
+    sup: float = 0.0,
 ) -> float:
-    """max(0, _x_integrand's weighted sums at the given increasing nodes),
-    their spectra gathered one chunk of grid._node_chunks at a time (a
-    view, not a copy, for a chunk of consecutive nodes)."""
-    grid, sup = blocks.grid, 0.0
+    """The max of sup and _x_integrand's weighted sums at the given
+    increasing nodes, NaN if any is NaN, their spectra gathered one chunk
+    of grid._node_chunks at a time (a view, not a copy, for a chunk of
+    consecutive nodes)."""
+    grid = blocks.grid
     for chunk in _node_chunks(len(nodes), grid.points_per_axis**grid.n):
         picked = nodes[chunk]
         if picked[-1] - picked[0] == len(picked) - 1:
             picked = slice(picked[0], picked[-1] + 1)
-        sup = max([sup, *_x_integrand(times[picked], spectra[picked], pp, blocks)[2].tolist()])
+        values = _x_integrand(times[picked], spectra[picked], pp, blocks)[2]
+        sup = float(np.max(values, initial=sup))
     return sup
 
 
@@ -226,7 +233,10 @@ def x_norm(
     best cannot hold the sup.  _x_integrand takes every other node, and
     one whose power sums could overflow to inf.  If the largest value
     falls below best, a lower end failed (|f|^r underflowed, or an array
-    is no real field's spectrum) and every node is taken."""
+    is no real field's spectrum) and every node is taken.  Every maximum
+    here is np.max's, which keeps a NaN wherever it stands (Python's max
+    drops one that is not first): a node whose value is NaN makes the
+    norm NaN."""
     grid = blocks.grid
     times = np.asarray(times, dtype=float)
     if len(spectra) != times.size:
@@ -247,12 +257,12 @@ def x_norm(
             low[chunk] = w + _block_sum(blocks, lo * l2, 0.0, 2.0)
             bounded = np.max(sup_j * l2, axis=-1) < cap
             high[chunk] = np.where(bounded, w + _block_sum(blocks, hi * l2, 0.0, 2.0), np.inf)
-        best = max([0.0, *low.tolist()]) * (1.0 - 1e-9)
+        best = float(np.max(low, initial=0.0)) * (1.0 - 1e-9)
         # Written as a negation, so that a NaN bound keeps its node.
         kept = np.logical_not(high * (1.0 + 1e-9) < best)
     value = _x_sup(times, spectra, pp, blocks, np.flatnonzero(kept))
     if value < best:
-        value = max(value, _x_sup(times, spectra, pp, blocks, np.flatnonzero(~kept)))
+        value = _x_sup(times, spectra, pp, blocks, np.flatnonzero(~kept), value)
     return value
 
 

@@ -156,8 +156,14 @@ def fit_high_growth(
     ts: np.ndarray, high_vals: np.ndarray, high_norm: float
 ) -> tuple[float, float]:
     """Nonnegative exponent delta and constant so that
-    high_vals <= C * exp(-t/2) * <t>^delta * high_norm on the grid."""
-    mask = (high_vals > 0) & (ts > 0)
+    high_vals <= C * exp(-t/2) * <t>^delta * high_norm on the grid.  A
+    non-finite high_norm, or sample after t = 0, has no such bound: both
+    are NaN, so a check on delta fails.  Samples of exactly 0 are left out
+    of the fit."""
+    later = ts > 0
+    if not (math.isfinite(high_norm) and np.all(np.isfinite(high_vals[later]))):
+        return math.nan, math.nan
+    mask = (high_vals > 0) & later
     if high_norm <= 0 or np.count_nonzero(mask) < 2:
         return 0.0, 1.0
     excess = np.log10(high_vals[mask]) + ts[mask] / (2.0 * math.log(10.0)) - math.log10(

@@ -19,15 +19,21 @@ once; dt is the floor, so no run takes more steps than at fixed dt, and
 every store time is hit exactly.
 
 Both time loops hold spectra from start to finish: u^p comes from the
-alias-free kernel grid.dealiased_pointwise on spectra they hold, Picard's
-difference norms read the spectra of its corrections, and the trajectories
-they return hold spectra.  The nodes of a Picard iteration are independent
-in u^p, the norms and the escape gate, which Picard takes in stacked chunks
-of nodes.  One gate, _peaks, serves both loops: the Fourier-series bound
-_sup_bound, a sum over the spectrum, is at least the max-norm, so a state
-whose bound sits under the threshold (with a margin far above rounding)
-cannot escape and is not sampled.  The others are sampled in one stacked
-call, and a non-finite sample, or one above the threshold, is a blow-up.
+alias-free kernel grid.dealiased_pointwise on spectra they hold (the
+oracle resolves the kernel's kept set for its power once per run, by
+grid._power_kernel), Picard's difference norms read the spectra of its
+corrections, and the trajectories they return hold spectra.  Each time
+loop, _flow_recursion's and the oracle's, holds one errstate that ignores
+overflow and invalid around all its steps; _step and the oracle's powers
+enter none of their own and rely on it, so an overflow is left to the
+samples, where the escape gate reads it.  The nodes of a Picard
+iteration are independent in u^p, the norms and the escape gate, which
+Picard takes in stacked chunks of nodes.  One gate, _peaks, serves both
+loops: the Fourier-series bound _sup_bound, a sum over the spectrum, is
+at least the max-norm, so a state whose bound sits under the threshold
+(with a margin far above rounding) cannot escape and is not sampled.
+The others are sampled in one stacked call, and a non-finite sample, or
+one above the threshold, is a blow-up.
 
 Neither solver judges admissibility; experiments.run_experiment does.
 """
@@ -35,12 +41,10 @@ Neither solver judges admissibility; experiments.run_experiment does.
 from __future__ import annotations
 
 import bisect
-import functools
 import itertools
 import math
 import sys
 from dataclasses import dataclass, field as dc_field
-from functools import partial
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -50,6 +54,7 @@ from besov_wave_lab.grid import (
     TorusGrid,
     _node_chunks,
     _power,
+    _power_kernel,
     _samples,
     outer_shell_fraction,
     pad_factor_for_power,
@@ -171,15 +176,25 @@ def _mode_power(grid: TorusGrid, *spectra: np.ndarray) -> tuple[np.ndarray, floa
     over their largest |c|, which is the scale.  So only a state whose
     squares overflow pays a second pass."""
     with np.errstate(over="ignore"):
-        power = grid.mode_weight * functools.reduce(np.add, (np.abs(c) ** 2 for c in spectra))
-    total = float(np.sum(power))
+        power = _weighted_squares(grid, [np.abs(c) for c in spectra])
+    total = float(power.sum())
     if math.isfinite(total):
         return power, total, 1.0
     peak = max(float(np.max(np.abs(c))) for c in spectra)
     if not math.isfinite(peak):
         return power, total, 1.0
-    power = grid.mode_weight * functools.reduce(np.add, ((np.abs(c) / peak) ** 2 for c in spectra))
-    return power, float(np.sum(power)), peak
+    power = _weighted_squares(grid, [np.abs(c) / peak for c in spectra])
+    return power, float(power.sum()), peak
+
+
+def _weighted_squares(grid: TorusGrid, sizes: list[np.ndarray]) -> np.ndarray:
+    """mode_weight * (sizes[0]**2 + sizes[1]**2 + ...), the squares added
+    in order; written over sizes, which must be the caller's to give up."""
+    power = np.square(sizes[0], out=sizes[0])
+    for size in sizes[1:]:
+        power += np.square(size, out=size)
+    power *= grid.mode_weight
+    return power
 
 
 def spectral_tail_fraction(grid: TorusGrid, coeffs: np.ndarray) -> float:
@@ -197,9 +212,7 @@ def _sup_bound(grid: TorusGrid, coeffs: np.ndarray):
     coefficients times unit phases, a real part on self-paired entries.
     Stacked on leading axes, each array's bound is the one it gives alone."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return grid._sup_scale * (np.abs(coeffs) * grid.mode_weight).sum(
-            axis=tuple(range(-grid.n, 0))
-        )
+        return grid._sup_scale * (np.abs(coeffs) * grid.mode_weight).sum(axis=grid._axes)
 
 
 def _escapes(peaks, threshold: float):
@@ -213,14 +226,17 @@ def _peaks(grid: TorusGrid, coeffs: np.ndarray, threshold: float):
     transform could overflow, by a margin of 1e-9 that no rounding of a
     transform reaches; else the max |u| of its samples, all taken in one
     _samples call (inf or NaN for a non-finite sample).  _escapes tells
-    which peaks are blow-ups."""
+    which peaks are blow-ups: a caller reads that once, off the peaks."""
     cap = min(threshold, grid._sup_scale * sys.float_info.max)
+    # Finite, so that an inf bound clears nothing, even under an infinite threshold.
+    clear = min(cap * (1.0 - 1e-9), sys.float_info.max)
     peaks = _sup_bound(grid, coeffs)
-    unclear = _escapes(peaks, cap * (1.0 - 1e-9))
+    # Written as a negation, so that a NaN bound is sampled.
+    unclear = np.logical_not(peaks <= clear)
     if np.count_nonzero(unclear):
         peaks = np.array(peaks)
         samples = _samples(grid, coeffs[unclear], grid.points_per_axis)
-        peaks[unclear] = np.max(np.abs(samples), axis=tuple(range(-grid.n, 0)))
+        peaks[unclear] = np.max(np.abs(samples), axis=grid._axes)
     return peaks
 
 
@@ -257,15 +273,16 @@ def _step(grid: TorusGrid, h: float, u_hat, v_hat, f_start, f_end):
     linearly from f_start to f_end: the flow, plus i1 f_start, plus the
     correction i2 (f_end - f_start) in each slot.  f_end may be a function
     of the first-order u at the step's end (ETD2).  Returns the new pair
-    and the correction; an overflow is left to the samples, as in _power.
+    and the correction.  The caller holds an errstate that ignores
+    overflow and invalid, as each time loop does around all its steps: an
+    overflow is left to the samples, as in _power.
     """
     (e11, e12, e21, e22), (i1u, i2u, i1v, i2v) = _step_weights(grid, h)
-    with np.errstate(over="ignore", invalid="ignore"):
-        u_new = e11 * u_hat + e12 * v_hat + i1u * f_start
-        slope = (f_end(u_new) if callable(f_end) else f_end) - f_start
-        cu, cv = i2u * slope, i2v * slope
-        v_new = e21 * u_hat + e22 * v_hat + i1v * f_start + cv
-        return u_new + cu, v_new, (cu, cv)
+    u_new = e11 * u_hat + e12 * v_hat + i1u * f_start
+    slope = (f_end(u_new) if callable(f_end) else f_end) - f_start
+    cu, cv = i2u * slope, i2v * slope
+    v_new = e21 * u_hat + e22 * v_hat + i1v * f_start + cv
+    return u_new + cu, v_new, (cu, cv)
 
 
 def _flow_recursion(
@@ -284,9 +301,10 @@ def _flow_recursion(
     ends = itertools.pairwise(itertools.repeat(0.0) if source is None else source)
     spectra = np.empty((times.size,) + grid.spectral_shape, dtype=complex)
     spectra[0] = u_hat
-    for k, (h, (f_start, f_end)) in enumerate(zip(np.diff(times).tolist(), ends), start=1):
-        u_hat, v_hat, _ = _step(grid, h, u_hat, v_hat, f_start, f_end)
-        spectra[k] = u_hat
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, (h, (f_start, f_end)) in enumerate(zip(np.diff(times).tolist(), ends), start=1):
+            u_hat, v_hat, _ = _step(grid, h, u_hat, v_hat, f_start, f_end)
+            spectra[k] = u_hat
     return spectra
 
 
@@ -473,49 +491,52 @@ def etd_oracle(
             raise ValueError(f"store time t = {t:.12g} repeats an earlier store time")
         store_idx.add(m)
     landings = sorted((store_idx | {steps}) - {0})
-    power = partial(_power, grid, p=pp.p_nl)
+    power = _power_kernel(grid, pp.p_nl)
 
     uh, vh = u0.spectrum, u1.spectrum
     diag = OracleDiagnostics()
     out_times, stores = [0.0], np.empty((len(store_idx) + 1,) + uh.shape, dtype=complex)
     stores[0] = last = uh  # last: spectrum of the last state with finite samples
     m, k, n0 = 0, 0, None
-    while m < steps:
-        if n0 is None:
-            n0 = power(uh)
-            scale = ETD_TOL * _pair_norm(grid, uh, vh)
-        room = landings[bisect.bisect_right(landings, m)] - m
-        units = min(2**k, room)
-        new_u, new_v, (cu, cv) = _step(grid, dt * units, uh, vh, n0, power)
-        err = _pair_norm(grid, cu, cv)
-        retry = units > 1 and not err <= scale
-        if not retry:
-            peak = float(_peaks(grid, new_u, blowup_threshold))
-            finite, escaped = math.isfinite(peak), bool(_escapes(peak, blowup_threshold))
-            retry = units > 1 and escaped
-        if retry:
-            diag.rejected += 1
-            k = (units - 1).bit_length() - 1
-            continue
-        uh, vh = new_u, new_v
-        n0 = None
-        m += units
-        diag.steps += 1
-        if units == 2**k:
-            # The estimate grows like h^2, so r rungs up it is 4^r err: climb
-            # as far as that stays under the scale with a factor 2 to spare.
-            bound = 2.0 * err
-            while k < steps.bit_length() and 4.0 * bound < scale:
-                bound *= 4.0
-                k += 1
-        if finite:
-            last = uh
-            if escaped or m in store_idx:
-                stores[len(out_times)] = uh
-                out_times.append(m * dt)
-        if escaped:
-            diag.escape_time = m * dt
-            break
+    # One errstate for the whole loop, which _step and the powers rely on.
+    with np.errstate(over="ignore", invalid="ignore"):
+        while m < steps:
+            if n0 is None:
+                n0 = power(uh)
+                scale = ETD_TOL * _pair_norm(grid, uh, vh)
+            room = landings[bisect.bisect_right(landings, m)] - m
+            units = min(2**k, room)
+            new_u, new_v, (cu, cv) = _step(grid, dt * units, uh, vh, n0, power)
+            err = _pair_norm(grid, cu, cv)
+            retry = units > 1 and not err <= scale
+            if not retry:
+                peak = float(_peaks(grid, new_u, blowup_threshold))
+                finite, escaped = math.isfinite(peak), bool(_escapes(peak, blowup_threshold))
+                retry = units > 1 and escaped
+            if retry:
+                diag.rejected += 1
+                k = (units - 1).bit_length() - 1
+                continue
+            uh, vh = new_u, new_v
+            n0 = None
+            m += units
+            diag.steps += 1
+            if units == 2**k:
+                # The estimate grows like h^2, so r rungs up it is 4^r err:
+                # climb as far as that stays under the scale with a factor 2
+                # to spare.
+                bound = 2.0 * err
+                while k < steps.bit_length() and 4.0 * bound < scale:
+                    bound *= 4.0
+                    k += 1
+            if finite:
+                last = uh
+                if escaped or m in store_idx:
+                    stores[len(out_times)] = uh
+                    out_times.append(m * dt)
+            if escaped:
+                diag.escape_time = m * dt
+                break
     diag.final_tail_fraction = spectral_tail_fraction(grid, last)
     return Trajectory(grid, np.array(out_times), stores[: len(out_times)]), diag
 

@@ -600,6 +600,20 @@ class TestKeptLattice:
         assert len(built) == 3
         assert list(grid._lattices) == [(2 * N, (3, 4), 2), (2 * N, (2,), 2)]
 
+    @pytest.mark.parametrize("n, N", [(1, 16), (2, 8)])
+    def test_an_unpadded_lattice_splits_no_nyquist_mode(self, n, N):
+        # For M = N the kept set pads nothing, so the identity op gives the
+        # coefficients of the samples with their Nyquist entries whole,
+        # where a split would halve them.
+        grid = make_grid(n, N, 5.0)
+        rng = np.random.default_rng(3)
+        shape = grid.spectral_shape
+        coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        out = dealiased_pointwise(grid, np.positive, 1, coeffs)
+        expected = _coefficients(grid, _samples(grid, coeffs, N))
+        assert np.max(np.abs(out - expected)) <= 1e-13 * np.max(np.abs(expected))
+        assert grid._lattices[N, (), 1].padded is None
+
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_transform_helpers_match_nd_transforms(self, n):
         rng = np.random.default_rng(n)

@@ -22,6 +22,7 @@ from besov_wave_lab.norms import (
     x_weight,
 )
 from besov_wave_lab.profiles import band_limited_random, gaussian, saturating_low
+from besov_wave_lab.solver import PicardDiagnostics
 from fields import field_from_function, record_x_nodes
 
 RNG = np.random.default_rng(42)
@@ -351,6 +352,25 @@ class TestXNormGate:
         calls = record_x_nodes(monkeypatch)
         assert x_norm(times, spectra, pp, blocks) == every_node_max(times, spectra, pp, blocks)
         assert sum(calls) == 8
+
+
+    @pytest.mark.parametrize("nan_node", [0, 1], ids=["first", "second"])
+    def test_a_nan_node_makes_the_norm_nan(self, nan_node):
+        # Python's max keeps a NaN only when it comes first, so a NaN node
+        # second in line once read as the other node's value.  The norm is
+        # NaN wherever the NaN stands, and a Picard difference norm of NaN
+        # is not converged.
+        grid = make_grid(1, 64, 64.0)
+        blocks, pp = make_blocks(grid), ProblemParams(n=1, r=4.0, s=2.0, p_nl=3)
+        spectra = single_modes(grid, [(1, 1.0), (3, 1.0)])
+        spectra[nan_node, 5] = math.nan
+        times = np.array([0.0, 1.0])
+        weighted = _x_integrand(times, spectra, pp, blocks)[2]
+        assert math.isnan(weighted[nan_node]) and math.isfinite(weighted[1 - nan_node])
+        norm = x_norm(times, spectra, pp, blocks)
+        assert math.isnan(norm)
+        diag = PicardDiagnostics(diff_norms=[1.0, norm], picard_tol=1e-9)
+        assert diag.convergence.status == "fail" and not diag.converged
 
 
 class TestTrajectory:

@@ -1,5 +1,7 @@
 """Propagator symbol and flow against independent ODE/quadrature oracles."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -8,13 +10,14 @@ from scipy.integrate import solve_ivp
 
 from besov_wave_lab.grid import apply_symbol, make_grid
 from besov_wave_lab.littlewood_paley import DyadicBlocks, make_blocks
-from besov_wave_lab.norms import lebesgue_norm
+from besov_wave_lab.norms import lebesgue_norm, time_bracket
 from besov_wave_lab.profiles import band_limited_random, saturating_low, single_mode
 from besov_wave_lab.propagator import (
     DELTA_BAND,
     apply_D,
     damped_L,
     damped_dtL,
+    fit_high_growth,
     fit_power_law,
     flow_matrix,
     linear_solution,
@@ -22,6 +25,7 @@ from besov_wave_lab.propagator import (
     verify_block_estimates,
     verify_lp_lq,
 )
+from besov_wave_lab.reporting import Check
 
 RNG = np.random.default_rng(3)
 
@@ -238,6 +242,26 @@ class TestDecayFits:
     def test_fit_rejects_empty_window(self):
         with pytest.raises(ValueError):
             fit_power_law(np.array([1.0, 2.0]), np.array([0.0, 0.0]))
+
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan], ids=["inf", "nan"])
+    def test_high_growth_with_a_non_finite_sample_reads_nan(self, bad):
+        # Samples C exp(-t/2) <t>^delta give back delta and C.  One
+        # non-finite sample after t = 0, or a non-finite high_norm, admits
+        # no such bound: an inf sample once read delta = 0, which passes
+        # any cap, and a NaN one was dropped with the zeros.  All now read
+        # NaN, which fails the check; an exact zero is still left out of
+        # the fit.
+        ts = np.linspace(0.0, 10.0, 11)
+        vals = 2.0 * np.exp(-ts / 2.0) * time_bracket(ts) ** 0.5
+        assert fit_high_growth(ts, vals, 1.0) == pytest.approx((0.5, 2.0))
+        vals[6] = 0.0
+        assert fit_high_growth(ts, vals, 1.0) == pytest.approx((0.5, 2.0))
+        assert all(map(math.isnan, fit_high_growth(ts, vals, bad)))
+        vals[6] = bad
+        delta, const = fit_high_growth(ts, vals, 1.0)
+        assert math.isnan(delta) and math.isnan(const)
+        assert Check(delta, "<=", 10.0).status == "fail"
 
 
 class TestVerifyLpLq:

@@ -39,6 +39,7 @@ from besov_wave_lab.propagator import (
     flow_matrix,
     linear_solution,
 )
+from besov_wave_lab import grid as grid_module
 from besov_wave_lab import solver
 from besov_wave_lab.reporting import Check
 from besov_wave_lab.solver import (
@@ -796,6 +797,113 @@ class TestEscapeGate:
         cfg = SolverConfig.uniform(8.0, 65, blowup_threshold=20.0, max_iters=30)
         diag = self.assert_same_bits(monkeypatch, lambda: picard_solve(u0, u0, PP2, cfg))
         assert diag.blown_up == escapes and diag.iterations > 1
+
+
+def reference_etd2(u0, u1, pp, dt, T, *, blowup_threshold=math.inf, store_times=()):
+    """etd_oracle's ETD2 loop built step by step from _power, _pair_norm,
+    _step and _peaks, each called on every step as a plain loop would call
+    it (a fresh power per call, its kept set looked up each time), under
+    one errstate of its own.  Returns the stored times and spectra, the
+    steps, the rejections, the escape time and the final tail fraction."""
+    grid = u0.grid
+    steps = round(T / dt)
+    store_idx = {0} | {round(t / dt) for t in store_times}
+    landings = sorted((store_idx | {steps}) - {0})
+    power = lambda u: _power(grid, u, pp.p_nl)
+    uh, vh = u0.spectrum, u1.spectrum
+    times, stores, last = [0.0], [uh], uh
+    m, k, n0, taken, rejected, escape_time = 0, 0, None, 0, 0, None
+    with np.errstate(over="ignore", invalid="ignore"):
+        while m < steps:
+            if n0 is None:
+                n0 = power(uh)
+                scale = solver.ETD_TOL * _pair_norm(grid, uh, vh)
+            units = min(2**k, min(t for t in landings if t > m) - m)
+            new_u, new_v, (cu, cv) = solver._step(grid, dt * units, uh, vh, n0, power)
+            err = _pair_norm(grid, cu, cv)
+            retry = units > 1 and not err <= scale
+            if not retry:
+                peak = float(solver._peaks(grid, new_u, blowup_threshold))
+                finite, escaped = math.isfinite(peak), bool(_escapes(peak, blowup_threshold))
+                retry = units > 1 and escaped
+            if retry:
+                rejected += 1
+                k = (units - 1).bit_length() - 1
+                continue
+            uh, vh, n0 = new_u, new_v, None
+            m += units
+            taken += 1
+            if units == 2**k:
+                bound = 2.0 * err
+                while k < steps.bit_length() and 4.0 * bound < scale:
+                    bound *= 4.0
+                    k += 1
+            if finite:
+                last = uh
+                if escaped or m in store_idx:
+                    times.append(m * dt)
+                    stores.append(uh)
+            if escaped:
+                escape_time = m * dt
+                break
+    return times, stores, taken, rejected, escape_time, spectral_tail_fraction(grid, last)
+
+
+class TestOracleLoop:
+    """etd_oracle resolves its padded lattice once and holds one errstate
+    for its whole loop; every bit it returns must be the plain loop's."""
+
+    CASES = {
+        # Store times 0.37, 1.0 and 2.13 cut rungs short to land on them.
+        "store-cuts": (0.05, 3, math.inf, 1e-6, [0.37, 1.0, 2.13]),
+        # A loose tolerance climbs fast and rejects steps, then crosses the cap.
+        "rejections": (0.5, 2, 5.0, 1e-2, [1.0, 2.0]),
+        "escape-past-a-cap": (1.0, 2, 20.0, 1e-6, [1.0]),
+        # p = 9 at amplitude 1.2 overflows to a non-finite state.
+        "overflow": (1.2, 9, math.inf, 1e-6, [1.0]),
+    }
+
+    @pytest.mark.parametrize("n, N, L", [(1, 64, 32.0), (2, 16, 16.0)], ids=["1d", "2d"])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_matches_the_plain_loop_bit_for_bit(self, monkeypatch, n, N, L, case):
+        amp, p, cap, tol, store = self.CASES[case]
+        monkeypatch.setattr(solver, "ETD_TOL", tol)
+        grid = make_grid(n, N, L)
+        u0 = gaussian(grid, width=2.0, amplitude=amp)
+        pp = ProblemParams(n=n, r=4.0, s=5.0, p_nl=p)
+        args = (u0, u0, pp, 0.01, 8.0)
+        kw = dict(blowup_threshold=cap, store_times=store)
+        traj, diag = etd_oracle(*args, **kw)
+        times, stores, steps, rejected, escape_time, tail = reference_etd2(*args, **kw)
+        assert traj.times.tobytes() == np.array(times).tobytes()
+        assert traj.spectra.tobytes() == np.array(stores).tobytes()
+        assert (diag.steps, diag.rejected, diag.escape_time) == (steps, rejected, escape_time)
+        assert np.float64(diag.final_tail_fraction).tobytes() == np.float64(tail).tobytes()
+        if case == "rejections":
+            assert diag.rejected > 0
+        assert diag.blown_up == (case != "store-cuts")
+
+    def test_one_lattice_lookup_per_run(self, monkeypatch):
+        # The powers of every step, and of every retried one, apply the
+        # kept set that the run looked up once.  Each accepted step still
+        # takes its four real transforms, one padded pair per power.
+        monkeypatch.setattr(solver, "ETD_TOL", 1e-2)
+        counts = count_transforms(monkeypatch, 64)
+        lookups = []
+        original = grid_module._lattice
+
+        def counted(*args):
+            lookups.append(args[1:])
+            return original(*args)
+
+        monkeypatch.setattr(grid_module, "_lattice", counted)
+        grid = make_grid(1, 64, 32.0)
+        u0 = gaussian(grid, width=2.0, amplitude=0.5)
+        _, diag = etd_oracle(u0, u0, PP2, 0.01, 8.0, blowup_threshold=5.0, store_times=[1.0])
+        assert diag.steps > 10 and diag.rejected > 0
+        assert lookups == [(2 * 64, (), 1)]
+        pairs = 2 * diag.steps + diag.rejected
+        assert counts["forward", "padded"] == counts["inverse", "padded"] == pairs
 
 
 def rung0_oracle(monkeypatch, *args, **kw):
