@@ -204,13 +204,12 @@ def run_mode_ode(values: Values, out_dir: Path, rng, jobs: int) -> ExperimentRep
     pairs = [(t, xi) for xi in special for t in (0.5, 2.0, 11.0, 37.0)]
     while len(pairs) < 100:
         pairs.append((float(rng.uniform(0.1, 50.0)), float(rng.uniform(0.0, 6.0))))
-    worst = 0.0
     rows = []
     for t, xi in pairs:
         vm, v0, vp = (damped_L(t + k * h, xi) for k in (-1, 0, 1))
         resid = abs((vp - 2 * v0 + vm) / h**2 + (vp - vm) / (2 * h) + xi**2 * v0)
-        worst = max(worst, resid)
         rows.append([t, xi, resid])
+    worst = float(np.max([row[2] for row in rows]))
     return ExperimentReport(
         scalars={"max_residual": worst, "pairs": float(len(pairs))},
         checks={"mode_ode": Check(worst, "<", tol)},
@@ -289,8 +288,9 @@ def run_block_estimates(values: Values, out_dir: Path, rng, jobs: int) -> Experi
     rows = [[float(rep.k), rep.max_ratio, rep.fitted_exponent or 0.0] for rep in reps]
     sides = {}
     for side in ("low", "high"):
-        maxima = [rep.max_ratio for rep in reps if rep.side == side and rep.max_ratio > 0]
-        sides[side] = max(maxima) / min(maxima) if maxima else math.inf
+        # A NaN ratio stays in, and makes the spread NaN.
+        maxima = [rep.max_ratio for rep in reps if rep.side == side and not rep.max_ratio <= 0]
+        sides[side] = float(np.max(maxima) / np.min(maxima)) if maxima else math.inf
     return ExperimentReport(
         scalars={"low_spread": sides["low"], "high_spread": sides["high"]},
         checks={
@@ -317,7 +317,7 @@ def _ensemble_max(blocks, count: int, draw, measure, stacks: float) -> float:
     (charged 3) and 1.08 a field for interpolation_ratios (charged 1.25)."""
     chunk = _chunk_members(blocks, stacks)
     sizes = [min(chunk, count - start) for start in range(0, count, chunk)]
-    return max(float(np.max(measure(blocks, *draw(b)))) for b in sizes)
+    return float(np.max([np.max(measure(blocks, *draw(b))) for b in sizes]))
 
 
 def _random_bands(rng, grid, count: int, slope_max: float, lo: float, hi: float) -> np.ndarray:
@@ -449,10 +449,10 @@ def run_global_decay(values: Values, out_dir: Path, rng, jobs: int) -> Experimen
         raise BlowupInGlobalRun(
             f"oracle run escaped the cap at t = {etd_diag.escape_time}"
         )
-    agreement = max(
+    agreement = float(np.max([
         _pair_norm(grid, c - ref) / max(_pair_norm(grid, c), 1e-300)
         for c, ref in zip(traj.spectra[1:], etd_traj.spectra[1:], strict=True)
-    )
+    ]))
     # Only the agreement reads the oracle's spectra: dropping them before
     # the study leaves room for its stacked block norms.
     del etd_traj

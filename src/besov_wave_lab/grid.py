@@ -20,18 +20,22 @@ _irfft: rfft/irfft on the last axis for n = 1, rfftn/irfftn on the
 trailing n axes otherwise (the same bits, without the n-D wrapper).  Every
 padded pointwise product goes through one alias-free kernel,
 dealiased_pointwise: coefficient arrays in, one inverse transform per
-input on the zero-padded lattice, the op on the real samples, one forward
-transform, truncation back.  Its padded spectrum, sample stacks and
-forward spectrum are kept buffers, with the lattice's constants, one set
-per grid, padded lattice and stacked shape (TorusGrid._lattices),
-written in place by the transforms; what it returns is always a fresh
-array.  _power_kernel resolves a power's set once, for a time loop that
-takes many.  _samples is the one map from coefficients to samples on any
+input onto the lattice of M = f N points per axis, the op on the real
+samples, one forward transform, truncation back.  For n >= 2 the
+transforms run on the zero-padded M-point lattice.  In 1-D they are
+decimated: f twiddled N-point transforms, one per residue r of the sample
+index mod f, stacked as rows, which pocketfft runs together for less than
+one M-point transform.  Its input spectra, sample stacks and forward
+spectrum are kept buffers, with the lattice's constants, one set per
+grid, lattice and stacked shape (TorusGrid._lattices), written in place
+by the transforms; what it returns is always a fresh array.
+_power_kernel resolves a power's set once, for a time loop that takes
+many.  _samples is the one map from coefficients to samples on any
 lattice and _coefficients its inverse on the grid's own lattice,
 field_from_coeffs the one way from coefficients to a GridField,
 integer_power the one pointwise power (by repeated squaring, not libm
-pow), _power the one padded power and _power_sums the one L^p power sum
-of samples.
+pow), _power the one alias-free power and _power_sums the one L^p power
+sum of samples.
 
 Stacked inputs.  _samples, _coefficients and dealiased_pointwise transform
 only the trailing n axes, so coefficient or sample arrays stacked on any
@@ -189,6 +193,12 @@ class TorusGrid:
     def _lattices(self) -> dict[tuple, "_Lattice"]:
         """dealiased_pointwise's kept buffers, by padded points per axis,
         stacked shape and number of inputs, the one used last at the end."""
+        return {}
+
+    @cached_property
+    def _twiddles(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+        """dealiased_pointwise's 1-D twiddle tables (_twiddle_tables), by
+        lattice points M."""
         return {}
 
     @cached_property
@@ -410,22 +420,53 @@ def _pad_into(padded: np.ndarray, coeffs: np.ndarray, index: tuple, n: int) -> n
     return padded
 
 
+def _twiddle_tables(grid: TorusGrid, M: int) -> tuple[np.ndarray, np.ndarray]:
+    """The 1-D kernel's read-only tables on the M = f N point lattice, each
+    of shape (f, N/2+1), built on the first call for grid and M and kept in
+    grid._twiddles: the inverse (2 pi)^(-1/2) dxi N e^(2 pi i k r / M) and
+    the forward (2 pi)^(-1/2) (L / M) e^(-2 pi i k r / M)."""
+    tables = grid._twiddles.get(M)
+    if tables is None:
+        N = grid.points_per_axis
+        kr = np.arange(M // N)[:, None] * np.arange(N // 2 + 1) % M
+        phase = np.exp(2j * np.pi / M * kr)
+        forward_scale = (2.0 * np.pi) ** -0.5 * grid.box_length / M
+        tables = grid._twiddles[M] = (_inverse_scale(grid, N) * phase, forward_scale * phase.conj())
+        for table in tables:
+            table.flags.writeable = False
+    return tables
+
+
+def _rows(values: np.ndarray, f: int) -> np.ndarray:
+    """values on M = f N points read as f rows of N: entry r N + m of the
+    last axis is row r, column m."""
+    return values.reshape(values.shape[:-1] + (f, -1))
+
+
 @dataclass
 class _Lattice:
-    """dealiased_pointwise's kept set on one padded lattice: the padded half
-    spectrum (None for M = N, where nothing is padded), one sample stack
-    per input and the forward half spectrum of the op's samples (None
-    until the first call), with the lattice's constants: the index of the
-    grid's half lattice in the padded one (_pad_index, where coefficients
-    are copied in and the result is truncated from) and the inverse and
-    forward transforms' scales."""
+    """dealiased_pointwise's kept set on the lattice of M = f N points per
+    axis: one sample stack per input, the spectrum the inverse transforms
+    read, the forward half spectrum of the op's samples (None until the
+    first call), and the lattice's constants.
+      - n = 1, decimated: twiddled holds an input's twiddled rows, of
+        shape stack + (f, N/2+1), and padded and index are None; inverse
+        and forward are _twiddle_tables', which every set on the lattice
+        shares.  A sample stack is the irfft's f rows of N points read as
+        M: entry r N + m holds the point x_(f m + r).
+      - n >= 2, padded: padded is the padded half spectrum (None for
+        M = N, where nothing is padded) and twiddled is None, index the
+        grid's half lattice in it (_pad_index: where coefficients are
+        copied in and the result is truncated from), and inverse and
+        forward the transforms' scales."""
 
     n: int
-    padded: np.ndarray | None
     samples: tuple[np.ndarray, ...]
-    index: tuple
-    inverse_scale: float
-    forward_scale: float
+    inverse: float | np.ndarray
+    forward: float | np.ndarray
+    padded: np.ndarray | None = None
+    twiddled: np.ndarray | None = None
+    index: tuple | None = None
     half: np.ndarray | None = None
 
     def apply(self, op: Callable[..., np.ndarray], *coeffs: np.ndarray) -> np.ndarray:
@@ -433,17 +474,30 @@ class _Lattice:
         The caller holds an errstate that ignores overflow and invalid."""
         n = self.n
         for c, samples in zip(coeffs, self.samples):
-            if self.padded is not None:
-                c = _pad_into(self.padded, c, self.index, n)
-            _irfft(n, c, out=samples)
-            samples *= self.inverse_scale
+            if n == 1:
+                twiddled = np.multiply(c[..., None, :], self.inverse, out=self.twiddled)
+                _irfft(1, twiddled, out=_rows(samples, len(self.inverse)))
+            else:
+                if self.padded is not None:
+                    c = _pad_into(self.padded, c, self.index, n)
+                _irfft(n, c, out=samples)
+                samples *= self.inverse
         result = op(*self.samples)
+        if n == 1:
+            result = _rows(result, len(self.forward))
         # op may reduce leading axes, so the kept forward spectrum is reused
         # only when it has the result's stacking.
         reuse = self.half is not None and self.half.shape[:-n] == result.shape[:-n]
         self.half = _rfft(n, result, out=self.half if reuse else None)
-        # C order, as for one field: sums over a field's samples run in memory order.
-        return np.multiply(self.forward_scale, self.half[self.index], order="C")
+        if n > 1:
+            # C order, as for one field: sums over a field's samples run in memory order.
+            return np.multiply(self.forward, self.half[self.index], order="C")
+        self.half *= self.forward
+        # Row by row, so every slice of a stack sums its rows in one order.
+        out = self.half[..., 0, :].copy()
+        for r in range(1, len(self.forward)):
+            out += self.half[..., r, :]
+        return out
 
 
 def _lattice(grid: TorusGrid, M: int, stack: tuple[int, ...], inputs: int) -> _Lattice:
@@ -457,15 +511,26 @@ def _lattice(grid: TorusGrid, M: int, stack: tuple[int, ...], inputs: int) -> _L
     if kept is None:
         if len(grid._lattices) == 2:
             del grid._lattices[next(iter(grid._lattices))]
-        half_shape = stack + (M,) * (n - 1) + (M // 2 + 1,)
-        kept = _Lattice(
-            n=n,
-            padded=np.zeros(half_shape, dtype=complex) if M > N else None,
-            samples=tuple(np.empty(stack + (M,) * n) for _ in range(inputs)),
-            index=_pad_index(N, M, n),
-            inverse_scale=_inverse_scale(grid, M),
-            forward_scale=(2.0 * np.pi) ** (-n / 2) * (grid.box_length / M) ** n,
-        )
+        samples = tuple(np.empty(stack + (M,) * n) for _ in range(inputs))
+        if n == 1:
+            inverse, forward = _twiddle_tables(grid, M)
+            kept = _Lattice(
+                n=1,
+                samples=samples,
+                inverse=inverse,
+                forward=forward,
+                twiddled=np.empty(stack + inverse.shape, dtype=complex),
+            )
+        else:
+            half_shape = stack + (M,) * (n - 1) + (M // 2 + 1,)
+            kept = _Lattice(
+                n=n,
+                samples=samples,
+                inverse=_inverse_scale(grid, M),
+                forward=(2.0 * np.pi) ** (-n / 2) * (grid.box_length / M) ** n,
+                padded=np.zeros(half_shape, dtype=complex) if M > N else None,
+                index=_pad_index(N, M, n),
+            )
     grid._lattices[key] = kept
     return kept
 
@@ -474,22 +539,44 @@ def dealiased_pointwise(
     grid: TorusGrid, op: Callable[..., np.ndarray], factor: int, *coeffs: np.ndarray
 ) -> np.ndarray:
     """Coefficients on grid of op applied pointwise to the fields with
-    coefficient arrays coeffs, zero-padded to M = factor * N points per
-    axis: degree-d products are alias-free for factor >= (d + 1) / 2
-    (Orszag 1971).  Coefficient arrays may be stacked on leading axes, all
-    alike: op gets samples stacked the same way, which it may overwrite,
-    and must return samples whose trailing n axes are the padded lattice
-    (it may reduce or keep the leading ones), and each output slice is bit
-    for bit what its own inputs give alone.  Both lattices start at the
-    same first sample, the transform's origin, so a shared mode has one
-    coefficient on both and no padded grid is built.
+    coefficient arrays coeffs, sampled on M = factor * N points per axis:
+    degree-d products are alias-free for factor >= (d + 1) / 2 (Orszag
+    1971).  Coefficient arrays may be stacked on leading axes, all alike:
+    op gets samples stacked the same way, which it may overwrite, and must
+    return samples whose trailing n axes are the M-point lattice (it may
+    reduce or keep the leading ones), and each output slice is bit for bit
+    what its own inputs give alone.  Both lattices start at the same first
+    sample, the transform's origin, so a shared mode has one coefficient on
+    both and no padded grid is built.  op must act on each point alone
+    (pointwise, or a reduction over leading axes): in 1-D the points come
+    in decimated order (below).
 
-    Kept sets.  The padded spectrum, the sample stacks op gets and the
-    forward spectrum of what it returns live in grid._lattices, one set
-    per M, stacking and number of inputs, of which the two used last are
-    kept: a caller that alternates two stackings on one lattice builds
-    each set once.  Each set also carries its lattice's constants, built
-    with it (_Lattice).  A call looks its set up and applies it; a time
+    Transforms.  With c_k the coefficients, k = 0..N/2, and the lattice
+    x_j = -L/2 + j L / M:
+      - n = 1, decimated.  Row r = 0..f-1 of the samples is
+        y_r[m] = u(x_(f m + r)) = irfft_N(c_k e^(2 pi i k r / M)) times
+        (2 pi)^(-1/2) dxi N, one _irfft over (..., f, N/2+1), and the
+        sample stack op gets is those rows read as M points: entry r N + m
+        holds x_(f m + r).  The result's coefficients are
+        sum_r e^(-2 pi i k r / M) rfft_N(y_r)[k] times (2 pi)^(-1/2) L / M,
+        one _rfft over (..., f, N), summed over r row by row.  Both scales
+        sit in the twiddle tables, built once per grid and M
+        (_twiddle_tables).  No M-point transform or padded spectrum is
+        formed.
+      - n >= 2, padded.  The coefficients are copied into a zero M-point
+        half spectrum by the Nyquist rule below, transformed back by one
+        _irfft, and the op's samples forward by one _rfft, truncated to
+        the grid's half lattice.  pocketfft already runs the leading-axis
+        passes over many rows, and decimating showed no gain (a power
+        at 256^2, factor 3, p = 5 read 9.0-9.8 ms padded, 9.3-10.1 ms
+        with every axis decimated, on a 2-core Xeon).
+
+    Kept sets.  The input spectrum (padded or twiddled), the sample stacks
+    op gets and the forward spectrum of what it returns live in
+    grid._lattices, one set per M, stacking and number of inputs, of which
+    the two used last are kept: a caller that alternates two stackings on
+    one lattice builds each set once.  Each set also carries its lattice's
+    constants (_Lattice).  A call looks its set up and applies it; a time
     loop that takes many powers resolves its set once (_power_kernel).
     The transforms write into the buffers.  The returned array is always
     fresh, so nothing a caller holds aliases them.  op must not call this
@@ -510,9 +597,14 @@ def dealiased_pointwise(
     N/2 holds the padded result's +N/2 coefficient on the last axis and its
     -N/2 coefficient on the leading ones: a product with 1 keeps half of a
     mode for each axis on which it sits at Nyquist (cos(8x) * 1 ->
-    cos(8x)/2 on N = 16, L = 2*pi).  For M = N nothing is split and irfftn
-    takes the real part of the self-paired entries, so the samples are
-    those of the real field the coefficients stand for.
+    cos(8x)/2 on N = 16, L = 2*pi).  In 1-D the twiddles carry the same
+    rule: entry N/2 goes in whole, and irfft_N keeps only the real part,
+    Re(c e^(i pi r / f)) (-1)^m, which is the split pair's
+    (c e^(i pi (f m + r) / f) + conj(c) e^(-i pi (f m + r) / f)) / 2.  The
+    forward sum at k = N/2 is the padded result's +N/2 coefficient.  For
+    M = N nothing is split and the inverse transform takes the real part
+    of the self-paired entries, so the samples are those of the real field
+    the coefficients stand for.
     """
     n = grid.n
     kept = _lattice(grid, factor * grid.points_per_axis, coeffs[0].shape[:-n], len(coeffs))

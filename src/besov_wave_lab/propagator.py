@@ -136,13 +136,18 @@ def fit_power_law(
     """Least-squares fit of log10(value) against log10(<t>).
 
     window restricts the fit to t in [lo, hi], a missing window or end to the
-    last decade's (t_last / 10, t_last).  Returns (slope, intercept, max residual in log10).
+    last decade's (t_last / 10, t_last).  Returns (slope, intercept, max
+    residual in log10), all NaN when a sample in the window is not finite.
+    Samples <= 0 are left out, as the log has none.
     """
     ts = np.asarray(ts, dtype=float)
     values = np.asarray(values, dtype=float)
     lo, hi = window or (None, None)
     lo, hi = ts[-1] / 10.0 if lo is None else lo, ts[-1] if hi is None else hi
-    mask = (ts >= lo) & (ts <= hi) & (values > 0)
+    inside = (ts >= lo) & (ts <= hi)
+    if not np.all(np.isfinite(values[inside])):
+        return math.nan, math.nan, math.nan
+    mask = inside & (values > 0)
     if np.count_nonzero(mask) < 2:
         raise ValueError("fit window contains fewer than two positive samples")
     x = np.log10(time_bracket(ts[mask]))

@@ -593,7 +593,8 @@ def decay_study(
     """Decay fits and the weighted-sup boundedness verdict for a solved run.
 
     Rejects blown-up runs and runs whose mass reaches the outer shell of
-    the box (the torus would stop approximating whole space there).  A
+    the box (the torus would stop approximating whole space there), or
+    whose outer-shell fraction is NaN at any node.  A
     smoothness series that is not positive after t = 0 leaves nothing to
     fit; the verdict is then "undetermined", which does not pass.  The
     norms are x_norm's: _x_integrand reads them off the spectra in
@@ -602,8 +603,8 @@ def decay_study(
     """
     if blown_up:
         raise ValueError("decay study rejected: the run blew up")
-    confinement = max(outer_shell_fraction(f) for _, f in traj)
-    if confinement > CONFINEMENT_THRESHOLD:
+    confinement = float(np.max([outer_shell_fraction(f) for _, f in traj]))
+    if not confinement <= CONFINEMENT_THRESHOLD:
         raise ValueError(
             f"decay study rejected: outer-shell mass fraction {confinement:.3e} "
             f"exceeds {CONFINEMENT_THRESHOLD:.1e}"

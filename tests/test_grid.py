@@ -29,7 +29,7 @@ from besov_wave_lab.grid import (
 from besov_wave_lab import grid as grid_module
 from besov_wave_lab.littlewood_paley import make_blocks
 from besov_wave_lab.paraproduct import decomposition_residuals
-from fields import field_from_function
+from fields import field_from_function, hermitian_part
 
 RNG = np.random.default_rng(1234)
 
@@ -394,20 +394,6 @@ def _truncated_convolution(*fields):
     return leading[..., lo + N // 2 : lo + N + 1]
 
 
-def _hermitian_part(grid, coeffs):
-    """The half spectrum a real field keeps of coeffs: the last-axis
-    columns 0 and N/2 pair with themselves under k -> -k on the leading
-    axes, and become their Hermitian part there."""
-    out = coeffs.copy()
-    for column in (0, -1):
-        kept = coeffs[..., column]
-        reflected = kept
-        for axis in range(grid.n - 1):
-            reflected = np.roll(np.flip(reflected, axis=axis), 1, axis=axis)
-        out[..., column] = 0.5 * (kept + np.conj(reflected))
-    return out
-
-
 GRIDS = st.one_of(
     st.builds(
         make_grid, n=st.sampled_from([1, 2]), N=st.sampled_from([8, 12, 16, 24]), L=BOXES
@@ -429,7 +415,7 @@ class TestKernelProperties:
         )
         assert np.max(np.abs(kernel - exact)) <= 1e-12 * scale
         out = dealiased_product(f, g).spectrum
-        assert np.max(np.abs(out - _hermitian_part(grid, exact))) <= 1e-12 * scale
+        assert np.max(np.abs(out - hermitian_part(grid, exact))) <= 1e-12 * scale
 
     @settings(max_examples=60, deadline=None)
     @given(grid=GRIDS, seed=SEEDS, p=st.integers(2, 4))
@@ -438,7 +424,7 @@ class TestKernelProperties:
         exact = _truncated_convolution(*([f] * p))
         scale = np.max(np.abs(exact))
         out = dealiased_power(f, p).spectrum
-        assert np.max(np.abs(out - _hermitian_part(grid, exact))) <= 1e-12 * scale
+        assert np.max(np.abs(out - hermitian_part(grid, exact))) <= 1e-12 * scale
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -460,7 +446,7 @@ class TestKernelProperties:
             index[axis] = N // 2
             coeffs[tuple(index)] = 0.0
         out = dealiased_pointwise(grid, np.positive, factor, coeffs)
-        expected = _hermitian_part(grid, coeffs)
+        expected = hermitian_part(grid, coeffs)
         assert np.max(np.abs(out - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
@@ -495,9 +481,10 @@ def _same_bits(a, b):
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
-def _fresh_pointwise(grid, op, factor, *coeffs):
-    """dealiased_pointwise from fresh arrays and np.fft.rfftn/irfftn, with
-    the Nyquist rule written out: the reference for the kept buffers."""
+def _padded_pointwise(grid, op, factor, *coeffs):
+    """dealiased_pointwise by the padded transform, from fresh arrays and
+    np.fft.rfftn/irfftn, with the Nyquist rule written out (for factor 1
+    nothing is padded, so nothing is split)."""
     n, N, h = grid.n, grid.points_per_axis, grid.points_per_axis // 2
     M, axes = factor * N, tuple(range(-grid.n, 0))
     rows = np.ix_(*[np.fft.fftfreq(N, 1.0 / N).astype(int) % M] * (n - 1))
@@ -505,8 +492,8 @@ def _fresh_pointwise(grid, op, factor, *coeffs):
     for c in coeffs:
         padded = np.zeros(c.shape[:-n] + (M,) * (n - 1) + (M // 2 + 1,), dtype=complex)
         padded[(Ellipsis,) + rows + (slice(0, h + 1),)] = c
-        padded[..., h] *= 0.5
-        for axis in range(n - 1):
+        padded[..., h] *= 0.5 if M > N else 1.0
+        for axis in range(n - 1 if M > N else 0):
             after = (slice(None),) * (n - 1 - axis)
             padded[(Ellipsis, M - h) + after] *= 0.5
             padded[(Ellipsis, h) + after] = padded[(Ellipsis, M - h) + after]
@@ -516,6 +503,99 @@ def _fresh_pointwise(grid, op, factor, *coeffs):
     half = np.fft.rfftn(op(*samples), axes=axes)
     scale = (2.0 * np.pi) ** (-n / 2) * (grid.box_length / M) ** n
     return np.multiply(scale, half[(Ellipsis,) + rows + (slice(0, h + 1),)], order="C")
+
+
+def _fresh_pointwise(grid, op, factor, *coeffs):
+    """dealiased_pointwise from fresh arrays and np.fft's transforms: the
+    reference for the kept buffers.  In 1-D, the decimated transform,
+    written out: f = factor rows of N points, twiddled."""
+    if grid.n > 1:
+        return _padded_pointwise(grid, op, factor, *coeffs)
+    N, h = grid.points_per_axis, grid.points_per_axis // 2
+    M = factor * N
+    phase = np.exp(2j * np.pi / M * (np.arange(factor)[:, None] * np.arange(h + 1) % M))
+    inverse = (2.0 * np.pi) ** -0.5 * grid.freq_spacing * N * phase
+    forward = (2.0 * np.pi) ** -0.5 * grid.box_length / M * phase.conj()
+    samples = [np.fft.irfft(c[..., None, :] * inverse).reshape(c.shape[:-1] + (M,)) for c in coeffs]
+    result = op(*samples)
+    rows = np.fft.rfft(result.reshape(result.shape[:-1] + (factor, N))) * forward
+    out = rows[..., 0, :].copy()
+    for r in range(1, factor):
+        out += rows[..., r, :]
+    return out
+
+
+class TestDecimatedKernel:
+    """In 1-D the kernel samples the M = f N point lattice by f twiddled
+    N-point transforms, not one padded M-point transform: the same
+    coefficients to rounding, with the Nyquist rule in the twiddles."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        N=st.sampled_from([8, 10, 12, 16]),
+        factor=st.integers(1, 6),
+        depth=st.integers(1, 4),
+        seed=SEEDS,
+    )
+    def test_matches_the_padded_transform(self, N, factor, depth, seed):
+        # Random spectra, so the Nyquist entry and the imaginary part of the
+        # mean mode are nonzero; N = 10 has N/2 odd.  Each slice of a stack
+        # is bit for bit the call on its own inputs.
+        grid = make_grid(1, N, 3.0)
+        rng = np.random.default_rng(seed)
+        shape = (depth, 2, N // 2 + 1)
+        stack = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        for op, coeffs in [
+            (np.multiply, (stack[:, 0], stack[:, 1])),
+            (partial(integer_power, p=3), (stack[:, 0],)),
+            (np.positive, (stack[:, 1],)),
+        ]:
+            out = dealiased_pointwise(grid, op, factor, *coeffs)
+            expected = _padded_pointwise(grid, op, factor, *coeffs)
+            assert np.max(np.abs(out - expected)) <= 1e-13 * np.max(np.abs(expected))
+            for i in range(depth):
+                alone = dealiased_pointwise(grid, op, factor, *(c[i] for c in coeffs))
+                assert _same_bits(out[i], alone)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
+    @pytest.mark.parametrize("point", [0, 5, 13])
+    def test_a_non_finite_sample_gives_non_finite_coefficients(self, bad, point):
+        # The escape gates read an overflow off the coefficients, whichever
+        # of the f rows the non-finite sample sits in, with no warning.
+        grid = make_grid(1, 8, 3.0)
+        coeffs = RNG.standard_normal(5) + 1j * RNG.standard_normal(5)
+
+        def spoiled(v):
+            v[point] = bad
+            return v
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = dealiased_pointwise(grid, spoiled, 2, coeffs)
+        assert not np.any(np.isfinite(out))
+
+    def test_sets_share_one_table_pair_and_hold_no_padded_spectrum(self):
+        # Two stackings on one lattice, then a third key that drops the
+        # first set, then the first stacking again: four sets built, one
+        # table pair for M = 3N, read-only, and none for n = 2.
+        grid = make_grid(1, 16, 3.0)
+        spectra = RNG.standard_normal((2, 9)) + 1j * RNG.standard_normal((2, 9))
+        cube = partial(integer_power, p=3)
+        for coeffs, factor in [(spectra[0], 3), (spectra, 3), (spectra, 2), (spectra[0], 3)]:
+            dealiased_pointwise(grid, cube, factor, coeffs)
+        assert list(grid._lattices) == [(32, (2,), 1), (48, (), 1)]
+        assert list(grid._twiddles) == [48, 32]
+        inverse, forward = grid._twiddles[48]
+        assert inverse.shape == forward.shape == (3, 9)
+        assert not inverse.flags.writeable and not forward.flags.writeable
+        single = grid._lattices[48, (), 1]
+        assert single.inverse is inverse and single.forward is forward
+        for kept in grid._lattices.values():
+            assert kept.padded is None and kept.index is None
+            assert kept.twiddled.shape == kept.samples[0].shape[:-1] + kept.inverse.shape
+        plane = make_grid(2, 8, 3.0)
+        dealiased_pointwise(plane, cube, 3, np.ones(plane.spectral_shape, dtype=complex))
+        assert plane._lattices[24, (), 1].twiddled is None and not plane._twiddles
 
 
 class TestKeptLattice:
@@ -554,7 +634,7 @@ class TestKeptLattice:
             buffers = [
                 b
                 for kept in grid._lattices.values()
-                for b in (kept.padded, kept.half) + kept.samples
+                for b in (kept.padded, kept.twiddled, kept.half) + kept.samples
                 if b is not None
             ]
             for out in outputs + [got]:
@@ -590,7 +670,7 @@ class TestKeptLattice:
         original = grid_module._Lattice
 
         def counted(**kwargs):
-            built.append(kwargs["padded"].shape)
+            built.append(kwargs["samples"])
             return original(**kwargs)
 
         monkeypatch.setattr(grid_module, "_Lattice", counted)

@@ -354,6 +354,32 @@ class TestXNormGate:
         assert sum(calls) == 8
 
 
+    def test_a_lower_end_that_fails_falls_back_to_every_node(self, monkeypatch):
+        # Block j = -1 of this raw spectrum holds only rounding residue, with
+        # a self-paired column that is not Hermitian, so its Parseval norm
+        # puts the lower end 0.2% above the node's value (TestBracket pins
+        # the field).  A copy of the residue at a late time, where the
+        # weighted B^s part dominates, lands between the two, and its
+        # bracket is so tight that the gate rules it out: only the fallback
+        # to every node finds it as the max.
+        grid = make_grid(2, 18, 13.5)
+        blocks, pp = make_blocks(grid), ProblemParams(n=2, r=2.5, s=2.0, p_nl=3)
+        xi_hi = 0.8 * np.pi * grid.points_per_axis / grid.box_length
+        field = band_limited_random(grid, np.random.default_rng(0), grid.freq_spacing, xi_hi, 0.0)
+        residue = blocks.annuli[-1 - blocks.j_min] * field.spectrum
+        times = np.array([0.0, 1e6])
+        early, late = _x_integrand(times, np.stack([residue, residue]), pp, blocks)[2]
+        lo = blocks.bracket(pp.r)[0]
+        l2 = blocks.block_norms(residue, 2.0)
+        js = np.array(list(blocks.indices()), dtype=float)
+        lower = np.linalg.norm(2.0 ** (pp.s * js) * l2) + np.linalg.norm(lo * l2)
+        assert lower > early * (1.0 + 1e-3)
+        spectra = np.stack([residue, 0.5 * (early + lower) / late * residue])
+        calls = record_x_nodes(monkeypatch)
+        value = x_norm(times, spectra, pp, blocks)
+        assert calls == [1, 1]
+        assert value == every_node_max(times, spectra, pp, blocks) > early
+
     @pytest.mark.parametrize("nan_node", [0, 1], ids=["first", "second"])
     def test_a_nan_node_makes_the_norm_nan(self, nan_node):
         # Python's max keeps a NaN only when it comes first, so a NaN node
