@@ -400,7 +400,7 @@ def run_interpolation(values: Values, out_dir: Path, rng, jobs: int) -> Experime
         rows.append([theta, q, alpha, _ensemble_max(blocks, ensemble, draw, ratios, stacks=1.25)])
     degenerate = sum(not 0 < r[3] < math.inf for r in rows)  # constants not positive, finite
     return ExperimentReport(
-        scalars={"max_ratio": max(r[3] for r in rows)},
+        scalars={"max_ratio": float(np.max([r[3] for r in rows]))},
         checks={"finite_constants": Check(degenerate, "==", 0)},
         tables={
             "constants": Table(

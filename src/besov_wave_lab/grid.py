@@ -30,12 +30,13 @@ spectrum are kept buffers, with the lattice's constants, one set per
 grid, lattice and stacked shape (TorusGrid._lattices), written in place
 by the transforms; what it returns is always a fresh array.
 _power_kernel resolves a power's set once, for a time loop that takes
-many.  _samples is the one map from coefficients to samples on any
-lattice and _coefficients its inverse on the grid's own lattice,
-field_from_coeffs the one way from coefficients to a GridField,
-integer_power the one pointwise power (by repeated squaring, not libm
-pow), _power the one alias-free power and _power_sums the one L^p power
-sum of samples.
+many.  _samples maps coefficients to samples on any lattice but the
+kernel's, which samples its own (twiddled rows in 1-D, a padded _irfft
+into its kept buffer for n >= 2), and _coefficients is its inverse on
+the grid's own lattice, field_from_coeffs the one way from coefficients
+to a GridField, integer_power the one pointwise power (by repeated
+squaring, not libm pow), _power the one alias-free power and
+_power_sums the one L^p power sum of samples.
 
 Stacked inputs.  _samples, _coefficients and dealiased_pointwise transform
 only the trailing n axes, so coefficient or sample arrays stacked on any

@@ -88,7 +88,6 @@ class DyadicBlocks:
     j_min: int = field(init=False)
     j_max: int = field(init=False)
     _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _brackets: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.j_min, self.j_max = default_j_range(self.grid)
@@ -176,24 +175,17 @@ class DyadicBlocks:
         rows = tuple(range(-self.grid.n, 0))
         return np.sum(np.where(self.annuli != 0.0, weight, 0.0), axis=rows)
 
-    def bracket(self, p: float) -> tuple[np.ndarray, np.ndarray]:
-        """Per-block constants (lo_j, hi_j), built on first use, with
-        lo_j ||f_j||_2 <= ||f_j||_p <= hi_j ||f_j||_2 for 2 <= p <= inf and
-        the blocks of a real field (discrete Nikolskii).  Cauchy-Schwarz on
-        the Fourier series gives sup |f_j| <= (m_j / |T|)^(1/2) ||f_j||_2
-        (|T| = L^n), and Hoelder on the box and ||f_j||_p^p <= sup^(p-2)
-        ||f_j||_2^2 give lo_j = |T|^(1/p - 1/2) and hi_j = lo_j
-        m_j^(1/2 - 1/p).  The lower end needs a real field's spectrum:
-        irfft reads only the real part of a self-paired entry."""
+    def nikolskii(self, p: float) -> np.ndarray:
+        """Per-block constants hi_j = |T|^(1/p - 1/2) m_j^(1/2 - 1/p) (|T| =
+        L^n) with ||f_j||_p <= hi_j ||f_j||_2 for 2 <= p <= inf (discrete
+        Nikolskii): Cauchy-Schwarz on the Fourier series gives sup |f_j| <=
+        (m_j / |T|)^(1/2) ||f_j||_2, and ||f_j||_p^p <= sup^(p-2) ||f_j||_2^2.
+        It holds for any coefficient array: irfft keeps only the Hermitian
+        part of a self-paired column, which Parseval counts whole."""
         if not p >= 2.0:
-            raise ValueError(f"bracket exponent must be >= 2, got {p}")
-        if p not in self._brackets:
-            lo = (self.grid.box_length**self.grid.n) ** (1.0 / p - 0.5)
-            self._brackets[p] = (
-                np.full(len(self.annuli), lo),
-                lo * self.mode_counts ** (0.5 - 1.0 / p),
-            )
-        return self._brackets[p]
+            raise ValueError(f"Nikolskii exponent must be >= 2, got {p}")
+        volume = self.grid.box_length**self.grid.n
+        return volume ** (1.0 / p - 0.5) * self.mode_counts ** (0.5 - 1.0 / p)
 
     def _plan(self, p: float) -> tuple["_BlockLattice", ...]:
         """The lattices block_norms sums the nonzero blocks on for exponent p,

@@ -166,13 +166,6 @@ class Trajectory:
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "spectra", spectra)
 
-    @property
-    def fields(self) -> tuple[GridField, ...]:
-        return tuple(f for _, f in self)
-
-    def __len__(self) -> int:
-        return len(self.spectra)
-
     def __iter__(self):
         return ((t, field_from_coeffs(self.grid, c)) for t, c in zip(self.times, self.spectra))
 
@@ -227,43 +220,39 @@ def x_norm(
 
     In chunks of nodes, the block L^2 norms (Parseval) give each node's
     weighted B^s_{2,2} part w_k, the bits _x_integrand gives, and by
-    DyadicBlocks.bracket(r) a bracket [lo_k, hi_k] on its B^0_{r,2} part.
-    best = max_k (w_k + lo_k) less a relative margin of 1e-9, as
-    solver._peaks keeps, so a node with w_k + hi_k plus the margin below
-    best cannot hold the sup.  _x_integrand takes every other node, and
-    one whose power sums could overflow to inf.  If the largest value
-    falls below best, a lower end failed (|f|^r underflowed, or an array
-    is no real field's spectrum) and every node is taken.  Every maximum
-    here is np.max's, which keeps a NaN wherever it stands (Python's max
-    drops one that is not first): a node whose value is NaN makes the
-    norm NaN."""
+    DyadicBlocks.nikolskii(r) a bound hi_k on its B^0_{r,2} part: w_k +
+    hi_k bounds its sum, inf where a power sum could overflow.  _x_integrand
+    takes the node with the largest bound (a NaN bound first), then every
+    other node whose bound, plus a relative margin of 1e-9 as
+    solver._peaks keeps, reaches that exact value: a node below it cannot
+    hold the sup.  Every maximum here is np.max's, which keeps a NaN
+    wherever it stands (Python's max drops one that is not first): a node
+    whose value is NaN makes the norm NaN."""
     grid = blocks.grid
     times = np.asarray(times, dtype=float)
-    if len(spectra) != times.size:
-        raise ValueError("one spectrum per node time required")
-    lo, hi = blocks.bracket(pp.r)
-    sup_j = blocks.bracket(math.inf)[1]
+    if len(spectra) != times.size or times.size == 0:
+        raise ValueError("one spectrum per node time, at least one node, required")
+    hi, sup_j = blocks.nikolskii(pp.r), blocks.nikolskii(math.inf)
     # A node whose blocks' sup bounds all stay under cap has every power
     # sum, l^2 sum and transform of its B^0_{r,2} norm below the largest
     # float: each is at most J max(N, L)^n max(1, sup_j l2_j)^r.
-    scale = len(lo) * max(grid.points_per_axis, grid.box_length) ** grid.n
+    scale = len(hi) * max(grid.points_per_axis, grid.box_length) ** grid.n
     cap = (sys.float_info.max * (1.0 - 1e-9) / scale) ** (1.0 / pp.r)
     weight = x_weight(times, pp)
-    low, high = np.empty(times.size), np.empty(times.size)
+    high = np.empty(times.size)
     with np.errstate(over="ignore", invalid="ignore"):
         for chunk in _node_chunks(times.size, grid.points_per_axis**grid.n):
             l2 = blocks.block_norms(spectra[chunk], 2.0)
             w = weight[chunk] * _block_sum(blocks, l2, pp.s, 2.0)
-            low[chunk] = w + _block_sum(blocks, lo * l2, 0.0, 2.0)
             bounded = np.max(sup_j * l2, axis=-1) < cap
             high[chunk] = np.where(bounded, w + _block_sum(blocks, hi * l2, 0.0, 2.0), np.inf)
-        best = float(np.max(low, initial=0.0)) * (1.0 - 1e-9)
-        # Written as a negation, so that a NaN bound keeps its node.
-        kept = np.logical_not(high * (1.0 + 1e-9) < best)
-    value = _x_sup(times, spectra, pp, blocks, np.flatnonzero(kept))
-    if value < best:
-        value = _x_sup(times, spectra, pp, blocks, np.flatnonzero(~kept), value)
-    return value
+        reach = high * (1.0 + 1e-9)
+    seed = np.argmax(high, keepdims=True)
+    value = _x_sup(times, spectra, pp, blocks, seed)
+    # Written as a negation, so that a NaN bound or value keeps its node.
+    kept = np.logical_not(reach < value)
+    kept[seed] = False
+    return _x_sup(times, spectra, pp, blocks, np.flatnonzero(kept), value)
 
 
 def interpolation_exponents(r: float, s: float, theta: float) -> tuple[float, float]:

@@ -3,7 +3,9 @@
 Reports are deterministic given a config and seed: scalars are plain floats
 serialized via repr, checks hold each verdict's value, relation and bound,
 tables are column-named row lists, and the timing block (timestamp, wall
-and CPU seconds, minor page faults) alone is left out of comparisons.
+and CPU seconds, minor page faults) alone is left out of comparisons.  A
+saved report is strict JSON: a non-finite float anywhere in it is written
+as the string "nan", "inf" or "-inf".
 """
 
 from __future__ import annotations
@@ -106,11 +108,24 @@ class ExperimentReport:
         out_dir.mkdir(parents=True, exist_ok=True)
         report_path = out_dir / f"{self.kind}.json"
         with open(report_path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
+            body = _strict_json(self.to_json_dict())
+            json.dump(body, fh, indent=2, sort_keys=True, allow_nan=False)
             fh.write("\n")
         for name, table in self.tables.items():
             table.write_csv(out_dir / f"{self.kind}.{name}.csv")
         return report_path
+
+
+def _strict_json(value: Any) -> Any:
+    """value with each non-finite float, in any dict or list within it,
+    written as the string "nan", "inf" or "-inf", which strict JSON holds."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return str(value)
+    if isinstance(value, dict):
+        return {key: _strict_json(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict_json(item) for item in value]
+    return value
 
 
 def config_hash(sections: Mapping[str, Mapping[str, str]]) -> str:

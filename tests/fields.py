@@ -1,6 +1,7 @@
 """Test-side field construction from closed-form functions, the part of a
 half spectrum that a real field carries, a counter of the transforms a run
-takes, and a record of the nodes x_norm evaluates."""
+takes, a record of the nodes x_norm evaluates, and the fields a trajectory
+holds."""
 
 import collections
 import sys
@@ -81,13 +82,18 @@ def count_transforms(monkeypatch, N):
 
 
 def record_x_nodes(monkeypatch):
-    """Patch norms._x_integrand to record the node count of each call, as
-    x_norm makes them; returns the list they are appended to."""
+    """Patch norms._x_integrand to record the node times of each call, as
+    x_norm makes them; returns the list of arrays they are appended to."""
     calls, original = [], norms._x_integrand
 
     def recorded(times, *args):
-        calls.append(len(times))
+        calls.append(np.array(times, dtype=float))
         return original(times, *args)
 
     monkeypatch.setattr(norms, "_x_integrand", recorded)
     return calls
+
+
+def trajectory_fields(traj):
+    """The fields of traj in time order, sampled from its spectra."""
+    return [f for _, f in traj]

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from besov_wave_lab import littlewood_paley
@@ -18,7 +18,7 @@ from besov_wave_lab.littlewood_paley import (
 )
 from besov_wave_lab.norms import lebesgue_norm
 from besov_wave_lab.profiles import band_limited_random
-from fields import count_transforms, field_from_function, hermitian_part
+from fields import count_transforms, field_from_function
 
 RNG = np.random.default_rng(7)
 
@@ -238,26 +238,31 @@ class TestExactLattices:
         assert blocks.block_norms(f.spectrum, 4.0)[row] == exact
 
 
-def bracket_samples(grid, kind, rng, amplitude):
-    """Real samples on grid: a band-limited random field, a Gaussian of
-    random width and centre, or a spike at one sample (every phase aligned
-    there), each scaled to amplitude."""
+def nikolskii_spectrum(grid, kind, rng, amplitude):
+    """A half spectrum on grid, scaled to amplitude: the raw coefficients
+    of real samples (a band-limited random field, a Gaussian of random
+    width and centre, or a spike at one sample, every phase aligned there),
+    or random complex entries, whose self-paired columns are not Hermitian."""
+    if kind == "raw":
+        shape = grid.spectral_shape
+        return amplitude * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
     if kind == "random":
         xi_hi = 0.8 * np.pi * grid.points_per_axis / grid.box_length
-        return band_limited_random(grid, rng, grid.freq_spacing, xi_hi, 0.0, amplitude).values
+        return band_limited_random(grid, rng, grid.freq_spacing, xi_hi, 0.0, amplitude).spectrum
     if kind == "gaussian":
         width = grid.box_length * rng.uniform(0.02, 0.2)
         centre = rng.uniform(-0.25, 0.25, grid.n) * grid.box_length
         r2 = sum((x - c) ** 2 for x, c in zip(grid.coords, centre))
-        return amplitude * np.exp(-r2 / (2.0 * width**2))
+        return grid.field(amplitude * np.exp(-r2 / (2.0 * width**2))).spectrum
     spike = np.zeros(grid.shape)
     spike[tuple(rng.integers(0, grid.points_per_axis, grid.n))] = amplitude
-    return spike
+    return grid.field(spike).spectrum
 
 
 class TestBracket:
-    """DyadicBlocks.bracket(p): lo_j ||f_j||_2 <= ||f_j||_p <= hi_j ||f_j||_2
-    for every block of a real field and 2 <= p <= inf (discrete Nikolskii)."""
+    """DyadicBlocks.nikolskii(p) brackets block norms from above:
+    ||f_j||_p <= hi_j ||f_j||_2 for every block of any half spectrum and
+    2 <= p <= inf (discrete Nikolskii)."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -265,33 +270,26 @@ class TestBracket:
         half=st.integers(4, 64),
         L=st.floats(1.0, 200.0),
         p=st.sampled_from([2.5, 3.0, 4.0, 8.0]),
-        kind=st.sampled_from(["random", "gaussian", "spike"]),
-        exponent=st.floats(-6.0, 6.0),
+        kind=st.sampled_from(["random", "gaussian", "spike", "raw"]),
+        exponent=st.floats(-120.0, 6.0),
         seed=st.integers(0, 2**32 - 1),
     )
-    # Block j = -1 of this field holds only rounding residue, and the raw
-    # spectrum's self-paired column is not Hermitian there: its p = 2
-    # Parseval norm counts an anti-Hermitian part that the samples drop, and
-    # read 0.3% above the real field's bracket.
-    @example(n=2, half=20, L=13.5, p=2.5, kind="random", exponent=0.0, seed=0)
     def test_block_norms_lie_in_the_bracket(self, n, half, L, p, kind, exponent, seed):
-        # Amplitudes stay far above the range where |f|^p underflows, which
-        # would break the lower end.  The bracket holds for the real field
-        # the samples carry: the Hermitian part of the self-paired columns.
+        # The samples keep only the Hermitian part of a self-paired column,
+        # which Parseval counts whole, and an underflowing |f|^p only
+        # lowers the L^p norm: neither can break the bound.
         grid = make_grid(n, 2 * half if n == 1 else 2 * (half // 4 + 4), L)
         blocks = make_blocks(grid)
-        samples = bracket_samples(grid, kind, np.random.default_rng(seed), 10.0**exponent)
-        coeffs = hermitian_part(grid, grid.field(samples).spectrum)
+        coeffs = nikolskii_spectrum(grid, kind, np.random.default_rng(seed), 10.0**exponent)
         l2, lp = blocks.block_norms(coeffs, 2.0), blocks.block_norms(coeffs, p)
-        lo, hi = blocks.bracket(p)
-        assert np.all(lo * l2 <= lp * (1.0 + 1e-12))
-        assert np.all(lp <= hi * l2 * (1.0 + 1e-12))
+        assert np.all(lp <= blocks.nikolskii(p) * l2 * (1.0 + 1e-12))
 
     @pytest.mark.parametrize("n, N, L", [(1, 64, 20.0), (2, 16, 7.0)])
     def test_constants(self, n, N, L):
         # m_j counts the lattice modes where annulus j is nonzero, each
         # half-spectrum entry standing for mode_weight of them; at p = inf
-        # hi_j is the Cauchy-Schwarz bound (m_j / L^n)^(1/2).
+        # hi_j is the Cauchy-Schwarz bound (m_j / L^n)^(1/2), at p = 2 it
+        # is 1 (Parseval).
         grid = make_grid(n, N, L)
         blocks = make_blocks(grid)
         full = np.fft.fftfreq(N, 1.0 / N)
@@ -300,15 +298,14 @@ class TestBracket:
         for row, j in enumerate(blocks.indices()):
             annulus = littlewood_paley.chi(xi / 2.0**j) - littlewood_paley.chi(xi / 2.0 ** (j - 1))
             assert blocks.mode_counts[row] == np.count_nonzero(annulus)
-        lo, hi = blocks.bracket(np.inf)
-        np.testing.assert_allclose(lo, L ** (-n / 2), rtol=1e-15)
-        np.testing.assert_allclose(hi, np.sqrt(blocks.mode_counts / L**n), rtol=1e-15)
-        assert blocks.bracket(np.inf) is blocks.bracket(np.inf)
-        np.testing.assert_array_equal(*blocks.bracket(2.0))
+        m = blocks.mode_counts
+        np.testing.assert_allclose(blocks.nikolskii(np.inf), np.sqrt(m / L**n), rtol=1e-15)
+        np.testing.assert_allclose(blocks.nikolskii(4.0), (m / L**n) ** 0.25, rtol=1e-15)
+        np.testing.assert_array_equal(blocks.nikolskii(2.0), 1.0)
 
     def test_rejects_an_exponent_below_two(self):
         with pytest.raises(ValueError, match="must be >= 2"):
-            make_blocks(make_grid(1, 64, 10.0)).bracket(1.5)
+            make_blocks(make_grid(1, 64, 10.0)).nikolskii(1.5)
 
 
 def _second_call_peak(blocks, coeffs, p):

@@ -107,3 +107,16 @@ def test_block_spread_keeps_a_nan_ratio(tmp_path, monkeypatch):
     assert math.isnan(report.scalars["low_spread"])
     assert report.verdicts["low_k_independent"] == "fail"
     assert report.verdicts["high_k_independent"] == "pass"
+
+
+def test_interpolation_max_ratio_keeps_a_nan_theta(tmp_path, monkeypatch):
+    # The per-theta maxima read 1.5, NaN and 2.0: the NaN stands second.
+    maxima = iter([1.5, math.nan, 2.0])
+    monkeypatch.setattr(experiments, "_ensemble_max", lambda *args, **kwargs: next(maxima))
+    cfg = {
+        "experiment": {"kind": "interpolation", "ensemble": "1", "thetas": "0.25,0.5,0.75"},
+        "grid": {"N": "64", "L": "20"},
+    }
+    report = run_experiment("interpolation", cfg, tmp_path, seed=0)
+    assert math.isnan(report.scalars["max_ratio"])
+    assert report.verdicts["finite_constants"] == "fail"

@@ -224,6 +224,22 @@ def every_node_max(times, spectra, pp, blocks):
     return max([0.0, *_x_integrand(times, spectra, pp, blocks)[2].tolist()])
 
 
+def upper_bounds(times, spectra, pp, blocks):
+    """Each node's weighted B^s_{2,2} part plus the Nikolskii bound on its
+    B^0_{r,2} part, from the block L^2 norms (to rounding, the bounds
+    x_norm ranks its nodes by)."""
+    l2 = blocks.block_norms(spectra, 2.0)
+    scales = 2.0 ** (pp.s * np.array(list(blocks.indices()), dtype=float))
+    w = x_weight(times, pp) * np.linalg.norm(scales * l2, axis=-1)
+    return w + np.linalg.norm(blocks.nikolskii(pp.r) * l2, axis=-1)
+
+
+def evaluated_nodes(times, calls):
+    """The nodes x_norm took, in the order it took them, from the node times
+    record_x_nodes saw; times must be distinct and increasing."""
+    return np.searchsorted(times, np.concatenate(calls)).tolist()
+
+
 def single_modes(grid, entries):
     """Half spectra, one per node, each holding one coefficient: entries is
     a list of (last-axis column, value)."""
@@ -234,8 +250,9 @@ def single_modes(grid, entries):
 
 
 class TestXNormGate:
-    """x_norm evaluates _x_integrand only where a node's bracket can reach
-    the sup, and returns bit for bit the max over every node."""
+    """x_norm evaluates _x_integrand first at the node with the largest
+    upper bound, then only at the other nodes whose bound reaches that
+    value, each once, and returns bit for bit the max over every node."""
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -261,10 +278,15 @@ class TestXNormGate:
             )
         ])
         times = np.sort(rng.uniform(0.0, 20.0, nodes))
-        assert x_norm(times, spectra, pp, blocks) == every_node_max(times, spectra, pp, blocks)
+        with pytest.MonkeyPatch.context() as mp:
+            calls = record_x_nodes(mp)
+            assert x_norm(times, spectra, pp, blocks) == every_node_max(times, spectra, pp, blocks)
+        taken = evaluated_nodes(times, calls)
+        assert len(calls[0]) == 1 and len(set(taken)) == len(taken)
 
     def test_a_decaying_stack_evaluates_few_nodes(self, monkeypatch):
-        # Nodes that decay in time: the bracket rules most of them out.
+        # Nodes that decay in time: the first node's value outweighs the
+        # bounds of most others.
         grid = make_grid(1, 256, 32.0)
         blocks, pp = make_blocks(grid), ProblemParams(n=1, r=4.0, s=2.0, p_nl=3)
         times = np.linspace(0.0, 10.0, 41)
@@ -273,12 +295,37 @@ class TestXNormGate:
         calls = record_x_nodes(monkeypatch)
         got = x_norm(times, spectra, pp, blocks)
         assert got == every_node_max(times, spectra, pp, blocks)
-        assert 0 < sum(calls) < times.size // 4
+        taken = evaluated_nodes(times, calls)
+        assert taken[0] == 0 and len(set(taken)) == len(taken) < times.size // 4
+
+    def test_the_max_below_the_largest_bound_is_found(self, monkeypatch):
+        # Node 0 is random noise in the top blocks, where the Nikolskii
+        # bound counts many modes and sits far above the value.  Node 1
+        # holds one low mode, where the bound is nearly tight, scaled so its
+        # value is the max and its bound still below node 0's: node 0 is
+        # taken first, and node 1's bound reaches past node 0's value.
+        grid = make_grid(2, 64, 16.0)
+        blocks, pp = make_blocks(grid), ProblemParams(n=2, r=8.0, s=0.1, p_nl=3)
+        noise = band_limited_random(
+            grid, np.random.default_rng(1), grid.max_freq / 4, 0.9 * grid.max_freq, 0.0
+        ).spectrum
+        spectra = np.stack([noise, single_modes(grid, [(1, 1.0)])[0]])
+        times = np.array([0.0, 1.0])
+        values = _x_integrand(times, spectra, pp, blocks)[2]
+        spectra[1] *= 1.25 * values[0] / values[1]
+        values = _x_integrand(times, spectra, pp, blocks)[2]
+        bounds = upper_bounds(times, spectra, pp, blocks)
+        assert bounds[0] > 2.0 * values[0] and bounds[0] > 1.5 * bounds[1]
+        assert values[1] > values[0]
+        calls = record_x_nodes(monkeypatch)
+        assert x_norm(times, spectra, pp, blocks) == every_node_max(times, spectra, pp, blocks)
+        assert evaluated_nodes(times, calls) == [0, 1]
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_nodes_parseval_cannot_tell_apart_all_stay(self, n, monkeypatch):
         # The same |c| at every node, with the phases of the free entries
-        # scrambled: the block L^2 norms agree, the L^r norms do not.
+        # scrambled: the block L^2 norms, and so the bounds, agree, the L^r
+        # norms do not.
         grid = make_grid(1, 256, 32.0) if n == 1 else make_grid(2, 32, 16.0)
         blocks, pp = make_blocks(grid), ProblemParams(n=n, r=4.0, s=2.0, p_nl=3)
         rng = np.random.default_rng(3)
@@ -290,7 +337,7 @@ class TestXNormGate:
         assert np.unique(_x_integrand(times, spectra, pp, blocks)[1]).size > 1
         calls = record_x_nodes(monkeypatch)
         assert x_norm(times, spectra, pp, blocks) == every_node_max(times, spectra, pp, blocks)
-        assert sum(calls) == 12
+        assert [len(c) for c in calls] == [1, 11]
 
     def test_an_all_zero_stack_reads_zero(self):
         grid = make_grid(2, 16, 8.0)
@@ -300,68 +347,70 @@ class TestXNormGate:
         assert x_norm(times, spectra, pp, blocks) == every_node_max(times, spectra, pp, blocks)
         assert x_norm(times, spectra, pp, blocks) == 0.0
 
+    @pytest.mark.parametrize("nodes, spectra", [(0, 0), (2, 1)], ids=["empty", "short"])
+    def test_a_stack_without_a_spectrum_per_node_is_rejected(self, nodes, spectra):
+        grid = make_grid(1, 16, 8.0)
+        blocks, pp = make_blocks(grid), ProblemParams(n=1, r=3.0, s=1.0, p_nl=3)
+        stack = np.zeros((spectra,) + grid.spectral_shape, dtype=complex)
+        with pytest.raises(ValueError, match="one spectrum per node time"):
+            x_norm(np.arange(float(nodes)), stack, pp, blocks)
+
     def test_a_node_whose_power_sums_overflow_still_reads_inf(self, monkeypatch):
         # Node 0 holds k = 1 at 1e100: |f|^4 overflows, so its norm reads
         # inf.  Node 1 holds k = 16 (block 1) at 1e60, where 2^(150 j)
-        # outweighs node 0's whole bracket, so only the overflow guard
-        # keeps node 0.
+        # outweighs node 0's whole finite bound, so only the overflow guard,
+        # which bounds node 0 by inf, makes node 0 the first node taken.
         grid = make_grid(1, 64, 64.0)
         blocks, pp = make_blocks(grid), ProblemParams(n=1, r=4.0, s=150.0, p_nl=3)
         spectra = single_modes(grid, [(1, 1e100), (16, 1e60)])
-        times = np.zeros(2)
+        times = np.array([0.0, 1e-3])
         with np.errstate(over="ignore", invalid="ignore"):
             b_s, b_r, _ = _x_integrand(times, spectra, pp, blocks)
             assert b_r[0] == math.inf and math.isfinite(b_r[1] + b_s[1])
-            lo, hi = blocks.bracket(pp.r)
             l2 = blocks.block_norms(spectra, 2.0)
-            assert b_s[1] > b_s[0] + math.sqrt(np.sum((hi * l2[0]) ** 2))
+            assert b_s[1] > b_s[0] + np.linalg.norm(blocks.nikolskii(pp.r) * l2[0])
             calls = record_x_nodes(monkeypatch)
             assert x_norm(times, spectra, pp, blocks) == math.inf
-        assert sum(calls) == 2
+        assert evaluated_nodes(times, calls) == [0]
 
     def test_an_underflowing_stack_takes_every_node(self, monkeypatch):
         # At 1e-120, |f|^4 underflows and each B^0_{4,2} norm reads about
-        # 0, under its lower end.  Node 0 (k = 1, block -3) holds the
-        # largest lower end, node 1 (k = 16, block 1) the largest value,
-        # its 2^(8 j)-weighted B^s_{2,2} part, and its bracket rules it out:
-        # only the fall-back to every node finds it.
+        # 0.  Node 0 (k = 1, block -3) holds the largest bound, node 1
+        # (k = 16, block 1) the largest value, its 2^(8 j)-weighted
+        # B^s_{2,2} part: node 0's underflowed value only lets more nodes
+        # through, and node 1 is taken after it.
         grid = make_grid(1, 64, 64.0)
         blocks, pp = make_blocks(grid), ProblemParams(n=1, r=4.0, s=8.0, p_nl=3)
         spectra = single_modes(grid, [(1, 1e-120), (16, 1e-124)])
-        times = np.zeros(2)
-        b_s, b_r, weighted = _x_integrand(times, spectra, pp, blocks)
+        times = np.array([0.0, 1e-3])
+        weighted = _x_integrand(times, spectra, pp, blocks)[2]
         assert weighted[1] > weighted[0]
-        lo, hi = blocks.bracket(pp.r)
-        l2 = blocks.block_norms(spectra, 2.0)
-        assert b_s[1] + math.sqrt(np.sum((hi * l2[1]) ** 2)) < math.sqrt(np.sum((lo * l2[0]) ** 2))
         calls = record_x_nodes(monkeypatch)
         assert x_norm(times, spectra, pp, blocks) == every_node_max(times, spectra, pp, blocks)
-        assert calls == [1, 1]
+        assert evaluated_nodes(times, calls) == [0, 1]
 
     def test_nodes_within_the_margin_of_a_tight_bracket_stay(self, monkeypatch):
         # On N = 8, L = 7 pi the Nyquist mode sits alone in block 1, whose
-        # bracket is then tight (lo = hi): a node holding that mode alone has
-        # |f| constant.  Amplitudes 1e-12 apart all lie within the 1e-9
-        # margin of the largest lower end, so every node is evaluated.
+        # bound is then tight: a node holding that mode alone has |f|
+        # constant.  Amplitudes 1e-12 apart all lie within the 1e-9 margin
+        # of the largest value, so after the first node every other one is
+        # evaluated.
         grid = make_grid(1, 8, 7.0 * math.pi)
         blocks, pp = make_blocks(grid), ProblemParams(n=1, r=4.0, s=1.0, p_nl=3)
-        lo, hi = blocks.bracket(pp.r)
-        assert blocks.mode_counts[1 - blocks.j_min] == 1.0 and hi[1 - blocks.j_min] == lo[0]
+        assert blocks.mode_counts[1 - blocks.j_min] == 1.0
         spectra = single_modes(grid, [(4, 1.0 + 1e-12 * k) for k in range(8)])
         times = np.zeros(8)
         calls = record_x_nodes(monkeypatch)
         assert x_norm(times, spectra, pp, blocks) == every_node_max(times, spectra, pp, blocks)
-        assert sum(calls) == 8
+        assert [len(c) for c in calls] == [1, 7]
 
-
-    def test_a_lower_end_that_fails_falls_back_to_every_node(self, monkeypatch):
+    def test_a_residue_that_is_no_real_field_keeps_the_max(self, monkeypatch):
         # Block j = -1 of this raw spectrum holds only rounding residue, with
         # a self-paired column that is not Hermitian, so its Parseval norm
-        # puts the lower end 0.2% above the node's value (TestBracket pins
-        # the field).  A copy of the residue at a late time, where the
-        # weighted B^s part dominates, lands between the two, and its
-        # bracket is so tight that the gate rules it out: only the fallback
-        # to every node finds it as the max.
+        # counts a part its samples drop: |T|^(1/r - 1/2) times it lies 0.2%
+        # above the node's value.  A copy of the residue at a late time,
+        # where the weighted B^s part dominates, lands between the two and
+        # is the max; the upper bound holds for any spectrum, so it is found.
         grid = make_grid(2, 18, 13.5)
         blocks, pp = make_blocks(grid), ProblemParams(n=2, r=2.5, s=2.0, p_nl=3)
         xi_hi = 0.8 * np.pi * grid.points_per_axis / grid.box_length
@@ -369,15 +418,15 @@ class TestXNormGate:
         residue = blocks.annuli[-1 - blocks.j_min] * field.spectrum
         times = np.array([0.0, 1e6])
         early, late = _x_integrand(times, np.stack([residue, residue]), pp, blocks)[2]
-        lo = blocks.bracket(pp.r)[0]
         l2 = blocks.block_norms(residue, 2.0)
         js = np.array(list(blocks.indices()), dtype=float)
-        lower = np.linalg.norm(2.0 ** (pp.s * js) * l2) + np.linalg.norm(lo * l2)
+        lo = (grid.box_length**grid.n) ** (1 / pp.r - 0.5)  # Hoelder on the box
+        lower = np.linalg.norm(2.0 ** (pp.s * js) * l2) + lo * np.linalg.norm(l2)
         assert lower > early * (1.0 + 1e-3)
         spectra = np.stack([residue, 0.5 * (early + lower) / late * residue])
         calls = record_x_nodes(monkeypatch)
         value = x_norm(times, spectra, pp, blocks)
-        assert calls == [1, 1]
+        assert sorted(evaluated_nodes(times, calls)) == [0, 1]
         assert value == every_node_max(times, spectra, pp, blocks) > early
 
     @pytest.mark.parametrize("nan_node", [0, 1], ids=["first", "second"])
@@ -397,6 +446,19 @@ class TestXNormGate:
         assert math.isnan(norm)
         diag = PicardDiagnostics(diff_norms=[1.0, norm], picard_tol=1e-9)
         assert diag.convergence.status == "fail" and not diag.converged
+
+    def test_a_nan_bound_is_taken_first(self, monkeypatch):
+        # A NaN time gives node 1 a NaN weight and bound.  np.argmax takes a
+        # NaN first, and a NaN value then keeps every other node.
+        grid = make_grid(1, 64, 64.0)
+        blocks, pp = make_blocks(grid), ProblemParams(n=1, r=4.0, s=2.0, p_nl=3)
+        spectra = single_modes(grid, [(1, 1.0), (1, 1.0), (3, 2.0)])
+        times = np.array([0.0, math.nan, 2.0])
+        assert math.isnan(upper_bounds(times, spectra, pp, blocks)[1])
+        calls = record_x_nodes(monkeypatch)
+        assert math.isnan(x_norm(times, spectra, pp, blocks))
+        assert [c.tolist() for c in calls][1:] == [[0.0, 2.0]]
+        assert math.isnan(calls[0][0]) and len(calls[0]) == 1
 
 
 class TestTrajectory:

@@ -54,6 +54,28 @@ class TestReport:
         assert (tmp_path / "demo.data.csv").exists()
         assert "timestamp" in body["timing"]
 
+    def test_saved_report_is_strict_json(self, tmp_path):
+        # A non-finite float anywhere in a report is saved as a string: a
+        # bare NaN or Infinity token is not JSON, and strict parsers reject it.
+        report = ExperimentReport(
+            kind="demo",
+            scalars={"max_residual": math.nan},
+            checks={"residual": Check(math.inf, "<", 1.0), "floor": Check(0.0, ">", -math.inf)},
+            tables={"data": Table(columns=["t", "norm"], rows=[[0.0, math.nan], [1.0, 2.0]])},
+            meta={"nested": {"values": [1.0, -math.inf]}},
+        )
+
+        def reject(token):
+            raise ValueError(f"not JSON: {token}")
+
+        body = json.loads(report.save(tmp_path).read_text(), parse_constant=reject)
+        assert body["scalars"] == {"max_residual": "nan"}
+        assert body["checks"]["residual"]["value"] == "inf"
+        assert body["checks"]["floor"]["bound"] == "-inf"
+        assert body["tables"]["data"]["rows"] == [[0.0, "nan"], [1.0, 2.0]]
+        assert body["meta"]["nested"] == {"values": [1.0, "-inf"]}
+        assert body["verdicts"] == {"floor": "pass", "residual": "fail"}
+
     def test_passed_requires_all_verdicts(self):
         r = ExperimentReport(kind="d", checks={"a": Check(0, "==", 0), "b": Check(1, "==", 0)})
         assert r.verdicts == {"a": "pass", "b": "fail"}
