@@ -200,6 +200,8 @@ def run_partition_residual(values: Values, out_dir: Path, rng, jobs: int) -> Exp
 
 def run_mode_ode(values: Values, out_dir: Path, rng, jobs: int) -> ExperimentReport:
     h, tol = values["experiment"]["fd_step"], values["experiment"]["tolerance"]
+    if not 0 < h < math.inf:
+        raise ConfigError(f"[experiment] fd_step must be positive and finite, got {h}")
     special = [0.0, 0.5 - 1e-3, 0.5, 0.5 + 1e-3, 4.0]
     pairs = [(t, xi) for xi in special for t in (0.5, 2.0, 11.0, 37.0)]
     while len(pairs) < 100:

@@ -25,10 +25,10 @@ samples, one forward transform, truncation back.  For n >= 2 the
 transforms run on the zero-padded M-point lattice.  In 1-D they are
 decimated: f twiddled N-point transforms, one per residue r of the sample
 index mod f, stacked as rows, which pocketfft runs together for less than
-one M-point transform.  Its input spectra, sample stacks and forward
-spectrum are kept buffers, with the lattice's constants, one set per
-grid, lattice and stacked shape (TorusGrid._lattices), written in place
-by the transforms; what it returns is always a fresh array.
+one M-point transform.  Its input spectrum, sample stacks and forward
+spectrum are kept buffers (_kept: one flat array each, grown to its
+largest call), one set per grid and lattice (TorusGrid._lattices),
+written by the transforms; what it returns is always a fresh array.
 _power_kernel resolves a power's set once, for a time loop that takes
 many.  _samples maps coefficients to samples on any lattice but the
 kernel's, which samples its own (twiddled rows in 1-D, a padded _irfft
@@ -54,7 +54,7 @@ lattice however many nodes it holds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from functools import cached_property, lru_cache, partial
 from typing import Callable
 
@@ -191,15 +191,9 @@ class TorusGrid:
         return (2.0 * np.pi) ** (-self.n / 2) * self.freq_spacing**self.n
 
     @cached_property
-    def _lattices(self) -> dict[tuple, "_Lattice"]:
-        """dealiased_pointwise's kept buffers, by padded points per axis,
-        stacked shape and number of inputs, the one used last at the end."""
-        return {}
-
-    @cached_property
-    def _twiddles(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-        """dealiased_pointwise's 1-D twiddle tables (_twiddle_tables), by
-        lattice points M."""
+    def _lattices(self) -> dict[int, "_Lattice"]:
+        """dealiased_pointwise's kept sets, one per lattice, by its points
+        per axis M, whatever the stacking and number of inputs."""
         return {}
 
     @cached_property
@@ -421,21 +415,16 @@ def _pad_into(padded: np.ndarray, coeffs: np.ndarray, index: tuple, n: int) -> n
     return padded
 
 
-def _twiddle_tables(grid: TorusGrid, M: int) -> tuple[np.ndarray, np.ndarray]:
-    """The 1-D kernel's read-only tables on the M = f N point lattice, each
-    of shape (f, N/2+1), built on the first call for grid and M and kept in
-    grid._twiddles: the inverse (2 pi)^(-1/2) dxi N e^(2 pi i k r / M) and
-    the forward (2 pi)^(-1/2) (L / M) e^(-2 pi i k r / M)."""
-    tables = grid._twiddles.get(M)
-    if tables is None:
-        N = grid.points_per_axis
-        kr = np.arange(M // N)[:, None] * np.arange(N // 2 + 1) % M
-        phase = np.exp(2j * np.pi / M * kr)
-        forward_scale = (2.0 * np.pi) ** -0.5 * grid.box_length / M
-        tables = grid._twiddles[M] = (_inverse_scale(grid, N) * phase, forward_scale * phase.conj())
-        for table in tables:
-            table.flags.writeable = False
-    return tables
+def _kept(buffers: dict, name: str, shape: tuple, dtype=float, new=np.empty) -> np.ndarray:
+    """The leading entries of the flat array buffers[name], read as shape.
+    The array is built by new and rebuilt only when a call needs more
+    entries than it holds, so it grows to its largest call and serves
+    every smaller one."""
+    size = math.prod(shape)
+    flat = buffers.get(name)
+    if flat is None or flat.size < size:
+        flat = buffers[name] = new(size, dtype=dtype)
+    return flat[:size].reshape(shape)
 
 
 def _rows(values: np.ndarray, f: int) -> np.ndarray:
@@ -447,49 +436,69 @@ def _rows(values: np.ndarray, f: int) -> np.ndarray:
 @dataclass
 class _Lattice:
     """dealiased_pointwise's kept set on the lattice of M = f N points per
-    axis: one sample stack per input, the spectrum the inverse transforms
-    read, the forward half spectrum of the op's samples (None until the
-    first call), and the lattice's constants.
-      - n = 1, decimated: twiddled holds an input's twiddled rows, of
-        shape stack + (f, N/2+1), and padded and index are None; inverse
-        and forward are _twiddle_tables', which every set on the lattice
-        shares.  A sample stack is the irfft's f rows of N points read as
-        M: entry r N + m holds the point x_(f m + r).
-      - n >= 2, padded: padded is the padded half spectrum (None for
-        M = N, where nothing is padded) and twiddled is None, index the
-        grid's half lattice in it (_pad_index: where coefficients are
+    axis: the lattice's constants, its buffers (_kept's, by name) and the
+    views of them that the stacking it served last takes: one sample stack
+    per input ("samples0", ...), the input spectrum and "half", the
+    forward half spectrum of the op's samples, stacked as op returns them.
+      - n = 1, decimated: the input spectrum is "twiddled", an input's
+        twiddled rows, index is None, and inverse and forward are the
+        read-only twiddle tables of shape (f, N/2+1).  A sample stack is
+        the irfft's f rows of N points read as M: entry r N + m holds the
+        point x_(f m + r).
+      - n >= 2, padded: the input spectrum is "padded", the zero-padded
+        half spectrum (none for M = N, where nothing is padded), index
+        the grid's half lattice in it (_pad_index: where coefficients are
         copied in and the result is truncated from), and inverse and
         forward the transforms' scales."""
 
     n: int
-    samples: tuple[np.ndarray, ...]
+    N: int
+    M: int
     inverse: float | np.ndarray
     forward: float | np.ndarray
-    padded: np.ndarray | None = None
-    twiddled: np.ndarray | None = None
-    index: tuple | None = None
+    index: tuple | None
+    buffers: dict = dc_field(default_factory=dict)
+    stacking: tuple | None = None
+    samples: tuple[np.ndarray, ...] = ()
+    spectrum: np.ndarray | None = None
     half: np.ndarray | None = None
+
+    def _serve(self, stack: tuple[int, ...], inputs: int) -> None:
+        """Take the views for inputs coefficient arrays stacked as stack."""
+        n, N, M = self.n, self.N, self.M
+        self.stacking = (stack, inputs)
+        self.samples = tuple(
+            _kept(self.buffers, f"samples{i}", stack + (M,) * n) for i in range(inputs)
+        )
+        if n == 1:
+            self.spectrum = _kept(self.buffers, "twiddled", stack + (M // N, N // 2 + 1), complex)
+        elif M > N:
+            padded = stack + (M,) * (n - 1) + (M // 2 + 1,)
+            self.spectrum = _kept(self.buffers, "padded", padded, complex, np.zeros)
 
     def apply(self, op: Callable[..., np.ndarray], *coeffs: np.ndarray) -> np.ndarray:
         """dealiased_pointwise's result for op on coeffs, in a fresh array.
         The caller holds an errstate that ignores overflow and invalid."""
         n = self.n
+        if self.stacking != (coeffs[0].shape[:-n], len(coeffs)):
+            self._serve(coeffs[0].shape[:-n], len(coeffs))
         for c, samples in zip(coeffs, self.samples):
             if n == 1:
-                twiddled = np.multiply(c[..., None, :], self.inverse, out=self.twiddled)
-                _irfft(1, twiddled, out=_rows(samples, len(self.inverse)))
+                np.multiply(c[..., None, :], self.inverse, out=self.spectrum)
+                _irfft(1, self.spectrum, out=_rows(samples, len(self.inverse)))
             else:
-                if self.padded is not None:
-                    c = _pad_into(self.padded, c, self.index, n)
+                if self.spectrum is not None:
+                    c = _pad_into(self.spectrum, c, self.index, n)
                 _irfft(n, c, out=samples)
                 samples *= self.inverse
         result = op(*self.samples)
         if n == 1:
             result = _rows(result, len(self.forward))
-        # op may reduce leading axes, so the kept forward spectrum is reused
-        # only when it has the result's stacking.
-        reuse = self.half is not None and self.half.shape[:-n] == result.shape[:-n]
-        self.half = _rfft(n, result, out=self.half if reuse else None)
+        # Sized by the result, as op may reduce leading axes.
+        if self.half is None or self.half.shape[:-1] != result.shape[:-1]:
+            shape = result.shape[:-1] + (result.shape[-1] // 2 + 1,)
+            self.half = _kept(self.buffers, "half", shape, complex)
+        _rfft(n, result, out=self.half)
         if n > 1:
             # C order, as for one field: sums over a field's samples run in memory order.
             return np.multiply(self.forward, self.half[self.index], order="C")
@@ -501,38 +510,23 @@ class _Lattice:
         return out
 
 
-def _lattice(grid: TorusGrid, M: int, stack: tuple[int, ...], inputs: int) -> _Lattice:
-    """grid's kept set on the M-point lattice for inputs coefficient
-    arrays stacked as stack.  The two sets used last are kept, so a caller
-    that alternates two stackings builds each once; a third key drops the
-    set used least recently before its own is built."""
-    n, N = grid.n, grid.points_per_axis
-    key = (M, stack, inputs)
-    kept = grid._lattices.pop(key, None)
+def _lattice(grid: TorusGrid, M: int) -> _Lattice:
+    """grid's kept set on the M-point lattice, built on its first use."""
+    kept = grid._lattices.get(M)
     if kept is None:
-        if len(grid._lattices) == 2:
-            del grid._lattices[next(iter(grid._lattices))]
-        samples = tuple(np.empty(stack + (M,) * n) for _ in range(inputs))
+        n, N = grid.n, grid.points_per_axis
         if n == 1:
-            inverse, forward = _twiddle_tables(grid, M)
-            kept = _Lattice(
-                n=1,
-                samples=samples,
-                inverse=inverse,
-                forward=forward,
-                twiddled=np.empty(stack + inverse.shape, dtype=complex),
-            )
+            kr = np.arange(M // N)[:, None] * np.arange(N // 2 + 1) % M
+            phase = np.exp(2j * np.pi / M * kr)
+            inverse = _inverse_scale(grid, N) * phase
+            forward = (2.0 * np.pi) ** -0.5 * grid.box_length / M * phase.conj()
+            inverse.flags.writeable = forward.flags.writeable = False
+            index = None
         else:
-            half_shape = stack + (M,) * (n - 1) + (M // 2 + 1,)
-            kept = _Lattice(
-                n=n,
-                samples=samples,
-                inverse=_inverse_scale(grid, M),
-                forward=(2.0 * np.pi) ** (-n / 2) * (grid.box_length / M) ** n,
-                padded=np.zeros(half_shape, dtype=complex) if M > N else None,
-                index=_pad_index(N, M, n),
-            )
-    grid._lattices[key] = kept
+            inverse = _inverse_scale(grid, M)
+            forward = (2.0 * np.pi) ** (-n / 2) * (grid.box_length / M) ** n
+            index = _pad_index(N, M, n)
+        kept = grid._lattices[M] = _Lattice(n, N, M, inverse, forward, index)
     return kept
 
 
@@ -561,9 +555,8 @@ def dealiased_pointwise(
         holds x_(f m + r).  The result's coefficients are
         sum_r e^(-2 pi i k r / M) rfft_N(y_r)[k] times (2 pi)^(-1/2) L / M,
         one _rfft over (..., f, N), summed over r row by row.  Both scales
-        sit in the twiddle tables, built once per grid and M
-        (_twiddle_tables).  No M-point transform or padded spectrum is
-        formed.
+        sit in the twiddle tables, built with the lattice's kept set
+        (_lattice).  No M-point transform or padded spectrum is formed.
       - n >= 2, padded.  The coefficients are copied into a zero M-point
         half spectrum by the Nyquist rule below, transformed back by one
         _irfft, and the op's samples forward by one _rfft, truncated to
@@ -574,15 +567,17 @@ def dealiased_pointwise(
 
     Kept sets.  The input spectrum (padded or twiddled), the sample stacks
     op gets and the forward spectrum of what it returns live in
-    grid._lattices, one set per M, stacking and number of inputs, of which
-    the two used last are kept: a caller that alternates two stackings on
-    one lattice builds each set once.  Each set also carries its lattice's
-    constants (_Lattice).  A call looks its set up and applies it; a time
-    loop that takes many powers resolves its set once (_power_kernel).
-    The transforms write into the buffers.  The returned array is always
-    fresh, so nothing a caller holds aliases them.  op must not call this
-    kernel on the same lattice, and the buffers are not shared between
-    threads: the CLI's --jobs runs sweeps in processes, each with its own.
+    grid._lattices, one set per M whatever the stacking and number of
+    inputs, with the lattice's constants (_Lattice).  Each buffer is one
+    flat array (_kept), rebuilt only when a call needs more entries than
+    it holds, of which a call takes a view, so a caller that alternates
+    stackings builds each buffer once, at its largest call.  A call looks
+    its set up and applies it; a time loop that takes many powers
+    resolves its set once (_power_kernel).  The returned array is always
+    fresh, so nothing a caller holds aliases the buffers.  op must not
+    call this kernel on the same lattice, and the buffers are not shared
+    between threads: the CLI's --jobs runs sweeps in processes, each with
+    its own.
 
     Nyquist rule.  A coarse mode at k_i = +-N/2 pairs with itself, and for
     M > N the padded lattice has both -N/2 and +N/2.  Padding splits it
@@ -592,8 +587,9 @@ def dealiased_pointwise(
       - for each leading axis in turn, halve the row at -N/2 (index
         M - N/2) and copy it to +N/2 (index N/2).
     So a mode at a corner of the lattice is split between all its images.
-    Every entry these steps write is rewritten on each call, so the kept
-    padded spectrum is the one a fresh zero array would give.  Truncation
+    Every entry these steps write is rewritten on each call, and every
+    view of the kept padded spectrum has the lattice's trailing shape, so
+    it is the one a fresh zero array would give.  Truncation
     takes the padded rows at k mod M and last-axis columns 0..N/2, so index
     N/2 holds the padded result's +N/2 coefficient on the last axis and its
     -N/2 coefficient on the leading ones: a product with 1 keeps half of a
@@ -607,8 +603,7 @@ def dealiased_pointwise(
     of the self-paired entries, so the samples are those of the real field
     the coefficients stand for.
     """
-    n = grid.n
-    kept = _lattice(grid, factor * grid.points_per_axis, coeffs[0].shape[:-n], len(coeffs))
+    kept = _lattice(grid, factor * grid.points_per_axis)
     # An overflow here is a blow-up, which the time loops read off the samples.
     with np.errstate(over="ignore", invalid="ignore"):
         return kept.apply(op, *coeffs)
@@ -631,10 +626,10 @@ def _power(grid: TorusGrid, coeffs: np.ndarray, p: int) -> np.ndarray:
 
 def _power_kernel(grid: TorusGrid, p: int) -> Callable[[np.ndarray], np.ndarray]:
     """_power(grid, ., p) for one unstacked coefficient array, bit for bit,
-    its kept set resolved once here rather than on every call.  Calls
-    must hold an errstate that ignores overflow and invalid, as the time
-    loops do."""
-    kept = _lattice(grid, pad_factor_for_power(p) * grid.points_per_axis, (), 1)
+    its kept set resolved once here rather than on every call; the set
+    keeps its views while the calls stay unstacked.  Calls must hold an
+    errstate that ignores overflow and invalid, as the time loops do."""
+    kept = _lattice(grid, pad_factor_for_power(p) * grid.points_per_axis)
     return partial(kept.apply, partial(integer_power, p=p))
 
 

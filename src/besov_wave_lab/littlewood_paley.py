@@ -28,6 +28,7 @@ import numpy as np
 from besov_wave_lab.grid import (
     GridField,
     TorusGrid,
+    _kept,
     _leading_index,
     _power_sums,
     _samples,
@@ -213,8 +214,8 @@ class DyadicBlocks:
         Parseval, |coeffs|^2 against parseval_weights.  Otherwise each
         lattice of _plan(p) takes one batched inverse transform of its
         blocks: the restricted annuli times the restricted coeffs go into a
-        complex block stack the lattice keeps while the stacked shape
-        repeats, and the transform's output, the only fresh stack, is
+        complex block stack the lattice keeps (grid._kept, grown to its
+        largest call), and the transform's output, the only fresh stack, is
         reduced in place by grid._power_sums, the one L^p power sum, with
         the lattice's weight (L/M)^n.  For even p a block sits on the
         coarsest lattice whose trapezoid rule integrates f_j^p exactly
@@ -244,15 +245,15 @@ class DyadicBlocks:
 class _BlockLattice:
     """The blocks rows that block_norms sums on M points per axis: their
     annuli restricted to that lattice, the index that restricts a
-    coefficient array of the grid to it, and the complex block stack the
-    products go into (None until the first call)."""
+    coefficient array of the grid to it, and its kept buffer (grid._kept):
+    the complex block stack the products go into."""
 
     grid: TorusGrid
     M: int
     rows: np.ndarray
     annuli: np.ndarray
     index: tuple
-    work: np.ndarray | None = None
+    buffers: dict = field(default_factory=dict)
 
     @classmethod
     def build(cls, blocks: DyadicBlocks, M: int, rows: np.ndarray) -> "_BlockLattice":
@@ -267,11 +268,9 @@ class _BlockLattice:
         """Fresh samples on M points per axis of the blocks rows of the
         fields with coefficient arrays coeffs, stacked as (..., rows, M^n)."""
         n = self.grid.n
-        shape = coeffs.shape[:-n] + self.annuli.shape
-        if self.work is None or self.work.shape != shape:
-            self.work = np.empty(shape, dtype=complex)
-        np.multiply(self.annuli, np.expand_dims(coeffs[self.index], -n - 1), out=self.work)
-        return _samples(self.grid, self.work, self.M)
+        work = _kept(self.buffers, "blocks", coeffs.shape[:-n] + self.annuli.shape, complex)
+        np.multiply(self.annuli, np.expand_dims(coeffs[self.index], -n - 1), out=work)
+        return _samples(self.grid, work, self.M)
 
 
 def default_j_range(grid: TorusGrid) -> tuple[int, int]:

@@ -19,10 +19,11 @@ once; dt is the floor, so no run takes more steps than at fixed dt, and
 every store time is hit exactly.
 
 Both time loops hold spectra from start to finish: u^p comes from the
-alias-free kernel grid.dealiased_pointwise on spectra they hold (the
-oracle resolves the kernel's kept set for its power once per run, by
-grid._power_kernel), Picard's difference norms read the spectra of its
-corrections, and the trajectories they return hold spectra.  Each time
+alias-free kernel grid.dealiased_pointwise on spectra they hold, through
+the kernel's one kept set per lattice, which the oracle resolves once
+per run (grid._power_kernel) and Picard's chunks of any size share.
+Picard's difference norms read the spectra of its corrections, and the
+trajectories they return hold spectra.  Each time
 loop, _flow_recursion's and the oracle's, holds one errstate that ignores
 overflow and invalid around all its steps; _step and the oracle's powers
 enter none of their own and rely on it, so an overflow is left to the
@@ -338,13 +339,13 @@ def _sources(
     """Spectra of u^p at every node, in node order, of the iterate
     linear + correction (both stacked as (nodes,) + spectral shape; None
     adds 0.0, the first iteration's zero correction).  The power takes the
-    nodes in chunks of grid._node_chunks, stacked on a leading axis of its
-    padded lattice; a chunk of one goes unstacked, so that it shares the
-    kept buffers of the ETD oracle's powers."""
+    nodes in chunks of grid._node_chunks, each stacked on a leading axis,
+    a chunk of one node too: the kernel keeps one set of buffers per
+    lattice, whatever the stacking."""
     points = (pad_factor_for_power(p) * grid.points_per_axis) ** grid.n
     for chunk in _node_chunks(len(linear), points):
         iterate = linear[chunk] + (0.0 if correction is None else correction[chunk])
-        power = _power(grid, iterate[0] if len(iterate) == 1 else iterate, p)
+        power = _power(grid, iterate, p)
         yield from power.reshape((-1,) + grid.spectral_shape)
 
 

@@ -1,10 +1,11 @@
 """Test-side field construction from closed-form functions, the part of a
 half spectrum that a real field carries, a counter of the transforms a run
-takes, a record of the nodes x_norm evaluates, and the fields a trajectory
-holds."""
+takes, a probe of the memory a call keeps, a record of the nodes x_norm
+evaluates, and the fields a trajectory holds."""
 
 import collections
 import sys
+import tracemalloc
 
 import numpy as np
 
@@ -79,6 +80,20 @@ def count_transforms(monkeypatch, N):
 
         monkeypatch.setattr(np.fft, name, counted)
     return counts
+
+
+def kept_allocations(call):
+    """The sizes in bytes of the memory blocks that call() allocates and
+    leaves allocated, largest first, by tracemalloc: a buffer the call
+    builds and keeps shows here, a temporary it frees does not, and
+    neither does its result, which is dropped."""
+    tracemalloc.start()
+    try:
+        call()
+        traces = tracemalloc.take_snapshot().traces
+    finally:
+        tracemalloc.stop()
+    return sorted((trace.size for trace in traces), reverse=True)
 
 
 def record_x_nodes(monkeypatch):

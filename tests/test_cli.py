@@ -621,6 +621,21 @@ amplitude = 5
         error = json.loads((out / "error.json").read_text())["error"]
         assert (error["type"], error["exit_code"]) == ("config", EXIT_CONFIG)
 
+    @pytest.mark.parametrize("step, shown", [("0", "0.0"), ("inf", "inf"), ("-1e-4", "-0.0001")])
+    def test_fd_step_not_positive_and_finite_exits_2_and_names_the_key(
+        self, step, shown, tmp_path, capsys
+    ):
+        # A zero step divides by zero, an infinite one asks for the flow at
+        # infinite time, and a negative one is no step size.
+        out = tmp_path / "o"
+        text = (CONFIGS / "mode-ode.cfg").read_text().replace("fd_step = 1e-4", f"fd_step = {step}")
+        cfg = write_cfg(tmp_path / "step.cfg", text)
+        assert main(["run", cfg, "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"[experiment] fd_step must be positive and finite, got {shown}" in err
+        error = json.loads((out / "error.json").read_text())["error"]
+        assert (error["type"], error["exit_code"]) == ("config", EXIT_CONFIG)
+
     def test_sweep_runs_with_parallel_jobs(self, tmp_path, capsys):
         text = """
 [experiment]
@@ -656,6 +671,22 @@ blowup_threshold = 50
         assert report["tables"]["sweep"]["rows"][1][:2] == [9.0, 1.0]
         assert report["verdicts"] == {"boundary_at_critical": "fail"}
         assert report["scalars"]["fujita"] == 9.0
+
+    def test_parallel_jobs_change_no_bit(self, tmp_path, capsys):
+        # Each worker process keeps its own transform buffers: the shipped
+        # sweep writes the same files at --jobs 2 as at --jobs 1, byte for
+        # byte outside the report's timing.
+        cfg = str(CONFIGS / "sweep-critical.cfg")
+        outputs = []
+        for jobs in ("1", "2"):
+            out = tmp_path / jobs
+            assert main(["run", cfg, "--out", str(out), "--jobs", jobs]) == EXIT_OK
+            files = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+            report = json.loads(files.pop("sweep-critical.json"))
+            report.pop("timing")
+            outputs.append((report, files))
+        assert outputs[0] == outputs[1]
+        assert list(outputs[0][1]) == ["sweep-critical.sweep.csv"]
 
     def test_sweep_passes_when_the_boundary_sits_at_critical(self, tmp_path, capsys):
         # At amplitude 0.4, p = 2 escapes by t = 8 and p = 9 = 1 + 2r/n decays.

@@ -29,7 +29,7 @@ from besov_wave_lab.grid import (
 from besov_wave_lab import grid as grid_module
 from besov_wave_lab.littlewood_paley import make_blocks
 from besov_wave_lab.paraproduct import decomposition_residuals
-from fields import field_from_function, hermitian_part
+from fields import field_from_function, hermitian_part, kept_allocations
 
 RNG = np.random.default_rng(1234)
 
@@ -574,28 +574,27 @@ class TestDecimatedKernel:
             out = dealiased_pointwise(grid, spoiled, 2, coeffs)
         assert not np.any(np.isfinite(out))
 
-    def test_sets_share_one_table_pair_and_hold_no_padded_spectrum(self):
-        # Two stackings on one lattice, then a third key that drops the
-        # first set, then the first stacking again: four sets built, one
-        # table pair for M = 3N, read-only, and none for n = 2.
+    def test_sets_hold_their_own_tables_and_no_padded_spectrum(self):
+        # Two stackings on M = 3N, one on M = 2N, then M = 3N again: one set
+        # per lattice, each with its own read-only table pair of shape
+        # (f, N/2+1), twiddled rows and no padded spectrum; the 2-D set
+        # holds no twiddled rows.
         grid = make_grid(1, 16, 3.0)
         spectra = RNG.standard_normal((2, 9)) + 1j * RNG.standard_normal((2, 9))
         cube = partial(integer_power, p=3)
         for coeffs, factor in [(spectra[0], 3), (spectra, 3), (spectra, 2), (spectra[0], 3)]:
             dealiased_pointwise(grid, cube, factor, coeffs)
-        assert list(grid._lattices) == [(32, (2,), 1), (48, (), 1)]
-        assert list(grid._twiddles) == [48, 32]
-        inverse, forward = grid._twiddles[48]
-        assert inverse.shape == forward.shape == (3, 9)
-        assert not inverse.flags.writeable and not forward.flags.writeable
-        single = grid._lattices[48, (), 1]
-        assert single.inverse is inverse and single.forward is forward
-        for kept in grid._lattices.values():
-            assert kept.padded is None and kept.index is None
-            assert kept.twiddled.shape == kept.samples[0].shape[:-1] + kept.inverse.shape
+        assert list(grid._lattices) == [48, 32]
+        for M, kept in grid._lattices.items():
+            assert kept.inverse.shape == kept.forward.shape == (M // 16, 9)
+            assert not kept.inverse.flags.writeable and not kept.forward.flags.writeable
+            assert kept.index is None
+            assert sorted(kept.buffers) == ["half", "samples0", "twiddled"]
+            assert kept.spectrum.shape == kept.samples[0].shape[:-1] + kept.inverse.shape
+        assert not np.shares_memory(grid._lattices[48].inverse, grid._lattices[32].inverse)
         plane = make_grid(2, 8, 3.0)
         dealiased_pointwise(plane, cube, 3, np.ones(plane.spectral_shape, dtype=complex))
-        assert plane._lattices[24, (), 1].twiddled is None and not plane._twiddles
+        assert sorted(plane._lattices[24].buffers) == ["half", "padded", "samples0"]
 
 
 class TestKeptLattice:
@@ -631,12 +630,7 @@ class TestKeptLattice:
             got = dealiased_pointwise(grid, op, 2, *coeffs)
             expected = _fresh_pointwise(grid, op, 2, *coeffs)
             assert _same_bits(got, expected)
-            buffers = [
-                b
-                for kept in grid._lattices.values()
-                for b in (kept.padded, kept.twiddled, kept.half) + kept.samples
-                if b is not None
-            ]
+            buffers = [b for kept in grid._lattices.values() for b in kept.buffers.values()]
             for out in outputs + [got]:
                 assert not any(np.shares_memory(out, b) for b in buffers)
             outputs.append(got)
@@ -650,11 +644,11 @@ class TestKeptLattice:
             assert _same_bits(out, _fresh_pointwise(grid, op, 2, *coeffs))
 
     @pytest.mark.parametrize("n, N", [(1, 16), (2, 8)])
-    def test_each_stacking_builds_its_lattice_once(self, monkeypatch, n, N):
+    def test_each_stacking_builds_its_lattice_once(self, n, N):
         # decomposition_residuals alternates (b,) products and (b, J) block
-        # sums on one padded lattice, then a shorter last chunk.  Each
-        # stacking keeps its own buffers, built on its first call, the two
-        # used last stay, and every call has a fresh grid's bits.
+        # sums on one padded lattice, then a shorter last chunk.  One set
+        # serves them all, its buffers are not rebuilt after the largest
+        # call, and every call has a fresh grid's bits.
         rng = np.random.default_rng(11)
         shape = make_grid(n, N, 5.0).spectral_shape
 
@@ -666,19 +660,95 @@ class TestKeptLattice:
         calls = [(np.multiply, spectra(3), spectra(3)), (summed, spectra(3, 4), spectra(3, 4))]
         calls = 3 * calls + [(np.multiply, spectra(2), spectra(2))]
         fresh = [dealiased_pointwise(make_grid(n, N, 5.0), op, 2, *c) for op, *c in calls]
-        built = []
-        original = grid_module._Lattice
-
-        def counted(**kwargs):
-            built.append(kwargs["samples"])
-            return original(**kwargs)
-
-        monkeypatch.setattr(grid_module, "_Lattice", counted)
         grid = make_grid(n, N, 5.0)
+        largest = None
         for (op, *coeffs), expected in zip(calls, fresh):
             assert _same_bits(dealiased_pointwise(grid, op, 2, *coeffs), expected)
-        assert len(built) == 3
-        assert list(grid._lattices) == [(2 * N, (3, 4), 2), (2 * N, (2,), 2)]
+            assert list(grid._lattices) == [2 * N]
+            buffers = dict(grid._lattices[2 * N].buffers)
+            if largest is not None:
+                assert all(buffers[name] is b for name, b in largest.items())
+            elif coeffs[0].shape[:-n] == (3, 4):
+                largest = buffers
+
+    @pytest.mark.parametrize("n, N", [(1, 16), (2, 8)])
+    def test_smaller_calls_after_the_largest_rebuild_nothing(self, n, N):
+        # The largest call first, then (b,) products, (b, J) block sums, a
+        # shorter chunk and one input: the set's buffers are the ones the
+        # largest call built, and no call leaves anything as large as the
+        # smallest of them allocated.
+        grid = make_grid(n, N, 5.0)
+        rng = np.random.default_rng(5)
+
+        def spectra(*stack):
+            shape = stack + grid.spectral_shape
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        lattice = "xy"[:n]
+        summed = partial(np.einsum, f"...j{lattice},...j{lattice}->...{lattice}")
+        cube = partial(integer_power, p=3)
+        dealiased_pointwise(grid, np.multiply, 2, spectra(3, 4), spectra(3, 4))
+        buffers = dict(grid._lattices[2 * N].buffers)
+        smallest = min(b.nbytes for b in buffers.values())
+        calls = [
+            (np.multiply, spectra(3), spectra(3)),
+            (summed, spectra(3, 4), spectra(3, 4)),
+            (np.multiply, spectra(3), spectra(3)),
+            (summed, spectra(2, 4), spectra(2, 4)),
+            (cube, spectra(3)),
+            (cube, spectra()),
+        ]
+        for op, *coeffs in calls:
+            sizes = kept_allocations(lambda: dealiased_pointwise(grid, op, 2, *coeffs))
+            assert not sizes or sizes[0] < smallest
+            assert grid._lattices[2 * N].buffers == buffers
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        calls=st.lists(
+            st.tuples(
+                st.lists(st.integers(1, 3), max_size=2).map(tuple),
+                st.sampled_from(["cube", "total", "multiply", "summed"]),
+                st.integers(1, 3),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+        seed=SEEDS,
+    )
+    @pytest.mark.parametrize("n, N", [(1, 8), (1, 10), (2, 8)])
+    def test_any_call_history_gives_a_fresh_grid_bits(self, n, N, calls, seed):
+        # Random stackings, one or two inputs, ops that keep the stacking
+        # or reduce its last axis (as _block_sum does), on padded lattices
+        # (factors 2, 3) and the grid's own (factor 1), all on one grid:
+        # each call has the bits of a fresh grid, whatever came before, and
+        # no result aliases a kept buffer.
+        grid = make_grid(n, N, 5.0)
+        rng = np.random.default_rng(seed)
+        lattice = "xy"[:n]
+        ops = {
+            "cube": (partial(integer_power, p=3), 1),
+            "total": (partial(np.sum, axis=-n - 1), 1),
+            "multiply": (np.multiply, 2),
+            "summed": (partial(np.einsum, f"...j{lattice},...j{lattice}->...{lattice}"), 2),
+        }
+        outputs = []
+        for stack, name, factor in calls:
+            op, inputs = ops[name]
+            if name in ("total", "summed"):
+                stack = stack or (2,)  # an axis to reduce
+            shape = stack + grid.spectral_shape
+            coeffs = [
+                rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(inputs)
+            ]
+            expected = _fresh_pointwise(grid, op, factor, *coeffs)
+            got = dealiased_pointwise(grid, op, factor, *coeffs)
+            assert _same_bits(got, expected)
+            outputs.append((got, expected))
+        buffers = [b for kept in grid._lattices.values() for b in kept.buffers.values()]
+        for got, expected in outputs:
+            assert _same_bits(got, expected)
+            assert not any(np.shares_memory(got, b) for b in buffers)
 
     @pytest.mark.parametrize("n, N", [(1, 16), (2, 8)])
     def test_an_unpadded_lattice_splits_no_nyquist_mode(self, n, N):
@@ -692,7 +762,7 @@ class TestKeptLattice:
         out = dealiased_pointwise(grid, np.positive, 1, coeffs)
         expected = _coefficients(grid, _samples(grid, coeffs, N))
         assert np.max(np.abs(out - expected)) <= 1e-13 * np.max(np.abs(expected))
-        assert grid._lattices[N, (), 1].padded is None
+        assert "padded" not in grid._lattices[N].buffers
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_transform_helpers_match_nd_transforms(self, n):

@@ -18,7 +18,7 @@ from besov_wave_lab.littlewood_paley import (
 )
 from besov_wave_lab.norms import lebesgue_norm
 from besov_wave_lab.profiles import band_limited_random
-from fields import count_transforms, field_from_function
+from fields import count_transforms, field_from_function, kept_allocations
 
 RNG = np.random.default_rng(7)
 
@@ -356,8 +356,8 @@ class TestBlockNormWork:
 
 class TestBlockNormWorkspace:
     def test_interleaved_shapes_match_fresh_blocks(self):
-        # The workspace kept between calls is replaced when the stacked
-        # shape changes and never shows in a result.
+        # The workspace kept between calls grows to the largest stacked
+        # shape and never shows in a result.
         for n, N, L in ((1, 256, 32.0), (2, 16, 8.0)):
             grid = make_grid(n, N, L)
             one = grid.field(RNG.standard_normal(grid.shape)).spectrum
@@ -367,6 +367,20 @@ class TestBlockNormWorkspace:
                 for p in (1.0, 3.0, 4.0, 2.5, np.inf, 2.0):
                     got = blocks.block_norms(coeffs, p)
                     np.testing.assert_array_equal(got, make_blocks(grid).block_norms(coeffs, p))
+
+    def test_a_smaller_call_rebuilds_no_block_stack(self):
+        # x_norm's order: a chunk of 8 nodes, its one-node seed, then the
+        # chunk again.  After the first 8-node call no lattice builds a
+        # complex block stack: each serves the smaller call from the one it
+        # keeps.
+        grid = make_grid(1, 256, 32.0)
+        nodes = grid.field(RNG.standard_normal(grid.shape)).spectrum * np.arange(1.0, 9.0)[:, None]
+        blocks = make_blocks(grid)
+        blocks.block_norms(nodes, 4.0)
+        stack = min(8 * 16 * lattice.annuli.size for lattice in blocks._plan(4.0))
+        for coeffs in (nodes[:1], nodes):
+            sizes = kept_allocations(lambda: blocks.block_norms(coeffs, 4.0))
+            assert not sizes or sizes[0] < stack
 
     def test_returned_arrays_are_the_callers(self):
         grid = make_grid(1, 256, 32.0)

@@ -900,7 +900,7 @@ class TestOracleLoop:
         u0 = gaussian(grid, width=2.0, amplitude=0.5)
         _, diag = etd_oracle(u0, u0, PP2, 0.01, 8.0, blowup_threshold=5.0, store_times=[1.0])
         assert diag.steps > 10 and diag.rejected > 0
-        assert lookups == [(2 * 64, (), 1)]
+        assert lookups == [(2 * 64,)]
         pairs = 2 * diag.steps + diag.rejected
         assert counts["forward", "padded"] == counts["inverse", "padded"] == pairs
 
