@@ -98,6 +98,21 @@ ESTIMATE = {"p": 2.0, "q": 2.0, "s1": 0.0, "s2": 0.0}
 DATA = {"profile": "gaussian"}
 
 
+class _FirstDrawGenerator:
+    """np.random.default_rng(seed), built on its first draw, so that a run
+    whose kind and profile never draw does not import numpy.random."""
+
+    def __init__(self, seed: int) -> None:
+        self._seed, self._generator = seed, None
+
+    def __getattr__(self, name: str):
+        if name.startswith("_"):
+            raise AttributeError(name)
+        if self._generator is None:
+            self._generator = np.random.default_rng(self._seed)
+        return getattr(self._generator, name)
+
+
 @dataclasses.dataclass(frozen=True)
 class ExperimentSpec:
     name: str
@@ -451,10 +466,11 @@ def run_global_decay(values: Values, out_dir: Path, rng, jobs: int) -> Experimen
         raise BlowupInGlobalRun(
             f"oracle run escaped the cap at t = {etd_diag.escape_time}"
         )
-    agreement = float(np.max([
-        _pair_norm(grid, c - ref) / max(_pair_norm(grid, c), 1e-300)
-        for c, ref in zip(traj.spectra[1:], etd_traj.spectra[1:], strict=True)
-    ]))
+    with np.errstate(over="ignore"):
+        agreement = float(np.max([
+            _pair_norm(grid, c - ref) / max(_pair_norm(grid, c), 1e-300)
+            for c, ref in zip(traj.spectra[1:], etd_traj.spectra[1:], strict=True)
+        ]))
     # Only the agreement reads the oracle's spectra: dropping them before
     # the study leaves room for its stacked block norms.
     del etd_traj
@@ -512,7 +528,12 @@ def run_sweep_critical(values: Values, out_dir: Path, rng, jobs: int) -> Experim
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_sweep_one, args))
     else:
-        results = [_sweep_one(a) for a in args]
+        results = []
+        for a in args:
+            # The sweep owns its grid: each power's lattice set goes before
+            # the next power runs.  The step weights, free of p, stay.
+            grid._lattices.clear()
+            results.append(_sweep_one(a))
     fujita = params[0].fujita
     rows = [
         [float(p), float(escaped), t if t is not None else -1.0, float(steps), float(rejected)]
@@ -732,7 +753,7 @@ def run_experiment(
         section: {key: config_text(v) for key, v in keys.items() if v is not None}
         for section, keys in values.items()
     }
-    rng = np.random.default_rng(values["run"]["seed"])
+    rng = _FirstDrawGenerator(values["run"]["seed"])
     started, cpu = time.perf_counter(), time.process_time()
     faults = getrusage and getrusage(RUSAGE_SELF).ru_minflt
     report = spec.runner(values, out_dir, rng, jobs)

@@ -503,11 +503,9 @@ class _Lattice:
             # C order, as for one field: sums over a field's samples run in memory order.
             return np.multiply(self.forward, self.half[self.index], order="C")
         self.half *= self.forward
-        # Row by row, so every slice of a stack sums its rows in one order.
-        out = self.half[..., 0, :].copy()
-        for r in range(1, len(self.forward)):
-            out += self.half[..., r, :]
-        return out
+        # Over the row axis, which is not the innermost: numpy adds the rows
+        # in order, one at a time, so every slice of a stack sums alike.
+        return np.add.reduce(self.half, axis=-2)
 
 
 def _lattice(grid: TorusGrid, M: int) -> _Lattice:

@@ -104,9 +104,43 @@ def flow_matrix(t: float, xi_abs):
     return e11, e12, e21, e22
 
 
-def damped_L(t: float, xi_abs) -> np.ndarray:
-    """exp(-t/2) * L(t, |xi|), the e12 entry of the flow matrix."""
-    return flow_matrix(t, xi_abs)[1]
+def damped_L(t, xi_abs) -> np.ndarray:
+    """exp(-t/2) * L(t, |xi|), the e12 entry of the flow matrix.
+
+    A 1-D array of times gives one row per time, of shape (times,) +
+    |xi|'s, each bit for bit damped_L(float(t_k), xi_abs): the branch
+    masks and roots are taken once for all the times, and only e12 is
+    evaluated, by flow_matrix's expressions in its order, on compact
+    arrays of the low and the high modes stacked over the times (the high
+    ones in place).  A band mode (|xi| within DELTA_BAND of 1/2) changes
+    branch with t at the series test |t^2 (|xi|^2 - 1/4)| <= 1, so the
+    band modes take flow_matrix one time at a time.
+    """
+    if np.ndim(t) == 0:
+        return flow_matrix(t, xi_abs)[1]
+    times = np.asarray(t, dtype=float)
+    if np.any(times < 0):
+        raise ValueError("time must be nonnegative")
+    xi = np.asarray(xi_abs, dtype=float)
+    # At t = 0 the series test holds on the whole band, so the masks split
+    # the modes into the band and the low and high modes off it.
+    z, band, low, high = _branch_masks(0.0, xi)
+    column = times[:, None]
+    out = np.empty(times.shape + xi.shape)
+    if np.any(low):
+        w = np.sqrt(-z[low])
+        out[:, low] = (np.exp(column * (w - 0.5)) - np.exp(-column * (w + 0.5))) / (2.0 * w)
+    if np.any(high):
+        w = np.sqrt(z[high])
+        e12 = np.multiply(column, w)
+        np.sin(e12, out=e12)
+        e12 *= np.array([math.exp(-s / 2.0) for s in times.tolist()])[:, None]
+        e12 /= w
+        out[:, high] = e12
+    if np.any(band):
+        for row, s in zip(out, times.tolist()):
+            row[band] = flow_matrix(s, xi[band])[1]
+    return out
 
 
 def damped_dtL(t: float, xi_abs) -> np.ndarray:

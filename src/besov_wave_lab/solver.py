@@ -7,13 +7,16 @@ spectral pair (u, u_t) through exponential steps: the exact per-mode flow
 matrix plus the integrals of its kernels against a source that is linear
 on the step (Cox & Matthews 2002; Hochbruck & Ostermann, Acta Numerica 19
 (2010), sec. 2).  A piecewise-linear source is integrated exactly, and the
-spectrum comes out at every node without a transform.  Iteration starts
-from the linear solution and stops when successive iterates are close in
-the weighted solution norm.  The ETD oracle takes the same step with the
-source at its end predicted by a first-order step (ETD2); the two loops
-share the step and its cached weights and nothing more.  The oracle's
-steps are whole counts of dt: a rung dt * 2^k of a ladder, cut short to
-land on the next store time.  The corrector term, the scheme's own error
+spectrum comes out at every node without a transform.  The step does only
+the arithmetic its result reads: its weights are complex arrays built once
+per step size, their Gauss rows from stacked-time damped_L calls, and it
+writes its sums in place, into the row of Picard's stack for u.
+Iteration starts from the linear solution and stops when successive
+iterates are close in the weighted solution norm.  The ETD oracle takes
+the same step with the source at its end predicted by a first-order step
+(ETD2); the two loops share the step and its cached weights and nothing
+more.  The oracle's steps are whole counts of dt: a rung dt * 2^k of a
+ladder, cut short to land on the next store time.  The corrector term, the scheme's own error
 estimate, picks the rung against ETD_TOL, and may climb several rungs at
 once; dt is the floor, so no run takes more steps than at fixed dt, and
 every store time is hit exactly.
@@ -23,11 +26,12 @@ alias-free kernel grid.dealiased_pointwise on spectra they hold, through
 the kernel's one kept set per lattice, which the oracle resolves once
 per run (grid._power_kernel) and Picard's chunks of any size share.
 Picard's difference norms read the spectra of its corrections, and the
-trajectories they return hold spectra.  Each time
-loop, _flow_recursion's and the oracle's, holds one errstate that ignores
-overflow and invalid around all its steps; _step and the oracle's powers
-enter none of their own and rely on it, so an overflow is left to the
-samples, where the escape gate reads it.  The nodes of a Picard
+trajectories they return hold spectra.  Each time loop,
+_flow_recursion's, Picard's escape gate and the oracle's, holds one
+errstate that ignores overflow and invalid around all its steps; _step,
+the oracle's powers, _peaks, _sup_bound, _pair_norm and _mode_power enter
+none of their own and rely on it, so an overflow is left to the samples,
+where the escape gate reads it.  The nodes of a Picard
 iteration are independent in u^p, the norms and the escape gate, which
 Picard takes in stacked chunks of nodes.  One gate, _peaks, serves both
 loops: the Fourier-series bound _sup_bound, a sum over the spectrum, is
@@ -175,9 +179,9 @@ def _mode_power(grid: TorusGrid, *spectra: np.ndarray) -> tuple[np.ndarray, floa
     and the scale both are taken over.  The scale is 1 unless the sum
     overflows for finite spectra; then both are taken again of the spectra
     over their largest |c|, which is the scale.  So only a state whose
-    squares overflow pays a second pass."""
-    with np.errstate(over="ignore"):
-        power = _weighted_squares(grid, [np.abs(c) for c in spectra])
+    squares overflow pays a second pass.  The caller holds an errstate
+    that ignores overflow."""
+    power = _weighted_squares(grid, [np.abs(c) for c in spectra])
     total = float(power.sum())
     if math.isfinite(total):
         return power, total, 1.0
@@ -201,7 +205,8 @@ def _weighted_squares(grid: TorusGrid, sizes: list[np.ndarray]) -> np.ndarray:
 def spectral_tail_fraction(grid: TorusGrid, coeffs: np.ndarray) -> float:
     """Energy fraction of the field with half spectrum coeffs carried by the
     top frequency octave (resolution monitor)."""
-    power, total, _ = _mode_power(grid, coeffs)
+    with np.errstate(over="ignore"):
+        power, total, _ = _mode_power(grid, coeffs)
     if total == 0.0:
         return 0.0
     return float(np.sum(power[grid.freq_abs >= grid.max_freq / 2.0])) / total
@@ -211,9 +216,9 @@ def _sup_bound(grid: TorusGrid, coeffs: np.ndarray):
     """(2 pi)^(-n/2) dxi^n sum(mode_weight |c|), at least the max-norm of
     the field with half spectrum coeffs: each sample is a sum of the
     coefficients times unit phases, a real part on self-paired entries.
-    Stacked on leading axes, each array's bound is the one it gives alone."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return grid._sup_scale * (np.abs(coeffs) * grid.mode_weight).sum(axis=grid._axes)
+    Stacked on leading axes, each array's bound is the one it gives alone.
+    The caller holds an errstate that ignores overflow and invalid."""
+    return grid._sup_scale * (np.abs(coeffs) * grid.mode_weight).sum(axis=grid._axes)
 
 
 def _escapes(peaks, threshold: float):
@@ -227,7 +232,8 @@ def _peaks(grid: TorusGrid, coeffs: np.ndarray, threshold: float):
     transform could overflow, by a margin of 1e-9 that no rounding of a
     transform reaches; else the max |u| of its samples, all taken in one
     _samples call (inf or NaN for a non-finite sample).  _escapes tells
-    which peaks are blow-ups: a caller reads that once, off the peaks."""
+    which peaks are blow-ups: a caller reads that once, off the peaks.
+    The caller holds an errstate that ignores overflow and invalid."""
     cap = min(threshold, grid._sup_scale * sys.float_info.max)
     # Finite, so that an inf bound clears nothing, even under an infinite threshold.
     clear = min(cap * (1.0 - 1e-9), sys.float_info.max)
@@ -243,47 +249,79 @@ def _peaks(grid: TorusGrid, coeffs: np.ndarray, threshold: float):
 
 def _step_weights(grid: TorusGrid, h: float):
     """Flow matrix E(h) and source weights (i1u, i2u, i1v, i2v) of one
-    exponential step, kept in grid._steps by h and not to be written to, so
-    each distinct step of a run is built once.  The weights are integrals
-    over [0, h] of e12 and e22 against 1 and 1 - s/h.
-    Gauss-Legendre with order scaled to h * max|xi| keeps the e12 ones
-    exact to rounding for any resolved mode; the e22 ones follow exactly
-    from d/ds e12 = e22 and e12(0) = 0.
+    exponential step, kept in grid._steps by h as read-only complex
+    arrays, so each distinct step of a run is built once and no step
+    casts a real weight to multiply a spectrum.  i1v is e12 itself.  The
+    weights are integrals over [0, h] of e12 and e22 against 1 and
+    1 - s/h.  Gauss-Legendre with order scaled to h * max|xi| keeps the
+    e12 ones exact to rounding for any resolved mode; the e22 ones follow
+    exactly from d/ds e12 = e22 and e12(0) = 0.  The e12 rows at the
+    Gauss nodes come from one stacked-time damped_L call per chunk of
+    nodes (_node_chunks: about STACK_POINTS values a chunk, so a long
+    step's high order holds no more memory than a short step's) and are
+    summed in node order, as a loop over the nodes would sum them.
     """
     kept = grid._steps.get(h)
     if kept is not None:
         return kept
     xi = grid.freq_abs
-    flow = flow_matrix(h, xi)
     order = int(math.ceil(h * grid.max_freq / 2.0)) + 24
-    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes, gauss = np.polynomial.legendre.leggauss(order)
     s = 0.5 * h * (nodes + 1.0)
-    w = 0.5 * h * weights
+    w = (0.5 * h * gauss).reshape((-1,) + (1,) * xi.ndim)
+    ramps = (1.0 - s / h).tolist()
     i1u = np.zeros_like(xi)
     i2u = np.zeros_like(xi)
-    for sk, wk in zip(s, w):
-        lk = damped_L(float(sk), xi)
-        i1u += wk * lk
-        i2u += wk * lk * (1.0 - sk / h)
-    kept = grid._steps[h] = flow, (i1u, i2u, flow[1], i1u / h)
+    for chunk in _node_chunks(order, xi.size):
+        rows = damped_L(s[chunk], xi)
+        rows *= w[chunk]
+        for row, ramp in zip(rows, ramps[chunk]):
+            i1u += row
+            i2u += row * ramp
+    flow = tuple(e.astype(complex) for e in flow_matrix(h, xi))
+    weights = (i1u.astype(complex), i2u.astype(complex), flow[1], (i1u / h).astype(complex))
+    for array in flow + weights:
+        array.flags.writeable = False
+    kept = grid._steps[h] = flow, weights
     return kept
 
 
-def _step(grid: TorusGrid, h: float, u_hat, v_hat, f_start, f_end):
+def _step(grid: TorusGrid, h: float, u_hat, v_hat, f_start=None, f_end=None, out=None):
     """Advance the spectral pair (u, u_t) by h under a source that runs
     linearly from f_start to f_end: the flow, plus i1 f_start, plus the
     correction i2 (f_end - f_start) in each slot.  f_end may be a function
     of the first-order u at the step's end (ETD2).  Returns the new pair
-    and the correction.  The caller holds an errstate that ignores
-    overflow and invalid, as each time loop does around all its steps: an
-    overflow is left to the samples, as in _power.
+    and the corrections (cu, cv); with no source (f_start None) the flow
+    alone, and no corrections.  The sums run in the order
+    ((E u + E v) + i1 f_start) + i2 (f_end - f_start), in place, in the
+    new u (out, if given, else fresh), a fresh new v and one scratch
+    array, which ends as cv, and the slope ends as cu; nothing else the
+    caller passes in is written to.  The caller holds an errstate that
+    ignores overflow and invalid, as each time loop does around all its
+    steps: an overflow is left to the samples, as in _power.
     """
     (e11, e12, e21, e22), (i1u, i2u, i1v, i2v) = _step_weights(grid, h)
-    u_new = e11 * u_hat + e12 * v_hat + i1u * f_start
-    slope = (f_end(u_new) if callable(f_end) else f_end) - f_start
-    cu, cv = i2u * slope, i2v * slope
-    v_new = e21 * u_hat + e22 * v_hat + i1v * f_start + cv
-    return u_new + cu, v_new, (cu, cv)
+    u_new = np.multiply(e11, u_hat, out=out)
+    scratch = np.multiply(e12, v_hat)
+    u_new += scratch
+    if f_start is not None:
+        u_new += np.multiply(i1u, f_start, out=scratch)
+        if callable(f_end):
+            slope = f_end(u_new)
+            slope -= f_start
+        else:
+            slope = np.subtract(f_end, f_start)
+    # v waits for the power, which so runs beside u and the scratch alone.
+    v_new = np.multiply(e21, u_hat)
+    v_new += np.multiply(e22, v_hat, out=scratch)
+    if f_start is None:
+        return u_new, v_new, None
+    v_new += np.multiply(i1v, f_start, out=scratch)
+    cv = np.multiply(i2v, slope, out=scratch)
+    v_new += cv
+    cu = np.multiply(i2u, slope, out=slope)
+    u_new += cu
+    return u_new, v_new, (cu, cv)
 
 
 def _flow_recursion(
@@ -297,15 +335,16 @@ def _flow_recursion(
     from spectral data (u, u_t) = (u_hat, v_hat) at t = 0, plus the Duhamel
     integral of the source spectra, read one node at a time: each step is
     _step from F_k to F_{k+1}, exact for a source that is linear between
-    the nodes, which may be uneven.
+    the nodes, which may be uneven.  Each step writes its u straight into
+    its row of the stack; with no source (the linear start) the steps
+    take the flow alone.
     """
-    ends = itertools.pairwise(itertools.repeat(0.0) if source is None else source)
+    ends = itertools.repeat((None, None)) if source is None else itertools.pairwise(source)
     spectra = np.empty((times.size,) + grid.spectral_shape, dtype=complex)
     spectra[0] = u_hat
     with np.errstate(over="ignore", invalid="ignore"):
         for k, (h, (f_start, f_end)) in enumerate(zip(np.diff(times).tolist(), ends), start=1):
-            u_hat, v_hat, _ = _step(grid, h, u_hat, v_hat, f_start, f_end)
-            spectra[k] = u_hat
+            u_hat, v_hat = _step(grid, h, u_hat, v_hat, f_start, f_end, out=spectra[k])[:2]
     return spectra
 
 
@@ -392,12 +431,13 @@ def picard_solve(
 
     for _ in range(cfg.max_iters):
         update = duhamel_integral(grid, times, _sources(grid, linear, correction, pp.p_nl))
-        for chunk in _node_chunks(times.size, grid.points_per_axis**grid.n):
-            peaks = _peaks(grid, linear[chunk] + update[chunk], threshold)
-            escapes = times[chunk][_escapes(peaks, threshold)]
-            if escapes.size:
-                diag.escape_time = float(escapes[0])
-                break
+        with np.errstate(over="ignore", invalid="ignore"):
+            for chunk in _node_chunks(times.size, grid.points_per_axis**grid.n):
+                peaks = _peaks(grid, linear[chunk] + update[chunk], threshold)
+                escapes = times[chunk][_escapes(peaks, threshold)]
+                if escapes.size:
+                    diag.escape_time = float(escapes[0])
+                    break
         if diag.blown_up:
             break
         # The step is written over the last correction, which nothing reads
@@ -427,7 +467,8 @@ def _lattice_count(t: float, dt: float, what: str) -> int:
 
 def _pair_norm(grid: TorusGrid, *spectra: np.ndarray) -> float:
     """L^2 norm, up to a factor dxi^(n/2), of a field or a pair (u, v) from
-    its half spectra (Parseval)."""
+    its half spectra (Parseval).  The caller holds an errstate that ignores
+    overflow."""
     _, total, scale = _mode_power(grid, *spectra)
     return scale * math.sqrt(total)
 

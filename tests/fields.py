@@ -1,7 +1,8 @@
 """Test-side field construction from closed-form functions, the part of a
 half spectrum that a real field carries, a counter of the transforms a run
-takes, a probe of the memory a call keeps, a record of the nodes x_norm
-evaluates, and the fields a trajectory holds."""
+takes, probes of the memory a call keeps and of the memory it holds only
+while it runs, a record of the nodes x_norm evaluates, and the fields a
+trajectory holds."""
 
 import collections
 import sys
@@ -94,6 +95,20 @@ def kept_allocations(call):
     finally:
         tracemalloc.stop()
     return sorted((trace.size for trace in traces), reverse=True)
+
+
+def transient_peak(call):
+    """The tracemalloc peak of call(), in bytes, net of what it leaves
+    allocated when it returns (its result, and any buffer it keeps): the
+    memory it holds only while it runs."""
+    tracemalloc.start()
+    try:
+        result = call()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del result
+    return peak - held
 
 
 def record_x_nodes(monkeypatch):

@@ -4,9 +4,16 @@ import configparser
 import dataclasses
 import functools
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+import besov_wave_lab
+from besov_wave_lab import experiments
 
 from besov_wave_lab.admissibility import AdmissibilityError
 from besov_wave_lab.cli import (
@@ -688,6 +695,29 @@ blowup_threshold = 50
         assert outputs[0] == outputs[1]
         assert list(outputs[0][1]) == ["sweep-critical.sweep.csv"]
 
+    def test_serial_sweep_keeps_one_lattice_set_at_a_time(self, tmp_path, capsys, monkeypatch):
+        # Powers 3, 5 and 9 pad to 2N, 3N and 5N points.  The sweep drops a
+        # power's kept set before the next power runs, and keeps the step
+        # weights, which every power reads.
+        seen = []
+        original = experiments.etd_oracle
+
+        def recorded(u0, *args, **kw):
+            grid = u0.grid
+            before = (len(grid._lattices), set(grid._steps))
+            result = original(u0, *args, **kw)
+            seen.append((before, (list(grid._lattices), set(grid._steps))))
+            return result
+
+        monkeypatch.setattr(experiments, "etd_oracle", recorded)
+        text = SWEEP_CFG.format(powers="3,5,9", r="4", s="5", profile="gaussian")
+        cfg = write_cfg(tmp_path / "sweep.cfg", text)
+        main(["run", cfg, "--out", str(tmp_path / "o"), "--jobs", "1"])
+        assert [after[0] for _, after in seen] == [[2 * 128], [3 * 128], [5 * 128]]
+        assert all(before[0] == 0 for before, _ in seen)
+        for (_, (_, steps)), ((_, kept), _) in zip(seen, seen[1:]):
+            assert steps and kept == steps
+
     def test_sweep_passes_when_the_boundary_sits_at_critical(self, tmp_path, capsys):
         # At amplitude 0.4, p = 2 escapes by t = 8 and p = 9 = 1 + 2r/n decays.
         text = SWEEP_CFG.format(powers="2,9", r="4", s="5", profile="gaussian")
@@ -721,6 +751,44 @@ blowup_threshold = 50
             data.pop("timing")
             bodies.append(json.dumps(data, sort_keys=True))
         assert bodies[0] == bodies[1]
+
+
+class TestFirstDraw:
+    """The run's generator is built on its first draw: a run that never
+    draws leaves numpy.random unimported, and a drawing run reads the
+    seed's stream, as a generator built before the run would give it."""
+
+    SCRIPT = (
+        "import sys\n"
+        "from besov_wave_lab.cli import main\n"
+        "for cfg, out in zip(sys.argv[1::2], sys.argv[2::2]):\n"
+        "    code = main(['run', cfg, '--out', out])\n"
+        "    print('imported', code, 'numpy.random' in sys.modules)\n"
+    )
+
+    def test_only_a_drawing_run_imports_numpy_random(self, tmp_path, monkeypatch, capsys):
+        decay = write_cfg(
+            tmp_path / "decay.cfg",
+            "[experiment]\nkind = global-decay\n\n[data]\nprofile = gaussian\namplitude = 1e-2\n",
+        )
+        leibniz = str(CONFIGS / "leibniz.cfg")
+        env = dict(os.environ, PYTHONPATH=str(Path(besov_wave_lab.__file__).parents[1]))
+        run = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, decay, str(tmp_path / "d"), leibniz,
+             str(tmp_path / "lazy")],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        lines = [line for line in run.stdout.splitlines() if line.startswith("imported")]
+        assert lines == ["imported 0 False", "imported 0 True"]
+        # The same leibniz run with the generator built before it starts.
+        monkeypatch.setattr(experiments, "_FirstDrawGenerator", np.random.default_rng)
+        assert main(["run", leibniz, "--out", str(tmp_path / "eager")]) == EXIT_OK
+        reports = []
+        for sub in ("lazy", "eager"):
+            report = json.loads((tmp_path / sub / "leibniz.json").read_text())
+            report.pop("timing")
+            reports.append(report)
+        assert reports[0] == reports[1]
 
 
 class TestAdmissibilityGate:

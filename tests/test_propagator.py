@@ -110,6 +110,38 @@ class TestSymbol:
         assert np.all(np.isfinite(vals))
         assert np.max(np.abs(vals)) <= 1.0 + 1e-12
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.sampled_from([1, 2]),
+        N=st.sampled_from([8, 16, 64]),
+        k=st.integers(1, 4),
+        offset=st.floats(1e-4, 0.9 * DELTA_BAND) | st.floats(-0.9 * DELTA_BAND, -1e-4),
+        reach=st.floats(1.05, 3.0),
+    )
+    def test_stacked_times_match_one_time_at_a_time(self, n, N, k, offset, reach):
+        # Mode k of the last axis sits in the band, at |xi| = 1/2 + offset,
+        # and the step h reaches past the time where its series test flips,
+        # so Gauss nodes on [0, h], as _step_weights takes them, meet the
+        # band mode on both sides of it.  Each stacked row must be its own
+        # call.
+        grid = make_grid(n, N, 2.0 * np.pi * k / (0.5 + offset))
+        xi = grid.freq_abs
+        z = offset * (1.0 + offset)
+        h = reach / math.sqrt(abs(z))
+        times = 0.5 * h * (np.polynomial.legendre.leggauss(40)[0] + 1.0)
+        series = times**2 * abs(z) <= 1.0
+        assert np.any(np.abs(xi - 0.5) <= DELTA_BAND) and np.any(series) and not np.all(series)
+        stacked = damped_L(times, xi)
+        assert stacked.shape == times.shape + xi.shape
+        for row, t in zip(stacked, times):
+            assert row.tobytes() == damped_L(float(t), xi).tobytes()
+
+    def test_stacked_times_are_checked(self):
+        xi = np.array([0.2, 0.5, 3.0])
+        assert damped_L(np.array([0.0]), xi).tolist() == [[0.0, 0.0, 0.0]]
+        with pytest.raises(ValueError, match="nonnegative"):
+            damped_L(np.array([1.0, -1.0]), xi)
+
     @pytest.mark.parametrize("xi", [0.0, 0.1, 0.5 - 1e-3, 0.5, 0.5 + 1e-3, 1.0, 4.0])
     def test_mode_ode_residual(self, xi):
         # v(t) = exp(-t/2) L(t, xi) solves the mode equation; central

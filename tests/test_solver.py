@@ -2,6 +2,8 @@
 
 import collections
 import dataclasses
+import functools
+import itertools
 import math
 import re
 import sys
@@ -31,7 +33,13 @@ from besov_wave_lab.norms import (
     x_weight,
 )
 from besov_wave_lab.profiles import gaussian, single_mode, slow_decay
-from fields import count_transforms, field_from_function, record_x_nodes, trajectory_fields
+from fields import (
+    count_transforms,
+    field_from_function,
+    record_x_nodes,
+    trajectory_fields,
+    transient_peak,
+)
 from besov_wave_lab.propagator import (
     DELTA_BAND,
     damped_dtL,
@@ -50,6 +58,7 @@ from besov_wave_lab.solver import (
     _escapes,
     _peaks,
     _power,
+    _power_kernel,
     _step_weights,
     _sup_bound,
     contraction_report,
@@ -64,6 +73,36 @@ from besov_wave_lab.solver import (
 
 PP3 = ProblemParams(n=1, r=4.0, s=2.0, p_nl=3)
 PP2 = ProblemParams(n=1, r=4.0, s=2.0, p_nl=2)
+
+
+@functools.lru_cache(maxsize=None)
+def textbook_weights(grid, h):
+    """The flow matrix and source weights (i1u, i2u, i1v, i2v) of a step
+    of h as real arrays, by Gauss-Legendre of order h max|xi| / 2 + 24
+    with one damped_L call per node, summed node by node."""
+    xi = grid.freq_abs
+    order = int(math.ceil(h * grid.max_freq / 2.0)) + 24
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    i1u, i2u = np.zeros_like(xi), np.zeros_like(xi)
+    for sk, wk in zip(0.5 * h * (nodes + 1.0), 0.5 * h * weights):
+        lk = damped_L(float(sk), xi)
+        i1u += wk * lk
+        i2u += wk * lk * (1.0 - sk / h)
+    flow = flow_matrix(h, xi)
+    return flow, (i1u, i2u, flow[1], i1u / h)
+
+
+def textbook_step(grid, h, u_hat, v_hat, f_start, f_end):
+    """One exponential step written out on textbook_weights: the flow, plus
+    i1 f_start, plus i2 (f_end - f_start) in each slot, with f_end a
+    function of the first-order u or an array.  Returns the new pair and
+    the corrections."""
+    (e11, e12, e21, e22), (i1u, i2u, i1v, i2v) = textbook_weights(grid, h)
+    u_new = e11 * u_hat + e12 * v_hat + i1u * f_start
+    slope = (f_end(u_new) if callable(f_end) else f_end) - f_start
+    cu, cv = i2u * slope, i2v * slope
+    v_new = e21 * u_hat + e22 * v_hat + i1v * f_start + cv
+    return u_new + cu, v_new, (cu, cv)
 
 
 def small_gaussian_data(grid, amplitude):
@@ -139,7 +178,7 @@ class TestDuhamel:
         for k, t in enumerate(times):
             acc = np.zeros(grid.spectral_shape, dtype=complex)
             for j in range(k):
-                _, (i1u, i2u, i1v, i2v) = _step_weights(grid, times[j + 1] - times[j])
+                _, (i1u, i2u, i1v, i2v) = textbook_weights(grid, times[j + 1] - times[j])
                 a = i1u * f[j] + i2u * (f[j + 1] - f[j])
                 b = i1v * f[j] + i2v * (f[j + 1] - f[j])
                 e11, e12, _, _ = flow_matrix(t - times[j + 1], xi)
@@ -678,13 +717,15 @@ class TestEscapeGate:
 
     def test_an_overflowing_bound_is_inf_and_sampled(self, monkeypatch):
         # At L = 0.5 the bound's scale exceeds 1, so a finite sum overflows
-        # when scaled: the bound is inf, without a warning, and an infinite
-        # bound clears nothing, even under an infinite threshold.
+        # when scaled: the bound is inf, without a warning under the
+        # errstate every caller holds, and an infinite bound clears
+        # nothing, even under an infinite threshold.
         grid = make_grid(1, 8, 0.5)
         coeffs = np.zeros((2,) + grid.spectral_shape, dtype=complex)
         coeffs[:, 0] = 0.5 * sys.float_info.max
         assert grid._sup_scale > 2.0
-        assert _sup_bound(grid, coeffs).tolist() == [math.inf, math.inf]
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert _sup_bound(grid, coeffs).tolist() == [math.inf, math.inf]
         calls = []
 
         def counted(*args):
@@ -692,7 +733,8 @@ class TestEscapeGate:
             return _samples(*args)
 
         monkeypatch.setattr(solver, "_samples", counted)
-        assert _peaks(grid, coeffs, math.inf).tolist() == [math.inf, math.inf]
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert _peaks(grid, coeffs, math.inf).tolist() == [math.inf, math.inf]
         assert calls == [coeffs.shape]
 
     @settings(max_examples=60, deadline=None)
@@ -800,10 +842,11 @@ class TestEscapeGate:
 
 def reference_etd2(u0, u1, pp, dt, T, *, blowup_threshold=math.inf, store_times=()):
     """etd_oracle's ETD2 loop built step by step from _power, _pair_norm,
-    _step and _peaks, each called on every step as a plain loop would call
-    it (a fresh power per call, its kept set looked up each time), under
-    one errstate of its own.  Returns the stored times and spectra, the
-    steps, the rejections, the escape time and the final tail fraction."""
+    textbook_step and _peaks, each called on every step as a plain loop
+    would call it (a fresh power per call, its kept set looked up each
+    time), under one errstate of its own.  Returns the stored times and
+    spectra, the steps, the rejections, the escape time and the final tail
+    fraction."""
     grid = u0.grid
     steps = round(T / dt)
     store_idx = {0} | {round(t / dt) for t in store_times}
@@ -818,7 +861,7 @@ def reference_etd2(u0, u1, pp, dt, T, *, blowup_threshold=math.inf, store_times=
                 n0 = power(uh)
                 scale = solver.ETD_TOL * _pair_norm(grid, uh, vh)
             units = min(2**k, min(t for t in landings if t > m) - m)
-            new_u, new_v, (cu, cv) = solver._step(grid, dt * units, uh, vh, n0, power)
+            new_u, new_v, (cu, cv) = textbook_step(grid, dt * units, uh, vh, n0, power)
             err = _pair_norm(grid, cu, cv)
             retry = units > 1 and not err <= scale
             if not retry:
@@ -903,6 +946,95 @@ class TestOracleLoop:
         assert lookups == [(2 * 64,)]
         pairs = 2 * diag.steps + diag.rejected
         assert counts["forward", "padded"] == counts["inverse", "padded"] == pairs
+
+    def test_a_rejected_step_leaves_the_accepted_state(self, monkeypatch):
+        # A retry starts from the very arrays the rejected step was given,
+        # holding the bits they held: the rejected step wrote to none of
+        # them.  The stores and the last finite state are the plain loop's.
+        monkeypatch.setattr(solver, "ETD_TOL", 1e-2)
+        calls, original = [], solver._step
+
+        def recorded(grid, h, u_hat, v_hat, f_start, f_end):
+            inputs = (u_hat, v_hat, f_start)
+            calls.append((inputs, [a.tobytes() for a in inputs]))
+            return original(grid, h, u_hat, v_hat, f_start, f_end)
+
+        monkeypatch.setattr(solver, "_step", recorded)
+        grid = make_grid(1, 64, 32.0)
+        u0 = gaussian(grid, width=2.0, amplitude=0.5)
+        args = (u0, u0, PP2, 0.01, 8.0)
+        kw = dict(blowup_threshold=5.0, store_times=[1.0, 2.0])
+        traj, diag = etd_oracle(*args, **kw)
+        retries = 0
+        for (given, bits), (again, bits_again) in itertools.pairwise(calls):
+            if again[0] is given[0]:
+                retries += 1
+                assert all(a is b for a, b in zip(again, given)) and bits_again == bits
+        assert retries == diag.rejected > 0
+        times, stores, *_, tail = reference_etd2(*args, **kw)
+        assert traj.spectra.tobytes() == np.array(stores).tobytes()
+        assert np.float64(diag.final_tail_fraction).tobytes() == np.float64(tail).tobytes()
+
+
+class TestStepMemory:
+    """The fused step allocates a fixed set of spectra, whatever the run's
+    length, and what the solvers return aliases nothing they keep."""
+
+    def test_trajectory_rows_do_not_alias(self):
+        grid = make_grid(1, 64, 32.0)
+        u0 = gaussian(grid, width=2.0, amplitude=0.3)
+        times = np.linspace(0.0, 2.0, 9)
+        picard, _ = picard_solve(u0, u0, PP2, SolverConfig(times, max_iters=3))
+        oracle, _ = etd_oracle(u0, u0, PP2, 0.01, 2.0, store_times=times[1:])
+        linear = _flow_recursion(grid, times, u0.spectrum, u0.spectrum)
+        kept = [u0.spectrum]
+        kept += [a for flow, weights in grid._steps.values() for a in flow + weights]
+        for spectra in (picard.spectra, oracle.spectra, linear):
+            assert len({row.tobytes() for row in spectra}) == times.size
+            for a, b in itertools.combinations(spectra, 2):
+                assert not np.shares_memory(a, b)
+            assert not any(np.shares_memory(spectra, k) for k in kept)
+
+    def test_recursion_memory_does_not_grow_with_the_nodes(self):
+        # Each step holds the last u_t, the new one, the slope and one
+        # scratch array, and writes u into its row of the result: at most
+        # 5 spectra of transient memory, for 65 nodes as for 129.
+        grid = make_grid(1, 1024, 64.0)
+        u0 = gaussian(grid, width=2.0, amplitude=0.3)
+        spectrum = u0.spectrum.nbytes
+        peaks = []
+        for nodes in (65, 129):
+            times = np.linspace(0.0, 2.0, nodes)
+            source = [c * u0.spectrum for c in np.linspace(0.0, 1.0, nodes)]
+            run = lambda: _flow_recursion(grid, times, u0.spectrum, u0.spectrum, source)
+            run()  # builds the step's weights
+            peaks.append(transient_peak(run))
+        assert max(peaks) <= 5 * spectrum
+        assert abs(peaks[1] - peaks[0]) <= spectrum / 4
+
+    @pytest.mark.parametrize("N", [256, 1024])
+    def test_a_warm_etd_step_holds_a_fixed_number_of_spectra(self, N):
+        # The step returns u, u_t and the two corrections, four spectra,
+        # and never holds more than one spectrum above them: the cubic
+        # power's temporary (two spectra) comes while the step holds only
+        # the first-order u and its scratch array.
+        grid = make_grid(1, N, 64.0)
+        u0 = gaussian(grid, width=2.0, amplitude=0.3)
+        power = _power_kernel(grid, 3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            n0 = power(u0.spectrum)
+            step = lambda: solver._step(grid, 0.04, u0.spectrum, u0.spectrum, n0, power)
+            step()  # builds the weights
+            assert transient_peak(step) <= u0.spectrum.nbytes
+            tracemalloc.start()
+            try:
+                result = step()
+                held = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+        assert held >= 4 * u0.spectrum.nbytes
+        assert held <= 4 * u0.spectrum.nbytes + 1024
+        del result
 
 
 def rung0_oracle(monkeypatch, *args, **kw):
@@ -1009,12 +1141,14 @@ class TestEtdOracle:
         assert 0.0 < diag.final_tail_fraction < 1.0
 
     def test_pair_norm_rescales_an_overflow(self):
-        # A finite pair whose squares overflow keeps its norm; a NaN stays NaN.
+        # A finite pair whose squares overflow keeps its norm; a NaN stays
+        # NaN.  The caller holds the errstate, as the oracle's loop does.
         u = gaussian(self.grid, width=2.0, amplitude=1.0).spectrum
-        norm = _pair_norm(self.grid, u, 2.0 * u)
-        huge = _pair_norm(self.grid, 1e300 * u, 2e300 * u)
+        with np.errstate(over="ignore"):
+            norm = _pair_norm(self.grid, u, 2.0 * u)
+            huge = _pair_norm(self.grid, 1e300 * u, 2e300 * u)
+            assert math.isnan(_pair_norm(self.grid, np.full_like(u, np.nan), u))
         assert huge == pytest.approx(1e300 * norm, rel=1e-14)
-        assert math.isnan(_pair_norm(self.grid, np.full_like(u, np.nan), u))
 
     def test_step_validation(self):
         u0 = self.grid.zeros()
